@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repo.
 
-.PHONY: install test lint bench bench-smoke bench-pq pq-smoke bench-paper bench-core bench-loadbalance loadbalance-smoke bench-pipeline pipeline-smoke bench-serving serving-smoke bench-filter filter-smoke obs-smoke examples faults-demo clean
+.PHONY: install test lint bench bench-smoke bench-e2e-smoke bench-pq pq-smoke bench-paper bench-core bench-loadbalance loadbalance-smoke bench-pipeline pipeline-smoke bench-serving serving-smoke bench-filter filter-smoke obs-smoke examples faults-demo clean
 
 # smoke artifacts are throwaway CI outputs — they land in .benchmarks/
 # (gitignored), never at the repo root next to the tracked trajectories
@@ -114,6 +114,13 @@ obs-smoke:
 		--explain-top 2
 	python -m repro.obs.validate $(SMOKE_DIR)/obs/trace.json $(SMOKE_DIR)/obs/events.jsonl
 	pytest tests/test_observability.py -q
+
+# the repo benchmark (BENCHMARK.json) at 1/8 size, one round, with its own
+# answer/ledger/identity checks, plus the benchmark's tests: keeps the judge
+# of every host-clock claim runnable (see benchmarks/e2e/README.md); < 60 s
+bench-e2e-smoke:
+	python3 benchmarks/e2e/bench.py --smoke
+	python -m pytest -q benchmarks/e2e/tests
 
 # full evaluation-section reproduction (all tables + figures + ablations)
 bench-paper:

@@ -21,7 +21,7 @@ from repro.core.build import BuildOutput, run_build
 from repro.core.config import SystemConfig
 from repro.core.searcher import LocalSearcher, ModeledSearcher, RealHnswSearcher
 from repro.runtime.report import SearchReport
-from repro.utils.validation import check_matrix
+from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["DistributedANN", "BuildReport", "SearchReport"]
 
@@ -135,11 +135,7 @@ class DistributedANN:
         Both default to the config's ``filter`` / ``tenant`` fields;
         None everywhere keeps the run bit-identical to unfiltered.
         """
-        self._require_fitted()
-        Q = check_matrix(Q, "Q")
-        if Q.shape[1] != self._dim:
-            raise ValueError(f"queries are {Q.shape[1]}-d, index is {self._dim}-d")
-        k = k or self.config.k
+        Q, k = self._check_query(Q, self.config.k if k is None else k)
         return self._run_search(
             Q, k, self._make_searcher(), fpayload=self._resolve_filter(filter, tenant)
         )
@@ -149,11 +145,19 @@ class DistributedANN:
     ) -> tuple[np.ndarray, np.ndarray, SearchReport]:
         """Batch search with a custom local searcher (the paper's §VI
         extensibility seam — see :mod:`repro.core.localindex`)."""
-        self._require_fitted()
-        Q = check_matrix(Q, "Q")
+        Q, k = self._check_query(Q, k)
         return self._run_search(
             Q, k, searcher, fpayload=self._resolve_filter(filter, tenant)
         )
+
+    def _check_query(self, Q: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+        """Validated ``(Q, k)`` for a fitted system: a float32 matrix of the
+        index's width and a positive integer k."""
+        self._require_fitted()
+        Q = check_matrix(Q, "Q")
+        if Q.shape[1] != self._dim:
+            raise ValueError(f"queries are {Q.shape[1]}-d, index is {self._dim}-d")
+        return Q, check_positive_int(k, "k")
 
     def _resolve_filter(self, filter, tenant) -> dict | None:  # noqa: A002
         """The run's wire filter payload, or None for an unfiltered run.

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, NamedTuple
 
 import numpy as np
 
@@ -119,13 +118,13 @@ def payload_nbytes(obj: Any) -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _Compute:
     seconds: float
     kind: str = "compute"
 
 
-@dataclass
+@dataclass(slots=True)
 class _SendMsg:
     mailbox: "Mailbox"
     source: int
@@ -135,40 +134,40 @@ class _SendMsg:
     same_node: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class _RecvPost:
     mailbox: "Mailbox"
     source: int
     tag: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _Wait:
     request: "Request"
 
 
-@dataclass
+@dataclass(slots=True)
 class _WaitAny:
     waitables: list
     timeout: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _Test:
     request: "Request"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Cancel:
     request: "Request"
 
 
-@dataclass
+@dataclass(slots=True)
 class _EventSet:
     event: "Event"
 
 
-@dataclass
+@dataclass(slots=True)
 class _CollectiveCall:
     key: tuple
     members: tuple
@@ -177,7 +176,7 @@ class _CollectiveCall:
     complete: Callable[[dict], dict]
 
 
-@dataclass
+@dataclass(slots=True)
 class _RmaOp:
     seconds: float
     apply: Callable[[], Any]
@@ -252,14 +251,15 @@ class Event:
         self._waiters: list[_Proc] = []
 
 
-@dataclass
-class _Message:
+class _Message(NamedTuple):
+    """A message in flight or queued; orders by ``(arrival, seq)``, and
+    ``seq`` is unique, so comparisons never reach the payload."""
+
     arrival: float
     seq: int
     source: int
-    tag: int
+    tag: Any
     payload: Any
-    nbytes: int
 
 
 class Mailbox:
@@ -272,18 +272,68 @@ class Mailbox:
     ``node`` records which compute node the mailbox lives on (None when
     unknown); the fault injector uses it to resolve the (src, dst) link of
     a send and to drop messages addressed to a crashed node.
+
+    Unmatched messages are bucketed by tag, each bucket a heap on
+    ``(arrival, seq)``, so an any-source receive costs O(log n) however
+    many messages wait and an exact-source one scans its own tag only (see
+    docs/simulation.md, "Message matching").  ``len(mailbox)`` is the
+    number of queued messages.
     """
 
-    __slots__ = ("name", "node", "_queue", "_pending")
+    __slots__ = ("name", "node", "_buckets", "_pending")
 
     def __init__(self, name: str = "", node: int | None = None) -> None:
         self.name = name
         self.node = node
-        self._queue: deque[_Message] = deque()
+        #: tag -> heap of queued messages; empty buckets are deleted, so a
+        #: wildcard receive only ever looks at tags that have a message
+        self._buckets: dict[Any, list[_Message]] = {}
+        #: posted, unmatched receives in post order — at most one per
+        #: thread sharing the mailbox, so it stays a plain list
         self._pending: list[Request] = []
 
+    def __len__(self) -> int:
+        return sum(map(len, self._buckets.values()))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Mailbox({self.name!r}, queued={len(self._queue)})"
+        return f"Mailbox({self.name!r}, queued={len(self)})"
+
+    def _put(self, msg: _Message) -> None:
+        bucket = self._buckets.get(msg.tag)
+        if bucket is None:
+            self._buckets[msg.tag] = [msg]
+        else:
+            heapq.heappush(bucket, msg)
+
+    def _take(self, source: int, tag) -> _Message | None:
+        """Remove and return the queued message with the smallest
+        ``(arrival, seq)`` that a receive for ``(source, tag)`` matches."""
+        buckets = self._buckets
+        if not buckets:
+            return None
+        if tag == ANY_TAG or (isinstance(tag, tuple) and ANY_TAG in tag):
+            heaps = [heap for t, heap in buckets.items() if _tag_matches(tag, t)]
+        else:
+            heaps = [buckets[tag]] if tag in buckets else ()
+        best = best_heap = None
+        for heap in heaps:
+            if source == ANY_SOURCE:
+                msg = heap[0]
+            else:
+                # the rarer exact-source receive scans the entries of its own tag
+                msg = min((m for m in heap if m.source == source), default=None)
+            if msg is not None and (best is None or msg < best):
+                best, best_heap = msg, heap
+        if best is None:
+            return None
+        if best is best_heap[0]:
+            heapq.heappop(best_heap)
+        else:
+            best_heap.remove(best)
+            heapq.heapify(best_heap)
+        if not best_heap:
+            del buckets[best.tag]
+        return best
 
 
 # --------------------------------------------------------------------------
@@ -597,7 +647,9 @@ class Simulation:
         if self._started:
             raise SimError("cannot add procs after run() started")
         pid = len(self._procs)
-        proc = _Proc(pid, name or f"proc{pid}", node, mailbox or Mailbox(f"mb{pid}", node))
+        if mailbox is None:  # not ``or``: an empty mailbox has len() == 0
+            mailbox = Mailbox(f"mb{pid}", node)
+        proc = _Proc(pid, name or f"proc{pid}", node, mailbox)
         ctx = Context(self, proc)
         gen = program(ctx, *args)
         if not hasattr(gen, "send"):
@@ -846,7 +898,7 @@ class Simulation:
                     "msg_lost_node_down", arrival, src=proc.node, dst=sc.mailbox.node, tag=sc.tag
                 )
                 continue
-            msg = _Message(arrival, next(self._seq), sc.source, sc.tag, sc.payload, sc.nbytes)
+            msg = _Message(arrival, next(self._seq), sc.source, sc.tag, sc.payload)
             self._deliver(sc.mailbox, msg)
         self._push(proc)
 
@@ -858,18 +910,13 @@ class Simulation:
                 if req._waiter is not None:
                     self._finish_wait_any(req._waiter, req, msg.payload)
                 return
-        mailbox._queue.append(msg)
+        mailbox._put(msg)
 
     def _do_recv_post(self, proc: _Proc, sc: _RecvPost) -> Request:
         req = Request(sc.mailbox, sc.source, sc.tag, proc.clock)
-        best_idx, best = -1, None
-        for idx, msg in enumerate(sc.mailbox._queue):
-            if req._matches(msg.source, msg.tag):
-                if best is None or (msg.arrival, msg.seq) < (best.arrival, best.seq):
-                    best_idx, best = idx, msg
-        if best is not None:
-            del sc.mailbox._queue[best_idx]
-            req._complete(best)
+        msg = sc.mailbox._take(sc.source, sc.tag)
+        if msg is not None:
+            req._complete(msg)
         else:
             sc.mailbox._pending.append(req)
         return req
@@ -902,8 +949,8 @@ class Simulation:
                 proc.sendval = (idx, None)
                 self._push(proc)
                 return
-        # none ready: register on all
-        proc._wait_entries = list(waitables)
+        # none ready: register on all (the list is the syscall's own copy)
+        proc._wait_entries = waitables
         proc._wait_is_any = True
         for w in waitables:
             if isinstance(w, Request):
@@ -925,7 +972,7 @@ class Simulation:
             return
         entries = proc._wait_entries
         proc._wait_entries = []
-        idx = next(i for i, w in enumerate(entries) if w is fired)
+        idx = entries.index(fired)
         # unregister from the others
         for w in entries:
             if w is fired:

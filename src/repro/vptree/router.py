@@ -23,11 +23,13 @@ modes:
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.metrics import Metric, get_metric
+from repro.metrics.lp import EuclideanMetric, _l2sq_one_to_many
 from repro.utils.validation import check_positive_int, check_vector
 
 __all__ = ["RouteNode", "PartitionRouter"]
@@ -43,6 +45,11 @@ class RouteNode:
     right: "RouteNode | None" = None
     partition: int = -1
 
+    def __post_init__(self) -> None:
+        # the float64 (1, d) row the metric kernels work on, converted here
+        # once instead of from the float32 ``vp`` on every routing step
+        self._vp64 = None if self.vp is None else np.asarray(self.vp, np.float64)[np.newaxis, :]
+
     @property
     def is_leaf(self) -> bool:
         return self.partition >= 0
@@ -57,6 +64,9 @@ class PartitionRouter:
         self.metric = get_metric(metric)
         if not self.metric.is_true_metric:
             raise ValueError("partition routing requires a true metric")
+        #: both operands of a routing step are float64 already, so L2 calls
+        #: the metric's own kernel without its per-call conversion wrapper
+        self._l2 = type(self.metric) is EuclideanMetric
         self.n_dist_evals = 0
 
     # -- constructors -------------------------------------------------------
@@ -117,13 +127,15 @@ class PartitionRouter:
 
     # -- routing -------------------------------------------------------------
 
-    def _d(self, q: np.ndarray, vp: np.ndarray) -> float:
+    def _d(self, q64: np.ndarray, node: RouteNode) -> float:
         self.n_dist_evals += 1
-        return float(self.metric.one_to_many(q, vp[np.newaxis, :])[0])
+        if self._l2:
+            return math.sqrt(_l2sq_one_to_many(q64, node._vp64)[0])
+        return float(self.metric.one_to_many(q64, node._vp64)[0])
 
     def route_exact(self, query: np.ndarray, tau: float) -> list[int]:
         """All partitions intersecting the ball of radius ``tau``."""
-        q = check_vector(query, "query")
+        q = check_vector(query, "query").astype(np.float64)
         if tau < 0:
             raise ValueError(f"tau must be non-negative, got {tau}")
         out: list[int] = []
@@ -132,7 +144,7 @@ class PartitionRouter:
             if node.is_leaf:
                 out.append(node.partition)
                 return
-            d = self._d(q, node.vp)
+            d = self._d(q, node)
             if d - tau <= node.mu:
                 rec(node.left)
             if d + tau > node.mu:
@@ -148,7 +160,7 @@ class PartitionRouter:
         path; the nearest leaf always has penalty 0.  Returned in
         increasing-penalty order.
         """
-        q = check_vector(query, "query")
+        q = check_vector(query, "query").astype(np.float64)
         check_positive_int(n_probe, "n_probe")
         out: list[int] = []
         seq = 0
@@ -156,7 +168,7 @@ class PartitionRouter:
         while heap and len(out) < n_probe:
             penalty, _, node = heapq.heappop(heap)
             while not node.is_leaf:
-                d = self._d(q, node.vp)
+                d = self._d(q, node)
                 margin = abs(d - node.mu)
                 near, far = (
                     (node.left, node.right) if d <= node.mu else (node.right, node.left)

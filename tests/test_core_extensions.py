@@ -43,6 +43,14 @@ class TestAlternativeLocalIndexes:
         D, I, rep = ann.query_with_searcher(Q, 10, searcher)
         assert recall_at_k(I, gt_i, gt_d, D) == 1.0
 
+    def test_custom_searcher_queries_are_validated_like_query(self, fitted):
+        ann, X, Q, *_ = fitted
+        searcher = BruteForceSearcher(CostModel())
+        with pytest.raises(ValueError, match="queries are 7-d, index is 32-d"):
+            ann.query_with_searcher(np.ones((2, 7), dtype=np.float32), 10, searcher)
+        with pytest.raises(ValueError, match="k must be positive"):
+            ann.query_with_searcher(Q[:2], 0, searcher)
+
     def test_vptree_local_search_is_exact(self, fitted):
         ann, X, Q, gt_d, gt_i = fitted
         attach_local_indexes(ann, "vptree", seed=1)

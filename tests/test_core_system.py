@@ -100,6 +100,17 @@ class TestQuery:
         with pytest.raises(ValueError, match="-d"):
             ann.query(np.zeros((2, 7), dtype=np.float32) + 1)
 
+    def test_k_defaults_only_on_none(self, fitted, corpus):
+        """``k=0`` used to fall through ``k or config.k`` and answer with
+        ``config.k`` columns."""
+        ann, _ = fitted
+        X, Q, *_ = corpus
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="k must be positive"):
+                ann.query(Q[:2], k=bad)
+        D, _, _ = ann.query(Q[:2], k=None)
+        assert D.shape == (2, ann.config.k)
+
     def test_distances_are_true_distances(self, fitted, corpus):
         """Returned distances must equal the real L2 distance to the
         returned id (no approximation in the reported distances)."""

@@ -169,6 +169,41 @@ class TestRouter:
 
         assert coverage(4) >= coverage(1)
 
+    @pytest.mark.parametrize("metric", ["l2", "l1"])
+    def test_prepared_float64_rows_change_no_bit(self, metric):
+        """Routing on the stored float64 vantage-point rows visits the same
+        nodes, sees the same distances and returns the same partitions as
+        the original step: the metric on the float32 query and vantage point."""
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(2048, 24)).astype(np.float32)
+        Q = (X[rng.choice(len(X), 200)] + rng.normal(0, 0.3, (200, 24))).astype(np.float32)
+        tree = VPTree(X, leaf_size=2, metric=metric, seed=4)
+        seen: list[float] = []
+
+        class Recording(PartitionRouter):
+            def _d(self, q64, node):
+                seen.append(super()._d(q64, node))
+                return seen[-1]
+
+        class Original(PartitionRouter):
+            def _d(self, q64, node):
+                self.n_dist_evals += 1
+                q, vp = q64.astype(np.float32), node.vp
+                seen.append(float(self.metric.one_to_many(q, vp[np.newaxis, :])[0]))
+                return seen[-1]
+
+        new, old = Recording.from_vptree(tree), Original.from_vptree(tree)
+        assert new.depth() >= 10
+        routes = []
+        for router in (new, old):
+            seen.clear()
+            parts = [
+                (router.route_approx(q, 4), router.route_exact(q, 0.5 * seen[-1])) for q in Q
+            ]
+            routes.append((parts, list(seen), router.n_dist_evals))
+        assert routes[0] == routes[1]
+        assert routes[0][2] == len(routes[0][1]) > 200 * 10
+
     def test_invalid_args(self, data):
         X, Q, *_ = data
         tree = VPTree(X, leaf_size=32, seed=1)
