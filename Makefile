@@ -20,14 +20,20 @@ lint:
 bench:
 	python benchmarks/bench_hnsw.py
 
-# CI-sized variant: tiny corpus, fails if recall@10 drops below the floor.
-# The second leg disables the compiled kernels (CC=/bin/false; fresh TMPDIR
-# so the .so cache can't satisfy the load) and must stay green too — the
-# pure-python fallback is a supported configuration, not a degraded one.
+# CI-sized variant: tiny corpus at 32-d and at the paper's SIFT width, fails
+# if recall@10 drops below the floor.  Each width runs twice: on the compiled
+# kernels, then with them disabled (CC=/bin/false; fresh TMPDIR so the .so
+# cache can't satisfy the load) — the pure-python fallback is a supported
+# configuration, not a degraded one — and the two legs must write the same
+# results_sha256: the compiled paths may change wall-clock time only.
 bench-smoke:
 	mkdir -p $(SMOKE_DIR)
-	python benchmarks/bench_hnsw.py --tiny --min-recall 0.95 --out $(SMOKE_DIR)/BENCH_hnsw_smoke.json
-	TMPDIR=$$(mktemp -d) CC=/bin/false python benchmarks/bench_hnsw.py --tiny --min-recall 0.95 --out $(SMOKE_DIR)/BENCH_hnsw_smoke_nonative.json
+	set -e; for dim in 32 128; do \
+		out=$(SMOKE_DIR)/BENCH_hnsw_smoke_$$dim; \
+		python benchmarks/bench_hnsw.py --tiny --dim $$dim --min-recall 0.95 --out $$out.json; \
+		TMPDIR=$$(mktemp -d) CC=/bin/false python benchmarks/bench_hnsw.py --tiny --dim $$dim --min-recall 0.95 --out $${out}_nonative.json; \
+		python -c 'import json, sys; a, b = (json.load(open(p))["results_sha256"] for p in sys.argv[1:]); sys.exit(a != b and f"results differ between the compiled and the python leg: {a} vs {b}")' $$out.json $${out}_nonative.json; \
+	done
 
 # IVF-PQ fast-scan benchmark: ADC scan throughput vs the pre-kernel path,
 # recall parity, and the batch amortization curve (trajectory recorded in

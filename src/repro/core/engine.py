@@ -254,6 +254,7 @@ class DistributedANN:
             part = self.partitions[pid_part]
             part.points = np.concatenate([part.points, X_new[row_idx]])
             part.ids = np.concatenate([part.ids, ids[row_idx]])
-            for i in row_idx:
-                part.index.add(X_new[i], ext_id=int(ids[i]))
+            # one bulk insert per partition; levels are drawn in row order,
+            # so the graph equals the one per-point insertion builds
+            part.index.add_items(X_new[row_idx], ids[row_idx])
         return ids

@@ -84,6 +84,18 @@ def generic_search_batch(
     return ds, idss, seconds
 
 
+def _unpadded_rows(D: np.ndarray, I: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-row results of a padded ``knn_search_batch`` answer, with the
+    inf/-1 padding of short rows stripped."""
+    ds: list[np.ndarray] = []
+    idss: list[np.ndarray] = []
+    for d, ids in zip(D, I):
+        valid = ids != -1
+        ds.append(d[valid])
+        idss.append(ids[valid])
+    return ds, idss
+
+
 class RealHnswSearcher:
     """Search the partition's real HNSW index; charge measured evaluations."""
 
@@ -109,44 +121,10 @@ class RealHnswSearcher:
         ``auto`` picks per the partition's matching fraction (see
         :mod:`repro.filtering.strategy`).
         """
-        from repro.filtering import choose_strategy, mask_for
-
-        index = partition.index
-        if index is None:
-            raise ValueError(
-                f"partition {partition.partition_id} has no HNSW index; "
-                "was the system built with searcher='modeled'?"
-            )
-        mask = mask_for(partition.attrs, clauses, partition.n_points)
-        n_match = int(np.count_nonzero(mask))
-        if n_match == 0:
-            self.filter_stats["filter_empty_tasks"] += 1
-            return (
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-                0.0,
-            )
-        chosen = choose_strategy(strategy, n_match, partition.n_points, k)
-        if chosen == "pre":
-            rows = np.flatnonzero(mask)
-            d = index.metric.one_to_many(query, partition.points[rows])
-            order = np.lexsort((partition.ids[rows], d))[:k]
-            d_out = np.asarray(d[order], dtype=np.float64)
-            ids_out = np.asarray(partition.ids[rows][order], dtype=np.int64)
-            evals = n_match
-            self.filter_stats["filter_tasks_pre"] += 1
-            self.filter_stats["filter_evals_pre"] += evals
-        else:
-            # row order == internal node order, so the row mask is the
-            # index's node mask directly
-            before = index.n_dist_evals
-            d_out, ids_out = index.knn_search(
-                query, k, ef=self.ef_search, filter=mask
-            )
-            evals = index.n_dist_evals - before
-            self.filter_stats["filter_tasks_post"] += 1
-            self.filter_stats["filter_evals_post"] += evals
-        return d_out, ids_out, self.cost.distance_cost(evals, index.dim)
+        ds, idss, seconds = self.search_filtered_batch(
+            partition, np.asarray(query)[np.newaxis, :], k, clauses, strategy
+        )
+        return ds[0], idss[0], seconds
 
     def search_filtered_batch(
         self,
@@ -156,15 +134,55 @@ class RealHnswSearcher:
         clauses,
         strategy: str = "auto",
     ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Row-aligned filtered batch; each row exactly ``search_filtered``."""
-        ds: list[np.ndarray] = []
-        idss: list[np.ndarray] = []
+        """Row-aligned filtered batch; row ``i`` is ``search_filtered(Q[i])``.
+
+        The mask and the strategy depend on (partition, clauses) alone, so
+        both are evaluated once per call; ``post`` rows go through one
+        ``knn_search_batch``.  Virtual time is charged row by row and
+        summed in row order, exactly as the per-row calls would.
+        """
+        from repro.filtering import choose_strategy, mask_for
+
+        index = partition.index
+        if index is None:
+            raise ValueError(
+                f"partition {partition.partition_id} has no HNSW index; "
+                "was the system built with searcher='modeled'?"
+            )
+        nq = len(Q)
+        mask = mask_for(partition.attrs, clauses, partition.n_points)
+        n_match = int(np.count_nonzero(mask))
+        if n_match == 0:
+            self.filter_stats["filter_empty_tasks"] += nq
+            return (
+                [np.empty(0, dtype=np.float64) for _ in range(nq)],
+                [np.empty(0, dtype=np.int64) for _ in range(nq)],
+                0.0,
+            )
+        chosen = "post"
+        if choose_strategy(strategy, n_match, partition.n_points, k) == "pre":
+            chosen = "pre"
+            rows = np.flatnonzero(mask)
+            pts, pids = partition.points[rows], partition.ids[rows]
+            ds, idss = [], []
+            for q in Q:
+                d = index.metric.one_to_many(q, pts)
+                order = np.lexsort((pids, d))[:k]
+                ds.append(np.asarray(d[order], dtype=np.float64))
+                idss.append(np.asarray(pids[order], dtype=np.int64))
+            evals = [n_match] * nq
+        else:
+            # row order == internal node order, so the row mask is the
+            # index's node mask directly
+            ds, idss = _unpadded_rows(
+                *index.knn_search_batch(Q, k, ef=self.ef_search, filter=mask)
+            )
+            evals = index._row_evals.tolist()
+        self.filter_stats[f"filter_tasks_{chosen}"] += nq
+        self.filter_stats[f"filter_evals_{chosen}"] += sum(evals)
         seconds = 0.0
-        for q in Q:
-            d, ids, s = self.search_filtered(partition, q, k, clauses, strategy)
-            ds.append(d)
-            idss.append(ids)
-            seconds += s
+        for e in evals:
+            seconds += self.cost.distance_cost(e, index.dim)
         return ds, idss, seconds
 
     def search(
@@ -199,14 +217,8 @@ class RealHnswSearcher:
                 "was the system built with searcher='modeled'?"
             )
         before = index.n_dist_evals
-        D, I = index.knn_search_batch(Q, k, ef=self.ef_search)
+        ds, idss = _unpadded_rows(*index.knn_search_batch(Q, k, ef=self.ef_search))
         evals = index.n_dist_evals - before
-        ds: list[np.ndarray] = []
-        idss: list[np.ndarray] = []
-        for i in range(len(Q)):
-            valid = I[i] != -1  # strip the inf/-1 padding of short rows
-            ds.append(D[i][valid])
-            idss.append(I[i][valid])
         return ds, idss, self.cost.distance_cost(evals, index.dim)
 
     def build_seconds(self, partition: Partition) -> float:
@@ -289,41 +301,10 @@ class ModeledSearcher:
         still taken — and counted in ``filter_stats`` — over the real
         partition mask so strategy accounting works in modeled runs too.
         """
-        from repro.filtering import choose_strategy, mask_for
-
-        mask = mask_for(partition.attrs, clauses, partition.n_points)
-        n_match = int(np.count_nonzero(mask))
-        if n_match == 0:
-            self.filter_stats["filter_empty_tasks"] += 1
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64), 0.0
-        chosen = choose_strategy(strategy, n_match, partition.n_points, k)
-        self.filter_stats[f"filter_tasks_{'pre' if chosen == 'pre' else 'post'}"] += 1
-        self.filter_stats[f"filter_evals_{'pre' if chosen == 'pre' else 'post'}"] += (
-            n_match if chosen == "pre" else min(partition.n_points, self.ef_search * self.m)
+        ds, idss, seconds = self.search_filtered_batch(
+            partition, np.asarray(query)[np.newaxis, :], k, clauses, strategy
         )
-        # charge the (subclass-specific) modeled cost once; the unfiltered
-        # answer rows are discarded
-        _, _, seconds = self.search(partition, query, 1)
-        if partition.sample is None:
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64), seconds
-        pts, ids = partition.sample
-        if partition.sample_rows is not None:
-            smask = mask[partition.sample_rows]
-        else:
-            # legacy partitions without recorded sample rows: map sample
-            # ids back to partition rows once
-            row_of = {int(g): r for r, g in enumerate(partition.ids)}
-            smask = np.array([mask[row_of[int(g)]] for g in ids], dtype=bool)
-        pts, ids = pts[smask], ids[smask]
-        if not len(ids):
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64), seconds
-        d = self.metric.one_to_many(query, pts)
-        order = np.lexsort((ids, d))[:k]
-        return (
-            np.asarray(d[order], dtype=np.float64),
-            np.asarray(ids[order], dtype=np.int64),
-            seconds,
-        )
+        return ds[0], idss[0], seconds
 
     def search_filtered_batch(
         self,
@@ -333,15 +314,48 @@ class ModeledSearcher:
         clauses,
         strategy: str = "auto",
     ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Row-aligned filtered batch; each row exactly ``search_filtered``."""
-        ds: list[np.ndarray] = []
-        idss: list[np.ndarray] = []
+        """Row-aligned filtered batch; row ``i`` is ``search_filtered(Q[i])``.
+
+        Mask, strategy and the matching sample rows depend on (partition,
+        clauses) alone and are evaluated once per call.
+        """
+        from repro.filtering import choose_strategy, mask_for
+
+        nq = len(Q)
+        ds = [np.empty(0, dtype=np.float64) for _ in range(nq)]
+        idss = [np.empty(0, dtype=np.int64) for _ in range(nq)]
+        mask = mask_for(partition.attrs, clauses, partition.n_points)
+        n_match = int(np.count_nonzero(mask))
+        if n_match == 0:
+            self.filter_stats["filter_empty_tasks"] += nq
+            return ds, idss, 0.0
+        if choose_strategy(strategy, n_match, partition.n_points, k) == "pre":
+            chosen, evals = "pre", n_match
+        else:
+            chosen, evals = "post", min(partition.n_points, self.ef_search * self.m)
+        self.filter_stats[f"filter_tasks_{chosen}"] += nq
+        self.filter_stats[f"filter_evals_{chosen}"] += nq * evals
+        pts = ids = None
+        if partition.sample is not None:
+            pts, ids = partition.sample
+            if partition.sample_rows is not None:
+                smask = mask[partition.sample_rows]
+            else:
+                # legacy partitions without recorded sample rows: map sample
+                # ids back to partition rows once
+                row_of = {int(g): r for r, g in enumerate(partition.ids)}
+                smask = np.array([mask[row_of[int(g)]] for g in ids], dtype=bool)
+            pts, ids = pts[smask], ids[smask]
         seconds = 0.0
-        for q in Q:
-            d, ids, s = self.search_filtered(partition, q, k, clauses, strategy)
-            ds.append(d)
-            idss.append(ids)
-            seconds += s
+        for i, q in enumerate(Q):
+            # charge the (subclass-specific) modeled cost once per row; the
+            # unfiltered answer rows are discarded
+            seconds += self.search(partition, q, 1)[2]
+            if ids is not None and len(ids):
+                d = self.metric.one_to_many(q, pts)
+                order = np.lexsort((ids, d))[:k]
+                ds[i] = np.asarray(d[order], dtype=np.float64)
+                idss[i] = np.asarray(ids[order], dtype=np.int64)
         return ds, idss, seconds
 
     def build_seconds(self, partition: Partition) -> float:

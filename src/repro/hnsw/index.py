@@ -126,13 +126,13 @@ class HnswIndex:
         self._buf_cross_row = buffered_cross_row_for(
             self.metric.name, dim, self.params.M0 + 1
         )
-        # Compiled SEARCH-LAYER (see _hotpath.c): enabled only after a
-        # runtime self-check proves the C distance kernel bit-identical to
-        # the numpy kernels for this metric/dim; otherwise None and every
-        # traversal stays on the python path below.
+        # Compiled traversal (see _hotpath.c): enabled only after a runtime
+        # self-check proves the C distance kernel bit-identical to the
+        # numpy kernels for this metric at this width; otherwise None and
+        # every traversal stays on the python path below.
         self._native = native_search_layer_for(self.metric.name, dim)
         self._native_sqrt = 1 if self.metric.name == "l2" else 0
-        self._native_scratch: tuple | None = None
+        self._native_graph_cache: tuple | None = None
         # Compiled INSERT (greedy descent + beam search + selection +
         # shrink in one C call per batch): additionally requires the
         # cdist-compatible double kernel to pass its self-check, and
@@ -142,7 +142,9 @@ class HnswIndex:
             if not self.params.extend_candidates
             else None
         )
-        self._native_build_scratch: dict | None = None
+        #: per-query split of the ``n_dist_evals`` charge of the latest
+        #: ``knn_search`` / ``knn_search_batch`` call, in row order
+        self._row_evals = np.empty(0, dtype=np.int64)
         # Incremental shrink cache (see _shrink): per level, node ->
         # (ids, dists, kept_flags, kept_rows, kept_positions) describing the
         # last selection over that node's neighbor list.  Valid only when
@@ -228,6 +230,7 @@ class HnswIndex:
             return
         cap = max(need, cap * 2)
         n = self._n
+        self._native_graph_cache = None  # every buffer below moves
         for name in ("_X", "_ext", "_node_level"):
             old = getattr(self, name)
             new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
@@ -250,6 +253,7 @@ class HnswIndex:
             limit = self.params.M0 if len(self._nbrs) == 0 else self.params.M
             self._nbrs.append(np.empty((cap, limit + 1), dtype=np.int32))
             self._cnts.append(np.zeros(cap, dtype=np.int32))
+            self._native_graph_cache = None  # the level tables grew
             self._shrink_cache.append({})
             # bound each level's cache memory (entries are O(limit^2) floats)
             self._shrink_cache_cap.append(max(1024, (1 << 28) // (8 * (limit + 1) ** 2)))
@@ -363,83 +367,82 @@ class HnswIndex:
         self._n = n0 + n_new
         self._ensure_level(int(levels.max()))
 
-        lib = self._native_build
-        nbrs_ptrs = np.array([a.ctypes.data for a in self._nbrs], dtype=np.int64)
-        strides = np.array([a.shape[1] for a in self._nbrs], dtype=np.int64)
-        cnts_ptrs = np.array([a.ctypes.data for a in self._cnts], dtype=np.int64)
-        sc = self._build_scratch(self._n)
-        epoch_io = np.array([self._visit_epoch], dtype=np.int64)
-        entry_io = np.array([-1 if self._entry is None else self._entry], dtype=np.int64)
-        evals_out = np.zeros(1, dtype=np.int64)
-        shrinks_out = np.zeros(1, dtype=np.int64)
-        lib.hnsw_insert_batch(
-            self._X.ctypes.data,
+        graph = self._native_graph()[0]
+        # selection scratch: any candidate list (the efc beam or an
+        # over-full neighbor list) fits maxn; see select_ws_t in the C file
+        deg1 = max(self.params.M, self.params.M0) + 1
+        maxn = max(self.params.ef_construction, deg1 + 1)
+        kept_rows = (deg1 + 6) // 8 * 8  # deg rounded up to whole blocks of 8
+        ws_d = np.zeros(maxn + 2 * deg1 + kept_rows * self.dim, dtype=np.float64)
+        ws_i = np.empty(maxn + 2 * deg1, dtype=np.int32)
+        flags = np.empty(maxn, dtype=np.uint8)
+        io = np.array(
+            [self._visit_epoch, -1 if self._entry is None else self._entry, 0, 0],
+            dtype=np.int64,
+        )
+        self._native_build.hnsw_insert_batch(
+            *graph,
             self._node_level.ctypes.data,
             n0,
             n_new,
             levels.ctypes.data,
-            nbrs_ptrs.ctypes.data,
-            strides.ctypes.data,
-            cnts_ptrs.ctypes.data,
             self.params.M,
             self.params.M0,
             self.params.ef_construction,
             1 if self.params.select_heuristic else 0,
             1 if self.params.keep_pruned else 0,
-            self._native_sqrt,
-            self._visit_stamp.ctypes.data,
-            epoch_io.ctypes.data,
-            entry_io.ctypes.data,
-            sc["cd"].ctypes.data,
-            sc["ci"].ctypes.data,
-            sc["rd"].ctypes.data,
-            sc["ri"].ctypes.data,
-            sc["rows"].ctypes.data,
-            sc["maxn"],
-            sc["flags"].ctypes.data,
-            sc["tmp_d"].ctypes.data,
-            sc["tmp_i"].ctypes.data,
-            sc["ch_d"].ctypes.data,
-            sc["ch_i"].ctypes.data,
-            sc["sh_d"].ctypes.data,
-            sc["sh_i"].ctypes.data,
-            evals_out.ctypes.data,
-            shrinks_out.ctypes.data,
+            ws_d.ctypes.data,
+            ws_i.ctypes.data,
+            flags.ctypes.data,
+            maxn,
+            io.ctypes.data,
         )
-        self._visit_epoch = int(epoch_io[0])
-        self._entry = int(entry_io[0])
-        self.n_dist_evals += int(evals_out[0])
-        self.n_shrink_ops += int(shrinks_out[0])
+        self._visit_epoch, self._entry = int(io[0]), int(io[1])
+        self.n_dist_evals += int(io[2])
+        self.n_shrink_ops += int(io[3])
 
-    def _build_scratch(self, need_n: int) -> dict:
-        """Reusable scratch for the compiled INSERT batch.
+    def _native_graph(self) -> tuple:
+        """``(graph, ext_addr, rd, ri, ...)`` for the compiled entries.
 
-        The search heaps must fit every possible push (every point plus
-        the entry pair); selection scratch is bounded by the beam width
-        and the largest over-full list (``max(M, M0) + 1``).
+        ``graph`` is the argument prefix every entry in ``_hotpath.c``
+        starts with — buffer addresses, the per-level pointer tables, the
+        two search heaps and the sqrt flag.  It is built once and reused
+        until a buffer is reallocated (``_grow`` or a new level drop the
+        cache): a small partition answers in less time than taking
+        ``.ctypes.data`` of a dozen arrays costs.  The heaps are sized by
+        capacity, which bounds every possible push (a node is pushed at
+        most once per search); ``rd`` / ``ri`` are the result heap, where
+        ``hnsw_search_layer`` leaves its answer.
         """
-        deg = max(self.params.M, self.params.M0)
-        maxn = max(self.params.ef_construction, deg + 2)
-        need = need_n + 16
-        sc = self._native_build_scratch
-        if sc is None or len(sc["cd"]) < need:
-            sc = {
-                "cd": np.empty(need, dtype=np.float64),
-                "ci": np.empty(need, dtype=np.int32),
-                "rd": np.empty(need, dtype=np.float64),
-                "ri": np.empty(need, dtype=np.int32),
-                "rows": np.empty((deg + 1) * maxn, dtype=np.float64),
-                "flags": np.empty(maxn, dtype=np.uint8),
-                "tmp_d": np.empty(maxn, dtype=np.float64),
-                "tmp_i": np.empty(maxn, dtype=np.int32),
-                "ch_d": np.empty(deg + 1, dtype=np.float64),
-                "ch_i": np.empty(deg + 1, dtype=np.int32),
-                "sh_d": np.empty(deg + 1, dtype=np.float64),
-                "sh_i": np.empty(deg + 1, dtype=np.int32),
-                "maxn": maxn,
-            }
-            self._native_build_scratch = sc
-        return sc
+        cached = self._native_graph_cache
+        if cached is None:
+            cap = self._X.shape[0]
+            heaps = (
+                np.empty(cap, dtype=np.float64),
+                np.empty(cap, dtype=np.int32),
+                np.empty(cap, dtype=np.float64),
+                np.empty(cap, dtype=np.int32),
+            )
+            tables = np.array(
+                [
+                    [a.ctypes.data for a in self._nbrs],
+                    [a.shape[1] for a in self._nbrs],
+                    [a.ctypes.data for a in self._cnts],
+                ],
+                dtype=np.int64,
+            )
+            graph = (
+                self._X.ctypes.data,
+                self.dim,
+                *(row.ctypes.data for row in tables),
+                self._visit_stamp.ctypes.data,
+                *(h.ctypes.data for h in heaps),
+                self._native_sqrt,
+            )
+            # the arrays ride along so their addresses stay alive
+            cached = (graph, self._ext.ctypes.data, heaps[2], heaps[3], heaps, tables)
+            self._native_graph_cache = cached
+        return cached
 
     def _shrink(self, node: int, level: int, limit: int, d_nx: float | None = None) -> None:
         """Re-select ``node``'s neighbor list down to ``limit`` links.
@@ -770,6 +773,7 @@ class HnswIndex:
         entry: list[tuple[float, int]],
         ef: int,
         level: int,
+        allowed: np.ndarray | None = None,
     ) -> list[tuple[float, int]]:
         """SEARCH-LAYER (HNSW paper Alg. 2): beam search of width ``ef``.
 
@@ -777,8 +781,24 @@ class HnswIndex:
         first.  The candidate frontier and the bounded result set are raw
         ``heapq`` lists with the exact tuple ordering of the pre-refactor
         ``MinHeap``/``MaxHeap``; the visited set is the epoch-stamped array.
+
+        ``allowed`` is an optional row mask: filtered results, unfiltered
+        frontier.  Non-matching nodes are evaluated and expanded exactly
+        like matching ones — they enter the candidate frontier and conduct
+        the walk — but only ``allowed`` nodes may enter the bounded result
+        set.  Pruning non-matching nodes from the frontier instead would
+        disconnect the traversal whenever the matching rows don't form a
+        connected subgraph; keeping them preserves the full graph's
+        connectivity at the cost of extra evaluations (which
+        ``n_dist_evals`` charges normally).  Until ``ef`` matching nodes
+        are found the result bound is infinite, so no expansion is cut
+        short early.
+
+        This loop is the fallback and the oracle: ``search_layer`` in
+        ``_hotpath.c`` is the same loop, mask included, and the
+        equivalence tests hold the two bit-equal.
         """
-        if self._native is not None:
+        if self._native is not None and allowed is None:
             return self._search_layer_native(q, entry, ef, level)
         nbrs, cnts = self._nbrs[level], self._cnts[level]
         X = self._X
@@ -792,13 +812,13 @@ class HnswIndex:
             stamp[c] = epoch
         candidates = list(entry)
         heapify(candidates)
-        results = [(-d, n) for d, n in entry]
+        results = [(-d, n) for d, n in entry if allowed is None or allowed[n]]
         heapify(results)
         nres = len(results)
+        bound = -results[0][0] if nres else np.inf
         n_evals = 0
         while candidates:
             c_dist, c = heappop(candidates)
-            bound = -results[0][0]
             full = nres >= ef
             if full and c_dist > bound:
                 break
@@ -828,16 +848,16 @@ class HnswIndex:
                 dlist = dists.tolist()
                 nlist = fresh.tolist()
             for d, n in zip(dlist, nlist):
-                if nres < ef:
-                    # push + conditional pop == heapreplace when full: the
-                    # pushed item always exceeds the max-heap root here
-                    heappush(candidates, (d, n))
-                    heappush(results, (-d, n))
-                    nres += 1
-                    bound = -results[0][0]
-                elif d < bound:
-                    heappush(candidates, (d, n))
-                    heapreplace(results, (-d, n))
+                if nres >= ef and d >= bound:
+                    continue
+                heappush(candidates, (d, n))
+                if allowed is None or allowed[n]:
+                    if nres < ef:
+                        heappush(results, (-d, n))
+                        nres += 1
+                    else:
+                        # push + pop of the root: the pushed item is below it
+                        heapreplace(results, (-d, n))
                     bound = -results[0][0]
         self.n_dist_evals += n_evals
         return sorted([(-d, n) for d, n in results])
@@ -849,49 +869,23 @@ class HnswIndex:
         ef: int,
         level: int,
     ) -> list[tuple[float, int]]:
-        """SEARCH-LAYER via the compiled helper; bit-identical by contract.
-
-        Same loop as :meth:`_search_layer` (frontier min-heap, bounded
-        result max-heap, epoch stamps, strict bound tests), executed in C
-        on the index's flat buffers.  The scratch heaps are sized so every
-        possible push fits (``n`` fresh nodes + the entry set) and are
-        reused across calls.
-        """
-        nbrs, cnts = self._nbrs[level], self._cnts[level]
+        """Unmasked SEARCH-LAYER via the compiled helper, for the python
+        insert path (a build the compiled INSERT declined still gets the
+        compiled beam); bit-identical by contract."""
+        graph, _, rd, ri = self._native_graph()[:4]
         self._visit_epoch += 1
-        n_in = len(entry)
-        need = self._n + n_in + 8
-        scratch = self._native_scratch
-        if scratch is None or len(scratch[0]) < need:
-            scratch = (
-                np.empty(need, dtype=np.float64),
-                np.empty(need, dtype=np.int32),
-                np.empty(need, dtype=np.float64),
-                np.empty(need, dtype=np.int32),
-                np.empty(1, dtype=np.int64),
-            )
-            self._native_scratch = scratch
-        cd, ci, rd, ri, ev = scratch
         in_d = np.array([p[0] for p in entry], dtype=np.float64)
         in_i = np.array([p[1] for p in entry], dtype=np.int32)
+        ev = np.empty(1, dtype=np.int64)
         m = self._native.hnsw_search_layer(
-            self._X.ctypes.data,
-            self.dim,
-            nbrs.ctypes.data,
-            nbrs.shape[1],
-            cnts.ctypes.data,
-            self._visit_stamp.ctypes.data,
+            *graph,
+            level,
             self._visit_epoch,
             q.ctypes.data,
             in_d.ctypes.data,
             in_i.ctypes.data,
-            n_in,
+            len(entry),
             ef,
-            self._native_sqrt,
-            cd.ctypes.data,
-            ci.ctypes.data,
-            rd.ctypes.data,
-            ri.ctypes.data,
             ev.ctypes.data,
         )
         self.n_dist_evals += int(ev[0])
@@ -910,122 +904,13 @@ class HnswIndex:
         ``filter``: optional boolean mask over insertion-order rows (which
         equal internal node ids); only unmasked rows may appear in the
         result, but masked rows still conduct the traversal — see
-        :meth:`_search_layer_filtered`.  ``filter=None`` is bit-identical
-        to the unfiltered call.
+        :meth:`_search_layer`.  ``filter=None`` is bit-identical to the
+        unfiltered call.
         """
         check_positive_int(k, "k")
         q = check_vector(query, "query", dim=self.dim)
-        if self._n == 0:
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        ef = max(ef or self.params.ef_search, k)
-        if filter is None:
-            return self._search_prepared(q, k, ef)
-        return self._search_prepared_filtered(
-            q, k, ef, check_filter_mask(filter, self._n)
-        )
-
-    def _search_prepared(self, q: np.ndarray, k: int, ef: int) -> tuple[np.ndarray, np.ndarray]:
-        """K-NN-SEARCH (paper Alg. 5) for a validated query and effective ef."""
-        ep = self._entry
-        ep_dist = self._dist_one(q, ep)
-        for lv in range(self.max_level, 0, -1):
-            ep, ep_dist = self._greedy_step(q, ep, ep_dist, lv)
-        pairs = self._search_layer(q, [(ep_dist, ep)], ef, 0)[:k]
-        d = np.array([p[0] for p in pairs], dtype=np.float64)
-        ids = np.array([self._ext[p[1]] for p in pairs], dtype=np.int64)
-        return d, ids
-
-    def _search_prepared_filtered(
-        self, q: np.ndarray, k: int, ef: int, allowed: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """K-NN-SEARCH restricted to ``allowed`` rows.
-
-        The upper-layer greedy descent is unfiltered (it only picks the
-        layer-0 entry point, which need not match); the layer-0 beam runs
-        the filtered SEARCH-LAYER variant.
-        """
-        ep = self._entry
-        ep_dist = self._dist_one(q, ep)
-        for lv in range(self.max_level, 0, -1):
-            ep, ep_dist = self._greedy_step(q, ep, ep_dist, lv)
-        pairs = self._search_layer_filtered(q, [(ep_dist, ep)], ef, 0, allowed)[:k]
-        d = np.array([p[0] for p in pairs], dtype=np.float64)
-        ids = np.array([self._ext[p[1]] for p in pairs], dtype=np.int64)
-        return d, ids
-
-    def _search_layer_filtered(
-        self,
-        q: np.ndarray,
-        entry: list[tuple[float, int]],
-        ef: int,
-        level: int,
-        allowed: np.ndarray,
-    ) -> list[tuple[float, int]]:
-        """SEARCH-LAYER over a row mask: filtered results, unfiltered frontier.
-
-        Non-matching nodes are evaluated and expanded exactly like the
-        plain beam — they enter the candidate frontier and conduct the
-        walk — but only ``allowed`` nodes may enter the bounded result
-        set.  Pruning non-matching nodes from the frontier instead would
-        disconnect the traversal whenever the matching rows don't form a
-        connected subgraph; keeping them preserves the full graph's
-        connectivity at the cost of extra evaluations (which
-        ``n_dist_evals`` charges normally).  Until ``ef`` matching nodes
-        are found the result bound is infinite, so no expansion is cut
-        short early.  Always the python path — the compiled SEARCH-LAYER
-        has no mask support.
-        """
-        nbrs, cnts = self._nbrs[level], self._cnts[level]
-        X = self._X
-        stamp = self._visit_stamp
-        self._visit_epoch += 1
-        epoch = self._visit_epoch
-        buf = self._buf_kernel
-        kernel = self._fast_kernel
-        one_to_many = self.metric.one_to_many
-        for _, c in entry:
-            stamp[c] = epoch
-        candidates = list(entry)
-        heapify(candidates)
-        results = [(-d, n) for d, n in entry if allowed[n]]
-        heapify(results)
-        nres = len(results)
-        n_evals = 0
-        while candidates:
-            c_dist, c = heappop(candidates)
-            full = nres >= ef
-            bound = -results[0][0] if nres else np.inf
-            if full and c_dist > bound:
-                break
-            cnt = cnts[c]
-            if not cnt:
-                continue
-            nb = nbrs[c, :cnt]
-            fresh = nb[stamp[nb] != epoch]
-            if not fresh.size:
-                continue
-            stamp[fresh] = epoch
-            if buf is not None:
-                dists = buf(X, fresh, q)
-            elif kernel is not None:
-                dists = kernel(q, X[fresh])
-            else:
-                dists = one_to_many(q, X[fresh])
-            n_evals += fresh.size
-            for d, n in zip(dists.tolist(), fresh.tolist()):
-                if full and d >= bound:
-                    continue
-                heappush(candidates, (d, n))
-                if allowed[n]:
-                    if nres < ef:
-                        heappush(results, (-d, n))
-                        nres += 1
-                        full = nres >= ef
-                    else:
-                        heapreplace(results, (-d, n))
-                    bound = -results[0][0]
-        self.n_dist_evals += n_evals
-        return sorted([(-d, n) for d, n in results])
+        D, I, found = self._search_rows(q[np.newaxis, :], k, ef, filter)
+        return D[0, : found[0]], I[0, : found[0]]
 
     def knn_search_batch(
         self,
@@ -1044,28 +929,83 @@ class HnswIndex:
         Each row's traversal — and therefore its results and its
         ``n_dist_evals`` charge — is identical to a
         ``knn_search(Q[i], k, ef, filter=...)`` call; batching only
-        amortizes the per-call validation and Python dispatch, which is
-        what the cluster workers exploit (see ``core/worker.py``).
+        amortizes the per-call validation and dispatch, which is what the
+        cluster workers exploit (see ``core/worker.py``).
         """
         check_positive_int(k, "k")
         Q = check_matrix(Q, "Q")
         if Q.shape[1] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {Q.shape[1]}")
-        nq = Q.shape[0]
+        return self._search_rows(Q, k, ef, filter)[:2]
+
+    def _search_rows(
+        self, Q: np.ndarray, k: int, ef: int | None, filter: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """K-NN-SEARCH (paper Alg. 5) for validated query rows.
+
+        Returns the padded ``(D, I)`` of :meth:`knn_search_batch` plus the
+        number of results in each row, and leaves each row's evaluation
+        count in ``_row_evals``.  With the compiled library this is one C
+        call for the whole matrix, filtered or not (``hnsw_knn_search``
+        writes straight into the padded rows); without it, one
+        :meth:`_search_prepared` per row.
+        """
+        nq = len(Q)
         D = np.full((nq, k), np.inf, dtype=np.float64)
         I = np.full((nq, k), -1, dtype=np.int64)
+        stats = np.zeros((2, nq), dtype=np.int64)  # evals, results per row
+        self._row_evals = stats[0]
         if self._n == 0:
-            return D, I
-        ef_eff = max(ef or self.params.ef_search, k)
-        mask = None if filter is None else check_filter_mask(filter, self._n)
+            return D, I, stats[1]
+        ef = max(ef or self.params.ef_search, k)
+        allowed = None
+        if filter is not None:
+            allowed = np.ascontiguousarray(check_filter_mask(filter, self._n))
+        if self._native is not None:
+            graph, ext_addr = self._native_graph()[:2]
+            self._native.hnsw_knn_search(
+                *graph,
+                ext_addr,
+                self.max_level,
+                self._entry,
+                self._visit_epoch,
+                Q.ctypes.data,
+                nq,
+                k,
+                ef,
+                None if allowed is None else allowed.ctypes.data,
+                D.ctypes.data,
+                I.ctypes.data,
+                stats.ctypes.data,
+            )
+            self._visit_epoch += nq
+            self.n_dist_evals += int(stats[0].sum())
+            return D, I, stats[1]
         for i in range(nq):
-            if mask is None:
-                d, ids = self._search_prepared(Q[i], k, ef_eff)
-            else:
-                d, ids = self._search_prepared_filtered(Q[i], k, ef_eff, mask)
+            before = self.n_dist_evals
+            d, ids = self._search_prepared(Q[i], k, ef, allowed)
             D[i, : len(d)] = d
             I[i, : len(ids)] = ids
-        return D, I
+            stats[:, i] = self.n_dist_evals - before, len(d)
+        return D, I, stats[1]
+
+    def _search_prepared(
+        self, q: np.ndarray, k: int, ef: int, allowed: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One query of :meth:`_search_rows` on the python path.
+
+        The upper-layer greedy descent is unfiltered (it only picks the
+        layer-0 entry point, which need not match); the layer-0 beam
+        carries the mask.
+        """
+        ep = self._entry
+        ep_dist = self._dist_one(q, ep)
+        for lv in range(self.max_level, 0, -1):
+            ep, ep_dist = self._greedy_step(q, ep, ep_dist, lv)
+        pairs = self._search_layer(q, [(ep_dist, ep)], ef, 0, allowed)[:k]
+        d = np.array([p[0] for p in pairs], dtype=np.float64)
+        ids = np.array([self._ext[p[1]] for p in pairs], dtype=np.int64)
+        return d, ids
 
     # -- serialization --------------------------------------------------------------
 

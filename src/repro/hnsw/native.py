@@ -1,21 +1,23 @@
 """ctypes loader for the compiled HNSW hot paths (``_hotpath.c``).
 
-Two helpers live in the shared object: the SEARCH-LAYER beam search
-(used by queries and by construction) and the full INSERT batch (greedy
-descent, beam search, neighbor selection, link shrinking).  Both are
-*optional* accelerators with a strict bit-identity contract: a helper
-is enabled only when
+Three entries live in the shared object: SEARCH-LAYER for one level (the
+python insert path's beam), K-NN-SEARCH for a whole query matrix in one
+call (what ``knn_search`` / ``knn_search_batch`` run, filtered or not),
+and the full INSERT batch (greedy descent, beam search, neighbor
+selection, link shrinking).  All are *optional* accelerators with a
+strict bit-identity contract: they are enabled for an index only when
 
 - a C compiler is available and the shared object builds (compiled once
   per source hash into a per-user temp dir, reused across processes),
-- the metric is cdist-backed l2/sqeuclidean and the dimensionality is
-  one the C distance kernels reproduce exactly (currently 32, the
-  paper's descriptor width), and
-- runtime self-checks confirm the C kernels match the numpy kernels bit
-  for bit on this machine: the float32 einsum/sqrt query kernel for
-  search, plus scipy's cdist double-accumulation kernel (which the
-  python selection/shrink paths use for candidate-pairwise distances)
-  for the insert path.
+- the metric is cdist-backed l2/sqeuclidean (the C kernels are
+  width-generic, so any dimensionality qualifies), and
+- runtime self-checks **at the index's own width** confirm the C kernels
+  match the numpy kernels bit for bit on this machine: the float32
+  einsum/sqrt query kernel for search, plus scipy's cdist
+  double-accumulation kernel (which the python selection/shrink paths
+  use for candidate-pairwise distances) for the insert path.  Results
+  are cached per ``(width, do_sqrt)``: a width whose check fails stays on
+  python and leaves every other width untouched.
 
 On any failure the index silently stays on the pure-python paths, which
 are always correct — the helpers change wall-clock time only, never
@@ -36,13 +38,21 @@ __all__ = ["native_search_layer_for", "native_build_for"]
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hotpath.c")
 
-#: dims the C distance kernel replicates einsum's reduction tree for
-_NATIVE_DIMS = (32,)
+#: From this width up the compiled INSERT is declined and the build runs
+#: python's (the compiled beam still serves it).  Selection is all
+#: double-kernel work, and the python path's incremental shrink cache
+#: tests one new link per shrink where the C path re-selects the whole
+#: list (~16x the pair distances); interpreter overhead hides that on
+#: short rows and not on long ones.  Measured on isotropic gaussian rows,
+#: the worst case, compiled against python build: 1.48x at 256-d, level
+#: at 512-d (0.97x and 1.14x in two runs), 0.80-0.90x at 960-d (table in
+#: docs/performance.md, "The build gate").
+_BUILD_DECLINE_DIM = 512
 
 _lib = None
 _lib_state = "unloaded"  # unloaded -> ready | failed (sticky per process)
-_checked: dict[int, bool] = {}
-_checked_cdist: dict[int, bool] = {}
+_checked: dict[tuple[int, int], bool] = {}
+_checked_cdist: dict[tuple[int, int], bool] = {}
 
 
 def _load():
@@ -58,119 +68,134 @@ def _load():
     p = ctypes.c_void_p
     i64 = ctypes.c_int64
     i32 = ctypes.c_int32
-    lib.hnsw_search_layer.restype = i64
-    lib.hnsw_search_layer.argtypes = [
+    # every graph entry starts with the same description of the index's
+    # buffers (HnswIndex._native_graph builds it once per reallocation)
+    graph = [
         p,  # X
         i64,  # dim
-        p,  # nbrs
-        i64,  # row_stride
-        p,  # cnts
+        p,  # nbrs_ptrs
+        p,  # strides
+        p,  # cnts_ptrs
         p,  # stamp
+        p,  # cd
+        p,  # ci
+        p,  # rd
+        p,  # ri
+        i32,  # do_sqrt
+    ]
+    lib.hnsw_search_layer.restype = i64
+    lib.hnsw_search_layer.argtypes = graph + [
+        i64,  # level
         i64,  # epoch
         p,  # q
         p,  # in_d
         p,  # in_i
         i64,  # n_in
         i64,  # ef
-        i32,  # do_sqrt
-        p,  # cd
-        p,  # ci
-        p,  # rd
-        p,  # ri
         p,  # evals_out
     ]
-    lib.l2sq32_batch.restype = None
-    lib.l2sq32_batch.argtypes = [p, p, i64, i32, p]
-    lib.l2d32_batch.restype = None
-    lib.l2d32_batch.argtypes = [p, p, i64, i32, p]
-    lib.hnsw_insert_batch.restype = i64
-    lib.hnsw_insert_batch.argtypes = [
-        p,  # X
+    lib.hnsw_knn_search.restype = None
+    lib.hnsw_knn_search.argtypes = graph + [
+        p,  # ext
+        i64,  # max_level
+        i64,  # entry
+        i64,  # epoch
+        p,  # Q
+        i64,  # nq
+        i64,  # k
+        i64,  # ef
+        p,  # allowed (nullable)
+        p,  # D
+        p,  # I
+        p,  # stats
+    ]
+    lib.hnsw_insert_batch.restype = None
+    lib.hnsw_insert_batch.argtypes = graph + [
         p,  # node_level
         i64,  # n_start
         i64,  # n_new
         p,  # new_levels
-        p,  # nbrs_ptrs
-        p,  # strides
-        p,  # cnts_ptrs
         i64,  # M
         i64,  # M0
         i64,  # efc
         i32,  # heuristic
         i32,  # keep_pruned
-        i32,  # do_sqrt
-        p,  # stamp
-        p,  # epoch_io
-        p,  # entry_io
-        p,  # cd
-        p,  # ci
-        p,  # rd
-        p,  # ri
-        p,  # rows
-        i64,  # row_stride
+        p,  # ws_d
+        p,  # ws_i
         p,  # flags
-        p,  # tmp_d
-        p,  # tmp_i
-        p,  # ch_d
-        p,  # ch_i
-        p,  # sh_d
-        p,  # sh_i
-        p,  # evals_out
-        p,  # shrinks_out
+        i64,  # maxn
+        p,  # io
     ]
+    lib.l2sq_batch.restype = None
+    lib.l2sq_batch.argtypes = [p, p, i64, i64, i32, p]
+    lib.l2d_row.restype = None
+    lib.l2d_row.argtypes = [p, p, i64, i64, i32, p, p]
     _lib = lib
     _lib_state = "ready"
     return lib
 
 
-def _selfcheck(lib, do_sqrt: int) -> bool:
-    """Compare the C distance kernel against numpy, bit for bit."""
-    hit = _checked.get(do_sqrt)
+def _check_rows(seed: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random rows for a self-check; 514 of them so the eight-pair double
+    kernel also sees a short last block."""
+    rng = np.random.default_rng([seed, dim])
+    A = rng.normal(0, 10, size=(514, dim)).astype(np.float32)
+    B = rng.normal(0, 10, size=(514, dim)).astype(np.float32)
+    return A, B
+
+
+def _selfcheck(lib, dim: int, do_sqrt: int) -> bool:
+    """Compare the C float32 kernel against numpy at this width, bit for bit."""
+    hit = _checked.get((dim, do_sqrt))
     if hit is not None:
         return hit
-    rng = np.random.default_rng(0xC0FFEE)
-    n = 512
-    A = rng.normal(0, 10, size=(n, 32)).astype(np.float32)
-    B = rng.normal(0, 10, size=(n, 32)).astype(np.float32)
+    A, B = _check_rows(0xC0FFEE, dim)
     diff = A - B
     ref = np.einsum("ij,ij->i", diff, diff)
+    # the traversal also calls einsum on single rows (entry distance):
+    # that must take the same reduction as the many-row call
+    one = np.einsum("ij,ij->i", diff[:1], diff[:1])
     if do_sqrt:
-        ref = np.sqrt(ref)
-    out = np.empty(n, dtype=np.float32)
-    lib.l2sq32_batch(A.ctypes.data, B.ctypes.data, n, do_sqrt, out.ctypes.data)
-    ok = bool(np.array_equal(ref.view(np.int32), out.view(np.int32)))
-    _checked[do_sqrt] = ok
+        ref, one = np.sqrt(ref), np.sqrt(one)
+    out = np.empty(len(A), dtype=np.float32)
+    lib.l2sq_batch(A.ctypes.data, B.ctypes.data, len(A), dim, do_sqrt, out.ctypes.data)
+    ok = bool(
+        np.array_equal(ref.view(np.int32), out.view(np.int32))
+        and one.view(np.int32)[0] == out.view(np.int32)[0]
+    )
+    _checked[(dim, do_sqrt)] = ok
     return ok
 
 
-def _selfcheck_cdist(lib, do_sqrt: int) -> bool:
-    """Compare the C double-accumulation kernel against scipy cdist, bit for bit."""
-    hit = _checked_cdist.get(do_sqrt)
+def _selfcheck_cdist(lib, dim: int, do_sqrt: int) -> bool:
+    """Compare the C double kernel against scipy cdist at this width, bit for bit."""
+    hit = _checked_cdist.get((dim, do_sqrt))
     if hit is not None:
         return hit
     from repro.hnsw.kernels import _cdist_euclidean, _cdist_sqeuclidean
 
-    rng = np.random.default_rng(0xD15C)
-    n = 512
-    A = rng.normal(0, 10, size=(n, 32)).astype(np.float32)
-    B = rng.normal(0, 10, size=(n, 32)).astype(np.float32)
+    A, B = _check_rows(0xD15C, dim)
     cdist = _cdist_euclidean if do_sqrt else _cdist_sqeuclidean
-    ref = np.ascontiguousarray(np.diagonal(cdist(A, B)))
-    out = np.empty(n, dtype=np.float64)
-    lib.l2d32_batch(A.ctypes.data, B.ctypes.data, n, do_sqrt, out.ctypes.data)
+    ref = cdist(A[:4], B)
+    out = np.empty_like(ref)
+    kt = np.zeros(8 * dim, dtype=np.float64)
+    for i in range(len(ref)):
+        lib.l2d_row(
+            A[i].ctypes.data, B.ctypes.data, len(B), dim, do_sqrt, kt.ctypes.data, out[i].ctypes.data
+        )
     ok = bool(np.array_equal(ref.view(np.int64), out.view(np.int64)))
-    _checked_cdist[do_sqrt] = ok
+    _checked_cdist[(dim, do_sqrt)] = ok
     return ok
 
 
 def native_search_layer_for(metric_name: str, dim: int):
     """The compiled library if it can serve (metric, dim) bit-exactly, else None."""
-    if dim not in _NATIVE_DIMS or metric_name not in ("l2", "sqeuclidean"):
+    if metric_name not in ("l2", "sqeuclidean"):
         return None
     lib = _load()
     if lib is None:
         return None
-    if not _selfcheck(lib, 1 if metric_name == "l2" else 0):
+    if not _selfcheck(lib, dim, 1 if metric_name == "l2" else 0):
         return None
     return lib
 
@@ -180,11 +205,14 @@ def native_build_for(metric_name: str, dim: int):
 
     On top of the search-layer gate this requires the cdist-compatible
     double kernel (selection/shrink pairwise distances) to pass its own
-    bit-identity self-check.
+    bit-identity self-check, and a width the compiled path is not slower
+    at (``_BUILD_DECLINE_DIM``).
     """
+    if dim >= _BUILD_DECLINE_DIM:
+        return None
     lib = native_search_layer_for(metric_name, dim)
     if lib is None:
         return None
-    if not _selfcheck_cdist(lib, 1 if metric_name == "l2" else 0):
+    if not _selfcheck_cdist(lib, dim, 1 if metric_name == "l2" else 0):
         return None
     return lib

@@ -47,3 +47,25 @@ def tiny_clustered():
     Q = Q.astype(np.float32)
     gt_d, gt_i = brute_force_knn(X, Q, 5)
     return X, Q, gt_d, gt_i
+
+
+def _assert_same_graph(a, b) -> None:
+    """Two ``HnswIndex`` objects hold byte-identical graphs: same ids,
+    levels, entry point and, per level, the same ordered neighbor lists."""
+    n = len(a)
+    assert n == len(b)
+    assert a.entry_point == b.entry_point
+    assert a.max_level == b.max_level
+    for name in ("_ext", "_node_level"):
+        assert getattr(a, name)[:n].tobytes() == getattr(b, name)[:n].tobytes(), name
+    for lv in range(a.max_level + 1):
+        assert a._cnts[lv][:n].tobytes() == b._cnts[lv][:n].tobytes(), lv
+        for node in range(n):
+            cnt = a._cnts[lv][node]
+            assert a._nbrs[lv][node, :cnt].tobytes() == b._nbrs[lv][node, :cnt].tobytes(), (lv, node)
+
+
+@pytest.fixture(scope="session")
+def assert_same_graph():
+    """The graph-equality check the bit-identity tests share."""
+    return _assert_same_graph

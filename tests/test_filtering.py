@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core import DistributedANN, SystemConfig
+from repro.core.partition import Partition
+from repro.core.searcher import ModeledSearcher, RealHnswSearcher
 from repro.datasets import sample_queries, sift_like
 from repro.filtering import (
     CROSSOVER_SELECTIVITY,
@@ -29,6 +31,7 @@ from repro.filtering import (
 from repro.hnsw import HnswIndex, HnswParams
 from repro.runtime.report import SearchReport
 from repro.serving import ResultCache, cache_namespace
+from repro.simmpi.costmodel import CostModel
 
 
 class TestFilterSpec:
@@ -279,6 +282,116 @@ class TestFilteredHnswConnectivity:
             _, ids = idx.knn_search(q, self.K, filter=mask)
             filtered.append(len(np.intersect1d(ids, gt)) / self.K)
         assert np.mean(filtered) >= np.mean(naive)
+
+
+class TestFilteredBatchOncePerCall:
+    """``search_filtered_batch`` evaluates the mask and the strategy once
+    per call and sends ``post`` rows through one ``knn_search_batch``.
+    Each row's answer, the summed virtual seconds and every
+    ``filter_stats`` increment must equal what one mask + strategy +
+    search per row gives — the oracles below are that per-row code."""
+
+    K = 5
+    #: ~50 % of rows (auto -> post), 5 % (auto -> pre), none
+    CLAUSES = {
+        "post": [FilterSpec("tier", "range", (0, 9))],
+        "pre": [FilterSpec("tier", "eq", 0)],
+        "empty": [FilterSpec("tier", "eq", 99)],
+    }
+
+    @pytest.fixture(scope="class")
+    def part(self):
+        X = sift_like(400, dim=24, seed=41)
+        ids = np.arange(1000, 1400, dtype=np.int64)
+        index = HnswIndex(dim=24, params=HnswParams(M=8, ef_construction=40, seed=4))
+        index.add_items(X, ids)
+        rows = np.sort(np.random.default_rng(3).choice(400, size=60, replace=False))
+        return Partition(
+            7, X, ids, index=index, attrs={"tier": np.arange(400) % 20},
+            sample=(X[rows], ids[rows]), sample_rows=rows,
+        )
+
+    @staticmethod
+    def _real_row(s, part, q, k, clauses, strategy):
+        index = part.index
+        mask = mask_for(part.attrs, clauses, part.n_points)
+        n_match = int(np.count_nonzero(mask))
+        if n_match == 0:
+            s.filter_stats["filter_empty_tasks"] += 1
+            return np.empty(0), np.empty(0, dtype=np.int64), 0.0
+        if choose_strategy(strategy, n_match, part.n_points, k) == "pre":
+            rows = np.flatnonzero(mask)
+            d = index.metric.one_to_many(q, part.points[rows])
+            order = np.lexsort((part.ids[rows], d))[:k]
+            d, ids, evals, kind = d[order], part.ids[rows][order], n_match, "pre"
+        else:
+            before = index.n_dist_evals
+            d, ids = index.knn_search(q, k, ef=s.ef_search, filter=mask)
+            evals, kind = index.n_dist_evals - before, "post"
+        s.filter_stats[f"filter_tasks_{kind}"] += 1
+        s.filter_stats[f"filter_evals_{kind}"] += evals
+        return d, ids, s.cost.distance_cost(evals, index.dim)
+
+    @staticmethod
+    def _modeled_row(s, part, q, k, clauses, strategy):
+        mask = mask_for(part.attrs, clauses, part.n_points)
+        n_match = int(np.count_nonzero(mask))
+        if n_match == 0:
+            s.filter_stats["filter_empty_tasks"] += 1
+            return np.empty(0), np.empty(0, dtype=np.int64), 0.0
+        pre = choose_strategy(strategy, n_match, part.n_points, k) == "pre"
+        s.filter_stats[f"filter_tasks_{'pre' if pre else 'post'}"] += 1
+        s.filter_stats[f"filter_evals_{'pre' if pre else 'post'}"] += (
+            n_match if pre else min(part.n_points, s.ef_search * s.m)
+        )
+        seconds = s.search(part, q, 1)[2]
+        smask = mask[part.sample_rows]
+        pts, ids = part.sample[0][smask], part.sample[1][smask]
+        if not len(ids):
+            return np.empty(0), np.empty(0, dtype=np.int64), seconds
+        d = s.metric.one_to_many(q, pts)
+        order = np.lexsort((ids, d))[:k]
+        return d[order], ids[order], seconds
+
+    def _searchers(self, kind):
+        cost = CostModel()
+        if kind == "real":
+            return RealHnswSearcher(cost, 32), RealHnswSearcher(cost, 32), self._real_row
+        make = lambda: ModeledSearcher(cost, 32, 8, 24, virtual_points=10**6)  # noqa: E731
+        return make(), make(), self._modeled_row
+
+    @pytest.mark.parametrize("kind", ["real", "modeled"])
+    @pytest.mark.parametrize("nq", [1, 8])
+    @pytest.mark.parametrize("case", ["post", "pre", "empty"])
+    @pytest.mark.parametrize("strategy", ["auto", "pre", "post"])
+    def test_batch_equals_rows(self, part, kind, nq, case, strategy):
+        Q = sample_queries(part.points, nq, noise_scale=0.05, seed=nq)
+        batch, rows, row_fn = self._searchers(kind)
+        clauses = self.CLAUSES[case]
+        ds, idss, seconds = batch.search_filtered_batch(part, Q, self.K, clauses, strategy)
+        want_seconds = 0.0
+        for i, q in enumerate(Q):
+            d, ids, s = row_fn(rows, part, q, self.K, clauses, strategy)
+            want_seconds += s
+            assert ds[i].dtype == np.float64 and idss[i].dtype == np.int64
+            np.testing.assert_array_equal(ds[i], d)
+            np.testing.assert_array_equal(idss[i], ids)
+        assert seconds == want_seconds  # bit for bit: it drives the virtual clock
+        assert batch.filter_stats == rows.filter_stats
+        if nq == 1:  # the single-query entry is the one-row batch
+            one = type(batch).search_filtered(rows, part, Q[0], self.K, clauses, strategy)
+            np.testing.assert_array_equal(one[0], ds[0])
+            np.testing.assert_array_equal(one[1], idss[0])
+            assert one[2] == seconds
+
+    def test_auto_takes_both_strategies(self, part):
+        """The two non-empty cases really exercise both branches."""
+        s = RealHnswSearcher(CostModel(), 32)
+        Q = sample_queries(part.points, 8, noise_scale=0.05, seed=8)
+        s.search_filtered_batch(part, Q, self.K, self.CLAUSES["post"])
+        s.search_filtered_batch(part, Q, self.K, self.CLAUSES["pre"])
+        assert s.filter_stats["filter_tasks_post"] == 8
+        assert s.filter_stats["filter_tasks_pre"] == 8
 
 
 class TestEngineFiltered:

@@ -7,6 +7,8 @@ back to python cleanly.  The PQ fast-scan kernel carries the same
 contract against its numpy fallback.
 """
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -38,20 +40,6 @@ def _build_pair(X, params, metric="l2"):
     slow._native = None
     slow.add_items(X)
     return fast, slow
-
-
-def _assert_same_graph(a: HnswIndex, b: HnswIndex):
-    assert len(a) == len(b)
-    assert a.entry_point == b.entry_point
-    assert a.max_level == b.max_level
-    np.testing.assert_array_equal(a._node_level[: len(a)], b._node_level[: len(b)])
-    for lv in range(a.max_level + 1):
-        np.testing.assert_array_equal(a._cnts[lv][: len(a)], b._cnts[lv][: len(b)])
-        for node in a.nodes_at_level(lv).tolist():
-            np.testing.assert_array_equal(
-                a._nbrs[lv][node, : a._cnts[lv][node]],
-                b._nbrs[lv][node, : b._cnts[lv][node]],
-            )
 
 
 needs_native_build = pytest.mark.skipif(
@@ -87,15 +75,15 @@ def pq_native_state():
 
 class TestNativeBuild:
     @needs_native_build
-    def test_bulk_build_identical(self, corpus, params):
+    def test_bulk_build_identical(self, corpus, params, assert_same_graph):
         fast, slow = _build_pair(corpus, params)
         assert fast.native_build_active and not slow.native_build_active
-        _assert_same_graph(fast, slow)
+        assert_same_graph(fast, slow)
         assert fast.n_dist_evals == slow.n_dist_evals
         assert fast.n_shrink_ops == slow.n_shrink_ops
 
     @needs_native_build
-    def test_incremental_add_identical(self, corpus, params):
+    def test_incremental_add_identical(self, corpus, params, assert_same_graph):
         fast = HnswIndex(dim=32, params=params, capacity=len(corpus))
         slow = HnswIndex(dim=32, params=params, capacity=len(corpus))
         slow._native_build = None
@@ -103,7 +91,7 @@ class TestNativeBuild:
         for i in range(200):
             assert fast.add(corpus[i], ext_id=1000 + i) == i
             slow.add(corpus[i], ext_id=1000 + i)
-        _assert_same_graph(fast, slow)
+        assert_same_graph(fast, slow)
         assert fast.n_dist_evals == slow.n_dist_evals
         np.testing.assert_array_equal(fast._ext[:200], slow._ext[:200])
 
@@ -117,14 +105,14 @@ class TestNativeBuild:
             np.testing.assert_array_equal(df, ds)
 
     @needs_native_build
-    def test_simple_selection_identical(self, corpus):
+    def test_simple_selection_identical(self, corpus, assert_same_graph):
         params = HnswParams(M=8, ef_construction=40, seed=3, select_heuristic=False)
         fast, slow = _build_pair(corpus, params)
-        _assert_same_graph(fast, slow)
+        assert_same_graph(fast, slow)
         assert fast.n_dist_evals == slow.n_dist_evals
 
     @needs_native_build
-    def test_save_load_byte_identical(self, corpus, params, tmp_path):
+    def test_save_load_byte_identical(self, corpus, params, tmp_path, assert_same_graph):
         fast, slow = _build_pair(corpus, params)
         pf, ps = str(tmp_path / "fast.npz"), str(tmp_path / "slow.npz")
         fast.save(pf)
@@ -134,7 +122,7 @@ class TestNativeBuild:
             for name in a.files:
                 assert a[name].tobytes() == b[name].tobytes(), name
         loaded = HnswIndex.load(pf)
-        _assert_same_graph(loaded, slow)
+        assert_same_graph(loaded, slow)
 
 
 class TestBitIdentityGates:
@@ -143,7 +131,7 @@ class TestBitIdentityGates:
     ):
         """A failing double-kernel self-check disables ONLY the build path;
         construction still succeeds on python (search native untouched)."""
-        monkeypatch.setattr(hnsw_native, "_selfcheck_cdist", lambda lib, s: False)
+        monkeypatch.setattr(hnsw_native, "_selfcheck_cdist", lambda lib, dim, s: False)
         idx = HnswIndex(dim=32, params=params, capacity=len(corpus))
         assert not idx.native_build_active
         idx.add_items(corpus)
@@ -154,10 +142,37 @@ class TestBitIdentityGates:
     def test_forced_einsum_selfcheck_failure_disables_both(
         self, params, monkeypatch, hnsw_native_state
     ):
-        monkeypatch.setattr(hnsw_native, "_selfcheck", lambda lib, s: False)
+        monkeypatch.setattr(hnsw_native, "_selfcheck", lambda lib, dim, s: False)
         idx = HnswIndex(dim=32, params=params)
         assert not idx.native_search_active
         assert not idx.native_build_active
+
+    @needs_native_build
+    def test_selfcheck_failure_at_one_width_leaves_others_native(
+        self, params, monkeypatch, hnsw_native_state
+    ):
+        """The self-check cache is keyed by width: a kernel that disagrees
+        with numpy at 48-d sends 48-d to python and nothing else."""
+        real = hnsw_native._lib.l2sq_batch
+
+        def wrong_at_48(A, B, n, dim, do_sqrt, out):
+            real(A, B, n, dim, do_sqrt, out)
+            if dim == 48:
+                ctypes.memset(out, 0, 4)  # corrupt the first distance
+
+        hnsw_native._checked.pop((48, 1), None)
+        hnsw_native._checked.pop((32, 1), None)
+        monkeypatch.setattr(hnsw_native._lib, "l2sq_batch", wrong_at_48)
+        bad = HnswIndex(dim=48, params=params)
+        good = HnswIndex(dim=32, params=params)
+        assert not bad.native_search_active and not bad.native_build_active
+        assert good.native_search_active and good.native_build_active
+        assert hnsw_native._checked[(48, 1)] is False
+        assert hnsw_native._checked[(32, 1)] is True
+        # the failed width still builds and answers, on python
+        X = np.random.default_rng(2).normal(size=(60, 48)).astype(np.float32)
+        bad.add_items(X)
+        assert bad.knn_search(X[7], 3)[1][0] == 7
 
     def test_no_native_env_covers_build_and_search(
         self, corpus, params, monkeypatch, hnsw_native_state

@@ -215,3 +215,28 @@ class TestAddPointsBatching:
         D1, I1, _ = batched.query(Q, k=5)
         D2, I2, _ = loop.query(Q, k=5)
         np.testing.assert_array_equal(I1, I2)
+
+    def test_bulk_insert_builds_the_per_point_graph(self, assert_same_graph):
+        """``add_points`` inserts each partition's rows with one
+        ``add_items``; graph bytes, ids and counters must equal one
+        ``index.add`` per point (levels are drawn in row order)."""
+        X, _ = _dataset(seed=11, n=300)
+        extra = _dataset(seed=12, n=40)[0][:24]
+        cfg = SystemConfig(n_cores=4, cores_per_node=2, seed=3)
+
+        bulk = DistributedANN(cfg)
+        bulk.fit(X)
+        new_ids = bulk.add_points(extra)
+
+        single = DistributedANN(cfg)
+        single.fit(X)
+        for x, gid in zip(extra, new_ids):
+            pid = single.router.route_approx(x, 1)[0]
+            single.partitions[pid].index.add(x, ext_id=int(gid))
+
+        assert sum(len(p.index) for p in bulk.partitions.values()) == len(X) + len(extra)
+        for pid, part in bulk.partitions.items():
+            a, b = part.index, single.partitions[pid].index
+            assert_same_graph(a, b)
+            assert a.n_dist_evals == b.n_dist_evals
+            assert a.n_shrink_ops == b.n_shrink_ops
