@@ -11,7 +11,11 @@ anchored to the paper's *own* aggregate throughput — e.g. ANN_SIFT1B's
 measured per-task cost is the quantity that determines where master-side
 serialization would bend the curve.  Routing runs for real on the
 reduced-scale data; the speedup shape then follows from the architecture.
+The last column is the host's wall-clock seconds per configuration, build +
+query call — what simulating that point costs, beside what it simulates.
 """
+
+import time
 
 import pytest
 
@@ -33,7 +37,7 @@ def scaling_run(dataset_name, paper_points, core_counts, n_points, n_queries, ta
     # equivalent load spread comes from query diversity (the skewed-load
     # behaviour is Fig. 4's subject, benched separately).
     Q = sample_queries(ds.X, n_queries, noise_scale=0.05, seed=6)
-    measurements = []
+    measurements, host = [], []
     for P in core_counts:
         cfg = SystemConfig(
             n_cores=P,
@@ -48,10 +52,14 @@ def scaling_run(dataset_name, paper_points, core_counts, n_points, n_queries, ta
             seed=5,
         )
         ann = DistributedANN(cfg)
+        t0 = time.perf_counter()
         ann.fit(ds.X)
+        t1 = time.perf_counter()
         _, _, rep = ann.query(Q)
         measurements.append((P, rep.total_seconds))
-    return speedup_table(measurements)
+        host.append(f"{t1 - t0:.1f} + {time.perf_counter() - t1:.1f}")
+    # core_counts ascend, which is the order speedup_table returns its rows in
+    return speedup_table(measurements), host
 
 
 class TestFig3a:
@@ -64,7 +72,7 @@ class TestFig3a:
     def test_syn_scaling(self, run_once, name, paper_points, task_seconds, paper_speedup):
         cores = [32, 64, 128, 256, 512, 1024]
 
-        rows = run_once(
+        rows, host = run_once(
             lambda: scaling_run(
                 name, paper_points, cores, n_points=4096, n_queries=10_000,
                 task_seconds=task_seconds,
@@ -73,8 +81,8 @@ class TestFig3a:
         print()
         print(
             format_table(
-                ["cores", "virtual s", "speedup", "efficiency"],
-                [(r.cores, r.seconds, r.speedup, r.efficiency) for r in rows],
+                ["cores", "virtual s", "speedup", "efficiency", "host s (fit + query)"],
+                [(r.cores, r.seconds, r.speedup, r.efficiency, h) for r, h in zip(rows, host)],
                 title=f"Fig. 3(a) — {name} strong scaling "
                 f"(paper speedup at 1024: ~{paper_speedup}x)",
             )
@@ -97,7 +105,7 @@ class TestFig3b:
         # the paper's own per-task cost at 8192 cores with 10^4 queries
         task_seconds = paper_seconds_8192 * 8192 / (10_000 * N_PROBE)
 
-        rows = run_once(
+        rows, host = run_once(
             lambda: scaling_run(
                 name, 10**9, cores, n_points=8192, n_queries=10_000,
                 task_seconds=task_seconds,
@@ -106,8 +114,8 @@ class TestFig3b:
         print()
         print(
             format_table(
-                ["cores", "virtual s", "speedup", "efficiency"],
-                [(r.cores, r.seconds, r.speedup, r.efficiency) for r in rows],
+                ["cores", "virtual s", "speedup", "efficiency", "host s (fit + query)"],
+                [(r.cores, r.seconds, r.speedup, r.efficiency, h) for r, h in zip(rows, host)],
                 title=f"Fig. 3(b) — {name} strong scaling "
                 "(paper: ~25x at 8192 cores, almost linear)",
             )

@@ -5,9 +5,12 @@ Paper (minutes): total 21.5 → 14.7 and HNSW 17.6 → 4.3 as cores go
 levels, more at-scale collectives); the HNSW share shrinks (smaller
 partitions).  This bench rebuilds the modeled paper-scale index at each
 core count on the straggler-calibrated network model and checks those
-three shape properties.
+three shape properties.  The last column is the host's wall-clock seconds
+for the same build — the cost of simulating it, printed beside what it
+simulates (docs/performance.md, "Construction on the host").
 """
 
+import time
 
 from repro.core import DistributedANN, SystemConfig
 from repro.datasets import load_dataset
@@ -42,7 +45,9 @@ def test_table2_construction_scaling(run_once):
                 seed=3,
             )
             ann = DistributedANN(cfg)
+            t0 = time.perf_counter()
             br = ann.fit(ds.X)
+            host_seconds = time.perf_counter() - t0
             rows.append(
                 (
                     P,
@@ -51,6 +56,7 @@ def test_table2_construction_scaling(run_once):
                     br.vptree_seconds / 60,
                     PAPER[P][0],
                     PAPER[P][1],
+                    host_seconds,
                 )
             )
         return rows
@@ -66,6 +72,7 @@ def test_table2_construction_scaling(run_once):
                 "vptree (min)",
                 "paper total",
                 "paper hnsw",
+                "host (s)",
             ],
             rows,
             title="Table II — ANN_SIFT1B construction times",

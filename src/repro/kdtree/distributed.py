@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.simmpi.comm import Comm
 from repro.simmpi.engine import Context
-from repro.vptree.distributed import _chunks_for, _split_inside
+from repro.vptree.distributed import _shuffle_sends, _split_inside
 from repro.vptree.median import distributed_select
 
 __all__ = ["DistributedKDBuildResult", "distributed_build_kd"]
@@ -75,24 +75,14 @@ def distributed_build_kd(
         threshold = yield from distributed_select(ctx, comm, values, k_global)
         inside = yield from _split_inside(ctx, comm, values, threshold, k_global)
 
-        left_ranks = list(range(n_left_ranks))
-        right_ranks = list(range(n_left_ranks, comm.size))
-        send: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for mask, dests in ((inside, left_ranks), (~inside, right_ranks)):
-            pts, pid = X[mask], ids[mask]
-            for j, (a, b) in enumerate(_chunks_for(len(pts), len(dests), my_rank)):
-                if b > a:
-                    send[dests[j]] = (pts[a:b], pid[a:b])
+        send = _shuffle_sends(inside, X, ids, my_rank, n_left_ranks, comm.size)
         yield from ctx.compute(ctx.cost.copy_cost(X.nbytes + ids.nbytes), kind="build_shuffle")
         inbox = yield from comm.alltoallv(ctx, send)
 
         went_left = my_rank < n_left_ranks
-        if inbox:
-            X = np.ascontiguousarray(np.concatenate([p for p, _ in inbox.values()]))
-            ids = np.concatenate([i for _, i in inbox.values()])
-        else:
-            X = np.empty((0, X.shape[1]), dtype=np.float32)
-            ids = np.empty(0, dtype=np.int64)
+        # an empty inbox leaves an empty shard of the same width and dtypes
+        X = np.concatenate([p for p, _ in inbox.values()] or [X[:0]])
+        ids = np.concatenate([i for _, i in inbox.values()] or [ids[:0]])
         path.append((axis, float(threshold), went_left))
         comm = yield from comm.split(ctx, color=0 if went_left else 1, key=my_rank)
 

@@ -79,7 +79,9 @@ class KDPartitionRouter:
         return cls(root, counter[0])
 
     def route_exact(self, query: np.ndarray, tau: float) -> list[int]:
-        """All partitions whose cell intersects the L2 ball of radius tau."""
+        """All partitions whose cell intersects the L2 ball of radius tau
+        (left holds ``<= threshold``, right ``>= threshold``: ties at the
+        median go to either side, so both tests are non-strict)."""
         q = check_vector(query, "query")
         if tau < 0:
             raise ValueError(f"tau must be non-negative, got {tau}")
@@ -92,7 +94,7 @@ class KDPartitionRouter:
             delta = float(q[node.axis]) - node.threshold
             if delta - tau <= 0:
                 rec(node.left)
-            if delta + tau > 0:
+            if delta + tau >= 0:
                 rec(node.right)
 
         rec(self.root)

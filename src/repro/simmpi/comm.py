@@ -42,7 +42,8 @@ class Comm:
         if len(set(pids)) != len(pids):
             raise SimConfigError("duplicate pids in communicator")
         self._sim = sim
-        self._pids = list(pids)
+        #: the one tuple every collective hands the engine (matched by identity)
+        self._pids = tuple(pids)
         self._rank_of = {pid: r for r, pid in enumerate(self._pids)}
         self._coll_seq: dict[int, int] = {pid: 0 for pid in self._pids}
         self._id = next(_comm_ids)
@@ -114,17 +115,14 @@ class Comm:
 
     # -- collectives -------------------------------------------------------------
 
-    def _coll_key(self, ctx: Context, op: str) -> tuple:
+    def _collective(self, ctx: Context, op: str, data: Any, complete: Callable):
         # Per-proc call counter on this comm: members entering collectives in
         # the same program order produce identical keys.  The op name is part
         # of the key so mismatched call sequences surface as a DeadlockError
         # instead of silently pairing a bcast with a barrier.
         seq = self._coll_seq[ctx.pid]
         self._coll_seq[ctx.pid] = seq + 1
-        return (self._id, seq, op)
-
-    def _members(self) -> tuple:
-        return tuple(self._pids)
+        return ctx.collective((self._id, seq, op), self._pids, data, complete)
 
     def barrier(self, ctx: Context):
         net, pids = self._sim.network, self._pids
@@ -133,7 +131,7 @@ class Comm:
             finish = max(c for c, _ in arrived.values()) + net.barrier_time(len(pids))
             return {pid: (finish, None) for pid in arrived}
 
-        yield from ctx.collective(self._coll_key(ctx, "barrier"), self._members(), None, complete)
+        yield from self._collective(ctx, "barrier", None, complete)
 
     def bcast(self, ctx: Context, data: Any, root: int = 0):
         """Broadcast ``data`` from ``root``; every rank returns the value."""
@@ -147,10 +145,7 @@ class Comm:
             )
             return {pid: (finish, payload) for pid in arrived}
 
-        result = yield from ctx.collective(
-            self._coll_key(ctx, "bcast"), self._members(), data, complete
-        )
-        return result
+        return (yield from self._collective(ctx, "bcast", data, complete))
 
     def gather(self, ctx: Context, data: Any, root: int = 0):
         """Gather; root returns the rank-ordered list, others return None."""
@@ -161,20 +156,11 @@ class Comm:
             values = [arrived[pid][1] for pid in pids]
             per_rank = max(payload_nbytes(v) for v in values)
             tmax = max(c for c, _ in arrived.values())
-            root_finish = tmax + net.gather_time(len(pids), per_rank)
-            nonroot_finish = tmax + net.sw_overhead
-            out = {}
-            for pid in arrived:
-                if pid == root_pid:
-                    out[pid] = (root_finish, values)
-                else:
-                    out[pid] = (nonroot_finish, None)
+            out = dict.fromkeys(arrived, (tmax + net.sw_overhead, None))
+            out[root_pid] = (tmax + net.gather_time(len(pids), per_rank), values)
             return out
 
-        result = yield from ctx.collective(
-            self._coll_key(ctx, "gather"), self._members(), data, complete
-        )
-        return result
+        return (yield from self._collective(ctx, "gather", data, complete))
 
     def scatter(self, ctx: Context, data: Any, root: int = 0):
         """Scatter a rank-ordered list from ``root``; each rank returns its
@@ -197,12 +183,13 @@ class Comm:
                 pid: (finish, values[self._rank_of[pid]]) for pid in arrived
             }
 
-        result = yield from ctx.collective(
-            self._coll_key(ctx, "scatter"), self._members(), data, complete
-        )
-        return result
+        return (yield from self._collective(ctx, "scatter", data, complete))
 
-    def allgather(self, ctx: Context, data: Any):
+    def allgather(self, ctx: Context, data: Any, then: Callable[[list], Any] | None = None):
+        """Every rank returns the rank-ordered list of contributions (one
+        shared list: read it, don't mutate it) — or ``then(list)``, a pure
+        function evaluated once for the group instead of once per rank.  The
+        virtual cost is the plain allgather's either way."""
         net, pids = self._sim.network, self._pids
 
         def complete(arrived: dict) -> dict:
@@ -211,12 +198,10 @@ class Comm:
             finish = max(c for c, _ in arrived.values()) + net.gather_time(
                 len(pids), per_rank
             ) + net.bcast_time(len(pids), per_rank * len(pids))
-            return {pid: (finish, list(values)) for pid in arrived}
+            result = values if then is None else then(values)
+            return {pid: (finish, result) for pid in arrived}
 
-        result = yield from ctx.collective(
-            self._coll_key(ctx, "allgather"), self._members(), data, complete
-        )
-        return result
+        return (yield from self._collective(ctx, "allgather", data, complete))
 
     def reduce(self, ctx: Context, data: Any, op: Callable[[list], Any], root: int = 0):
         """Reduce with a Python combiner ``op(list_by_rank) -> value``."""
@@ -236,10 +221,7 @@ class Comm:
                     out[pid] = (tmax + net.sw_overhead, None)
             return out
 
-        result = yield from ctx.collective(
-            self._coll_key(ctx, "reduce"), self._members(), data, complete
-        )
-        return result
+        return (yield from self._collective(ctx, "reduce", data, complete))
 
     def allreduce(self, ctx: Context, data: Any, op: Callable[[list], Any]):
         net, pids = self._sim.network, self._pids
@@ -253,10 +235,7 @@ class Comm:
             )
             return {pid: (finish, combined) for pid in arrived}
 
-        result = yield from ctx.collective(
-            self._coll_key(ctx, "allreduce"), self._members(), data, complete
-        )
-        return result
+        return (yield from self._collective(ctx, "allreduce", data, complete))
 
     def alltoallv(self, ctx: Context, send: dict[int, Any]):
         """Personalized all-to-all: ``send`` maps dest rank → payload.
@@ -290,10 +269,7 @@ class Comm:
             )
             return {pid: (finish, inbound[self._rank_of[pid]]) for pid in arrived}
 
-        result = yield from ctx.collective(
-            self._coll_key(ctx, "alltoallv"), self._members(), dict(send), complete
-        )
-        return result
+        return (yield from self._collective(ctx, "alltoallv", dict(send), complete))
 
     def split(self, ctx: Context, color: int, key: int = 0):
         """Partition this communicator into sub-communicators by color.
@@ -321,7 +297,4 @@ class Comm:
                 out[pid] = (finish_base, comms[col])
             return out
 
-        result = yield from ctx.collective(
-            self._coll_key(ctx, "split"), self._members(), (int(color), int(key)), complete
-        )
-        return result
+        return (yield from self._collective(ctx, "split", (int(color), int(key)), complete))

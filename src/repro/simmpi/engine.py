@@ -999,7 +999,8 @@ class Simulation:
         if rec is None:
             rec = {"members": sc.members, "arrived": {}, "complete": sc.complete}
             self._collectives[sc.key] = rec
-        if rec["members"] != sc.members:
+        # a Comm passes the same tuple on every call; compare only strangers
+        if rec["members"] is not sc.members and rec["members"] != sc.members:
             raise SimError(
                 f"collective {sc.key} member mismatch: {rec['members']} vs {sc.members}"
             )

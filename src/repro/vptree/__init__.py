@@ -17,7 +17,7 @@ Three roles in the system:
   holds exactly one partition.
 """
 
-from repro.vptree.select import select_vantage_point, spread_score
+from repro.vptree.select import select_vantage_point, spread_score, spread_scores
 from repro.vptree.tree import VPTree
 from repro.vptree.router import PartitionRouter, RouteNode
 from repro.vptree.median import weighted_median, distributed_select
@@ -26,6 +26,7 @@ from repro.vptree.distributed import distributed_build, DistributedBuildResult
 __all__ = [
     "select_vantage_point",
     "spread_score",
+    "spread_scores",
     "VPTree",
     "PartitionRouter",
     "RouteNode",

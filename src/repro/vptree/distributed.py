@@ -28,6 +28,7 @@ from the gathered paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from repro.simmpi.comm import Comm
 from repro.simmpi.engine import Context
 from repro.utils.rng import rng_for
 from repro.vptree.median import distributed_select
-from repro.vptree.select import spread_score
+from repro.vptree.select import spread_scores
 
 __all__ = ["DistributedBuildResult", "distributed_build"]
 
@@ -75,20 +76,14 @@ def _select_vantage_point_dist(
     n_s_virt = min(n_sample, virt_local)
     # local round: sample candidates from local data, score on local sample
     if len(X):
-        n_c = min(n_candidates, len(X))
-        n_s = min(n_sample, len(X))
-        cand_idx = rng.choice(len(X), size=n_c, replace=False)
-        samp_idx = rng.choice(len(X), size=n_s, replace=False)
-        sample = X[samp_idx]
-        best, best_score = None, -np.inf
-        for ci in cand_idx:
-            s = spread_score(X[ci], sample, metric)
-            if s > best_score:
-                best, best_score = X[ci], s
+        cand_idx = rng.choice(len(X), size=min(n_candidates, len(X)), replace=False)
+        samp_idx = rng.choice(len(X), size=min(n_sample, len(X)), replace=False)
+        scores = spread_scores(X[cand_idx], X[samp_idx], metric)
         yield from ctx.compute(
             ctx.cost.distance_cost(n_c_virt * n_s_virt, X.shape[1]), kind="build_vp"
         )
-        representative = np.ascontiguousarray(best)
+        # argmax is the first maximum, the one a strict ``>`` scan keeps
+        representative = X[cand_idx[np.argmax(scores)]]
     else:
         representative = None
 
@@ -97,21 +92,16 @@ def _select_vantage_point_dist(
         cands = [r for r in reps if r is not None]
         if not cands:
             raise ValueError("no rank holds any data; cannot select a vantage point")
+        stacked = np.stack(cands)
         if len(X):
-            samp_idx = rng.choice(len(X), size=min(n_sample, len(X)), replace=False)
-            sample = X[samp_idx]
+            sample = X[rng.choice(len(X), size=min(n_sample, len(X)), replace=False)]
         else:
-            sample = np.stack(cands)
-        best, best_score = None, -np.inf
-        for c in cands:
-            s = spread_score(c, sample, metric)
-            if s > best_score:
-                best, best_score = c, s
+            sample = stacked
+        scores = spread_scores(stacked, sample, metric)
         yield from ctx.compute(
-            ctx.cost.distance_cost(len(cands) * n_s_virt, len(best)),
-            kind="build_vp",
+            ctx.cost.distance_cost(len(cands) * n_s_virt, stacked.shape[1]), kind="build_vp"
         )
-        vp = best
+        vp = cands[np.argmax(scores)]
     else:
         vp = None
     vp = yield from comm.bcast(ctx, vp, root=0)
@@ -127,35 +117,47 @@ def _split_inside(
     assigned left in rank order until the global quota is met, so the split
     is exact even with many duplicate distances.
     """
-    strict = d < mu
+    inside = d < mu
     equal = d == mu
-    n_strict = yield from comm.allreduce(ctx, int(strict.sum()), op=sum)
-    deficit = k_global - n_strict
-    eq_counts = yield from comm.allgather(ctx, int(equal.sum()))
-    my_rank = comm.rank(ctx)
-    take_before = sum(eq_counts[:my_rank])
-    my_take = max(0, min(int(equal.sum()), deficit - take_before))
-    inside = strict.copy()
+    n_strict = yield from comm.allreduce(ctx, int(inside.sum()), op=sum)
+    # what the ranks before each rank take: the exclusive prefix sums of the
+    # per-rank tie counts, summed once for the whole group
+    take_before = yield from comm.allgather(
+        ctx, int(equal.sum()), then=lambda counts: list(accumulate(counts, initial=0))
+    )
+    my_take = min(int(equal.sum()), k_global - n_strict - take_before[comm.rank(ctx)])
     if my_take > 0:
-        eq_idx = np.flatnonzero(equal)[:my_take]
-        inside[eq_idx] = True
+        inside[np.flatnonzero(equal)[:my_take]] = True
     return inside
 
 
-def _chunks_for(
-    n_items: int, n_dests: int, rotation: int
-) -> list[tuple[int, int]]:
-    """Split ``n_items`` into ``n_dests`` near-equal (start, stop) slices,
-    rotating which destinations get the +1 remainder by ``rotation``."""
-    base = n_items // n_dests
-    rem = n_items % n_dests
-    sizes = [base + (1 if (j - rotation) % n_dests < rem else 0) for j in range(n_dests)]
-    out = []
-    pos = 0
-    for s in sizes:
-        out.append((pos, pos + s))
-        pos += s
-    return out
+def _shuffle_sends(
+    inside: np.ndarray, X: np.ndarray, ids: np.ndarray, my_rank: int, n_left_ranks: int, size: int
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """One rank's ``alltoallv`` outbox for the shuffle (the KD baseline's too).
+
+    ``inside`` rows go to ranks ``0 .. n_left_ranks - 1`` and the rest to
+    ``n_left_ranks .. size - 1``, each side in near-equal contiguous slices
+    with the +1 remainders rotated by ``my_rank``.  Only non-empty slices are
+    listed, so a rank holding a few points pays for those, not for every
+    destination of a large group.
+    """
+    send: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for mask, dests in ((inside, range(n_left_ranks)), (~inside, range(n_left_ranks, size))):
+        pts, pid = X[mask], ids[mask]
+        n = len(dests)
+        base, rem = divmod(len(pts), n)
+        first = my_rank % n  # destinations first .. first + rem - 1 (mod n) get one more
+        if base:
+            nonempty = range(n)
+        else:
+            nonempty = chain(range(first + rem - n), range(first, min(first + rem, n)))
+        pos = 0
+        for j in nonempty:
+            stop = pos + base + ((j - first) % n < rem)
+            send[dests[j]] = (pts[pos:stop], pid[pos:stop])
+            pos = stop
+    return send
 
 
 def distributed_build(
@@ -208,27 +210,16 @@ def distributed_build(
         mu = yield from distributed_select(ctx, comm, d, k_global)
         inside = yield from _split_inside(ctx, comm, d, mu, k_global)
 
-        left_ranks = list(range(n_left_ranks))
-        right_ranks = list(range(n_left_ranks, comm.size))
-        send: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for mask, dests in ((inside, left_ranks), (~inside, right_ranks)):
-            pts = X[mask]
-            pid = ids[mask]
-            for j, (a, b) in enumerate(_chunks_for(len(pts), len(dests), my_rank)):
-                if b > a:
-                    send[dests[j]] = (pts[a:b], pid[a:b])
+        send = _shuffle_sends(inside, X, ids, my_rank, n_left_ranks, comm.size)
         yield from ctx.compute(
             ctx.cost.copy_cost(X.nbytes + ids.nbytes) * work_scale, kind="build_shuffle"
         )
         inbox = yield from comm.alltoallv(ctx, send)
 
         went_left = my_rank < n_left_ranks
-        if inbox:
-            X = np.ascontiguousarray(np.concatenate([p for p, _ in inbox.values()]))
-            ids = np.concatenate([i for _, i in inbox.values()])
-        else:
-            X = np.empty((0, X.shape[1]), dtype=np.float32)
-            ids = np.empty(0, dtype=np.int64)
+        # an empty inbox leaves an empty shard of the same width and dtypes
+        X = np.concatenate([p for p, _ in inbox.values()] or [X[:0]])
+        ids = np.concatenate([i for _, i in inbox.values()] or [ids[:0]])
         path.append((vp, float(mu), went_left))
         comm = yield from comm.split(ctx, color=0 if went_left else 1, key=my_rank)
         depth += 1

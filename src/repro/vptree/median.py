@@ -44,6 +44,12 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(values[order[min(idx, len(order) - 1)]])
 
 
+def _pivot(meds: list) -> float:
+    """A round's pivot from every rank's ``(local median, count)``."""
+    vals, wts = zip(*(mc for mc in meds if mc[1] > 0))
+    return weighted_median(vals, wts)
+
+
 def distributed_select(ctx: Context, comm: Comm, values: np.ndarray, k: int):
     """Exact k-th smallest (1-based) of the concatenation of every rank's
     ``values``.  All ranks return the same scalar.  Generator — call with
@@ -78,10 +84,7 @@ def distributed_select(ctx: Context, comm: Comm, values: np.ndarray, k: int):
             contrib = (local_med, len(active))
         else:
             contrib = (None, 0)
-        meds = yield from comm.allgather(ctx, contrib)
-        vals = np.array([m for m, c in meds if c > 0], dtype=np.float64)
-        wts = np.array([c for m, c in meds if c > 0], dtype=np.float64)
-        pivot = weighted_median(vals, wts)
+        pivot = yield from comm.allgather(ctx, contrib, then=_pivot)
 
         below = active < pivot
         equal = active == pivot

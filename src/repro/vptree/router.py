@@ -134,7 +134,12 @@ class PartitionRouter:
         return float(self.metric.one_to_many(q64, node._vp64)[0])
 
     def route_exact(self, query: np.ndarray, tau: float) -> list[int]:
-        """All partitions intersecting the ball of radius ``tau``."""
+        """All partitions intersecting the ball of radius ``tau``.
+
+        Build invariant: left holds ``d(x, vp) <= mu``, right holds
+        ``d(x, vp) >= mu`` (ties at the radius go to either side to keep the
+        split exact), so both tests are non-strict.
+        """
         q = check_vector(query, "query").astype(np.float64)
         if tau < 0:
             raise ValueError(f"tau must be non-negative, got {tau}")
@@ -147,7 +152,7 @@ class PartitionRouter:
             d = self._d(q, node)
             if d - tau <= node.mu:
                 rec(node.left)
-            if d + tau > node.mu:
+            if d + tau >= node.mu:
                 rec(node.right)
 
         rec(self.root)

@@ -57,6 +57,24 @@ class TestSmallK:
         assert (I >= 0).sum(axis=1).min() >= 10  # got the local partition
         assert (I[:, -1] == -1).all()  # padded tail
 
+    def test_k_exceeds_indexed_points_raises(self):
+        """k larger than the whole index is a caller error, not thousands of
+        padded columns; the count follows add_points."""
+        X = sift_like(64, dim=16, seed=92)
+        ann = DistributedANN(
+            SystemConfig(
+                n_cores=4, cores_per_node=2, k=5,
+                hnsw=HnswParams(M=4, ef_construction=20, seed=92), n_probe=1, seed=92,
+            )
+        )
+        ann.fit(X)
+        with pytest.raises(ValueError, match="k=65 exceeds the 64 indexed points"):
+            ann.query(X[:3], k=65)
+        with pytest.raises(ValueError, match="k=5000 exceeds the 64"):
+            ann.query_with_searcher(X[:3], 5000, ann._make_searcher())
+        ann.add_points(X[:1] + 0.5)
+        assert ann.query(X[:3], k=65)[1].shape == (3, 65)
+
 
 class TestSingleQuery:
     def test_batch_of_one(self):
