@@ -1,9 +1,7 @@
 """The coordinator core: composable master-side dispatch machinery.
 
 The paper's master (Algorithms 3 and 5) and its fault-tolerant variant
-used to live as two ~250-line near-duplicate proc bodies in
-``repro.core.master``.  This package splits the shared logic into four
-pieces that compose instead of forking:
+are not two proc bodies but compositions of the same pieces:
 
 - :class:`Router` — VP-tree routing plus route-cost accounting,
 - :class:`DispatchWindow` — credit-based flow control: at most
@@ -15,7 +13,11 @@ pieces that compose instead of forking:
 - :class:`CoordinatorPipeline` — the fault-free route → dispatch →
   merge → drain composition (both routing modes, both comm modes),
 - :class:`FaultHarness` — the timeout/retry/suspicion decoration of the
-  same pipeline pieces (never a fork of them).
+  same pipeline pieces (never a fork of them), closed-loop or under
+  open-loop arrivals,
+- :func:`~repro.core.coordinator.drain.broadcast_end` /
+  :func:`~repro.core.coordinator.drain.collect_thread_exits` — the
+  shutdown every one of those loops (and the serving pipeline) ends in.
 
 See docs/pipelining.md for the window/credit model and the
 degeneracy-to-eager guarantee the golden tests pin.

@@ -27,11 +27,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SystemConfig
+from repro.core.coordinator.drain import broadcast_end, collect_thread_exits
 from repro.core.coordinator.merger import ResultMerger
 from repro.core.coordinator.report import MasterReport
 from repro.core.coordinator.router import Router
 from repro.core.coordinator.window import DispatchWindow
-from repro.core.messages import TAG_ARRIVE, TAG_END, TAG_RESULT, TAG_THREAD_DONE
+from repro.core.messages import TAG_ARRIVE, TAG_RESULT
 from repro.core.replication import Workgroups
 from repro.core.results import GlobalResults
 from repro.faults.spec import FaultPolicy
@@ -42,7 +43,6 @@ from repro.loadbalance import (
     derive_task_timeout,
 )
 from repro.simmpi.engine import WAIT_TIMED_OUT, Context, Mailbox
-from repro.simmpi.errors import SimError
 
 __all__ = ["FaultHarness"]
 
@@ -112,15 +112,13 @@ class FaultHarness:
         self._unresolved: np.ndarray | None = None
         self._latencies: np.ndarray | None = None
         self._batch_start = 0.0
-        # -- open-loop serving composition (None on the closed-loop path) ----
-        #: :class:`~repro.serving.state.ServingState`; when set, queries
-        #: arrive over time and :meth:`run_serving` replaces :meth:`run`
-        self.serving = serving
         self._parts_per_query: list[list[int]] | None = None
-        #: cache key per probed-and-missed query (serving + cache only)
-        self._serving_keys: dict[int, bytes] = {}
+        #: :class:`~repro.serving.state.ServingState` under open-loop
+        #: arrivals — a query then becomes work when it arrives, not at
+        #: t = 0; None on the closed-loop path
+        self.serving = serving
         #: queries with at least one abandoned task — their (possibly
-        #: partial) results must never seed the cache
+        #: partial) results must never seed the serving cache
         self._abandoned_queries: set[int] = set()
 
     # -- helpers -------------------------------------------------------------
@@ -140,21 +138,12 @@ class FaultHarness:
             self._latencies[query_id] = self._ctx.now - self._batch_start
             self._ctx.trace_instant("complete", query_id=int(query_id))
             if self.serving is not None:
-                self._finish_serving(query_id)
-
-    def _finish_serving(self, query_id: int) -> None:
-        """Serving completion: stamp the timeline, maybe seed the cache."""
-        state = self.serving
-        state.timeline.note_complete(query_id, self._ctx.now)
-        key = self._serving_keys.pop(query_id, None)
-        if state.cache is None or key is None:
-            return
-        if query_id in self._abandoned_queries:
-            return  # a degraded answer must not be served to future hits
-        slot = self.merger.results[query_id]
-        if slot is not None:
-            d, ids = slot
-            state.cache.put(key, (d.copy(), ids.copy()))
+                self.serving.complete(
+                    self._ctx,
+                    query_id,
+                    self.merger.results[query_id],
+                    cacheable=query_id not in self._abandoned_queries,
+                )
 
     def _abandon(self, key: tuple[int, int]) -> None:
         del self.pending[key]
@@ -186,36 +175,21 @@ class FaultHarness:
         state = {"core": core, "attempts": 1, "tried": {core}, "deadline": 0.0}
         self.pending[(query_id, partition_id)] = state
         with ctx.span("dispatch", query_id=int(query_id), partition=int(partition_id)):
-            yield from self.win.send_task(
-                ctx, query_id, partition_id, core, self.queries[query_id]
-            )
+            yield from self._send(ctx, query_id, partition_id, core)
         state["deadline"] = ctx.now + self.base_timeout
 
+    def _send(self, ctx: Context, query_id: int, partition_id: int, core: int):
+        """One attempt of a task: the query as the one-row batch it is."""
+        return self.win.send_task(
+            ctx, (query_id,), partition_id, core, self.queries[query_id : query_id + 1]
+        )
+
     def _drain_deferred(self, ctx: Context):
-        """Re-try parked tasks; dispatch what credits now allow."""
-        still: list[tuple[int, int]] = []
+        """Re-try parked tasks: each is dispatched, parked again or failed
+        exactly as a new task would be, now that credits may be home."""
         parked, self.deferred = self.deferred, []
         for query_id, partition_id in parked:
-            group = self.workgroups.cores_for_partition(partition_id)
-            if all(c in self.dead for c in group):
-                self.failed.add((query_id, partition_id))
-                self.report.failed_tasks += 1
-                self._resolve(query_id)
-                continue
-            if not self.win.group_has_credit(partition_id, 1, exclude=self.dead):
-                still.append((query_id, partition_id))
-                continue
-            core = self.selector.pick(
-                partition_id, ctx.now, exclude=self._exclude(self.dead)
-            )
-            state = {"core": core, "attempts": 1, "tried": {core}, "deadline": 0.0}
-            self.pending[(query_id, partition_id)] = state
-            with ctx.span("dispatch", query_id=int(query_id), partition=int(partition_id)):
-                yield from self.win.send_task(
-                    ctx, query_id, partition_id, core, self.queries[query_id]
-                )
-            state["deadline"] = ctx.now + self.base_timeout
-        self.deferred = still + self.deferred
+            yield from self._dispatch_new(ctx, query_id, partition_id)
 
     def _handle_timeout(self, ctx: Context, key: tuple[int, int], struck: set[int]):
         query_id, partition_id = key
@@ -266,12 +240,41 @@ class FaultHarness:
         with ctx.span(
             span, query_id=int(query_id), partition=int(partition_id), core=int(nxt)
         ):
-            yield from self.win.send_task(ctx, query_id, partition_id, nxt, self.queries[query_id])
+            yield from self._send(ctx, query_id, partition_id, nxt)
         state["deadline"] = ctx.now + self.base_timeout * self.policy.backoff ** (
             state["attempts"] - 1
         )
 
     # -- the proc body -------------------------------------------------------
+
+    def _route(self, ctx: Context, qid: int):
+        """Route query ``qid`` (approx routing) and book its fan-out."""
+        parts = yield from self.router.route_approx(
+            ctx, self.queries[qid], self.config.n_probe, query_id=qid
+        )
+        self.report.fanouts.append(len(parts))
+        self._parts_per_query[qid] = [int(p) for p in parts]
+        self._unresolved[qid] = len(parts)
+
+    def _serve_query(self, ctx: Context):
+        """Take the admission-queue head into service.
+
+        Cache probe first (a hit completes instantly at the master), then
+        route and dispatch every partition through :meth:`_dispatch_new` —
+        credit exhaustion defers rather than blocks, exactly as on the
+        closed-loop path, so the collect loop keeps sweeping deadlines
+        while a workgroup's window is full.
+        """
+        state = self.serving
+        qid = state.admit(ctx)
+        if state.cache is not None:
+            row = state.probe_cache(ctx, qid, self.queries[qid])
+            if row is not None:
+                state.serve_hit(ctx, qid, row, self.merger.results, self.report)
+                return
+        yield from self._route(ctx, qid)
+        for pid_part in self._parts_per_query[qid]:
+            yield from self._dispatch_new(ctx, qid, pid_part)
 
     def run(self, ctx: Context):
         """The fault-tolerant coordinator proc body.  Returns a
@@ -288,58 +291,92 @@ class FaultHarness:
         crashed rank.  Late answers from abandoned tasks are still
         merged (they only improve recall); answers for completed tasks
         are dropped by (query, partition) dedup.
+
+        Closed loop, the whole batch is routed and then dispatched up
+        front.  Under open-loop arrivals a query becomes work only when
+        its ``TAG_ARRIVE`` lands and the admission queue lets it through:
+        the collect loop then waits on the arrival receive *and* the
+        result receive together, under the same deadline budget, so
+        timeout sweeps, retries and failovers work unchanged while
+        queries trickle in.  Already-completed receives are consumed in
+        virtual-completion order, keeping the arrival/result
+        interleaving causal.  The closed loop is that same loop with no
+        arrival receive ever posted.
         """
-        if self.serving is not None:
-            return (yield from self.run_serving(ctx))
         config, report, policy = self.config, self.report, self.policy
-        queries = self.queries
-        n_q = len(queries)
-        n_threads_total = config.n_nodes * config.threads_per_node
+        state = self.serving
+        n_q = len(self.queries)
         self._ctx = ctx
         self._batch_start = ctx.now
-
         # per-attempt deadline: the modeled service time scaled by a generous
         # multiplier, plus a round trip — loose enough that fault-free runs
         # never trip it, tight enough that a crashed rank is detected quickly
         self.base_timeout = derive_task_timeout(policy, self.task_seconds_hint, ctx.network)
-
-        # -- route every query up front (approx routing) ---------------------
-        parts_per_query: list[list[int]] = []
-        for qid in range(n_q):
-            parts = yield from self.router.route_approx(
-                ctx, queries[qid], config.n_probe, query_id=qid
-            )
-            report.fanouts.append(len(parts))
-            parts_per_query.append([int(p) for p in parts])
-
-        self._unresolved = np.array([len(p) for p in parts_per_query], dtype=np.int64)
+        self._parts_per_query = [[] for _ in range(n_q)]
+        self._unresolved = np.zeros(n_q, dtype=np.int64)
         self._latencies = np.full(n_q, np.nan)
 
-        # -- initial dispatch wave -------------------------------------------
-        for qid in range(n_q):
-            for pid_part in parts_per_query[qid]:
-                yield from self._dispatch_new(ctx, qid, pid_part)
+        if state is None:
+            # every query is present at t = 0: route them all (approx
+            # routing), then the initial dispatch wave
+            for qid in range(n_q):
+                yield from self._route(ctx, qid)
+            for qid in range(n_q):
+                for pid_part in self._parts_per_query[qid]:
+                    yield from self._dispatch_new(ctx, qid, pid_part)
+
+        #: admitted queries awaiting service; stays empty in the closed loop
+        queue = state.admission.queue if state is not None else ()
+
+        def arrival_due() -> bool:
+            return state is not None and state.consumed < n_q
 
         # -- collect with deadlines ------------------------------------------
         recv_req = None
-        while self.pending or self.deferred:
+        arrive_req = None
+        while arrival_due() or queue or self.pending or self.deferred:
+            while queue:
+                yield from self._serve_query(ctx)
             if self.deferred:
                 yield from self._drain_deferred(ctx)
-                if not self.pending:
-                    continue
-            if recv_req is None:
+            if arrive_req is None and arrival_due() and state.admission.accepting():
+                arrive_req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_ARRIVE)
+            if recv_req is None and self.pending:
                 recv_req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_RESULT)
-            budget = max(min(s["deadline"] for s in self.pending.values()) - ctx.now, 0.0)
-            fired, payload = yield from ctx.wait_any([recv_req], timeout=budget)
-            if fired == WAIT_TIMED_OUT:
-                now = ctx.now
-                struck: set[int] = set()
-                for key in [kk for kk, s in self.pending.items() if s["deadline"] <= now]:
-                    yield from self._handle_timeout(ctx, key, struck)
+            if not self.pending and arrive_req is None:
+                # nothing in flight and no arrival due: every credit is
+                # home, so what _drain_deferred left parked the next sweep
+                # dispatches or fails — never block on a result receive
+                # that no task is pending for
+                continue
+            waits = [r for r in (recv_req, arrive_req) if r is not None]
+            done = [r for r in waits if r.done and not r.cancelled]
+            if done:
+                fired_req = min(done, key=lambda r: r.completion_time)
+                payload = yield from ctx.wait(fired_req)
+            else:
+                budget = None
+                if self.pending:
+                    budget = max(
+                        min(s["deadline"] for s in self.pending.values()) - ctx.now, 0.0
+                    )
+                idx, payload = yield from ctx.wait_any(waits, timeout=budget)
+                if idx == WAIT_TIMED_OUT:
+                    now = ctx.now
+                    struck: set[int] = set()
+                    for key in [
+                        kk for kk, s in self.pending.items() if s["deadline"] <= now
+                    ]:
+                        yield from self._handle_timeout(ctx, key, struck)
+                    continue
+                fired_req = waits[idx]
+            if fired_req is arrive_req:
+                arrive_req = None
+                state.on_arrival(ctx, payload)
                 continue
             recv_req = None
-            _, qid, pid_part, d, ids = payload
-            key = (int(qid), int(pid_part))
+            _, (qid,), pid_part, _ds, _idss = payload
+            key = (qid, pid_part)
             if key in self.completed:
                 report.duplicate_results += 1
                 continue
@@ -359,8 +396,9 @@ class FaultHarness:
                 del self.pending[key]
                 self._resolve(key[0])
 
-        if recv_req is not None:
-            yield from ctx.cancel(recv_req)
+        for r in (recv_req, arrive_req):
+            if r is not None:
+                yield from ctx.cancel(r)
 
         # -- bounded shutdown drain ------------------------------------------
         # Rebroadcast "End of Queries" up to drain_rounds times, collecting
@@ -368,229 +406,27 @@ class FaultHarness:
         # crashed nodes never answer; giving up after the rounds keeps
         # shutdown bounded (the remaining messages die with the simulation).
         drain_timeout = derive_drain_timeout(policy, self.base_timeout, ctx.network)
-        got = 0
+        missing = config.n_nodes * config.threads_per_node
         with ctx.span("drain"):
             for _round in range(policy.drain_rounds):
-                for node in range(config.n_nodes):
-                    yield from ctx.send_to_mailbox(
-                        self.node_mailboxes[node],
-                        ("end",),
-                        source=ctx.pid,
-                        tag=TAG_END,
-                        nbytes=8,
-                        same_node=False,
-                    )
-                while got < n_threads_total:
-                    req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_THREAD_DONE)
-                    fired, _tdone = yield from ctx.wait_any([req], timeout=drain_timeout)
-                    if fired == WAIT_TIMED_OUT:
-                        yield from ctx.cancel(req)
-                        break
-                    got += 1
-                if got >= n_threads_total:
+                yield from broadcast_end(ctx, self.node_mailboxes)
+                missing -= yield from collect_thread_exits(ctx, missing, drain_timeout)
+                if not missing:
                     break
-
-        n_parts = np.array([len(p) for p in parts_per_query], dtype=np.float64)
-        done_counts = np.zeros(n_q, dtype=np.float64)
-        for qid, _pid_part in self.completed:
-            done_counts[qid] += 1.0
-        report.completeness = np.where(
-            n_parts > 0, done_counts / np.maximum(n_parts, 1.0), 1.0
-        )
-        report.query_latencies = self._latencies
-        report.queue_depth_timeline = self.win.tracker.timeline()
-        report.max_outstanding_tasks = self.win.max_outstanding
-        report.credits_leaked = self.win.outstanding
-        return report
-
-    # -- open-loop serving under faults --------------------------------------
-
-    def _serve_query(self, ctx: Context):
-        """Take the admission-queue head into service.
-
-        Cache probe first (a hit completes instantly at the master), then
-        route and dispatch every partition through :meth:`_dispatch_new` —
-        credit exhaustion defers rather than blocks, exactly as on the
-        closed-loop fault path, so the collect loop keeps sweeping
-        deadlines while a workgroup's window is full.
-        """
-        state = self.serving
-        qid = state.admission.begin_service()
-        state.timeline.note_dispatch(qid, ctx.now)
-        ctx.trace_instant("admit", query_id=int(qid))
-        q = self.queries[qid]
-        cache = state.cache
-        if cache is not None:
-            key = cache.key(q)
-            row = cache.get(key)
-            ctx.trace_instant("cache_probe", query_id=int(qid), hit=row is not None)
-            if row is not None:
-                d, ids = row
-                self.merger.results[qid] = (d.copy(), ids.copy())
-                state.timeline.note_complete(qid, ctx.now)
-                ctx.trace_instant("complete", query_id=int(qid), cached=True)
-                self.report.fanouts.append(0)
-                return
-            self._serving_keys[qid] = key
-        parts = yield from self.router.route_approx(
-            ctx, q, self.config.n_probe, query_id=int(qid)
-        )
-        self.report.fanouts.append(len(parts))
-        self._parts_per_query[qid] = [int(p) for p in parts]
-        self._unresolved[qid] = len(parts)
-        for pid_part in self._parts_per_query[qid]:
-            yield from self._dispatch_new(ctx, qid, pid_part)
-
-    def run_serving(self, ctx: Context):
-        """The fault-tolerant coordinator under open-loop arrivals.
-
-        The closed-loop harness routes the whole batch up front; here a
-        query becomes work only when its ``TAG_ARRIVE`` lands and the
-        admission queue lets it through.  The collect loop waits on the
-        arrival receive *and* the result receive together, under the same
-        deadline budget, so timeout sweeps, retries, and failovers work
-        unchanged while queries trickle in.  Already-completed receives
-        are consumed in virtual-completion order, keeping the
-        arrival/result interleaving causal.
-        """
-        config, report, policy = self.config, self.report, self.policy
-        state = self.serving
-        adm = state.admission
-        n_q = len(self.queries)
-        n_threads_total = config.n_nodes * config.threads_per_node
-        self._ctx = ctx
-        self._batch_start = ctx.now
-        self.base_timeout = derive_task_timeout(policy, self.task_seconds_hint, ctx.network)
-        self._parts_per_query = [[] for _ in range(n_q)]
-        self._unresolved = np.zeros(n_q, dtype=np.int64)
-        self._latencies = np.full(n_q, np.nan)
-
-        recv_req = None
-        arrive_req = None
-        while state.consumed < n_q or adm.queue or self.pending or self.deferred:
-            while adm.queue:
-                yield from self._serve_query(ctx)
-            if self.deferred:
-                yield from self._drain_deferred(ctx)
-            if arrive_req is None and state.consumed < n_q and adm.accepting():
-                arrive_req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_ARRIVE)
-            if recv_req is None and self.pending:
-                recv_req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_RESULT)
-            waits = [r for r in (recv_req, arrive_req) if r is not None]
-            if not waits:
-                # deferred-only state: every credit is home, so the next
-                # sweep of _drain_deferred dispatches or fails each task
-                continue
-            done = [r for r in waits if r.done and not r.cancelled]
-            if done:
-                req = min(done, key=lambda r: r.completion_time)
-                payload = yield from ctx.wait(req)
-                fired_req = req
-            else:
-                budget = None
-                if self.pending:
-                    budget = max(
-                        min(s["deadline"] for s in self.pending.values()) - ctx.now, 0.0
-                    )
-                idx, payload = yield from ctx.wait_any(waits, timeout=budget)
-                if idx == WAIT_TIMED_OUT:
-                    now = ctx.now
-                    struck: set[int] = set()
-                    for key in [
-                        kk for kk, s in self.pending.items() if s["deadline"] <= now
-                    ]:
-                        yield from self._handle_timeout(ctx, key, struck)
-                    continue
-                fired_req = waits[idx]
-            if fired_req is arrive_req:
-                arrive_req = None
-                _, aqid, _t = payload
-                state.consumed += 1
-                outcome, dropped = adm.offer(int(aqid))
-                ctx.trace_instant("arrive", query_id=int(aqid), outcome=outcome)
-                if outcome == "rejected":
-                    state.drop(int(aqid))
-                elif outcome == "shed":
-                    state.drop(dropped)
-                continue
-            recv_req = None
-            _, qid, pid_part, d, ids = payload
-            key = (int(qid), int(pid_part))
-            if key in self.completed:
-                report.duplicate_results += 1
-                continue
-            with ctx.span("reduce"):
-                yield from self.merger.merge_payload(ctx, payload)
-            self.completed.add(key)
-            if key in self.failed:
-                self.failed.discard(key)  # late answer recovered an abandoned task
-            elif key in self.pending:
-                core = self.pending[key]["core"]
-                self.timeouts_by_core[core] = 0
-                self.dead.discard(core)
-                self.win.release(key)
-                del self.pending[key]
-                self._resolve(key[0])
-
-        for r in (recv_req, arrive_req):
-            if r is not None:
-                yield from ctx.cancel(r)
-
-        # bounded shutdown drain, exactly as on the closed-loop path
-        drain_timeout = derive_drain_timeout(policy, self.base_timeout, ctx.network)
-        got = 0
-        with ctx.span("drain"):
-            for _round in range(policy.drain_rounds):
-                for node in range(config.n_nodes):
-                    yield from ctx.send_to_mailbox(
-                        self.node_mailboxes[node],
-                        ("end",),
-                        source=ctx.pid,
-                        tag=TAG_END,
-                        nbytes=8,
-                        same_node=False,
-                    )
-                while got < n_threads_total:
-                    req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_THREAD_DONE)
-                    fired, _tdone = yield from ctx.wait_any([req], timeout=drain_timeout)
-                    if fired == WAIT_TIMED_OUT:
-                        yield from ctx.cancel(req)
-                        break
-                    got += 1
-                if got >= n_threads_total:
-                    break
-
-        if not state.accounted():
-            raise SimError(
-                "serving admission ledgers do not cover the offered load: "
-                f"admitted {adm.admitted} + shed {adm.shed} + rejected "
-                f"{adm.rejected} != offered {state.offered}"
-            )
 
         n_parts = np.array([len(p) for p in self._parts_per_query], dtype=np.float64)
         done_counts = np.zeros(n_q, dtype=np.float64)
         for qid, _pid_part in self.completed:
             done_counts[qid] += 1.0
-        # cache hits and shed/rejected queries routed no partitions: they
-        # are complete by definition (served from cache) or never served
+        # queries that routed no partitions (cache hits, shed/rejected
+        # arrivals) are complete by definition or were never served
         report.completeness = np.where(
             n_parts > 0, done_counts / np.maximum(n_parts, 1.0), 1.0
         )
-        report.query_latencies = state.timeline.latencies()
-        report.offered_queries = state.offered
-        report.admitted_queries = adm.admitted
-        report.shed_queries = adm.shed
-        report.rejected_queries = adm.rejected
-        report.max_ingress_depth = adm.max_depth_seen
-        cache = state.cache
-        if cache is not None:
-            report.cache_hits = cache.hits
-            report.cache_misses = cache.misses
-            report.cache_stale = cache.stale
-            report.cache_evictions = cache.evictions
-        report.arrival_times = state.timeline.arrival
-        report.dispatch_times = state.timeline.dispatch
-        report.complete_times = state.timeline.complete
+        if state is None:
+            report.query_latencies = self._latencies
+        else:
+            state.close(report)
         report.queue_depth_timeline = self.win.tracker.timeline()
         report.max_outstanding_tasks = self.win.max_outstanding
         report.credits_leaked = self.win.outstanding

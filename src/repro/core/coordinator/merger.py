@@ -1,9 +1,9 @@
 """Streaming result consumption behind one interface.
 
-The coordinator's receive side has three shapes — two-sided single
-results, two-sided batch results, and (with flow control on) one-sided
-credit acks — and two consumers: the plain pipeline's collect loops and
-the :class:`~repro.core.coordinator.window.DispatchWindow`'s blocked
+The coordinator's receive side has two shapes — two-sided results and
+(with flow control on) one-sided credit acks — and two consumers: the
+plain pipeline's collect loops and the
+:class:`~repro.core.coordinator.window.DispatchWindow`'s blocked
 dispatch, which *streams* results while waiting for a credit so merging
 overlaps in-flight work.  :meth:`ResultMerger.consume_one` is the one
 message-at-a-time entry both use; the fault harness reuses the
@@ -54,25 +54,20 @@ class ResultMerger:
         self.on_complete = None
 
     def merge_payload(self, ctx: Context, payload):
-        """Merge one result/bresult payload; returns ``(rows, pid)`` with
+        """Merge one result payload; returns ``(rows, pid)`` with
         ``rows`` a list of settled ``(query_id, dists)`` pairs.
 
         Charges one ``compare_cost`` merge per row — the caller wraps
         this in its own ``reduce`` span.
         """
         k = self.config.k
-        if payload[0] == "bresult":
-            _, qids_b, pid_part, ds, idss = payload
-            rows = []
-            for qid, d, ids in zip(qids_b, ds, idss):
-                yield from ctx.compute(ctx.cost.compare_cost(len(d) + k), kind="merge")
-                self.results.update(qid, d, ids)
-                rows.append((int(qid), d))
-            return rows, int(pid_part)
-        _, qid, pid_part, d, ids = payload
-        yield from ctx.compute(ctx.cost.compare_cost(len(d) + k), kind="merge")
-        self.results.update(qid, d, ids)
-        return [(int(qid), d)], int(pid_part)
+        _, query_ids, pid_part, ds, idss = payload
+        rows = []
+        for qid, d, ids in zip(query_ids, ds, idss):
+            yield from ctx.compute(ctx.cost.compare_cost(len(d) + k), kind="merge")
+            self.results.update(qid, d, ids)
+            rows.append((qid, d))
+        return rows, pid_part
 
     def settle_credit(self, payload, window, ctx: Context | None = None) -> None:
         """Settle one credit-ack payload: count the tasks done, return

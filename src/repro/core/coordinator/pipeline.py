@@ -21,11 +21,11 @@ from collections import deque
 import numpy as np
 
 from repro.core.config import SystemConfig
+from repro.core.coordinator.drain import broadcast_end, collect_thread_exits
 from repro.core.coordinator.merger import ResultMerger
 from repro.core.coordinator.report import MasterReport
 from repro.core.coordinator.router import Router
 from repro.core.coordinator.window import DispatchWindow
-from repro.core.messages import TAG_END, TAG_THREAD_DONE
 from repro.core.replication import Workgroups
 from repro.core.results import GlobalResults
 from repro.loadbalance import PrimarySelector, ReplicaSelector
@@ -76,7 +76,6 @@ class CoordinatorPipeline:
         window, merger = self.window, self.merger
         queries = self.queries
         one_sided = self.rma_window is not None
-        n_threads_total = config.n_nodes * config.threads_per_node
         batch_start = ctx.now
         outstanding = np.zeros(len(queries), dtype=np.int64)
         latencies = np.full(len(queries), np.nan)
@@ -102,15 +101,7 @@ class CoordinatorPipeline:
 
         # End of Queries to every worker node (Alg. 3 lines 12-14)
         with ctx.span("drain"):
-            for node in range(config.n_nodes):
-                yield from ctx.send_to_mailbox(
-                    self.node_mailboxes[node],
-                    ("end",),
-                    source=ctx.pid,
-                    tag=TAG_END,
-                    nbytes=8,
-                    same_node=False,
-                )
+            yield from broadcast_end(ctx, self.node_mailboxes)
 
         # collection loop (Alg. 3 lines 15-18): whatever is still in
         # flight — everything at W = 0, the uncollected tail at finite W.
@@ -124,9 +115,7 @@ class CoordinatorPipeline:
         # tells the master every Get_accumulate has landed; in two-sided
         # mode it simply drains the exit messages
         with ctx.span("drain"):
-            for _ in range(n_threads_total):
-                req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_THREAD_DONE)
-                yield from ctx.wait(req)
+            yield from collect_thread_exits(ctx, config.n_nodes * config.threads_per_node)
 
         if not one_sided:
             report.query_latencies = latencies
@@ -144,24 +133,22 @@ class CoordinatorPipeline:
         # soon as it holds batch_size queries, and stragglers flush in
         # partition order after the last query routes
         batch = config.batch_size
-        buffers: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+        #: partition -> buffered query ids; a batch is those rows of the matrix
+        buffers: dict[int, list[int]] = {}
         for qid in range(len(queries)):
-            q = queries[qid]
-            parts = yield from self.router.route_approx(ctx, q, config.n_probe, query_id=qid)
+            parts = yield from self.router.route_approx(
+                ctx, queries[qid], config.n_probe, query_id=qid
+            )
             self.report.fanouts.append(len(parts))
             for pid_part in parts:
-                buf = buffers.get(pid_part)
-                if buf is None:
-                    buf = buffers[pid_part] = ([], [])
-                buf[0].append(qid)
-                buf[1].append(q)
-                if len(buf[0]) >= batch:
+                buf = buffers.setdefault(pid_part, [])
+                buf.append(qid)
+                if len(buf) >= batch:
                     del buffers[pid_part]
-                    yield from window.dispatch_batch(ctx, merger, buf[0], pid_part, buf[1])
+                    yield from window.dispatch(ctx, merger, buf, pid_part, queries[buf])
         for pid_part in sorted(buffers):
-            qids_b, qvecs_b = buffers[pid_part]
-            yield from window.dispatch_batch(ctx, merger, qids_b, pid_part, qvecs_b)
-        buffers.clear()
+            buf = buffers[pid_part]
+            yield from window.dispatch(ctx, merger, buf, pid_part, queries[buf])
 
     # -- adaptive: pilot wave, then per-pilot exact second waves -------------
 
@@ -173,7 +160,7 @@ class CoordinatorPipeline:
             q = queries[qid]
             parts = yield from self.router.route_approx(ctx, q, 1, query_id=qid)
             self._pending_pilot[qid] = parts[0]
-            yield from window.dispatch(ctx, merger, qid, parts[0], q)
+            yield from window.dispatch(ctx, merger, (qid,), parts[0], queries[qid : qid + 1])
             # completions consumed while blocked on credits trigger their
             # second waves right away (empty at W = 0: nothing is consumed
             # until dispatch finishes)
@@ -203,4 +190,6 @@ class CoordinatorPipeline:
             parts = [p for p in range(config.n_cores) if p != pilot]
         self.report.fanouts.append(len(parts) + 1)
         for pid_part in parts:
-            yield from self.window.dispatch(ctx, self.merger, qid, pid_part, self.queries[qid])
+            yield from self.window.dispatch(
+                ctx, self.merger, (qid,), pid_part, self.queries[qid : qid + 1]
+            )

@@ -25,16 +25,7 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.coordinator.report import MasterReport
-from repro.core.messages import (
-    TAG_TASK,
-    batch_task_nbytes,
-    filter_payload_nbytes,
-    make_batch_task,
-    make_filter_batch_task,
-    make_filter_task,
-    make_task,
-    task_nbytes,
-)
+from repro.core.messages import make_task, send, wire_filter
 from repro.loadbalance import ReplicaSelector
 from repro.simmpi.engine import Context, Mailbox
 
@@ -61,11 +52,11 @@ class _CreditBlocked:
 class DispatchWindow:
     """Per-core credit accounting plus the task send path.
 
-    Both coordinator variants send every task through here: the plain
-    pipeline via :meth:`dispatch` / :meth:`dispatch_batch` (which block
-    on credits), the fault harness via the lower-level :meth:`send_task`
-    (it owns its own retry spans and deadline bookkeeping and handles
-    credit exhaustion by deferring, never blocking its collect loop).
+    Every coordinator sends every task through :meth:`send_task`: the
+    plain pipeline via :meth:`dispatch` (which blocks on credits first),
+    the fault harness and the serving pipeline directly (they own their
+    spans and deadline bookkeeping and handle credit exhaustion by
+    deferring or gating, never by blocking their event loops).
     """
 
     def __init__(
@@ -82,13 +73,10 @@ class DispatchWindow:
         self.workgroups = selector.workgroups
         self.report = report
         self.node_mailboxes = node_mailboxes
-        #: run-wide pushed-down filter description; when set, every task
-        #: leaves as an "ftask"/"fbtask" carrying it (and its wire bytes).
-        #: None keeps the send path byte-identical to the unfiltered wire.
-        self.fpayload = fpayload
-        self._fpayload_nbytes = (
-            filter_payload_nbytes(fpayload) if fpayload is not None else 0
-        )
+        #: run-wide pushed-down filter in wire form; when set, every task
+        #: carries it (and its wire bytes).  None keeps the send path
+        #: byte-identical to the unfiltered wire.
+        self.wfilter = wire_filter(fpayload)
         self.window = int(config.dispatch_window)
         #: remaining credits per core; None when flow control is off
         self.credits = (
@@ -120,16 +108,6 @@ class DispatchWindow:
             for c in self.workgroups.cores_for_partition(partition_id)
             if c not in exclude
         )
-
-    def _charge(self, core: int, keys) -> None:
-        if self.credits is None:
-            return
-        self.credits[core] -= len(keys)
-        for key in keys:
-            self.charged[key] = core
-        self.outstanding += len(keys)
-        if self.outstanding > self.max_outstanding:
-            self.max_outstanding = self.outstanding
 
     def release(self, key: tuple[int, int]) -> int | None:
         """Return the credit held by ``key``; the charged core, or None.
@@ -164,89 +142,50 @@ class DispatchWindow:
                 "credit_wait", stall_start, ctx.now, partition=int(partition_id)
             )
 
-    # -- send paths ----------------------------------------------------------
+    # -- send path -----------------------------------------------------------
 
-    def send_task(self, ctx: Context, query_id: int, partition_id: int, core: int, qvec):
-        """Record + charge + ship one (query, partition) task to ``core``.
+    def send_task(self, ctx: Context, query_ids, partition_id: int, core: int, Q):
+        """Record + charge + ship the rows of ``Q`` (queries ``query_ids``)
+        to ``core`` as one task for ``partition_id``.
 
         No span and no credit *wait* — the callers own both (the plain
-        pipeline blocks up front, the fault harness defers instead).
+        pipeline blocks up front, the fault harness defers instead).  One
+        message and one worker-side search call, but one credit per row
+        against the chosen core, so config validation requires
+        ``batch_size <= dispatch_window`` when flow control is on.
         """
-        self.tracker.record_dispatch(core, ctx.now)
-        self.report.dispatch_counts[core] += 1
-        self.report.tasks_sent += 1
+        query_ids = [int(q) for q in query_ids]
+        partition_id = int(partition_id)
+        need = len(query_ids)
+        self.tracker.record_dispatch(core, ctx.now, n_tasks=need)
+        self.report.dispatch_counts[core] += need
+        self.report.tasks_sent += need
         self.report.batches_sent += 1
-        self._charge(core, ((int(query_id), int(partition_id)),))
+        if self.credits is not None:
+            self.credits[core] -= need
+            for q in query_ids:
+                self.charged[(q, partition_id)] = core
+            self.outstanding += need
+            if self.outstanding > self.max_outstanding:
+                self.max_outstanding = self.outstanding
         if ctx.trace_active:
             ctx.trace_instant(
-                "task_send",
-                query_id=int(query_id),
-                partition=int(partition_id),
-                core=int(core),
+                "task_send", query_ids=tuple(query_ids), partition=partition_id, core=int(core)
             )
-        node = self.config.node_of_core(core)
-        if self.fpayload is not None:
-            msg = make_filter_task(query_id, partition_id, qvec, self.fpayload)
-        else:
-            msg = make_task(query_id, partition_id, qvec)
-        yield from ctx.send_to_mailbox(
-            self.node_mailboxes[node],
-            msg,
-            source=ctx.pid,
-            tag=TAG_TASK,
-            nbytes=task_nbytes(qvec) + self._fpayload_nbytes,
-            same_node=False,
+        yield from send(
+            ctx,
+            self.node_mailboxes[self.config.node_of_core(core)],
+            make_task(query_ids, partition_id, Q, self.wfilter),
         )
 
-    def dispatch(self, ctx: Context, merger, query_id: int, partition_id: int, qvec):
-        """One flow-controlled task dispatch (the adaptive path's unit)."""
-        if self.credits is not None:
-            yield from self._await_credit(ctx, merger, partition_id, 1)
-        with ctx.span("dispatch", query_id=int(query_id), partition=int(partition_id)):
-            core = self.selector.pick(partition_id, ctx.now, exclude=self.blocked(1))
-            if self.on_dispatch is not None:
-                self.on_dispatch((query_id,))
-            yield from self.send_task(ctx, query_id, partition_id, core, qvec)
-
-    def dispatch_batch(self, ctx: Context, merger, query_ids, partition_id: int, qvecs):
-        """Ship B buffered queries for one partition as a single message.
-
-        One selector step, one message, one worker-side
-        ``knn_search_batch`` — but B credits against the chosen core, so
-        config validation requires ``batch_size <= dispatch_window``
-        when flow control is on.  At B = 1 the wire bytes and send
-        order are identical to :meth:`dispatch`.
-        """
+    def dispatch(self, ctx: Context, merger, query_ids, partition_id: int, Q):
+        """One flow-controlled task dispatch: block (consuming in-flight
+        results) until a replica has a credit per row, pick it, send."""
         need = len(query_ids)
         if self.credits is not None:
             yield from self._await_credit(ctx, merger, partition_id, need)
         with ctx.span("dispatch", partition=int(partition_id), n_queries=need):
             core = self.selector.pick(partition_id, ctx.now, exclude=self.blocked(need))
-            self.tracker.record_dispatch(core, ctx.now, n_tasks=need)
-            self.report.dispatch_counts[core] += need
-            self.report.tasks_sent += need
-            self.report.batches_sent += 1
             if self.on_dispatch is not None:
                 self.on_dispatch(query_ids)
-            self._charge(core, [(int(q), int(partition_id)) for q in query_ids])
-            if ctx.trace_active:
-                ctx.trace_instant(
-                    "task_send",
-                    query_ids=tuple(int(q) for q in query_ids),
-                    partition=int(partition_id),
-                    core=int(core),
-                )
-            node = self.config.node_of_core(core)
-            Qb = np.stack(qvecs)
-            if self.fpayload is not None:
-                msg = make_filter_batch_task(query_ids, partition_id, Qb, self.fpayload)
-            else:
-                msg = make_batch_task(query_ids, partition_id, Qb)
-            yield from ctx.send_to_mailbox(
-                self.node_mailboxes[node],
-                msg,
-                source=ctx.pid,
-                tag=TAG_TASK,
-                nbytes=batch_task_nbytes(Qb) + self._fpayload_nbytes,
-                same_node=False,
-            )
+            yield from self.send_task(ctx, query_ids, partition_id, core, Q)

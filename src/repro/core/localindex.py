@@ -13,9 +13,11 @@ that seam:
   related-work comparator class); demonstrates the recall plateau of
   compressed indexes inside the same distributed harness.
 
-Each implements the :class:`~repro.core.searcher.LocalSearcher` protocol
-and is paired with a ``build(partition)`` hook used by
-:func:`attach_local_indexes` to retrofit a fitted system.
+Each offers the one-row ``search(partition, query, k)`` call, which
+``ClusterRuntime.run_search`` adapts to the batched
+:class:`~repro.core.searcher.LocalSearcher` protocol, and is paired with
+a ``build(partition)`` hook used by :func:`attach_local_indexes` to
+retrofit a fitted system.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.partition import Partition
-from repro.core.searcher import generic_search_batch
 from repro.metrics import Metric, get_metric
 from repro.pq.ivfpq import IVFPQIndex
 from repro.simmpi.costmodel import CostModel
@@ -55,9 +56,6 @@ class BruteForceSearcher:
             partition.ids[order],
             self.cost.distance_cost(len(pts), pts.shape[1]),
         )
-
-    def search_batch(self, partition: Partition, Q: np.ndarray, k: int):
-        return generic_search_batch(self, partition, Q, k)
 
     def build_seconds(self, partition: Partition) -> float:
         return 0.0  # nothing to build

@@ -1,19 +1,24 @@
 """Wire protocol of the search phase.
 
-Plain tags + tuple payloads; kept in one module so master, workers, and the
-multiple-owner variant agree on the format and tests can build messages.
-
-Filtered tasks ride their own payload kinds (``"ftask"`` / ``"fbtask"``)
-with their own size functions: the existing builders are byte-for-byte
-untouched, which is what keeps unfiltered runs bit-identical to the
-golden digests.
+Plain tags + tuple payloads, kept in one module so master, workers, the
+multiple-owner variant and the serving ingress agree on the format and
+tests can build messages.  There is one task kind and one result kind —
+a batch of B >= 1 queries bound for one partition, and its row-aligned
+answers; one query is the B = 1 batch, not a kind of its own — plus four
+small control kinds.  :data:`WIRE` pairs every kind with its tag and its
+size on the simulated fabric, and :func:`send` is the one way a payload
+reaches a mailbox, so a kind cannot travel under the wrong tag or a size
+that is not its table entry.
 """
 
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import numpy as np
+
+from repro.filtering.spec import clauses_from_wire
 
 __all__ = [
     "TAG_TASK",
@@ -22,26 +27,19 @@ __all__ = [
     "TAG_THREAD_DONE",
     "TAG_CREDIT",
     "TAG_ARRIVE",
+    "END",
+    "WIRE",
+    "WireFilter",
     "make_arrival",
-    "arrival_nbytes",
-    "make_task",
     "make_credit",
-    "credit_nbytes",
-    "task_nbytes",
     "make_result",
+    "make_task",
     "result_nbytes",
-    "make_batch_task",
-    "batch_task_nbytes",
-    "make_batch_result",
-    "batch_result_nbytes",
-    "make_filter_task",
-    "filter_task_nbytes",
-    "make_filter_batch_task",
-    "filter_batch_task_nbytes",
-    "filter_payload_nbytes",
+    "send",
+    "wire_filter",
 ]
 
-#: master/owner -> worker node: one (query, partition) unit of work
+#: master/owner -> worker node: one (queries, partition) unit of work
 TAG_TASK = 1
 #: master/owner -> worker node: no more queries (Alg. 3 "End of Queries")
 TAG_END = 2
@@ -57,92 +55,76 @@ TAG_CREDIT = 5
 #: (open-loop serving only — see repro.serving)
 TAG_ARRIVE = 6
 
-
-def make_arrival(query_id: int, arrival_time: float) -> tuple:
-    """An ingress notification: query ``query_id`` arrived at the client-
-    scheduled virtual time ``arrival_time`` (the timestamp SLO latency is
-    measured from)."""
-    return ("arrive", int(query_id), float(arrival_time))
+#: the "End of Queries" payload
+END = ("end",)
 
 
-def arrival_nbytes() -> int:
-    # query id + timestamp + header
-    return 24
+class WireFilter(NamedTuple):
+    """A run's pushed-down filter as every task of the run carries it.
+
+    The run has one filter, so it is decoded and measured once, where the
+    run's tasks are built, not once per task.
+    """
+
+    #: ``(clauses, strategy)`` — what ``search_batch(filter=)`` takes
+    spec: tuple
+    #: length of the description's compact JSON, charged on every task
+    nbytes: int
 
 
-def make_task(query_id: int, partition_id: int, qvec: np.ndarray) -> tuple:
-    return ("task", int(query_id), int(partition_id), qvec)
+def wire_filter(fpayload: dict | None) -> WireFilter | None:
+    """The wire form of a run's JSON-able filter description
+    (``{"clauses": [FilterSpec dicts...], "strategy": ...}``); None stays
+    None and keeps every task byte-identical to the unfiltered wire."""
+    if fpayload is None:
+        return None
+    return WireFilter(
+        (clauses_from_wire(fpayload.get("clauses", [])), fpayload.get("strategy", "auto")),
+        len(json.dumps(fpayload, sort_keys=True, separators=(",", ":"))),
+    )
 
 
-def task_nbytes(qvec: np.ndarray) -> int:
-    # query vector + two ids + header
-    return int(qvec.nbytes) + 24
+def make_task(
+    query_ids: list[int],
+    partition_id: int,
+    Q: np.ndarray,
+    wfilter: WireFilter | None = None,
+    reply_to=None,
+) -> tuple:
+    """B queries (the rows of ``Q``) bound for one partition, as one message.
+
+    ``reply_to`` is the mailbox two-sided answers go to when it is not the
+    worker's control mailbox (the multiple-owner mode: the owning node).
+    """
+    return ("task", query_ids, partition_id, Q, wfilter, reply_to)
 
 
-def make_result(query_id: int, partition_id: int, dists: np.ndarray, ids: np.ndarray) -> tuple:
-    """A worker's local k-NN answer for one (query, partition) task.
+def _task_nbytes(payload: tuple) -> int:
+    # query matrix + one id per row + partition id + header, plus the
+    # serialized predicate the batch shares
+    Q, wfilter = payload[3], payload[4]
+    nbytes = Q.nbytes + 8 * len(Q) + 16
+    return nbytes if wfilter is None else nbytes + wfilter.nbytes
+
+
+def make_result(query_ids: list[int], partition_id: int, dists: list, ids: list) -> tuple:
+    """A worker's local k-NN answers for one task (row-aligned lists).
 
     The partition id rides along so a fault-tolerant collector can mark
     exactly which task completed and drop duplicates (late answers from
     timed-out attempts, or link-level message duplication).
     """
-    return ("result", int(query_id), int(partition_id), dists, ids)
+    return ("result", query_ids, partition_id, dists, ids)
 
 
-def result_nbytes(dists: np.ndarray, ids: np.ndarray) -> int:
-    # distances + ids + query/partition ids + header
-    return int(dists.nbytes + ids.nbytes) + 24
-
-
-def make_batch_task(query_ids: list[int], partition_id: int, Q: np.ndarray) -> tuple:
-    """B queries bound for the same partition, shipped as one message.
-
-    The batch shares one header and one partition id, so its wire size for
-    B = 1 is exactly :func:`task_nbytes` — a batch of one is
-    indistinguishable from a plain task on the simulated fabric.
-    """
-    return ("btask", [int(q) for q in query_ids], int(partition_id), Q)
-
-
-def batch_task_nbytes(Q: np.ndarray) -> int:
-    # query matrix + one id per row + partition id + header
-    return int(Q.nbytes) + 8 * int(Q.shape[0]) + 16
-
-
-def make_filter_task(
-    query_id: int, partition_id: int, qvec: np.ndarray, fpayload: dict
-) -> tuple:
-    """A task carrying a pushed-down filter.
-
-    ``fpayload`` is the JSON-able filter description
-    (``{"clauses": [FilterSpec dicts...], "strategy": ...}``); the worker
-    reconstructs the predicates and evaluates them against its
-    partition's attribute slice.  Owner-mode senders append their reply
-    mailbox as a 6th element, mirroring the plain task's optional 5th.
-    """
-    return ("ftask", int(query_id), int(partition_id), qvec, fpayload)
-
-
-def filter_payload_nbytes(fpayload: dict) -> int:
-    """Wire bytes of the serialized filter description."""
-    return len(json.dumps(fpayload, sort_keys=True, separators=(",", ":")))
-
-
-def filter_task_nbytes(qvec: np.ndarray, fpayload: dict) -> int:
-    # a plain task plus the serialized predicate payload
-    return task_nbytes(qvec) + filter_payload_nbytes(fpayload)
-
-
-def make_filter_batch_task(
-    query_ids: list[int], partition_id: int, Q: np.ndarray, fpayload: dict
-) -> tuple:
-    """B filtered queries for one partition, sharing one filter payload."""
-    return ("fbtask", [int(q) for q in query_ids], int(partition_id), Q, fpayload)
-
-
-def filter_batch_task_nbytes(Q: np.ndarray, fpayload: dict) -> int:
-    # the batch shares a single serialized predicate payload
-    return batch_task_nbytes(Q) + filter_payload_nbytes(fpayload)
+def result_nbytes(dists, ids) -> int:
+    """Wire bytes of row-aligned answers; also what a one-sided worker
+    charges for the one row each ``Get_accumulate`` carries."""
+    # per-row distances + ids + one query id per row + partition id + header
+    nbytes = 8 * len(dists) + 16
+    for d, i in zip(dists, ids):
+        nbytes += d.nbytes + i.nbytes
+    return nbytes
 
 
 def make_credit(query_ids: list[int], partition_id: int) -> tuple:
@@ -152,25 +134,34 @@ def make_credit(query_ids: list[int], partition_id: int) -> tuple:
     Only exists on the one-sided path with ``dispatch_window > 0`` —
     two-sided results are their own credit return.
     """
-    return ("credit", [int(q) for q in query_ids], int(partition_id))
+    return ("credit", query_ids, partition_id)
 
 
-def credit_nbytes(n_tasks: int) -> int:
+def make_arrival(query_id: int, arrival_time: float) -> tuple:
+    """An ingress notification: query ``query_id`` arrived at the client-
+    scheduled virtual time ``arrival_time`` (the timestamp SLO latency is
+    measured from)."""
+    return ("arrive", int(query_id), float(arrival_time))
+
+
+#: kind -> (tag, wire bytes of a payload of that kind)
+WIRE = {
+    "task": (TAG_TASK, _task_nbytes),
+    "result": (TAG_RESULT, lambda p: result_nbytes(p[3], p[4])),
     # one query id per settled task + partition id + header
-    return 8 * int(n_tasks) + 16
+    "credit": (TAG_CREDIT, lambda p: 8 * len(p[1]) + 16),
+    # query id + timestamp + header
+    "arrive": (TAG_ARRIVE, lambda p: 24),
+    "end": (TAG_END, lambda p: 8),
+    # ("tdone", pid, tasks processed): two ids + header
+    "tdone": (TAG_THREAD_DONE, lambda p: 24),
+}
 
 
-def make_batch_result(
-    query_ids: list[int],
-    partition_id: int,
-    dists: list[np.ndarray],
-    ids: list[np.ndarray],
-) -> tuple:
-    """A worker's local k-NN answers for one batch task (row-aligned lists)."""
-    return ("bresult", [int(q) for q in query_ids], int(partition_id), dists, ids)
-
-
-def batch_result_nbytes(dists: list[np.ndarray], ids: list[np.ndarray]) -> int:
-    # per-row distances + ids + one query id per row + partition id + header
-    payload = sum(int(d.nbytes + i.nbytes) for d, i in zip(dists, ids))
-    return payload + 8 * len(dists) + 16
+def send(ctx, mailbox, payload: tuple, same_node: bool = False):
+    """The send syscall for ``payload``, under its kind's tag and size
+    (``yield from`` it, like ``ctx.send_to_mailbox``)."""
+    tag, nbytes = WIRE[payload[0]]
+    return ctx.send_to_mailbox(
+        mailbox, payload, source=ctx.pid, tag=tag, nbytes=nbytes(payload), same_node=same_node
+    )

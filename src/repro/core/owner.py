@@ -15,14 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SystemConfig
-from repro.core.master import MasterReport
-from repro.core.messages import (
-    TAG_END,
-    TAG_RESULT,
-    TAG_TASK,
-    filter_task_nbytes,
-    task_nbytes,
-)
+from repro.core.coordinator import MasterReport, Router
+from repro.core.messages import END, TAG_RESULT, make_task, send, wire_filter
 from repro.core.replication import Workgroups
 from repro.core.results import GlobalResults
 from repro.simmpi.comm import Comm
@@ -48,16 +42,12 @@ def owner_node_program(
 ):
     """One node's owner proc.  Returns a :class:`MasterReport`."""
     report = MasterReport(config.n_cores)
+    route = Router(router, report, int(Q.shape[1]))
+    wfilter = wire_filter(fpayload)
     expected = 0
 
-    for qid in my_query_ids:
-        q = Q[qid]
-        with ctx.span("route"):
-            before = router.n_dist_evals
-            parts = router.route_approx(q, config.n_probe)
-            evals = router.n_dist_evals - before
-            report.route_dist_evals += evals
-            yield from ctx.compute(ctx.cost.distance_cost(evals, Q.shape[1]), kind="route")
+    for qid in map(int, my_query_ids):
+        parts = yield from route.route_approx(ctx, Q[qid], config.n_probe, query_id=qid)
         report.fanouts.append(len(parts))
         with ctx.span("dispatch"):
             for pid_part in parts:
@@ -66,20 +56,11 @@ def owner_node_program(
                 report.tasks_sent += 1
                 report.batches_sent += 1
                 node = config.node_of_core(core)
-                if fpayload is not None:
-                    # the filtered task shifts the reply mailbox to [5] to
-                    # fit the filter payload at [4] (see make_filter_task)
-                    msg = ("ftask", int(qid), int(pid_part), q, fpayload, ctx.mailbox)
-                    nbytes = filter_task_nbytes(q, fpayload)
-                else:
-                    msg = ("task", int(qid), int(pid_part), q, ctx.mailbox)
-                    nbytes = task_nbytes(q)
-                yield from ctx.send_to_mailbox(
+                # workers answer to this owner's mailbox, not their own node's
+                yield from send(
+                    ctx,
                     node_mailboxes[node],
-                    msg,
-                    source=ctx.pid,
-                    tag=TAG_TASK,
-                    nbytes=nbytes,
+                    make_task([qid], int(pid_part), Q[qid : qid + 1], wfilter, ctx.mailbox),
                     same_node=node == node_id,
                 )
                 expected += 1
@@ -88,8 +69,7 @@ def owner_node_program(
     for _ in range(expected):
         with ctx.span("reduce"):
             req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_RESULT)
-            payload = yield from ctx.wait(req)
-            _, qid, _pid_part, d, ids = payload
+            _, (qid,), _pid_part, (d,), (ids,) = yield from ctx.wait(req)
             yield from ctx.compute(ctx.cost.compare_cost(len(d) + k), kind="merge")
             results.update(qid, d, ids)
 
@@ -97,14 +77,9 @@ def owner_node_program(
     with ctx.span("drain"):
         yield from owner_comm.barrier(ctx)
         if owner_comm.rank(ctx) == 0:
-            for node in range(config.n_nodes):
+            # one End of Queries per worker *thread* (the master sends one
+            # per node): modelled traffic of this mode, not duplication
+            for mailbox in node_mailboxes:
                 for _ in range(config.threads_per_node):
-                    yield from ctx.send_to_mailbox(
-                        node_mailboxes[node],
-                        ("end",),
-                        source=ctx.pid,
-                        tag=TAG_END,
-                        nbytes=8,
-                        same_node=False,
-                    )
+                    yield from send(ctx, mailbox, END)
     return report

@@ -1,7 +1,8 @@
 """Local search strategies executed by worker threads.
 
-``LocalSearcher.search`` returns the local k-NN plus the *virtual seconds*
-the search should cost on one simulated core.  Two implementations:
+``LocalSearcher.search_batch`` returns the local k-NN of a batch of queries
+plus the *virtual seconds* the search should cost on one simulated core.
+Two implementations:
 
 - :class:`RealHnswSearcher`: searches the partition's real HNSW index,
   charges exactly the distance evaluations the traversal performed.
@@ -20,6 +21,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.partition import Partition
+from repro.filtering import choose_strategy, mask_for
 from repro.metrics import get_metric
 from repro.simmpi.costmodel import CostModel
 
@@ -27,7 +29,6 @@ __all__ = [
     "LocalSearcher",
     "RealHnswSearcher",
     "ModeledSearcher",
-    "generic_search_batch",
     "new_filter_stats",
 ]
 
@@ -50,38 +51,30 @@ def new_filter_stats() -> dict[str, int]:
 
 
 class LocalSearcher(Protocol):
-    """Strategy interface: search one partition for one query."""
+    """Strategy interface: search one partition for a batch of queries.
 
-    def search(
-        self, partition: Partition, query: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Return (distances, global ids, virtual_seconds)."""
+    A worker makes exactly one ``search_batch`` call per task; one query
+    is the one-row batch.  A searcher that only offers the one-row
+    ``search(partition, query, k) -> (distances, ids, seconds)`` (the
+    :mod:`repro.core.localindex` family, the KD baseline's, any foreign
+    object) is wrapped in a row loop where it enters
+    ``ClusterRuntime.run_search`` and cannot take a filter.
+    """
+
+    def search_batch(
+        self, partition: Partition, Q: np.ndarray, k: int, filter=None  # noqa: A002
+    ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+        """Return (per-row distances, per-row global ids, virtual seconds).
+
+        ``filter``: None, or the ``(clauses, strategy)`` pair of a pushed-
+        down predicate conjunction — every row may then only be answered
+        from the partition rows matching all clauses.
+        """
         ...
 
     def build_seconds(self, partition: Partition) -> float:
         """Virtual cost of having built this partition's local index."""
         ...
-
-
-def generic_search_batch(
-    searcher: "LocalSearcher", partition: Partition, Q: np.ndarray, k: int
-) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """Row-by-row batch fallback for searchers without a native batch path.
-
-    Returns row-aligned result lists plus the summed virtual seconds; each
-    row is exactly what ``searcher.search`` returns for that query, so
-    batching never changes results or virtual cost — only how many python
-    calls and simulated messages carry them.
-    """
-    ds: list[np.ndarray] = []
-    idss: list[np.ndarray] = []
-    seconds = 0.0
-    for q in Q:
-        d, ids, s = searcher.search(partition, q, k)
-        ds.append(d)
-        idss.append(ids)
-        seconds += s
-    return ds, idss, seconds
 
 
 def _unpadded_rows(D: np.ndarray, I: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -104,51 +97,37 @@ class RealHnswSearcher:
         self.ef_search = ef_search
         self.filter_stats = new_filter_stats()
 
-    def search_filtered(
-        self,
-        partition: Partition,
-        query: np.ndarray,
-        k: int,
-        clauses,
-        strategy: str = "auto",
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Filtered local k-NN with the selectivity crossover.
-
-        Evaluates the pushed-down predicate conjunction against the
-        partition's attribute slice, then either brute-forces exactly the
-        matching rows (``pre``; charged one eval per match) or runs the
-        filtered HNSW traversal (``post``; charged its measured evals) —
-        ``auto`` picks per the partition's matching fraction (see
-        :mod:`repro.filtering.strategy`).
-        """
-        ds, idss, seconds = self.search_filtered_batch(
-            partition, np.asarray(query)[np.newaxis, :], k, clauses, strategy
-        )
-        return ds[0], idss[0], seconds
-
-    def search_filtered_batch(
-        self,
-        partition: Partition,
-        Q: np.ndarray,
-        k: int,
-        clauses,
-        strategy: str = "auto",
+    def search_batch(
+        self, partition: Partition, Q: np.ndarray, k: int, filter=None  # noqa: A002
     ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Row-aligned filtered batch; row ``i`` is ``search_filtered(Q[i])``.
+        """Batch of queries against one partition via ``knn_search_batch``.
 
-        The mask and the strategy depend on (partition, clauses) alone, so
-        both are evaluated once per call; ``post`` rows go through one
-        ``knn_search_batch``.  Virtual time is charged row by row and
-        summed in row order, exactly as the per-row calls would.
+        The index's batch method runs the same traversal per row whatever
+        the batch size, so batching amortizes python dispatch only and
+        never changes a row's answer or its eval count.
+
+        With a ``filter`` the predicate conjunction is evaluated against
+        the partition's attribute slice, then every row either
+        brute-forces exactly the matching rows (``pre``; charged one eval
+        per match) or runs the filtered HNSW traversal (``post``; charged
+        its measured evals) — ``auto`` picks per the partition's matching
+        fraction (see :mod:`repro.filtering.strategy`).  The mask and the
+        strategy depend on (partition, clauses) alone, so both are
+        evaluated once per call; virtual time is charged row by row and
+        summed in row order.
         """
-        from repro.filtering import choose_strategy, mask_for
-
         index = partition.index
         if index is None:
             raise ValueError(
                 f"partition {partition.partition_id} has no HNSW index; "
                 "was the system built with searcher='modeled'?"
             )
+        if filter is None:
+            before = index.n_dist_evals
+            ds, idss = _unpadded_rows(*index.knn_search_batch(Q, k, ef=self.ef_search))
+            evals = index.n_dist_evals - before
+            return ds, idss, self.cost.distance_cost(evals, index.dim)
+        clauses, strategy = filter
         nq = len(Q)
         mask = mask_for(partition.attrs, clauses, partition.n_points)
         n_match = int(np.count_nonzero(mask))
@@ -184,42 +163,6 @@ class RealHnswSearcher:
         for e in evals:
             seconds += self.cost.distance_cost(e, index.dim)
         return ds, idss, seconds
-
-    def search(
-        self, partition: Partition, query: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        index = partition.index
-        if index is None:
-            raise ValueError(
-                f"partition {partition.partition_id} has no HNSW index; "
-                "was the system built with searcher='modeled'?"
-            )
-        before = index.n_dist_evals
-        d, ids = index.knn_search(query, k, ef=self.ef_search)
-        evals = index.n_dist_evals - before
-        return d, ids, self.cost.distance_cost(evals, index.dim)
-
-    def search_batch(
-        self, partition: Partition, Q: np.ndarray, k: int
-    ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Batch of queries against one partition via ``knn_search_batch``.
-
-        Row ``i`` of the returned lists is bit-identical to
-        ``self.search(partition, Q[i], k)`` (the index's batch method runs
-        the same per-row traversal), and the summed eval charge equals the
-        sum of the per-row charges — batching amortizes python dispatch
-        only, never changes answers or virtual time.
-        """
-        index = partition.index
-        if index is None:
-            raise ValueError(
-                f"partition {partition.partition_id} has no HNSW index; "
-                "was the system built with searcher='modeled'?"
-            )
-        before = index.n_dist_evals
-        ds, idss = _unpadded_rows(*index.knn_search_batch(Q, k, ef=self.ef_search))
-        evals = index.n_dist_evals - before
-        return ds, idss, self.cost.distance_cost(evals, index.dim)
 
     def build_seconds(self, partition: Partition) -> float:
         index = partition.index
@@ -259,98 +202,57 @@ class ModeledSearcher:
         self.search_seconds = search_seconds
         self.filter_stats = new_filter_stats()
 
-    def search(
-        self, partition: Partition, query: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray, float]:
+    def row_seconds(self) -> float:
+        """Virtual seconds one (query, partition) row is charged, filtered
+        or not — the model has no per-strategy refinement."""
         if self.search_seconds is not None:
-            seconds = self.search_seconds
-        else:
-            seconds = self.cost.hnsw_search_cost(
-                self.virtual_points, self.dim, self.ef_search, self.m
-            )
-        if partition.sample is None:
-            return (
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-                seconds,
-            )
-        pts, ids = partition.sample
-        d = self.metric.one_to_many(query, pts)
-        order = np.lexsort((ids, d))[:k]
-        return d[order], ids[order], seconds
+            return self.search_seconds
+        return self.cost.hnsw_search_cost(self.virtual_points, self.dim, self.ef_search, self.m)
 
     def search_batch(
-        self, partition: Partition, Q: np.ndarray, k: int
+        self, partition: Partition, Q: np.ndarray, k: int, filter=None  # noqa: A002
     ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        # dispatches through self.search, so GpuModeledSearcher's per-query
-        # launch overhead is charged per batched row too
-        return generic_search_batch(self, partition, Q, k)
+        """Each row answered by a brute-force scan of the partition's
+        sample and charged :meth:`row_seconds`, summed in row order.
 
-    def search_filtered(
-        self,
-        partition: Partition,
-        query: np.ndarray,
-        k: int,
-        clauses,
-        strategy: str = "auto",
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Filtered modeled search: answer from the matching sample rows.
-
-        The virtual cost stays the modeled full-scale search cost (the
-        model has no per-strategy refinement); the crossover decision is
-        still taken — and counted in ``filter_stats`` — over the real
-        partition mask so strategy accounting works in modeled runs too.
+        With a ``filter`` only the matching sample rows answer; the
+        crossover decision is still taken — and counted in
+        ``filter_stats`` — over the real partition mask, so strategy
+        accounting works in modeled runs too.  Mask, strategy and the
+        matching sample rows depend on (partition, clauses) alone and are
+        evaluated once per call.
         """
-        ds, idss, seconds = self.search_filtered_batch(
-            partition, np.asarray(query)[np.newaxis, :], k, clauses, strategy
-        )
-        return ds[0], idss[0], seconds
-
-    def search_filtered_batch(
-        self,
-        partition: Partition,
-        Q: np.ndarray,
-        k: int,
-        clauses,
-        strategy: str = "auto",
-    ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Row-aligned filtered batch; row ``i`` is ``search_filtered(Q[i])``.
-
-        Mask, strategy and the matching sample rows depend on (partition,
-        clauses) alone and are evaluated once per call.
-        """
-        from repro.filtering import choose_strategy, mask_for
-
         nq = len(Q)
         ds = [np.empty(0, dtype=np.float64) for _ in range(nq)]
         idss = [np.empty(0, dtype=np.int64) for _ in range(nq)]
-        mask = mask_for(partition.attrs, clauses, partition.n_points)
-        n_match = int(np.count_nonzero(mask))
-        if n_match == 0:
-            self.filter_stats["filter_empty_tasks"] += nq
-            return ds, idss, 0.0
-        if choose_strategy(strategy, n_match, partition.n_points, k) == "pre":
-            chosen, evals = "pre", n_match
-        else:
-            chosen, evals = "post", min(partition.n_points, self.ef_search * self.m)
-        self.filter_stats[f"filter_tasks_{chosen}"] += nq
-        self.filter_stats[f"filter_evals_{chosen}"] += nq * evals
         pts = ids = None
         if partition.sample is not None:
             pts, ids = partition.sample
-            if partition.sample_rows is not None:
-                smask = mask[partition.sample_rows]
+        if filter is not None:
+            clauses, strategy = filter
+            mask = mask_for(partition.attrs, clauses, partition.n_points)
+            n_match = int(np.count_nonzero(mask))
+            if n_match == 0:
+                self.filter_stats["filter_empty_tasks"] += nq
+                return ds, idss, 0.0
+            if choose_strategy(strategy, n_match, partition.n_points, k) == "pre":
+                chosen, evals = "pre", n_match
             else:
-                # legacy partitions without recorded sample rows: map sample
-                # ids back to partition rows once
-                row_of = {int(g): r for r, g in enumerate(partition.ids)}
-                smask = np.array([mask[row_of[int(g)]] for g in ids], dtype=bool)
-            pts, ids = pts[smask], ids[smask]
-        seconds = 0.0
+                chosen, evals = "post", min(partition.n_points, self.ef_search * self.m)
+            self.filter_stats[f"filter_tasks_{chosen}"] += nq
+            self.filter_stats[f"filter_evals_{chosen}"] += nq * evals
+            if ids is not None:
+                if partition.sample_rows is not None:
+                    smask = mask[partition.sample_rows]
+                else:
+                    # legacy partitions without recorded sample rows: map
+                    # sample ids back to partition rows once
+                    row_of = {int(g): r for r, g in enumerate(partition.ids)}
+                    smask = np.array([mask[row_of[int(g)]] for g in ids], dtype=bool)
+                pts, ids = pts[smask], ids[smask]
+        charge, seconds = self.row_seconds(), 0.0
         for i, q in enumerate(Q):
-            # charge the (subclass-specific) modeled cost once per row; the
-            # unfiltered answer rows are discarded
-            seconds += self.search(partition, q, 1)[2]
+            seconds += charge
             if ids is not None and len(ids):
                 d = self.metric.one_to_many(q, pts)
                 order = np.lexsort((ids, d))[:k]
@@ -392,6 +294,5 @@ class GpuModeledSearcher(ModeledSearcher):
         self.gpu_speedup = gpu_speedup
         self.launch_overhead = launch_overhead
 
-    def search(self, partition: Partition, query: np.ndarray, k: int):
-        d, ids, cpu_seconds = super().search(partition, query, k)
-        return d, ids, self.launch_overhead + cpu_seconds / self.gpu_speedup
+    def row_seconds(self) -> float:
+        return self.launch_overhead + super().row_seconds() / self.gpu_speedup

@@ -18,48 +18,17 @@ data partition") falls out of the message matching.
 from __future__ import annotations
 
 from repro.core.messages import (
-    TAG_CREDIT,
-    TAG_RESULT,
-    TAG_THREAD_DONE,
-    batch_result_nbytes,
-    credit_nbytes,
-    make_batch_result,
     make_credit,
     make_result,
     result_nbytes,
+    send,
 )
 from repro.core.partition import NodeStore
-from repro.core.searcher import LocalSearcher, generic_search_batch
+from repro.core.searcher import LocalSearcher
 from repro.simmpi.engine import ANY_SOURCE, ANY_TAG, Context, Event, Mailbox
 from repro.simmpi.rma import Window
 
 __all__ = ["worker_thread_program"]
-
-
-def _filtered_call(searcher: LocalSearcher, batch: bool):
-    """The searcher's filtered entry point for a pushed-down predicate.
-
-    Raises a clear error for custom searchers that predate the filtered
-    surface instead of silently answering unfiltered.
-    """
-    name = "search_filtered_batch" if batch else "search_filtered"
-    fn = getattr(searcher, name, None)
-    if fn is None:
-        raise TypeError(
-            f"{type(searcher).__name__} has no {name}(); filtered queries "
-            "need a searcher implementing the filtered LocalSearcher surface"
-        )
-    return fn
-
-
-def _wire_filter(fpayload: dict):
-    """(clauses, strategy) from a task message's filter payload."""
-    from repro.filtering import clauses_from_wire
-
-    return (
-        clauses_from_wire(fpayload.get("clauses", [])),
-        fpayload.get("strategy", "auto"),
-    )
 
 
 def worker_thread_program(
@@ -71,7 +40,6 @@ def worker_thread_program(
     done_event: Event,
     master_mailbox: Mailbox,
     window: Window | None,
-    reply_tag: int = TAG_RESULT,
     send_credits: bool = False,
 ):
     """One simulated OpenMP thread.  Returns (tasks_processed,).
@@ -93,130 +61,48 @@ def worker_thread_program(
             if fired == 1:  # terminate flag set by a sibling thread
                 yield from ctx.cancel(req)
                 break
-            kind = payload[0]
-            if kind == "end":
+            if payload[0] == "end":
                 yield from ctx.set_event(done_event)
                 break
-            if kind in ("btask", "fbtask"):
-                # ("btask", qids, pid, Q): B queries for one partition,
-                # answered with one local batch search (see master dispatch);
-                # "fbtask" additionally carries the filter payload at [4]
-                _, query_ids, partition_id, Qb = payload[:4]
-                fpayload = payload[4] if kind == "fbtask" else None
-                qids = tuple(int(q) for q in query_ids) if ctx.trace_active else None
-                if ctx.trace_active and req.arrival is not None:
-                    # the gap between the task landing in the node mailbox
-                    # and a thread picking it up is pure queueing delay
-                    ctx.trace_complete(
-                        "queue",
-                        req.arrival,
-                        ctx.now,
-                        query_ids=qids,
-                        partition=int(partition_id),
-                    )
-                with ctx.span(
-                    "search",
-                    query_ids=qids,
-                    partition=int(partition_id),
-                    n_queries=len(query_ids),
-                ):
-                    partition = node_store.get(partition_id)
-                    if fpayload is not None:
-                        clauses, strat = _wire_filter(fpayload)
-                        ds, idss, seconds = _filtered_call(searcher, batch=True)(
-                            partition, Qb, k, clauses, strat
-                        )
-                    else:
-                        search_batch = getattr(searcher, "search_batch", None)
-                        if search_batch is not None:
-                            ds, idss, seconds = search_batch(partition, Qb, k)
-                        else:
-                            ds, idss, seconds = generic_search_batch(
-                                searcher, partition, Qb, k
-                            )
-                    yield from ctx.compute(seconds, kind="search")
-                processed += len(query_ids)
-                with ctx.span("reduce"):
-                    if one_sided:
-                        # the RMA window is keyed by query id: one
-                        # accumulate per row, same bytes as unbatched
-                        for qid, d, ids in zip(query_ids, ds, idss):
-                            yield from window.get_accumulate(
-                                ctx, qid, (d, ids), nbytes=result_nbytes(d, ids)
-                            )
-                        if send_credits:
-                            yield from ctx.send_to_mailbox(
-                                master_mailbox,
-                                make_credit(query_ids, partition_id),
-                                source=ctx.pid,
-                                tag=TAG_CREDIT,
-                                nbytes=credit_nbytes(len(query_ids)),
-                                same_node=False,
-                            )
-                    else:
-                        yield from ctx.send_to_mailbox(
-                            master_mailbox,
-                            make_batch_result(query_ids, partition_id, ds, idss),
-                            source=ctx.pid,
-                            tag=reply_tag,
-                            nbytes=batch_result_nbytes(ds, idss),
-                            same_node=False,
-                        )
-                continue
-            # tasks are ("task", qid, pid, qvec) from the master, or the
-            # 5-tuple variant carrying an explicit reply mailbox from a
-            # multiple-owner dispatcher; "ftask" shifts those by one to
-            # fit the filter payload at [4]
-            _, query_id, partition_id, qvec = payload[:4]
-            if kind == "ftask":
-                fpayload = payload[4]
-                reply_to = payload[5] if len(payload) > 5 else master_mailbox
-            else:
-                fpayload = None
-                reply_to = payload[4] if len(payload) > 4 else master_mailbox
+            # a task: B >= 1 queries for one partition, answered with one
+            # local search call; two-sided answers go to the task's reply
+            # mailbox when it names one (a multiple-owner dispatcher)
+            _, query_ids, partition_id, Qb, wfilter, reply_to = payload
+            qids = tuple(query_ids) if ctx.trace_active else None
             if ctx.trace_active and req.arrival is not None:
+                # the gap between the task landing in the node mailbox
+                # and a thread picking it up is pure queueing delay
                 ctx.trace_complete(
-                    "queue",
-                    req.arrival,
-                    ctx.now,
-                    query_id=int(query_id),
-                    partition=int(partition_id),
+                    "queue", req.arrival, ctx.now, query_ids=qids, partition=partition_id
                 )
-            with ctx.span("search", query_id=int(query_id), partition=int(partition_id)):
-                partition = node_store.get(partition_id)
-                if fpayload is not None:
-                    clauses, strat = _wire_filter(fpayload)
-                    dists, ids, seconds = _filtered_call(searcher, batch=False)(
-                        partition, qvec, k, clauses, strat
-                    )
-                else:
-                    dists, ids, seconds = searcher.search(partition, qvec, k)
+            with ctx.span(
+                "search", query_ids=qids, partition=partition_id, n_queries=len(query_ids)
+            ):
+                ds, idss, seconds = searcher.search_batch(
+                    node_store.get(partition_id),
+                    Qb,
+                    k,
+                    filter=None if wfilter is None else wfilter.spec,
+                )
                 yield from ctx.compute(seconds, kind="search")
-            processed += 1
+            processed += len(query_ids)
             # returning a result is the worker-side half of the reduction:
-            # either the remote accumulate or the point-to-point reply
+            # either the remote accumulates or the point-to-point reply
             with ctx.span("reduce"):
                 if one_sided:
-                    yield from window.get_accumulate(
-                        ctx, query_id, (dists, ids), nbytes=result_nbytes(dists, ids)
-                    )
-                    if send_credits:
-                        yield from ctx.send_to_mailbox(
-                            master_mailbox,
-                            make_credit([query_id], partition_id),
-                            source=ctx.pid,
-                            tag=TAG_CREDIT,
-                            nbytes=credit_nbytes(1),
-                            same_node=False,
+                    # the RMA window is keyed by query id: one accumulate
+                    # per row, each charged as a one-row result
+                    for qid, d, ids in zip(query_ids, ds, idss):
+                        yield from window.get_accumulate(
+                            ctx, qid, (d, ids), nbytes=result_nbytes((d,), (ids,))
                         )
+                    if send_credits:
+                        yield from send(ctx, master_mailbox, make_credit(query_ids, partition_id))
                 else:
-                    yield from ctx.send_to_mailbox(
-                        reply_to,
-                        make_result(query_id, partition_id, dists, ids),
-                        source=ctx.pid,
-                        tag=reply_tag,
-                        nbytes=result_nbytes(dists, ids),
-                        same_node=False,
+                    yield from send(
+                        ctx,
+                        master_mailbox if reply_to is None else reply_to,
+                        make_result(query_ids, partition_id, ds, idss),
                     )
     finally:
         if one_sided:
@@ -224,12 +110,5 @@ def worker_thread_program(
     # completion notification (tiny message) so the master can detect that
     # every one-sided accumulate has landed before reading the window
     with ctx.span("drain"):
-        yield from ctx.send_to_mailbox(
-            master_mailbox,
-            ("tdone", ctx.pid, processed),
-            source=ctx.pid,
-            tag=TAG_THREAD_DONE,
-            nbytes=24,
-            same_node=False,
-        )
+        yield from send(ctx, master_mailbox, ("tdone", ctx.pid, processed))
     return processed

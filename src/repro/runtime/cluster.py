@@ -33,8 +33,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import SystemConfig
-from repro.core.messages import TAG_RESULT
-from repro.core.partition import NodeStore
+from repro.core.partition import NodeStore, Partition
 from repro.core.replication import Workgroups
 from repro.core.results import GlobalResults
 from repro.core.searcher import LocalSearcher
@@ -47,6 +46,46 @@ from repro.runtime.strategies import DispatchStrategy
 from repro.simmpi.engine import Event, Simulation
 
 __all__ = ["ClusterRuntime", "SearchJob", "run_search"]
+
+
+class _RowLoop:
+    """The batched :class:`LocalSearcher` call over a one-row searcher.
+
+    Each row is exactly what ``inner.search`` returns for that query and
+    the virtual seconds are summed in row order, so neither batching nor
+    this adaptation changes a result or a charged second — only how many
+    python calls and simulated messages carry them.
+    """
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def search_batch(self, partition: Partition, Q: np.ndarray, k: int, filter=None):  # noqa: A002
+        ds: list[np.ndarray] = []
+        idss: list[np.ndarray] = []
+        seconds = 0.0
+        for q in Q:
+            d, ids, s = self.inner.search(partition, q, k)
+            ds.append(d)
+            idss.append(ids)
+            seconds += s
+        return ds, idss, seconds
+
+
+def _batched(searcher, fpayload: dict | None):
+    """``searcher`` as the workers call it: itself when it has the batched
+    ``search_batch`` call, else its one-row ``search`` behind a row loop —
+    which cannot filter, so a filtered run is refused here, before the
+    simulation starts, rather than from inside a worker coroutine."""
+    if hasattr(searcher, "search_batch"):
+        return searcher
+    if fpayload is not None:
+        raise TypeError(
+            f"{type(searcher).__name__} has no search_batch(partition, Q, k, filter=); "
+            "filtered queries need a searcher implementing the batched "
+            "LocalSearcher call"
+        )
+    return _RowLoop(searcher)
 
 
 @dataclass
@@ -111,11 +150,13 @@ class ClusterRuntime:
 
         ``fpayload`` is the run's filter description (see
         :mod:`repro.filtering`): every task message carries it to the
-        workers, which answer through the searcher's filtered surface.
+        workers, which pass it to ``search_batch(filter=)`` — so it needs
+        a searcher with that call, not a one-row one (``TypeError``).
         None leaves every message and result bit-identical to the
         pre-filtering wire.
         """
         cfg = self.config
+        worker_searcher = _batched(searcher, fpayload)
         workgroups.reset()
         job = SearchJob(
             router=router,
@@ -151,12 +192,11 @@ class ClusterRuntime:
                     worker_thread_program,
                     self.node_mailboxes[node],
                     store,
-                    searcher,
+                    worker_searcher,
                     k,
                     done,
                     control_mailbox,
                     window,
-                    TAG_RESULT,
                     send_credits,
                     node=node,
                     name=f"worker_n{node}_t{t}",

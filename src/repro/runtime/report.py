@@ -318,7 +318,7 @@ class ReportBuilder:
     """Reduce one finished simulation to a :class:`SearchReport`.
 
     The coordinator procs (one master, or one owner per node) each return a
-    :class:`~repro.core.master.MasterReport`; everything else in the
+    :class:`~repro.core.coordinator.MasterReport`; everything else in the
     simulation is a worker thread.  The builder sums coordinator reports,
     partitions the proc stats by pid, and aggregates span times — the same
     arithmetic for every strategy.

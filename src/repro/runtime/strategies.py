@@ -59,7 +59,7 @@ class DispatchStrategy(ABC):
     then reads :attr:`coordinator_pids` to build the report after the run.
 
     Every coordinator proc must return a
-    :class:`~repro.core.master.MasterReport` so the
+    :class:`~repro.core.coordinator.MasterReport` so the
     :class:`~repro.runtime.report.ReportBuilder` can aggregate uniformly.
     """
 

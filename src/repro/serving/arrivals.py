@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.messages import TAG_ARRIVE, arrival_nbytes, make_arrival
+from repro.core.messages import make_arrival, send
 
 __all__ = ["parse_arrival_spec", "arrival_schedule", "arrival_source_program"]
 
@@ -131,11 +131,4 @@ def arrival_source_program(ctx, master_mailbox, schedule):
         gap = float(t) - ctx.now
         if gap > 0:
             yield from ctx.compute(gap, kind="arrival_gap")
-        yield from ctx.send_to_mailbox(
-            master_mailbox,
-            make_arrival(query_id, float(t)),
-            source=ctx.pid,
-            tag=TAG_ARRIVE,
-            nbytes=arrival_nbytes(),
-            same_node=False,
-        )
+        yield from send(ctx, master_mailbox, make_arrival(query_id, t))

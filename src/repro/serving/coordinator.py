@@ -33,11 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SystemConfig
+from repro.core.coordinator.drain import broadcast_end, collect_thread_exits
 from repro.core.coordinator.merger import ResultMerger
 from repro.core.coordinator.report import MasterReport
 from repro.core.coordinator.router import Router
 from repro.core.coordinator.window import DispatchWindow
-from repro.core.messages import TAG_ARRIVE, TAG_CREDIT, TAG_END, TAG_RESULT, TAG_THREAD_DONE
+from repro.core.messages import TAG_ARRIVE, TAG_CREDIT, TAG_RESULT
 from repro.core.replication import Workgroups
 from repro.core.results import GlobalResults
 from repro.loadbalance import PrimarySelector, ReplicaSelector
@@ -86,37 +87,16 @@ class ServingPipeline:
         #: memoized route per query (the head may be retried while
         #: credit-blocked; it must not be re-routed or re-probed)
         self._routes: dict[int, list[int]] = {}
-        #: cache key per probed-and-missed query, for insert at completion
-        self._keys: dict[int, bytes] = {}
         self._outstanding = np.zeros(serving.n_queries, dtype=np.int64)
 
     # -- event handlers ------------------------------------------------------
 
-    def _on_arrival(self, ctx: Context, payload) -> None:
-        state = self.serving
-        _, qid, _t = payload
-        state.consumed += 1
-        outcome, dropped = state.admission.offer(qid)
-        ctx.trace_instant("arrive", query_id=int(qid), outcome=outcome)
-        if outcome == "rejected":
-            state.drop(qid)
-        elif outcome == "shed":
-            state.drop(dropped)
-
     def _note_settle(self, ctx: Context, qid: int) -> None:
         """One task of ``qid`` settled; at zero outstanding it completes."""
         self._outstanding[qid] -= 1
-        if self._outstanding[qid] != 0:
-            return
-        state = self.serving
-        state.timeline.note_complete(qid, ctx.now)
-        ctx.trace_instant("complete", query_id=int(qid))
-        if state.cache is not None:
-            slot = self.results[qid]
-            key = self._keys.pop(qid, None)
-            if slot is not None and key is not None:
-                d, i = slot
-                state.cache.put(key, (d.copy(), i.copy()))
+        if self._outstanding[qid] == 0:
+            ctx.trace_instant("complete", query_id=int(qid))
+            self.serving.complete(ctx, qid, self.results[qid])
 
     def _serve_head(self, ctx: Context):
         """Try to take the queue head into service; returns True on entry.
@@ -126,42 +106,30 @@ class ServingPipeline:
         until credits free.
         """
         state, config = self.serving, self.config
-        adm, window = state.admission, self.window
-        qid = adm.queue[0]
+        window = self.window
+        qid = state.admission.queue[0]
         q = self.queries[qid]
-        cache = state.cache
-        if cache is not None and qid not in self._keys and qid not in self._routes:
-            key = cache.key(q)
-            row = cache.get(key)
-            ctx.trace_instant("cache_probe", query_id=int(qid), hit=row is not None)
+        if state.cache is not None and qid not in state.keys and qid not in self._routes:
+            row = state.probe_cache(ctx, qid, q)
             if row is not None:
-                # hit: the answer is already at the master — serve it
-                # without touching the cluster (zero-cost completion)
-                adm.begin_service()
-                state.timeline.note_dispatch(qid, ctx.now)
-                ctx.trace_instant("admit", query_id=int(qid))
-                d, i = row
-                self.results[qid] = (d.copy(), i.copy())
-                state.timeline.note_complete(qid, ctx.now)
-                ctx.trace_instant("complete", query_id=int(qid), cached=True)
-                self.report.fanouts.append(0)
+                state.admit(ctx)
+                state.serve_hit(ctx, qid, row, self.results, self.report)
                 return True
-            self._keys[qid] = key
         parts = self._routes.get(qid)
         if parts is None:
             parts = yield from self.router.route_approx(ctx, q, config.n_probe, query_id=int(qid))
             self._routes[qid] = parts
         if not all(window.group_has_credit(p) for p in parts):
             return False
-        adm.begin_service()
-        state.timeline.note_dispatch(qid, ctx.now)
-        ctx.trace_instant("admit", query_id=int(qid))
+        state.admit(ctx)
         self.report.fanouts.append(len(parts))
         self._outstanding[qid] = len(parts)
         for pid_part in parts:
             with ctx.span("dispatch", query_id=int(qid), partition=int(pid_part)):
                 core = self.selector.pick(pid_part, ctx.now, exclude=window.blocked(1))
-                yield from window.send_task(ctx, qid, pid_part, core, q)
+                yield from window.send_task(
+                    ctx, (qid,), pid_part, core, self.queries[qid : qid + 1]
+                )
         return True
 
     def _handle_result(self, ctx: Context, payload):
@@ -217,7 +185,7 @@ class ServingPipeline:
                 payload = yield from ctx.wait(req)
                 if req is arrive_req:
                     arrive_req = None
-                    self._on_arrival(ctx, payload)
+                    state.on_arrival(ctx, payload)
                     if want_arrival():
                         arrive_req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_ARRIVE)
                 else:
@@ -255,7 +223,7 @@ class ServingPipeline:
                 req = waits[idx]
             if req is arrive_req:
                 arrive_req = None
-                self._on_arrival(ctx, payload)
+                state.on_arrival(ctx, payload)
             else:
                 result_req = None
                 yield from self._handle_result(ctx, payload)
@@ -266,41 +234,10 @@ class ServingPipeline:
 
         # End of Queries + thread-exit drain, as in the closed-loop pipeline
         with ctx.span("drain"):
-            for node in range(config.n_nodes):
-                yield from ctx.send_to_mailbox(
-                    self.node_mailboxes[node],
-                    ("end",),
-                    source=ctx.pid,
-                    tag=TAG_END,
-                    nbytes=8,
-                    same_node=False,
-                )
-            for _ in range(config.n_nodes * config.threads_per_node):
-                req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_THREAD_DONE)
-                yield from ctx.wait(req)
+            yield from broadcast_end(ctx, self.node_mailboxes)
+            yield from collect_thread_exits(ctx, config.n_nodes * config.threads_per_node)
 
-        if not state.accounted():
-            raise SimError(
-                "serving admission ledgers do not cover the offered load: "
-                f"admitted {adm.admitted} + shed {adm.shed} + rejected "
-                f"{adm.rejected} != offered {state.offered}"
-            )
-
-        report.query_latencies = state.timeline.latencies()
-        report.offered_queries = state.offered
-        report.admitted_queries = adm.admitted
-        report.shed_queries = adm.shed
-        report.rejected_queries = adm.rejected
-        report.max_ingress_depth = adm.max_depth_seen
-        cache = state.cache
-        if cache is not None:
-            report.cache_hits = cache.hits
-            report.cache_misses = cache.misses
-            report.cache_stale = cache.stale
-            report.cache_evictions = cache.evictions
-        report.arrival_times = state.timeline.arrival
-        report.dispatch_times = state.timeline.dispatch
-        report.complete_times = state.timeline.complete
+        state.close(report)
         report.queue_depth_timeline = self.tracker.timeline()
         report.max_outstanding_tasks = window.max_outstanding
         report.credits_leaked = window.outstanding

@@ -13,12 +13,15 @@ import numpy as np
 from repro.serving.admission import AdmissionQueue
 from repro.serving.cache import ResultCache
 from repro.serving.slo import ServingTimeline
+from repro.simmpi.errors import SimError
 
 __all__ = ["ServingState"]
 
 
 class ServingState:
-    """Admission queue + optional result cache + SLO timeline + schedule."""
+    """Admission queue + optional result cache + SLO timeline + schedule,
+    and the event handlers over them that every serving coordinator (the
+    serving pipeline, the fault harness under arrivals) runs unchanged."""
 
     def __init__(
         self,
@@ -54,6 +57,8 @@ class ServingState:
         self.consumed = 0
         #: queries dropped by admission (their results must never be served)
         self.dropped: set[int] = set()
+        #: cache key per probed-and-missed query, for insert at completion
+        self.keys: dict[int, bytes] = {}
 
     @property
     def offered(self) -> int:
@@ -69,3 +74,77 @@ class ServingState:
         """The admission invariant: every offered query is in one ledger."""
         a = self.admission
         return a.admitted + a.shed + a.rejected == self.offered
+
+    # -- event handlers --------------------------------------------------------
+
+    def on_arrival(self, ctx, payload) -> None:
+        """An ``arrive`` message came off the fabric: offer the query to
+        admission; what the overload policy refuses or displaces is dropped."""
+        _, qid, _t = payload
+        self.consumed += 1
+        outcome, dropped = self.admission.offer(qid)
+        ctx.trace_instant("arrive", query_id=int(qid), outcome=outcome)
+        if outcome == "rejected":
+            self.drop(qid)
+        elif outcome == "shed":
+            self.drop(dropped)
+
+    def admit(self, ctx) -> int:
+        """Take the admission-queue head into service; returns its id."""
+        qid = self.admission.begin_service()
+        self.timeline.note_dispatch(qid, ctx.now)
+        ctx.trace_instant("admit", query_id=int(qid))
+        return qid
+
+    def probe_cache(self, ctx, qid: int, q: np.ndarray):
+        """The cached ``(dists, ids)`` row for ``q``, or None — then the key
+        is kept so :meth:`complete` can seed the cache with the answer."""
+        key = self.cache.key(q)
+        row = self.cache.get(key)
+        ctx.trace_instant("cache_probe", query_id=int(qid), hit=row is not None)
+        if row is None:
+            self.keys[qid] = key
+        return row
+
+    def serve_hit(self, ctx, qid: int, row, results, report) -> None:
+        """A hit: the answer is already at the master — serve it without
+        touching the cluster (zero-cost completion)."""
+        d, ids = row
+        results[qid] = (d.copy(), ids.copy())
+        self.timeline.note_complete(qid, ctx.now)
+        ctx.trace_instant("complete", query_id=int(qid), cached=True)
+        report.fanouts.append(0)
+
+    def complete(self, ctx, qid: int, slot, cacheable: bool = True) -> None:
+        """Query ``qid`` finished with merged answer ``slot``: stamp the
+        timeline and, if it was probed and missed, seed the cache."""
+        self.timeline.note_complete(qid, ctx.now)
+        key = self.keys.pop(qid, None)
+        if key is not None and slot is not None and cacheable:
+            d, ids = slot
+            self.cache.put(key, (d.copy(), ids.copy()))
+
+    def close(self, report) -> None:
+        """Check the admission invariant and write the serving ledgers,
+        cache counters and per-query timeline into the run's report."""
+        adm = self.admission
+        if not self.accounted():
+            raise SimError(
+                "serving admission ledgers do not cover the offered load: "
+                f"admitted {adm.admitted} + shed {adm.shed} + rejected "
+                f"{adm.rejected} != offered {self.offered}"
+            )
+        report.query_latencies = self.timeline.latencies()
+        report.offered_queries = self.offered
+        report.admitted_queries = adm.admitted
+        report.shed_queries = adm.shed
+        report.rejected_queries = adm.rejected
+        report.max_ingress_depth = adm.max_depth_seen
+        if self.cache is not None:
+            report.cache_hits = self.cache.hits
+            report.cache_misses = self.cache.misses
+            report.cache_stale = self.cache.stale
+            report.cache_evictions = self.cache.evictions
+        report.arrival_times = self.timeline.arrival
+        report.dispatch_times = self.timeline.dispatch
+        report.complete_times = self.timeline.complete

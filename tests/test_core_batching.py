@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core import DistributedANN, SystemConfig
-from repro.core.searcher import RealHnswSearcher, generic_search_batch
+from repro.core.searcher import RealHnswSearcher
+from repro.runtime.cluster import _batched
 from repro.faults.spec import FaultSpec
 from repro.hnsw import HnswParams
 from repro.simmpi.errors import SimConfigError
@@ -119,8 +120,20 @@ class TestConfigValidation:
         assert cfg.batch_size == 1
 
 
+class _OneRow:
+    """A one-row searcher over a batched one: ``search`` is its B = 1 batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def search(self, partition, q, k):
+        ds, idss, seconds = self.inner.search_batch(partition, q[np.newaxis, :], k)
+        return ds[0], idss[0], seconds
+
+
 class TestSearcherBatch:
-    """search_batch row i == search(Q[i]) — results and virtual seconds."""
+    """search_batch row i == the B = 1 batch of Q[i] — results and virtual
+    seconds."""
 
     def test_real_hnsw_searcher_batch_equivalence(self, corpus):
         X, Q = corpus
@@ -134,7 +147,7 @@ class TestSearcherBatch:
         ds, idss, seconds = searcher.search_batch(part, Q, 5)
         loop_seconds = 0.0
         for row, q in enumerate(Q):
-            d, ids, s = searcher.search(part, q, 5)
+            d, ids, s = _OneRow(searcher).search(part, q, 5)
             loop_seconds += s
             np.testing.assert_array_equal(ds[row], d)
             np.testing.assert_array_equal(idss[row], ids)
@@ -149,7 +162,8 @@ class TestSearcherBatch:
         part = ann.partitions[0]
         searcher = RealHnswSearcher(ann.config.cost, ef_search=ann.config.effective_ef_search)
 
-        ds, idss, seconds = generic_search_batch(searcher, part, Q, 5)
+        # the row loop run_search puts around a one-row searcher
+        ds, idss, seconds = _batched(_OneRow(searcher), None).search_batch(part, Q, 5)
         bds, bidss, bseconds = searcher.search_batch(part, Q, 5)
         assert seconds == pytest.approx(bseconds)
         for a, b in zip(ds, bds):

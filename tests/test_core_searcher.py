@@ -9,6 +9,12 @@ from repro.hnsw import HnswIndex, HnswParams
 from repro.simmpi import CostModel
 
 
+def search_one(searcher, partition, q, k):
+    """(distances, ids, seconds) of one query: the one-row batch."""
+    ds, idss, seconds = searcher.search_batch(partition, q[np.newaxis, :], k)
+    return ds[0], idss[0], seconds
+
+
 @pytest.fixture(scope="module")
 def partition():
     rng = np.random.default_rng(4)
@@ -22,7 +28,7 @@ def partition():
 class TestRealHnswSearcher:
     def test_returns_global_ids(self, partition):
         s = RealHnswSearcher(CostModel(), ef_search=40)
-        d, ids, secs = s.search(partition, partition.points[5], 3)
+        d, ids, secs = search_one(s, partition, partition.points[5], 3)
         assert ids[0] == 1005
         assert secs > 0
 
@@ -30,15 +36,15 @@ class TestRealHnswSearcher:
         cheap = RealHnswSearcher(CostModel(), ef_search=5)
         pricey = RealHnswSearcher(CostModel(), ef_search=200)
         q = partition.points[0]
-        _, _, s1 = cheap.search(partition, q, 3)
-        _, _, s2 = pricey.search(partition, q, 3)
+        _, _, s1 = search_one(cheap, partition, q, 3)
+        _, _, s2 = search_one(pricey, partition, q, 3)
         assert s2 > s1
 
     def test_missing_index_raises(self):
         p = Partition(1, np.zeros((4, 2), np.float32), np.arange(4))
         s = RealHnswSearcher(CostModel(), ef_search=10)
         with pytest.raises(ValueError, match="no HNSW index"):
-            s.search(p, np.zeros(2, np.float32), 1)
+            search_one(s, p, np.zeros(2, np.float32), 1)
 
     def test_build_seconds_positive(self, partition):
         s = RealHnswSearcher(CostModel(), ef_search=10)
@@ -58,15 +64,15 @@ class TestModeledSearcher:
         s_big = self._searcher(virtual_points=10**9)
         pts = np.random.default_rng(0).normal(size=(8, 128)).astype(np.float32)
         p = Partition(0, pts, np.arange(8), sample=(pts, np.arange(8)))
-        _, _, sec_small = s_small.search(p, pts[0], 3)
-        _, _, sec_big = s_big.search(p, pts[0], 3)
+        _, _, sec_small = search_one(s_small, p, pts[0], 3)
+        _, _, sec_big = search_one(s_big, p, pts[0], 3)
         assert sec_big > sec_small
 
     def test_explicit_search_seconds_override(self):
         s = self._searcher(search_seconds=0.5)
         pts = np.random.default_rng(0).normal(size=(4, 128)).astype(np.float32)
         p = Partition(0, pts, np.arange(4), sample=(pts, np.arange(4)))
-        _, _, sec = s.search(p, pts[0], 2)
+        _, _, sec = search_one(s, p, pts[0], 2)
         assert sec == 0.5
 
     def test_answers_from_sample(self):
@@ -75,13 +81,13 @@ class TestModeledSearcher:
         ids = np.arange(500, 532)
         p = Partition(0, pts, ids, sample=(pts, ids))
         s = self._searcher()
-        d, res_ids, _ = s.search(p, pts[7], 3)
+        d, res_ids, _ = search_one(s, p, pts[7], 3)
         assert res_ids[0] == 507
         assert np.all(np.diff(d) >= -1e-12)
 
     def test_no_sample_returns_empty(self):
         p = Partition(0, np.zeros((2, 128), np.float32), np.arange(2))
-        d, ids, sec = self._searcher().search(p, np.zeros(128, np.float32), 3)
+        d, ids, sec = search_one(self._searcher(), p, np.zeros(128, np.float32), 3)
         assert len(d) == 0 and len(ids) == 0 and sec > 0
 
     def test_build_seconds_scales_with_virtual_points(self):

@@ -285,7 +285,7 @@ class TestFilteredHnswConnectivity:
 
 
 class TestFilteredBatchOncePerCall:
-    """``search_filtered_batch`` evaluates the mask and the strategy once
+    """``search_batch(filter=)`` evaluates the mask and the strategy once
     per call and sends ``post`` rows through one ``knn_search_batch``.
     Each row's answer, the summed virtual seconds and every
     ``filter_stats`` increment must equal what one mask + strategy +
@@ -344,7 +344,7 @@ class TestFilteredBatchOncePerCall:
         s.filter_stats[f"filter_evals_{'pre' if pre else 'post'}"] += (
             n_match if pre else min(part.n_points, s.ef_search * s.m)
         )
-        seconds = s.search(part, q, 1)[2]
+        seconds = s.search_batch(part, q[np.newaxis, :], 1)[2]  # the unfiltered charge
         smask = mask[part.sample_rows]
         pts, ids = part.sample[0][smask], part.sample[1][smask]
         if not len(ids):
@@ -368,7 +368,7 @@ class TestFilteredBatchOncePerCall:
         Q = sample_queries(part.points, nq, noise_scale=0.05, seed=nq)
         batch, rows, row_fn = self._searchers(kind)
         clauses = self.CLAUSES[case]
-        ds, idss, seconds = batch.search_filtered_batch(part, Q, self.K, clauses, strategy)
+        ds, idss, seconds = batch.search_batch(part, Q, self.K, filter=(clauses, strategy))
         want_seconds = 0.0
         for i, q in enumerate(Q):
             d, ids, s = row_fn(rows, part, q, self.K, clauses, strategy)
@@ -378,18 +378,21 @@ class TestFilteredBatchOncePerCall:
             np.testing.assert_array_equal(idss[i], ids)
         assert seconds == want_seconds  # bit for bit: it drives the virtual clock
         assert batch.filter_stats == rows.filter_stats
-        if nq == 1:  # the single-query entry is the one-row batch
-            one = type(batch).search_filtered(rows, part, Q[0], self.K, clauses, strategy)
-            np.testing.assert_array_equal(one[0], ds[0])
-            np.testing.assert_array_equal(one[1], idss[0])
-            assert one[2] == seconds
+        # every row is also its own one-row batch
+        one_seconds = 0.0
+        for i in range(nq):
+            one = rows.search_batch(part, Q[i : i + 1], self.K, filter=(clauses, strategy))
+            np.testing.assert_array_equal(one[0][0], ds[i])
+            np.testing.assert_array_equal(one[1][0], idss[i])
+            one_seconds += one[2]
+        assert one_seconds == seconds
 
     def test_auto_takes_both_strategies(self, part):
         """The two non-empty cases really exercise both branches."""
         s = RealHnswSearcher(CostModel(), 32)
         Q = sample_queries(part.points, 8, noise_scale=0.05, seed=8)
-        s.search_filtered_batch(part, Q, self.K, self.CLAUSES["post"])
-        s.search_filtered_batch(part, Q, self.K, self.CLAUSES["pre"])
+        s.search_batch(part, Q, self.K, filter=(self.CLAUSES["post"], "auto"))
+        s.search_batch(part, Q, self.K, filter=(self.CLAUSES["pre"], "auto"))
         assert s.filter_stats["filter_tasks_post"] == 8
         assert s.filter_stats["filter_tasks_pre"] == 8
 
