@@ -26,23 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import SystemConfig
 from repro.core.coordinator.drain import broadcast_end, collect_thread_exits
 from repro.core.coordinator.merger import ResultMerger
-from repro.core.coordinator.report import MasterReport
 from repro.core.coordinator.router import Router
 from repro.core.coordinator.window import DispatchWindow
 from repro.core.messages import TAG_ARRIVE, TAG_RESULT
-from repro.core.replication import Workgroups
-from repro.core.results import GlobalResults
 from repro.faults.spec import FaultPolicy
-from repro.loadbalance import (
-    PrimarySelector,
-    ReplicaSelector,
-    derive_drain_timeout,
-    derive_task_timeout,
-)
-from repro.simmpi.engine import WAIT_TIMED_OUT, Context, Mailbox
+from repro.loadbalance import derive_drain_timeout, derive_task_timeout
+from repro.simmpi.engine import WAIT_TIMED_OUT, Context
 
 __all__ = ["FaultHarness"]
 
@@ -70,34 +61,24 @@ class FaultHarness:
 
     def __init__(
         self,
-        config: SystemConfig,
-        router,
-        workgroups: Workgroups,
         queries: np.ndarray,
-        results: GlobalResults,
-        node_mailboxes: list[Mailbox],
+        router: Router,
+        window: DispatchWindow,
+        merger: ResultMerger,
         policy: FaultPolicy,
         task_seconds_hint: float,
-        selector: ReplicaSelector | None = None,
         serving=None,
-        metrics=None,
-        fpayload: dict | None = None,
     ) -> None:
-        self.config = config
         self.queries = queries
-        self.node_mailboxes = node_mailboxes
+        self.router = router
+        self.win = window
+        self.merger = merger
+        self.config = window.config
+        self.report = window.report
+        self.selector = window.selector
+        self.workgroups = window.workgroups
         self.policy = policy
         self.task_seconds_hint = task_seconds_hint
-        self.report = MasterReport(config.n_cores, registry=metrics)
-        if selector is None:
-            selector = PrimarySelector(workgroups)
-        self.selector = selector
-        self.workgroups = selector.workgroups
-        self.router = Router(router, self.report, int(queries.shape[1]))
-        self.win = DispatchWindow(
-            config, selector, self.report, node_mailboxes, fpayload=fpayload
-        )
-        self.merger = ResultMerger(config, results, self.report, one_sided=False)
         # -- dispatch state ---------------------------------------------------
         self.pending: dict[tuple[int, int], dict] = {}
         self.completed: set[tuple[int, int]] = set()
@@ -106,7 +87,7 @@ class FaultHarness:
         #: new tasks waiting for a live replica with spare credits
         #: (dispatch_window > 0 only; always empty with flow control off)
         self.deferred: list[tuple[int, int]] = []
-        self.timeouts_by_core = np.zeros(config.n_cores, dtype=np.int64)
+        self.timeouts_by_core = np.zeros(self.config.n_cores, dtype=np.int64)
         self.base_timeout = 0.0  # derived from the live network model in run()
         self._ctx: Context | None = None  # bound by run()
         self._unresolved: np.ndarray | None = None
@@ -409,7 +390,7 @@ class FaultHarness:
         missing = config.n_nodes * config.threads_per_node
         with ctx.span("drain"):
             for _round in range(policy.drain_rounds):
-                yield from broadcast_end(ctx, self.node_mailboxes)
+                yield from broadcast_end(ctx, self.win.node_mailboxes)
                 missing -= yield from collect_thread_exits(ctx, missing, drain_timeout)
                 if not missing:
                     break
@@ -428,6 +409,4 @@ class FaultHarness:
         else:
             state.close(report)
         report.queue_depth_timeline = self.win.tracker.timeline()
-        report.max_outstanding_tasks = self.win.max_outstanding
-        report.credits_leaked = self.win.outstanding
         return report

@@ -20,52 +20,31 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.config import SystemConfig
 from repro.core.coordinator.drain import broadcast_end, collect_thread_exits
 from repro.core.coordinator.merger import ResultMerger
-from repro.core.coordinator.report import MasterReport
 from repro.core.coordinator.router import Router
 from repro.core.coordinator.window import DispatchWindow
-from repro.core.replication import Workgroups
-from repro.core.results import GlobalResults
-from repro.loadbalance import PrimarySelector, ReplicaSelector
-from repro.simmpi.engine import Context, Mailbox
+from repro.simmpi.engine import Context
 
 __all__ = ["CoordinatorPipeline"]
 
 
 class CoordinatorPipeline:
-    """One batch search's coordinator, any fault-free mode combination."""
+    """One batch search's coordinator, any fault-free mode combination.
+
+    Runs over parts the strategy built (and wired to one
+    :class:`MasterReport`) — the same three every master-side loop takes.
+    """
 
     def __init__(
-        self,
-        config: SystemConfig,
-        router,
-        workgroups: Workgroups,
-        queries: np.ndarray,
-        results: GlobalResults,
-        node_mailboxes: list[Mailbox],
-        rma_window,
-        selector: ReplicaSelector | None = None,
-        metrics=None,
-        fpayload: dict | None = None,
+        self, queries: np.ndarray, router: Router, window: DispatchWindow, merger: ResultMerger
     ) -> None:
-        self.config = config
         self.queries = queries
-        self.node_mailboxes = node_mailboxes
-        self.rma_window = rma_window
-        self.report = MasterReport(config.n_cores, registry=metrics)
-        if selector is None:
-            selector = PrimarySelector(workgroups)
-        self.selector = selector
-        self.tracker = selector.tracker
-        self.router = Router(router, self.report, int(queries.shape[1]))
-        self.window = DispatchWindow(
-            config, selector, self.report, node_mailboxes, fpayload=fpayload
-        )
-        self.merger = ResultMerger(
-            config, results, self.report, one_sided=rma_window is not None
-        )
+        self.router = router
+        self.window = window
+        self.merger = merger
+        self.config = window.config
+        self.report = window.report
         #: (query_id, dists) completions awaiting adaptive second waves
         self._events: deque = deque()
         self._pending_pilot: dict[int, int] = {}
@@ -75,7 +54,7 @@ class CoordinatorPipeline:
         config, report = self.config, self.report
         window, merger = self.window, self.merger
         queries = self.queries
-        one_sided = self.rma_window is not None
+        one_sided = merger.one_sided
         batch_start = ctx.now
         outstanding = np.zeros(len(queries), dtype=np.int64)
         latencies = np.full(len(queries), np.nan)
@@ -101,7 +80,7 @@ class CoordinatorPipeline:
 
         # End of Queries to every worker node (Alg. 3 lines 12-14)
         with ctx.span("drain"):
-            yield from broadcast_end(ctx, self.node_mailboxes)
+            yield from broadcast_end(ctx, window.node_mailboxes)
 
         # collection loop (Alg. 3 lines 15-18): whatever is still in
         # flight — everything at W = 0, the uncollected tail at finite W.
@@ -119,9 +98,7 @@ class CoordinatorPipeline:
 
         if not one_sided:
             report.query_latencies = latencies
-        report.queue_depth_timeline = self.tracker.timeline()
-        report.max_outstanding_tasks = window.max_outstanding
-        report.credits_leaked = window.outstanding
+        report.queue_depth_timeline = window.tracker.timeline()
         return report
 
     # -- approx: route everything, batch per partition, collect after -------

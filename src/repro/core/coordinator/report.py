@@ -1,58 +1,33 @@
 """The per-coordinator measurement record.
 
-One :class:`MasterReport` per coordinator proc (the master, or each
-owner in the multiple-owner mode); the
-:class:`~repro.runtime.report.ReportBuilder` sums them into the public
-:class:`~repro.runtime.report.SearchReport`.
+One :class:`MasterReport` per coordinator proc (the master, or each owner
+in the multiple-owner mode).  It holds what only that proc can know and no
+instrument can — per-core dispatch counts, fan-outs, the per-query arrays
+— which the :class:`~repro.runtime.report.ReportBuilder` composes into
+the public :class:`~repro.runtime.report.SearchReport`.
 
-Every scalar counter lives in a :class:`~repro.obs.metrics.MetricsRegistry`
-rather than as a plain attribute: the attribute accesses below are
-properties over named registry instruments, so existing
-``report.tasks_sent += 1`` call sites keep working while the same counts
-surface in the unified metrics dump.  Handing several components the same
-registry (the master-worker strategy shares one per run) makes e.g. the
-admission queue's ``admission.admitted`` and this report's
-``admitted_queries`` literally the same counter.
+Its scalar counters are :class:`~repro.obs.metrics.Instrument` attributes
+over the run-wide :class:`~repro.obs.metrics.MetricsRegistry` every
+coordinator of a run shares, so ``report.tasks_sent += 1`` call sites
+count straight into the one set of books ``SearchReport`` reads from;
+nothing sums or copies them afterwards.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Instrument, MetricsRegistry
 
 __all__ = ["MasterReport"]
-
-
-def _reg_counter(metric: str):
-    """Property reading/writing a named registry counter (so ``+=`` works)."""
-
-    def fget(self):
-        return self.registry.counter(metric).value
-
-    def fset(self, value):
-        self.registry.counter(metric).value = value
-
-    return property(fget, fset)
-
-
-def _reg_gauge(metric: str):
-    def fget(self):
-        return self.registry.gauge(metric).value
-
-    def fset(self, value):
-        self.registry.gauge(metric).value = value
-
-    return property(fget, fset)
 
 
 class MasterReport:
     """What the coordinator learned during one batch (consumed by SearchReport)."""
 
-    def __init__(self, n_cores: int, registry: MetricsRegistry | None = None) -> None:
-        #: the metrics registry backing every scalar counter below; a
-        #: private one unless the caller shares the run-wide registry
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, n_cores: int, registry: MetricsRegistry) -> None:
+        #: the run-wide registry backing every scalar counter below
+        self.registry = registry
         self.dispatch_counts = np.zeros(n_cores, dtype=np.int64)
         self.fanouts: list[int] = []
         #: per-query completion latency (virtual s from batch start to the
@@ -75,45 +50,20 @@ class MasterReport:
         self.dispatch_times: np.ndarray | None = None
         self.complete_times: np.ndarray | None = None
 
-    # -- dispatch/routing counters (registry-backed) ----------------------
-    tasks_sent = _reg_counter("coordinator.tasks_sent")
+    # -- dispatch/routing counters ----------------------------------------
+    tasks_sent = Instrument("counter", "coordinator.tasks_sent")
     #: task *messages* sent; equals ``tasks_sent`` at batch_size 1,
     #: shrinks toward ``tasks_sent / batch_size`` as batching kicks in
-    batches_sent = _reg_counter("coordinator.batches_sent")
-    route_dist_evals = _reg_counter("router.dist_evals")
+    batches_sent = Instrument("counter", "coordinator.batches_sent")
+    route_dist_evals = Instrument("counter", "router.dist_evals")
+    #: virtual seconds dispatch spent blocked waiting for credits
+    credit_stall_seconds = Instrument("counter", "dispatch.credit_stall_seconds")
     # -- fault-tolerance accounting (zero on the plain paths) -------------
     #: re-dispatches to the same core after a timeout
-    retries = _reg_counter("faults.retries")
+    retries = Instrument("counter", "faults.retries")
     #: re-dispatches to a different replica after a timeout
-    failovers = _reg_counter("faults.failovers")
+    failovers = Instrument("counter", "faults.failovers")
     #: tasks abandoned with no live replica / attempts exhausted
-    failed_tasks = _reg_counter("faults.failed_tasks")
+    failed_tasks = Instrument("counter", "faults.failed_tasks")
     #: late or duplicated results dropped by (query, partition) dedup
-    duplicate_results = _reg_counter("faults.duplicate_results")
-    # -- pipelined dispatch accounting (zeros at dispatch_window == 0) ----
-    #: virtual seconds dispatch spent blocked waiting for credits
-    credit_stall_seconds = _reg_counter("dispatch.credit_stall_seconds")
-    #: peak tasks simultaneously in flight under credit accounting
-    max_outstanding_tasks = _reg_gauge("dispatch.max_outstanding_tasks")
-    #: credits still charged when the batch ended — a leak detector
-    #: (failover must reclaim a crashed worker's credits), always 0 on
-    #: a correct run
-    credits_leaked = _reg_gauge("dispatch.credits_leaked")
-    # -- open-loop serving accounting (zeros in closed-loop runs) ---------
-    #: queries the arrival process offered to the ingress
-    offered_queries = _reg_counter("serving.offered")
-    #: queries that entered service (includes cache hits); same instrument
-    #: as AdmissionQueue.admitted when the registry is shared
-    admitted_queries = _reg_counter("admission.admitted")
-    #: queued queries dropped by the shed-oldest overload policy
-    shed_queries = _reg_counter("admission.shed")
-    #: arrivals refused outright by the reject overload policy
-    rejected_queries = _reg_counter("admission.rejected")
-    #: peak ingress-queue occupancy
-    max_ingress_depth = _reg_gauge("admission.max_depth")
-    #: result-cache counters (zero when the cache is off); same instruments
-    #: as ResultCache's when the registry is shared
-    cache_hits = _reg_counter("cache.hits")
-    cache_misses = _reg_counter("cache.misses")
-    cache_stale = _reg_counter("cache.stale")
-    cache_evictions = _reg_counter("cache.evictions")
+    duplicate_results = Instrument("counter", "faults.duplicate_results")

@@ -84,8 +84,12 @@ class DispatchWindow:
         )
         #: (query_id, partition_id) -> core currently charged for the task
         self.charged: dict[tuple[int, int], int] = {}
-        self.outstanding = 0
-        self.max_outstanding = 0
+        #: tasks in flight under credit accounting.  Whatever is still
+        #: charged when the run ends is a leak (failover must reclaim a
+        #: crashed worker's credits), hence the instrument's name: 0 on a
+        #: correct run
+        self.outstanding = report.registry.gauge("dispatch.credits_leaked")
+        self.peak_outstanding = report.registry.gauge("dispatch.max_outstanding_tasks")
         #: set by the pipeline to observe dispatched query ids (per-query
         #: outstanding-result accounting for latencies)
         self.on_dispatch = None
@@ -123,7 +127,7 @@ class DispatchWindow:
         if core is None:
             return None
         self.credits[core] += 1
-        self.outstanding -= 1
+        self.outstanding.value -= 1
         return core
 
     def _await_credit(self, ctx: Context, merger, partition_id: int, need: int):
@@ -165,9 +169,8 @@ class DispatchWindow:
             self.credits[core] -= need
             for q in query_ids:
                 self.charged[(q, partition_id)] = core
-            self.outstanding += need
-            if self.outstanding > self.max_outstanding:
-                self.max_outstanding = self.outstanding
+            self.outstanding.value += need
+            self.peak_outstanding.track_max(self.outstanding.value)
         if ctx.trace_active:
             ctx.trace_instant(
                 "task_send", query_ids=tuple(query_ids), partition=partition_id, core=int(core)

@@ -21,7 +21,7 @@ from repro.core.build import BuildOutput, run_build
 from repro.core.config import SystemConfig
 from repro.core.searcher import LocalSearcher, ModeledSearcher, RealHnswSearcher
 from repro.runtime.report import SearchReport
-from repro.utils.validation import check_matrix, check_positive_int
+from repro.utils.validation import check_matrix, check_query
 
 __all__ = ["DistributedANN", "BuildReport", "SearchReport"]
 
@@ -151,18 +151,11 @@ class DistributedANN:
         )
 
     def _check_query(self, Q: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-        """Validated ``(Q, k)`` for a fitted system: a float32 matrix of the
-        index's width and a positive integer k no larger than the number of
-        indexed points (counted now, so it follows ``add_points``)."""
+        """:func:`~repro.utils.validation.check_query` for a fitted system
+        (points counted now, so the bound follows ``add_points``)."""
         self._require_fitted()
-        Q = check_matrix(Q, "Q")
-        if Q.shape[1] != self._dim:
-            raise ValueError(f"queries are {Q.shape[1]}-d, index is {self._dim}-d")
-        k = check_positive_int(k, "k")
         n_points = sum(p.n_points for p in self._build.partitions.values())
-        if k > n_points:
-            raise ValueError(f"k={k} exceeds the {n_points} indexed points")
-        return Q, k
+        return check_query(Q, k, self._dim, n_points)
 
     def _resolve_filter(self, filter, tenant) -> dict | None:  # noqa: A002
         """The run's wire filter payload, or None for an unfiltered run.

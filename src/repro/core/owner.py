@@ -38,10 +38,12 @@ def owner_node_program(
     owner_comm: Comm,
     k: int,
     node_id: int,
+    metrics,
     fpayload: dict | None = None,
 ):
-    """One node's owner proc.  Returns a :class:`MasterReport`."""
-    report = MasterReport(config.n_cores)
+    """One node's owner proc.  Returns a :class:`MasterReport` whose
+    counters are the run-wide ``metrics`` registry's, shared by every owner."""
+    report = MasterReport(config.n_cores, metrics)
     route = Router(router, report, int(Q.shape[1]))
     wfilter = wire_filter(fpayload)
     expected = 0

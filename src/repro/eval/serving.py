@@ -36,13 +36,6 @@ class ServingStats:
     slo_target_seconds: float
     slo_violation_fraction: float
 
-    @property
-    def drop_fraction(self) -> float:
-        """Fraction of offered queries never answered (shed + rejected)."""
-        if self.offered == 0:
-            return 0.0
-        return (self.shed + self.rejected) / self.offered
-
 
 def serving_stats(report) -> ServingStats:
     """Summarise a serving :class:`SearchReport`.

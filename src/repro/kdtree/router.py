@@ -128,16 +128,3 @@ class KDPartitionRouter:
         while not node.is_leaf:
             node = node.left if float(q[node.axis]) <= node.threshold else node.right
         return node.partition
-
-    def partitions(self) -> list[int]:
-        out: list[int] = []
-
-        def rec(node: KDRouteNode) -> None:
-            if node.is_leaf:
-                out.append(node.partition)
-            else:
-                rec(node.left)
-                rec(node.right)
-
-        rec(self.root)
-        return out

@@ -33,7 +33,7 @@ from repro.runtime import ClusterRuntime, MasterWorkerStrategy
 from repro.simmpi.comm import Comm
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.engine import Simulation
-from repro.utils.validation import check_matrix
+from repro.utils.validation import check_matrix, check_query
 
 __all__ = ["KDExactSearcher", "KDBaselineSystem"]
 
@@ -136,10 +136,8 @@ class KDBaselineSystem:
         """Exact batch k-NN; returns (D, I, SearchReport)."""
         if self._router is None:
             raise RuntimeError("call fit(X) before querying")
-        Q = check_matrix(Q, "Q")
-        if Q.shape[1] != self._dim:
-            raise ValueError(f"queries are {Q.shape[1]}-d, index is {self._dim}-d")
-        k = k or self.config.k
+        n_points = sum(p.n_points for p in self._partitions.values())
+        Q, k = check_query(Q, self.config.k if k is None else k, self._dim, n_points)
         searcher = KDExactSearcher(self.config.cost, self.work_scale)
         runtime = ClusterRuntime(self.config)
         return runtime.run_search(

@@ -144,9 +144,3 @@ class KDTree:
 
         rec(self.root)
         return out
-
-    def depth(self) -> int:
-        def rec(node: KDNode) -> int:
-            return 0 if node.is_leaf else 1 + max(rec(node.left), rec(node.right))
-
-        return rec(self.root)

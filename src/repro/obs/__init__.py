@@ -11,11 +11,13 @@ from repro.obs.explain import render_explain, slowest_queries
 from repro.obs.export import (
     EVENTS_SCHEMA,
     INSTANT_NAMES,
+    METRIC_NAMES,
     SPAN_NAMES,
     chrome_trace,
     events_lines,
     validate_chrome_trace,
     validate_events,
+    validate_metrics,
     write_chrome_trace,
     write_events_jsonl,
     write_metrics_json,
@@ -26,6 +28,7 @@ from repro.obs.trace import InstantRecord, SpanRecord, TraceRecorder
 __all__ = [
     "EVENTS_SCHEMA",
     "INSTANT_NAMES",
+    "METRIC_NAMES",
     "SPAN_NAMES",
     "Counter",
     "Gauge",
@@ -40,6 +43,7 @@ __all__ = [
     "slowest_queries",
     "validate_chrome_trace",
     "validate_events",
+    "validate_metrics",
     "write_chrome_trace",
     "write_events_jsonl",
     "write_metrics_json",

@@ -20,8 +20,12 @@ Two artifact formats share one source of truth (a
   ``LoadTracker`` queue-depth timeline into the same schema, so downstream
   tooling needs exactly one parser.
 
-Both validators return error lists (empty = valid) and treat an unknown
-span/instant name as an error — the CI vocabulary drift guard.
+A third artifact, the ``--metrics-out`` registry dump, is written as is
+(:func:`write_metrics_json`).
+
+The validators return error lists (empty = valid) and treat an unknown
+span, instant or instrument name as an error — the CI vocabulary drift
+guard.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from collections import defaultdict
 __all__ = [
     "EVENTS_SCHEMA",
     "INSTANT_NAMES",
+    "METRIC_NAMES",
     "SPAN_NAMES",
     "chrome_trace",
     "events_lines",
     "validate_chrome_trace",
     "validate_events",
+    "validate_metrics",
     "write_chrome_trace",
     "write_events_jsonl",
     "write_metrics_json",
@@ -71,6 +77,56 @@ INSTANT_NAMES = frozenset(
         "task_settle",  # a task's result (or credit ack) settled
         "suspect_core",  # FT harness marked a core as suspected dead
         "complete",  # all of a query's tasks settled; answer finalized
+    }
+)
+
+#: the complete instrument vocabulary (counters, gauges, histograms) —
+#: every name some module registers in a run's or a build's registry
+METRIC_NAMES = frozenset(
+    {
+        # simmpi engine, filled once when a simulation ends
+        "sim.events",
+        "sim.msgs_sent",
+        "sim.bytes_sent",
+        "sim.rma_ops",
+        "sim.makespan_seconds",  # gauge
+        # coordinators and owners (MasterReport)
+        "coordinator.tasks_sent",
+        "coordinator.batches_sent",
+        "router.dist_evals",
+        "faults.retries",
+        "faults.failovers",
+        "faults.failed_tasks",
+        "faults.duplicate_results",
+        # credit window (DispatchWindow) and replica load model (LoadTracker)
+        "dispatch.credit_stall_seconds",
+        "dispatch.max_outstanding_tasks",  # gauge
+        "dispatch.credits_leaked",  # gauge
+        "loadtracker.peak_total_queued",  # gauge
+        # open-loop serving: schedule, admission queue, result cache
+        "serving.offered",
+        "admission.admitted",
+        "admission.shed",
+        "admission.rejected",
+        "admission.max_depth",  # gauge
+        "cache.hits",
+        "cache.misses",
+        "cache.stale",
+        "cache.evictions",
+        # filtered / multi-tenant search (ClusterRuntime.run_search)
+        "filter.queries",
+        "filter.tasks_pre",
+        "filter.tasks_post",
+        "filter.evals_pre",
+        "filter.evals_post",
+        "filter.empty_tasks",
+        "tenant.queries",
+        # index construction, merged in from BuildOutput.metrics
+        "hnsw.build.dist_evals",
+        "hnsw.build.shrink_ops",
+        "hnsw.build.native_build_active",  # gauge
+        # per-query latencies (ReportBuilder), the one histogram
+        "query.latency_seconds",
     }
 )
 
@@ -167,17 +223,6 @@ def _counter_events(recorder, report) -> list:
                     "args": {"queries": level},
                 }
             )
-    for name, ts, value in recorder.counter_samples:
-        events.append(
-            {
-                "ph": "C",
-                "name": name,
-                "pid": 0,
-                "tid": 0,
-                "ts": float(ts) * _US,
-                "args": {"value": float(value)},
-            }
-        )
     return events
 
 
@@ -298,11 +343,6 @@ def events_lines(recorder, report=None) -> list[str]:
                      "value": float(depth)}
                 )
             )
-    for name, ts, value in recorder.counter_samples:
-        lines.append(
-            json.dumps({"type": "counter", "name": name, "ts": float(ts),
-                        "value": float(value)})
-        )
     arrivals = getattr(report, "arrival_times", None) if report is not None else None
     if arrivals is not None:
         dispatches = report.dispatch_times
@@ -415,4 +455,30 @@ def validate_events(lines) -> list[str]:
         elif rtype == "query":
             if not isinstance(rec.get("id"), int):
                 errors.append(f"{where}: query record needs an integer id")
+    return errors
+
+
+def validate_metrics(dump, required=()) -> list[str]:
+    """Validate a metrics-registry dump; return a list of errors.
+
+    An instrument outside :data:`METRIC_NAMES` is an error (labels, the
+    ``{...}`` suffix of a key, are free), and so is a ``(kind,
+    instrument)`` of ``required`` that the dump lacks — pass
+    ``repro.runtime.report.REPORT_INSTRUMENTS.values()`` to check that a
+    run exported everything its report reads.
+    """
+    sections = ("counters", "gauges", "histograms")
+    if not isinstance(dump, dict) or not all(isinstance(dump.get(s), dict) for s in sections):
+        return [f"top level must be an object with {', '.join(sections)} objects"]
+    errors = [
+        f"{section}: unknown instrument {key!r}"
+        for section in sections
+        for key in dump[section]
+        if key.split("{", 1)[0] not in METRIC_NAMES
+    ]
+    errors += [
+        f"{kind}s: instrument {instrument!r} is missing"
+        for kind, instrument in required
+        if instrument not in dump[kind + "s"]
+    ]
     return errors

@@ -1,12 +1,13 @@
 """Metrics registry: counters, gauges, and histograms with label sets.
 
-One :class:`MetricsRegistry` per run is the single instrument seam of the
-system: the simulation engine, the coordinator parts, the load tracker, and
-the serving layer all register their counters here instead of keeping
-scattered one-off attributes.  :class:`~repro.runtime.report.SearchReport`
-scalar fields are thin reads of the same registry (see
-``repro.core.coordinator.report.MasterReport``), so nothing is counted
-twice and everything lands in one exportable dump.
+One :class:`MetricsRegistry` per run is the only store of scalar telemetry:
+the simulation engine, every coordinator and owner, the dispatch window, the
+load tracker and the serving layer all count into the registry the
+:class:`~repro.runtime.cluster.ClusterRuntime` hands them, each number
+written where it is produced (an :class:`Instrument` attribute or a held
+:class:`Counter` / :class:`Gauge`).  :class:`~repro.runtime.report.
+SearchReport` stores the registry's dump and reads its scalars back out of
+it, so there is one set of books and one exportable dump.
 
 Instruments are identified by ``(name, sorted(labels))``; asking for the
 same name+labels twice returns the same object.  Recording is plain python
@@ -17,7 +18,9 @@ randomness, so enabling metrics cannot perturb a run.
 
 from __future__ import annotations
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+from operator import methodcaller
+
+__all__ = ["Counter", "Gauge", "Histogram", "Instrument", "MetricsRegistry"]
 
 #: default histogram bucket upper bounds (seconds-ish exponential ladder)
 DEFAULT_BUCKETS = (
@@ -122,8 +125,8 @@ class MetricsRegistry:
     """A namespace of counters, gauges, and histograms.
 
     ``counter``/``gauge``/``histogram`` are get-or-create; instruments are
-    shared by identity so e.g. ``AdmissionQueue`` and ``MasterReport`` can
-    read and write the *same* counter when handed the same registry.
+    shared by identity, so every owner of one run counts into the same
+    ``coordinator.tasks_sent`` when handed the same registry.
     """
 
     __slots__ = ("_counters", "_gauges", "_histograms")
@@ -205,3 +208,33 @@ class MetricsRegistry:
                 for h in self._histograms.values()
             },
         }
+
+
+class Instrument:
+    """Class attribute backed by one named counter or gauge.
+
+    ``tasks_sent = Instrument("counter", "coordinator.tasks_sent")`` on a
+    class whose instances carry a ``registry`` makes ``obj.tasks_sent`` read
+    and ``obj.tasks_sent += n`` write that instrument's value — the owner
+    keeps its plain-attribute call sites and the registry keeps the number.
+    """
+
+    __slots__ = ("_store", "_key", "_create")
+
+    def __init__(self, kind: str, name: str) -> None:
+        self._store = f"_{kind}s"  # the registry dict that holds this kind
+        self._key = _key(name, {})
+        self._create = methodcaller(kind, name)
+
+    def _of(self, registry: MetricsRegistry):
+        # one dict lookup per access: these sit on the per-task send path
+        inst = getattr(registry, self._store).get(self._key)
+        return inst if inst is not None else self._create(registry)
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return self._of(obj.registry).value
+
+    def __set__(self, obj, value) -> None:
+        self._of(obj.registry).value = value

@@ -1,8 +1,8 @@
 """Per-query distributed trace recorder.
 
 A :class:`TraceRecorder` collects *spans* (named virtual-time intervals on
-one proc, with intra-proc parent links), *instants* (zero-width markers),
-and *counter samples* across every proc of a simulation run.  It is pure
+one proc, with intra-proc parent links) and *instants* (zero-width
+markers) across every proc of a simulation run.  It is pure
 bookkeeping: recording appends to python lists and never touches the
 engine's clocks, scheduling, or randomness, so a traced run is bit-identical
 to an untraced one — the zero-virtual-time invariant the observability
@@ -56,15 +56,13 @@ def _clean(attrs: dict | None) -> dict | None:
 
 
 class TraceRecorder:
-    """Append-only store of spans/instants/counter samples for one run."""
+    """Append-only store of spans and instants for one run."""
 
-    __slots__ = ("spans", "instants", "counter_samples", "procs", "_stacks", "_next_id")
+    __slots__ = ("spans", "instants", "procs", "_stacks", "_next_id")
 
     def __init__(self) -> None:
         self.spans: list[SpanRecord] = []
         self.instants: list[InstantRecord] = []
-        #: (name, virtual_ts, value) samples for counter tracks
-        self.counter_samples: list[tuple] = []
         #: pid -> (proc name, node)
         self.procs: dict[int, tuple] = {}
         self._stacks: dict[int, list[SpanRecord]] = {}
@@ -103,13 +101,10 @@ class TraceRecorder:
         self.spans.append(span)
         return span
 
-    # -- instants / counters ---------------------------------------------
+    # -- instants -----------------------------------------------------------
 
     def instant(self, pid: int, name: str, ts: float, attrs: dict | None = None) -> None:
         self.instants.append(InstantRecord(pid, name, ts, _clean(attrs)))
-
-    def counter(self, name: str, ts: float, value: float) -> None:
-        self.counter_samples.append((name, ts, value))
 
     # -- queries ----------------------------------------------------------
 

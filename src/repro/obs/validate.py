@@ -1,10 +1,13 @@
 """Artifact validator CLI: ``python -m repro.obs.validate FILE [FILE ...]``.
 
-``*.json`` files are checked against the Chrome trace-event schema,
-``*.jsonl`` files against the versioned JSONL event schema
-(:data:`repro.obs.export.EVENTS_SCHEMA`).  Unknown span or instant names
-are errors — this is the CI vocabulary drift guard.  Exits non-zero if any
-file fails.
+``*.jsonl`` files are checked against the versioned JSONL event schema
+(:data:`repro.obs.export.EVENTS_SCHEMA`); a JSON file with a
+``counters`` section as a ``--metrics-out`` registry dump, which must also
+carry every instrument a :class:`~repro.runtime.report.SearchReport` reads
+(:data:`~repro.runtime.report.REPORT_INSTRUMENTS`); any other JSON file
+against the Chrome trace-event schema.  Unknown span, instant
+or instrument names are errors — this is the CI vocabulary drift guard.
+Exits non-zero if any file fails.
 """
 
 from __future__ import annotations
@@ -12,29 +15,35 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.obs.export import validate_chrome_trace, validate_events
+from repro.obs.export import validate_chrome_trace, validate_events, validate_metrics
 
 __all__ = ["main"]
+
+
+def _validate_json(obj) -> list[str]:
+    if isinstance(obj, dict) and "counters" in obj:
+        # deferred: repro.obs itself imports no other repro package
+        from repro.runtime.report import REPORT_INSTRUMENTS
+
+        return validate_metrics(obj, required=REPORT_INSTRUMENTS.values())
+    return validate_chrome_trace(obj)
 
 
 def main(argv: list[str] | None = None) -> int:
     paths = sys.argv[1:] if argv is None else argv
     if not paths:
-        print("usage: python -m repro.obs.validate TRACE.json EVENTS.jsonl ...")
+        print("usage: python -m repro.obs.validate TRACE.json EVENTS.jsonl METRICS.json ...")
         return 2
     failed = False
     for path in paths:
-        if path.endswith(".jsonl"):
-            with open(path) as fh:
+        with open(path) as fh:
+            if path.endswith(".jsonl"):
                 errors = validate_events(fh.readlines())
-        else:
-            with open(path) as fh:
+            else:
                 try:
-                    obj = json.load(fh)
+                    errors = _validate_json(json.load(fh))
                 except json.JSONDecodeError as exc:
-                    obj, errors = None, [f"invalid JSON: {exc}"]
-            if obj is not None:
-                errors = validate_chrome_trace(obj)
+                    errors = [f"invalid JSON: {exc}"]
         if errors:
             failed = True
             print(f"{path}: INVALID ({len(errors)} error(s))")

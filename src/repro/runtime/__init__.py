@@ -12,7 +12,7 @@ cluster) and the per-role programs in :mod:`repro.core`
 :class:`~repro.kdtree.system.KDBaselineSystem`).
 """
 
-from repro.runtime.cluster import ClusterRuntime, SearchJob, run_search
+from repro.runtime.cluster import ClusterRuntime, SearchJob
 from repro.runtime.report import ReportBuilder, SearchReport
 from repro.runtime.strategies import (
     DispatchStrategy,
@@ -24,7 +24,6 @@ from repro.runtime.strategies import (
 __all__ = [
     "ClusterRuntime",
     "SearchJob",
-    "run_search",
     "ReportBuilder",
     "SearchReport",
     "DispatchStrategy",

@@ -45,7 +45,7 @@ from repro.runtime.report import ReportBuilder, SearchReport
 from repro.runtime.strategies import DispatchStrategy
 from repro.simmpi.engine import Event, Simulation
 
-__all__ = ["ClusterRuntime", "SearchJob", "run_search"]
+__all__ = ["ClusterRuntime", "SearchJob"]
 
 
 class _RowLoop:
@@ -116,8 +116,9 @@ class ClusterRuntime:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.faults = FaultInjector(config.fault_spec) if config.fault_spec is not None else None
-        #: run-wide metrics registry: the engine, the coordinator parts, the
-        #: load tracker, and the serving layer all record into this one seam
+        #: run-wide metrics registry: the engine, every coordinator and owner,
+        #: the load tracker and the serving layer all count into this one
+        #: set of books, and the report reads its scalars back out of it
         self.metrics = MetricsRegistry()
         #: per-query distributed trace recorder, attached only when the
         #: config asks for observability output (recording is bit-identity-
@@ -205,54 +206,30 @@ class ClusterRuntime:
 
         out = self.sim.run()
         D, I = job.results.result_arrays()
-        # fold the run's filter/tenant accounting into the registry before
-        # the builder snapshots it into report.metrics.  The resolved tenant
+        # the run's filter/tenant accounting goes into the registry before
+        # the builder dumps it into report.metrics.  The resolved tenant
         # rides the filter payload (per-call tenant= overrides the config's);
         # a bare config tenant with no payload still tags.
         tenant = fpayload.get("tenant") if fpayload is not None else cfg.tenant
         if tenant is not None:
             self.metrics.counter("tenant.queries").inc(len(Q))
-        fdeltas: dict[str, int] = {}
         if fpayload is not None:
+            self.metrics.counter("filter.queries").inc(len(Q))
             fstats = getattr(searcher, "filter_stats", None) or {}
             for name, value in fstats.items():
-                delta = int(value) - int(fstats_before.get(name, 0))
-                fdeltas[name] = delta
                 # filter_tasks_pre -> the "filter.tasks_pre" instrument
-                self.metrics.counter("filter." + name[len("filter_"):]).inc(delta)
+                self.metrics.counter("filter." + name[len("filter_"):]).inc(
+                    int(value) - int(fstats_before.get(name, 0))
+                )
         report = ReportBuilder(
             out,
             strategy.coordinator_pids,
             len(Q),
+            self.metrics,
             worker_cores=worker_cores,
             aux_pids=getattr(strategy, "aux_pids", ()),
             slo_target_seconds=cfg.slo_ms / 1e3,
-            metrics=self.metrics,
+            tenant_id=-1 if tenant is None else int(tenant),
             trace=self.recorder,
         ).build()
-        report.tenant_id = -1 if tenant is None else int(tenant)
-        if tenant is not None:
-            report.tenant_queries = len(Q)
-        if fpayload is not None:
-            report.filtered_queries = len(Q)
-            for name, delta in fdeltas.items():
-                setattr(report, name, delta)
         return D, I, report
-
-
-def run_search(
-    config: SystemConfig,
-    strategy: DispatchStrategy,
-    router: Any,
-    workgroups: Workgroups,
-    node_stores: dict[int, NodeStore],
-    searcher: LocalSearcher,
-    Q: np.ndarray,
-    k: int,
-    *,
-    fpayload: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, SearchReport]:
-    """One-shot convenience: build a :class:`ClusterRuntime` and run."""
-    return ClusterRuntime(config).run_search(
-        strategy, router, workgroups, node_stores, searcher, Q, k, fpayload=fpayload
-    )

@@ -11,7 +11,7 @@ so report semantics can never drift between strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.simmpi.engine import SimulationResult
 from repro.simmpi.trace import aggregate_spans, aggregate_stats
 
-__all__ = ["SearchReport", "ReportBuilder", "REPORT_SCHEMA"]
+__all__ = ["SearchReport", "ReportBuilder", "REPORT_SCHEMA", "REPORT_INSTRUMENTS"]
 
 #: schema version stamped on SearchReport.to_dict() payloads
 REPORT_SCHEMA = "repro.search_report/v1"
@@ -36,6 +36,45 @@ _FLOAT_ARRAY_FIELDS = (
     "complete_times",
 )
 _FLOAT_ARRAY_2D_FIELDS = ("queue_depth_timeline",)
+
+#: ``{report name: (kind, instrument)}`` — every scalar of a
+#: :class:`SearchReport` that an instrument of the run's registry already
+#: holds.  The report stores none of them: each name is a read-only property
+#: over ``report.metrics`` (0 where the dump lacks the instrument), and this
+#: table is the only place that knows which instrument backs which name.
+#: What each one counts is in docs/observability.md, row for row.
+REPORT_INSTRUMENTS: dict[str, tuple[str, str]] = {
+    "tasks": ("counter", "coordinator.tasks_sent"),
+    "task_messages": ("counter", "coordinator.batches_sent"),
+    "n_events": ("counter", "sim.events"),
+    # pipelined dispatch (zeros at dispatch_window == 0)
+    "credit_stall_seconds": ("counter", "dispatch.credit_stall_seconds"),
+    "max_outstanding_tasks": ("gauge", "dispatch.max_outstanding_tasks"),
+    "credits_leaked": ("gauge", "dispatch.credits_leaked"),
+    # fault tolerance (zeros on fault-free runs)
+    "retries": ("counter", "faults.retries"),
+    "failovers": ("counter", "faults.failovers"),
+    "failed_tasks": ("counter", "faults.failed_tasks"),
+    "duplicate_results": ("counter", "faults.duplicate_results"),
+    # open-loop serving (zeros on closed-loop runs, or with the cache off)
+    "offered_queries": ("counter", "serving.offered"),
+    "admitted_queries": ("counter", "admission.admitted"),
+    "shed_queries": ("counter", "admission.shed"),
+    "rejected_queries": ("counter", "admission.rejected"),
+    "max_ingress_depth": ("gauge", "admission.max_depth"),
+    "cache_hits": ("counter", "cache.hits"),
+    "cache_misses": ("counter", "cache.misses"),
+    "cache_stale": ("counter", "cache.stale"),
+    "cache_evictions": ("counter", "cache.evictions"),
+    # filtered & multi-tenant search (zeros on unfiltered runs)
+    "filtered_queries": ("counter", "filter.queries"),
+    "filter_tasks_pre": ("counter", "filter.tasks_pre"),
+    "filter_tasks_post": ("counter", "filter.tasks_post"),
+    "filter_evals_pre": ("counter", "filter.evals_pre"),
+    "filter_evals_post": ("counter", "filter.evals_post"),
+    "filter_empty_tasks": ("counter", "filter.empty_tasks"),
+    "tenant_queries": ("counter", "tenant.queries"),
+}
 
 
 def _json_safe(value):
@@ -64,17 +103,18 @@ def _float_array(values, ndim: int = 1) -> np.ndarray:
 
 @dataclass
 class SearchReport:
-    """Batch-search measurements (Figs. 3-5, Table III quantities)."""
+    """Batch-search measurements (Figs. 3-5, Table III quantities).
+
+    The fields are what no instrument holds — times, arrays, breakdowns.
+    Every scalar count (``tasks``, ``cache_hits``, ``n_events``, ... — the
+    names of :data:`REPORT_INSTRUMENTS`) is a read-only property over
+    :attr:`metrics`, the run's registry dump.
+    """
 
     #: total query time, virtual seconds (the paper's headline metric)
     total_seconds: float
     #: number of queries in the batch
     n_queries: int
-    #: tasks dispatched (sum over queries of partition fan-out)
-    tasks: int
-    #: task *messages* sent; equals ``tasks`` at batch_size 1 and shrinks
-    #: toward ``tasks / batch_size`` as dispatch batching kicks in
-    task_messages: int = 0
     #: per-core dispatch counts (Fig. 4b's distribution)
     dispatch_counts: np.ndarray | None = None
     #: mean partitions visited per query
@@ -83,8 +123,6 @@ class SearchReport:
     worker_breakdown: dict = field(default_factory=dict)
     #: aggregate master/owner time breakdown
     master_breakdown: dict = field(default_factory=dict)
-    #: engine events processed (simulation diagnostics)
-    n_events: int = 0
     #: per-query completion latencies in virtual seconds (two-sided
     #: master-worker mode only; None when results return one-sided or when
     #: multiple owners each observe only their own slice)
@@ -102,26 +140,10 @@ class SearchReport:
     #: small runs; capped/downsampled on large ones (see
     #: LoadTracker.max_timeline_samples and docs/load_balancing.md)
     queue_depth_timeline: np.ndarray | None = None
-    # -- pipelined dispatch measurements (zeros at dispatch_window == 0) --
-    #: virtual seconds the coordinator spent blocked on dispatch credits
-    credit_stall_seconds: float = 0.0
-    #: peak tasks simultaneously in flight under credit accounting
-    max_outstanding_tasks: int = 0
-    #: dispatch credits still charged when the run ended — 0 on a correct
-    #: run (failover must reclaim a crashed worker's credits)
-    credits_leaked: int = 0
     #: elapsed virtual seconds per pipeline phase, summed over all procs —
     #: keys always include :data:`~repro.simmpi.trace.PHASES`
     phase_breakdown: dict = field(default_factory=dict)
-    # -- fault-tolerance measurements (zeros / None on fault-free runs) --
-    #: re-dispatches to the same core after a task timeout
-    retries: int = 0
-    #: re-dispatches to a different replica after a task timeout
-    failovers: int = 0
-    #: tasks abandoned after exhausting attempts / live replicas
-    failed_tasks: int = 0
-    #: late or duplicated results dropped by the dedup at the master
-    duplicate_results: int = 0
+    # -- fault-tolerance measurements (empty / None on fault-free runs) --
     #: cores the dispatcher suspected dead (repeated timeouts)
     suspected_dead_cores: list = field(default_factory=list)
     #: per-query fraction of routed partitions that answered, in [0, 1];
@@ -132,55 +154,23 @@ class SearchReport:
     fault_events: tuple = ()
     #: pids killed by injected rank crashes
     crashed_pids: tuple = ()
-    # -- open-loop serving measurements (zeros / None on closed-loop runs) --
-    #: queries the arrival process offered to the serving ingress
-    offered_queries: int = 0
-    #: queries that entered service (includes cache hits)
-    admitted_queries: int = 0
-    #: queued queries dropped by the shed-oldest overload policy
-    shed_queries: int = 0
-    #: arrivals refused outright by the reject overload policy
-    rejected_queries: int = 0
-    #: peak ingress-queue occupancy during the run
-    max_ingress_depth: int = 0
-    #: hot-query result cache counters (zeros when the cache was off)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stale: int = 0
-    cache_evictions: int = 0
-    #: per-query serving timestamps on the virtual clock (None on
-    #: closed-loop runs; NaN entries for shed/rejected queries).  In
-    #: serving runs :attr:`query_latencies` is ``complete - arrival`` —
-    #: the arrival-to-completion latency the SLO is judged on.
+    # -- open-loop serving measurements (None on closed-loop runs) --
+    #: per-query serving timestamps on the virtual clock (NaN entries for
+    #: shed/rejected queries).  In serving runs :attr:`query_latencies` is
+    #: ``complete - arrival`` — the arrival-to-completion latency the SLO
+    #: is judged on.
     arrival_times: np.ndarray | None = None
     dispatch_times: np.ndarray | None = None
     complete_times: np.ndarray | None = None
     #: the run's SLO target in virtual seconds (0 = no target set)
     slo_target_seconds: float = 0.0
-    # -- filtered & multi-tenant search (zeros on unfiltered runs) --
-    #: queries that carried a filter predicate (the filter is per-run, so
-    #: this is the whole batch or zero)
-    filtered_queries: int = 0
-    #: filtered tasks answered by brute force over the matching rows
-    #: (the low-selectivity "pre" strategy)
-    filter_tasks_pre: int = 0
-    #: filtered tasks answered by filtered graph traversal (the
-    #: high-selectivity "post" strategy)
-    filter_tasks_post: int = 0
-    #: distance evaluations charged by pre-strategy (brute-force) tasks
-    filter_evals_pre: int = 0
-    #: distance evaluations charged by post-strategy (traversal) tasks
-    filter_evals_post: int = 0
-    #: filtered tasks whose partition held no matching row at all
-    filter_empty_tasks: int = 0
+    # -- filtered & multi-tenant search --
     #: recall of the filtered answers against brute force over the
     #: matching rows; filled by the eval/bench layer, 0.0 when unmeasured
     filtered_recall: float = 0.0
     #: tenant the run's queries belong to (-1 = single-tenant run)
     tenant_id: int = -1
-    #: queries served under that tenant (0 when ``tenant_id`` is -1)
-    tenant_queries: int = 0
-    #: unified metrics-registry dump for the run (see repro.obs.metrics):
+    #: the run's metrics-registry dump (see repro.obs.metrics):
     #: {"counters": ..., "gauges": ..., "histograms": ...}
     metrics: dict = field(default_factory=dict)
     #: the run's :class:`~repro.obs.trace.TraceRecorder` when observability
@@ -191,8 +181,10 @@ class SearchReport:
 
     def to_dict(self) -> dict:
         """Strict-JSON-safe dict: numpy arrays become lists, NaN entries
-        (shed/rejected queries) become None.  Round-trips via
-        :meth:`from_dict`; the live ``trace`` handle is excluded."""
+        (shed/rejected queries) become None.  Carries the fields and, flat
+        beside them, every :data:`REPORT_INSTRUMENTS` scalar (the schema-v1
+        key set).  Round-trips via :meth:`from_dict`; the live ``trace``
+        handle is excluded."""
         out: dict = {"schema": REPORT_SCHEMA}
         for f in fields(self):
             if f.name == "trace":
@@ -206,16 +198,32 @@ class SearchReport:
                     for e in value
                 ]
             out[f.name] = _json_safe(value)
+        for name in REPORT_INSTRUMENTS:
+            out[name] = _json_safe(getattr(self, name))
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchReport":
-        """Inverse of :meth:`to_dict` (None entries back to NaN)."""
-        known = {f.name for f in fields(cls)} - {"trace"}
+        """Inverse of :meth:`to_dict` (None entries back to NaN).
+
+        Reads the fields only: the flat scalar keys are derived from
+        ``metrics`` and ignored, like any unknown key.  ``ValueError`` on a
+        payload of another schema or one missing a required field.
+        """
+        if data.get("schema") != REPORT_SCHEMA:
+            raise ValueError(
+                f"not a {REPORT_SCHEMA} payload: schema is {data.get('schema')!r}"
+            )
         kwargs = {}
-        for name, value in data.items():
-            if name not in known:
+        for f in fields(cls):
+            name = f.name
+            if name == "trace":
                 continue
+            if name not in data:
+                if f.default is MISSING and f.default_factory is MISSING:
+                    raise ValueError(f"search report payload has no {name!r}")
+                continue
+            value = data[name]
             if value is not None:
                 if name in _INT_ARRAY_FIELDS:
                     value = np.asarray(value, dtype=np.int64)
@@ -277,13 +285,6 @@ class SearchReport:
         return float(np.mean(self.completeness >= 1.0))
 
     @property
-    def degraded_queries(self) -> int:
-        """Number of queries flagged partial (completeness < 1)."""
-        if self.completeness is None:
-            return 0
-        return int(np.sum(self.completeness < 1.0))
-
-    @property
     def imbalance_factor(self) -> float:
         """Max/mean observed per-core busy time — 1.0 is perfect balance;
         the straggler factor that bounds the batch makespan (Fig. 4's
@@ -314,14 +315,41 @@ class SearchReport:
         return comm / total if total > 0 else 0.0
 
 
+def _projected(kind: str, instrument: str) -> property:
+    group = kind + "s"  # the dump's "counters" / "gauges" section
+
+    def read(self):
+        return self.metrics.get(group, {}).get(instrument, 0)
+
+    return property(read, doc=f"The run's ``{instrument}`` {kind}, read from :attr:`metrics`.")
+
+
+for _name, _backing in REPORT_INSTRUMENTS.items():
+    setattr(SearchReport, _name, _projected(*_backing))
+
+#: MasterReport arrays that are per query, so they compose only from a
+#: single coordinator that saw the whole batch: the master.  Owners each
+#: see only their slice (and one-sided results bypass the master, which
+#: then leaves ``query_latencies`` None itself).
+_PER_QUERY = (
+    "query_latencies",
+    "completeness",
+    "queue_depth_timeline",
+    "arrival_times",
+    "dispatch_times",
+    "complete_times",
+)
+
+
 class ReportBuilder:
     """Reduce one finished simulation to a :class:`SearchReport`.
 
     The coordinator procs (one master, or one owner per node) each return a
-    :class:`~repro.core.coordinator.MasterReport`; everything else in the
-    simulation is a worker thread.  The builder sums coordinator reports,
-    partitions the proc stats by pid, and aggregates span times — the same
-    arithmetic for every strategy.
+    :class:`~repro.core.coordinator.MasterReport` with the arrays only that
+    proc could fill; everything else in the simulation is a worker thread.
+    The builder composes those arrays, partitions the proc stats by pid,
+    aggregates span times and dumps the run-wide registry every scalar was
+    counted into — the same arithmetic for every strategy.
     """
 
     def __init__(
@@ -329,15 +357,18 @@ class ReportBuilder:
         out: SimulationResult,
         coordinator_pids: list[int],
         n_queries: int,
+        metrics: MetricsRegistry,
         worker_cores: dict[int, int] | None = None,
         aux_pids: tuple = (),
         slo_target_seconds: float = 0.0,
-        metrics=None,
+        tenant_id: int = -1,
         trace=None,
     ) -> None:
         self.out = out
         self.coordinator_pids = list(coordinator_pids)
         self.n_queries = n_queries
+        #: the run-wide MetricsRegistry: engine, coordinators, serving
+        self.metrics = metrics
         #: worker pid -> simulated core id, for the per-core busy vector
         self.worker_cores = dict(worker_cores) if worker_cores else {}
         #: infrastructure procs (e.g. the serving arrival source) that are
@@ -345,34 +376,9 @@ class ReportBuilder:
         #: arrival source idling between arrivals never skews the breakdown
         self.aux_pids = set(aux_pids)
         self.slo_target_seconds = float(slo_target_seconds)
-        #: the run-wide MetricsRegistry (engine + shared coordinator counts)
-        self.metrics = metrics
+        self.tenant_id = tenant_id
         #: the run's TraceRecorder, passed through to the report
         self.trace = trace
-
-    def _finish(self, report: SearchReport, creports: list) -> SearchReport:
-        """Attach the unified observability artifacts to a built report.
-
-        Distinct registries (the run-wide one plus any private
-        per-coordinator ones, deduplicated by identity — the master-worker
-        strategy shares a single registry, the owners each carry their own)
-        merge into one dump, and per-query latencies feed the latency
-        histogram."""
-        merged = MetricsRegistry()
-        seen: set[int] = set()
-        for registry in [self.metrics] + [getattr(r, "registry", None) for r in creports]:
-            if registry is None or id(registry) in seen:
-                continue
-            seen.add(id(registry))
-            merged.merge(registry)
-        if report.query_latencies is not None:
-            hist = merged.histogram("query.latency_seconds")
-            for lat in report.query_latencies:
-                if np.isfinite(lat):
-                    hist.observe(float(lat))
-        report.metrics = merged.dump()
-        report.trace = self.trace
-        return report
 
     def _core_busy(self) -> np.ndarray | None:
         """Observed busy seconds per core: compute plus active send/recv/
@@ -388,98 +394,45 @@ class ReportBuilder:
         return busy
 
     def build(self) -> SearchReport:
-        out = self.out
+        out, metrics = self.out, self.metrics
         coord = set(self.coordinator_pids)
         # a coordinator killed by an injected crash never returned a report
         creports = [r for r in (out.results[p] for p in self.coordinator_pids) if r is not None]
-        coord_stats = [out.stats[p] for p in self.coordinator_pids]
         worker_stats = [
             s for p, s in out.stats.items() if p not in coord and p not in self.aux_pids
         ]
-
-        if not creports:  # every coordinator crashed: nothing was answered
-            return self._finish(SearchReport(
-                total_seconds=out.makespan,
-                n_queries=self.n_queries,
-                tasks=0,
-                dispatch_counts=None,
-                worker_breakdown=aggregate_stats(worker_stats),
-                master_breakdown=aggregate_stats(coord_stats),
-                n_events=out.n_events,
-                phase_breakdown=aggregate_spans(list(out.stats.values())),
-                core_busy_seconds=self._core_busy(),
-                completeness=np.zeros(self.n_queries),
-                fault_events=tuple(out.fault_events),
-                crashed_pids=tuple(out.crashed_pids),
-            ), creports)
-
-        tasks = sum(r.tasks_sent for r in creports)
-        task_messages = sum(r.batches_sent for r in creports)
-        counts = np.sum([r.dispatch_counts for r in creports], axis=0)
         fanouts = [f for r in creports for f in r.fanouts]
-        # per-query latency is only observable when a single coordinator saw
-        # every result land (the two-sided master); owners each see only
-        # their own slice and one-sided results bypass the master entirely
-        latencies = creports[0].query_latencies if len(creports) == 1 else None
-        # completeness is per-query, so it only composes from a single
-        # coordinator (the fault-tolerant master)
-        completeness = creports[0].completeness if len(creports) == 1 else None
-        # the queue-depth timeline likewise requires one dispatcher having
-        # observed every dispatch (owners each see only their slice)
-        timeline = (
-            getattr(creports[0], "queue_depth_timeline", None) if len(creports) == 1 else None
-        )
-
-        return self._finish(SearchReport(
+        per_query = dict.fromkeys(_PER_QUERY)
+        if len(creports) == 1:
+            per_query = {name: getattr(creports[0], name) for name in _PER_QUERY}
+        elif not creports:  # every coordinator crashed: nothing was answered
+            per_query["completeness"] = np.zeros(self.n_queries)
+        latencies = per_query["query_latencies"]
+        if latencies is not None:
+            hist = metrics.histogram("query.latency_seconds")
+            for lat in latencies[np.isfinite(latencies)]:
+                hist.observe(float(lat))
+        # every projected name has its instrument in the dump, so a run
+        # that never touched one exports an explicit 0
+        for kind, instrument in REPORT_INSTRUMENTS.values():
+            getattr(metrics, kind)(instrument)
+        return SearchReport(
             total_seconds=out.makespan,
             n_queries=self.n_queries,
-            tasks=int(tasks),
-            task_messages=int(task_messages),
-            dispatch_counts=counts,
+            dispatch_counts=(
+                np.sum([r.dispatch_counts for r in creports], axis=0) if creports else None
+            ),
             mean_fanout=float(np.mean(fanouts)) if fanouts else 0.0,
             worker_breakdown=aggregate_stats(worker_stats),
-            master_breakdown=aggregate_stats(coord_stats),
-            n_events=out.n_events,
-            query_latencies=latencies,
+            master_breakdown=aggregate_stats([out.stats[p] for p in self.coordinator_pids]),
             phase_breakdown=aggregate_spans(list(out.stats.values())),
             core_busy_seconds=self._core_busy(),
-            queue_depth_timeline=timeline,
-            credit_stall_seconds=sum(
-                getattr(r, "credit_stall_seconds", 0.0) for r in creports
-            ),
-            max_outstanding_tasks=max(
-                getattr(r, "max_outstanding_tasks", 0) for r in creports
-            ),
-            credits_leaked=sum(getattr(r, "credits_leaked", 0) for r in creports),
-            retries=sum(r.retries for r in creports),
-            failovers=sum(r.failovers for r in creports),
-            failed_tasks=sum(r.failed_tasks for r in creports),
-            duplicate_results=sum(r.duplicate_results for r in creports),
-            suspected_dead_cores=sorted(
-                {c for r in creports for c in r.suspected_dead_cores}
-            ),
-            completeness=completeness,
+            suspected_dead_cores=sorted({c for r in creports for c in r.suspected_dead_cores}),
             fault_events=tuple(out.fault_events),
             crashed_pids=tuple(out.crashed_pids),
-            offered_queries=sum(getattr(r, "offered_queries", 0) for r in creports),
-            admitted_queries=sum(getattr(r, "admitted_queries", 0) for r in creports),
-            shed_queries=sum(getattr(r, "shed_queries", 0) for r in creports),
-            rejected_queries=sum(getattr(r, "rejected_queries", 0) for r in creports),
-            max_ingress_depth=max(
-                (getattr(r, "max_ingress_depth", 0) for r in creports), default=0
-            ),
-            cache_hits=sum(getattr(r, "cache_hits", 0) for r in creports),
-            cache_misses=sum(getattr(r, "cache_misses", 0) for r in creports),
-            cache_stale=sum(getattr(r, "cache_stale", 0) for r in creports),
-            cache_evictions=sum(getattr(r, "cache_evictions", 0) for r in creports),
-            arrival_times=(
-                getattr(creports[0], "arrival_times", None) if len(creports) == 1 else None
-            ),
-            dispatch_times=(
-                getattr(creports[0], "dispatch_times", None) if len(creports) == 1 else None
-            ),
-            complete_times=(
-                getattr(creports[0], "complete_times", None) if len(creports) == 1 else None
-            ),
             slo_target_seconds=self.slo_target_seconds,
-        ), creports)
+            tenant_id=self.tenant_id,
+            metrics=metrics.dump(),
+            trace=self.trace,
+            **per_query,
+        )

@@ -23,7 +23,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.coordinator import CoordinatorPipeline, FaultHarness
+from repro.core.coordinator import (
+    CoordinatorPipeline,
+    DispatchWindow,
+    FaultHarness,
+    MasterReport,
+    ResultMerger,
+    Router,
+)
 from repro.core.owner import owner_node_program
 from repro.faults.spec import FaultPolicy
 from repro.loadbalance import LoadTracker, estimate_task_seconds, make_selector
@@ -58,9 +65,11 @@ class DispatchStrategy(ABC):
     :meth:`worker_wiring` once per node while spawning the worker pools,
     then reads :attr:`coordinator_pids` to build the report after the run.
 
-    Every coordinator proc must return a
-    :class:`~repro.core.coordinator.MasterReport` so the
-    :class:`~repro.runtime.report.ReportBuilder` can aggregate uniformly.
+    Every coordinator proc builds its
+    :class:`~repro.core.coordinator.MasterReport` over the run's one
+    registry, ``rt.metrics`` — that is where its scalar counts live — and
+    returns it for the per-core and per-query arrays the
+    :class:`~repro.runtime.report.ReportBuilder` composes.
     """
 
     #: pids of the coordinator procs, populated by :meth:`install`
@@ -99,7 +108,6 @@ class MasterWorkerStrategy(DispatchStrategy):
     def install(self, rt: "ClusterRuntime", job: "SearchJob") -> None:
         cfg = rt.config
         master_node = cfg.n_nodes  # the master gets a node of its own
-        window_holder: list[Window | None] = [None]
         fault_tolerant = cfg.fault_spec is not None or cfg.fault_policy is not None
 
         # the replica-selection policy and its load model: one tracker per
@@ -135,72 +143,33 @@ class MasterWorkerStrategy(DispatchStrategy):
                 ),
             )
 
-        # the coordinator core (repro.core.coordinator): the plain pipeline
-        # and the fault harness share routing, windowed dispatch, and result
-        # merging; only deadline/retry handling differs between them
+        # the coordinator core (repro.core.coordinator), built once: every
+        # master loop runs over the same report, router, windowed dispatch
+        # and result merger; only the loop around them differs
+        report = MasterReport(cfg.n_cores, rt.metrics)
+        parts = (
+            job.Q,
+            Router(job.router, report, int(job.Q.shape[1])),
+            DispatchWindow(cfg, selector, report, rt.node_mailboxes, fpayload=job.fpayload),
+            ResultMerger(cfg, job.results, report, one_sided=cfg.one_sided),
+        )
         if fault_tolerant:
             policy = cfg.fault_policy if cfg.fault_policy is not None else FaultPolicy()
-
-            def master(ctx):
-                harness = FaultHarness(
-                    cfg,
-                    job.router,
-                    job.workgroups,
-                    job.Q,
-                    job.results,
-                    rt.node_mailboxes,
-                    policy,
-                    task_seconds,
-                    selector=selector,
-                    serving=serving_state,
-                    metrics=rt.metrics,
-                    fpayload=job.fpayload,
-                )
-                return (yield from harness.run(ctx))
+            master = FaultHarness(*parts, policy, task_seconds, serving=serving_state)
         elif serving_state is not None:
-
-            def master(ctx):
-                pipeline = ServingPipeline(
-                    cfg,
-                    job.router,
-                    job.workgroups,
-                    job.Q,
-                    job.results,
-                    rt.node_mailboxes,
-                    window_holder[0],
-                    serving_state,
-                    selector=selector,
-                    metrics=rt.metrics,
-                    fpayload=job.fpayload,
-                )
-                return (yield from pipeline.run(ctx))
+            master = ServingPipeline(*parts, serving_state)
         else:
+            master = CoordinatorPipeline(*parts)
 
-            def master(ctx):
-                pipeline = CoordinatorPipeline(
-                    cfg,
-                    job.router,
-                    job.workgroups,
-                    job.Q,
-                    job.results,
-                    rt.node_mailboxes,
-                    window_holder[0],
-                    selector=selector,
-                    metrics=rt.metrics,
-                    fpayload=job.fpayload,
-                )
-                return (yield from pipeline.run(ctx))
-
-        pid = rt.sim.add_proc(master, node=master_node, name="master")
+        pid = rt.sim.add_proc(master.run, node=master_node, name="master")
         if cfg.one_sided:
-            window_holder[0] = Window(
+            self._window = Window(
                 owner_pid=pid,
                 owner_node=master_node,
                 slots=job.results,
                 combine=job.results.combine,
                 name="results",
             )
-        self._window = window_holder[0]
         self._master_mailbox = rt.sim.mailbox_of(pid)
         self.coordinator_pids = [pid]
 
@@ -261,6 +230,7 @@ class MultipleOwnerStrategy(DispatchStrategy):
                         owner_comm_holder[0],
                         job.k,
                         node_id=node,
+                        metrics=rt.metrics,
                         fpayload=job.fpayload,
                     )
                 )

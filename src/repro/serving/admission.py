@@ -21,33 +21,11 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Instrument, MetricsRegistry
 
 __all__ = ["OVERLOAD_POLICIES", "AdmissionQueue"]
 
 OVERLOAD_POLICIES = ("block", "shed_oldest", "reject")
-
-
-def _reg_counter(metric: str):
-    """Property reading/writing a named registry counter (so ``+=`` works)."""
-
-    def fget(self):
-        return self.registry.counter(metric).value
-
-    def fset(self, value):
-        self.registry.counter(metric).value = value
-
-    return property(fget, fset)
-
-
-def _reg_gauge(metric: str):
-    def fget(self):
-        return self.registry.gauge(metric).value
-
-    def fset(self, value):
-        self.registry.gauge(metric).value = value
-
-    return property(fget, fset)
 
 
 class AdmissionQueue:
@@ -58,10 +36,9 @@ class AdmissionQueue:
     as admitted when it leaves the queue into service, so a query that
     is queued and later shed is never double-counted.
 
-    The ledgers are registry instruments (``admission.*``): sharing the
-    run-wide :class:`MetricsRegistry` makes them the same counters the
-    :class:`~repro.core.coordinator.report.MasterReport` exposes as
-    ``admitted_queries`` etc.
+    The ledgers are registry instruments (``admission.*``): handed the
+    run-wide :class:`MetricsRegistry`, they are the numbers
+    ``SearchReport.admitted_queries`` etc. read.
     """
 
     def __init__(self, depth: int, policy: str, metrics: MetricsRegistry | None = None) -> None:
@@ -77,13 +54,13 @@ class AdmissionQueue:
         self.registry = metrics if metrics is not None else MetricsRegistry()
 
     #: queries that left the queue into service
-    admitted = _reg_counter("admission.admitted")
+    admitted = Instrument("counter", "admission.admitted")
     #: queued queries dropped by the shed-oldest overload policy
-    shed = _reg_counter("admission.shed")
+    shed = Instrument("counter", "admission.shed")
     #: arrivals refused outright by the reject overload policy
-    rejected = _reg_counter("admission.rejected")
+    rejected = Instrument("counter", "admission.rejected")
     #: peak ingress-queue occupancy ever observed
-    max_depth_seen = _reg_gauge("admission.max_depth")
+    max_depth_seen = Instrument("gauge", "admission.max_depth")
 
     def _full(self) -> bool:
         return self.depth > 0 and len(self.queue) >= self.depth

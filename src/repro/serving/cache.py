@@ -32,7 +32,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Instrument, MetricsRegistry
 
 __all__ = ["CACHE_MODES", "ResultCache", "cache_namespace"]
 
@@ -58,24 +58,12 @@ def cache_namespace(tenant: int | None, fpayload: dict | None) -> bytes:
     return hashlib.sha256(blob).digest()[:8]
 
 
-def _reg_counter(metric: str):
-    """Property reading/writing a named registry counter (so ``+=`` works)."""
-
-    def fget(self):
-        return self.registry.counter(metric).value
-
-    def fset(self, value):
-        self.registry.counter(metric).value = value
-
-    return property(fget, fset)
-
-
 class ResultCache:
     """LRU map from query key to a finished ``(distances, ids)`` row.
 
     The hit/miss/stale/eviction ledgers are ``cache.*`` instruments in a
-    :class:`MetricsRegistry`; sharing the run-wide registry makes them
-    the counters the coordinator report and metrics dump expose.
+    :class:`MetricsRegistry`; handed the run-wide registry, they are the
+    numbers ``SearchReport.cache_hits`` etc. read.
     """
 
     def __init__(
@@ -108,10 +96,10 @@ class ResultCache:
             #: coarse quantizer: random hyperplane normals, one sign bit each
             self._planes = rng.normal(size=(int(dim), int(n_bits)))
 
-    hits = _reg_counter("cache.hits")
-    misses = _reg_counter("cache.misses")
-    stale = _reg_counter("cache.stale")
-    evictions = _reg_counter("cache.evictions")
+    hits = Instrument("counter", "cache.hits")
+    misses = Instrument("counter", "cache.misses")
+    stale = Instrument("counter", "cache.stale")
+    evictions = Instrument("counter", "cache.evictions")
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -32,18 +32,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import SystemConfig
 from repro.core.coordinator.drain import broadcast_end, collect_thread_exits
 from repro.core.coordinator.merger import ResultMerger
-from repro.core.coordinator.report import MasterReport
 from repro.core.coordinator.router import Router
 from repro.core.coordinator.window import DispatchWindow
 from repro.core.messages import TAG_ARRIVE, TAG_CREDIT, TAG_RESULT
-from repro.core.replication import Workgroups
-from repro.core.results import GlobalResults
-from repro.loadbalance import PrimarySelector, ReplicaSelector
 from repro.serving.state import ServingState
-from repro.simmpi.engine import Context, Mailbox
+from repro.simmpi.engine import Context
 from repro.simmpi.errors import SimError
 
 __all__ = ["ServingPipeline"]
@@ -54,36 +49,20 @@ class ServingPipeline:
 
     def __init__(
         self,
-        config: SystemConfig,
-        router,
-        workgroups: Workgroups,
         queries: np.ndarray,
-        results: GlobalResults,
-        node_mailboxes: list[Mailbox],
-        rma_window,
+        router: Router,
+        window: DispatchWindow,
+        merger: ResultMerger,
         serving: ServingState,
-        selector: ReplicaSelector | None = None,
-        metrics=None,
-        fpayload: dict | None = None,
     ) -> None:
-        self.config = config
         self.queries = queries
-        self.results = results
-        self.node_mailboxes = node_mailboxes
-        self.rma_window = rma_window
+        self.router = router
+        self.window = window
+        self.merger = merger
+        self.config = window.config
+        self.report = window.report
+        self.results = merger.results
         self.serving = serving
-        self.report = MasterReport(config.n_cores, registry=metrics)
-        if selector is None:
-            selector = PrimarySelector(workgroups)
-        self.selector = selector
-        self.tracker = selector.tracker
-        self.router = Router(router, self.report, int(queries.shape[1]))
-        self.window = DispatchWindow(
-            config, selector, self.report, node_mailboxes, fpayload=fpayload
-        )
-        self.merger = ResultMerger(
-            config, results, self.report, one_sided=rma_window is not None
-        )
         #: memoized route per query (the head may be retried while
         #: credit-blocked; it must not be re-routed or re-probed)
         self._routes: dict[int, list[int]] = {}
@@ -126,7 +105,7 @@ class ServingPipeline:
         self._outstanding[qid] = len(parts)
         for pid_part in parts:
             with ctx.span("dispatch", query_id=int(qid), partition=int(pid_part)):
-                core = self.selector.pick(pid_part, ctx.now, exclude=window.blocked(1))
+                core = window.selector.pick(pid_part, ctx.now, exclude=window.blocked(1))
                 yield from window.send_task(
                     ctx, (qid,), pid_part, core, self.queries[qid : qid + 1]
                 )
@@ -150,7 +129,7 @@ class ServingPipeline:
         config, report = self.config, self.report
         state, merger, window = self.serving, self.merger, self.window
         adm = state.admission
-        one_sided = self.rma_window is not None
+        one_sided = merger.one_sided
         result_tag = TAG_CREDIT if one_sided else TAG_RESULT
         n = state.n_queries
         if not one_sided:
@@ -234,11 +213,9 @@ class ServingPipeline:
 
         # End of Queries + thread-exit drain, as in the closed-loop pipeline
         with ctx.span("drain"):
-            yield from broadcast_end(ctx, self.node_mailboxes)
+            yield from broadcast_end(ctx, window.node_mailboxes)
             yield from collect_thread_exits(ctx, config.n_nodes * config.threads_per_node)
 
         state.close(report)
-        report.queue_depth_timeline = self.tracker.timeline()
-        report.max_outstanding_tasks = window.max_outstanding
-        report.credits_leaked = window.outstanding
+        report.queue_depth_timeline = window.tracker.timeline()
         return report

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs.metrics import Instrument, MetricsRegistry
 from repro.serving.admission import AdmissionQueue
 from repro.serving.cache import ResultCache
 from repro.serving.slo import ServingTimeline
@@ -38,14 +39,18 @@ class ServingState:
         self.schedule = np.asarray(schedule, dtype=np.float64)
         n = int(self.schedule.shape[0])
         self.n_queries = n
-        self.admission = AdmissionQueue(queue_depth, overload_policy, metrics=metrics)
+        #: the run-wide registry: the admission and cache ledgers and the
+        #: offered load are counted there and nowhere else
+        self.registry = metrics if metrics is not None else MetricsRegistry()
+        self.offered = n
+        self.admission = AdmissionQueue(queue_depth, overload_policy, metrics=self.registry)
         self.cache = (
             ResultCache(
                 cache_size,
                 mode=cache_mode,
                 dim=dim,
                 seed=seed,
-                metrics=metrics,
+                metrics=self.registry,
                 namespace=cache_namespace,
             )
             if cache_size > 0
@@ -60,9 +65,8 @@ class ServingState:
         #: cache key per probed-and-missed query, for insert at completion
         self.keys: dict[int, bytes] = {}
 
-    @property
-    def offered(self) -> int:
-        return self.n_queries
+    #: queries the arrival schedule offers to the ingress
+    offered = Instrument("counter", "serving.offered")
 
     def drop(self, query_id: int) -> None:
         self.dropped.add(int(query_id))
@@ -125,8 +129,8 @@ class ServingState:
             self.cache.put(key, (d.copy(), ids.copy()))
 
     def close(self, report) -> None:
-        """Check the admission invariant and write the serving ledgers,
-        cache counters and per-query timeline into the run's report."""
+        """Check the admission invariant and hand the per-query timeline
+        to the run's report (the ledgers are already in the registry)."""
         adm = self.admission
         if not self.accounted():
             raise SimError(
@@ -135,16 +139,6 @@ class ServingState:
                 f"{adm.rejected} != offered {self.offered}"
             )
         report.query_latencies = self.timeline.latencies()
-        report.offered_queries = self.offered
-        report.admitted_queries = adm.admitted
-        report.shed_queries = adm.shed
-        report.rejected_queries = adm.rejected
-        report.max_ingress_depth = adm.max_depth_seen
-        if self.cache is not None:
-            report.cache_hits = self.cache.hits
-            report.cache_misses = self.cache.misses
-            report.cache_stale = self.cache.stale
-            report.cache_evictions = self.cache.evictions
         report.arrival_times = self.timeline.arrival
         report.dispatch_times = self.timeline.dispatch
         report.complete_times = self.timeline.complete

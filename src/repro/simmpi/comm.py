@@ -109,10 +109,6 @@ class Comm:
         payload = yield from ctx.wait(req)
         return payload
 
-    def test(self, ctx: Context, req: Request):
-        done = yield from ctx.test(req)
-        return done
-
     # -- collectives -------------------------------------------------------------
 
     def _collective(self, ctx: Context, op: str, data: Any, complete: Callable):

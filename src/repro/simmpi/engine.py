@@ -460,10 +460,6 @@ class Context:
             raise SimError(f"negative compute time {seconds}")
         yield _Compute(float(seconds), kind)
 
-    def charge_distances(self, n_evals: int, dim: int, kind: str = "compute"):
-        """Charge the cost-model time of ``n_evals`` distance evaluations."""
-        yield _Compute(self._sim.cost.distance_cost(int(n_evals), int(dim)), kind)
-
     # -- tracing -------------------------------------------------------------
 
     def span(self, name: str, **attrs) -> _SpanScope:
@@ -506,9 +502,6 @@ class Context:
             recorder.complete_span(self._proc.pid, name, start, end, attrs or None)
 
     # -- events --------------------------------------------------------------
-
-    def make_event(self) -> Event:
-        return Event()
 
     def set_event(self, event: Event):
         yield _EventSet(event)
@@ -593,9 +586,6 @@ class SimulationResult:
     crashed_pids: tuple[int, ...] = ()
     #: fault-injection event log, in virtual-time order (empty without faults)
     fault_events: tuple = ()
-
-    def stats_by_name(self, prefix: str) -> list[ProcStats]:
-        return [s for s in self.stats.values() if s.name.startswith(prefix)]
 
 
 class Simulation:

@@ -138,7 +138,3 @@ class Window:
         if ctx.pid != self.owner_pid:
             raise SimError(f"only the owner may read {self.name} locally")
         return self._slots[index]
-
-    def snapshot(self) -> Any:
-        """Direct post-run access to the buffer (for result extraction)."""
-        return self._slots

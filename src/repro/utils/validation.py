@@ -7,6 +7,7 @@ import numpy as np
 __all__ = [
     "check_positive_int",
     "check_matrix",
+    "check_query",
     "check_vector",
     "check_probability",
 ]
@@ -30,6 +31,20 @@ def check_matrix(x: np.ndarray, name: str, dtype=np.float32) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite values")
     return x
+
+
+def check_query(Q: np.ndarray, k: int, dim: int, n_points: int) -> tuple[np.ndarray, int]:
+    """Validated ``(Q, k)`` of one batch query against a fitted index: a
+    float32 matrix of the index's width and a positive integer k no larger
+    than the number of indexed points — refused here, at the API edge,
+    rather than from inside a simulated worker."""
+    Q = check_matrix(Q, "Q")
+    if Q.shape[1] != dim:
+        raise ValueError(f"queries are {Q.shape[1]}-d, index is {dim}-d")
+    k = check_positive_int(k, "k")
+    if k > n_points:
+        raise ValueError(f"k={k} exceeds the {n_points} indexed points")
+    return Q, k
 
 
 def check_vector(q: np.ndarray, name: str, dim: int | None = None, dtype=np.float32) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The master process holds only the VP-tree *skeleton* (vantage points and
 radii; the data itself lives on workers).  Leaves are labeled with partition
-ids — partition ``i`` lives on worker rank handling ``D_i``.  Three routing
+ids — partition ``i`` lives on worker rank handling ``D_i``.  Two routing
 modes:
 
 - ``route_exact(q, tau)``: every partition whose subspace intersects the
@@ -14,10 +14,6 @@ modes:
   charging each detour by its boundary margin ``|d(q, vp) - mu|``, and
   return the ``n_probe`` partitions with the smallest accumulated penalty.
   This is the throughput mode: a small fixed fan-out per query.
-- ``route_adaptive(q, k, pilot_result)``: two-phase — after probing the
-  single nearest partition, use its k-th local distance as ``tau`` for an
-  exact route.  Guarantees no partition that could improve the result is
-  skipped, at the cost of one routing round-trip.
 """
 
 from __future__ import annotations
@@ -183,16 +179,6 @@ class PartitionRouter:
                 node = near
             out.append(node.partition)
         return out
-
-    def route_adaptive(self, query: np.ndarray, tau_from_pilot: float) -> list[int]:
-        """Exact route with the pilot partition's k-th distance as radius.
-
-        The pilot partition (``route_approx(q, 1)[0]``) must already have
-        been searched; pass its k-th local result distance.  The union of
-        {pilot} and this route provably covers every partition that could
-        hold a closer point (triangle inequality on the VP boundaries).
-        """
-        return self.route_exact(query, tau_from_pilot)
 
     # -- diagnostics ------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,42 @@ class TestQuery:
         assert "pipeline: window 2/core" in printed
         assert "0 credits leaked" in printed
         assert np.array_equal(read_ivecs(eager), read_ivecs(windowed))
+
+    def test_faulted_query_fails_over_and_says_so(self, corpus_dir, index_dir, tmp_path, capsys):
+        """--faults FILE end to end.  Node 1 is dead from the start; the
+        index puts two cores on a node, so at r = 2 a workgroup lives on one
+        node and node 1's is lost: its tasks time out, fail over within the
+        dead group and are abandoned — every query comes back degraded, none
+        hangs, and the fault summary says all of it."""
+        from repro.faults import FaultSpec, RankCrash
+
+        spec = tmp_path / "faults.json"
+        FaultSpec(crashes=(RankCrash(node=1, at=0.0),)).to_json(spec)
+        clean = tmp_path / "clean.ivecs"
+        faulted = tmp_path / "faulted.ivecs"
+        base = [
+            "query", str(index_dir), str(corpus_dir / "query.fvecs"),
+            "--k", "5", "--n-probe", "4", "--replication", "2",
+        ]
+        assert main(base + ["--out", str(clean)]) == 0
+        assert "faults:" not in capsys.readouterr().out
+        assert main(base + ["--out", str(faulted), "--faults", str(spec)]) == 0
+        summary = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("faults:")]
+        assert len(summary) == 2
+        assert "availability 0.000 (0/20 complete, 20 degraded" in summary[0]
+        counts = re.match(
+            r"faults: (\d+) retries, (\d+) failovers, (\d+) abandoned tasks, "
+            r"(\d+) duplicates dropped, suspected dead cores \[(.*)\]",
+            summary[1],
+        )
+        assert counts, summary[1]
+        retries, failovers, abandoned, duplicates = (int(counts[i]) for i in range(1, 5))
+        assert retries > 0 and failovers > 0 and abandoned >= 20 and duplicates == 0
+        assert counts[5] == "2, 3"  # node 1's cores
+        # what node 0's partitions answered is what they answer fault-free
+        got, want = read_ivecs(faulted), read_ivecs(clean)
+        assert got.shape == want.shape == (20, 5)
+        assert all(set(g[g >= 0]) & set(w) for g, w in zip(got, want))
 
     def test_saved_index_matches_fresh_results(self, corpus_dir, index_dir, tmp_path):
         """Round-tripping the index through disk must not change answers."""

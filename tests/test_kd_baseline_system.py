@@ -7,6 +7,7 @@ from repro.core import SystemConfig
 from repro.datasets import brute_force_knn, sample_queries, sift_like
 from repro.eval import recall_at_k
 from repro.kdtree import KDBaselineSystem
+from repro.simmpi.engine import Simulation
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,28 @@ class TestKDBaseline:
     def test_dim_mismatch_raises(self, fitted):
         with pytest.raises(ValueError, match="-d"):
             fitted.query(np.ones((1, 7), dtype=np.float32))
+
+    @pytest.mark.parametrize(
+        "k, error, match",
+        [
+            (0, ValueError, "k must be positive"),
+            (2000, ValueError, "k=2000 exceeds the 1200 indexed points"),
+            (2.5, TypeError, "k must be an int"),
+        ],
+    )
+    def test_bad_k_is_refused_before_the_run(self, fitted, corpus, monkeypatch, k, error, match):
+        """The same rule as ``DistributedANN.query``, at the API edge: not
+        the config's k for 0, not a padded (n, 2000) answer, not a
+        ``ProcError`` out of a worker coroutine."""
+        _, Q, *_ = corpus
+        monkeypatch.setattr(Simulation, "run", lambda self: pytest.fail("the simulation started"))
+        with pytest.raises(error, match=match):
+            fitted.query(Q, k)
+
+    def test_default_k_is_the_configs(self, fitted, corpus):
+        _, Q, *_ = corpus
+        assert fitted.query(Q)[0].shape == (len(Q), 8)
+        assert fitted.query(Q, 3)[0].shape == (len(Q), 3)
 
     def test_too_few_points_raises(self):
         kd = KDBaselineSystem(SystemConfig(n_cores=8, cores_per_node=4))

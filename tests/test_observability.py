@@ -268,9 +268,50 @@ class TestExporters:
         write_chrome_trace(trace_p, rep.trace, rep)
         write_events_jsonl(events_p, rep.trace, rep)
         write_metrics_json(metrics_p, rep.metrics)
-        assert validate_main([str(trace_p), str(events_p)]) == 0
+        assert validate_main([str(trace_p), str(events_p), str(metrics_p)]) == 0
         dump = json.loads(metrics_p.read_text())
         assert dump["counters"]["coordinator.tasks_sent"] > 0
+
+    def test_validator_rejects_metrics_drift(self, traced, tmp_path, capsys):
+        """The metrics dump is held to one vocabulary, and to carrying
+        every instrument a SearchReport reads."""
+        from repro.obs import METRIC_NAMES, validate_metrics
+        from repro.obs.validate import main as validate_main
+        from repro.runtime.report import REPORT_INSTRUMENTS
+
+        dump = traced[2].metrics
+        assert {inst for _, inst in REPORT_INSTRUMENTS.values()} <= METRIC_NAMES
+        assert validate_metrics(dump, required=REPORT_INSTRUMENTS.values()) == []
+        assert validate_metrics({"counters": {}}) != []  # not a dump at all
+
+        forged = json.loads(json.dumps(dump))
+        forged["counters"]["coordinator.tasks_sent{owner=3}"] = 1  # labels are free
+        forged["gauges"]["dispatch.in_flight"] = 2
+        del forged["counters"]["cache.hits"]
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(forged))
+        assert validate_main([str(path)]) == 1
+        printed = capsys.readouterr().out
+        assert "unknown instrument 'dispatch.in_flight'" in printed
+        assert "instrument 'cache.hits' is missing" in printed
+        assert "owner=3" not in printed
+
+    def test_every_registered_instrument_is_in_the_vocabulary(self):
+        """Source scan: a module cannot register a literal instrument name
+        that METRIC_NAMES lacks (the dynamic ``filter.*`` names are covered
+        by validating real dumps)."""
+        import pathlib
+        import re
+
+        from repro.obs import METRIC_NAMES
+
+        src = pathlib.Path(__file__).parent.parent / "src" / "repro"
+        pattern = re.compile(
+            r'(?:\.(?:counter|gauge|histogram)\(|Instrument\("\w+", )"([a-z_]+\.[\w.]+)"'
+        )
+        found = {m for p in src.rglob("*.py") for m in pattern.findall(p.read_text())}
+        assert len(found) > 25
+        assert found <= METRIC_NAMES, sorted(found - METRIC_NAMES)
 
     def test_explain_renders_span_trees(self, traced):
         rep = traced[2]

@@ -20,7 +20,9 @@ that kind's tag, with exactly the byte count the table gives it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from repro.core.localindex import BruteForceSearcher
 from repro.faults import FaultPolicy, FaultSpec, LinkFault, RankCrash
 from repro.filtering import FilterSpec, clauses_to_wire
 from repro.kdtree.system import KDBaselineSystem
+from repro.obs import validate_metrics
+from repro.runtime.report import REPORT_INSTRUMENTS, SearchReport
 from repro.simmpi.engine import Context, Simulation
 
 N, DIM, NQ, K = 600, 16, 24, 5
@@ -192,7 +196,7 @@ def _prepare(name: str):
 
 @pytest.fixture(scope="module")
 def runs():
-    """name -> (observation, [(payload, tag, nbytes) of every query-phase send])."""
+    """name -> (observation, [(payload, tag, nbytes) of every query-phase send], report)."""
     out = {}
     real_send = Context.send_to_mailbox
     for name in CASES:
@@ -207,7 +211,8 @@ def runs():
 
         Context.send_to_mailbox = spy
         try:
-            out[name] = (_observe(*query()), sent)
+            D, I, rep = query()
+            out[name] = (_observe(D, I, rep), sent, rep)
         finally:
             Context.send_to_mailbox = real_send
     return out
@@ -510,6 +515,35 @@ def test_rows_exercise_what_they_name():
     assert g["closed_b4_twosided_filter"]["filter"][1] > 0
     assert g["closed_b4_twosided"]["tasks"][1] < g["closed_b4_twosided"]["tasks"][0]
     assert g["closed_b1_onesided"]["sim"][2] > 0  # RMA accumulates
+
+
+#: (tasks, task_messages, router.dist_evals) of the multiple-owner rows as
+#: the parent commit (874faf9) reported them, by summing one private
+#: registry per owner; the owners now count into one shared registry
+OWNER_SUMS = {"owner": (72, 72, 118), "owner_filter": (72, 72, 118)}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_report_reads_the_registry(runs, name):
+    """Every projected scalar is its instrument in the report's own dump,
+    which holds nothing outside the vocabulary, and the report survives
+    JSON field for field."""
+    rep = runs[name][2]
+    for report_name, (kind, instrument) in REPORT_INSTRUMENTS.items():
+        assert getattr(rep, report_name) == rep.metrics[kind + "s"][instrument], report_name
+    assert validate_metrics(rep.metrics, required=REPORT_INSTRUMENTS.values()) == []
+    payload = json.loads(json.dumps(rep.to_dict()))
+    back = SearchReport.from_dict(payload)
+    assert back.to_dict() == payload
+    for f in dataclasses.fields(SearchReport):
+        was, now = getattr(rep, f.name), getattr(back, f.name)
+        if isinstance(was, np.ndarray):
+            assert np.array_equal(was, now, equal_nan=True), f.name
+        elif f.compare:
+            assert was == now, f.name
+    if name in OWNER_SUMS:
+        counters = rep.metrics["counters"]
+        assert (rep.tasks, rep.task_messages, counters["router.dist_evals"]) == OWNER_SUMS[name]
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -11,6 +11,10 @@ across modes and runs, with virtual makespans reproduced exactly.
 
 from __future__ import annotations
 
+import dataclasses
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,7 @@ from repro.runtime import (
     SearchReport,
     strategy_for,
 )
+from repro.runtime.report import REPORT_INSTRUMENTS, REPORT_SCHEMA
 from repro.simmpi.trace import PHASES
 
 BREAKDOWN_KEYS = {"compute", "send", "recv", "wait", "poll", "rma"}
@@ -145,11 +150,11 @@ class TestStrategySelection:
 
 class TestSearchReportDefaults:
     def test_throughput_zero_for_zero_makespan(self):
-        rep = SearchReport(total_seconds=0.0, n_queries=5, tasks=0)
+        rep = SearchReport(total_seconds=0.0, n_queries=5)
         assert rep.throughput == 0.0
 
     def test_dispatch_counts_defaults_to_none(self):
-        rep = SearchReport(total_seconds=1.0, n_queries=5, tasks=0)
+        rep = SearchReport(total_seconds=1.0, n_queries=5)
         assert rep.dispatch_counts is None
 
     def test_search_report_importable_from_core(self):
@@ -158,22 +163,86 @@ class TestSearchReportDefaults:
         assert CoreSearchReport is SearchReport
 
     def test_load_metrics_default_to_none(self):
-        rep = SearchReport(total_seconds=1.0, n_queries=5, tasks=0)
+        rep = SearchReport(total_seconds=1.0, n_queries=5)
         assert rep.core_busy_seconds is None
         assert rep.queue_depth_timeline is None
         assert rep.imbalance_factor == 1.0  # no data -> perfectly balanced
 
     def test_imbalance_factor_is_max_over_mean(self):
         rep = SearchReport(
-            total_seconds=1.0, n_queries=5, tasks=0,
+            total_seconds=1.0, n_queries=5,
             core_busy_seconds=np.array([1.0, 2.0, 3.0]),
         )
         assert rep.imbalance_factor == pytest.approx(3.0 / 2.0)
         idle = SearchReport(
-            total_seconds=1.0, n_queries=5, tasks=0,
+            total_seconds=1.0, n_queries=5,
             core_busy_seconds=np.zeros(3),
         )
         assert idle.imbalance_factor == 1.0
+
+
+class TestOneHomePerNumber:
+    """A scalar an instrument holds is not stored on the report again."""
+
+    def test_no_projected_name_is_a_field(self):
+        stored = {f.name for f in dataclasses.fields(SearchReport)}
+        assert not stored & set(REPORT_INSTRUMENTS)
+        assert len(stored) <= 22
+        for name in REPORT_INSTRUMENTS:
+            assert isinstance(getattr(SearchReport, name), property), name
+            with pytest.raises(AttributeError):
+                setattr(SearchReport(total_seconds=1.0, n_queries=5), name, 1)
+
+    def test_projected_names_read_the_metrics_dump(self, mode_runs):
+        _, _, rep = mode_runs["two_sided"]
+        assert rep.tasks == rep.metrics["counters"]["coordinator.tasks_sent"] > 0
+        assert rep.cache_hits == 0
+        rep.metrics["counters"]["cache.hits"] = 7
+        assert rep.cache_hits == 7
+        rep.metrics["counters"]["cache.hits"] = 0
+
+    def test_hand_built_report_reads_zeros(self):
+        rep = SearchReport(total_seconds=1.0, n_queries=5)
+        assert {getattr(rep, name) for name in REPORT_INSTRUMENTS} == {0}
+
+    def test_docs_table_lists_every_row(self):
+        text = (pathlib.Path(__file__).parent.parent / "docs" / "observability.md").read_text()
+        rows = dict(re.findall(r"^\| `(\w+)` \| `([\w.]+)` \((?:counter|gauge)\) \|", text, re.M))
+        assert rows == {name: inst for name, (_, inst) in REPORT_INSTRUMENTS.items()}
+        for name, (kind, inst) in REPORT_INSTRUMENTS.items():
+            assert f"| `{name}` | `{inst}` ({kind}) |" in text
+
+
+class TestFromDict:
+    def _payload(self, mode_runs) -> dict:
+        return mode_runs["two_sided"][2].to_dict()
+
+    def test_unknown_schema_is_refused_by_name(self, mode_runs):
+        payload = dict(self._payload(mode_runs), schema="something/else-v9")
+        with pytest.raises(ValueError, match="something/else-v9"):
+            SearchReport.from_dict(payload)
+        payload.pop("schema")
+        with pytest.raises(ValueError, match=re.escape(REPORT_SCHEMA)):
+            SearchReport.from_dict(payload)
+
+    def test_missing_required_key_is_named(self, mode_runs):
+        for name in ("total_seconds", "n_queries"):
+            payload = self._payload(mode_runs)
+            del payload[name]
+            with pytest.raises(ValueError, match=name):
+                SearchReport.from_dict(payload)
+
+    def test_flat_scalar_keys_are_ignored(self, mode_runs):
+        rep = mode_runs["two_sided"][2]
+        payload = rep.to_dict()
+        assert set(REPORT_INSTRUMENTS) <= set(payload)
+        payload["tasks"] = payload["tasks"] + 1000  # derived: metrics wins
+        assert SearchReport.from_dict(payload).tasks == rep.tasks
+        for name in REPORT_INSTRUMENTS:
+            del payload[name]
+        back = SearchReport.from_dict(payload)
+        assert back.tasks == rep.tasks and back.metrics == rep.metrics
+        assert back.to_dict() == rep.to_dict()
 
 
 class TestLoadMetricsPopulated:
