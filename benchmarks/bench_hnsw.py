@@ -48,6 +48,7 @@ from trajectory import (  # noqa: E402
     fold_previous,
     load_previous,
     missing_keys,
+    regressions,
     results_checksum,
 )
 
@@ -222,6 +223,15 @@ def main(argv: list[str] | None = None) -> int:
         dest="min_recall",
         help="exit non-zero if recall@k falls below this floor",
     )
+    ap.add_argument(
+        "--max-regress",
+        type=float,
+        default=None,
+        dest="max_regress",
+        metavar="FRAC",
+        help="exit non-zero if build points/s, single or batched q/s fall more "
+        "than this fraction below the previous run of the same config",
+    )
     args = ap.parse_args(argv)
     if args.tiny:
         args.n, args.n_queries = 2000, 50
@@ -261,6 +271,14 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
+    if args.max_regress is not None:
+        names = ("build_points_per_s", "single_qps", "batched_qps")
+        rates = {name: TRIM_FIELDS[name] for name in names}
+        fell = regressions(report, rates, args.max_regress)
+        for line in fell:
+            print(f"ERROR: {line} (--max-regress {args.max_regress})", file=sys.stderr)
+        if fell:
+            return 4
     return 0
 
 

@@ -5,7 +5,8 @@ repo root and folds the previous report into it as ``previous`` plus a
 rolling ``history`` — the recorded perf trajectory.  The mechanics
 (dotted-key lookup, required-key validation, trimming a previous run to
 its headline fields, reading and folding the prior file, checksumming a
-result matrix) were copy-pasted between harnesses; they live here once.
+result matrix, failing on a rate that fell against the previous run)
+were copy-pasted between harnesses; they live here once.
 
 A harness keeps its own ``REQUIRED_KEYS`` tuple and (where the trimmed
 history entry has bespoke fields, e.g. ``bench_hnsw``) its own trim
@@ -26,6 +27,7 @@ __all__ = [
     "get_path",
     "load_previous",
     "missing_keys",
+    "regressions",
     "results_checksum",
     "trim_report",
 ]
@@ -92,3 +94,23 @@ def fold_previous(report: dict, out_path: str, trim_fields=None, cap: int = 20) 
     report["history"] = (prev.get("history", []) + [trimmed])[-cap:]
     report["previous"] = trimmed
     return report
+
+
+def regressions(report: dict, rates: dict[str, str], max_regress: float) -> list[str]:
+    """One line per higher-is-better rate that fell more than the fraction
+    ``max_regress`` below the folded-in ``previous`` run.
+
+    ``rates`` maps the name a rate has in the trimmed ``previous`` entry to
+    its dotted path in ``report``.  Nothing is compared (and nothing
+    fails) without a previous run of the same ``config``: rates of
+    different corpora say nothing about each other.
+    """
+    prev = report.get("previous")
+    if prev is None or prev.get("config") != report.get("config"):
+        return []
+    out = []
+    for name, path in rates.items():
+        was, now = prev.get(name), get_path(report, path)
+        if was and now is not None and now < (1.0 - max_regress) * was:
+            out.append(f"{path} fell {1.0 - now / was:.0%}: {was:,.1f} -> {now:,.1f}")
+    return out

@@ -22,19 +22,25 @@ def broadcast_end(ctx: Context, node_mailboxes: list[Mailbox]):
         yield from send(ctx, mailbox, END)
 
 
-def collect_thread_exits(ctx: Context, want: int, timeout: float | None = None):
-    """Receive ``want`` thread-exit notices; returns how many arrived.
+def collect_thread_exits(
+    ctx: Context, want: int, timeout: float | None = None, seen: set[int] | None = None
+):
+    """Receive exit notices until ``want`` distinct threads have sent one;
+    returns how many have.
 
-    Fewer than ``want`` only under a ``timeout`` (virtual seconds per
-    notice): the first receive to time out is cancelled and ends the
-    collection, which is what keeps shutdown bounded after a crash.
+    ``seen`` holds the pids heard from so far, for a caller that collects
+    in rounds: a notice a faulty link duplicated names a pid already in
+    it and counts for nothing.  Fewer than ``want`` only under a
+    ``timeout`` (virtual seconds per notice): the first receive to time
+    out is cancelled and ends the collection, which is what keeps shutdown
+    bounded after a crash.
     """
-    got = 0
-    while got < want:
+    seen = set() if seen is None else seen
+    while len(seen) < want:
         req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_THREAD_DONE)
-        fired, _ = yield from ctx.wait_any([req], timeout=timeout)
+        fired, payload = yield from ctx.wait_any([req], timeout=timeout)
         if fired == WAIT_TIMED_OUT:
             yield from ctx.cancel(req)
             break
-        got += 1
-    return got
+        seen.add(payload[1])  # ("tdone", pid, processed)
+    return len(seen)

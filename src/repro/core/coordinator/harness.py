@@ -387,12 +387,13 @@ class FaultHarness:
         # crashed nodes never answer; giving up after the rounds keeps
         # shutdown bounded (the remaining messages die with the simulation).
         drain_timeout = derive_drain_timeout(policy, self.base_timeout, ctx.network)
-        missing = config.n_nodes * config.threads_per_node
+        n_threads = config.n_nodes * config.threads_per_node
+        exited: set[int] = set()  # by pid: a duplicated notice is no new thread
         with ctx.span("drain"):
             for _round in range(policy.drain_rounds):
                 yield from broadcast_end(ctx, self.win.node_mailboxes)
-                missing -= yield from collect_thread_exits(ctx, missing, drain_timeout)
-                if not missing:
+                yield from collect_thread_exits(ctx, n_threads, drain_timeout, exited)
+                if len(exited) == n_threads:
                     break
 
         n_parts = np.array([len(p) for p in self._parts_per_query], dtype=np.float64)

@@ -208,6 +208,7 @@ typedef struct {
     double *rd;
     int32_t *ri;
     int32_t do_sqrt;
+    const i64 *state_ptrs; /* insert path only: see shrink_node */
 } graph_t;
 
 static inline int32_t *level_nbrs(const graph_t *g, i64 lv)
@@ -218,6 +219,11 @@ static inline int32_t *level_nbrs(const graph_t *g, i64 lv)
 static inline int32_t *level_cnts(const graph_t *g, i64 lv)
 {
     return (int32_t *)(intptr_t)g->cnts_ptrs[lv];
+}
+
+static inline int32_t *level_state(const graph_t *g, i64 lv)
+{
+    return (int32_t *)(intptr_t)g->state_ptrs[lv];
 }
 
 /* Beam search of width ef on one layer.  Writes the result set, sorted
@@ -466,6 +472,21 @@ void l2d_row(const float *a, const float *B, i64 n, i64 dim, int32_t do_sqrt,
     }
 }
 
+/* selection scratch, carved out of two caller-provided buffers: with
+ * deg = max(M, M0) and maxn bounding any candidate list (the efc beam or
+ * an over-full neighbor list), ws_d holds maxn + 2 * (deg + 1) doubles
+ * followed by the kept-row blocks (deg rounded up to a multiple of 8,
+ * times dim, zeroed), ws_i 2 * maxn + 4 * (deg + 1) int32 */
+typedef struct {
+    double *tmp_d, *ch_d, *sh_d, *kt;
+    int32_t *tmp_i, *ch_i, *sh_i, *dom, *kept_i, *sh_dom;
+} select_ws_t;
+
+/* what a batch of inserts reports back (io[2..4]) */
+typedef struct {
+    i64 evals, shrinks, full_shrinks;
+} build_counts_t;
+
 /* SELECT-NEIGHBORS over n candidates pre-sorted ascending by (d, id).
  * Mirrors select.py: simple selection takes the closest m; the
  * heuristic keeps a candidate iff no already-kept candidate is at
@@ -473,19 +494,23 @@ void l2d_row(const float *a, const float *B, i64 n, i64 dim, int32_t do_sqrt,
  * once m are kept, and with keep_pruned backfills the first examined
  * discards.  The output (ascending by (d, id), like the python
  * position-order merge) goes to (out_d, out_i); returns its length.
+ * Under the heuristic out_dom says why each output entry is there: -1
+ * for a kept one, else the id of the first kept candidate that
+ * dominated it (a backfilled discard).
  *
  * Pair distances are computed on demand, a candidate against one block
  * of kept rows at a time, stopping at the first block that holds a
  * dominator: every decision reads only its own pairs, each of which is a
  * pure function of its two rows, so evaluating fewer of them than the
- * python row kernel does changes no decision.  ``kt`` holds the kept
- * rows (room for m rounded up to whole blocks, zero-initialised so the
- * unused lanes of a block hold numbers); ``flags`` marks kept positions. */
+ * python row kernel does changes no decision.  ``ws->kt`` holds the kept
+ * rows (room for m rounded up to whole blocks; unused lanes of a block
+ * hold zeros or an earlier row, numbers either way), ``ws->kept_i``
+ * their ids and ``ws->dom`` the verdict per candidate position. */
 static i64 select_links(const float *X, i64 dim, const double *cand_d,
                         const int32_t *cand_i, i64 n, i64 m,
                         int32_t heuristic, int32_t keep_pruned,
-                        int32_t do_sqrt, double *kt, uint8_t *flags,
-                        double *out_d, int32_t *out_i)
+                        int32_t do_sqrt, const select_ws_t *ws,
+                        double *out_d, int32_t *out_i, int32_t *out_dom)
 {
     if (!heuristic) {
         i64 take = n < m ? n : m;
@@ -495,6 +520,8 @@ static i64 select_links(const float *X, i64 dim, const double *cand_d,
         }
         return take;
     }
+    double *kt = ws->kt;
+    int32_t *dom = ws->dom, *kept_i = ws->kept_i;
     i64 n_kept = 0, examined = n;
     for (i64 i = 0; i < n; i++) {
         if (n_kept >= m) {
@@ -503,66 +530,160 @@ static i64 select_links(const float *X, i64 dim, const double *cand_d,
         }
         double di = cand_d[i];
         const float *xi = X + (i64)cand_i[i] * dim;
-        int hit = 0;
-        for (i64 r = 0; r < n_kept && !hit; r += 8) {
+        dom[i] = -1;
+        for (i64 r = 0; r < n_kept && dom[i] < 0; r += 8) {
             double d[8];
             i64 nb = n_kept - r < 8 ? n_kept - r : 8;
             l2d_x8(xi, kt + r * dim, dim, do_sqrt, d);
             for (i64 t = 0; t < nb; t++)
                 if (d[t] <= di) {
-                    hit = 1;
+                    dom[i] = kept_i[r + t];
                     break;
                 }
         }
-        flags[i] = !hit;
-        if (!hit)
+        if (dom[i] < 0) {
+            kept_i[n_kept] = cand_i[i];
             kt_store(kt, dim, n_kept++, xi);
+        }
     }
     i64 backfill = (keep_pruned && n_kept < m) ? m - n_kept : 0;
     i64 n_out = 0;
     for (i64 i = 0; i < examined; i++) {
-        if (flags[i]) {
-            out_d[n_out] = cand_d[i];
-            out_i[n_out++] = cand_i[i];
-        } else if (backfill > 0) {
-            out_d[n_out] = cand_d[i];
-            out_i[n_out++] = cand_i[i];
+        if (dom[i] >= 0) {
+            if (backfill <= 0)
+                continue;
             backfill--;
         }
+        out_d[n_out] = cand_d[i];
+        out_i[n_out] = cand_i[i];
+        out_dom[n_out++] = dom[i];
     }
     return n_out;
 }
 
-/* selection scratch, carved out of three caller-provided buffers: with
- * deg = max(M, M0) and maxn bounding any candidate list (the efc beam or
- * an over-full neighbor list), ws_d holds maxn + 2 * (deg + 1) doubles
- * followed by the kept-row blocks (deg rounded up to a multiple of 8,
- * times dim, zeroed), ws_i maxn + 2 * (deg + 1) int32, flags maxn bytes */
-typedef struct {
-    double *tmp_d, *ch_d, *sh_d, *kt;
-    int32_t *tmp_i, *ch_i, *sh_i;
-    uint8_t *flags;
-} select_ws_t;
-
-/* Re-select node c's over-full neighbor list down to ``limit`` links
- * (python _shrink).  Charges the same logical eval count as the
- * python paths: cnt query distances plus, under the heuristic, the
- * cnt-candidate cross matrix. */
+/* Bring node c's over-full neighbor list back down to ``limit`` links
+ * (python _shrink), the link just appended being node x at query
+ * distance d_x.  Charges the same logical eval count as the python
+ * paths: cnt query distances plus, under the heuristic, the
+ * cnt-candidate cross matrix.
+ *
+ * Under the heuristic every selection leaves a record of itself in the
+ * level's state array (python-owned, 1 + 2 * limit int32 per node,
+ * zeroed = cold):
+ *
+ *   st[0]            length of the list the record describes
+ *   st[1 .. ]        limit floats: query distance of each entry (the
+ *                    list itself, nrow, is in (d, id) order; distances
+ *                    come from the float32 kernel, so float holds them)
+ *   st[1 + limit ..] limit int32: -1 for a kept entry, else the id of a
+ *                    still-kept entry that dominates it (a backfilled
+ *                    discard)
+ *
+ * When the record describes the list minus x (st[0] + 1 == cnt, python's
+ * validity rule; such a record always has ``limit`` entries), x is folded
+ * in incrementally, exactly as python's _shrink_fast does: removing
+ * discards from a candidate list removes no comparison source, so
+ * decisions before x's sorted position stand, and the ones after it
+ * stand unless x is kept and dominates a kept entry (a victim).  Victims
+ * flip to discards dominated by x — sound as long as no discard names a
+ * victim as its dominator; one that does may flip back, a genuine
+ * cascade, which — like a cold or stale record — takes the full
+ * re-selection below.  The merged list of limit + 1 then loses one
+ * entry: without keep_pruned every discard (and any kept one past the
+ * cap), with it the last entry when all are kept, else the last discard
+ * (the backfill quota shrinks by one).  Only x's pairs to the kept
+ * entries are computed, a block of eight at a time, stopping at x's
+ * first dominator. */
 static void shrink_node(const graph_t *g, i64 lv, i64 c, i64 limit,
-                        int32_t heuristic, int32_t keep_pruned,
-                        const select_ws_t *ws, i64 *evals, i64 *shrinks)
+                        int32_t heuristic, int32_t keep_pruned, double d_x,
+                        const select_ws_t *ws, build_counts_t *counts)
 {
-    int32_t *nrow = level_nbrs(g, lv) + c * g->strides[lv];
+    i64 stride = g->strides[lv], dim = g->dim;
+    int32_t *nrow = level_nbrs(g, lv) + c * stride;
     int32_t *cnts = level_cnts(g, lv);
     double *tmp_d = ws->tmp_d;
-    int32_t *tmp_i = ws->tmp_i;
-    i64 cnt = cnts[c], dim = g->dim;
+    int32_t *tmp_i = ws->tmp_i, *tmp_dom = ws->sh_dom;
+    i64 cnt = cnts[c];
+    counts->evals += heuristic ? cnt + cnt * (cnt - 1) / 2 : cnt;
+    counts->shrinks++;
+    int32_t *st = 0, *st_dom = 0;
+    float *st_d = 0;
+    if (heuristic) {
+        st = level_state(g, lv) + c * (1 + 2 * limit);
+        st_d = (float *)(st + 1);
+        st_dom = st + 1 + limit;
+    }
+
+    if (st && st[0] + 1 == cnt) {
+        i64 k = limit, p = 0, n_victims = 0, x_dom = -1;
+        int32_t x = nrow[k];
+        int32_t *victims = ws->kept_i;
+        while (p < k && pair_lt((double)st_d[p], nrow[p], d_x, x))
+            p++;
+        for (i64 pos = 0; pos < k && x_dom < 0;) {
+            double d[8];
+            i64 at[8], nb = 0;
+            for (; pos < k && nb < 8; pos++)
+                if (st_dom[pos] < 0) {
+                    kt_store(ws->kt, dim, nb, g->X + (i64)nrow[pos] * dim);
+                    at[nb++] = pos;
+                }
+            if (!nb)
+                break;
+            l2d_x8(g->X + (i64)x * dim, ws->kt, dim, g->do_sqrt, d);
+            for (i64 t = 0; t < nb; t++)
+                if (at[t] >= p) {
+                    if (d[t] <= (double)st_d[at[t]])
+                        victims[n_victims++] = (int32_t)at[t];
+                } else if (d[t] <= d_x) {
+                    x_dom = nrow[at[t]];
+                    break;
+                }
+        }
+        int cascade = 0;
+        if (x_dom < 0) {
+            for (i64 pos = n_victims ? victims[0] + 1 : k; pos < k; pos++)
+                for (i64 v = 0; v < n_victims; v++)
+                    cascade |= st_dom[pos] == nrow[victims[v]];
+            for (i64 v = 0; v < n_victims && !cascade; v++)
+                st_dom[victims[v]] = x;
+        }
+        if (!cascade) {
+            /* merge x in at p, then write the survivors back */
+            i64 n_kept = 0, drop = k, m_out = 0;
+            for (i64 j = 0, s = 0; j <= k; j++) {
+                if (j == p) {
+                    tmp_d[j] = d_x;
+                    tmp_i[j] = x;
+                    tmp_dom[j] = (int32_t)x_dom;
+                } else {
+                    tmp_d[j] = (double)st_d[s];
+                    tmp_i[j] = nrow[s];
+                    tmp_dom[j] = st_dom[s++];
+                }
+                n_kept += tmp_dom[j] < 0;
+            }
+            if (keep_pruned && n_kept <= limit)
+                while (tmp_dom[drop] < 0)
+                    drop--;
+            for (i64 j = 0; j <= k && m_out < limit; j++) {
+                if (keep_pruned ? j == drop : tmp_dom[j] >= 0)
+                    continue;
+                st_d[m_out] = (float)tmp_d[j];
+                nrow[m_out] = tmp_i[j];
+                st_dom[m_out++] = tmp_dom[j];
+            }
+            st[0] = cnts[c] = (int32_t)m_out;
+            return;
+        }
+    }
+
+    counts->full_shrinks++;
     const float *xc = g->X + c * dim;
     for (i64 j = 0; j < cnt; j++) {
         tmp_d[j] = qdist(xc, g->X + (i64)nrow[j] * dim, dim, g->do_sqrt);
         tmp_i[j] = nrow[j];
     }
-    *evals += heuristic ? cnt + cnt * (cnt - 1) / 2 : cnt;
     /* insertion sort ascending by (d, id) == python sorted() on tuples */
     for (i64 j = 1; j < cnt; j++) {
         double d = tmp_d[j];
@@ -577,41 +698,50 @@ static void shrink_node(const graph_t *g, i64 lv, i64 c, i64 limit,
         tmp_i[p + 1] = id;
     }
     i64 m_out = select_links(g->X, dim, tmp_d, tmp_i, cnt, limit, heuristic,
-                             keep_pruned, g->do_sqrt, ws->kt, ws->flags,
-                             ws->sh_d, ws->sh_i);
+                             keep_pruned, g->do_sqrt, ws, ws->sh_d, ws->sh_i,
+                             tmp_dom);
+    cnts[c] = (int32_t)m_out;
     for (i64 j = 0; j < m_out; j++)
         nrow[j] = ws->sh_i[j];
-    cnts[c] = (int32_t)m_out;
-    (*shrinks)++;
+    if (!st)
+        return;
+    st[0] = (int32_t)m_out;
+    for (i64 j = 0; j < m_out; j++) {
+        st_d[j] = (float)ws->sh_d[j];
+        st_dom[j] = tmp_dom[j];
+    }
 }
 
 /* Batched INSERT: points n_start..n_start+n_new-1 already stored in X
  * with their sampled levels in new_levels (and node_level), adjacency
- * arrays already sized for the final level.  io holds {epoch, entry,
- * evals, shrinks}: epoch and entry are read and written back, the two
- * counters written, so the python side stays the single source of truth
- * between calls. */
+ * and shrink-state arrays already sized for the final level.  io holds
+ * {epoch, entry, evals, shrinks, full re-selections}: epoch and entry are
+ * read and written back, the three counters written, so the python side
+ * stays the single source of truth between calls. */
 void hnsw_insert_batch(const float *X, i64 dim, const i64 *nbrs_ptrs,
                        const i64 *strides, const i64 *cnts_ptrs, i64 *stamp,
                        double *cd, int32_t *ci, double *rd, int32_t *ri,
                        int32_t do_sqrt, const int32_t *node_level,
                        i64 n_start, i64 n_new, const int32_t *new_levels,
                        i64 M, i64 M0, i64 efc, int32_t heuristic,
-                       int32_t keep_pruned, double *ws_d, int32_t *ws_i,
-                       uint8_t *flags, i64 maxn, i64 *io)
+                       int32_t keep_pruned, const i64 *state_ptrs,
+                       double *ws_d, int32_t *ws_i, i64 maxn, i64 *io)
 {
     graph_t g = {X, dim, nbrs_ptrs, strides, cnts_ptrs, stamp, cd, ci, rd, ri,
-                 do_sqrt};
+                 do_sqrt, state_ptrs};
     i64 deg1 = (M > M0 ? M : M0) + 1;
     select_ws_t ws = {.tmp_d = ws_d,
                       .ch_d = ws_d + maxn,
                       .sh_d = ws_d + maxn + deg1,
                       .kt = ws_d + maxn + 2 * deg1,
                       .tmp_i = ws_i,
-                      .ch_i = ws_i + maxn,
-                      .sh_i = ws_i + maxn + deg1,
-                      .flags = flags};
-    i64 epoch = io[0], entry = io[1], evals = 0, shrinks = 0;
+                      .dom = ws_i + maxn,
+                      .ch_i = ws_i + 2 * maxn,
+                      .sh_i = ws_i + 2 * maxn + deg1,
+                      .kept_i = ws_i + 2 * maxn + 2 * deg1,
+                      .sh_dom = ws_i + 2 * maxn + 3 * deg1};
+    i64 epoch = io[0], entry = io[1];
+    build_counts_t counts = {0, 0, 0};
     for (i64 p = 0; p < n_new; p++) {
         i64 node = n_start + p;
         i64 level = new_levels[p];
@@ -623,11 +753,11 @@ void hnsw_insert_batch(const float *X, i64 dim, const i64 *nbrs_ptrs,
         i64 ep = entry;
         i64 top = node_level[ep];
         double epd = qdist(q, X + ep * dim, dim, do_sqrt);
-        evals++;
+        counts.evals++;
 
         /* phase 1: greedy descent through layers above the insert level */
         for (i64 lv = top; lv > level; lv--)
-            greedy_step(&g, lv, q, &ep, &epd, &evals);
+            greedy_step(&g, lv, q, &ep, &epd, &counts.evals);
 
         /* phase 2: beam search + connect on layers min(top, level)..0 */
         for (i64 lv = top < level ? top : level; lv >= 0; lv--) {
@@ -639,12 +769,12 @@ void hnsw_insert_batch(const float *X, i64 dim, const i64 *nbrs_ptrs,
             i64 ev = 0;
             i64 nres = search_layer(&g, lv, ++epoch, q, &epd, &in_i, 1, efc,
                                     0, &ev);
-            evals += ev;
+            counts.evals += ev;
             if (heuristic) /* the python _select charge for the cross matrix */
-                evals += nres * (nres - 1) / 2;
+                counts.evals += nres * (nres - 1) / 2;
             i64 nch = select_links(X, dim, rd, ri, nres, limit, heuristic,
-                                   keep_pruned, do_sqrt, ws.kt, ws.flags,
-                                   ws.ch_d, ws.ch_i);
+                                   keep_pruned, do_sqrt, &ws, ws.ch_d,
+                                   ws.ch_i, ws.sh_dom);
             for (i64 t = 0; t < nch; t++)
                 nbrs[node * stride + t] = ws.ch_i[t];
             cnts[node] = (int32_t)nch;
@@ -654,8 +784,8 @@ void hnsw_insert_batch(const float *X, i64 dim, const i64 *nbrs_ptrs,
                 nbrs[c * stride + cc] = (int32_t)node;
                 cnts[c] = (int32_t)(cc + 1);
                 if (cc + 1 > limit)
-                    shrink_node(&g, lv, c, limit, heuristic, keep_pruned, &ws,
-                                &evals, &shrinks);
+                    shrink_node(&g, lv, c, limit, heuristic, keep_pruned,
+                                ws.ch_d[t], &ws, &counts);
             }
             if (nch) { /* python: best = min(chosen) (chosen is sorted) */
                 epd = ws.ch_d[0];
@@ -667,6 +797,5 @@ void hnsw_insert_batch(const float *X, i64 dim, const i64 *nbrs_ptrs,
     }
     io[0] = epoch;
     io[1] = entry;
-    io[2] = evals;
-    io[3] = shrinks;
+    memcpy(io + 2, &counts, sizeof counts);
 }

@@ -142,6 +142,12 @@ class HnswIndex:
             if not self.params.extend_candidates
             else None
         )
+        #: per level, what the compiled shrink recorded about each node's
+        #: last selection (layout at ``shrink_node`` in ``_hotpath.c``):
+        #: 1 + 2 * limit int32 per node, zero = nothing recorded.  Never saved.
+        self._shrink_state: list[np.ndarray] = []
+        #: shrinks answered by a full re-selection, on either build path
+        self._n_full_shrinks = 0
         #: per-query split of the ``n_dist_evals`` charge of the latest
         #: ``knn_search`` / ``knn_search_batch`` call, in row order
         self._row_evals = np.empty(0, dtype=np.int64)
@@ -246,6 +252,9 @@ class HnswIndex:
             cnts = np.zeros(cap, dtype=np.int32)
             cnts[:n] = self._cnts[lv][:n]
             self._nbrs[lv], self._cnts[lv] = nbrs, cnts
+        for lv, old in enumerate(self._shrink_state):
+            self._shrink_state[lv] = np.zeros((cap, old.shape[1]), dtype=np.int32)
+            self._shrink_state[lv][:n] = old[:n]
 
     def _ensure_level(self, level: int) -> None:
         cap = self._X.shape[0]
@@ -253,6 +262,8 @@ class HnswIndex:
             limit = self.params.M0 if len(self._nbrs) == 0 else self.params.M
             self._nbrs.append(np.empty((cap, limit + 1), dtype=np.int32))
             self._cnts.append(np.zeros(cap, dtype=np.int32))
+            if self._native_build is not None:
+                self._shrink_state.append(np.zeros((cap, 1 + 2 * limit), dtype=np.int32))
             self._native_graph_cache = None  # the level tables grew
             self._shrink_cache.append({})
             # bound each level's cache memory (entries are O(limit^2) floats)
@@ -367,21 +378,13 @@ class HnswIndex:
         self._n = n0 + n_new
         self._ensure_level(int(levels.max()))
 
-        graph = self._native_graph()[0]
-        # selection scratch: any candidate list (the efc beam or an
-        # over-full neighbor list) fits maxn; see select_ws_t in the C file
-        deg1 = max(self.params.M, self.params.M0) + 1
-        maxn = max(self.params.ef_construction, deg1 + 1)
-        kept_rows = (deg1 + 6) // 8 * 8  # deg rounded up to whole blocks of 8
-        ws_d = np.zeros(maxn + 2 * deg1 + kept_rows * self.dim, dtype=np.float64)
-        ws_i = np.empty(maxn + 2 * deg1, dtype=np.int32)
-        flags = np.empty(maxn, dtype=np.uint8)
+        cached = self._native_graph()
         io = np.array(
-            [self._visit_epoch, -1 if self._entry is None else self._entry, 0, 0],
+            [self._visit_epoch, -1 if self._entry is None else self._entry, 0, 0, 0],
             dtype=np.int64,
         )
         self._native_build.hnsw_insert_batch(
-            *graph,
+            *cached[0],
             self._node_level.ctypes.data,
             n0,
             n_new,
@@ -391,18 +394,16 @@ class HnswIndex:
             self.params.ef_construction,
             1 if self.params.select_heuristic else 0,
             1 if self.params.keep_pruned else 0,
-            ws_d.ctypes.data,
-            ws_i.ctypes.data,
-            flags.ctypes.data,
-            maxn,
+            *cached[4],
             io.ctypes.data,
         )
         self._visit_epoch, self._entry = int(io[0]), int(io[1])
         self.n_dist_evals += int(io[2])
         self.n_shrink_ops += int(io[3])
+        self._n_full_shrinks += int(io[4])
 
     def _native_graph(self) -> tuple:
-        """``(graph, ext_addr, rd, ri, ...)`` for the compiled entries.
+        """``(graph, ext_addr, rd, ri, build, ...)`` for the compiled entries.
 
         ``graph`` is the argument prefix every entry in ``_hotpath.c``
         starts with — buffer addresses, the per-level pointer tables, the
@@ -412,7 +413,10 @@ class HnswIndex:
         ``.ctypes.data`` of a dozen arrays costs.  The heaps are sized by
         capacity, which bounds every possible push (a node is pushed at
         most once per search); ``rd`` / ``ri`` are the result heap, where
-        ``hnsw_search_layer`` leaves its answer.
+        ``hnsw_search_layer`` leaves its answer.  ``build`` is what
+        ``hnsw_insert_batch`` takes besides: the shrink-state table and the
+        selection scratch (``select_ws_t`` in the C file), kept here so a
+        one-row ``add`` does not allocate and zero it per call.
         """
         cached = self._native_graph_cache
         if cached is None:
@@ -439,8 +443,19 @@ class HnswIndex:
                 *(h.ctypes.data for h in heaps),
                 self._native_sqrt,
             )
+            build, keep = (), [heaps, tables]
+            if self._native_build is not None:
+                states = np.array([a.ctypes.data for a in self._shrink_state], dtype=np.int64)
+                # any candidate list (the efc beam or an over-full neighbor
+                # list) fits maxn; kept rows come in whole blocks of 8
+                deg1 = max(self.params.M, self.params.M0) + 1
+                maxn = max(self.params.ef_construction, deg1 + 1)
+                ws_d = np.zeros(maxn + 2 * deg1 + (deg1 + 6) // 8 * 8 * self.dim)
+                ws_i = np.empty(2 * maxn + 4 * deg1, dtype=np.int32)
+                build = (states.ctypes.data, ws_d.ctypes.data, ws_i.ctypes.data, maxn)
+                keep += [states, ws_d, ws_i]
             # the arrays ride along so their addresses stay alive
-            cached = (graph, self._ext.ctypes.data, heaps[2], heaps[3], heaps, tables)
+            cached = (graph, self._ext.ctypes.data, heaps[2], heaps[3], build, keep)
             self._native_graph_cache = cached
         return cached
 
@@ -487,8 +502,10 @@ class HnswIndex:
                 and self._shrink_fast(node, level, limit, row, entry, cache, d_nx)
             ):
                 return
+            self._n_full_shrinks += 1
             self._shrink_full(node, level, limit, row, cnt, cache)
             return
+        self._n_full_shrinks += 1
         nbrs = row[:cnt]
         self.n_dist_evals += cnt
         if self._fast_kernel is not None:
@@ -870,8 +887,9 @@ class HnswIndex:
         level: int,
     ) -> list[tuple[float, int]]:
         """Unmasked SEARCH-LAYER via the compiled helper, for the python
-        insert path (a build the compiled INSERT declined still gets the
-        compiled beam); bit-identical by contract."""
+        insert path (a build the compiled INSERT cannot serve — candidate
+        extension, a failed cdist self-check — still gets the compiled
+        beam); bit-identical by contract."""
         graph, _, rd, ri = self._native_graph()[:4]
         self._visit_epoch += 1
         in_d = np.array([p[0] for p in entry], dtype=np.float64)

@@ -4,7 +4,7 @@ Three entries live in the shared object: SEARCH-LAYER for one level (the
 python insert path's beam), K-NN-SEARCH for a whole query matrix in one
 call (what ``knn_search`` / ``knn_search_batch`` run, filtered or not),
 and the full INSERT batch (greedy descent, beam search, neighbor
-selection, link shrinking).  All are *optional* accelerators with a
+selection, incremental link shrinking).  All are *optional* accelerators with a
 strict bit-identity contract: they are enabled for an index only when
 
 - a C compiler is available and the shared object builds (compiled once
@@ -37,17 +37,6 @@ from repro.utils.cbuild import compile_and_load
 __all__ = ["native_search_layer_for", "native_build_for"]
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hotpath.c")
-
-#: From this width up the compiled INSERT is declined and the build runs
-#: python's (the compiled beam still serves it).  Selection is all
-#: double-kernel work, and the python path's incremental shrink cache
-#: tests one new link per shrink where the C path re-selects the whole
-#: list (~16x the pair distances); interpreter overhead hides that on
-#: short rows and not on long ones.  Measured on isotropic gaussian rows,
-#: the worst case, compiled against python build: 1.48x at 256-d, level
-#: at 512-d (0.97x and 1.14x in two runs), 0.80-0.90x at 960-d (table in
-#: docs/performance.md, "The build gate").
-_BUILD_DECLINE_DIM = 512
 
 _lib = None
 _lib_state = "unloaded"  # unloaded -> ready | failed (sticky per process)
@@ -120,9 +109,9 @@ def _load():
         i64,  # efc
         i32,  # heuristic
         i32,  # keep_pruned
+        p,  # state_ptrs
         p,  # ws_d
         p,  # ws_i
-        p,  # flags
         i64,  # maxn
         p,  # io
     ]
@@ -205,11 +194,8 @@ def native_build_for(metric_name: str, dim: int):
 
     On top of the search-layer gate this requires the cdist-compatible
     double kernel (selection/shrink pairwise distances) to pass its own
-    bit-identity self-check, and a width the compiled path is not slower
-    at (``_BUILD_DECLINE_DIM``).
+    bit-identity self-check.
     """
-    if dim >= _BUILD_DECLINE_DIM:
-        return None
     lib = native_search_layer_for(metric_name, dim)
     if lib is None:
         return None

@@ -35,24 +35,24 @@ def spread_scores(candidates: np.ndarray, sample: np.ndarray, metric: Metric) ->
     """:func:`spread_score` of every row of ``candidates``, bit for bit: a
     whole tournament round in a few kernel calls instead of three per
     candidate.  Every reduction still runs over the same contiguous row in
-    the same order — L2 sends the ``(C*S, d)`` difference rows through the
-    per-row einsum ``one_to_many`` uses, other metrics stack their own
-    ``one_to_many`` rows, and median and mean reduce each length-``S`` row."""
+    the same order — L2 sends the ``(C*S, d)`` difference rows, 1 MB at a
+    time, through the per-row einsum ``one_to_many`` uses, other metrics
+    stack their own ``one_to_many`` rows, and one median and one mean
+    reduce each length-``S`` row of the ``(C, S)`` distance matrix."""
     C = np.asarray(candidates, dtype=np.float64)
     S = np.asarray(sample, dtype=np.float64)
     n_s, dim = S.shape
     block = max(1, _BLOCK_ENTRIES // (n_s * dim))
-    scores = np.empty(len(C))
+    D = np.empty((len(C), n_s))
     for a in range(0, len(C), block):
         Cb = C[a : a + block]
         if type(metric) is EuclideanMetric:
             diff = (S[np.newaxis, :, :] - Cb[:, np.newaxis, :]).reshape(-1, dim)
-            D = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(Cb), n_s)
+            D[a : a + block] = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(Cb), n_s)
         else:
-            D = np.stack([metric.one_to_many(c, S) for c in Cb])
-        mu = np.median(D, axis=1)
-        scores[a : a + block] = np.mean((D - mu[:, np.newaxis]) ** 2, axis=1)
-    return scores
+            D[a : a + block] = [metric.one_to_many(c, S) for c in Cb]
+    mu = np.median(D, axis=1)
+    return np.mean((D - mu[:, np.newaxis]) ** 2, axis=1)
 
 
 def select_vantage_point(

@@ -164,6 +164,24 @@ class TestOtherFaultKinds:
         assert rep.duplicate_results > 0
 
 
+class TestShutdownDrain:
+    def test_duplicated_exit_notice_is_not_another_thread(self):
+        """Node 1 duplicates all it sends, every other link drops 15 %: the
+        drain used to count node 1's second exit notice as a thread, stop
+        rebroadcasting End-of-Queries, and leave a node whose copy was
+        dropped waiting — ``DeadlockError`` on seeds 7, 14 and 15."""
+        X, Q = make_data(dim=16, n_queries=24, seed=2021)
+        links = (LinkFault(src=1, dup_prob=1.0), LinkFault(drop_prob=0.15))
+        cfg = dict(n_cores=8, cores_per_node=1, k=5, n_probe=3, seed=3, one_sided=False,
+                   replication_factor=2, fault_policy=FaultPolicy(max_attempts=8))
+        for seed in range(16):
+            ann = DistributedANN(SystemConfig(fault_spec=FaultSpec(links=links, seed=seed), **cfg))
+            ann.fit(X)
+            _, _, rep = ann.query(Q)
+            assert rep.completeness.shape == (24,) and np.all(rep.completeness == 1.0), seed
+            assert rep.duplicate_results > 0, seed
+
+
 class TestConfigValidation:
     def test_faults_require_two_sided(self):
         with pytest.raises(SimConfigError, match="two-sided"):

@@ -108,7 +108,7 @@ class TestNativeEqualsPython:
     def test_graph_and_saved_artifact(self, dim, metric, tmp_path, assert_same_graph):
         fast, slow, _ = _pair(dim, metric)
         assert fast.native_search_active and not slow.native_search_active
-        assert fast.native_build_active == (dim < hnsw_native._BUILD_DECLINE_DIM)
+        assert fast.native_build_active
         _same_counters(fast, slow)
         assert_same_graph(fast, slow)
         fast.save(str(tmp_path / "fast.npz"))

@@ -8,7 +8,10 @@ at the commit *before* the single-row twin of the query path was deleted
 (four task kinds, two result kinds, two worker branches, ``FaultHarness.
 run`` beside ``run_serving``).  A moved size formula, send order or
 charged second shows up as a changed byte count, event count or
-``repr`` of a virtual time.
+``repr`` of a virtual time.  (The two rows with a duplicating link,
+``ft_lossy`` and ``ft_serve_lossy_w1``, carry the virtual time, event and
+message counts of the commit that made the shutdown drain count distinct
+threads: until then a duplicated exit notice ended it early.)
 
 Crash times are fractions of the same mode's fault-free makespan, so a
 "crash" row really loses in-flight work.
@@ -257,9 +260,9 @@ GOLDEN: dict[str, dict] = {'ft_free': {'answer': 'af18f7c6b134b47a',
                  'filter': (0, 0, 0, 0, 0),
                  'latency_sum': '0.0492028456'},
  'ft_lossy': {'answer': 'af18f7c6b134b47a',
-              'total_seconds': '0.0024481791999999983',
-              'n_events': 777,
-              'sim': (200, 17792, 0),
+              'total_seconds': '0.0048736191999999975',
+              'n_events': 805,
+              'sim': (216, 17920, 0),
               'tasks': (100, 100),
               'faults': (2, 26, 0, 6),
               'serving': (0, 0, 0, 0),
@@ -285,8 +288,8 @@ GOLDEN: dict[str, dict] = {'ft_free': {'answer': 'af18f7c6b134b47a',
                           'latency_sum': '0.006612827427285171',
                           'timeline': '9ec3895a5316e021'},
  'ft_serve_lossy_w1': {'answer': 'af18cf68d102a616',
-                       'total_seconds': '0.004134271599999998',
-                       'n_events': 851,
+                       'total_seconds': '0.004134571599999998',
+                       'n_events': 853,
                        'sim': (215, 17512, 0),
                        'tasks': (95, 95),
                        'faults': (23, 4, 4, 9),
