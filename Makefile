@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repo.
 
-.PHONY: install test lint bench bench-smoke bench-e2e-smoke bench-pq pq-smoke bench-paper bench-core bench-loadbalance loadbalance-smoke bench-pipeline pipeline-smoke bench-serving serving-smoke bench-filter filter-smoke obs-smoke examples faults-demo clean
+.PHONY: install test test-nonative lint bench bench-smoke bench-e2e-smoke bench-pq pq-smoke bench-paper bench-core bench-loadbalance loadbalance-smoke bench-pipeline pipeline-smoke bench-serving serving-smoke bench-filter filter-smoke obs-smoke examples faults-demo clean
 
 # smoke artifacts are throwaway CI outputs — they land in .benchmarks/
 # (gitignored), never at the repo root next to the tracked trajectories
@@ -11,6 +11,12 @@ install:
 
 test:
 	pytest tests/
+
+# the HNSW / PQ python fallbacks as a system: index, equivalence, cluster,
+# filtering and searcher-protocol tests with the compiled kernels off (in
+# `make test` only tests that clear one instance's handles reach them); about a minute
+test-nonative:
+	REPRO_HNSW_NO_NATIVE=1 REPRO_PQ_NO_NATIVE=1 python -m pytest -q tests/test_hnsw_index.py tests/test_hnsw_flat_equivalence.py tests/test_core_system.py tests/test_filtering.py tests/test_searcher_protocol.py
 
 lint:
 	ruff check src tests benchmarks examples
@@ -27,14 +33,15 @@ bench:
 # floor.  Each width runs twice: on the compiled kernels, then with them disabled (CC=/bin/false; fresh TMPDIR so the .so
 # cache can't satisfy the load) — the pure-python fallback is a supported
 # configuration, not a degraded one — and the two legs must write the same
-# results_sha256: the compiled paths may change wall-clock time only.
+# results_sha256: the compiled paths may change wall-clock time only.  How
+# much they change it (the fallback's cost) is printed per width.
 bench-smoke:
 	mkdir -p $(SMOKE_DIR)
 	set -e; for dim in 32 128 960; do \
 		out=$(SMOKE_DIR)/BENCH_hnsw_smoke_$$dim; \
 		python benchmarks/bench_hnsw.py --tiny --dim $$dim --min-recall 0.95 --out $$out.json; \
 		TMPDIR=$$(mktemp -d) CC=/bin/false python benchmarks/bench_hnsw.py --tiny --dim $$dim --min-recall 0.95 --out $${out}_nonative.json; \
-		python -c 'import json, sys; a, b = (json.load(open(p))["results_sha256"] for p in sys.argv[1:]); sys.exit(a != b and f"results differ between the compiled and the python leg: {a} vs {b}")' $$out.json $${out}_nonative.json; \
+		python -c 'import json, sys; a, b = (json.load(open(p)) for p in sys.argv[2:]); print(f"{sys.argv[1]}-d compiled vs python: build", a["build"]["points_per_s"], "vs", b["build"]["points_per_s"], "pts/s, batched", a["search"]["batched_qps"], "vs", b["search"]["batched_qps"], "q/s"); a, b = a["results_sha256"], b["results_sha256"]; sys.exit(a != b and f"results differ between the compiled and the python leg: {a} vs {b}")' $$dim $$out.json $${out}_nonative.json; \
 	done
 
 # IVF-PQ fast-scan benchmark: ADC scan throughput vs the pre-kernel path,

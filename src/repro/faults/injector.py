@@ -75,6 +75,11 @@ class FaultInjector:
 
     def _match_link(self, src: int, dst: int | None) -> LinkFault | None:
         for ln in self.spec.links:
+            # a transfer that stays on its node crosses no link (the serving
+            # ingress shares the master's node): only a fault naming both
+            # endpoints reaches it, never a wildcard
+            if src == dst and ANY_NODE in (ln.src, ln.dst):
+                continue
             if ln.src not in (ANY_NODE, src):
                 continue
             if dst is None:

@@ -50,7 +50,9 @@ class LinkFault:
     """Perturbations on messages from ``src`` node to ``dst`` node.
 
     ``src``/``dst`` are node ids or :data:`ANY_NODE`; the first matching
-    LinkFault in the spec applies to a message.  Probabilities are per
+    LinkFault in the spec applies to a message.  A wildcard endpoint matches
+    only transfers that leave the node; naming both endpoints as the same
+    node faults that node's local hand-offs.  Probabilities are per
     message and independent; ``latency_factor``/``bandwidth_factor``
     persistently degrade the link's alpha-beta parameters (a flaky or
     congested route) on top of the probabilistic faults.

@@ -339,21 +339,6 @@ static void greedy_step(const graph_t *g, i64 lv, const float *q, i64 *ep_io,
     *epd_io = epd;
 }
 
-/* SEARCH-LAYER for the python insert path (the one caller that still
- * drives a build level by level); results land in (rd, ri). */
-i64 hnsw_search_layer(const float *X, i64 dim, const i64 *nbrs_ptrs,
-                      const i64 *strides, const i64 *cnts_ptrs, i64 *stamp,
-                      double *cd, int32_t *ci, double *rd, int32_t *ri,
-                      int32_t do_sqrt, i64 level, i64 epoch, const float *q,
-                      const double *in_d, const int32_t *in_i, i64 n_in,
-                      i64 ef, i64 *evals_out)
-{
-    graph_t g = {X, dim, nbrs_ptrs, strides, cnts_ptrs, stamp, cd, ci, rd, ri,
-                 do_sqrt};
-    return search_layer(&g, level, epoch, q, in_d, in_i, n_in, ef, 0,
-                        evals_out);
-}
-
 /* K-NN-SEARCH (paper Alg. 5) for nq query rows in one call: entry
  * distance, greedy descent through the upper layers, layer-0 beam of
  * width ef under the nullable row mask ``allowed``, then the closest k
@@ -563,9 +548,10 @@ static i64 select_links(const float *X, i64 dim, const double *cand_d,
 
 /* Bring node c's over-full neighbor list back down to ``limit`` links
  * (python _shrink), the link just appended being node x at query
- * distance d_x.  Charges the same logical eval count as the python
- * paths: cnt query distances plus, under the heuristic, the
- * cnt-candidate cross matrix.
+ * distance d_x.  Python re-selects the whole list every time; this
+ * must leave the same links and charges the same logical eval count:
+ * cnt query distances plus, under the heuristic, the cnt-candidate
+ * cross matrix.
  *
  * Under the heuristic every selection leaves a record of itself in the
  * level's state array (python-owned, 1 + 2 * limit int32 per node,
@@ -579,10 +565,10 @@ static i64 select_links(const float *X, i64 dim, const double *cand_d,
  *                    still-kept entry that dominates it (a backfilled
  *                    discard)
  *
- * When the record describes the list minus x (st[0] + 1 == cnt, python's
- * validity rule; such a record always has ``limit`` entries), x is folded
- * in incrementally, exactly as python's _shrink_fast does: removing
- * discards from a candidate list removes no comparison source, so
+ * When the record describes the list minus x (st[0] + 1 == cnt; such a
+ * record always has ``limit`` entries), x is folded in incrementally
+ * instead of re-selecting.  Why that gives the full re-selection's answer:
+ * removing discards from a candidate list removes no comparison source, so
  * decisions before x's sorted position stand, and the ones after it
  * stand unless x is kept and dominates a kept entry (a victim).  Victims
  * flip to discards dominated by x — sound as long as no discard names a

@@ -34,24 +34,25 @@ kernel result once with ``.tolist()`` instead of calling ``float()``/
 as :class:`~repro.hnsw.reference.ReferenceHnswIndex`, and the equivalence
 tests pin this backend to it bit for bit (same distances, same ids, same
 ``n_dist_evals``).
+
+Two configurations run these algorithms.  Where ``_hotpath.c`` passes its
+self-checks (:mod:`repro.hnsw.native`), ``add`` / ``add_items`` and both
+searches are one C call each, and the speed work — the incremental link
+shrink above all — lives there.  Everywhere else the python methods below
+run, and they are the plain algorithm on purpose: one numpy kernel call
+per step, a full re-selection per shrink.  They are the fallback and the
+oracle the compiled entries are held bit-equal to, not a second tuned
+implementation.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Sequence
 
 import numpy as np
 
-from repro.hnsw.kernels import (
-    buffered_cross_row_for,
-    buffered_kernel_for,
-    fast_cross_row_for,
-    fast_kernel_for,
-    fast_self_pairwise_for,
-    fast_self_row_for,
-)
+from repro.hnsw.kernels import fast_kernel_for, fast_self_pairwise_for, fast_self_row_for
 from repro.hnsw.native import native_build_for, native_search_layer_for
 from repro.hnsw.params import HnswParams
 from repro.hnsw.select import select_heuristic, select_heuristic_rows, select_simple
@@ -115,17 +116,9 @@ class HnswIndex:
         # Fast float32 kernels for the metrics whose formula we can inline;
         # avoids the generic path's float64 conversion copy on every call,
         # which dominates build time (profiling-driven, per the HPC guides).
-        self._fast_kernel = fast_kernel_for(self.metric.name)
+        self._kernel = fast_kernel_for(self.metric.name) or self.metric.one_to_many
         self._fast_self_pairwise = fast_self_pairwise_for(self.metric.name)
         self._fast_self_row = fast_self_row_for(self.metric.name)
-        self._fast_cross_row = fast_cross_row_for(self.metric.name)
-        # allocation-free traversal kernel; degree cap bounds the row count
-        self._buf_kernel = buffered_kernel_for(
-            self.metric.name, dim, self.params.M0 + 1
-        )
-        self._buf_cross_row = buffered_cross_row_for(
-            self.metric.name, dim, self.params.M0 + 1
-        )
         # Compiled traversal (see _hotpath.c): enabled only after a runtime
         # self-check proves the C distance kernel bit-identical to the
         # numpy kernels for this metric at this width; otherwise None and
@@ -146,23 +139,12 @@ class HnswIndex:
         #: last selection (layout at ``shrink_node`` in ``_hotpath.c``):
         #: 1 + 2 * limit int32 per node, zero = nothing recorded.  Never saved.
         self._shrink_state: list[np.ndarray] = []
-        #: shrinks answered by a full re-selection, on either build path
+        #: compiled shrinks that fell back to a full re-selection (C's
+        #: ``full_shrinks`` counter; the python path re-selects always)
         self._n_full_shrinks = 0
         #: per-query split of the ``n_dist_evals`` charge of the latest
         #: ``knn_search`` / ``knn_search_batch`` call, in row order
         self._row_evals = np.empty(0, dtype=np.int64)
-        # Incremental shrink cache (see _shrink): per level, node ->
-        # (ids, dists, kept_flags, kept_rows, kept_positions) describing the
-        # last selection over that node's neighbor list.  Valid only when
-        # selection depends on nothing but the candidate list itself and the
-        # metric admits bit-identical single-row pairwise extension.
-        self._shrink_caching = (
-            self.params.select_heuristic
-            and not self.params.extend_candidates
-            and self._fast_cross_row is not None
-        )
-        self._shrink_cache: list[dict[int, tuple]] = []
-        self._shrink_cache_cap: list[int] = []
 
     # -- basic introspection ------------------------------------------------
 
@@ -217,16 +199,12 @@ class HnswIndex:
     # -- distance helpers ------------------------------------------------------
 
     def _dist_one(self, q: np.ndarray, node: int) -> float:
-        self.n_dist_evals += 1
-        if self._fast_kernel is not None:
-            return float(self._fast_kernel(q, self._X[node : node + 1])[0])
-        return float(self.metric.one_to_many(q, self._X[node : node + 1])[0])
+        return float(self._dist_many(q, slice(node, node + 1))[0])
 
-    def _dist_many(self, q: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        self.n_dist_evals += len(nodes)
-        if self._fast_kernel is not None:
-            return self._fast_kernel(q, self._X[nodes])
-        return self.metric.one_to_many(q, self._X[nodes])
+    def _dist_many(self, q: np.ndarray, nodes: np.ndarray | slice) -> np.ndarray:
+        sub = self._X[nodes]
+        self.n_dist_evals += len(sub)
+        return self._kernel(q, sub)
 
     # -- construction ------------------------------------------------------------
 
@@ -265,9 +243,6 @@ class HnswIndex:
             if self._native_build is not None:
                 self._shrink_state.append(np.zeros((cap, 1 + 2 * limit), dtype=np.int32))
             self._native_graph_cache = None  # the level tables grew
-            self._shrink_cache.append({})
-            # bound each level's cache memory (entries are O(limit^2) floats)
-            self._shrink_cache_cap.append(max(1024, (1 << 28) // (8 * (limit + 1) ** 2)))
 
     def _sample_level(self) -> int:
         if self.params.flat:
@@ -321,13 +296,13 @@ class HnswIndex:
             if chosen:
                 nbrs[node, : len(chosen)] = [c for _, c in chosen]
             cnts[node] = len(chosen)
-            for dist_qc, c in chosen:
+            for _, c in chosen:
                 cc = int(cnts[c])
                 nbrs[c, cc] = node
                 cc += 1
                 cnts[c] = cc
                 if cc > limit:
-                    self._shrink(c, lv, limit, dist_qc)
+                    self._shrink(c, lv, limit)
             best = min(chosen) if chosen else (ep_dist, ep)
             ep_dist, ep = best
 
@@ -378,13 +353,13 @@ class HnswIndex:
         self._n = n0 + n_new
         self._ensure_level(int(levels.max()))
 
-        cached = self._native_graph()
+        graph, _, build, _ = self._native_graph()
         io = np.array(
             [self._visit_epoch, -1 if self._entry is None else self._entry, 0, 0, 0],
             dtype=np.int64,
         )
         self._native_build.hnsw_insert_batch(
-            *cached[0],
+            *graph,
             self._node_level.ctypes.data,
             n0,
             n_new,
@@ -394,7 +369,7 @@ class HnswIndex:
             self.params.ef_construction,
             1 if self.params.select_heuristic else 0,
             1 if self.params.keep_pruned else 0,
-            *cached[4],
+            *build,
             io.ctypes.data,
         )
         self._visit_epoch, self._entry = int(io[0]), int(io[1])
@@ -403,7 +378,7 @@ class HnswIndex:
         self._n_full_shrinks += int(io[4])
 
     def _native_graph(self) -> tuple:
-        """``(graph, ext_addr, rd, ri, build, ...)`` for the compiled entries.
+        """``(graph, ext_addr, build, keep)`` for the compiled entries.
 
         ``graph`` is the argument prefix every entry in ``_hotpath.c``
         starts with — buffer addresses, the per-level pointer tables, the
@@ -412,11 +387,10 @@ class HnswIndex:
         cache): a small partition answers in less time than taking
         ``.ctypes.data`` of a dozen arrays costs.  The heaps are sized by
         capacity, which bounds every possible push (a node is pushed at
-        most once per search); ``rd`` / ``ri`` are the result heap, where
-        ``hnsw_search_layer`` leaves its answer.  ``build`` is what
-        ``hnsw_insert_batch`` takes besides: the shrink-state table and the
-        selection scratch (``select_ws_t`` in the C file), kept here so a
-        one-row ``add`` does not allocate and zero it per call.
+        most once per search).  ``build`` is what ``hnsw_insert_batch``
+        takes besides: the shrink-state table and the selection scratch
+        (``select_ws_t`` in the C file), kept here so a one-row ``add``
+        does not allocate and zero it per call.
         """
         cached = self._native_graph_cache
         if cached is None:
@@ -454,257 +428,32 @@ class HnswIndex:
                 ws_i = np.empty(2 * maxn + 4 * deg1, dtype=np.int32)
                 build = (states.ctypes.data, ws_d.ctypes.data, ws_i.ctypes.data, maxn)
                 keep += [states, ws_d, ws_i]
-            # the arrays ride along so their addresses stay alive
-            cached = (graph, self._ext.ctypes.data, heaps[2], heaps[3], build, keep)
+            # ``keep``: the arrays ride along so their addresses stay alive
+            cached = (graph, self._ext.ctypes.data, build, keep)
             self._native_graph_cache = cached
         return cached
 
-    def _shrink(self, node: int, level: int, limit: int, d_nx: float | None = None) -> None:
-        """Re-select ``node``'s neighbor list down to ``limit`` links.
+    def _shrink(self, node: int, level: int, limit: int) -> None:
+        """Re-select ``node``'s over-full neighbor list down to ``limit`` links.
 
-        ``d_nx`` is the already-computed distance between ``node`` and the
-        link just appended (the inserting point), when the caller has it;
-        for the kernels the cache supports it is bit-identical to
-        recomputing (the einsum/cdist formulas are symmetric in their
-        arguments and row-independent).
-
-        A shrink fires on every link append past ``limit`` — ~M0 times per
-        insert once the graph saturates — and each one re-runs selection
-        over ``limit + 1`` candidates of which ``limit`` were already
-        selected last time.  When selection depends only on the candidate
-        list (heuristic on, no candidate extension) and the metric admits
-        bit-identical single-pair recomputation (cdist-backed
-        l2/sqeuclidean), the previous round's decisions are provably
-        reusable: dropping non-kept candidates removes no comparison
-        source, so every keep/discard decision before the new link's
-        sorted position — and, if the new link is discarded or dominates
-        no kept neighbor, after it too — is unchanged.  The cached path
-        (:meth:`_shrink_fast`) therefore tests only the new link and
-        re-derives the result from the stored flags, falling back to a
-        full re-selection on any cascade.
-
-        ``n_dist_evals`` is a *logical* counter: both paths charge exactly
-        what the reference implementation computes (``cnt`` query distances
-        plus the ``cnt``-candidate cross matrix), so virtual-time
-        accounting is bit-identical regardless of which physical path ran.
+        The plain algorithm: query distances from ``node`` to every link,
+        then :meth:`_select` over them.  ``shrink_node`` in ``_hotpath.c``
+        instead folds the one appended link into a record of the previous
+        selection (docs/performance.md, "The incremental shrink"); this
+        full re-selection is what it is checked against, and both charge
+        ``n_dist_evals`` the same ``cnt`` query distances plus the
+        ``cnt``-candidate cross matrix.
         """
         cnt = int(self._cnts[level][node])
         row = self._nbrs[level][node]
         self.n_shrink_ops += 1
-        if self._shrink_caching:
-            self.n_dist_evals += cnt + cnt * (cnt - 1) // 2
-            cache = self._shrink_cache[level]
-            entry = cache.get(node)
-            if (
-                entry is not None
-                and d_nx is not None
-                and len(entry[1]) + 1 == cnt
-                and self._shrink_fast(node, level, limit, row, entry, cache, d_nx)
-            ):
-                return
-            self._n_full_shrinks += 1
-            self._shrink_full(node, level, limit, row, cnt, cache)
-            return
-        self._n_full_shrinks += 1
         nbrs = row[:cnt]
-        self.n_dist_evals += cnt
-        if self._fast_kernel is not None:
-            dists = self._fast_kernel(self._X[node], self._X[nbrs])
-        else:
-            dists = self.metric.one_to_many(self._X[node], self._X[nbrs])
+        dists = self._dist_many(self._X[node], nbrs)
         cands = list(zip(dists.tolist(), nbrs.tolist()))
         chosen = self._select(self._X[node], cands, limit, level)
         for j, (_, c) in enumerate(chosen):
             row[j] = c
         self._cnts[level][node] = len(chosen)
-
-    def _shrink_full(
-        self,
-        node: int,
-        level: int,
-        limit: int,
-        row: np.ndarray,
-        cnt: int,
-        cache: dict[int, tuple],
-    ) -> None:
-        """Full re-selection over ``node``'s list, recording a cache entry.
-
-        Decision-identical to ``select_heuristic`` over the sorted
-        candidates with the full pairwise matrix (the reference path); on
-        top of the result it records each surviving candidate's
-        keep/discard flag, which is the whole state :meth:`_shrink_fast`
-        needs — cached pairwise rows are never re-read, because the only
-        fresh comparisons a one-link update needs involve the new link
-        itself and are recomputed exactly.
-        """
-        X = self._X
-        nbrs_ids = row[:cnt]
-        d32 = self._fast_kernel(X[node], X[nbrs_ids])
-        # sorting (dist, id) tuples == lexsort with dist primary, id tie-break
-        cands = sorted(zip(d32.tolist(), nbrs_ids.tolist()))
-        dlist = [t[0] for t in cands]
-        ilist_s = [t[1] for t in cands]
-        ids_s = np.array(ilist_s, dtype=np.int32)
-        cross = self._fast_self_pairwise(X[ids_s])
-        flags_all = [False] * cnt
-        # dom_all[i]: id of the first kept candidate dominating a discarded
-        # candidate i (None for kept ones) — lets _shrink_fast tell which
-        # discards might flip when that dominator is itself discarded
-        dom_all: list[int | None] = [None] * cnt
-        kept_positions: list[int] = []
-        kept_rows: list[tuple[list[float], int]] = []
-        discarded_positions: list[int] = []
-        kcount = 0
-        for i in range(cnt):
-            if kcount >= limit:
-                break
-            di = dlist[i]
-            hit = None
-            for r, rid in kept_rows:
-                if r[i] <= di:
-                    hit = rid
-                    break
-            if hit is None:
-                flags_all[i] = True
-                kept_positions.append(i)
-                kept_rows.append((cross[i].tolist(), ilist_s[i]))
-                kcount += 1
-            else:
-                dom_all[i] = hit
-                discarded_positions.append(i)
-        if self.params.keep_pruned and kcount < limit and discarded_positions:
-            result_pos = sorted(
-                kept_positions + discarded_positions[: limit - kcount]
-            )
-        else:
-            result_pos = kept_positions
-        ids_n = ids_s[result_pos]
-        m_out = len(ids_n)
-        row[:m_out] = ids_n
-        self._cnts[level][node] = m_out
-        if len(cache) >= self._shrink_cache_cap[level]:
-            cache.pop(next(iter(cache)))
-        cache[node] = (
-            ids_n,
-            [(dlist[i], ilist_s[i]) for i in result_pos],
-            [flags_all[i] for i in result_pos],
-            [dom_all[i] for i in result_pos],
-            kcount,
-        )
-
-    def _shrink_fast(
-        self,
-        node: int,
-        level: int,
-        limit: int,
-        row: np.ndarray,
-        entry: tuple,
-        cache: dict[int, tuple],
-        d_x: float,
-    ) -> bool:
-        """Incremental shrink: fold one appended link into the cached state.
-
-        When the new link is kept and dominates previously-kept neighbors,
-        those victims flip to discarded (with the new link recorded as
-        their dominator) — sound as long as no *discarded* candidate
-        depended on a victim as its first dominator, because a discard is
-        justified by any still-kept dominator and pair distances never
-        change.  Only when such a dependent discard exists can decisions
-        genuinely cascade; then the entry is invalidated and the caller
-        re-runs the full path (returns False).
-
-        The result of the previous selection always has exactly ``limit``
-        entries here (``keep_pruned`` backfills to the cap), so folding in
-        one link means dropping exactly one position: the positionally
-        last kept one when the kept count overflows ``limit`` (selection
-        breaks at the cap), else the last non-kept one (backfill quota
-        shrinks by one).
-        """
-        ids, pairs, flags, dom, kcount = entry
-        k = len(pairs)
-        x = int(row[k])
-        X = self._X
-        p = bisect_left(pairs, (d_x, x))
-        # distances x -> cached candidates; bit-identical to the rows/cols
-        # the full pairwise matrix would hold for these pairs
-        cv = self._buf_cross_row(X, X[x : x + 1], ids).tolist()
-        x_kept = True
-        x_dom = None
-        for pos in range(p):
-            if flags[pos] and cv[pos] <= d_x:
-                x_kept = False
-                x_dom = pairs[pos][1]
-                break
-        if x_kept:
-            victims = [
-                pos for pos in range(p, k) if flags[pos] and cv[pos] <= pairs[pos][0]
-            ]
-            if victims:
-                vids = {pairs[pos][1] for pos in victims}
-                for pos in range(victims[0] + 1, k):
-                    if not flags[pos] and dom[pos] in vids:
-                        # a discard justified only by a victim may flip:
-                        # genuine cascade — recompute from scratch
-                        del cache[node]
-                        return False
-                for pos in victims:
-                    flags[pos] = False
-                    dom[pos] = x
-                kcount -= len(victims)
-            kcount += 1
-        pairs.insert(p, (d_x, x))
-        flags.insert(p, x_kept)
-        dom.insert(p, x_dom)
-        if not self.params.keep_pruned:
-            ids2 = np.empty(k + 1, dtype=np.int32)
-            ids2[:p] = ids[:p]
-            ids2[p] = x
-            ids2[p + 1 :] = ids[p:]
-            keep_idx = [i for i, f in enumerate(flags) if f][:limit]
-            ids_n = ids2[keep_idx]
-            m_out = len(ids_n)
-            row[:m_out] = ids_n
-            self._cnts[level][node] = m_out
-            cache[node] = (
-                ids_n,
-                [pairs[i] for i in keep_idx],
-                [True] * m_out,
-                [None] * m_out,
-                m_out,
-            )
-            return True
-        if kcount > limit:
-            q = k  # kept count overflows: all k+1 are kept, drop the last
-            kcount -= 1
-        else:
-            q = k
-            while flags[q]:
-                q -= 1
-        del pairs[q]
-        del flags[q]
-        del dom[q]
-        if q == p:
-            # the dropped position is the new link itself: the stored ids
-            # (and the row prefix, which still holds them) are unchanged
-            self._cnts[level][node] = k
-            cache[node] = (ids, pairs, flags, dom, kcount)
-            return True
-        # ids with x spliced in at p and position q removed, in one copy
-        ids3 = np.empty(k, dtype=np.int32)
-        if q > p:
-            ids3[:p] = ids[:p]
-            ids3[p] = x
-            ids3[p + 1 : q] = ids[p : q - 1]
-            ids3[q:] = ids[q:]
-        else:
-            ids3[:q] = ids[:q]
-            ids3[q : p - 1] = ids[q + 1 : p]
-            ids3[p - 1] = x
-            ids3[p:] = ids[p:]
-        row[:k] = ids3
-        self._cnts[level][node] = k
-        cache[node] = (ids3, pairs, flags, dom, kcount)
-        return True
 
     def _select(
         self,
@@ -760,21 +509,14 @@ class HnswIndex:
         """Greedy search with beam 1 on one layer (upper-layer descent)."""
         nbrs, cnts = self._nbrs[level], self._cnts[level]
         X = self._X
-        buf = self._buf_kernel
-        kernel = self._fast_kernel
-        one_to_many = self.metric.one_to_many
+        kernel = self._kernel
         n_evals = 0
         while True:
             cnt = cnts[ep]
             if not cnt:
                 break
             nb = nbrs[ep, :cnt]
-            if buf is not None:
-                d = buf(X, nb, q)
-            elif kernel is not None:
-                d = kernel(q, X[nb])
-            else:
-                d = one_to_many(q, X[nb])
+            d = kernel(q, X[nb])
             n_evals += int(cnt)
             j = int(np.argmin(d))
             if d[j] < ep_dist:
@@ -815,16 +557,12 @@ class HnswIndex:
         ``_hotpath.c`` is the same loop, mask included, and the
         equivalence tests hold the two bit-equal.
         """
-        if self._native is not None and allowed is None:
-            return self._search_layer_native(q, entry, ef, level)
         nbrs, cnts = self._nbrs[level], self._cnts[level]
         X = self._X
         stamp = self._visit_stamp
         self._visit_epoch += 1
         epoch = self._visit_epoch
-        buf = self._buf_kernel
-        kernel = self._fast_kernel
-        one_to_many = self.metric.one_to_many
+        kernel = self._kernel
         for _, c in entry:
             stamp[c] = epoch
         candidates = list(entry)
@@ -847,12 +585,7 @@ class HnswIndex:
             if not fresh.size:
                 continue
             stamp[fresh] = epoch
-            if buf is not None:
-                dists = buf(X, fresh, q)
-            elif kernel is not None:
-                dists = kernel(q, X[fresh])
-            else:
-                dists = one_to_many(q, X[fresh])
+            dists = kernel(q, X[fresh])
             n_evals += fresh.size
             if full:
                 # ``bound`` only tightens while the set stays full, so
@@ -878,36 +611,6 @@ class HnswIndex:
                     bound = -results[0][0]
         self.n_dist_evals += n_evals
         return sorted([(-d, n) for d, n in results])
-
-    def _search_layer_native(
-        self,
-        q: np.ndarray,
-        entry: list[tuple[float, int]],
-        ef: int,
-        level: int,
-    ) -> list[tuple[float, int]]:
-        """Unmasked SEARCH-LAYER via the compiled helper, for the python
-        insert path (a build the compiled INSERT cannot serve — candidate
-        extension, a failed cdist self-check — still gets the compiled
-        beam); bit-identical by contract."""
-        graph, _, rd, ri = self._native_graph()[:4]
-        self._visit_epoch += 1
-        in_d = np.array([p[0] for p in entry], dtype=np.float64)
-        in_i = np.array([p[1] for p in entry], dtype=np.int32)
-        ev = np.empty(1, dtype=np.int64)
-        m = self._native.hnsw_search_layer(
-            *graph,
-            level,
-            self._visit_epoch,
-            q.ctypes.data,
-            in_d.ctypes.data,
-            in_i.ctypes.data,
-            len(entry),
-            ef,
-            ev.ctypes.data,
-        )
-        self.n_dist_evals += int(ev[0])
-        return list(zip(rd[:m].tolist(), ri[:m].tolist()))
 
     def knn_search(
         self,
@@ -1088,19 +791,34 @@ class HnswIndex:
             )
         # else: legacy 6-field file — fall back to the params defaults
         params = HnswParams(**kwargs)
-        n = len(data["X"])
-        idx = cls(dim=int(meta[0]), params=params, metric=metric, capacity=n)
-        idx._X[:n] = data["X"]
-        idx._n = n
-        idx._ext[:n] = data["ext_ids"]
-        idx._node_level[:n] = data["node_level"]
+        X, ext_ids, levels = data["X"], data["ext_ids"], data["node_level"]
+        links, link_index = data["links"], data["link_index"]
+        n = len(X)
         entry = int(data["entry"][0])
+        lvs, nodes, counts = link_index.T
+        top = int(levels.max()) if len(levels) else -1
+        # a file is outside input, and the compiled search follows link ids
+        # without bounds checks: refuse what ``save`` cannot have written
+        for name, ok in (
+            ("meta", int(meta[0]) == X.shape[1]),
+            ("ext_ids", len(ext_ids) == n),
+            ("node_level", len(levels) == n),
+            ("entry", 0 <= entry < n or (n == 0 and entry < 0)),
+            ("link_index", np.all((0 <= lvs) & (lvs <= top) & (0 <= nodes) & (nodes < n))
+             and np.all((0 <= counts) & (counts <= np.where(lvs == 0, params.M0, params.M)))),
+            ("links", int(counts.sum()) == len(links) and np.all((0 <= links) & (links < n))),
+        ):
+            if not ok:
+                raise ValueError(f"{path}: not a saved HnswIndex: bad {name!r} array")
+        idx = cls(dim=int(meta[0]), params=params, metric=metric, capacity=n)
+        idx._X[:n] = X
+        idx._n = n
+        idx._ext[:n] = ext_ids
+        idx._node_level[:n] = levels
         idx._entry = None if entry < 0 else entry
-        levels = data["node_level"]
-        idx._ensure_level(int(levels.max()) if len(levels) else -1)
+        idx._ensure_level(top)
         pos = 0
-        links = data["links"]
-        for lv, node, count in data["link_index"].tolist():
+        for lv, node, count in link_index.tolist():
             idx._nbrs[lv][node, :count] = links[pos : pos + count]
             idx._cnts[lv][node] = count
             pos += count

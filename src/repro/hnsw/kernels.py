@@ -10,6 +10,11 @@ Shared by :class:`~repro.hnsw.index.HnswIndex` (the flat production
 backend) and :class:`~repro.hnsw.reference.ReferenceHnswIndex` (the
 dict-based test oracle), so the two backends are bit-identical by
 construction: same kernel, same summation order.
+
+One plain numpy function per kernel and metric: these are what the python
+path runs and what ``_hotpath.c`` is self-checked against
+(:mod:`repro.hnsw.native`), so there is no allocation-free or
+incremental variant here — that work lives in the C file.
 """
 
 from __future__ import annotations
@@ -33,11 +38,6 @@ except ImportError:  # pragma: no cover - older/newer scipy layout
 
     def _cdist_sqeuclidean(a, b):
         return _cdist(a, b, "sqeuclidean")
-
-try:  # np.einsum minus its argument-parsing wrapper; same C routine
-    from numpy._core._multiarray_umath import c_einsum as _einsum
-except ImportError:  # pragma: no cover - older numpy layout
-    _einsum = np.einsum
 
 
 def _l2sq_f32(q: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -84,113 +84,6 @@ def _l2sq_row_f32(A: np.ndarray, i: int) -> list[float]:
     return _cdist_sqeuclidean(A[i : i + 1], A)[0].tolist()
 
 
-def _l2_cross_row_f32(a: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return _cdist_euclidean(a, B)[0]
-
-
-def _l2sq_cross_row_f32(a: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return _cdist_sqeuclidean(a, B)[0]
-
-
-class _L2Buffered:
-    """Allocation-free l2 kernel over index rows (traversal hot path).
-
-    ``__call__(X, rows, q)`` returns ``dist(q, X[r])`` for each row id in
-    ``rows`` — bit-identical to ``_l2_f32(q, X[rows])``, but gathering,
-    subtracting, squaring and rooting into preallocated buffers, which
-    removes four array allocations and the ``np.einsum`` parsing wrapper
-    per call.  The result is a view into an internal buffer: consume it
-    before the next call.
-    """
-
-    __slots__ = ("_sub", "_diff", "_out", "_sq")
-
-    def __init__(self, dim: int, maxn: int, sq: bool = False) -> None:
-        self._sub = np.empty((maxn, dim), dtype=np.float32)
-        self._diff = np.empty((maxn, dim), dtype=np.float32)
-        self._out = np.empty(maxn, dtype=np.float32)
-        self._sq = sq
-
-    def __call__(self, X: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-        n = len(rows)
-        sub = self._sub[:n]
-        X.take(rows, axis=0, out=sub, mode="clip")
-        diff = self._diff[:n]
-        np.subtract(sub, q, out=diff)
-        out = self._out[:n]
-        _einsum("ij,ij->i", diff, diff, out=out)
-        return out if self._sq else np.sqrt(out, out=out)
-
-
-class _IpBuffered:
-    """Allocation-free negative-inner-product kernel; see ``_L2Buffered``."""
-
-    __slots__ = ("_sub", "_out")
-
-    def __init__(self, dim: int, maxn: int) -> None:
-        self._sub = np.empty((maxn, dim), dtype=np.float32)
-        self._out = np.empty(maxn, dtype=np.float32)
-
-    def __call__(self, X: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-        n = len(rows)
-        sub = self._sub[:n]
-        X.take(rows, axis=0, out=sub, mode="clip")
-        out = self._out[:n]
-        np.matmul(sub, q, out=out)
-        return np.negative(out, out=out)
-
-
-class _CrossRowBuffered:
-    """Buffered variant of the cross-row kernel (see ``fast_cross_row_for``).
-
-    ``__call__(X, a, ids)`` gathers ``X[ids]`` into a preallocated buffer
-    and returns the cdist row ``a`` vs those rows — entry-for-entry
-    bit-identical to ``fast_cross_row_for(...)(a, X[ids])``, without the
-    fancy-index allocation per call.
-    """
-
-    __slots__ = ("_sub", "_fn")
-
-    def __init__(self, dim: int, maxn: int, sq: bool = False) -> None:
-        self._sub = np.empty((maxn, dim), dtype=np.float32)
-        self._fn = _cdist_sqeuclidean if sq else _cdist_euclidean
-
-    def __call__(self, X: np.ndarray, a: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        n = len(ids)
-        sub = self._sub[:n]
-        X.take(ids, axis=0, out=sub, mode="clip")
-        return self._fn(a, sub)[0]
-
-
-def buffered_cross_row_for(metric_name: str, dim: int, maxn: int):
-    """Stateful ``(X, a, ids) -> float64 row`` kernel, or None.
-
-    Same bit-identity contract as :func:`fast_cross_row_for`; only the
-    cdist-backed metrics qualify.
-    """
-    if metric_name == "l2":
-        return _CrossRowBuffered(dim, maxn)
-    if metric_name == "sqeuclidean":
-        return _CrossRowBuffered(dim, maxn, sq=True)
-    return None
-
-
-def buffered_kernel_for(metric_name: str, dim: int, maxn: int):
-    """Stateful ``(X, rows, q) -> dists`` kernel reusing buffers, or None.
-
-    Bit-identical to ``fast_kernel_for(metric_name)(q, X[rows])`` — the
-    equivalence tests pin this — but allocation-free.  ``maxn`` bounds the
-    row-set size (the index passes its degree cap).
-    """
-    if metric_name == "l2":
-        return _L2Buffered(dim, maxn)
-    if metric_name == "sqeuclidean":
-        return _L2Buffered(dim, maxn, sq=True)
-    if metric_name == "ip":
-        return _IpBuffered(dim, maxn)
-    return None
-
-
 _ONE_TO_MANY = {
     "l2": _l2_f32,
     "sqeuclidean": _l2sq_f32,
@@ -215,11 +108,6 @@ _SELF_ROW = {
     "sqeuclidean": _l2sq_row_f32,
 }
 
-_CROSS_ROW = {
-    "l2": _l2_cross_row_f32,
-    "sqeuclidean": _l2sq_cross_row_f32,
-}
-
 
 def fast_kernel_for(metric_name: str):
     """float32 one-to-many kernel ``(q, sub) -> dists``, or None."""
@@ -238,14 +126,3 @@ def fast_self_row_for(metric_name: str):
     neighbor selection skip the n² matrix when only a few rows are kept.
     """
     return _SELF_ROW.get(metric_name)
-
-
-def fast_cross_row_for(metric_name: str):
-    """Kernel ``(a (1, d), B (n, d)) -> float64 (n,)``, or None.
-
-    Each entry is bit-identical to the corresponding entry of the full
-    self-pairwise matrix over ``a`` stacked with ``B`` — the property the
-    incremental shrink cache relies on to extend cached pairwise rows by
-    one column.  Only cdist-backed metrics qualify (see ``_SELF_ROW``).
-    """
-    return _CROSS_ROW.get(metric_name)

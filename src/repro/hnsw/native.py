@@ -1,11 +1,11 @@
 """ctypes loader for the compiled HNSW hot paths (``_hotpath.c``).
 
-Three entries live in the shared object: SEARCH-LAYER for one level (the
-python insert path's beam), K-NN-SEARCH for a whole query matrix in one
-call (what ``knn_search`` / ``knn_search_batch`` run, filtered or not),
-and the full INSERT batch (greedy descent, beam search, neighbor
-selection, incremental link shrinking).  All are *optional* accelerators with a
-strict bit-identity contract: they are enabled for an index only when
+Two entries live in the shared object: K-NN-SEARCH for a whole query
+matrix in one call (what ``knn_search`` / ``knn_search_batch`` run,
+filtered or not), and the full INSERT batch (greedy descent, beam search,
+neighbor selection, incremental link shrinking).  Both are *optional*
+accelerators with a strict bit-identity contract: they are enabled for an
+index only when
 
 - a C compiler is available and the shared object builds (compiled once
   per source hash into a per-user temp dir, reused across processes),
@@ -21,8 +21,11 @@ strict bit-identity contract: they are enabled for an index only when
 
 On any failure the index silently stays on the pure-python paths, which
 are always correct — the helpers change wall-clock time only, never
-results or ``n_dist_evals``.  Set ``REPRO_HNSW_NO_NATIVE=1`` to force
-the python paths (the equivalence tests use this to cover both).
+results or ``n_dist_evals``.  An index builds either all compiled or all
+python (the python INSERT walks the python beam; there is no hybrid), and
+the python side is the plain algorithm the C entries are tested against.
+Set ``REPRO_HNSW_NO_NATIVE=1`` to force the python paths (``make
+test-nonative`` and the second leg of ``make bench-smoke`` run that way).
 """
 
 from __future__ import annotations
@@ -71,17 +74,6 @@ def _load():
         p,  # rd
         p,  # ri
         i32,  # do_sqrt
-    ]
-    lib.hnsw_search_layer.restype = i64
-    lib.hnsw_search_layer.argtypes = graph + [
-        i64,  # level
-        i64,  # epoch
-        p,  # q
-        p,  # in_d
-        p,  # in_i
-        i64,  # n_in
-        i64,  # ef
-        p,  # evals_out
     ]
     lib.hnsw_knn_search.restype = None
     lib.hnsw_knn_search.argtypes = graph + [

@@ -10,8 +10,10 @@ Two strategies from the HNSW paper:
   collapses on datasets with strong cluster structure (exactly the
   descriptor corpora used here).
 
-Selection runs ~30 times per insert (every link-overflow ``_shrink``
-re-selects), so the loop shape matters.  The paper's formulation tracks,
+On the python path selection runs ~30 times per insert (every
+link-overflow ``_shrink`` re-selects the whole list; only the compiled
+INSERT folds the new link in incrementally), so the loop shape matters.
+The paper's formulation tracks,
 for every remaining candidate, its distance to the nearest kept neighbor;
 here the test is flipped into an early-exit scan — candidate ``i`` is kept
 iff no already-kept row ``r`` has ``r[i] <= dist(q, i)`` — which examines

@@ -17,7 +17,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.engine import DistributedANN
 from repro.eval import availability_stats, degraded_recall
-from repro.faults import FaultPolicy, FaultSpec, LinkFault, RankCrash, SlowNode
+from repro.faults import FaultInjector, FaultPolicy, FaultSpec, LinkFault, RankCrash, SlowNode
 from repro.simmpi.errors import SimConfigError
 
 
@@ -162,6 +162,34 @@ class TestOtherFaultKinds:
         D, I, rep = run(X, Q, replication=2, fault_spec=spec)
         assert np.array_equal(I, golden[1])
         assert rep.duplicate_results > 0
+
+
+class TestServingIngressIsNotALink:
+    def test_wildcard_link_fault_spares_the_ingress(self, data):
+        """The arrival source hands queries to the master on the master's
+        own node; a wildcard ``LinkFault`` used to drop those hand-offs too,
+        and the master then waited for a query that never came —
+        ``DeadlockError`` on every seed."""
+        X, Q = data
+        for seed in range(8):
+            spec = FaultSpec(links=(LinkFault(drop_prob=0.3),), seed=seed)
+            _, _, rep = run(X, Q, replication=2, fault_spec=spec, arrival="poisson:400000",
+                            fault_policy=FaultPolicy(max_attempts=8))
+            assert rep.offered_queries == len(Q), seed
+            assert (
+                rep.admitted_queries + rep.shed_queries + rep.rejected_queries
+                == rep.offered_queries
+            ), seed
+            assert rep.completeness.shape == (len(Q),), seed
+            assert np.all(rep.completeness <= 1.0) and rep.completeness.mean() > 0.9, seed
+            assert rep.retries + rep.failovers > 0, seed
+
+    def test_naming_both_endpoints_still_faults_a_node_local_transfer(self):
+        named, wild = LinkFault(src=4, dst=4, drop_prob=1.0), LinkFault(drop_prob=1.0)
+        inj = FaultInjector(FaultSpec(links=(named, wild)))
+        assert inj._match_link(4, 4) is named
+        assert inj._match_link(3, 3) is None
+        assert inj._match_link(3, 4) is wild and inj._match_link(3, None) is wild
 
 
 class TestShutdownDrain:

@@ -1,8 +1,8 @@
 """Bit-equivalence of the flattened HNSW hot path.
 
 Every optimisation in ``repro.hnsw.index`` — flat adjacency, epoch-stamped
-visited sets, fast kernels, the incremental shrink cache, the compiled C
-search layer — is required to be behaviour-preserving down to the bit (see
+visited sets, fast kernels, the compiled C search and insert with its
+incremental shrink — is required to be behaviour-preserving down to the bit (see
 docs/performance.md).  These tests pin that contract three ways:
 
 1. the flat backend against :class:`ReferenceHnswIndex` on every metric,
@@ -122,7 +122,7 @@ class TestNativeMatchesPython:
         slow = HnswIndex(dim=32, params=params)
         if fast._native is None:
             pytest.skip("native search layer unavailable on this machine")
-        slow._native = None
+        slow._native = slow._native_build = None
         fast.add_items(X)
         slow.add_items(X)
 

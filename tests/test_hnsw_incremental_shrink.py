@@ -1,15 +1,15 @@
-"""The compiled incremental shrink against python's and the reference.
+"""The compiled incremental shrink against python's full re-selection
+and the reference.
 
 ``shrink_node`` in ``_hotpath.c`` folds one appended link into the record
-of a node's last selection instead of re-selecting the list (python's
-``_shrink_fast``).  Data here is built to reach its hard branches — rows
-that are all equal, a small integer grid (ties in query distance and in
+of a node's last selection instead of re-selecting the list, which is what
+python's ``_shrink`` does.  Data here is built to reach its hard branches —
+rows that are all equal, a small integer grid (ties in query distance and in
 pair distance, so the ``<=`` dominator test and the ``(d, id)`` order
 decide), isotropic gaussian rows (nothing dominates) and ``sift_like`` —
 across ``keep_pruned``, degree, width and the ways points can arrive, and
 every variant must equal the python build bit for bit: graph, saved
-arrays, counters, answers, and which shrinks fell back to a full
-re-selection.
+arrays, counters, answers.
 """
 
 import functools
@@ -49,7 +49,7 @@ def _index(dim, params, compiled):
     idx = HnswIndex(dim=dim, params=params, capacity=16)  # small: _grow runs too
     assert idx.native_build_active
     if not compiled:
-        idx._native_build = None  # python's insert loop (over the compiled beam)
+        idx._native_build = None  # python's insert loop
     return idx
 
 
@@ -91,8 +91,6 @@ def _assert_equal(fast, slow, Q, tmp_path, assert_same_graph):
     assert_same_graph(fast, slow)
     assert fast_evals == slow_evals
     assert fast.n_shrink_ops == slow.n_shrink_ops
-    # the same shrinks took the fast path: the port mirrors python's rules
-    assert fast._n_full_shrinks == slow._n_full_shrinks
     assert _saved_arrays(fast, tmp_path / "f.npz") == _saved_arrays(slow, tmp_path / "s.npz")
     Df, If = fast.knn_search_batch(Q, 5, ef=20)
     Ds, Is = slow.knn_search_batch(Q, 5, ef=20)
@@ -154,7 +152,9 @@ def test_scratch_is_kept_between_single_adds():
     idx = HnswIndex(dim=32, params=params, capacity=N)
     idx.add(X[0])
     cached = idx._native_graph_cache
-    assert cached is not None and len(cached[4]) == 4  # state table, ws_d, ws_i, maxn
+    assert cached is not None
+    _graph, _ext_addr, build, _keep = cached
+    assert len(build) == 4  # state table, ws_d, ws_i, maxn
     for row in X[1:]:
         idx.add(row)
     assert idx._native_graph_cache is cached

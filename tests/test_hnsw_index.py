@@ -227,3 +227,64 @@ class TestSerialization:
         loaded = HnswIndex.load(path)
         assert loaded.params.M == idx.params.M
         assert loaded.params.ef_construction == idx.params.ef_construction
+
+
+def _bump(name, at, by):
+    def corrupt(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][at] += by
+
+    return corrupt
+
+
+def _resize(name, n):
+    def corrupt(arrays):
+        arrays[name] = np.resize(arrays[name], len(arrays[name]) + n)
+
+    return corrupt
+
+
+#: name -> (the array ``load`` must blame, what a damaged file holds)
+CORRUPTIONS = {
+    "truncated_links": ("links", _resize("links", -3)),
+    "counts_do_not_sum": ("links", _bump("link_index", (5, 2), -1)),
+    "count_above_limit": ("link_index", _bump("link_index", (0, 2), 100)),
+    "node_out_of_range": ("link_index", _bump("link_index", (0, 1), 200)),
+    "link_id_out_of_range": ("links", _bump("links", 7, 200)),
+    "negative_link_id": ("links", _bump("links", 7, -300)),
+    "entry_out_of_range": ("entry", _bump("entry", 0, 200)),
+    "short_ext_ids": ("ext_ids", _resize("ext_ids", -1)),
+    "long_node_level": ("node_level", _resize("node_level", 1)),
+    "wrong_dim": ("meta", _bump("meta", 0, 1)),
+}
+
+
+class TestLoadChecksItsFile:
+    @pytest.fixture(scope="class")
+    def saved(self, tiny_clustered_module, tmp_path_factory):
+        X = tiny_clustered_module[0][:200]
+        idx = HnswIndex(dim=X.shape[1], params=HnswParams(M=8, ef_construction=60, seed=1))
+        idx.add_items(X)
+        path = tmp_path_factory.mktemp("hnsw") / "index.npz"
+        idx.save(str(path))
+        with np.load(path) as f:
+            return path, {name: f[name] for name in f.files}
+
+    def test_intact_file_resaves_byte_identical(self, saved, tmp_path):
+        path, arrays = saved
+        again = tmp_path / "again.npz"
+        HnswIndex.load(str(path)).save(str(again))
+        with np.load(again) as f:
+            assert sorted(f.files) == sorted(arrays)
+            for name in f.files:
+                assert f[name].tobytes() == arrays[name].tobytes(), name
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_file_is_refused(self, saved, tmp_path, case):
+        field, corrupt = CORRUPTIONS[case]
+        arrays = dict(saved[1])
+        corrupt(arrays)
+        path = str(tmp_path / "bad.npz")
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"bad.npz.*'{field}'"):
+            HnswIndex.load(path)

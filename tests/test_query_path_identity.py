@@ -59,9 +59,6 @@ MODELED = dict(searcher="modeled", modeled_partition_points=10**6, modeled_sampl
 BURST = "trace:" + ",".join(["0"] * NQ)
 #: node 1 duplicates everything it sends; every other link drops 15 %
 LOSSY = (LinkFault(src=1, dup_prob=1.0), LinkFault(drop_prob=0.15))
-#: master and arrival source share node 8 (one core per node): the first
-#: matching LinkFault wins, so this one keeps the ingress link clean
-CLEAN_INGRESS = LinkFault(src=8, dst=8)
 
 
 def _crash(frac: float, makespan: float) -> FaultSpec:
@@ -99,7 +96,7 @@ CASES: dict[str, tuple] = {
     "ft_serve_lossy_w1": (
         dict(FT, replication_factor=2, arrival=BURST, queue_depth=3,
              overload_policy="shed_oldest", dispatch_window=1,
-             fault_spec=FaultSpec(links=(CLEAN_INGRESS, *LOSSY), seed=8)),
+             fault_spec=FaultSpec(links=LOSSY, seed=8)),
         {}, False, None,
     ),
     # -- the serving pipeline --
