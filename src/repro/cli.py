@@ -153,11 +153,10 @@ def _save_router(router, path: str) -> None:
 def _load_router(path: str):
     from repro.vptree.router import PartitionRouter, RouteNode
 
-    data = np.load(path)
-    vp_flat = data["vp_flat"]
-    lengths = data["vp_lengths"]
-    mus = data["mus"]
-    partitions = data["partitions"]
+    with np.load(path) as data:
+        vp_flat, lengths, mus, partitions, n_partitions = (
+            data[name] for name in ("vp_flat", "vp_lengths", "mus", "partitions", "n_partitions")
+        )
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     pos = [0]
 
@@ -171,7 +170,7 @@ def _load_router(path: str):
         right = rec()
         return RouteNode(vp=vp, mu=float(mus[i]), left=left, right=right)
 
-    return PartitionRouter(rec(), int(data["n_partitions"][0]))
+    return PartitionRouter(rec(), int(n_partitions[0]))
 
 
 def _load_fault_spec(path: str | None):

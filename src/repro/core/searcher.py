@@ -77,16 +77,11 @@ class LocalSearcher(Protocol):
         ...
 
 
-def _unpadded_rows(D: np.ndarray, I: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-row results of a padded ``knn_search_batch`` answer, with the
-    inf/-1 padding of short rows stripped."""
-    ds: list[np.ndarray] = []
-    idss: list[np.ndarray] = []
-    for d, ids in zip(D, I):
-        valid = ids != -1
-        ds.append(d[valid])
-        idss.append(ids[valid])
-    return ds, idss
+def _found_rows(index, D: np.ndarray, I: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-row results of the padded ``knn_search_batch`` answer ``index``
+    just gave: each row cut to the number of results its search found."""
+    found = index._row_found.tolist()
+    return [D[i, :n] for i, n in enumerate(found)], [I[i, :n] for i, n in enumerate(found)]
 
 
 class RealHnswSearcher:
@@ -124,7 +119,7 @@ class RealHnswSearcher:
             )
         if filter is None:
             before = index.n_dist_evals
-            ds, idss = _unpadded_rows(*index.knn_search_batch(Q, k, ef=self.ef_search))
+            ds, idss = _found_rows(index, *index.knn_search_batch(Q, k, ef=self.ef_search))
             evals = index.n_dist_evals - before
             return ds, idss, self.cost.distance_cost(evals, index.dim)
         clauses, strategy = filter
@@ -153,8 +148,8 @@ class RealHnswSearcher:
         else:
             # row order == internal node order, so the row mask is the
             # index's node mask directly
-            ds, idss = _unpadded_rows(
-                *index.knn_search_batch(Q, k, ef=self.ef_search, filter=mask)
+            ds, idss = _found_rows(
+                index, *index.knn_search_batch(Q, k, ef=self.ef_search, filter=mask)
             )
             evals = index._row_evals.tolist()
         self.filter_stats[f"filter_tasks_{chosen}"] += nq

@@ -1,5 +1,7 @@
 /* Compiled hot paths for the HNSW index: SEARCH-LAYER (paper Alg. 2),
- * K-NN-SEARCH (Alg. 5) and INSERT (Alg. 1), at any vector width.
+ * K-NN-SEARCH (Alg. 5) and INSERT (Alg. 1), at any vector width — and the
+ * master's VP-skeleton descent (partition routing), which shares this
+ * library, its loader and its self-checks.
  *
  * The python implementation pays ~6-8 interpreter/numpy dispatches per
  * expanded node; these helpers run the loops in C on the index's flat
@@ -20,6 +22,16 @@
  *   then over each remaining block of 4 (the last one zero-filled):
  *       R[l] = s[l] + R[l]
  *   result: (R[0] + R[1]) + (R[2] + R[3])
+ *
+ * The router's distances are float64 ``einsum("ij,ij->i")`` on one
+ * (1, dim) row (``repro.metrics.lp``, then ``math.sqrt``).  The same loop
+ * at double width has 2 lanes, so ``l2sq_f64`` runs blocks of 8 products:
+ *
+ *   per lane l, over each full block of 8 products s[0..7]:
+ *       R[l] = s[l] + (s[2+l] + (s[4+l] + (s[6+l] + R[l])))
+ *   then over each remaining pair (the last one zero-filled):
+ *       R[l] = s[l] + R[l]
+ *   result: R[0] + R[1]
  *
  * The python side enables the helpers for a width only after verifying
  * bit-equality against einsum on random data of that width, so on any
@@ -43,11 +55,19 @@ typedef int64_t i64;
  * where they exist and to scalar code elsewhere, with the same IEEE
  * results either way */
 typedef float v4f __attribute__((vector_size(16)));
+typedef double v2d __attribute__((vector_size(16)));
 
 static inline v4f ld4(const float *p)
 {
     v4f v;
     memcpy(&v, p, sizeof v); /* point rows are only 4-byte aligned */
+    return v;
+}
+
+static inline v2d ld2(const double *p)
+{
+    v2d v;
+    memcpy(&v, p, sizeof v);
     return v;
 }
 
@@ -95,6 +115,38 @@ void l2sq_batch(const float *A, const float *B, i64 n, i64 dim,
         float v = l2sq(A + i * dim, B + i * dim, dim);
         out[i] = do_sqrt ? sqrtf(v) : v;
     }
+}
+
+/* float64 squared euclidean distance in einsum's order (header) */
+static inline double l2sq_f64(const double *restrict a,
+                              const double *restrict b, i64 dim)
+{
+    v2d R = {0.0, 0.0};
+    i64 k = 0;
+    for (; k + 8 <= dim; k += 8) {
+        v2d d0 = ld2(a + k) - ld2(b + k);
+        v2d d1 = ld2(a + k + 2) - ld2(b + k + 2);
+        v2d d2 = ld2(a + k + 4) - ld2(b + k + 4);
+        v2d d3 = ld2(a + k + 6) - ld2(b + k + 6);
+        R = d0 * d0 + (d1 * d1 + (d2 * d2 + (d3 * d3 + R)));
+    }
+    for (; k + 2 <= dim; k += 2) {
+        v2d d = ld2(a + k) - ld2(b + k);
+        R = d * d + R;
+    }
+    if (k < dim) {
+        v2d d = {a[k] - b[k], 0.0};
+        R = d * d + R;
+    }
+    return R[0] + R[1];
+}
+
+/* self-check helper: l2sq_f64 of row pairs for bit-comparison vs numpy */
+void l2sq_f64_batch(const double *A, const double *B, i64 n, i64 dim,
+                    double *out)
+{
+    for (i64 i = 0; i < n; i++)
+        out[i] = l2sq_f64(A + i * dim, B + i * dim, dim);
 }
 
 /* candidates: min-heap on (d, id); results: max-heap on (d, id) with the
@@ -342,10 +394,10 @@ static void greedy_step(const graph_t *g, i64 lv, const float *q, i64 *ep_io,
 /* K-NN-SEARCH (paper Alg. 5) for nq query rows in one call: entry
  * distance, greedy descent through the upper layers, layer-0 beam of
  * width ef under the nullable row mask ``allowed``, then the closest k
- * written straight into row i of the caller's pre-padded (nq, k) arrays
- * D / I (external ids).  Query i runs under visited epoch ``epoch + 1 +
- * i``; stats[i] receives its distance evaluations and stats[nq + i] the
- * number of results written. */
+ * written straight into row i of the caller's (nq, k) arrays D / I
+ * (external ids), a short row padded with inf / -1.  Query i runs under
+ * visited epoch ``epoch + 1 + i``; stats[i] receives its distance
+ * evaluations and stats[nq + i] the number of results written. */
 void hnsw_knn_search(const float *X, i64 dim, const i64 *nbrs_ptrs,
                      const i64 *strides, const i64 *cnts_ptrs, i64 *stamp,
                      double *cd, int32_t *ci, double *rd, int32_t *ri,
@@ -371,6 +423,10 @@ void hnsw_knn_search(const float *X, i64 dim, const i64 *nbrs_ptrs,
             D[i * k + t] = rd[t];
             I[i * k + t] = ext[ri[t]];
         }
+        for (i64 t = nres; t < k; t++) {
+            D[i * k + t] = INFINITY;
+            I[i * k + t] = -1;
+        }
         stats[i] = evals + ev;
         stats[nq + i] = nres;
     }
@@ -395,20 +451,11 @@ void hnsw_knn_search(const float *X, i64 dim, const i64 *nbrs_ptrs,
 /* Kept rows of a selection live widened to double and transposed, eight
  * to a block: kt[(b * dim + k) * 8 + lane] is element k of kept row
  * 8 * b + lane.  A row is converted once, when it is kept. */
-typedef double v2d __attribute__((vector_size(16)));
-
 static inline void kt_store(double *kt, i64 dim, i64 slot, const float *x)
 {
     double *p = kt + (slot / 8) * dim * 8 + slot % 8;
     for (i64 k = 0; k < dim; k++)
         p[k * 8] = (double)x[k];
-}
-
-static inline v2d ld2(const double *p)
-{
-    v2d v;
-    memcpy(&v, p, sizeof v);
-    return v;
 }
 
 /* cdist-compatible distances from row a to the eight kept rows of one
@@ -784,4 +831,132 @@ void hnsw_insert_batch(const float *X, i64 dim, const i64 *nbrs_ptrs,
     io[0] = epoch;
     io[1] = entry;
     memcpy(io + 2, &counts, sizeof counts);
+}
+
+/* ====================================================================
+ * VP-skeleton routing (the master's F(q), paper Alg. 3 l. 4): the loops
+ * of ``PartitionRouter.route_approx`` / ``route_exact`` over the router's
+ * flattened skeleton, one call per query.  Python's per-step ``_d`` is the
+ * oracle; distances are ``l2sq_f64`` + sqrt, so every comparison, margin
+ * and penalty is the double python computes.
+ *
+ * Node codes: c >= 0 is internal node c (row c of vps / mus / child);
+ * c < 0 is the leaf holding partition ~c.
+ * ==================================================================== */
+
+/* The router's description: ``RouteDesc`` in native.py, same fields in
+ * the same order. */
+typedef struct {
+    const double *vps;   /* (n_internal, dim) vantage points */
+    const double *mus;   /* (n_internal,) split radii */
+    const i64 *child;    /* (n_internal, 2) codes of left / right */
+    i64 dim;
+    i64 root;            /* code of the root */
+    const double *q;     /* (dim,) the query, widened from float32 */
+    double *heap_p;      /* n_internal + 1 slots: penalty, */
+    i64 *heap_s;         /* push sequence number */
+    i64 *heap_n;         /* and node code (route_exact: the DFS stack) */
+    i64 *out;            /* n_internal + 1 partition ids */
+    i64 evals;           /* written: distance evaluations of the call */
+} route_t;
+
+static inline double route_dist(const route_t *r, i64 node)
+{
+    return sqrt(l2sq_f64(r->vps + node * r->dim, r->q, r->dim));
+}
+
+/* min-heap on (penalty, seq): seqs are unique, so its pop order is the
+ * total order heapq gives python's (penalty, seq, node) tuples */
+static inline int route_lt(const route_t *r, i64 a, double p, i64 s)
+{
+    return r->heap_p[a] < p || (r->heap_p[a] == p && r->heap_s[a] < s);
+}
+
+static void route_push(route_t *r, i64 *n, double p, i64 s, i64 node)
+{
+    i64 i = (*n)++;
+    while (i > 0) {
+        i64 up = (i - 1) >> 1;
+        if (route_lt(r, up, p, s))
+            break;
+        r->heap_p[i] = r->heap_p[up];
+        r->heap_s[i] = r->heap_s[up];
+        r->heap_n[i] = r->heap_n[up];
+        i = up;
+    }
+    r->heap_p[i] = p;
+    r->heap_s[i] = s;
+    r->heap_n[i] = node;
+}
+
+static void route_pop(route_t *r, i64 *n)
+{
+    i64 m = --(*n);
+    double p = r->heap_p[m];
+    i64 s = r->heap_s[m], node = r->heap_n[m], i = 0;
+    for (;;) {
+        i64 c = 2 * i + 1;
+        if (c >= m)
+            break;
+        if (c + 1 < m && route_lt(r, c + 1, r->heap_p[c], r->heap_s[c]))
+            c++;
+        if (!route_lt(r, c, p, s))
+            break;
+        r->heap_p[i] = r->heap_p[c];
+        r->heap_s[i] = r->heap_s[c];
+        r->heap_n[i] = r->heap_n[c];
+        i = c;
+    }
+    r->heap_p[i] = p;
+    r->heap_s[i] = s;
+    r->heap_n[i] = node;
+}
+
+/* best-first multi-probe: the n_probe partitions of least accumulated
+ * boundary margin, in pop order; returns how many were written */
+i64 vp_route_approx(route_t *r, i64 n_probe)
+{
+    i64 n_out = 0, nh = 0, seq = 0, evals = 0;
+    route_push(r, &nh, 0.0, 0, r->root);
+    while (nh && n_out < n_probe) {
+        double penalty = r->heap_p[0];
+        i64 node = r->heap_n[0];
+        route_pop(r, &nh);
+        while (node >= 0) {
+            double d = route_dist(r, node), mu = r->mus[node];
+            const i64 *ch = r->child + 2 * node;
+            i64 near = d <= mu ? ch[0] : ch[1], far = d <= mu ? ch[1] : ch[0];
+            evals++;
+            route_push(r, &nh, penalty + fabs(d - mu), ++seq, far);
+            node = near;
+        }
+        r->out[n_out++] = ~node;
+    }
+    r->evals = evals;
+    return n_out;
+}
+
+/* every partition whose cell meets the ball of radius tau, in the
+ * left-first DFS order of the python recursion (both tests non-strict) */
+i64 vp_route_exact(route_t *r, double tau)
+{
+    i64 n_out = 0, top = 0, evals = 0;
+    i64 *stack = r->heap_n;
+    stack[top++] = r->root;
+    while (top) {
+        i64 node = stack[--top];
+        if (node < 0) {
+            r->out[n_out++] = ~node;
+            continue;
+        }
+        double d = route_dist(r, node), mu = r->mus[node];
+        const i64 *ch = r->child + 2 * node;
+        evals++;
+        if (d + tau >= mu)
+            stack[top++] = ch[1];
+        if (d - tau <= mu)
+            stack[top++] = ch[0];
+    }
+    r->evals = evals;
+    return n_out;
 }

@@ -126,6 +126,9 @@ class HnswIndex:
         self._native = native_search_layer_for(self.metric.name, dim)
         self._native_sqrt = 1 if self.metric.name == "l2" else 0
         self._native_graph_cache: tuple | None = None
+        #: the compiled search's query-in / D / I / stats buffers for the
+        #: latest (nq, k), with their addresses; dropped with the graph cache
+        self._native_rows_cache: tuple | None = None
         # Compiled INSERT (greedy descent + beam search + selection +
         # shrink in one C call per batch): additionally requires the
         # cdist-compatible double kernel to pass its self-check, and
@@ -143,8 +146,10 @@ class HnswIndex:
         #: ``full_shrinks`` counter; the python path re-selects always)
         self._n_full_shrinks = 0
         #: per-query split of the ``n_dist_evals`` charge of the latest
-        #: ``knn_search`` / ``knn_search_batch`` call, in row order
+        #: ``knn_search`` / ``knn_search_batch`` call, in row order, and
+        #: how many results each of its rows holds before the padding
         self._row_evals = np.empty(0, dtype=np.int64)
+        self._row_found = np.empty(0, dtype=np.int64)
 
     # -- basic introspection ------------------------------------------------
 
@@ -214,7 +219,7 @@ class HnswIndex:
             return
         cap = max(need, cap * 2)
         n = self._n
-        self._native_graph_cache = None  # every buffer below moves
+        self._native_graph_cache = self._native_rows_cache = None  # every buffer below moves
         for name in ("_X", "_ext", "_node_level"):
             old = getattr(self, name)
             new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
@@ -242,7 +247,7 @@ class HnswIndex:
             self._cnts.append(np.zeros(cap, dtype=np.int32))
             if self._native_build is not None:
                 self._shrink_state.append(np.zeros((cap, 1 + 2 * limit), dtype=np.int32))
-            self._native_graph_cache = None  # the level tables grew
+            self._native_graph_cache = self._native_rows_cache = None  # the level tables grew
 
     def _sample_level(self) -> int:
         if self.params.flat:
@@ -630,8 +635,9 @@ class HnswIndex:
         """
         check_positive_int(k, "k")
         q = check_vector(query, "query", dim=self.dim)
-        D, I, found = self._search_rows(q[np.newaxis, :], k, ef, filter)
-        return D[0, : found[0]], I[0, : found[0]]
+        D, I = self._search_rows(q[np.newaxis, :], k, ef, filter)
+        n = int(self._row_found[0])
+        return D[0, :n], I[0, :n]
 
     def knn_search_batch(
         self,
@@ -657,58 +663,83 @@ class HnswIndex:
         Q = check_matrix(Q, "Q")
         if Q.shape[1] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {Q.shape[1]}")
-        return self._search_rows(Q, k, ef, filter)[:2]
+        return self._search_rows(Q, k, ef, filter)
 
     def _search_rows(
         self, Q: np.ndarray, k: int, ef: int | None, filter: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """K-NN-SEARCH (paper Alg. 5) for validated query rows.
 
-        Returns the padded ``(D, I)`` of :meth:`knn_search_batch` plus the
-        number of results in each row, and leaves each row's evaluation
-        count in ``_row_evals``.  With the compiled library this is one C
-        call for the whole matrix, filtered or not (``hnsw_knn_search``
-        writes straight into the padded rows); without it, one
-        :meth:`_search_prepared` per row.
+        Returns the padded ``(D, I)`` of :meth:`knn_search_batch`, fresh
+        arrays the caller owns, and leaves each row's evaluation count in
+        ``_row_evals`` and its number of results in ``_row_found``.  With
+        the compiled library this is one C call for the whole matrix,
+        filtered or not (``hnsw_knn_search`` writes and pads the rows);
+        without it, one :meth:`_search_prepared` per row.
         """
         nq = len(Q)
+        ef = max(ef or self.params.ef_search, k)
+        allowed = None
+        if filter is not None and self._n:
+            allowed = np.ascontiguousarray(check_filter_mask(filter, self._n))
+        if self._n and self._native is not None:
+            return self._search_rows_native(Q, k, ef, allowed)
         D = np.full((nq, k), np.inf, dtype=np.float64)
         I = np.full((nq, k), -1, dtype=np.int64)
         stats = np.zeros((2, nq), dtype=np.int64)  # evals, results per row
-        self._row_evals = stats[0]
+        self._row_evals, self._row_found = stats
         if self._n == 0:
-            return D, I, stats[1]
-        ef = max(ef or self.params.ef_search, k)
-        allowed = None
-        if filter is not None:
-            allowed = np.ascontiguousarray(check_filter_mask(filter, self._n))
-        if self._native is not None:
-            graph, ext_addr = self._native_graph()[:2]
-            self._native.hnsw_knn_search(
-                *graph,
-                ext_addr,
-                self.max_level,
-                self._entry,
-                self._visit_epoch,
-                Q.ctypes.data,
-                nq,
-                k,
-                ef,
-                None if allowed is None else allowed.ctypes.data,
-                D.ctypes.data,
-                I.ctypes.data,
-                stats.ctypes.data,
-            )
-            self._visit_epoch += nq
-            self.n_dist_evals += int(stats[0].sum())
-            return D, I, stats[1]
+            return D, I
         for i in range(nq):
             before = self.n_dist_evals
             d, ids = self._search_prepared(Q[i], k, ef, allowed)
             D[i, : len(d)] = d
             I[i, : len(ids)] = ids
             stats[:, i] = self.n_dist_evals - before, len(d)
-        return D, I, stats[1]
+        return D, I
+
+    def _search_rows_native(
+        self, Q: np.ndarray, k: int, ef: int, allowed: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_search_rows` as one ``hnsw_knn_search`` call.
+
+        The query rows go into a kept buffer and the call writes into kept
+        D / I / stats buffers whose addresses are taken once per (nq, k),
+        not per call — for the one-row task a worker sends, taking them
+        cost about as much as the search — and the results are copied out.
+        """
+        nq = len(Q)
+        graph, ext_addr = self._native_graph()[:2]
+        rows = self._native_rows_cache
+        if rows is None or rows[0] != (nq, k):
+            bufs = (
+                np.empty((nq, self.dim), dtype=np.float32),
+                np.empty((nq, k), dtype=np.float64),
+                np.empty((nq, k), dtype=np.int64),
+                np.empty((2, nq), dtype=np.int64),  # evals, results per row
+            )
+            rows = self._native_rows_cache = ((nq, k), bufs, [b.ctypes.data for b in bufs])
+        _, (q_in, D, I, stats), (q_addr, d_addr, i_addr, stats_addr) = rows
+        q_in[...] = Q
+        self._native.hnsw_knn_search(
+            *graph,
+            ext_addr,
+            self.max_level,
+            self._entry,
+            self._visit_epoch,
+            q_addr,
+            nq,
+            k,
+            ef,
+            None if allowed is None else allowed.ctypes.data,
+            d_addr,
+            i_addr,
+            stats_addr,
+        )
+        self._visit_epoch += nq
+        self._row_evals, self._row_found = stats.copy()
+        self.n_dist_evals += sum(self._row_evals.tolist())
+        return D.copy(), I.copy()
 
     def _search_prepared(
         self, q: np.ndarray, k: int, ef: int, allowed: np.ndarray | None
@@ -773,8 +804,11 @@ class HnswIndex:
 
     @classmethod
     def load(cls, path: str, metric: str | Metric = "l2") -> "HnswIndex":
-        data = np.load(path)
-        meta = data["meta"]
+        with np.load(path) as data:
+            meta, X, ext_ids, levels, entry, link_index, links = (
+                data[name]
+                for name in ("meta", "X", "ext_ids", "node_level", "entry", "link_index", "links")
+            )
         kwargs = dict(
             M=int(meta[1]),
             ef_construction=int(meta[2]),
@@ -791,10 +825,8 @@ class HnswIndex:
             )
         # else: legacy 6-field file — fall back to the params defaults
         params = HnswParams(**kwargs)
-        X, ext_ids, levels = data["X"], data["ext_ids"], data["node_level"]
-        links, link_index = data["links"], data["link_index"]
         n = len(X)
-        entry = int(data["entry"][0])
+        entry = int(entry[0])
         lvs, nodes, counts = link_index.T
         top = int(levels.max()) if len(levels) else -1
         # a file is outside input, and the compiled search follows link ids

@@ -1,9 +1,13 @@
 """ctypes loader for the compiled HNSW hot paths (``_hotpath.c``).
 
-Two entries live in the shared object: K-NN-SEARCH for a whole query
+Two index entries live in the shared object: K-NN-SEARCH for a whole query
 matrix in one call (what ``knn_search`` / ``knn_search_batch`` run,
 filtered or not), and the full INSERT batch (greedy descent, beam search,
-neighbor selection, incremental link shrinking).  Both are *optional*
+neighbor selection, incremental link shrinking).  The master's VP-skeleton
+descent shares the library: ``vp_route_approx`` / ``vp_route_exact`` are
+what :class:`~repro.vptree.router.PartitionRouter` runs under L2
+(:func:`native_route_for`, gated per width by its own float64 self-check
+against the router's python distance).  All are *optional*
 accelerators with a strict bit-identity contract: they are enabled for an
 index only when
 
@@ -35,9 +39,10 @@ import os
 
 import numpy as np
 
+from repro.metrics.lp import _l2sq_one_to_many
 from repro.utils.cbuild import compile_and_load
 
-__all__ = ["native_search_layer_for", "native_build_for"]
+__all__ = ["native_search_layer_for", "native_build_for", "native_route_for", "RouteDesc"]
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hotpath.c")
 
@@ -45,6 +50,27 @@ _lib = None
 _lib_state = "unloaded"  # unloaded -> ready | failed (sticky per process)
 _checked: dict[tuple[int, int], bool] = {}
 _checked_cdist: dict[tuple[int, int], bool] = {}
+_checked_route: dict[int, bool] = {}
+
+
+class RouteDesc(ctypes.Structure):
+    """``route_t`` of ``_hotpath.c``: a router's flattened skeleton, its
+    query and scratch buffers (addresses), and the evaluation count the
+    last routing call wrote back."""
+
+    _fields_ = [
+        ("vps", ctypes.c_void_p),
+        ("mus", ctypes.c_void_p),
+        ("child", ctypes.c_void_p),
+        ("dim", ctypes.c_int64),
+        ("root", ctypes.c_int64),
+        ("q", ctypes.c_void_p),
+        ("heap_p", ctypes.c_void_p),
+        ("heap_s", ctypes.c_void_p),
+        ("heap_n", ctypes.c_void_p),
+        ("out", ctypes.c_void_p),
+        ("evals", ctypes.c_int64),
+    ]
 
 
 def _load():
@@ -111,6 +137,14 @@ def _load():
     lib.l2sq_batch.argtypes = [p, p, i64, i64, i32, p]
     lib.l2d_row.restype = None
     lib.l2d_row.argtypes = [p, p, i64, i64, i32, p, p]
+    lib.l2sq_f64_batch.restype = None
+    lib.l2sq_f64_batch.argtypes = [p, p, i64, i64, p]
+    # routing takes the address of a RouteDesc and returns the number of
+    # partitions written to its ``out`` buffer
+    lib.vp_route_approx.restype = i64
+    lib.vp_route_approx.argtypes = [p, i64]
+    lib.vp_route_exact.restype = i64
+    lib.vp_route_exact.argtypes = [p, ctypes.c_double]
     _lib = lib
     _lib_state = "ready"
     return lib
@@ -167,6 +201,38 @@ def _selfcheck_cdist(lib, dim: int, do_sqrt: int) -> bool:
     ok = bool(np.array_equal(ref.view(np.int64), out.view(np.int64)))
     _checked_cdist[(dim, do_sqrt)] = ok
     return ok
+
+
+def _selfcheck_route(lib, dim: int) -> bool:
+    """Compare the C float64 kernel against the router's own python
+    distance at this width, bit for bit: on one (1, dim) row — the shape
+    every routing step uses — and on a many-row matrix."""
+    hit = _checked_route.get(dim)
+    if hit is not None:
+        return hit
+    rng = np.random.default_rng([0x2007E, dim])
+    A = rng.normal(0, 10, size=(514, dim))
+    B = rng.normal(0, 10, size=(514, dim))
+    out = np.empty(len(A))
+    lib.l2sq_f64_batch(A.ctypes.data, B.ctypes.data, len(A), dim, out.ctypes.data)
+    diff = A - B
+    ref = np.einsum("ij,ij->i", diff, diff)
+    one = np.array([_l2sq_one_to_many(B[i], A[i : i + 1])[0] for i in range(32)])
+    ok = bool(
+        np.array_equal(ref.view(np.int64), out.view(np.int64))
+        and np.array_equal(one.view(np.int64), out[:32].view(np.int64))
+    )
+    _checked_route[dim] = ok
+    return ok
+
+
+def native_route_for(dim: int):
+    """The compiled library if VP-skeleton routing at width ``dim`` is
+    bit-exact against the python router's L2 steps, else None."""
+    lib = _load()
+    if lib is None or not _selfcheck_route(lib, dim):
+        return None
+    return lib
 
 
 def native_search_layer_for(metric_name: str, dim: int):

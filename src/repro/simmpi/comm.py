@@ -1,7 +1,7 @@
 """MPI-style communicator over the simulated engine.
 
 Mirrors the subset of the MPI API the paper's algorithms use:
-``isend/irecv/test/wait`` point-to-point (Algs 3-4), ``bcast`` (vantage
+``isend/irecv/wait`` point-to-point (Algs 3-4), ``bcast`` (vantage
 point broadcast), ``allreduce``/``gather`` (distributed statistics),
 ``alltoallv`` (the partition shuffle of Alg 2), ``barrier``, and ``split``
 (halving the process group at each VP-tree level).
@@ -157,29 +157,6 @@ class Comm:
             return out
 
         return (yield from self._collective(ctx, "gather", data, complete))
-
-    def scatter(self, ctx: Context, data: Any, root: int = 0):
-        """Scatter a rank-ordered list from ``root``; each rank returns its
-        element.  ``data`` is ignored on non-roots (pass None)."""
-        net, pids = self._sim.network, self._pids
-        root_pid = pids[root]
-
-        def complete(arrived: dict) -> dict:
-            values = arrived[root_pid][1]
-            if values is None or len(values) != len(pids):
-                raise SimError(
-                    "scatter root must supply one value per rank "
-                    f"({0 if values is None else len(values)} for {len(pids)})"
-                )
-            nbytes = max(payload_nbytes(v) for v in values)
-            finish = max(c for c, _ in arrived.values()) + net.bcast_time(
-                len(pids), nbytes
-            )
-            return {
-                pid: (finish, values[self._rank_of[pid]]) for pid in arrived
-            }
-
-        return (yield from self._collective(ctx, "scatter", data, complete))
 
     def allgather(self, ctx: Context, data: Any, then: Callable[[list], Any] | None = None):
         """Every rank returns the rank-ordered list of contributions (one

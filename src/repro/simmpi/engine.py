@@ -19,8 +19,6 @@ Blocking primitives:
   completes (this is how worker threads wait for "a query *or* the
   terminate flag", replacing the paper's MPI_Test busy-poll loop with an
   equivalent that does not need millions of simulated poll iterations),
-- ``test(request)``     — non-blocking completion check; charges the
-  network model's poll cost so code that *does* poll pays for it,
 - collectives and RMA — see :mod:`repro.simmpi.comm` / :mod:`~repro.simmpi.rma`.
 
 ``wait_any`` additionally takes an optional virtual-time ``timeout``; a
@@ -150,11 +148,6 @@ class _Wait:
 class _WaitAny:
     waitables: list
     timeout: float | None = None
-
-
-@dataclass(slots=True)
-class _Test:
-    request: "Request"
 
 
 @dataclass(slots=True)
@@ -546,11 +539,6 @@ class Context:
         result = yield _WaitAny(list(waitables), timeout)
         return result
 
-    def test(self, request: Request):
-        """Non-blocking completion probe; charges the poll cost."""
-        done = yield _Test(request)
-        return done
-
     def cancel(self, request: Request):
         yield _Cancel(request)
 
@@ -692,7 +680,7 @@ class Simulation:
             if n_events > self.max_events:
                 raise SimError(
                     f"exceeded max_events={self.max_events}; "
-                    "likely a busy-poll loop — use wait/wait_any instead of test loops"
+                    "likely a loop that never blocks — use wait/wait_any"
                 )
             self._step(proc)
         unfinished = [p for p in self._procs if p.state not in (_DONE, _CRASHED)]
@@ -831,13 +819,6 @@ class Simulation:
             self._do_wait(proc, sc.request)
         elif isinstance(sc, _WaitAny):
             self._do_wait_any(proc, sc.waitables, sc.timeout)
-        elif isinstance(sc, _Test):
-            proc.clock += self.network.poll_cost
-            proc.stats.poll_time += self.network.poll_cost
-            proc.sendval = sc.request.done and not sc.request.cancelled
-            if sc.request.done:
-                proc.clock = max(proc.clock, sc.request.completion_time)
-            self._push(proc)
         elif isinstance(sc, _Cancel):
             req = sc.request
             req.cancelled = True

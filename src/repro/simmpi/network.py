@@ -36,7 +36,8 @@ class NetworkModel:
     sw_overhead: float = 0.3e-6
     #: extra latency of a one-sided atomic (NIC-side fetch-op)
     rma_latency: float = 1.8e-6
-    #: cost of one MPI_Test poll that finds nothing
+    #: cost of one MPI_Test poll that finds nothing (a parameter of the
+    #: machine model; the engine has no polling call that charges it)
     poll_cost: float = 0.05e-6
     #: straggler/OS-jitter penalty added to every collective, in seconds per
     #: log2(P).  At thousands of ranks, real collectives pay amplified

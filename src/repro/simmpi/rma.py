@@ -94,43 +94,6 @@ class Window:
         old = yield from ctx.rma(seconds, apply, nbytes)
         return old
 
-    def put(self, ctx: Context, index: Any, value: Any, nbytes: int | None = None):
-        """One-sided overwrite of a slot (MPI_Put).  Not atomic with respect
-        to concurrent accumulates — same semantics as MPI."""
-        if ctx.pid not in self._lock_holders:
-            raise SimError(
-                f"proc {ctx.name} must hold a lock epoch on {self.name} before put"
-            )
-        if nbytes is None:
-            nbytes = payload_nbytes(value)
-        same_node = ctx.node == self.owner_node
-        seconds = ctx.network.rma_accumulate_time(nbytes, same_node)
-        win = self
-
-        def apply() -> None:
-            win._slots[index] = value
-
-        yield from ctx.rma(seconds, apply, nbytes)
-
-    def get(self, ctx: Context, index: Any):
-        """One-sided read of a slot (MPI_Get)."""
-        if ctx.pid not in self._lock_holders:
-            raise SimError(
-                f"proc {ctx.name} must hold a lock epoch on {self.name} before get"
-            )
-        win = self
-
-        def apply() -> Any:
-            return win._slots[index]
-
-        # charge for the returned payload's wire size (estimated up front
-        # from the current slot contents)
-        nbytes = payload_nbytes(self._slots[index])
-        same_node = ctx.node == self.owner_node
-        seconds = ctx.network.rma_accumulate_time(nbytes, same_node)
-        value = yield from ctx.rma(seconds, apply, nbytes)
-        return value
-
     # -- owner-side access ---------------------------------------------------------
 
     def read(self, ctx: Context, index: Any) -> Any:

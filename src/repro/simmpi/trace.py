@@ -46,7 +46,9 @@ class ProcStats:
     recv_time: float = 0.0
     #: virtual time spent blocked waiting for messages/collectives
     comm_wait: float = 0.0
-    #: time burnt in MPI_Test-style polls
+    #: time burnt in MPI_Test-style polls: the engine has no polling call
+    #: (workers block in ``wait_any``), so it stays 0; it is kept because
+    #: the breakdown's ``poll`` key, which Fig. 5 reads, sums it
     poll_time: float = 0.0
     #: origin-side time of one-sided operations
     rma_time: float = 0.0

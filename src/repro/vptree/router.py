@@ -14,16 +14,32 @@ modes:
   charging each detour by its boundary margin ``|d(q, vp) - mu|``, and
   return the ``n_probe`` partitions with the smallest accumulated penalty.
   This is the throughput mode: a small fixed fan-out per query.
+
+The router flattens its skeleton once, at construction: one float64
+vantage-point matrix (``RouteNode._vp64`` is a row view of it, so the
+skeleton is not stored twice), the radii and each internal node's child
+codes.  Under L2 both routes are then one call into ``hnsw/_hotpath.c``
+(``vp_route_approx`` / ``vp_route_exact``): the same best-first heap on
+``(penalty, seq)`` and the same left-first DFS as the python methods
+below, on a float64 kernel that reproduces the einsum order of
+:func:`repro.metrics.lp._l2sq_one_to_many`.  A self-check per width gates
+it (:func:`repro.hnsw.native.native_route_for`), so partitions, their
+order and ``n_dist_evals`` are the python router's bit for bit; without a
+compiler, with ``REPRO_HNSW_NO_NATIVE`` set, or under L1 / L-infinity the
+python per-step ``_d`` runs, and it is the oracle the compiled descent is
+tested against.
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.hnsw.native import RouteDesc, native_route_for
 from repro.metrics import Metric, get_metric
 from repro.metrics.lp import EuclideanMetric, _l2sq_one_to_many
 from repro.utils.validation import check_positive_int, check_vector
@@ -40,11 +56,13 @@ class RouteNode:
     left: "RouteNode | None" = None
     right: "RouteNode | None" = None
     partition: int = -1
+    #: the float64 (1, d) row a python routing step works on: a row view of
+    #: the owning router's vantage-point matrix, set when it flattens
+    _vp64: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # the float64 (1, d) row the metric kernels work on, converted here
-        # once instead of from the float32 ``vp`` on every routing step
-        self._vp64 = None if self.vp is None else np.asarray(self.vp, np.float64)[np.newaxis, :]
+        # routing arithmetic is double on both paths, whatever ``mu`` came in as
+        self.mu = float(self.mu)
 
     @property
     def is_leaf(self) -> bool:
@@ -64,6 +82,60 @@ class PartitionRouter:
         #: the metric's own kernel without its per-call conversion wrapper
         self._l2 = type(self.metric) is EuclideanMetric
         self.n_dist_evals = 0
+        self._flatten()
+
+    def _flatten(self) -> None:
+        """The skeleton as arrays, internal nodes in preorder: ``_vps``
+        (n, d) float64, ``_mus`` (n,) and ``_child`` (n, 2) codes — ``c >= 0``
+        internal node ``c``, ``c < 0`` the leaf of partition ``~c`` — then,
+        where the compiled descent serves this width, its query, heap and
+        output buffers behind one ``RouteDesc``."""
+        internal: list[RouteNode] = []
+        child: list[tuple[int, int]] = []
+
+        def code(node: RouteNode) -> int:
+            if node.is_leaf:
+                return ~node.partition
+            i = len(internal)
+            internal.append(node)
+            child.append((0, 0))
+            child[i] = (code(node.left), code(node.right))
+            return i
+
+        root = code(self.root)
+        self._vps = np.array([node.vp for node in internal], dtype=np.float64)
+        self._mus = np.array([node.mu for node in internal], dtype=np.float64)
+        self._child = np.array(child, dtype=np.int64).reshape(-1, 2)
+        for i, node in enumerate(internal):
+            node._vp64 = self._vps[i : i + 1]
+        #: query width; None for a one-leaf skeleton, which computes nothing
+        self._dim = self._vps.shape[1] if internal else None
+        # a subclass that replaces the python step (an instrumented or a
+        # custom distance) keeps it: the compiled descent would bypass it
+        own_step = type(self)._d is PartitionRouter._d
+        self._native = native_route_for(self._dim) if self._l2 and internal and own_step else None
+        if self._native is None:
+            return
+        n = len(internal) + 1  # bounds the heap, the DFS stack and the leaves
+        self._q64 = np.empty(self._dim)
+        self._out = np.empty(n, dtype=np.int64)
+        self._heap = (np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+        arrays = (self._vps, self._mus, self._child)
+        self._desc = RouteDesc(
+            *(a.ctypes.data for a in arrays),
+            self._dim,
+            root,
+            self._q64.ctypes.data,
+            *(a.ctypes.data for a in self._heap),
+            self._out.ctypes.data,
+            0,
+        )
+        self._desc_addr = ctypes.addressof(self._desc)
+
+    @property
+    def native_active(self) -> bool:
+        """True when routing runs the compiled descent."""
+        return self._native is not None
 
     # -- constructors -------------------------------------------------------
 
@@ -136,9 +208,16 @@ class PartitionRouter:
         ``d(x, vp) >= mu`` (ties at the radius go to either side to keep the
         split exact), so both tests are non-strict.
         """
-        q = check_vector(query, "query").astype(np.float64)
+        q = check_vector(query, "query", dim=self._dim)
+        tau = float(tau)
         if tau < 0:
             raise ValueError(f"tau must be non-negative, got {tau}")
+        if self._native is not None:
+            self._q64[:] = q
+            n = self._native.vp_route_exact(self._desc_addr, tau)
+            self.n_dist_evals += self._desc.evals
+            return self._out[:n].tolist()
+        q = q.astype(np.float64)
         out: list[int] = []
 
         def rec(node: RouteNode) -> None:
@@ -161,8 +240,14 @@ class PartitionRouter:
         path; the nearest leaf always has penalty 0.  Returned in
         increasing-penalty order.
         """
-        q = check_vector(query, "query").astype(np.float64)
-        check_positive_int(n_probe, "n_probe")
+        q = check_vector(query, "query", dim=self._dim)
+        n_probe = check_positive_int(n_probe, "n_probe")
+        if self._native is not None:
+            self._q64[:] = q
+            n = self._native.vp_route_approx(self._desc_addr, min(n_probe, len(self._out)))
+            self.n_dist_evals += self._desc.evals
+            return self._out[:n].tolist()
+        q = q.astype(np.float64)
         out: list[int] = []
         seq = 0
         heap: list[tuple[float, int, RouteNode]] = [(0.0, seq, self.root)]

@@ -148,28 +148,6 @@ class TestMessaging:
         sim.add_proc(receiver)
         assert sim.run().results[1] == [0, 1, 2]
 
-    def test_test_reports_completion(self):
-        sim = Simulation()
-
-        def sender(ctx):
-            yield from ctx.send_to_mailbox(
-                sim.mailbox_of(1), "hi", source=0, tag=0, nbytes=8, same_node=True
-            )
-
-        def receiver(ctx):
-            req = yield from ctx.post_recv(ctx.mailbox)
-            polls = 0
-            while True:
-                done = yield from ctx.test(req)
-                polls += 1
-                if done:
-                    return polls, req.payload
-
-        sim.add_proc(sender)
-        sim.add_proc(receiver)
-        polls, payload = sim.run().results[1]
-        assert payload == "hi" and polls >= 1
-
     def test_cancel_removes_pending(self):
         sim = Simulation()
 
@@ -180,15 +158,6 @@ class TestMessaging:
 
         out, pid = run_single(p)
         assert out.results[pid] is True
-
-    def test_test_reports_false_after_cancel(self):
-        def p(ctx):
-            req = yield from ctx.post_recv(ctx.mailbox)
-            yield from ctx.cancel(req)
-            return (yield from ctx.test(req))
-
-        out, pid = run_single(p)
-        assert out.results[pid] is False
 
     def test_wait_on_cancelled_request_raises(self):
         def p(ctx):
@@ -224,15 +193,6 @@ class TestMessaging:
         sim.add_proc(sender)
         out = sim.run()
         assert out.results[pid] == (None, "kept")
-
-    def test_test_charges_poll_time(self):
-        def p(ctx):
-            req = yield from ctx.post_recv(ctx.mailbox)
-            yield from ctx.test(req)
-            yield from ctx.cancel(req)
-
-        out, pid = run_single(p)
-        assert out.stats[pid].poll_time > 0.0
 
 
 class TestSharedMailbox:
