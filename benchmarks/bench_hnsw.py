@@ -4,7 +4,7 @@ The simulated cluster charges *virtual* seconds for every search, but the
 algorithmic work — HNSW build and search — runs for real in NumPy, so its
 wall-clock cost is the real cost of every experiment and test run in this
 repo.  This harness measures that cost on a seeded clustered dataset and
-writes ``BENCH_hnsw.json`` at the repo root:
+writes ``benchmarks/BENCH_hnsw.json``:
 
 - build points/s (bulk ``add_items`` of the whole corpus),
 - single-query qps (one ``knn_search`` call per query),
@@ -17,7 +17,8 @@ writes ``BENCH_hnsw.json`` at the repo root:
 
 If a previous ``BENCH_hnsw.json`` exists it is folded into the new file as
 ``previous`` (plus a rolling ``history``), and the combined build+search
-speedup against it is computed — the recorded perf trajectory.
+speedup against it is computed — the recorded perf trajectory.  With
+``--max-regress`` the run fails when a rate fell against that previous run.
 
 Run via ``make bench`` (full size: n=20k, d=32) or ``make bench-smoke``
 (``--tiny``; used by CI, which also enforces a recall floor).
@@ -26,6 +27,7 @@ Run via ``make bench`` (full size: n=20k, d=32) or ``make bench-smoke``
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -41,33 +43,27 @@ if _SRC not in sys.path:
         import repro  # noqa: F401
     except ImportError:
         sys.path.insert(0, _SRC)
-if _HERE not in sys.path:
-    sys.path.insert(0, _HERE)
-
-from trajectory import (  # noqa: E402
-    fold_previous,
-    load_previous,
-    missing_keys,
-    regressions,
-    results_checksum,
-)
 
 from repro.datasets import brute_force_knn  # noqa: E402
 from repro.hnsw import HnswIndex, HnswParams  # noqa: E402
 
-#: keys every BENCH_hnsw.json must provide (CI's bench-smoke checks these)
-REQUIRED_KEYS = (
-    "schema",
-    "config",
-    "build.seconds",
-    "build.points_per_s",
-    "search.single_qps",
-    "search.batched_qps",
-    "search.recall_at_k",
-    "search.dist_evals_per_query",
-    "combined_seconds",
-    "results_sha256",
-)
+
+def results_checksum(D: np.ndarray, ids: np.ndarray) -> str:
+    """SHA-256 over the (D, I) result matrices — the bit-identity gate."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(D, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(ids, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def get_path(report: dict, dotted: str):
+    """``report["a"]["b"]`` for ``"a.b"``; None when any segment is absent."""
+    node = report
+    for part in dotted.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return None
+        node = node[part]
+    return node
 
 
 def make_dataset(n: int, dim: int, n_queries: int, seed: int):
@@ -183,12 +179,27 @@ TRIM_FIELDS = {
 }
 
 
-def fold_with_speedup(report: dict, out_path: str) -> dict:
-    """Record the previous run (and history) and the speedup against it."""
+def load_previous(out_path: str) -> dict | None:
+    """The previous report at ``out_path``, or None (missing/corrupt)."""
+    if not os.path.exists(out_path):
+        return None
+    try:
+        with open(out_path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"NOTE: could not read previous {out_path}: {exc}", file=sys.stderr)
+        return None
+
+
+def fold_with_speedup(report: dict, out_path: str, cap: int = 20) -> dict:
+    """Record the previous run (trimmed to ``TRIM_FIELDS``), a rolling
+    history of at most ``cap`` runs, and the speedup against it."""
     prev = load_previous(out_path)
     if prev is None:
         return report
-    fold_previous(report, out_path, trim_fields=TRIM_FIELDS)
+    trimmed = {name: get_path(prev, path) for name, path in TRIM_FIELDS.items()}
+    report["history"] = (prev.get("history", []) + [trimmed])[-cap:]
+    report["previous"] = trimmed
     prev_combined = prev.get("combined_seconds")
     comparable = prev.get("config") == report["config"]
     if comparable and prev_combined:
@@ -199,6 +210,23 @@ def fold_with_speedup(report: dict, out_path: str) -> dict:
     elif not comparable:
         print("NOTE: previous run used a different config; no speedup computed")
     return report
+
+
+def regressions(report: dict, names, max_regress: float) -> list[str]:
+    """One line per higher-is-better rate (a ``TRIM_FIELDS`` name) that
+    fell more than the fraction ``max_regress`` below the folded-in
+    ``previous`` run.  Nothing is compared (and nothing fails) without a
+    previous run of the same ``config``: rates of different corpora say
+    nothing about each other."""
+    prev = report.get("previous")
+    if prev is None or prev.get("config") != report.get("config"):
+        return []
+    out = []
+    for name in names:
+        was, now = prev.get(name), get_path(report, TRIM_FIELDS[name])
+        if was and now is not None and now < (1.0 - max_regress) * was:
+            out.append(f"{TRIM_FIELDS[name]} fell {1.0 - now / was:.0%}: {was:,.1f} -> {now:,.1f}")
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -212,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--ef-search", type=int, default=64, dest="ef_search")
     ap.add_argument("--metric", default="l2")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default="BENCH_hnsw.json")
+    ap.add_argument("--out", default=os.path.join(_HERE, "BENCH_hnsw.json"))
     ap.add_argument(
         "--tiny", action="store_true", help="CI smoke size (n=2000, 50 queries)"
     )
@@ -238,11 +266,6 @@ def main(argv: list[str] | None = None) -> int:
 
     report = run(args)
     report = fold_with_speedup(report, args.out)
-
-    missing = missing_keys(report, REQUIRED_KEYS)
-    if missing:
-        print(f"ERROR: benchmark report is missing keys: {missing}", file=sys.stderr)
-        return 2
 
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -272,8 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 3
     if args.max_regress is not None:
-        names = ("build_points_per_s", "single_qps", "batched_qps")
-        rates = {name: TRIM_FIELDS[name] for name in names}
+        rates = ("build_points_per_s", "single_qps", "batched_qps")
         fell = regressions(report, rates, args.max_regress)
         for line in fell:
             print(f"ERROR: {line} (--max-regress {args.max_regress})", file=sys.stderr)

@@ -16,7 +16,7 @@ from repro.hnsw import HnswParams
 
 def master_cpu(report):
     m = report.master_breakdown
-    return m["compute"] + m["send"] + m["recv"] + m["poll"] + m["rma"]
+    return m["compute"] + m["send"] + m["recv"] + m["rma"]
 
 
 def test_onesided_removes_master_receive_work(run_once):

@@ -40,7 +40,7 @@ def test_fig5_breakdown_vs_cores(run_once):
             # CPU-attributable time only; blocked waits are idle cores, which
             # the paper's breakdown likewise does not count as communication
             compute = w["compute"] + m["compute"]
-            comm = sum(w[x] + m[x] for x in ("send", "recv", "poll", "rma"))
+            comm = sum(w[x] + m[x] for x in ("send", "recv", "rma"))
             total_cpu = compute + comm
             rows.append((P, rep.total_seconds, compute, comm, 100 * compute / total_cpu))
         return rows

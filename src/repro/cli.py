@@ -157,6 +157,24 @@ def _load_router(path: str):
         vp_flat, lengths, mus, partitions, n_partitions = (
             data[name] for name in ("vp_flat", "vp_lengths", "mus", "partitions", "n_partitions")
         )
+    # refuse what ``_save_router`` cannot have written.  In preorder each
+    # internal node opens two subtrees and each leaf closes one, so a whole
+    # tree closes its last subtree at its last node and not before
+    n, inner = len(partitions), partitions < 0
+    open_subtrees = 1 + np.cumsum(np.where(inner, 1, -1))
+    leaves = partitions[~inner]
+    n_parts = int(n_partitions[0]) if n_partitions.shape == (1,) else 0
+    for name, ok in (
+        ("n_partitions", n_parts >= 1),
+        ("partitions", n > 0 and open_subtrees[-1] == 0 and np.all(open_subtrees[:-1] > 0)
+         and np.all(leaves < n_parts) and len(np.unique(leaves)) == len(leaves)),
+        ("mus", mus.shape == (n,) and np.all(np.isfinite(mus[inner]) & (mus[inner] >= 0))),
+        ("vp_lengths", lengths.shape == (n,) and np.all(lengths[~inner] == 0)
+         and len(set(lengths[inner].tolist())) <= 1 and np.all(lengths[inner] > 0)),
+        ("vp_flat", int(lengths.sum()) == len(vp_flat)),
+    ):
+        if not ok:
+            raise ValueError(f"{path}: not a saved router: bad {name!r} array")
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     pos = [0]
 
@@ -170,7 +188,7 @@ def _load_router(path: str):
         right = rec()
         return RouteNode(vp=vp, mu=float(mus[i]), left=left, right=right)
 
-    return PartitionRouter(rec(), int(n_partitions[0]))
+    return PartitionRouter(rec(), n_parts)
 
 
 def _load_fault_spec(path: str | None):
@@ -327,7 +345,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
         from repro.filtering import MetadataStore
 
         with np.load(attrs_path) as npz:
-            metadata = MetadataStore({name: npz[name] for name in npz.files})
+            columns = {name: npz[name] for name in npz.files}
+        for name, column in columns.items():
+            if column.shape != (meta["n_points"],):
+                raise ValueError(f"{attrs_path}: not this index's attributes: bad {name!r} array")
+        metadata = MetadataStore(columns)
     partitions = {}
     for pid in range(meta["n_cores"]):
         idx = HnswIndex.load(os.path.join(args.index, f"partition{pid}.npz"))

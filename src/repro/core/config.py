@@ -24,7 +24,6 @@ _OWNERS = ("master", "multiple")
 _SEARCHERS = ("real", "modeled")
 _SELECTORS = ("primary", "round_robin", "least_loaded", "power_of_two_choices")
 _OVERLOAD_POLICIES = ("block", "shed_oldest", "reject")
-_CACHE_MODES = ("exact", "near")
 
 
 def cli_option(
@@ -186,10 +185,6 @@ class SystemConfig:
             "hot-query result cache capacity, entries (0 = off; needs --arrival)",
         ),
     )
-    #: cache key mode: ``"exact"`` (quantized query bytes — hits are
-    #: bit-identical to recomputation) or ``"near"`` (coarse quantizer
-    #: cell — near-duplicate queries share an answer, an approximation)
-    cache_mode: str = "exact"
     #: SLO target for arrival-to-completion latency, milliseconds (0 = no
     #: target; the violation fraction is only reported when set)
     slo_ms: float = field(
@@ -400,10 +395,6 @@ class SystemConfig:
             raise SimConfigError(
                 f"overload_policy must be one of {_OVERLOAD_POLICIES}, "
                 f"got {self.overload_policy!r}"
-            )
-        if self.cache_mode not in _CACHE_MODES:
-            raise SimConfigError(
-                f"cache_mode must be one of {_CACHE_MODES}, got {self.cache_mode!r}"
             )
         if self.arrival is not None:
             # deferred import: serving's package root imports no core module,

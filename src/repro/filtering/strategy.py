@@ -23,7 +23,7 @@ __all__ = ["CROSSOVER_SELECTIVITY", "STRATEGIES", "choose_strategy"]
 
 #: matching-fraction threshold of the auto crossover: below this,
 #: brute-forcing the matches costs less than walking the graph past
-#: non-matching nodes (see BENCH_filter.json for the measured sweep)
+#: non-matching nodes (tests/test_filtering.py pins the measured sweep)
 CROSSOVER_SELECTIVITY = 0.10
 
 #: legal values of ``SystemConfig.filter_strategy`` / ``--filter-strategy``

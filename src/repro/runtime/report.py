@@ -119,7 +119,7 @@ class SearchReport:
     dispatch_counts: np.ndarray | None = None
     #: mean partitions visited per query
     mean_fanout: float = 0.0
-    #: aggregate worker time breakdown {compute, send, recv, wait, poll, rma}
+    #: aggregate worker time breakdown {compute, send, recv, wait, rma}
     worker_breakdown: dict = field(default_factory=dict)
     #: aggregate master/owner time breakdown
     master_breakdown: dict = field(default_factory=dict)
@@ -309,7 +309,7 @@ class SearchReport:
         the quantity Fig. 5 plots."""
         w = self.worker_breakdown
         m = self.master_breakdown
-        comm = sum(w.get(x, 0.0) + m.get(x, 0.0) for x in ("send", "recv", "wait", "poll", "rma"))
+        comm = sum(w.get(x, 0.0) + m.get(x, 0.0) for x in ("send", "recv", "wait", "rma"))
         comp = w.get("compute", 0.0) + m.get("compute", 0.0)
         total = comm + comp
         return comm / total if total > 0 else 0.0
@@ -382,8 +382,8 @@ class ReportBuilder:
 
     def _core_busy(self) -> np.ndarray | None:
         """Observed busy seconds per core: compute plus active send/recv/
-        poll/RMA time, excluding blocked communication waits (a core
-        waiting for work is idle, not loaded)."""
+        RMA time, excluding blocked communication waits (a core waiting
+        for work is idle, not loaded)."""
         if not self.worker_cores:
             return None
         busy = np.zeros(max(self.worker_cores.values()) + 1, dtype=np.float64)

@@ -129,9 +129,6 @@ class MasterWorkerStrategy(DispatchStrategy):
                 cfg.queue_depth,
                 cfg.overload_policy,
                 cache_size=cfg.cache_size,
-                cache_mode=cfg.cache_mode,
-                dim=int(job.Q.shape[1]),
-                seed=cfg.seed,
                 metrics=rt.metrics,
                 # tenant/filter isolation: a (tenant, filter) pair gets its
                 # own key namespace; both None = the empty prefix, keeping

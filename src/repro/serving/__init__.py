@@ -9,8 +9,8 @@ the capacity knee, and how much a hot-query cache buys.  Four pieces:
   (Poisson / bursty square-wave / trace replay) on the virtual clock;
 - :mod:`repro.serving.admission` — bounded ingress queue with explicit,
   accounted overload policies (block / shed-oldest / reject);
-- :mod:`repro.serving.cache` — LRU hot-query result cache (exact or
-  near-duplicate keys) with hit/miss/stale accounting;
+- :mod:`repro.serving.cache` — LRU hot-query result cache (exact
+  float32-byte keys) with hit/miss/stale accounting;
 - :mod:`repro.serving.slo` — per-query arrival/dispatch/complete
   timestamps for arrival-to-completion latency and SLO-violation
   accounting.
@@ -26,7 +26,7 @@ from repro.serving.arrivals import (
     arrival_source_program,
     parse_arrival_spec,
 )
-from repro.serving.cache import CACHE_MODES, ResultCache, cache_namespace
+from repro.serving.cache import ResultCache, cache_namespace
 from repro.serving.slo import ServingTimeline
 from repro.serving.state import ServingState
 
@@ -36,7 +36,6 @@ __all__ = [
     "arrival_schedule",
     "arrival_source_program",
     "parse_arrival_spec",
-    "CACHE_MODES",
     "ResultCache",
     "cache_namespace",
     "ServingTimeline",

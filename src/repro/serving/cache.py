@@ -6,17 +6,9 @@ answering a repeat from a master-side cache skips routing, dispatch,
 and every local search — the single cheapest capacity win an ANN
 serving tier has.
 
-Two key modes:
-
-- ``exact`` — the key is the query's quantized (float32) byte string, so
-  a hit is only ever an *identical* vector and the cached row is
-  bit-identical to what the cluster would have recomputed (the
-  equivalence the serving tests pin);
-- ``near`` — the key is a coarse quantizer cell: the sign pattern of the
-  query against a seeded set of random hyperplanes (a 2^bits-cell
-  quantization of the sphere).  Any query in the cell reuses the cell's
-  last answer — an approximation trade (documented, off by default)
-  that buys hits on near-duplicate queries.
+The key is the query's float32 byte string, so a hit is only ever an
+*identical* vector and the cached row is bit-identical to what the
+cluster would have recomputed (the equivalence the serving tests pin).
 
 Entries carry the cache *version*; :meth:`ResultCache.invalidate` bumps
 it (e.g. after an index mutation), and a lookup that lands on an
@@ -34,9 +26,7 @@ import numpy as np
 
 from repro.obs.metrics import Instrument, MetricsRegistry
 
-__all__ = ["CACHE_MODES", "ResultCache", "cache_namespace"]
-
-CACHE_MODES = ("exact", "near")
+__all__ = ["ResultCache", "cache_namespace"]
 
 
 def cache_namespace(tenant: int | None, fpayload: dict | None) -> bytes:
@@ -69,19 +59,12 @@ class ResultCache:
     def __init__(
         self,
         capacity: int,
-        mode: str = "exact",
-        dim: int | None = None,
-        n_bits: int = 16,
-        seed: int = 0,
         metrics: MetricsRegistry | None = None,
         namespace: bytes = b"",
     ) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        if mode not in CACHE_MODES:
-            raise ValueError(f"cache mode must be one of {CACHE_MODES}, got {mode!r}")
         self.capacity = int(capacity)
-        self.mode = mode
         #: key prefix isolating this cache's entries to one (tenant, filter)
         #: namespace (see :func:`cache_namespace`); empty = legacy keys
         self.namespace = bytes(namespace)
@@ -89,12 +72,6 @@ class ResultCache:
         self.registry = metrics if metrics is not None else MetricsRegistry()
         #: (version, (dists, ids)) by key, in LRU order (oldest first)
         self._entries: OrderedDict[bytes, tuple[int, tuple]] = OrderedDict()
-        if mode == "near":
-            if dim is None:
-                raise ValueError("near-duplicate cache mode needs the query dim")
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA]))
-            #: coarse quantizer: random hyperplane normals, one sign bit each
-            self._planes = rng.normal(size=(int(dim), int(n_bits)))
 
     hits = Instrument("counter", "cache.hits")
     misses = Instrument("counter", "cache.misses")
@@ -105,14 +82,9 @@ class ResultCache:
         return len(self._entries)
 
     def key(self, q: np.ndarray) -> bytes:
-        """The cache key of a query vector (quantized bytes or cell id),
-        prefixed with the (tenant, filter) namespace."""
-        q32 = np.ascontiguousarray(q, dtype=np.float32)
-        if self.mode == "exact":
-            return self.namespace + q32.tobytes()
-        return self.namespace + np.packbits(
-            q32.astype(np.float64) @ self._planes > 0.0
-        ).tobytes()
+        """The cache key of a query vector: its float32 bytes, prefixed
+        with the (tenant, filter) namespace."""
+        return self.namespace + np.ascontiguousarray(q, dtype=np.float32).tobytes()
 
     def get(self, key: bytes):
         """The cached ``(dists, ids)`` row, or None (counted miss/stale)."""

@@ -30,9 +30,6 @@ class ServingState:
         queue_depth: int,
         overload_policy: str,
         cache_size: int = 0,
-        cache_mode: str = "exact",
-        dim: int | None = None,
-        seed: int = 0,
         metrics=None,
         cache_namespace: bytes = b"",
     ) -> None:
@@ -45,14 +42,7 @@ class ServingState:
         self.offered = n
         self.admission = AdmissionQueue(queue_depth, overload_policy, metrics=self.registry)
         self.cache = (
-            ResultCache(
-                cache_size,
-                mode=cache_mode,
-                dim=dim,
-                seed=seed,
-                metrics=self.registry,
-                namespace=cache_namespace,
-            )
+            ResultCache(cache_size, metrics=self.registry, namespace=cache_namespace)
             if cache_size > 0
             else None
         )

@@ -36,9 +36,6 @@ class NetworkModel:
     sw_overhead: float = 0.3e-6
     #: extra latency of a one-sided atomic (NIC-side fetch-op)
     rma_latency: float = 1.8e-6
-    #: cost of one MPI_Test poll that finds nothing (a parameter of the
-    #: machine model; the engine has no polling call that charges it)
-    poll_cost: float = 0.05e-6
     #: straggler/OS-jitter penalty added to every collective, in seconds per
     #: log2(P).  At thousands of ranks, real collectives pay amplified
     #: per-rank jitter (Hoefler et al.'s OS-noise amplification); this term
@@ -54,7 +51,6 @@ class NetworkModel:
             "intra_bandwidth",
             "sw_overhead",
             "rma_latency",
-            "poll_cost",
         ):
             if getattr(self, name) <= 0:
                 raise SimConfigError(f"{name} must be positive")
@@ -182,5 +178,4 @@ ETHERNET_LIKE = NetworkModel(
     intra_bandwidth=30.0e9,
     sw_overhead=2.0e-6,
     rma_latency=30e-6,
-    poll_cost=0.1e-6,
 )

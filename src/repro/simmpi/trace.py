@@ -2,7 +2,7 @@
 
 These feed Fig. 5 (search-time breakdown): every proc accumulates where its
 virtual time went — computation by kind, send/receive overheads, blocked
-communication waits, polls, and RMA — and the eval layer aggregates them
+communication waits, and RMA — and the eval layer aggregates them
 across ranks.
 
 On top of the low-level counters sits a *span* layer: proc code opens named
@@ -46,10 +46,6 @@ class ProcStats:
     recv_time: float = 0.0
     #: virtual time spent blocked waiting for messages/collectives
     comm_wait: float = 0.0
-    #: time burnt in MPI_Test-style polls: the engine has no polling call
-    #: (workers block in ``wait_any``), so it stays 0; it is kept because
-    #: the breakdown's ``poll`` key, which Fig. 5 reads, sums it
-    poll_time: float = 0.0
     #: origin-side time of one-sided operations
     rma_time: float = 0.0
     msgs_sent: int = 0
@@ -73,9 +69,9 @@ class ProcStats:
 
     @property
     def comm_total(self) -> float:
-        """All communication-attributable time (overheads + waits + polls +
+        """All communication-attributable time (overheads + waits +
         one-sided)."""
-        return self.send_time + self.recv_time + self.comm_wait + self.poll_time + self.rma_time
+        return self.send_time + self.recv_time + self.comm_wait + self.rma_time
 
     @property
     def busy_total(self) -> float:
@@ -84,20 +80,12 @@ class ProcStats:
 
 def aggregate_stats(stats: list[ProcStats]) -> dict[str, float]:
     """Sum a set of proc stats into one breakdown dict (seconds)."""
-    out = {
-        "compute": 0.0,
-        "send": 0.0,
-        "recv": 0.0,
-        "wait": 0.0,
-        "poll": 0.0,
-        "rma": 0.0,
-    }
+    out = {"compute": 0.0, "send": 0.0, "recv": 0.0, "wait": 0.0, "rma": 0.0}
     for s in stats:
         out["compute"] += s.compute_total
         out["send"] += s.send_time
         out["recv"] += s.recv_time
         out["wait"] += s.comm_wait
-        out["poll"] += s.poll_time
         out["rma"] += s.rma_time
     return out
 

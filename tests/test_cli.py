@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -182,6 +183,65 @@ class TestQuery:
         )
         I_cli = read_ivecs(out).astype(np.int64)
         assert np.array_equal(I_fresh, I_cli)
+
+
+class TestSavedArtifactChecks:
+    """``repro query`` refuses a router or attribute file that ``repro
+    build`` cannot have written, naming the bad array."""
+
+    def test_intact_router_resaves_byte_identical(self, index_dir, tmp_path):
+        from repro.cli import _load_router, _save_router
+
+        path = tmp_path / "router.npz"
+        _save_router(_load_router(str(index_dir / "router.npz")), str(path))
+        assert path.read_bytes() == (index_dir / "router.npz").read_bytes()
+
+    @pytest.mark.parametrize(
+        ("case", "array"),
+        [
+            ("vp_flat_short", "vp_flat"),
+            ("node_missing", "partitions"),
+            ("leaf_out_of_range", "partitions"),
+            ("leaf_twice", "partitions"),
+            ("mu_nan", "mus"),
+            ("mu_negative", "mus"),
+            ("widths_differ", "vp_lengths"),
+        ],
+    )
+    def test_corrupt_router_refused(self, index_dir, tmp_path, case, array):
+        from repro.cli import _load_router
+
+        with np.load(index_dir / "router.npz") as data:
+            a = {name: data[name].copy() for name in data.files}
+        leaves = np.flatnonzero(a["partitions"] >= 0)
+        inner = np.flatnonzero(a["partitions"] < 0)
+        if case == "vp_flat_short":
+            a["vp_flat"] = a["vp_flat"][:-1]
+        elif case == "node_missing":  # the preorder's last node, a leaf
+            for name in ("partitions", "mus", "vp_lengths"):
+                a[name] = a[name][:-1]
+        elif case == "leaf_out_of_range":
+            a["partitions"][leaves[0]] = a["n_partitions"][0]
+        elif case == "leaf_twice":
+            a["partitions"][leaves[1]] = a["partitions"][leaves[0]]
+        elif case == "mu_nan":
+            a["mus"][inner[0]] = np.nan
+        elif case == "mu_negative":
+            a["mus"][inner[0]] = -1.0
+        else:  # one vantage point a float wider, another a float narrower
+            a["vp_lengths"][inner[0]] += 1
+            a["vp_lengths"][inner[1]] -= 1
+        path = tmp_path / "router.npz"
+        np.savez_compressed(path, **a)
+        with pytest.raises(ValueError, match=f"not a saved router: bad '{array}' array"):
+            _load_router(str(path))
+
+    def test_attrs_of_another_corpus_refused(self, corpus_dir, index_dir, tmp_path, capsys):
+        index = tmp_path / "index"
+        shutil.copytree(index_dir, index)
+        np.savez_compressed(index / "attrs.npz", tier=np.zeros(599, dtype=np.int64))
+        assert main(["query", str(index), str(corpus_dir / "query.fvecs"), "--k", "5"]) == 2
+        assert "not this index's attributes: bad 'tier' array" in capsys.readouterr().err
 
 
 class TestBench:

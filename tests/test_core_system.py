@@ -157,7 +157,7 @@ class TestResultPathEquivalence:
         # CPU components only — blocked wait is idle time, and an idle
         # master is precisely what one-sided accumulation buys
         def cpu(br):
-            return br["compute"] + br["send"] + br["recv"] + br["poll"]
+            return br["compute"] + br["send"] + br["recv"]
 
         assert cpu(ra.master_breakdown) < cpu(rb.master_breakdown)
 

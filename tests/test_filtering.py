@@ -492,6 +492,49 @@ class TestEngineFiltered:
         assert np.all(I == -1)
         assert rep.filter_empty_tasks > 0
 
+    def test_selectivity_sweep_floors(self):
+        """The filtered-search headlines as floors, on 8 cores probing every
+        partition (recall is about filtering here, not routing) over 4,000
+        24-d rows whose ``pct`` column is ``row % 100``, so ``pct=0..S-1``
+        selects exactly S %.  At 1 / 5 / 10 / 25 / 50 / 90 %, ``auto``'s
+        recall against the exact answer over the matching rows must reach
+        the naive post-filter's (unfiltered search, then drop non-matching
+        rows) at two or more points; it does at all six.  The measured
+        crossover, the lowest point where most tasks take the traversal,
+        must lie above every swept point below ``CROSSOVER_SELECTIVITY``.
+        That rule cannot see the constant move, since ``auto`` moves with
+        it, so the recorded crossover (0.25 against 0.10) is pinned too."""
+        k, sweep = 10, (1, 5, 10, 25, 50, 90)
+        X = sift_like(4000, dim=24, seed=0)
+        Q = sample_queries(X, 50, noise_scale=0.05, seed=1)
+        pct = np.arange(len(X)) % 100
+        ann = DistributedANN(
+            SystemConfig(n_cores=8, cores_per_node=4, k=k, n_probe=8, seed=0,
+                         hnsw=HnswParams(M=8, ef_construction=60, seed=0))
+        )
+        ann.fit(X, metadata={"pct": pct})
+        _, I_plain, _ = ann.query(Q)
+
+        def recall(ids, gt):
+            return np.mean([len(np.intersect1d(r[r >= 0], g)) for r, g in zip(ids, gt)]) / k
+
+        beating, measured = 0, None
+        for s in sweep:
+            rows = np.flatnonzero(pct < s)
+            diff = X[rows] - Q[:, None]
+            d = np.einsum("qij,qij->qi", diff, diff)
+            gt = rows[np.argsort(d, axis=1, kind="stable")[:, :k]]
+            _, I, rep = ann.query(Q, filter=f"pct=0..{s - 1}")
+            assert np.all(np.isin(I[I >= 0], rows)), s  # the predicate always holds
+            beating += recall(I, gt) >= recall(np.where(np.isin(I_plain, rows), I_plain, -1), gt)
+            if measured is None and rep.filter_tasks_post > rep.filter_tasks_pre:
+                measured = s / 100
+        assert beating >= 2, beating
+        assert measured is not None and all(
+            s / 100 < measured for s in sweep if s / 100 < CROSSOVER_SELECTIVITY
+        ), measured
+        assert measured == 0.25
+
     def test_report_filter_fields_round_trip(self, corpus):
         X, Q, metadata = corpus
         ann = DistributedANN(self._config())

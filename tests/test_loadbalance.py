@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import DistributedANN, SystemConfig
 from repro.core.replication import Workgroups
+from repro.datasets import zipf_queries
 from repro.hnsw import HnswParams
 from repro.loadbalance import (
     SELECTORS,
@@ -16,6 +17,48 @@ from repro.loadbalance import (
     make_selector,
 )
 from repro.simmpi.errors import SimConfigError
+
+
+def skewed_corpus(n: int, dim: int, n_parts: int) -> np.ndarray:
+    """Clustered corpus with ~n_parts natural clusters (routing targets)."""
+    rng = np.random.default_rng([0, 0x10AD])
+    centers = rng.normal(0.0, 8.0, size=(n_parts, dim)).astype(np.float32)
+    assign = rng.integers(0, n_parts, size=n)
+    return (centers[assign] + rng.normal(0.0, 0.5, size=(n, dim))).astype(np.float32)
+
+
+def skewed_system(cores: int, **kw) -> DistributedANN:
+    """The skew scenario's cluster: one worker per node for crisp per-core
+    attribution, n_probe=1 so the skew lands undiluted on the routed
+    partition, and a modeled 5 ms search so makespans are exact."""
+    return DistributedANN(
+        SystemConfig(
+            n_cores=cores,
+            cores_per_node=1,
+            k=10,
+            n_probe=1,
+            hnsw=HnswParams(M=8, ef_construction=40, seed=0),
+            searcher="modeled",
+            modeled_search_seconds=5e-3,
+            modeled_sample_points=64,
+            seed=0,
+            **kw,
+        )
+    )
+
+
+def partition_anchors(ann: DistributedANN) -> np.ndarray:
+    """The fitted partitions' centroids in a seeded order, so the hottest
+    Zipf rank is not structurally special (e.g. not always partition 0)."""
+    anchors = np.stack(
+        [p.points.mean(axis=0) for _, p in sorted(ann.partitions.items()) if p.n_points]
+    )
+    return anchors[np.random.default_rng([0, 0xFACE]).permutation(len(anchors))]
+
+
+def skewed_queries(ann: DistributedANN, n: int, skew: float) -> np.ndarray:
+    """A Zipf(skew) workload over the fitted partition layout."""
+    return zipf_queries(partition_anchors(ann), n, skew=skew, compactness=0.02, seed=0)
 
 
 class TestLoadTracker:
@@ -202,3 +245,20 @@ class TestEndToEnd:
         assert repf.failovers > 0
         assert repf.core_busy_seconds is not None
         assert repf.queue_depth_timeline is not None
+
+
+def test_least_loaded_beats_primary_under_skew():
+    """The §IV replication argument as a floor: on 16 cores with every
+    partition on r = 4 cores and a Zipf(1.3) workload of 600 queries,
+    ``least_loaded`` finishes at least 1.5x sooner than ``primary``
+    (0.440193 s vs 0.280127 s, 1.571x).  Virtual makespans are exact, so
+    this is a property of the policies, not of the machine."""
+    X = skewed_corpus(4000, 16, 16)
+    makespan = {}
+    for selector in ("primary", "least_loaded"):
+        ann = skewed_system(16, replication_factor=4, replica_selector=selector)
+        ann.fit(X)
+        if selector == "primary":
+            Q = skewed_queries(ann, 600, skew=1.3)
+        makespan[selector] = ann.query(Q)[2].total_seconds
+    assert makespan["primary"] / makespan["least_loaded"] >= 1.5, makespan

@@ -29,7 +29,7 @@ class TestProcStats:
         s = ProcStats()
         s.add_compute("x", 1.0)
         s.recv_time = 0.25
-        s.poll_time = 0.25
+        s.send_time = 0.25
         assert s.comm_total == pytest.approx(0.5)
         assert s.busy_total == pytest.approx(1.5)
 

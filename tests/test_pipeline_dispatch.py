@@ -25,6 +25,7 @@ from repro.hnsw import HnswParams
 from repro.loadbalance import LoadTracker, derive_drain_timeout, derive_task_timeout
 from repro.simmpi.errors import SimConfigError
 from repro.simmpi.network import NetworkModel
+from tests.test_loadbalance import skewed_corpus, skewed_queries, skewed_system
 
 HNSW = HnswParams(M=8, ef_construction=40)
 
@@ -122,6 +123,26 @@ class TestWindowedEquivalence:
         _, _, rep = _run(corpus, one_sided=False, dispatch_window=1)
         assert rep.credit_stall_seconds > 0.0
         assert rep.max_outstanding_tasks <= 8
+
+
+def test_window_beats_eager_under_skew():
+    """Flow control as load balancing, as a floor: on 64 cores at r = 4
+    with ``primary`` selection and a Zipf(1.3) workload of 600 queries,
+    window 4 finishes at least 1.1x sooner than eager dispatch
+    (0.295132 s vs 0.230135 s, 1.282x) with a peak modeled queue at least
+    4x flatter (597.7 vs 45.9 tasks, 13.02x)."""
+    X = skewed_corpus(4000, 16, 64)
+    runs = {}
+    for window in (0, 4):
+        ann = skewed_system(64, replication_factor=4, dispatch_window=window)
+        ann.fit(X)
+        if window == 0:
+            Q = skewed_queries(ann, 600, skew=1.3)
+        rep = ann.query(Q)[2]
+        runs[window] = (rep.total_seconds, rep.queue_depth_timeline[:, 1].max())
+    (eager_s, eager_q), (win_s, win_q) = runs[0], runs[4]
+    assert eager_s / win_s >= 1.1, runs
+    assert eager_q / max(win_q, 1e-9) >= 4.0, runs
 
 
 class TestConfigValidation:

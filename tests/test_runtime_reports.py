@@ -29,7 +29,7 @@ from repro.runtime import (
 from repro.runtime.report import REPORT_INSTRUMENTS, REPORT_SCHEMA
 from repro.simmpi.trace import PHASES
 
-BREAKDOWN_KEYS = {"compute", "send", "recv", "wait", "poll", "rma"}
+BREAKDOWN_KEYS = {"compute", "send", "recv", "wait", "rma"}
 
 MODES = {
     "two_sided": dict(one_sided=False, owner_strategy="master"),

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 from repro.core import DistributedANN, SystemConfig
-from repro.datasets import zipf_query_targets
+from repro.datasets import zipf_queries, zipf_query_targets
+from repro.eval import latency_stats
 from repro.faults import FaultSpec, RankCrash
 from repro.hnsw import HnswParams
 from repro.serving import AdmissionQueue, ResultCache, ServingTimeline
 from repro.serving.arrivals import arrival_schedule, parse_arrival_spec
 from repro.simmpi.errors import SimConfigError
+from tests.test_loadbalance import partition_anchors, skewed_corpus, skewed_system
 
 HNSW = HnswParams(M=8, ef_construction=40)
 
@@ -211,25 +213,9 @@ class TestResultCache:
         assert c.get(k) is None
         assert c.stale == 1 and c.hits == 0 and len(c) == 0
 
-    def test_near_mode_groups_neighbors(self):
-        c = ResultCache(4, mode="near", dim=16, seed=0)
-        rng = np.random.default_rng(0)
-        q = rng.normal(size=16).astype(np.float32)
-        c.put(c.key(q), self._row(3))
-        # a tiny perturbation stays in the same quantizer cell
-        assert c.get(c.key(q + 1e-7)) is not None
-        # the antipode never does (every sign bit flips)
-        assert c.get(c.key(-q)) is None
-
-    def test_near_mode_needs_dim(self):
-        with pytest.raises(ValueError, match="dim"):
-            ResultCache(4, mode="near")
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             ResultCache(0)
-        with pytest.raises(ValueError):
-            ResultCache(4, mode="fuzzy")
 
 
 class TestServingTimeline:
@@ -313,6 +299,55 @@ class TestResultCacheServing:
         )
         assert rep.cache_evictions > 0
         assert rep.cache_hits + rep.cache_misses == rep.admitted_queries
+
+
+class TestSkewedServingFloors:
+    """The serving headlines as floors, on 16 cores with a modeled 5 ms
+    search: 600 open-loop queries drawn Zipf(1.2) from a pool of 64
+    distinct vectors, so hot queries repeat byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def hot_pool(self):
+        X = skewed_corpus(4000, 16, 16)
+        ann = skewed_system(16)
+        ann.fit(X)
+        pool = zipf_queries(partition_anchors(ann), 64, skew=0.0, compactness=0.02, seed=0)
+        return X, np.ascontiguousarray(pool[zipf_query_targets(600, 64, 1.2, seed=0)])
+
+    @staticmethod
+    def _serve(hot_pool, rate, **kw):
+        X, Q = hot_pool
+        ann = skewed_system(16, one_sided=False, arrival=f"poisson:{rate}", **kw)
+        ann.fit(X)
+        return ann.query(Q)[2]
+
+    def test_p99_knee(self, hot_pool):
+        """Past capacity the queue grows and the tail with it: p99 at
+        12,800 q/s is at least 2x p99 at 200 q/s (1569.7 vs 21.2 ms, 74x)."""
+        low, high = (latency_stats(self._serve(hot_pool, r).query_latencies).p99
+                     for r in (200, 12800))
+        assert high / low >= 2.0, (low, high)
+
+    def test_cache_cuts_p99(self, hot_pool):
+        """A cache holding the whole hot pool cuts p99 at 3,200 q/s by at
+        least 1.1x (1433.0 vs 166.3 ms, 8.618x)."""
+        off, on = (latency_stats(self._serve(hot_pool, 3200, cache_size=c).query_latencies).p99
+                   for c in (0, 64))
+        assert off / on >= 1.1, (off, on)
+
+    def test_shed_ledger_balances(self, hot_pool):
+        """A 16-deep ingress under ``shed_oldest``, with window 1 so the
+        head of line credit-blocks: shedding engages and every offered
+        query lands in exactly one ledger column (90 admitted, 510 shed)."""
+        rep = self._serve(
+            hot_pool, 12800, queue_depth=16, overload_policy="shed_oldest", dispatch_window=1
+        )
+        assert rep.shed_queries > 0
+        assert (
+            rep.admitted_queries + rep.shed_queries + rep.rejected_queries
+            == rep.offered_queries
+            == 600
+        )
 
 
 class TestOverloadPolicies:
@@ -495,8 +530,6 @@ class TestServingConfigGuards:
                 dispatch_window=4,
             )
 
-    def test_bad_policy_and_mode_names(self):
+    def test_bad_policy_name(self):
         with pytest.raises(SimConfigError, match="overload_policy"):
             self._cfg(overload_policy="drop_newest", queue_depth=4)
-        with pytest.raises(SimConfigError, match="cache_mode"):
-            self._cfg(cache_mode="fuzzy")
