@@ -13,9 +13,10 @@ test:
 	pytest tests/
 
 # the HNSW / PQ python fallbacks and the python router as a system: index,
-# equivalence, cluster, filtering, searcher-protocol and routing tests and
-# the query-path goldens with the compiled kernels off (in `make test` only
-# tests that clear one instance's handles reach them); about a minute
+# equivalence, cluster, filtering and routing tests, the search contract
+# (every backend's knn_search, HnswIndex's batch, padding and filter mask)
+# and the query-path goldens with the compiled kernels off (in `make test`
+# only tests that clear one instance's handles reach them); about a minute
 test-nonative:
 	REPRO_HNSW_NO_NATIVE=1 REPRO_PQ_NO_NATIVE=1 python -m pytest -q tests/test_hnsw_index.py tests/test_hnsw_flat_equivalence.py tests/test_hnsw_search_rows.py tests/test_core_system.py tests/test_filtering.py tests/test_searcher_protocol.py tests/test_vptree.py tests/test_vptree_route_native.py tests/test_query_path_identity.py
 

@@ -47,7 +47,6 @@ from repro.hnsw import HnswIndex, HnswParams
 from repro.kdtree import KDTree
 from repro.loadbalance import ReplicaSelector
 from repro.obs import MetricsRegistry, TraceRecorder
-from repro.protocols import Searcher
 from repro.runtime import ClusterRuntime
 from repro.vptree import VPTree, PartitionRouter
 
@@ -66,7 +65,6 @@ __all__ = [
     "MetricsRegistry",
     "PartitionRouter",
     "ReplicaSelector",
-    "Searcher",
     "SearchReport",
     "SystemConfig",
     "TraceRecorder",

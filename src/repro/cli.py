@@ -561,9 +561,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         from repro.simmpi.errors import SimConfigError
 
-        if isinstance(exc, (SimConfigError, ValueError)):
+        if isinstance(exc, (SimConfigError, ValueError, OSError)):
             # configuration mistakes (incompatible mode combinations, bad
-            # arrival specs, ...) get one clear line instead of a traceback
+            # arrival specs, missing files, ...) get one clear line instead
+            # of a traceback
             print(f"error: {exc}", file=sys.stderr)
             return 2
         raise

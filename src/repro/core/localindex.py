@@ -15,9 +15,10 @@ that seam:
 
 Each offers the one-row ``search(partition, query, k)`` call, which
 ``ClusterRuntime.run_search`` adapts to the batched
-:class:`~repro.core.searcher.LocalSearcher` protocol, and is paired with
-a ``build(partition)`` hook used by :func:`attach_local_indexes` to
-retrofit a fitted system.
+:class:`~repro.core.searcher.LocalSearcher` protocol.  The VP-tree and
+IVF-PQ searchers are paired with a ``build(partition)`` hook that puts
+their index into ``partition.index``; run it over a fitted system's
+``partitions.values()`` before querying with the searcher.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "BruteForceSearcher",
     "VPTreeLocalSearcher",
     "IvfPqLocalSearcher",
-    "attach_local_indexes",
 ]
 
 
@@ -76,7 +76,7 @@ class VPTreeLocalSearcher:
         if not isinstance(tree, VPTree):
             raise ValueError(
                 f"partition {partition.partition_id} holds {type(tree).__name__}, "
-                "expected VPTree — call attach_local_indexes first"
+                "expected VPTree — run VPTreeLocalSearcher.build on it first"
             )
         before = tree.n_dist_evals
         d, local = tree.knn_search(query, k)
@@ -118,7 +118,7 @@ class IvfPqLocalSearcher:
         if not isinstance(idx, IVFPQIndex):
             raise ValueError(
                 f"partition {partition.partition_id} holds {type(idx).__name__}, "
-                "expected IVFPQIndex — call attach_local_indexes first"
+                "expected IVFPQIndex — run IvfPqLocalSearcher.build on it first"
             )
         before = idx.n_dist_evals
         idx.n_probe = self.n_probe_cells
@@ -136,23 +136,3 @@ class IvfPqLocalSearcher:
         n = partition.n_points
         # k-means training passes dominate
         return self.cost.distance_cost(25 * n, partition.points.shape[1])
-
-
-def attach_local_indexes(ann, kind: str, **kwargs) -> None:
-    """Replace every partition's local index in a fitted DistributedANN.
-
-    ``kind`` is one of ``"vptree"``, ``"ivfpq"``, or ``"none"`` (brute
-    force needs no index).  The next ``query`` must be issued with the
-    matching searcher via ``query_with_searcher``.
-    """
-    builders = {
-        "vptree": VPTreeLocalSearcher.build,
-        "ivfpq": IvfPqLocalSearcher.build,
-        "none": lambda p, **kw: setattr(p, "index", None),
-    }
-    try:
-        build = builders[kind]
-    except KeyError:
-        raise ValueError(f"unknown local index kind {kind!r}; choose from {sorted(builders)}")
-    for partition in ann.partitions.values():
-        build(partition, **kwargs)

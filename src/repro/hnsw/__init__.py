@@ -13,13 +13,11 @@ which is what the simulated cluster charges virtual time for.
 
 from repro.hnsw.params import HnswParams
 from repro.hnsw.index import HnswIndex
-from repro.hnsw.reference import ReferenceHnswIndex
 from repro.hnsw.stats import graph_stats, layer_connectivity
 
 __all__ = [
     "HnswParams",
     "HnswIndex",
-    "ReferenceHnswIndex",
     "graph_stats",
     "layer_connectivity",
 ]

@@ -57,8 +57,12 @@ from repro.hnsw.native import native_build_for, native_search_layer_for
 from repro.hnsw.params import HnswParams
 from repro.hnsw.select import select_heuristic, select_heuristic_rows, select_simple
 from repro.metrics import Metric, get_metric
-from repro.protocols import check_filter_mask
-from repro.utils.validation import check_matrix, check_positive_int, check_vector
+from repro.utils.validation import (
+    check_filter_mask,
+    check_matrix,
+    check_positive_int,
+    check_vector,
+)
 
 __all__ = ["HnswIndex"]
 
@@ -680,7 +684,7 @@ class HnswIndex:
         nq = len(Q)
         ef = max(ef or self.params.ef_search, k)
         allowed = None
-        if filter is not None and self._n:
+        if filter is not None:
             allowed = np.ascontiguousarray(check_filter_mask(filter, self._n))
         if self._n and self._native is not None:
             return self._search_rows_native(Q, k, ef, allowed)

@@ -10,9 +10,8 @@ comparison shows up as a hard failure there, not as a recall drift.
 
 It shares :mod:`repro.hnsw.kernels` and :mod:`repro.hnsw.select` with the
 production backend so the arithmetic is identical by construction; only
-the data structures differ.  Deliberately unoptimized and without
-serialization (batching exists only as the row-by-row
-:class:`~repro.protocols.Searcher` fallback) — use
+the data structures differ.  Deliberately unoptimized, unfiltered,
+one query per call and without serialization — use
 :class:`~repro.hnsw.index.HnswIndex` for anything but tests.
 """
 
@@ -26,7 +25,6 @@ from repro.hnsw.kernels import fast_kernel_for, fast_self_pairwise_for
 from repro.hnsw.params import HnswParams
 from repro.hnsw.select import select_heuristic, select_simple
 from repro.metrics import Metric, get_metric
-from repro.protocols import check_filter_mask
 from repro.utils.heaps import MaxHeap, MinHeap
 from repro.utils.validation import check_matrix, check_positive_int, check_vector
 
@@ -276,103 +274,21 @@ class ReferenceHnswIndex:
                     bound = results.max_dist()
         return results
 
-    def _search_layer_filtered(
-        self,
-        q: np.ndarray,
-        entry: list[tuple[float, int]],
-        ef: int,
-        level: int,
-        allowed: np.ndarray,
-    ) -> MaxHeap:
-        """SEARCH-LAYER over a row mask: filtered results, unfiltered frontier.
-
-        The reference twin of ``HnswIndex._search_layer_filtered`` — masked
-        nodes conduct the walk (they stay in the candidate frontier) but
-        only ``allowed`` nodes may enter the result heap.
-        """
-        visited = {c for _, c in entry}
-        candidates = MinHeap(entry)
-        results = MaxHeap([(d, n) for d, n in entry if allowed[n]])
-        links = self._links[level]
-        while candidates:
-            c_dist, c = candidates.pop()
-            full = len(results) >= ef
-            bound = results.max_dist() if len(results) else np.inf
-            if full and c_dist > bound:
-                break
-            nbrs = links.get(c)
-            if not nbrs:
-                continue
-            fresh = [n for n in nbrs if n not in visited]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            arr = np.asarray(fresh, dtype=np.int64)
-            dists = self._dist_many(q, arr)
-            for d, n in zip(dists, arr):
-                d = float(d)
-                if full and d >= bound:
-                    continue
-                candidates.push(d, int(n))
-                if allowed[n]:
-                    results.push(d, int(n))
-                    if len(results) > ef:
-                        results.pop()
-                    full = len(results) >= ef
-                    bound = results.max_dist()
-        return results
-
     def knn_search(
-        self,
-        query: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        *,
-        filter: np.ndarray | None = None,
+        self, query: np.ndarray, k: int, ef: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Approximate k-NN; returns (distances, external ids), closest first.
-
-        ``filter``: optional boolean mask over insertion-order rows
-        (= internal node ids); ``filter=None`` is bit-identical to the
-        unfiltered call.
-        """
+        """Approximate k-NN; returns (distances, external ids), closest first."""
         check_positive_int(k, "k")
         q = check_vector(query, "query", dim=self.dim)
         if self._n == 0:
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        mask = None if filter is None else check_filter_mask(filter, self._n)
         ef = max(ef or self.params.ef_search, k)
         ep = self._entry
         ep_dist = self._dist_one(q, ep)
         for lv in range(self.max_level, 0, -1):
             ep, ep_dist = self._greedy_step(q, ep, ep_dist, lv)
-        if mask is None:
-            w = self._search_layer(q, [(ep_dist, ep)], ef, 0)
-        else:
-            w = self._search_layer_filtered(q, [(ep_dist, ep)], ef, 0, mask)
+        w = self._search_layer(q, [(ep_dist, ep)], ef, 0)
         pairs = w.sorted_items()[:k]
         d = np.array([p[0] for p in pairs], dtype=np.float64)
         ids = np.array([self._ext_ids[p[1]] for p in pairs], dtype=np.int64)
         return d, ids
-
-    def knn_search_batch(
-        self,
-        Q: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        *,
-        filter: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Padded (n_queries, k) batch search (the :class:`~repro.protocols.Searcher`
-        contract); each row is exactly ``knn_search(Q[i], k, ef, filter=...)``."""
-        from repro.protocols import batch_from_single
-
-        Q = check_matrix(Q, "Q")
-        if Q.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {Q.shape[1]}")
-        return batch_from_single(
-            lambda q, kk, **kw: self.knn_search(q, kk, ef=ef, **kw),
-            Q,
-            k,
-            filter=filter,
-        )

@@ -79,43 +79,13 @@ class KDTree:
             right=self._build(ids[~inside]),
         )
 
-    def knn_search(
-        self, query: np.ndarray, k: int, *, filter: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact k-NN; returns (distances, ids) closest first.
-
-        ``filter``: optional boolean mask over insertion-order rows (= row
-        indices of ``X``, which are also the returned ids); results stay
-        exact over the matching subset via the shared overfetch fallback.
-        """
+    def knn_search(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Exact k-NN; returns (distances, ids) closest first."""
         check_positive_int(k, "k")
         q = check_vector(query, "query", dim=self.X.shape[1])
-        if filter is not None:
-            from repro.protocols import filtered_overfetch
-
-            n = len(self.X)
-            return filtered_overfetch(
-                lambda qq, kk: self.knn_search(qq, kk),
-                n,
-                np.arange(n, dtype=np.int64),
-                q,
-                k,
-                filter,
-            )
         buf = KnnBuffer(k)
         self._search(self.root, q, buf)
         return buf.result()
-
-    def knn_search_batch(
-        self, Q: np.ndarray, k: int, *, filter: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Padded (n_queries, k) batch search (the :class:`~repro.protocols.Searcher`
-        contract); each row is exactly ``knn_search(Q[i], k, filter=...)``."""
-        from repro.protocols import batch_from_single
-
-        return batch_from_single(
-            self.knn_search, check_matrix(Q, "Q"), k, filter=filter
-        )
 
     def _search(self, node: KDNode, q: np.ndarray, buf: KnnBuffer) -> None:
         if node.is_leaf:

@@ -112,22 +112,10 @@ class LSHIndex:
             rows.update(self._tables[t].get(h[t].tobytes(), ()))
         return np.fromiter(rows, dtype=np.int64, count=len(rows))
 
-    def knn_search(
-        self, query: np.ndarray, k: int, *, filter: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Approximate k-NN: rank the colliding candidates by true L2.
-
-        ``filter``: optional boolean mask over insertion-order rows;
-        bucket candidates are internal rows, so masked rows are dropped
-        before ranking (native pre-ranking filter, no overfetch needed).
-        """
+    def knn_search(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Approximate k-NN: rank the colliding candidates by true L2."""
         check_positive_int(k, "k")
         cand = self.candidates(query)
-        if filter is not None:
-            from repro.protocols import check_filter_mask
-
-            mask = check_filter_mask(filter, len(self))
-            cand = cand[mask[cand]]
         if len(cand) == 0:
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
         q = np.asarray(query, dtype=np.float32).ravel()
@@ -135,17 +123,6 @@ class LSHIndex:
         self.n_dist_evals += len(cand)
         order = np.lexsort((self._ids[cand], d))[:k]
         return np.asarray(d[order], dtype=np.float64), self._ids[cand][order]
-
-    def knn_search_batch(
-        self, Q: np.ndarray, k: int, *, filter: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Padded (n_queries, k) batch search (the :class:`~repro.protocols.Searcher`
-        contract); each row is exactly ``knn_search(Q[i], k, filter=...)``."""
-        from repro.protocols import batch_from_single
-
-        return batch_from_single(
-            self.knn_search, check_matrix(Q, "Q"), k, filter=filter
-        )
 
     def selectivity(self, queries: np.ndarray) -> float:
         """Mean fraction of the dataset scanned per query."""

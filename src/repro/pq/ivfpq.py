@@ -9,11 +9,8 @@ re-rank step rescoring the top candidates with full-precision vectors
 (GRIP's second layer, ref [15]) is supported via ``keep_vectors=True``.
 
 ADC uses the fast-scan layer (:mod:`repro.pq.kernels`): each list's
-codes are stored transposed at build time, the per-query distance table
-is built once and reused across every probed list, and
-:meth:`IVFPQIndex.knn_search_batch` additionally groups the scans of a
-batch by cell so a list's code bytes are walked back-to-back for every
-query probing it.
+codes are stored transposed at build time, and the per-query distance
+table is built once and reused across every probed list.
 """
 
 from __future__ import annotations
@@ -93,24 +90,41 @@ class IVFPQIndex:
         # transposed fast-scan layout, built once (see repro.pq.kernels)
         self._lists_codes_t = [transpose_codes(lc) for lc in self._lists_codes]
         self._lists_ids = [ids[assign == c] for c in range(self.n_cells)]
-        # insertion-order rows per list, for filter-mask lookups
-        self._lists_rows = [np.flatnonzero(assign == c) for c in range(self.n_cells)]
         self._X = X if self.keep_vectors else None
         self._id_to_row = (
             {int(g): r for r, g in enumerate(ids)} if self.keep_vectors else None
         )
         return self
 
-    def _route(self, qf: np.ndarray) -> np.ndarray:
-        """Cells to probe for a float64 query, nearest coarse centroid first."""
+    def knn_search(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Approximate k-NN by ADC over the probed cells.
+
+        ``rerank > 0`` (constructor knob) rescores that many top ADC
+        candidates with true distances (requires ``keep_vectors=True``);
+        distances returned are then exact for the reranked prefix.
+        """
+        if self._coarse is None:
+            raise RuntimeError("fit before searching")
+        check_positive_int(k, "k")
+        q = check_vector(query, "query", dim=self.pq.dim)
+        qf = q.astype(np.float64)
         cd = ((self._coarse.centroids - qf) ** 2).sum(axis=1)
         self.n_dist_evals += len(cd)
-        return np.argsort(cd)[: min(self.n_probe, self.n_cells)]
-
-    def _finalize(
-        self, qf: np.ndarray, all_d: list[np.ndarray], all_i: list[np.ndarray], k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rank scanned fragments; optionally re-rank the top with true distances."""
+        probe = np.argsort(cd)[: min(self.n_probe, self.n_cells)]
+        # one table build per query, reused across every probed list
+        table = self.pq.adc_table(q)
+        all_d: list[np.ndarray] = []
+        all_i: list[np.ndarray] = []
+        for c in probe:
+            ct = self._lists_codes_t[c]
+            n = ct.shape[1]
+            if n == 0:
+                continue
+            all_d.append(adc_scan(table, ct))
+            # ADC cost: one lookup-sum per code (the amortized table build
+            # is charged through the coarse routing above)
+            self.n_dist_evals += n
+            all_i.append(self._lists_ids[c])
         if not all_d:
             return np.empty(0), np.empty(0, dtype=np.int64)
         d = np.concatenate(all_d)
@@ -127,105 +141,3 @@ class IVFPQIndex:
             return true_d[sub], ids[top][sub]
         order = order[:k]
         return np.sqrt(d[order]), ids[order]
-
-    def knn_search(
-        self, query: np.ndarray, k: int, *, filter: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Approximate k-NN by ADC over the probed cells.
-
-        ``rerank > 0`` (constructor knob) rescores that many top ADC
-        candidates with true distances (requires ``keep_vectors=True``);
-        distances returned are then exact for the reranked prefix.
-
-        ``filter``: optional boolean mask over insertion-order rows; each
-        probed list is still fast-scanned whole (the transposed layout is
-        all-or-nothing), then masked rows are dropped before ranking.
-        """
-        if self._coarse is None:
-            raise RuntimeError("fit before searching")
-        check_positive_int(k, "k")
-        q = check_vector(query, "query", dim=self.pq.dim)
-        mask = None
-        if filter is not None:
-            from repro.protocols import check_filter_mask
-
-            mask = check_filter_mask(filter, len(self))
-        qf = q.astype(np.float64)
-        probe = self._route(qf)
-        # one table build per query, reused across every probed list
-        table = self.pq.adc_table(q)
-        all_d: list[np.ndarray] = []
-        all_i: list[np.ndarray] = []
-        for c in probe:
-            ct = self._lists_codes_t[c]
-            n = ct.shape[1]
-            if n == 0:
-                continue
-            d = adc_scan(table, ct)
-            # ADC cost: one lookup-sum per code (the amortized table build
-            # is charged through the coarse routing above)
-            self.n_dist_evals += n
-            gids = self._lists_ids[c]
-            if mask is not None:
-                keep = mask[self._lists_rows[c]]
-                d, gids = d[keep], gids[keep]
-            if len(d):
-                all_d.append(d)
-                all_i.append(gids)
-        return self._finalize(qf, all_d, all_i, k)
-
-    def knn_search_batch(
-        self, Q: np.ndarray, k: int, *, filter: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Padded (n_queries, k) batch search (the :class:`~repro.protocols.Searcher`
-        contract); each row is exactly ``knn_search(Q[i], k)``.
-
-        Scans are grouped by cell across the batch: every query's table
-        is applied to a list's transposed codes back-to-back, so the
-        code bytes are read from cache instead of memory for all but
-        the first query probing a list.  Per-query results (fragment
-        order, ranking, eval charges) are identical to the single-query
-        path.
-        """
-        if self._coarse is None:
-            raise RuntimeError("fit before searching")
-        check_positive_int(k, "k")
-        Q = check_matrix(Q, "Q")
-        if Q.shape[1] != self.pq.dim:
-            raise ValueError(f"expected dim {self.pq.dim}, got {Q.shape[1]}")
-        if filter is not None:
-            # filtered rows break the cell-grouped scan sharing; fall back
-            # to the row-by-row path (identical per-row results)
-            from repro.protocols import batch_from_single
-
-            return batch_from_single(self.knn_search, Q, k, filter=filter)
-        nq = Q.shape[0]
-        qfs = [Q[i].astype(np.float64) for i in range(nq)]
-        probes = [self._route(qfs[i]) for i in range(nq)]
-        tables = [self.pq.adc_table(Q[i]) for i in range(nq)]
-        by_cell: dict[int, list[tuple[int, int]]] = {}
-        for i, probe in enumerate(probes):
-            for pos, c in enumerate(probe.tolist()):
-                by_cell.setdefault(c, []).append((i, pos))
-        frags: list[dict[int, np.ndarray]] = [{} for _ in range(nq)]
-        for c in sorted(by_cell):
-            ct = self._lists_codes_t[c]
-            n = ct.shape[1]
-            if n == 0:
-                continue
-            for i, pos in by_cell[c]:
-                frags[i][pos] = adc_scan(tables[i], ct)
-                self.n_dist_evals += n
-        D = np.full((nq, k), np.inf, dtype=np.float64)
-        ids_out = np.full((nq, k), -1, dtype=np.int64)
-        for i in range(nq):
-            all_d = [frags[i][pos] for pos in range(len(probes[i])) if pos in frags[i]]
-            all_i = [
-                self._lists_ids[c]
-                for pos, c in enumerate(probes[i].tolist())
-                if pos in frags[i]
-            ]
-            d, gids = self._finalize(qfs[i], all_d, all_i, k)
-            D[i, : len(d)] = d
-            ids_out[i, : len(gids)] = gids
-        return D, ids_out

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "check_filter_mask",
     "check_positive_int",
     "check_matrix",
     "check_query",
@@ -56,6 +57,18 @@ def check_vector(q: np.ndarray, name: str, dim: int | None = None, dtype=np.floa
     if not np.all(np.isfinite(q)):
         raise ValueError(f"{name} contains non-finite values")
     return q
+
+
+def check_filter_mask(filter: np.ndarray, n_rows: int) -> np.ndarray:
+    """Validate a filter mask against the index size; returns a bool view."""
+    mask = np.asarray(filter)
+    if mask.dtype != np.bool_:
+        raise TypeError(f"filter must be a boolean mask, got dtype {mask.dtype}")
+    if mask.shape != (n_rows,):
+        raise ValueError(
+            f"filter mask has shape {mask.shape}, index has {n_rows} rows"
+        )
+    return mask
 
 
 def check_probability(p: float, name: str) -> float:

@@ -187,7 +187,8 @@ class TestQuery:
 
 class TestSavedArtifactChecks:
     """``repro query`` refuses a router or attribute file that ``repro
-    build`` cannot have written, naming the bad array."""
+    build`` cannot have written, naming the bad array, and a path that
+    does not exist, naming the path."""
 
     def test_intact_router_resaves_byte_identical(self, index_dir, tmp_path):
         from repro.cli import _load_router, _save_router
@@ -242,6 +243,16 @@ class TestSavedArtifactChecks:
         np.savez_compressed(index / "attrs.npz", tier=np.zeros(599, dtype=np.int64))
         assert main(["query", str(index), str(corpus_dir / "query.fvecs"), "--k", "5"]) == 2
         assert "not this index's attributes: bad 'tier' array" in capsys.readouterr().err
+
+    def test_missing_paths_are_one_error_line(self, corpus_dir, tmp_path, capsys):
+        """A missing index directory or base file ends in one ``error:``
+        line and exit status 2, not a traceback."""
+        missing = tmp_path / "missing"
+        assert main(["query", str(missing), str(corpus_dir / "query.fvecs")]) == 2
+        assert main(["build", str(missing / "base.fvecs"), "--out", str(tmp_path / "idx")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(ln.startswith("error: ") and str(missing) in ln for ln in err)
 
 
 class TestBench:

@@ -9,7 +9,6 @@ from repro.core.localindex import (
     BruteForceSearcher,
     IvfPqLocalSearcher,
     VPTreeLocalSearcher,
-    attach_local_indexes,
 )
 from repro.datasets import brute_force_knn, sample_queries, sift_like
 from repro.eval import recall_at_k
@@ -53,13 +52,14 @@ class TestAlternativeLocalIndexes:
 
     def test_vptree_local_search_is_exact(self, fitted):
         ann, X, Q, gt_d, gt_i = fitted
-        attach_local_indexes(ann, "vptree", seed=1)
+        for p in ann.partitions.values():
+            VPTreeLocalSearcher.build(p, seed=1)
         try:
             searcher = VPTreeLocalSearcher(CostModel())
             D, I, rep = ann.query_with_searcher(Q, 10, searcher)
             assert recall_at_k(I, gt_i, gt_d, D) == 1.0
         finally:
-            attach_local_indexes_restore(ann)
+            restore_hnsw_indexes(ann)
 
     def test_vptree_cheaper_than_brute_in_low_dim(self):
         """VP pruning pays off where it should: low-dimensional data.
@@ -77,13 +77,15 @@ class TestAlternativeLocalIndexes:
         ann.fit(X)
         brute = BruteForceSearcher(CostModel())
         _, _, rep_b = ann.query_with_searcher(Q, 5, brute)
-        attach_local_indexes(ann, "vptree", seed=1)
+        for p in ann.partitions.values():
+            VPTreeLocalSearcher.build(p, seed=1)
         _, _, rep_v = ann.query_with_searcher(Q, 5, VPTreeLocalSearcher(CostModel()))
         assert rep_v.worker_breakdown["compute"] < rep_b.worker_breakdown["compute"]
 
     def test_ivfpq_local_search_lossy_but_useful(self, fitted):
         ann, X, Q, gt_d, gt_i = fitted
-        attach_local_indexes(ann, "ivfpq", n_cells=8, n_subspaces=4, n_centroids=32, seed=1)
+        for p in ann.partitions.values():
+            IvfPqLocalSearcher.build(p, n_cells=8, n_subspaces=4, n_centroids=32, seed=1)
         try:
             searcher = IvfPqLocalSearcher(CostModel(), n_probe_cells=8)
             D, I, rep = ann.query_with_searcher(Q, 10, searcher)
@@ -91,21 +93,16 @@ class TestAlternativeLocalIndexes:
             # compressed: clearly below exact, clearly above chance
             assert 0.2 <= rec < 0.999
         finally:
-            attach_local_indexes_restore(ann)
+            restore_hnsw_indexes(ann)
 
     def test_wrong_index_type_raises(self, fitted):
         ann, X, Q, *_ = fitted
         searcher = VPTreeLocalSearcher(CostModel())  # partitions hold HNSW
-        with pytest.raises(Exception, match="expected VPTree"):
+        with pytest.raises(Exception, match="expected VPTree — run VPTreeLocalSearcher.build"):
             ann.query_with_searcher(Q[:2], 5, searcher)
 
-    def test_unknown_kind_raises(self, fitted):
-        ann, *_ = fitted
-        with pytest.raises(ValueError, match="unknown local index"):
-            attach_local_indexes(ann, "quantum")
 
-
-def attach_local_indexes_restore(ann) -> None:
+def restore_hnsw_indexes(ann) -> None:
     """Rebuild the original HNSW local indexes after a swap."""
     from repro.hnsw import HnswIndex
 

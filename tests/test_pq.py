@@ -131,7 +131,7 @@ class TestIVFPQ:
 
     def test_per_call_knobs_removed(self, corpus):
         """The deprecated per-call n_probe/rerank shim is gone: the knobs
-        are constructor-only (the uniform Searcher surface), and passing
+        are constructor-only (``knn_search(query, k)`` alone), and passing
         them per call is a TypeError."""
         X, *_ = corpus
         idx = IVFPQIndex(n_cells=8, n_subspaces=4, n_centroids=16, seed=4, n_probe=1).fit(X)

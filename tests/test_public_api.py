@@ -22,7 +22,6 @@ EXPECTED = [
     "MetricsRegistry",
     "PartitionRouter",
     "ReplicaSelector",
-    "Searcher",
     "SearchReport",
     "SystemConfig",
     "TraceRecorder",
