@@ -312,6 +312,16 @@ class SystemConfig:
             )
         if self.searcher not in _SEARCHERS:
             raise SimConfigError(f"searcher must be one of {_SEARCHERS}, got {self.searcher!r}")
+        for name in ("modeled_partition_points", "modeled_sample_points"):
+            if getattr(self, name) < 1:
+                raise SimConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.modeled_search_seconds is not None and not (
+            0.0 <= self.modeled_search_seconds < float("inf")
+        ):
+            raise SimConfigError(
+                "modeled_search_seconds must be finite and >= 0, "
+                f"got {self.modeled_search_seconds}"
+            )
         if not 1 <= self.replication_factor <= self.n_cores:
             raise SimConfigError(
                 f"replication_factor must be in [1, n_cores={self.n_cores}], "

@@ -11,7 +11,7 @@ timeout because threads on a crashed node never answer.
 from __future__ import annotations
 
 from repro.core.messages import END, TAG_THREAD_DONE, send
-from repro.simmpi.engine import WAIT_TIMED_OUT, Context, Mailbox
+from repro.simmpi.engine import Context, Mailbox
 
 __all__ = ["broadcast_end", "collect_thread_exits"]
 
@@ -32,15 +32,13 @@ def collect_thread_exits(
     in rounds: a notice a faulty link duplicated names a pid already in
     it and counts for nothing.  Fewer than ``want`` only under a
     ``timeout`` (virtual seconds per notice): the first receive to time
-    out is cancelled and ends the collection, which is what keeps shutdown
+    out is withdrawn and ends the collection, which is what keeps shutdown
     bounded after a crash.
     """
     seen = set() if seen is None else seen
     while len(seen) < want:
-        req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_THREAD_DONE)
-        fired, payload = yield from ctx.wait_any([req], timeout=timeout)
-        if fired == WAIT_TIMED_OUT:
-            yield from ctx.cancel(req)
+        req = yield from ctx.recv(ctx.mailbox, tag=TAG_THREAD_DONE, timeout=timeout)
+        if req is None:  # timed out
             break
-        seen.add(payload[1])  # ("tdone", pid, processed)
+        seen.add(req.payload[1])  # ("tdone", pid, processed)
     return len(seen)

@@ -105,12 +105,10 @@ class ResultMerger:
         """
         if self.one_sided:
             with ctx.span("reduce"):
-                req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_CREDIT)
-                payload = yield from ctx.wait(req)
-            self.settle_credit(payload, window, ctx=ctx)
+                req = yield from ctx.recv(ctx.mailbox, tag=TAG_CREDIT)
+            self.settle_credit(req.payload, window, ctx=ctx)
             return
         with ctx.span("reduce"):
-            req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_RESULT)
-            payload = yield from ctx.wait(req)
-            rows, pid_part = yield from self.merge_payload(ctx, payload)
+            req = yield from ctx.recv(ctx.mailbox, tag=TAG_RESULT)
+            rows, pid_part = yield from self.merge_payload(ctx, req.payload)
         self.finish_rows(rows, pid_part, window, ctx=ctx)

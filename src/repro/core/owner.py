@@ -70,8 +70,8 @@ def owner_node_program(
     # collect results for this owner's queries
     for _ in range(expected):
         with ctx.span("reduce"):
-            req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_RESULT)
-            _, (qid,), _pid_part, (d,), (ids,) = yield from ctx.wait(req)
+            req = yield from ctx.recv(ctx.mailbox, tag=TAG_RESULT)
+            _, (qid,), _pid_part, (d,), (ids,) = req.payload
             yield from ctx.compute(ctx.cost.compare_cost(len(d) + k), kind="merge")
             results.update(qid, d, ids)
 

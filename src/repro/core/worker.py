@@ -6,9 +6,11 @@ terminate event; on a task, search the named partition replica with the
 local searcher, charge the search's virtual seconds, and return the result
 either by one-sided ``Get_accumulate`` into the master's window or by a
 point-to-point result message.  The first thread to consume the
-"End of Queries" message sets the shared event; the others wake, cancel
-their outstanding receives, and exit — the same protocol as the paper's
-shared ``Done`` flag, without simulating millions of ``MPI_Test`` polls.
+"End of Queries" message sets the shared event; the others wake, their
+outstanding receives withdrawn, and exit — the same protocol as the
+paper's shared ``Done`` flag, without simulating millions of ``MPI_Test``
+polls.  Each wait is one ``ctx.recv(..., event=done_event)``: post, block
+and, when the flag wins, withdraw, in one engine event.
 
 Because all threads of a node pull from one mailbox, dynamic intra-node
 load balancing (§IV-B: "we do not strongly couple a process core with the
@@ -25,7 +27,7 @@ from repro.core.messages import (
 )
 from repro.core.partition import NodeStore
 from repro.core.searcher import LocalSearcher
-from repro.simmpi.engine import ANY_SOURCE, ANY_TAG, Context, Event, Mailbox
+from repro.simmpi.engine import Context, Event, Mailbox
 from repro.simmpi.rma import Window
 
 __all__ = ["worker_thread_program"]
@@ -53,14 +55,16 @@ def worker_thread_program(
     one_sided = window is not None
     if one_sided:
         yield from window.lock_shared(ctx)
+    # the recorder is fixed for the run: span attributes are built only
+    # when one listens
+    traced = ctx.trace_active
     processed = 0
     try:
         while True:
-            req = yield from ctx.post_recv(node_mailbox, source=ANY_SOURCE, tag=ANY_TAG)
-            fired, payload = yield from ctx.wait_any([req, done_event])
-            if fired == 1:  # terminate flag set by a sibling thread
-                yield from ctx.cancel(req)
+            req = yield from ctx.recv(node_mailbox, event=done_event)
+            if req is None:  # terminate flag set by a sibling thread
                 break
+            payload = req.payload
             if payload[0] == "end":
                 yield from ctx.set_event(done_event)
                 break
@@ -68,16 +72,19 @@ def worker_thread_program(
             # local search call; two-sided answers go to the task's reply
             # mailbox when it names one (a multiple-owner dispatcher)
             _, query_ids, partition_id, Qb, wfilter, reply_to = payload
-            qids = tuple(query_ids) if ctx.trace_active else None
-            if ctx.trace_active and req.arrival is not None:
+            if traced:
+                qids = tuple(query_ids)
                 # the gap between the task landing in the node mailbox
                 # and a thread picking it up is pure queueing delay
                 ctx.trace_complete(
                     "queue", req.arrival, ctx.now, query_ids=qids, partition=partition_id
                 )
-            with ctx.span(
-                "search", query_ids=qids, partition=partition_id, n_queries=len(query_ids)
-            ):
+                span = ctx.span(
+                    "search", query_ids=qids, partition=partition_id, n_queries=len(query_ids)
+                )
+            else:
+                span = ctx.span("search")
+            with span:
                 ds, idss, seconds = searcher.search_batch(
                     node_store.get(partition_id),
                     Qb,

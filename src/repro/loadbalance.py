@@ -115,6 +115,8 @@ class LoadTracker:
         #: tasks dispatched per core (the tracker's own count — matches the
         #: master report's dispatch_counts on the master-worker paths)
         self.dispatched = np.zeros(n_cores, dtype=np.int64)
+        #: scratch for total_queued, so sampling allocates nothing
+        self._backlog = np.empty(n_cores, dtype=np.float64)
         self._samples: list[tuple[float, float]] = []
         self._events = 0
         self._stride = 1
@@ -149,7 +151,8 @@ class LoadTracker:
 
     def total_queued(self, now: float) -> float:
         """Summed queue depth over all cores, in tasks."""
-        return float(np.maximum(self.busy_until - now, 0.0).sum()) / self.task_cost_hint
+        backlog = np.subtract(self.busy_until, now, out=self._backlog)
+        return float(np.maximum(backlog, 0.0, out=backlog).sum()) / self.task_cost_hint
 
     def timeline(self) -> np.ndarray:
         """(n_dispatches, 2) array of (virtual time, total queued tasks)."""

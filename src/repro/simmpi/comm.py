@@ -101,9 +101,8 @@ class Comm:
 
     def recv(self, ctx: Context, source: int = ANY_SOURCE, tag=ANY_TAG):
         """Blocking receive; returns ``(payload, source_rank, user_tag)``."""
-        req = yield from self.irecv(ctx, source, tag)
-        payload = yield from ctx.wait(req)
-        return payload, req.source, req.tag[1]
+        req = yield from ctx.recv(self._sim.mailbox_of(ctx.pid), source=source, tag=self._tag(tag))
+        return req.payload, req.source, req.tag[1]
 
     def wait(self, ctx: Context, req: Request):
         payload = yield from ctx.wait(req)

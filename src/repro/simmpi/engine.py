@@ -4,7 +4,9 @@ A *proc* is one simulated execution context — an MPI rank or one OpenMP
 thread inside a rank.  Proc code is a generator function taking a
 :class:`Context`; every timed interaction is performed with ``yield from``
 on a Context/Comm helper, which ultimately yields a syscall object that the
-engine services.
+engine services.  :meth:`Simulation.run` dispatches each syscall through
+one ``{syscall type: handler}`` table, and every syscall is one engine
+event.
 
 Scheduling rule: always resume the runnable proc with the smallest virtual
 clock (ties broken by an insertion sequence number).  Because every syscall
@@ -14,11 +16,17 @@ consistent and the whole simulation deterministic for a fixed seed.
 
 Blocking primitives:
 
-- ``wait(request)``     — block until a posted receive matches,
-- ``wait_any(waitables)`` — block until any of several requests/events
-  completes (this is how worker threads wait for "a query *or* the
+- ``recv(mailbox, source, tag, event=None, timeout=None)`` — post a
+  receive and block on it in one event.  It resumes with the completed
+  :class:`Request`, or with ``None`` when ``event`` was set first or the
+  virtual-time ``timeout`` passed; the receive is then withdrawn in the
+  same step.  This is how worker threads wait for "a query *or* the
   terminate flag", replacing the paper's MPI_Test busy-poll loop with an
-  equivalent that does not need millions of simulated poll iterations),
+  equivalent that does not need millions of simulated poll iterations,
+  and how every coordinator receives one message,
+- ``wait(request)``     — block until an already posted receive matches,
+- ``wait_any(waitables)`` — block until any of several requests/events
+  completes (a coordinator waiting on two receives at once),
 - collectives and RMA — see :mod:`repro.simmpi.comm` / :mod:`~repro.simmpi.rma`.
 
 ``wait_any`` additionally takes an optional virtual-time ``timeout``; a
@@ -67,6 +75,13 @@ ANY_TAG = -1
 #: index returned by ``wait_any(..., timeout=...)`` when the wait timed out
 WAIT_TIMED_OUT = -1
 
+_INF = float("inf")
+
+# what a blocked proc resumes with, by the syscall that blocked it
+_WAKE_WAIT = 0  # the payload
+_WAKE_ANY = 1  # (index, payload)
+_WAKE_RECV = 2  # the Request, or None once it is withdrawn
+
 
 def _tag_matches(pattern, tag) -> bool:
     """Tag matching with wildcard support inside tuple tags.
@@ -81,6 +96,11 @@ def _tag_matches(pattern, tag) -> bool:
     if isinstance(pattern, tuple) and isinstance(tag, tuple) and len(pattern) == len(tag):
         return all(p == ANY_TAG or p == t for p, t in zip(pattern, tag))
     return pattern == tag
+
+
+def _check_timeout(timeout: float | None) -> None:
+    if timeout is not None and not timeout >= 0:  # also true for NaN
+        raise SimError(f"a wait timeout must be >= 0 virtual seconds, got {timeout}")
 
 
 _RUNNABLE = "runnable"
@@ -137,6 +157,15 @@ class _RecvPost:
     mailbox: "Mailbox"
     source: int
     tag: int
+
+
+@dataclass(slots=True)
+class _Recv:
+    mailbox: "Mailbox"
+    source: int
+    tag: int
+    event: "Event | None"
+    timeout: float | None
 
 
 @dataclass(slots=True)
@@ -242,6 +271,13 @@ class Event:
         self.done = False
         self.set_time = float("inf")
         self._waiters: list[_Proc] = []
+
+
+def _withdraw(req: Request) -> None:
+    """Take a posted, unmatched receive off its mailbox, as ``cancel`` does."""
+    req.cancelled = True
+    req._waiter = None
+    req._mailbox._pending.remove(req)
 
 
 class _Message(NamedTuple):
@@ -350,7 +386,7 @@ class _Proc:
         "timeout_token",
         "_block_start",
         "_wait_entries",
-        "_wait_is_any",
+        "_wake",
     )
 
     def __init__(self, pid: int, name: str, node: int, mailbox: Mailbox):
@@ -368,7 +404,7 @@ class _Proc:
         self.timeout_token: int | None = None
         self._block_start = 0.0
         self._wait_entries: list = []
-        self._wait_is_any = False
+        self._wake = _WAKE_WAIT
 
 
 class _SpanScope:
@@ -449,8 +485,8 @@ class Context:
 
     def compute(self, seconds: float, kind: str = "compute"):
         """Charge ``seconds`` of virtual computation time."""
-        if seconds < 0:
-            raise SimError(f"negative compute time {seconds}")
+        if not 0.0 <= seconds < _INF:  # also false for NaN
+            raise SimError(f"compute time must be finite and non-negative, got {seconds}")
         yield _Compute(float(seconds), kind)
 
     # -- tracing -------------------------------------------------------------
@@ -506,6 +542,30 @@ class Context:
         req = yield _RecvPost(mailbox, source, tag)
         return req
 
+    def recv(
+        self,
+        mailbox: Mailbox,
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        *,
+        event: Event | None = None,
+        timeout: float | None = None,
+    ):
+        """Post a receive and block on it, in one engine event.
+
+        Resumes with the completed :class:`Request` (its ``payload``,
+        ``source``, ``tag`` and ``arrival`` are set), charged exactly as
+        ``post_recv`` followed by ``wait``.  With an ``event``, or a
+        ``timeout`` in virtual seconds, it resumes with ``None`` when the
+        event is set first or the deadline passes — as
+        ``wait_any([request, event], timeout)`` would — and the receive is
+        withdrawn in the same step, so a message arriving later stays
+        queued for the next receive.
+        """
+        _check_timeout(timeout)
+        req = yield _Recv(mailbox, source, tag, event, timeout)
+        return req
+
     def send_to_mailbox(
         self,
         mailbox: Mailbox,
@@ -534,8 +594,7 @@ class Context:
         first; the waitables stay registered with their mailboxes, so a
         timed-out receive can be waited on again or cancelled.
         """
-        if timeout is not None and timeout < 0:
-            raise SimError(f"negative wait_any timeout {timeout}")
+        _check_timeout(timeout)
         result = yield _WaitAny(list(waitables), timeout)
         return result
 
@@ -662,27 +721,65 @@ class Simulation:
             crash_schedule = self.faults.crash_schedule()
             for i, (_, at) in enumerate(crash_schedule):
                 heapq.heappush(self._runq, (at, next(self._seq), -(i + 1)))
+        # one handler per syscall type, each taking (proc, syscall)
+        dispatch = {
+            _Compute: self._do_compute,
+            _SendMsg: self._do_send,
+            _RecvPost: self._do_post,
+            _Recv: self._do_recv,
+            _Wait: self._do_wait,
+            _WaitAny: self._do_wait_any,
+            _Cancel: self._do_cancel,
+            _EventSet: self._do_set_event,
+            _CollectiveCall: self._do_collective,
+            _RmaOp: self._do_rma,
+        }
+        procs, runq, heappop = self._procs, self._runq, heapq.heappop
+        max_events = self.max_events
         n_events = 0
-        while self._runq:
-            clock, token, pid = heapq.heappop(self._runq)
+        while runq:
+            clock, token, pid = heappop(runq)
             if pid < 0:
                 node, at = crash_schedule[-pid - 1]
                 self._enact_crash(node, at)
                 continue
-            proc = self._procs[pid]
-            if proc.state == _BLOCKED and token == proc.timeout_token:
-                n_events += 1
-                self._fire_timeout(proc, clock)
-                continue
-            if proc.state != _RUNNABLE or token != proc.heap_token:
-                continue  # stale heap entry
+            proc = procs[pid]
+            if token != proc.heap_token or proc.state != _RUNNABLE:
+                if token == proc.timeout_token and proc.state == _BLOCKED:
+                    n_events += 1
+                    self._fire_timeout(proc, clock)
+                continue  # otherwise a stale heap entry
             n_events += 1
-            if n_events > self.max_events:
+            if n_events > max_events:
                 raise SimError(
-                    f"exceeded max_events={self.max_events}; "
-                    "likely a loop that never blocks — use wait/wait_any"
+                    f"exceeded max_events={max_events}; "
+                    "likely a loop that never blocks — use recv/wait/wait_any"
                 )
-            self._step(proc)
+            try:
+                syscall = proc.gen.send(proc.sendval)
+            except StopIteration as stop:
+                proc.state = _DONE
+                proc.result = stop.value
+                continue
+            except SimError:
+                raise
+            except Exception as exc:
+                # annotate failures with simulation context — "which rank died
+                # at what virtual time" is the first thing one needs to debug a
+                # distributed algorithm
+                raise ProcError(
+                    f"proc {proc.name!r} (pid={proc.pid}, node={proc.node}) raised "
+                    f"{type(exc).__name__} at virtual t={proc.clock:.6f}: {exc}",
+                    proc_name=proc.name,
+                    pid=proc.pid,
+                    node=proc.node,
+                    virtual_time=proc.clock,
+                ) from exc
+            proc.sendval = None
+            handler = dispatch.get(type(syscall))
+            if handler is None:
+                raise SimError(f"proc {proc.name} yielded unknown syscall {syscall!r}")
+            handler(proc, syscall)
         unfinished = [p for p in self._procs if p.state not in (_DONE, _CRASHED)]
         if unfinished:
             desc = ", ".join(f"{p.name}(pid={p.pid}, state={p.state})" for p in unfinished[:10])
@@ -721,9 +818,14 @@ class Simulation:
         proc.heap_token = next(self._seq)
         heapq.heappush(self._runq, (proc.clock, proc.heap_token, proc.pid))
 
-    def _block(self, proc: _Proc) -> None:
+    def _block(self, proc: _Proc, timeout: float | None = None) -> None:
         proc.state = _BLOCKED
         proc._block_start = proc.clock
+        if timeout is not None:
+            # arm a deadline: a heap entry keyed to timeout_token; completion
+            # of any waitable clears the token, making the entry inert
+            proc.timeout_token = next(self._seq)
+            heapq.heappush(self._runq, (proc.clock + timeout, proc.timeout_token, proc.pid))
 
     def _unblock(self, proc: _Proc, at_time: float) -> None:
         proc.timeout_token = None  # a pending wait deadline no longer applies
@@ -733,17 +835,22 @@ class Simulation:
         self._push(proc)
 
     def _fire_timeout(self, proc: _Proc, deadline: float) -> None:
-        """A ``wait_any`` deadline passed with nothing completed."""
+        """A ``wait_any`` or ``recv`` deadline passed with nothing completed."""
         entries = proc._wait_entries
         proc._wait_entries = []
+        recv = proc._wake == _WAKE_RECV
         for w in entries:
-            # leave requests posted on their mailboxes (the caller may wait
-            # again or cancel); only detach this proc as the waiter
             if isinstance(w, Request):
-                w._waiter = None
+                if recv:
+                    _withdraw(w)
+                else:
+                    # leave a wait_any's requests posted on their mailboxes
+                    # (the caller may wait again or cancel); only detach
+                    # this proc as the waiter
+                    w._waiter = None
             elif isinstance(w, Event) and proc in w._waiters:
                 w._waiters.remove(proc)
-        proc.sendval = (WAIT_TIMED_OUT, None)
+        proc.sendval = None if recv else (WAIT_TIMED_OUT, None)
         self._unblock(proc, deadline)
 
     # -- fault enactment ---------------------------------------------------------
@@ -777,74 +884,40 @@ class Simulation:
         except Exception:
             pass  # cleanup code in the dying proc must not sink the engine
 
-    def _step(self, proc: _Proc) -> None:
-        """Advance one syscall of ``proc``'s generator."""
-        try:
-            syscall = proc.gen.send(proc.sendval)
-        except StopIteration as stop:
-            proc.state = _DONE
-            proc.result = stop.value
-            return
-        except SimError:
-            raise
-        except Exception as exc:
-            # annotate failures with simulation context — "which rank died
-            # at what virtual time" is the first thing one needs to debug a
-            # distributed algorithm
-            raise ProcError(
-                f"proc {proc.name!r} (pid={proc.pid}, node={proc.node}) raised "
-                f"{type(exc).__name__} at virtual t={proc.clock:.6f}: {exc}",
-                proc_name=proc.name,
-                pid=proc.pid,
-                node=proc.node,
-                virtual_time=proc.clock,
-            ) from exc
-        proc.sendval = None
-        self._dispatch(proc, syscall)
+    # -- syscall handlers ------------------------------------------------------
 
-    def _dispatch(self, proc: _Proc, sc: Any) -> None:
-        if isinstance(sc, _Compute):
-            seconds = sc.seconds
-            if self.faults is not None:
-                seconds *= self.faults.compute_factor(proc.node)
-            proc.clock += seconds
-            proc.stats.add_compute(sc.kind, seconds)
-            self._push(proc)
-        elif isinstance(sc, _SendMsg):
-            self._do_send(proc, sc)
-        elif isinstance(sc, _RecvPost):
-            proc.sendval = self._do_recv_post(proc, sc)
-            self._push(proc)
-        elif isinstance(sc, _Wait):
-            self._do_wait(proc, sc.request)
-        elif isinstance(sc, _WaitAny):
-            self._do_wait_any(proc, sc.waitables, sc.timeout)
-        elif isinstance(sc, _Cancel):
-            req = sc.request
-            req.cancelled = True
-            if not req.done and req in req._mailbox._pending:
-                req._mailbox._pending.remove(req)
-            self._push(proc)
-        elif isinstance(sc, _EventSet):
-            ev = sc.event
-            if not ev.done:
-                ev.done = True
-                ev.set_time = proc.clock
-                waiters, ev._waiters = ev._waiters, []
-                for waiter in waiters:
-                    self._finish_wait_any(waiter, ev, None)
-            self._push(proc)
-        elif isinstance(sc, _CollectiveCall):
-            self._do_collective(proc, sc)
-        elif isinstance(sc, _RmaOp):
-            proc.clock += sc.seconds
-            proc.stats.rma_time += sc.seconds
-            proc.stats.rma_ops += 1
-            proc.stats.bytes_sent += sc.nbytes
-            proc.sendval = sc.apply()
-            self._push(proc)
-        else:
-            raise SimError(f"proc {proc.name} yielded unknown syscall {sc!r}")
+    def _do_compute(self, proc: _Proc, sc: _Compute) -> None:
+        seconds = sc.seconds
+        if self.faults is not None:
+            seconds *= self.faults.compute_factor(proc.node)
+        proc.clock += seconds
+        proc.stats.add_compute(sc.kind, seconds)
+        self._push(proc)
+
+    def _do_cancel(self, proc: _Proc, sc: _Cancel) -> None:
+        req = sc.request
+        req.cancelled = True
+        if not req.done and req in req._mailbox._pending:
+            req._mailbox._pending.remove(req)
+        self._push(proc)
+
+    def _do_set_event(self, proc: _Proc, sc: _EventSet) -> None:
+        ev = sc.event
+        if not ev.done:
+            ev.done = True
+            ev.set_time = proc.clock
+            waiters, ev._waiters = ev._waiters, []
+            for waiter in waiters:
+                self._finish_wait_any(waiter, ev, None)
+        self._push(proc)
+
+    def _do_rma(self, proc: _Proc, sc: _RmaOp) -> None:
+        proc.clock += sc.seconds
+        proc.stats.rma_time += sc.seconds
+        proc.stats.rma_ops += 1
+        proc.stats.bytes_sent += sc.nbytes
+        proc.sendval = sc.apply()
+        self._push(proc)
 
     # -- messaging ----------------------------------------------------------------
 
@@ -892,28 +965,59 @@ class Simulation:
             sc.mailbox._pending.append(req)
         return req
 
-    def _do_wait(self, proc: _Proc, req: Request) -> None:
+    def _do_post(self, proc: _Proc, sc: _RecvPost) -> None:
+        proc.sendval = self._do_recv_post(proc, sc)
+        self._push(proc)
+
+    def _resume_received(self, proc: _Proc, req: Request, value: Any) -> None:
+        """Resume ``proc`` on an already completed receive, charging the
+        receive overhead after the later of now and the completion."""
+        overhead = self.network.recv_overhead()
+        proc.clock = max(proc.clock, req.completion_time) + overhead
+        proc.stats.recv_time += overhead
+        proc.sendval = value
+        self._push(proc)
+
+    def _do_recv(self, proc: _Proc, sc: _Recv) -> None:
+        # the outcomes, clocks and stats of post_recv + wait_any([req,
+        # event], timeout) + cancel, in one event
+        req = self._do_recv_post(proc, sc)
+        if req.done:
+            self._resume_received(proc, req, req)
+            return
+        event = sc.event
+        if event is not None and event.done:
+            _withdraw(req)
+            proc.clock = max(proc.clock, event.set_time)
+            self._push(proc)  # resumes with None
+            return
+        req._waiter = proc
+        if event is None:
+            proc._wait_entries = [req]
+        else:
+            proc._wait_entries = [req, event]
+            event._waiters.append(proc)
+        proc._wake = _WAKE_RECV
+        self._block(proc, sc.timeout)
+
+    def _do_wait(self, proc: _Proc, sc: _Wait) -> None:
+        req = sc.request
         if req.cancelled:
             raise SimError(f"proc {proc.name} waiting on a cancelled request")
         if req.done:
-            proc.clock = max(proc.clock, req.completion_time) + self.network.recv_overhead()
-            proc.stats.recv_time += self.network.recv_overhead()
-            proc.sendval = req.payload
-            self._push(proc)
+            self._resume_received(proc, req, req.payload)
         else:
             req._waiter = proc
             proc._wait_entries = [req]
-            proc._wait_is_any = False
+            proc._wake = _WAKE_WAIT
             self._block(proc)
 
-    def _do_wait_any(self, proc: _Proc, waitables: list, timeout: float | None = None) -> None:
+    def _do_wait_any(self, proc: _Proc, sc: _WaitAny) -> None:
+        waitables = sc.waitables
         # immediate completion?
         for idx, w in enumerate(waitables):
             if isinstance(w, Request) and w.done and not w.cancelled:
-                proc.clock = max(proc.clock, w.completion_time) + self.network.recv_overhead()
-                proc.stats.recv_time += self.network.recv_overhead()
-                proc.sendval = (idx, w.payload)
-                self._push(proc)
+                self._resume_received(proc, w, (idx, w.payload))
                 return
             if isinstance(w, Event) and w.done:
                 proc.clock = max(proc.clock, w.set_time)
@@ -922,7 +1026,7 @@ class Simulation:
                 return
         # none ready: register on all (the list is the syscall's own copy)
         proc._wait_entries = waitables
-        proc._wait_is_any = True
+        proc._wake = _WAKE_ANY
         for w in waitables:
             if isinstance(w, Request):
                 w._waiter = proc
@@ -930,12 +1034,7 @@ class Simulation:
                 w._waiters.append(proc)
             else:
                 raise SimError(f"unsupported waitable {w!r}")
-        self._block(proc)
-        if timeout is not None:
-            # arm a deadline: a heap entry keyed to timeout_token; completion
-            # of any waitable clears the token, making the entry inert
-            proc.timeout_token = next(self._seq)
-            heapq.heappush(self._runq, (proc.clock + timeout, proc.timeout_token, proc.pid))
+        self._block(proc, sc.timeout)
 
     def _finish_wait_any(self, proc: _Proc, fired: Any, payload: Any) -> None:
         """A registered waitable fired while ``proc`` was blocked."""
@@ -943,24 +1042,35 @@ class Simulation:
             return
         entries = proc._wait_entries
         proc._wait_entries = []
-        idx = entries.index(fired)
-        # unregister from the others
+        wake = proc._wake
+        # unregister from the others; a recv whose event won withdraws its
+        # receive
         for w in entries:
             if w is fired:
                 continue
             if isinstance(w, Request):
-                w._waiter = None
+                if wake == _WAKE_RECV:
+                    _withdraw(w)
+                else:
+                    w._waiter = None
             elif isinstance(w, Event) and proc in w._waiters:
                 w._waiters.remove(proc)
         if isinstance(fired, Request):
-            at = fired.completion_time + self.network.recv_overhead()
-            proc.stats.recv_time += self.network.recv_overhead()
+            overhead = self.network.recv_overhead()
+            at = fired.completion_time + overhead
+            proc.stats.recv_time += overhead
+            # wait_any always returns (index, payload) — even for one
+            # waitable — so a timeout sentinel (-1, None) stays
+            # distinguishable; plain wait() returns the bare payload
+            if wake == _WAKE_RECV:
+                proc.sendval = fired
+            elif wake == _WAKE_ANY:
+                proc.sendval = (entries.index(fired), payload)
+            else:
+                proc.sendval = payload
         else:
             at = fired.set_time
-        # wait_any always returns (index, payload) — even for one waitable —
-        # so a timeout sentinel (-1, None) stays distinguishable; plain
-        # wait() returns the bare payload
-        proc.sendval = (idx, payload) if proc._wait_is_any else payload
+            proc.sendval = (entries.index(fired), None) if wake == _WAKE_ANY else None
         self._unblock(proc, at)
 
     # -- collectives -----------------------------------------------------------------

@@ -61,6 +61,31 @@ class TestValidation:
             SystemConfig(skew=-0.5)
         SystemConfig(skew=1.2)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("modeled_partition_points", 0),  # ran and answered
+            ("modeled_partition_points", -5),  # failed at query time
+            ("modeled_sample_points", 0),  # answered -1 everywhere
+            ("modeled_sample_points", -1),  # failed inside the build
+            ("modeled_search_seconds", float("nan")),  # a wrong makespan
+            ("modeled_search_seconds", -1.0),  # failed at query time
+            ("modeled_search_seconds", float("inf")),  # an infinite makespan
+        ],
+    )
+    def test_modeled_fields_validated(self, field, value):
+        with pytest.raises(SimConfigError, match=field):
+            SystemConfig(searcher="modeled", **{field: value})
+
+    def test_modeled_fields_accept_their_range(self):
+        SystemConfig(
+            searcher="modeled",
+            modeled_partition_points=1,
+            modeled_sample_points=1,
+            modeled_search_seconds=0.0,
+        )
+        SystemConfig(searcher="modeled", modeled_search_seconds=2e-3)
+
 
 class TestDerived:
     def test_node_mapping(self):

@@ -60,6 +60,28 @@ class TestGlobalResults:
         assert np.array_equal(i, ref_i)
         assert np.allclose(d, ref_d)
 
+    def test_combine_is_merge_knn_bit_for_bit(self):
+        """The python merge returns merge_knn's bytes and dtypes, through
+        duplicate ids, tied and signed-zero distances, infinities, float32
+        input, short and empty results."""
+        rng = np.random.default_rng(2)
+        g = GlobalResults(1, 1)
+        for _ in range(2000):
+            g.k = int(rng.integers(1, 12))
+
+            def result(n):
+                pool = [0.0, -0.0, 0.5, 1.0, np.inf] if rng.random() < 0.5 else rng.random(8)
+                d = rng.choice(pool, n).astype(rng.choice([np.float64, np.float32]))
+                i = rng.integers(0, 15, n)
+                order = np.lexsort((i, d))
+                return d[order], i[order]
+
+            old = merge_knn([result(int(rng.integers(0, g.k + 1)))], g.k)
+            update = result(int(rng.integers(0, 13)))
+            got, want = g.combine(old, update), merge_knn([old, update], g.k)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_update_count_tracks(self):
         g = GlobalResults(1, 2)
         g.update(0, np.array([1.0]), np.array([1]))

@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event engine: clocks, matching, blocking."""
 
+import random
+
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector, FaultSpec, RankCrash
 from repro.simmpi import DeadlockError, ProcError, SimError, Simulation
 from repro.simmpi.engine import ANY_SOURCE, ANY_TAG, Event, payload_nbytes
 
@@ -32,6 +35,34 @@ class TestBasics:
         sim = Simulation()
         sim.add_proc(p)
         with pytest.raises(Exception, match="negative"):
+            sim.run()
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_compute_rejected(self, seconds):
+        """A NaN charge used to pass the sign check and end the run with a
+        NaN clock and makespan."""
+
+        def p(ctx):
+            yield from ctx.compute(seconds)
+
+        sim = Simulation()
+        sim.add_proc(p)
+        with pytest.raises(SimError, match="finite"):
+            sim.run()
+
+    @pytest.mark.parametrize("how", ["wait_any", "recv"])
+    @pytest.mark.parametrize("timeout", [float("nan"), -1.0])
+    def test_bad_timeout_rejected(self, how, timeout):
+        def p(ctx):
+            if how == "wait_any":
+                req = yield from ctx.post_recv(ctx.mailbox)
+                yield from ctx.wait_any([req], timeout=timeout)
+            else:
+                yield from ctx.recv(ctx.mailbox, timeout=timeout)
+
+        sim = Simulation()
+        sim.add_proc(p)
+        with pytest.raises(SimError, match="timeout"):
             sim.run()
 
     def test_non_generator_program_rejected(self):
@@ -271,6 +302,210 @@ class TestEvents:
         w = [sim.add_proc(waiter) for _ in range(3)]
         out = sim.run()
         assert all(out.results[pid] == pytest.approx(1.0) for pid in w)
+
+
+class TestRecv:
+    """``Context.recv``: post, wait and, when the event or the deadline
+    wins, withdraw — one engine event."""
+
+    @staticmethod
+    def _send_at(sim, t, payload, dest=0, tag=0):
+        def sender(ctx):
+            yield from ctx.compute(t)
+            yield from ctx.send_to_mailbox(
+                sim.mailbox_of(dest), payload, source=ctx.pid, tag=tag, nbytes=8, same_node=True
+            )
+
+        return sender
+
+    def test_immediate_match(self):
+        sim = Simulation()
+
+        def receiver(ctx):
+            yield from ctx.compute(1.0)  # the message is already queued
+            req = yield from ctx.recv(ctx.mailbox, tag=4)
+            return req.payload, req.source, req.tag, ctx.now
+
+        pid = sim.add_proc(receiver)
+        sim.add_proc(self._send_at(sim, 0.0, "early", tag=4))
+        out = sim.run()
+        payload, source, tag, now = out.results[pid]
+        assert (payload, source, tag) == ("early", 1, 4)
+        overhead = sim.network.recv_overhead()
+        assert now == 1.0 + overhead
+        assert out.stats[pid].recv_time == overhead
+        assert out.stats[pid].comm_wait == 0.0
+        # compute, recv, return: the receive was one event
+        assert out.n_events == 3 + 3
+
+    def test_event_wins_and_later_message_stays_queued(self):
+        sim = Simulation()
+        ev = Event()
+
+        def receiver(ctx):
+            first = yield from ctx.recv(ctx.mailbox, event=ev)
+            withdrawn = not ctx.mailbox._pending
+            t_event = ctx.now
+            yield from ctx.compute(5.0)  # the message lands meanwhile
+            second = yield from ctx.recv(ctx.mailbox, event=ev)
+            return first, withdrawn, t_event, second.payload
+
+        def setter(ctx):
+            yield from ctx.compute(2.0)
+            yield from ctx.set_event(ev)
+
+        pid = sim.add_proc(receiver)
+        sim.add_proc(setter)
+        sim.add_proc(self._send_at(sim, 3.0, "kept"))
+        first, withdrawn, t_event, payload = sim.run().results[pid]
+        assert first is None and withdrawn
+        assert t_event == 2.0
+        # a received message beats an already set event, as in wait_any
+        assert payload == "kept"
+
+    def test_set_event_returns_none_without_blocking(self):
+        sim = Simulation()
+        ev = Event()
+
+        def p(ctx):
+            yield from ctx.set_event(ev)
+            req = yield from ctx.recv(ctx.mailbox, event=ev)
+            return req, len(ctx.mailbox._pending)
+
+        out, pid = run_single_sim(sim, p)
+        assert out.results[pid] == (None, 0)
+
+    def test_timeout_returns_none_at_the_deadline(self):
+        sim = Simulation()
+
+        def receiver(ctx):
+            yield from ctx.compute(0.5)
+            req = yield from ctx.recv(ctx.mailbox, timeout=1.25)
+            withdrawn = not ctx.mailbox._pending
+            return req, ctx.now, withdrawn
+
+        pid = sim.add_proc(receiver)
+        sim.add_proc(self._send_at(sim, 4.0, "late"))
+        out = sim.run()
+        assert out.results[pid] == (None, 1.75, True)
+        assert out.stats[pid].comm_wait == 1.25
+        assert len(sim.mailbox_of(pid)) == 1  # the late message stays queued
+
+    def test_message_before_deadline_disarms_the_timer(self):
+        sim = Simulation()
+
+        def receiver(ctx):
+            req = yield from ctx.recv(ctx.mailbox, timeout=100.0)
+            return req.payload, ctx.now
+
+        pid = sim.add_proc(receiver)
+        sim.add_proc(self._send_at(sim, 1.0, "fast"))
+        payload, now = sim.run().results[pid]
+        assert payload == "fast" and now < 100.0
+
+    def test_crash_while_blocked_leaves_no_pending_receive(self):
+        sim = Simulation(faults=FaultInjector(FaultSpec(crashes=(RankCrash(node=1, at=1.0),))))
+        shared = sim.new_mailbox("node1", node=1)
+        ev = Event()
+
+        def stuck(ctx):
+            yield from ctx.recv(shared, event=ev)
+
+        pid = sim.add_proc(stuck, node=1, mailbox=shared)
+        out = sim.run()  # not a DeadlockError
+        assert out.crashed_pids == (pid,)
+        assert shared._pending == [] and ev._waiters == []
+
+
+# --------------------------------------------------------------------------
+# recv against the three-syscall form it replaces, on random schedules
+# --------------------------------------------------------------------------
+
+
+def _receive_three_calls(ctx, mailbox, tag, event, timeout):
+    req = yield from ctx.post_recv(mailbox, tag=tag)
+    waitables = [req] if event is None else [req, event]
+    fired, _ = yield from ctx.wait_any(waitables, timeout=timeout)
+    if fired != 0:  # the event or the deadline won
+        yield from ctx.cancel(req)
+        return None
+    return req
+
+
+def _receive_one_call(ctx, mailbox, tag, event, timeout):
+    return (yield from ctx.recv(mailbox, tag=tag, event=event, timeout=timeout))
+
+
+def _random_schedule(seed: int, receive):
+    """Senders, receivers sharing two mailboxes, and an event setter, all
+    timed by one seeded draw; ``receive`` is the receive under test."""
+    rng = random.Random(seed)
+    sim = Simulation()
+    boxes = [sim.new_mailbox(f"mb{i}") for i in range(2)]
+    ev = Event()
+    n_recv = rng.randint(1, 4)
+    plans = []
+    for _ in range(n_recv):
+        steps = []
+        for _ in range(rng.randint(3, 12)):
+            with_event = rng.random() < 0.6
+            # a receive without the event needs a deadline once senders stop
+            timeout = rng.expovariate(1e5) if not with_event or rng.random() < 0.3 else None
+            steps.append((
+                rng.expovariate(2e5),  # think time
+                rng.randrange(2),  # mailbox
+                rng.choice([ANY_TAG, 0, 1]),
+                with_event,
+                timeout,
+            ))
+        plans.append(steps)
+
+    def receiver(ctx, steps):
+        got = []
+        for think, mb, tag, with_event, timeout in steps:
+            yield from ctx.compute(think)
+            req = yield from receive(ctx, boxes[mb], tag, ev if with_event else None, timeout)
+            got.append(None if req is None else (req.payload, req.source, req.tag, req.arrival))
+        return got
+
+    def sender(ctx, sends):
+        for gap, mb, tag, nbytes, same_node in sends:
+            yield from ctx.compute(gap)
+            yield from ctx.send_to_mailbox(
+                boxes[mb], (ctx.pid, gap), source=ctx.pid, tag=tag, nbytes=nbytes,
+                same_node=same_node,
+            )
+
+    def setter(ctx, at):
+        yield from ctx.compute(at)
+        yield from ctx.set_event(ev)
+
+    for steps in plans:
+        sim.add_proc(receiver, steps, node=0)
+    for s in range(rng.randint(1, 3)):
+        sends = [
+            (rng.expovariate(1e5), rng.randrange(2), rng.randrange(2),
+             rng.choice([8, 4096, 1 << 16]), rng.random() < 0.5)
+            for _ in range(rng.randint(2, 15))
+        ]
+        sim.add_proc(sender, sends, node=1 + s)
+    sim.add_proc(setter, rng.expovariate(2e4), node=0)
+    out = sim.run()
+    stats = {pid: (s.comm_wait, s.recv_time) for pid, s in out.stats.items()}
+    return out.clocks, out.results, stats, [len(b) for b in boxes], out.n_events
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_recv_equals_post_wait_any_cancel(seed):
+    clocks, results, stats, queued, n_events = _random_schedule(seed, _receive_one_call)
+    ref_clocks, ref_results, ref_stats, ref_queued, ref_events = _random_schedule(
+        seed, _receive_three_calls
+    )
+    assert results == ref_results
+    assert clocks == ref_clocks
+    assert stats == ref_stats
+    assert queued == ref_queued
+    assert n_events < ref_events
 
 
 def run_single_sim(sim, program, *args):
