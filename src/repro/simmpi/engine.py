@@ -827,11 +827,13 @@ class Simulation:
             proc.timeout_token = next(self._seq)
             heapq.heappush(self._runq, (proc.clock + timeout, proc.timeout_token, proc.pid))
 
-    def _unblock(self, proc: _Proc, at_time: float) -> None:
+    def _unblock(self, proc: _Proc, at_time: float, overhead: float = 0.0) -> None:
+        """Wake ``proc`` at ``at_time``: the blocked interval is its wait,
+        and a receive's ``overhead`` (already in ``recv_time``) follows it."""
         proc.timeout_token = None  # a pending wait deadline no longer applies
         new_clock = max(proc.clock, at_time)
         proc.stats.comm_wait += new_clock - proc._block_start
-        proc.clock = new_clock
+        proc.clock = new_clock + overhead
         self._push(proc)
 
     def _fire_timeout(self, proc: _Proc, deadline: float) -> None:
@@ -970,10 +972,12 @@ class Simulation:
         self._push(proc)
 
     def _resume_received(self, proc: _Proc, req: Request, value: Any) -> None:
-        """Resume ``proc`` on an already completed receive, charging the
-        receive overhead after the later of now and the completion."""
+        """Resume ``proc`` on an already completed receive: it waits until
+        the completion if that is still ahead, then pays the overhead."""
         overhead = self.network.recv_overhead()
-        proc.clock = max(proc.clock, req.completion_time) + overhead
+        start = max(proc.clock, req.completion_time)
+        proc.stats.comm_wait += start - proc.clock
+        proc.clock = start + overhead
         proc.stats.recv_time += overhead
         proc.sendval = value
         self._push(proc)
@@ -1057,7 +1061,7 @@ class Simulation:
                 w._waiters.remove(proc)
         if isinstance(fired, Request):
             overhead = self.network.recv_overhead()
-            at = fired.completion_time + overhead
+            at = fired.completion_time
             proc.stats.recv_time += overhead
             # wait_any always returns (index, payload) — even for one
             # waitable — so a timeout sentinel (-1, None) stays
@@ -1070,8 +1074,9 @@ class Simulation:
                 proc.sendval = payload
         else:
             at = fired.set_time
+            overhead = 0.0
             proc.sendval = (entries.index(fired), None) if wake == _WAKE_ANY else None
-        self._unblock(proc, at)
+        self._unblock(proc, at, overhead)
 
     # -- collectives -----------------------------------------------------------------
 

@@ -196,12 +196,13 @@ def _prepare(name: str):
 
 @pytest.fixture(scope="module")
 def runs():
-    """name -> (observation, [(payload, tag, nbytes) of every query-phase send], report)."""
+    """name -> (observation, [(payload, tag, nbytes) of every query-phase
+    send], report, the query's SimulationResult)."""
     out = {}
-    real_send = Context.send_to_mailbox
+    real_send, real_run = Context.send_to_mailbox, Simulation.run
     for name in CASES:
         query = _prepare(name)
-        sent = []
+        sent, sims = [], []
 
         def spy(self, mailbox, payload, *, source, tag, nbytes, same_node, _sent=sent):
             _sent.append((payload, tag, nbytes))
@@ -209,12 +210,17 @@ def runs():
                 self, mailbox, payload, source=source, tag=tag, nbytes=nbytes, same_node=same_node
             )
 
-        Context.send_to_mailbox = spy
+        def run_spy(self, _sims=sims):
+            _sims.append(real_run(self))
+            return _sims[-1]
+
+        Context.send_to_mailbox, Simulation.run = spy, run_spy
         try:
             D, I, rep = query()
-            out[name] = (_observe(D, I, rep), sent, rep)
+            (sim_out,) = sims
+            out[name] = (_observe(D, I, rep), sent, rep, sim_out)
         finally:
-            Context.send_to_mailbox = real_send
+            Context.send_to_mailbox, Simulation.run = real_send, real_run
     return out
 
 
@@ -500,6 +506,19 @@ GOLDEN: dict[str, dict] = {'ft_free': {'answer': 'af18f7c6b134b47a',
 @pytest.mark.parametrize("name", list(CASES))
 def test_mode_repeats_the_parent(runs, name):
     assert runs[name][0] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_time_buckets_sum_to_the_clock(runs, name):
+    """Every virtual second of a live proc is in exactly one bucket:
+    computing, sending, receiving, blocked, or one-sided."""
+    out = runs[name][3]
+    crashed = set(out.crashed_pids)
+    for pid, s in out.stats.items():
+        if pid in crashed:
+            continue
+        busy = s.compute_total + s.send_time + s.recv_time + s.comm_wait + s.rma_time
+        assert busy == pytest.approx(out.clocks[pid], rel=1e-12, abs=0.0), (name, s.name)
 
 
 def test_rows_exercise_what_they_name():

@@ -417,6 +417,48 @@ class TestRecv:
         assert shared._pending == [] and ev._waiters == []
 
 
+class TestWaitAccounting:
+    """A receive's wait is the time from the post to the completion, and
+    its overhead is ``recv_time`` only: the buckets sum to the clock
+    however the host happened to order the send and the post."""
+
+    NBYTES = 1 << 20  # a 1 MB message, ~100 us on the default fabric
+
+    def _run(self, send_first: bool):
+        sim = Simulation()
+
+        def receiver(ctx):
+            if send_first:  # the send is serviced before the post
+                yield from ctx.compute(1e-6)
+            req = yield from ctx.recv(ctx.mailbox, tag=0)
+            return req.completion_time
+
+        def sender(ctx):
+            if not send_first:  # the post is serviced before the send
+                yield from ctx.compute(1e-6)
+            yield from ctx.send_to_mailbox(
+                sim.mailbox_of(0), None, source=ctx.pid, tag=0, nbytes=self.NBYTES,
+                same_node=False,
+            )
+
+        sim.add_proc(receiver)
+        sim.add_proc(sender)
+        out = sim.run()
+        return out, sim.network.recv_overhead()
+
+    @pytest.mark.parametrize("send_first", [True, False])
+    def test_wait_is_completion_minus_post(self, send_first):
+        out, overhead = self._run(send_first)
+        s = out.stats[0]
+        completion = out.results[0]
+        assert completion > 50e-6  # the message is still on the wire at the post
+        assert s.comm_wait == pytest.approx(completion - 1e-6 if send_first else completion,
+                                            rel=1e-12)
+        assert s.recv_time == overhead
+        busy = s.compute_total + s.send_time + s.recv_time + s.comm_wait + s.rma_time
+        assert busy == pytest.approx(out.clocks[0], rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # recv against the three-syscall form it replaces, on random schedules
 # --------------------------------------------------------------------------
