@@ -56,13 +56,24 @@ def brute_force_knn(
             # merge with running top-k
             cat_d = np.concatenate([best_d, d], axis=1)
             cat_i = np.concatenate([best_i, ids], axis=1)
-            kk = min(k, cat_d.shape[1])
-            part = np.argpartition(cat_d, kk - 1, axis=1)[:, :kk]
-            best_d = np.take_along_axis(cat_d, part, axis=1)
-            best_i = np.take_along_axis(cat_i, part, axis=1)
+            best_d, best_i = _smallest(cat_d, cat_i, min(k, cat_d.shape[1]))
         # final exact sort by (distance, id)
-        for r in range(best_d.shape[0]):
-            o = np.lexsort((best_i[r], best_d[r]))[:k]
-            out_d[q0 + r, : len(o)] = best_d[r, o]
-            out_i[q0 + r, : len(o)] = best_i[r, o]
+        order = np.lexsort((best_i, best_d), axis=-1)[:, :k]
+        out_d[q0:q1, : order.shape[1]] = np.take_along_axis(best_d, order, axis=1)
+        out_i[q0:q1, : order.shape[1]] = np.take_along_axis(best_i, order, axis=1)
     return out_d, out_i
+
+
+def _smallest(d: np.ndarray, ids: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the ``kk`` entries first in ``(d, id)`` order, unsorted.
+
+    ``argpartition`` alone keeps an arbitrary subset of the entries tied
+    at the kk-th distance; only the rows where such a tie crosses the
+    boundary pay a full ``(d, id)`` sort.
+    """
+    part = np.argpartition(d, kk - 1, axis=1)[:, :kk]
+    kth = np.take_along_axis(d, part[:, kk - 1 : kk], axis=1)
+    tied = np.flatnonzero((d <= kth).sum(axis=1) > kk)
+    if len(tied):
+        part[tied] = np.lexsort((ids[tied], d[tied]), axis=-1)[:, :kk]
+    return np.take_along_axis(d, part, axis=1), np.take_along_axis(ids, part, axis=1)

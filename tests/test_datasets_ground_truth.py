@@ -29,6 +29,20 @@ class TestBruteForce:
         assert np.array_equal(i1, i2)
         assert np.allclose(d1, d2)
 
+    @pytest.mark.parametrize("block_points", [7, 64, 65_536])
+    def test_ties_at_the_kth_distance_go_by_id(self, block_points):
+        """On a 3 x 3 grid most distances are tied; the k kept are the
+        first k in ``(d, id)`` order within a block and across merges."""
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 3, size=(200, 2)).astype(np.float32)
+        Q = rng.integers(0, 3, size=(40, 2)).astype(np.float32)
+        d, i = brute_force_knn(X, Q, 9, block_queries=16, block_points=block_points)
+        ref = ((X[None, :, :].astype(np.float64) - Q[:, None, :]) ** 2).sum(axis=2)
+        for qi in range(len(Q)):
+            order = np.lexsort((np.arange(len(X)), ref[qi]))[:9]
+            assert np.array_equal(i[qi], order), qi
+            assert np.allclose(d[qi] ** 2, ref[qi][order], atol=1e-6)
+
     def test_k_equals_n(self):
         X = np.eye(4, dtype=np.float32)
         Q = X[:1]
