@@ -15,9 +15,11 @@ are not two proc bodies but compositions of the same pieces:
 - :class:`FaultHarness` — the timeout/retry/suspicion decoration of the
   same pipeline pieces (never a fork of them), closed-loop or under
   open-loop arrivals,
-- :func:`~repro.core.coordinator.drain.broadcast_end` /
-  :func:`~repro.core.coordinator.drain.collect_thread_exits` — the
-  shutdown every one of those loops (and the serving pipeline) ends in.
+- :func:`~repro.core.coordinator.drain.broadcast_end` with
+  :func:`~repro.core.coordinator.drain.await_thread_exits` (fault-free)
+  or :func:`~repro.core.coordinator.drain.collect_thread_exits` (under a
+  timeout) — the shutdown every one of those loops (and the serving
+  pipeline) ends in.
 
 See docs/pipelining.md for the window/credit model and the
 degeneracy-to-eager guarantee the golden tests pin.

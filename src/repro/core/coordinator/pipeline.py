@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.coordinator.drain import broadcast_end, collect_thread_exits
+from repro.core.coordinator.drain import await_thread_exits, broadcast_end
 from repro.core.coordinator.merger import ResultMerger
 from repro.core.coordinator.router import Router
 from repro.core.coordinator.window import DispatchWindow
@@ -94,7 +94,7 @@ class CoordinatorPipeline:
         # tells the master every Get_accumulate has landed; in two-sided
         # mode it simply drains the exit messages
         with ctx.span("drain"):
-            yield from collect_thread_exits(ctx, config.n_nodes * config.threads_per_node)
+            yield from await_thread_exits(ctx, config.n_nodes * config.threads_per_node)
 
         if not one_sided:
             report.query_latencies = latencies

@@ -9,6 +9,10 @@ simulation; all results are real (computed by the actual index structures).
 All query modes route through one :class:`~repro.runtime.ClusterRuntime`;
 the mode-specific parts live in the
 :class:`~repro.runtime.strategies.DispatchStrategy` the config selects.
+A fitted system keeps that runtime as a session between calls — its
+simulation, thread procs and mailboxes — for as long as the config's
+:func:`~repro.runtime.cluster.wiring_key` stays the same, so a call pays
+for its tasks, not for registering and starting every simulated thread.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ class DistributedANN:
         self.config = config or SystemConfig()
         self._build: BuildOutput | None = None
         self._dim: int | None = None
+        #: the kept ClusterRuntime of the last call (None before one)
+        self._session = None
 
     # -- construction -----------------------------------------------------------
 
@@ -77,6 +83,7 @@ class DistributedANN:
         a ``"tenant"`` column is what ``tenant=`` scoping matches.
         """
         X = check_matrix(X, "X")
+        self._close_session()
         self._dim = X.shape[1]
         self._build = run_build(self.config, X, metadata=metadata)
         max_node_bytes = max(
@@ -196,24 +203,47 @@ class DistributedANN:
     ) -> tuple[np.ndarray, np.ndarray, SearchReport]:
         # deferred import: repro.runtime's orchestration layer imports the
         # core role programs, so importing it at module scope would cycle
-        from repro.runtime import ClusterRuntime, strategy_for
+        from repro.runtime import strategy_for
 
         build = self._build
-        runtime = ClusterRuntime(self.config)
+        runtime = self._session_for(self.config)
         if build.metrics is not None:
             # fold the build-phase hnsw.build.* instruments into the
             # runtime registry so every report/dump carries them
             runtime.metrics.merge(build.metrics)
-        return runtime.run_search(
-            strategy_for(self.config),
-            build.router,
-            build.workgroups,
-            build.node_stores,
-            searcher,
-            Q,
-            k,
-            fpayload=fpayload,
-        )
+        try:
+            return runtime.run_search(
+                strategy_for(self.config),
+                build.router,
+                build.workgroups,
+                build.node_stores,
+                searcher,
+                Q,
+                k,
+                fpayload=fpayload,
+            )
+        except BaseException:
+            self._close_session()  # a call that did not finish leaves no session
+            raise
+
+    def _session_for(self, config: SystemConfig):
+        """The kept runtime, re-armed for ``config`` — or a new one when
+        ``config`` wires the cluster differently (``benchmarks`` and users
+        may assign a new config between calls)."""
+        from repro.runtime.cluster import ClusterRuntime, wiring_key
+
+        session = self._session
+        if session is not None and wiring_key(config) == wiring_key(session.config):
+            session.rearm(config)
+            return session
+        self._close_session()
+        self._session = ClusterRuntime(config, keep_threads=True)
+        return self._session
+
+    def _close_session(self) -> None:
+        if self._session is not None:
+            session, self._session = self._session, None
+            session.close()
 
     # -- incremental updates ------------------------------------------------------
 

@@ -12,6 +12,14 @@ paper's shared ``Done`` flag, without simulating millions of ``MPI_Test``
 polls.  Each wait is one ``ctx.recv(..., event=done_event)``: post, block
 and, when the flag wins, withdraw, in one engine event.
 
+A thread's life costs two engine events beyond its tasks: the one-sided
+lock epoch is charged by its first receive, and the unlock, the exit
+notice to the master and the end of the run are one ``ctx.exit``.  The
+thread serves one query call per run; in a simulation that keeps its
+procs it parks in that exit and serves the next call when the next run
+resumes it, reading the call's searcher, window and flag from its
+node's :class:`NodeWiring`.
+
 Because all threads of a node pull from one mailbox, dynamic intra-node
 load balancing (§IV-B: "we do not strongly couple a process core with the
 data partition") falls out of the message matching.
@@ -30,43 +38,68 @@ from repro.core.searcher import LocalSearcher
 from repro.simmpi.engine import Context, Event, Mailbox
 from repro.simmpi.rma import Window
 
-__all__ = ["worker_thread_program"]
+__all__ = ["NodeWiring", "worker_thread_program"]
 
 
-def worker_thread_program(
-    ctx: Context,
-    node_mailbox: Mailbox,
-    node_store: NodeStore,
-    searcher: LocalSearcher,
-    k: int,
-    done_event: Event,
-    master_mailbox: Mailbox,
-    window: Window | None,
-    send_credits: bool = False,
-):
-    """One simulated OpenMP thread.  Returns (tasks_processed,).
+class NodeWiring:
+    """What one node's threads work with in one query call.
 
-    ``send_credits`` (one-sided + ``dispatch_window > 0`` only) makes the
-    thread follow each batch of ``Get_accumulate`` landings with a tiny
-    credit-ack message, giving the master's flow control the completion
-    signal one-sided results otherwise withhold; two-sided replies are
-    their own credit return.
+    The runtime fills it in before every run; a thread reads it when the
+    run starts it.  ``send_credits`` (one-sided + ``dispatch_window > 0``
+    only) makes a thread follow each batch of ``Get_accumulate`` landings
+    with a tiny credit-ack message, giving the master's flow control the
+    completion signal one-sided results otherwise withhold; two-sided
+    replies are their own credit return.
     """
-    one_sided = window is not None
-    if one_sided:
-        yield from window.lock_shared(ctx)
-    # the recorder is fixed for the run: span attributes are built only
-    # when one listens
-    traced = ctx.trace_active
-    processed = 0
-    try:
+
+    __slots__ = (
+        "mailbox",
+        "store",
+        "searcher",
+        "k",
+        "done",
+        "master_mailbox",
+        "window",
+        "send_credits",
+    )
+
+    def __init__(self, mailbox: Mailbox) -> None:
+        #: the node's shared task queue
+        self.mailbox = mailbox
+        self.store: NodeStore | None = None
+        self.searcher: LocalSearcher | None = None
+        self.k = 0
+        #: the node's shared Done flag, a new one per call
+        self.done: Event | None = None
+        #: exit notices, credits and (by default) two-sided results go here
+        self.master_mailbox: Mailbox | None = None
+        #: the master's result window; None = two-sided results
+        self.window: Window | None = None
+        self.send_credits = False
+
+
+def worker_thread_program(ctx: Context, node: NodeWiring):
+    """One simulated OpenMP thread.  Returns the tasks' query count of its
+    last call."""
+    while True:
+        window = node.window
+        one_sided = window is not None
+        # the lock epoch is charged by the first receive
+        epoch = (window.open_epoch(ctx), "rma_sync") if one_sided else None
+        # the recorder is fixed for the run: span attributes are built only
+        # when one listens
+        traced = ctx.trace_active
+        searcher, store, k, done = node.searcher, node.store, node.k, node.done
+        master_mailbox = node.master_mailbox
+        processed = 0
         while True:
-            req = yield from ctx.recv(node_mailbox, event=done_event)
+            req = yield from ctx.recv(node.mailbox, event=done, compute=epoch)
+            epoch = None
             if req is None:  # terminate flag set by a sibling thread
                 break
             payload = req.payload
             if payload[0] == "end":
-                yield from ctx.set_event(done_event)
+                yield from ctx.set_event(done)
                 break
             # a task: B >= 1 queries for one partition, answered with one
             # local search call; two-sided answers go to the task's reply
@@ -86,7 +119,7 @@ def worker_thread_program(
                 span = ctx.span("search")
             with span:
                 ds, idss, seconds = searcher.search_batch(
-                    node_store.get(partition_id),
+                    store.get(partition_id),
                     Qb,
                     k,
                     filter=None if wfilter is None else wfilter.spec,
@@ -103,7 +136,7 @@ def worker_thread_program(
                         yield from window.get_accumulate(
                             ctx, qid, (d, ids), nbytes=result_nbytes((d,), (ids,))
                         )
-                    if send_credits:
+                    if node.send_credits:
                         yield from send(ctx, master_mailbox, make_credit(query_ids, partition_id))
                 else:
                     yield from send(
@@ -111,11 +144,14 @@ def worker_thread_program(
                         master_mailbox if reply_to is None else reply_to,
                         make_result(query_ids, partition_id, ds, idss),
                     )
-    finally:
-        if one_sided:
-            yield from window.unlock(ctx)
-    # completion notification (tiny message) so the master can detect that
-    # every one-sided accumulate has landed before reading the window
-    with ctx.span("drain"):
-        yield from send(ctx, master_mailbox, ("tdone", ctx.pid, processed))
-    return processed
+        # unlock, then the completion notice (a tiny message: it is how the
+        # master learns every one-sided accumulate has landed), then the
+        # end of the run — one event
+        again = yield from ctx.exit(
+            send(ctx, master_mailbox, ("tdone", ctx.pid, processed)),
+            compute=(window.close_epoch(ctx), "rma_sync") if one_sided else None,
+            span="drain",
+            result=processed,
+        )
+        if not again:
+            return processed

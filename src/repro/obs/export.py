@@ -86,6 +86,7 @@ METRIC_NAMES = frozenset(
     {
         # simmpi engine, filled once when a simulation ends
         "sim.events",
+        "sim.procs",
         "sim.msgs_sent",
         "sim.bytes_sent",
         "sim.rma_ops",

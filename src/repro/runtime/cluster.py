@@ -10,7 +10,8 @@ hand-rolled copies used to duplicate:
 - one shared mailbox per compute node (the intra-node work queue),
 - workgroup round-robin reset (so repeated batches are independent),
 - spawning ``threads_per_node`` worker procs per node with the strategy's
-  wiring (control mailbox + optional RMA window),
+  wiring (control mailbox + optional RMA window) in each node's
+  :class:`~repro.core.worker.NodeWiring`,
 - running the simulation and reducing it to ``(D, I, SearchReport)`` via
   the shared :class:`~repro.runtime.report.ReportBuilder`.
 
@@ -21,8 +22,15 @@ the fabric carries ~B× fewer task/result messages while every row's
 results and virtual search cost stay identical to the unbatched run (at
 B = 1 the wire traffic is byte-identical).
 
-A runtime instance is single-shot, like the Simulation it owns: construct,
-``run_search`` once, read the report.
+A runtime is single-shot by default, like the Simulation it owns:
+construct, ``run_search`` once, read the report.  Built with
+``keep_threads=True`` it is a *session* (what a fitted ``DistributedANN``
+keeps): its thread procs park at the end of a call, and :meth:`rearm`
+readies it for the next call under any config with the same
+:func:`wiring_key`.  Only the coordinator procs, and threads a crash
+killed, get new programs; every other proc, mailbox and context is the
+one the first call registered.  A call on a session repeats a fresh
+runtime's call exactly — answers, clocks, stats and event count.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from repro.core.partition import NodeStore, Partition
 from repro.core.replication import Workgroups
 from repro.core.results import GlobalResults
 from repro.core.searcher import LocalSearcher
-from repro.core.worker import worker_thread_program
+from repro.core.worker import NodeWiring, worker_thread_program
 from repro.faults.injector import FaultInjector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
@@ -45,7 +53,24 @@ from repro.runtime.report import ReportBuilder, SearchReport
 from repro.runtime.strategies import DispatchStrategy
 from repro.simmpi.engine import Event, Simulation
 
-__all__ = ["ClusterRuntime", "SearchJob"]
+__all__ = ["ClusterRuntime", "SearchJob", "wiring_key"]
+
+
+def wiring_key(config: SystemConfig) -> tuple:
+    """What lays out a runtime's procs and wires them: two configs with
+    the same key can share a session, whatever else (seed, costs, k,
+    filters...) differs between them."""
+    return (
+        config.n_cores,
+        config.cores_per_node,
+        config.threads_per_node,
+        config.one_sided,
+        config.dispatch_window > 0,
+        config.owner_strategy,
+        config.fault_spec is not None or config.fault_policy is not None,
+        config.arrival is not None,
+        config.trace_enabled,
+    )
 
 
 class _RowLoop:
@@ -111,10 +136,34 @@ class SearchJob:
 
 
 class ClusterRuntime:
-    """Owns simulation setup and the run/reduce cycle of one batch search."""
+    """Owns simulation setup and the run/reduce cycle of a batch search
+    (of many, as a session)."""
 
-    def __init__(self, config: SystemConfig) -> None:
+    def __init__(self, config: SystemConfig, *, keep_threads: bool = False) -> None:
         self.config = config
+        self._arm(config)
+        self.sim = Simulation(
+            network=config.network,
+            cost=config.cost,
+            faults=self.faults,
+            recorder=self.recorder,
+            metrics=self.metrics,
+            keep_procs=keep_threads,
+        )
+        self.node_mailboxes = [
+            self.sim.new_mailbox(f"node{n}", node=n) for n in range(config.n_nodes)
+        ]
+        #: per node, what its threads read at the start of a run; empty
+        #: until the first run registers the thread pool
+        self._nodes: list[NodeWiring] = []
+        self._worker_cores: dict[int, int] = {}
+        #: coordinator pids still to be handed a program this run (a rerun
+        #: refills them in registration order), and killed threads to respawn
+        self._refill: list[int] = []
+        self._respawn: list[int] = []
+
+    def _arm(self, config: SystemConfig) -> None:
+        """The per-call observers: fault injector, metrics and recorder."""
         self.faults = FaultInjector(config.fault_spec) if config.fault_spec is not None else None
         #: run-wide metrics registry: the engine, every coordinator and owner,
         #: the load tracker and the serving layer all count into this one
@@ -124,16 +173,34 @@ class ClusterRuntime:
         #: config asks for observability output (recording is bit-identity-
         #: neutral either way; the gate just avoids the bookkeeping cost)
         self.recorder = TraceRecorder() if config.trace_enabled else None
-        self.sim = Simulation(
-            network=config.network,
-            cost=config.cost,
-            faults=self.faults,
-            recorder=self.recorder,
-            metrics=self.metrics,
-        )
-        self.node_mailboxes = [
-            self.sim.new_mailbox(f"node{n}", node=n) for n in range(config.n_nodes)
-        ]
+
+    def rearm(self, config: SystemConfig) -> None:
+        """Ready a session whose last call finished for a call under
+        ``config``, which must have the session's :func:`wiring_key`."""
+        if wiring_key(config) != wiring_key(self.config):
+            raise ValueError("rearm() needs a config with the session's wiring_key")
+        self.config = config
+        self._arm(config)
+        ended = self.sim.reset(config.network, config.cost, self.faults, self.recorder, self.metrics)
+        n_coordinators = len(self.sim._procs) - len(self._worker_cores)
+        self._refill = [pid for pid in ended if pid < n_coordinators]
+        self._respawn = [pid for pid in ended if pid >= n_coordinators]
+
+    def close(self) -> None:
+        """End a session: its parked threads' programs return."""
+        self.sim.close()
+
+    def add_proc(self, program, *args, node: int, name: str) -> int:
+        """Register a coordinator proc (strategies call this from
+        ``install``); on a rerun, hand the next coordinator pid its new
+        program instead, so pids — the engine's tie-break — stay put."""
+        if not self._nodes:
+            return self.sim.add_proc(program, *args, node=node, name=name)
+        if not self._refill:
+            raise RuntimeError("a rerun installed more coordinators than the session has")
+        pid = self._refill.pop(0)
+        self.sim.respawn(pid, program, *args)
+        return pid
 
     def run_search(
         self,
@@ -175,36 +242,31 @@ class ClusterRuntime:
         # coordinators first, workers second: registration order is the
         # engine's deterministic tie-break, so it is part of the contract
         strategy.install(self, job)
-        worker_cores: dict[int, int] = {}
+        if self._refill:
+            raise RuntimeError("a rerun installed fewer coordinators than the session has")
+        first_run = not self._nodes
         for node in range(cfg.n_nodes):
-            done = Event()
-            control_mailbox, window = strategy.worker_wiring(self, node)
-            store = node_stores[node]
-            # this node's simulated cores; on a partial last node the extra
-            # threads fold onto the valid cores round-robin so the per-core
-            # busy vector stays length n_cores with nothing dropped
-            cores = range(node * cfg.cores_per_node, min((node + 1) * cfg.cores_per_node, cfg.n_cores))
+            wiring = NodeWiring(self.node_mailboxes[node]) if first_run else self._nodes[node]
+            wiring.master_mailbox, wiring.window = strategy.worker_wiring(self, node)
+            wiring.store = node_stores[node]
+            wiring.searcher = worker_searcher
+            wiring.k = k
+            wiring.done = Event()
             # one-sided workers return dispatch credits only when the
             # coordinator runs flow-controlled (two-sided results are their
             # own credit return, so no extra traffic there)
-            send_credits = window is not None and cfg.dispatch_window > 0
-            for t in range(cfg.threads_per_node):
-                pid = self.sim.add_proc(
-                    worker_thread_program,
-                    self.node_mailboxes[node],
-                    store,
-                    worker_searcher,
-                    k,
-                    done,
-                    control_mailbox,
-                    window,
-                    send_credits,
-                    node=node,
-                    name=f"worker_n{node}_t{t}",
-                )
-                worker_cores[pid] = cores[t % len(cores)]
+            wiring.send_credits = wiring.window is not None and cfg.dispatch_window > 0
+            if first_run:
+                self._nodes.append(wiring)
+                self._add_threads(node, wiring)
+        for pid in self._respawn:
+            # a thread a crash killed starts its program afresh
+            self.sim.respawn(pid, worker_thread_program, self._nodes[self.sim.node_of(pid)])
+        self._respawn = []
 
         out = self.sim.run()
+        for wiring in self._nodes:
+            wiring.searcher = wiring.window = None  # hold no call's data between calls
         D, I = job.results.result_arrays()
         # the run's filter/tenant accounting goes into the registry before
         # the builder dumps it into report.metrics.  The resolved tenant
@@ -226,10 +288,26 @@ class ClusterRuntime:
             strategy.coordinator_pids,
             len(Q),
             self.metrics,
-            worker_cores=worker_cores,
+            worker_cores=self._worker_cores,
             aux_pids=getattr(strategy, "aux_pids", ()),
             slo_target_seconds=cfg.slo_ms / 1e3,
             tenant_id=-1 if tenant is None else int(tenant),
             trace=self.recorder,
         ).build()
         return D, I, report
+
+    def _add_threads(self, node: int, wiring: NodeWiring) -> None:
+        """Register ``node``'s thread pool (the first run only)."""
+        cfg = self.config
+        # this node's simulated cores; on a partial last node the extra
+        # threads fold onto the valid cores round-robin so the per-core
+        # busy vector stays length n_cores with nothing dropped
+        cores = range(node * cfg.cores_per_node, min((node + 1) * cfg.cores_per_node, cfg.n_cores))
+        for t in range(cfg.threads_per_node):
+            pid = self.sim.add_proc(
+                worker_thread_program,
+                wiring,
+                node=node,
+                name=f"worker_n{node}_t{t}",
+            )
+            self._worker_cores[pid] = cores[t % len(cores)]

@@ -386,12 +386,13 @@ class ReportBuilder:
         for work is idle, not loaded)."""
         if not self.worker_cores:
             return None
-        busy = np.zeros(max(self.worker_cores.values()) + 1, dtype=np.float64)
+        busy = [0.0] * (max(self.worker_cores.values()) + 1)
+        all_stats = self.out.stats
         for pid, core in self.worker_cores.items():
-            stats = self.out.stats.get(pid)
+            stats = all_stats.get(pid)
             if stats is not None:
                 busy[core] += stats.busy_total - stats.comm_wait
-        return busy
+        return np.array(busy, dtype=np.float64)
 
     def build(self) -> SearchReport:
         out, metrics = self.out, self.metrics

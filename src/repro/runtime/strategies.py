@@ -59,9 +59,11 @@ __all__ = [
 class DispatchStrategy(ABC):
     """Contract between a query-dispatch design and the ClusterRuntime.
 
-    Lifecycle: the runtime calls :meth:`install` exactly once (before any
-    worker procs are added — coordinator pids must come first so the
-    engine's deterministic tie-breaking is stable), then
+    Lifecycle: the runtime calls :meth:`install` exactly once per call
+    (before any worker procs are added — coordinator pids must come first
+    so the engine's deterministic tie-breaking is stable; ``install``
+    registers them with ``rt.add_proc``, which on a session's rerun
+    refills the same pids), then
     :meth:`worker_wiring` once per node while spawning the worker pools,
     then reads :attr:`coordinator_pids` to build the report after the run.
 
@@ -158,7 +160,7 @@ class MasterWorkerStrategy(DispatchStrategy):
         else:
             master = CoordinatorPipeline(*parts)
 
-        pid = rt.sim.add_proc(master.run, node=master_node, name="master")
+        pid = rt.add_proc(master.run, node=master_node, name="master")
         if cfg.one_sided:
             self._window = Window(
                 owner_pid=pid,
@@ -183,7 +185,7 @@ class MasterWorkerStrategy(DispatchStrategy):
                     ctx, master_mailbox, serving_state.schedule
                 )
 
-            src_pid = rt.sim.add_proc(arrivals, node=master_node, name="arrivals")
+            src_pid = rt.add_proc(arrivals, node=master_node, name="arrivals")
             self.aux_pids = (src_pid,)
 
     def worker_wiring(self, rt: "ClusterRuntime", node: int) -> tuple[Mailbox, Window | None]:
@@ -232,7 +234,7 @@ class MultipleOwnerStrategy(DispatchStrategy):
                     )
                 )
 
-            pids.append(rt.sim.add_proc(owner, node=node, name=f"owner_n{node}"))
+            pids.append(rt.add_proc(owner, node=node, name=f"owner_n{node}"))
         owner_comm_holder[0] = Comm(rt.sim, pids, "owners")
         self.coordinator_pids = pids
 

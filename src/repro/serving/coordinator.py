@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.coordinator.drain import broadcast_end, collect_thread_exits
+from repro.core.coordinator.drain import await_thread_exits, broadcast_end
 from repro.core.coordinator.merger import ResultMerger
 from repro.core.coordinator.router import Router
 from repro.core.coordinator.window import DispatchWindow
@@ -214,7 +214,7 @@ class ServingPipeline:
         # End of Queries + thread-exit drain, as in the closed-loop pipeline
         with ctx.span("drain"):
             yield from broadcast_end(ctx, window.node_mailboxes)
-            yield from collect_thread_exits(ctx, config.n_nodes * config.threads_per_node)
+            yield from await_thread_exits(ctx, config.n_nodes * config.threads_per_node)
 
         state.close(report)
         report.queue_depth_timeline = window.tracker.timeline()

@@ -6,7 +6,11 @@ thread inside a rank.  Proc code is a generator function taking a
 on a Context/Comm helper, which ultimately yields a syscall object that the
 engine services.  :meth:`Simulation.run` dispatches each syscall through
 one ``{syscall type: handler}`` table, and every syscall is one engine
-event.
+event: one resume of the proc's program.  A syscall that charges compute
+before it posts or sends (``recv(compute=)``, ``exit(compute=)``)
+finishes in a *deferred step* at the run-queue key a separate
+``compute`` would have given the post or send — bookkeeping the engine
+does without resuming the program, so not an event, like a crash.
 
 Scheduling rule: always resume the runnable proc with the smallest virtual
 clock (ties broken by an insertion sequence number).  Because every syscall
@@ -24,10 +28,18 @@ Blocking primitives:
   terminate flag", replacing the paper's MPI_Test busy-poll loop with an
   equivalent that does not need millions of simulated poll iterations,
   and how every coordinator receives one message,
+- ``recv_n(mailbox, n, ...)`` — ``n`` receives in one event (a master
+  counting its threads' exit notices),
 - ``wait(request)``     — block until an already posted receive matches,
 - ``wait_any(waitables)`` — block until any of several requests/events
   completes (a coordinator waiting on two receives at once),
 - collectives and RMA — see :mod:`repro.simmpi.comm` / :mod:`~repro.simmpi.rma`.
+
+``exit(send, compute=, span=)`` ends a proc's run in one event: a last
+charge, a last send, and the end.  In a ``Simulation(keep_procs=True)``
+the proc parks there instead of returning, and :meth:`Simulation.reset`
+starts another run in which it resumes — a session that registers and
+starts its thread procs once for many runs.
 
 ``wait_any`` additionally takes an optional virtual-time ``timeout``; a
 wait that times out resumes with ``(WAIT_TIMED_OUT, None)`` at exactly the
@@ -98,6 +110,11 @@ def _tag_matches(pattern, tag) -> bool:
     return pattern == tag
 
 
+def _check_seconds(seconds: float) -> None:
+    if not 0.0 <= seconds < _INF:  # also false for NaN
+        raise SimError(f"compute time must be finite and non-negative, got {seconds}")
+
+
 def _check_timeout(timeout: float | None) -> None:
     if timeout is not None and not timeout >= 0:  # also true for NaN
         raise SimError(f"a wait timeout must be >= 0 virtual seconds, got {timeout}")
@@ -105,6 +122,9 @@ def _check_timeout(timeout: float | None) -> None:
 
 _RUNNABLE = "runnable"
 _BLOCKED = "blocked"
+#: waiting in the run queue for a step its last syscall scheduled at a
+#: later virtual time (see Simulation._defer)
+_DEFERRED = "deferred"
 _DONE = "done"
 _CRASHED = "crashed"
 
@@ -166,6 +186,27 @@ class _Recv:
     tag: int
     event: "Event | None"
     timeout: float | None
+    #: (seconds, kind) charged before the post, or None
+    compute: tuple | None = None
+
+
+@dataclass(slots=True)
+class _RecvN:
+    mailbox: "Mailbox"
+    source: int
+    tag: int
+    n: int
+
+
+@dataclass(slots=True)
+class _Exit:
+    send: _SendMsg
+    #: (seconds, kind) charged before the send, or None
+    compute: tuple | None
+    #: span recorded around the send, or None
+    span: str | None
+    #: the proc's result when it parks instead of returning
+    result: Any
 
 
 @dataclass(slots=True)
@@ -258,11 +299,24 @@ class Request:
         self.arrival = msg.arrival
 
 
+class _Gather(Request):
+    """The posted receive of ``recv_n``: it stays pending until ``need``
+    messages have matched it, collecting their payloads in match order."""
+
+    __slots__ = ("need", "payloads")
+
+    def __init__(self, mailbox: "Mailbox", source: int, tag, post_time: float, need: int):
+        super().__init__(mailbox, source, tag, post_time)
+        self.need = need
+        self.payloads: list = []
+
+
 class Event:
     """A one-shot condition flag (simulated condition variable).
 
-    Models the shared "Done" flag of Algorithm 4: one thread sets it, every
-    thread blocked in ``wait_any`` on it wakes at the set time.
+    Models the shared "Done" flag of Algorithm 4: one thread sets it, and
+    every thread blocked on it — in a ``recv(..., event=)`` or a
+    ``wait_any`` — wakes at the set time.
     """
 
     __slots__ = ("done", "set_time", "_waiters")
@@ -340,6 +394,15 @@ class Mailbox:
         buckets = self._buckets
         if not buckets:
             return None
+        if source == ANY_SOURCE and type(tag) is int and tag != ANY_TAG:
+            # the common receive: one exact tag from anyone is its heap's head
+            heap = buckets.get(tag)
+            if heap is None:
+                return None
+            msg = heapq.heappop(heap)
+            if not heap:
+                del buckets[tag]
+            return msg
         if tag == ANY_TAG or (isinstance(tag, tuple) and ANY_TAG in tag):
             heaps = [heap for t, heap in buckets.items() if _tag_matches(tag, t)]
         else:
@@ -387,6 +450,8 @@ class _Proc:
         "_block_start",
         "_wait_entries",
         "_wake",
+        "_deferred",
+        "parked",
     )
 
     def __init__(self, pid: int, name: str, node: int, mailbox: Mailbox):
@@ -405,6 +470,11 @@ class _Proc:
         self._block_start = 0.0
         self._wait_entries: list = []
         self._wake = _WAKE_WAIT
+        #: (handler, syscall) of a _DEFERRED proc's pending step
+        self._deferred: tuple | None = None
+        #: ended its run with ``ctx.exit`` in a keep_procs simulation: the
+        #: generator waits inside the exit for the next run
+        self.parked = False
 
 
 class _SpanScope:
@@ -485,8 +555,7 @@ class Context:
 
     def compute(self, seconds: float, kind: str = "compute"):
         """Charge ``seconds`` of virtual computation time."""
-        if not 0.0 <= seconds < _INF:  # also false for NaN
-            raise SimError(f"compute time must be finite and non-negative, got {seconds}")
+        _check_seconds(seconds)
         yield _Compute(float(seconds), kind)
 
     # -- tracing -------------------------------------------------------------
@@ -550,6 +619,7 @@ class Context:
         *,
         event: Event | None = None,
         timeout: float | None = None,
+        compute: tuple | None = None,
     ):
         """Post a receive and block on it, in one engine event.
 
@@ -561,10 +631,35 @@ class Context:
         ``wait_any([request, event], timeout)`` would — and the receive is
         withdrawn in the same step, so a message arriving later stays
         queued for the next receive.
+
+        ``compute=(seconds, kind)`` charges that computation first: the
+        clocks, stats and matching of ``compute(seconds, kind)`` followed
+        by this receive, still in one event (a worker thread's lock epoch
+        rides its first receive this way).
         """
         _check_timeout(timeout)
-        req = yield _Recv(mailbox, source, tag, event, timeout)
+        if compute is not None:
+            _check_seconds(compute[0])
+        req = yield _Recv(mailbox, source, tag, event, timeout, compute)
         return req
+
+    def recv_n(self, mailbox: Mailbox, n: int, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+        """Receive ``n`` messages in one engine event; resumes with their
+        payloads in match order.
+
+        One posted receive takes the queued matches in ``(arrival, seq)``
+        order, then the later deliveries in delivery order, until it has
+        ``n``; the clock and stats advance as for ``n`` back-to-back
+        ``recv`` calls (each waits for its message, then pays the receive
+        overhead).  It is those ``n`` calls exactly when this proc is the
+        only receiver of these messages and they are delivered in
+        ``(arrival, seq)`` order, e.g. equal-size messages on a fault-free
+        fabric — how a coordinator counts its threads' exit notices.
+        """
+        if n < 0:
+            raise SimError(f"recv_n needs n >= 0, got {n}")
+        payloads = yield _RecvN(mailbox, source, tag, int(n))
+        return payloads
 
     def send_to_mailbox(
         self,
@@ -601,6 +696,27 @@ class Context:
     def cancel(self, request: Request):
         yield _Cancel(request)
 
+    def exit(self, send, *, compute: tuple | None = None, span: str | None = None, result=None):
+        """End this proc's run in one engine event: charge ``compute=
+        (seconds, kind)``, then make ``send`` — a ``send_to_mailbox`` call
+        not yet started — inside a span named ``span``, then end.
+
+        Clocks, stats, spans and the message are those of ``compute``,
+        ``with span(...): send`` and a return.  The program must return
+        right after it: in a plain simulation the exit resumes at once
+        with False.  In a ``keep_procs`` simulation the proc parks
+        instead, with ``result`` as its result; the exit returns True when
+        the next run resumes it, and False when the simulation closes.
+        """
+        syscall = next(send)
+        if type(syscall) is not _SendMsg:
+            raise SimError(f"exit takes a send_to_mailbox call, which yielded {syscall!r}")
+        if compute is not None:
+            _check_seconds(compute[0])
+        again = yield _Exit(syscall, compute, span, result)
+        next(send, None)  # let the send call return, as after a plain send
+        return again
+
     def collective(self, key: tuple, members: tuple, data: Any, complete: Callable):
         result = yield _CollectiveCall(key, members, data, complete)
         return result
@@ -613,6 +729,20 @@ class Context:
 # --------------------------------------------------------------------------
 # Simulation
 # --------------------------------------------------------------------------
+
+
+def _proc_error(proc: _Proc, exc: Exception) -> ProcError:
+    """``exc`` raised by proc code, annotated with simulation context —
+    "which rank died at what virtual time" is the first thing one needs
+    to debug a distributed algorithm."""
+    return ProcError(
+        f"proc {proc.name!r} (pid={proc.pid}, node={proc.node}) raised "
+        f"{type(exc).__name__} at virtual t={proc.clock:.6f}: {exc}",
+        proc_name=proc.name,
+        pid=proc.pid,
+        node=proc.node,
+        virtual_time=proc.clock,
+    )
 
 
 @dataclass
@@ -636,7 +766,15 @@ class SimulationResult:
 
 
 class Simulation:
-    """Owns procs, mailboxes, the event loop, and the timing models."""
+    """Owns procs, mailboxes, the event loop, and the timing models.
+
+    A simulation runs once.  Built with ``keep_procs=True`` it is a
+    session: procs that end their run with ``ctx.exit`` park inside it,
+    and :meth:`reset` re-arms the simulation for another :meth:`run` in
+    which they resume there, so a pool of threads is registered and
+    started once for many runs.  :meth:`close` lets the parked programs
+    return.
+    """
 
     def __init__(
         self,
@@ -646,10 +784,19 @@ class Simulation:
         faults=None,
         recorder=None,
         metrics=None,
+        keep_procs: bool = False,
     ) -> None:
+        self.max_events = max_events
+        self.keep_procs = keep_procs
+        self._arm(network, cost, faults, recorder, metrics)
+        self._procs: list[_Proc] = []
+        self._mailboxes: list[Mailbox] = []
+        self._finished = False
+
+    def _arm(self, network, cost, faults, recorder, metrics) -> None:
+        """The per-run state: models, observers and an empty run queue."""
         self.network = network or NetworkModel()
         self.cost = cost or CostModel()
-        self.max_events = max_events
         #: optional :class:`~repro.faults.FaultInjector` (duck-typed to
         #: avoid a package cycle); None = perfect fabric
         self.faults = faults
@@ -660,7 +807,6 @@ class Simulation:
         #: optional :class:`~repro.obs.metrics.MetricsRegistry`, filled with
         #: engine-level totals (events, messages, bytes) at the end of run()
         self.metrics = metrics
-        self._procs: list[_Proc] = []
         self._runq: list[tuple[float, int, int]] = []
         self._seq = itertools.count()
         self._collectives: dict[tuple, dict] = {}
@@ -669,7 +815,9 @@ class Simulation:
     # -- construction --------------------------------------------------------
 
     def new_mailbox(self, name: str = "", node: int | None = None) -> Mailbox:
-        return Mailbox(name, node)
+        mailbox = Mailbox(name, node)
+        self._mailboxes.append(mailbox)
+        return mailbox
 
     def add_proc(
         self,
@@ -685,20 +833,33 @@ class Simulation:
             raise SimError("cannot add procs after run() started")
         pid = len(self._procs)
         if mailbox is None:  # not ``or``: an empty mailbox has len() == 0
-            mailbox = Mailbox(f"mb{pid}", node)
+            mailbox = self.new_mailbox(f"mb{pid}", node)
         proc = _Proc(pid, name or f"proc{pid}", node, mailbox)
-        ctx = Context(self, proc)
-        gen = program(ctx, *args)
+        self._start(proc, program, args)
+        self._procs.append(proc)
+        if self.recorder is not None:
+            self.recorder.register_proc(pid, proc.name, node)
+        return pid
+
+    def respawn(self, pid: int, program: Callable[..., Generator], *args: Any) -> None:
+        """Give proc ``pid``, which returned or crashed in the last run, a
+        new program for the next one (after :meth:`reset`).  It keeps its
+        pid, node, name and mailbox — and so its place in the tie-break."""
+        if self._started:
+            raise SimError("cannot respawn procs after run() started")
+        proc = self._procs[pid]
+        if proc.gen is not None:
+            raise SimError(f"proc {proc.name!r} (pid={pid}) still has a program")
+        self._start(proc, program, args)
+
+    def _start(self, proc: _Proc, program: Callable[..., Generator], args: tuple) -> None:
+        gen = program(Context(self, proc), *args)
         if not hasattr(gen, "send"):
             raise SimConfigError(
                 f"program {program!r} did not return a generator; "
                 "proc bodies must be generator functions (use `yield from ctx...`)"
             )
         proc.gen = gen
-        self._procs.append(proc)
-        if self.recorder is not None:
-            self.recorder.register_proc(pid, proc.name, node)
-        return pid
 
     def mailbox_of(self, pid: int) -> Mailbox:
         return self._procs[pid].mailbox
@@ -706,35 +867,99 @@ class Simulation:
     def node_of(self, pid: int) -> int:
         return self._procs[pid].node
 
+    # -- sessions ----------------------------------------------------------------
+
+    def reset(
+        self,
+        network: NetworkModel | None = None,
+        cost: CostModel | None = None,
+        faults=None,
+        recorder=None,
+        metrics=None,
+    ) -> list[int]:
+        """Re-arm a finished ``keep_procs`` simulation for another run.
+
+        The arguments replace the constructor's.  Every mailbox empties,
+        every clock returns to 0 with fresh :class:`ProcStats`, and a proc
+        parked by ``ctx.exit`` resumes there (the exit returns True) as
+        its first event.  Returns the pids that ended any other way —
+        returned or crashed — each of which needs :meth:`respawn` before
+        :meth:`run`.
+        """
+        if not self.keep_procs:
+            raise SimError("reset() needs a Simulation(keep_procs=True)")
+        if not self._finished:
+            raise SimError("reset() needs a run that finished")
+        self._arm(network, cost, faults, recorder, metrics)
+        self._finished = False
+        for mailbox in self._mailboxes:
+            mailbox._buckets.clear()
+            mailbox._pending.clear()
+        ended = []
+        for proc in self._procs:
+            # a finished run leaves no timeout armed and no wait registered
+            proc.clock = 0.0
+            proc.stats = ProcStats(name=proc.name)
+            proc.result = None
+            if proc.parked:
+                proc.parked = False
+                proc.sendval = True
+            else:
+                proc.gen = None
+                proc.sendval = None
+                ended.append(proc.pid)
+            if recorder is not None:
+                recorder.register_proc(proc.pid, proc.name, proc.node)
+        return ended
+
+    def close(self) -> None:
+        """Let every parked program return (its exit returns False)."""
+        for proc in self._procs:
+            if proc.parked:
+                proc.parked = False
+                gen, proc.gen = proc.gen, None
+                self._return_after_exit(proc, gen, False)
+
     # -- event loop ------------------------------------------------------------
 
     def run(self) -> SimulationResult:
         if self._started:
-            raise SimError("Simulation.run() may only be called once")
+            raise SimError("Simulation.run() may only be called once per reset()")
+        procs = self._procs
+        for proc in procs:
+            if proc.gen is None:
+                raise SimError(f"proc {proc.name!r} (pid={proc.pid}) has no program; respawn() it")
         self._started = True
-        for proc in self._procs:
-            self._push(proc)
+        for proc in procs:
+            proc.state = _RUNNABLE
+            proc.heap_token = next(self._seq)
+        # one heapify, not a push per proc
+        runq = self._runq
+        runq[:] = [(p.clock, p.heap_token, p.pid) for p in procs]
+        heapq.heapify(runq)
         crash_schedule: list[tuple[int, float]] = []
         if self.faults is not None:
             # crashes are first-class engine events: one marker per crash,
             # with a negative pid, popped at exactly the crash instant
             crash_schedule = self.faults.crash_schedule()
             for i, (_, at) in enumerate(crash_schedule):
-                heapq.heappush(self._runq, (at, next(self._seq), -(i + 1)))
+                heapq.heappush(runq, (at, next(self._seq), -(i + 1)))
         # one handler per syscall type, each taking (proc, syscall)
         dispatch = {
             _Compute: self._do_compute,
             _SendMsg: self._do_send,
             _RecvPost: self._do_post,
             _Recv: self._do_recv,
+            _RecvN: self._do_recv_n,
             _Wait: self._do_wait,
             _WaitAny: self._do_wait_any,
             _Cancel: self._do_cancel,
             _EventSet: self._do_set_event,
             _CollectiveCall: self._do_collective,
             _RmaOp: self._do_rma,
+            _Exit: self._do_exit,
         }
-        procs, runq, heappop = self._procs, self._runq, heapq.heappop
+        heappop = heapq.heappop
         max_events = self.max_events
         n_events = 0
         while runq:
@@ -745,7 +970,13 @@ class Simulation:
                 continue
             proc = procs[pid]
             if token != proc.heap_token or proc.state != _RUNNABLE:
-                if token == proc.timeout_token and proc.state == _BLOCKED:
+                if token == proc.heap_token and proc.state == _DEFERRED:
+                    # the rest of the proc's last syscall, due now; the
+                    # program does not run, so this is not an event
+                    handler, syscall = proc._deferred
+                    proc._deferred = None
+                    handler(proc, syscall)
+                elif token == proc.timeout_token and proc.state == _BLOCKED:
                     n_events += 1
                     self._fire_timeout(proc, clock)
                 continue  # otherwise a stale heap entry
@@ -764,41 +995,33 @@ class Simulation:
             except SimError:
                 raise
             except Exception as exc:
-                # annotate failures with simulation context — "which rank died
-                # at what virtual time" is the first thing one needs to debug a
-                # distributed algorithm
-                raise ProcError(
-                    f"proc {proc.name!r} (pid={proc.pid}, node={proc.node}) raised "
-                    f"{type(exc).__name__} at virtual t={proc.clock:.6f}: {exc}",
-                    proc_name=proc.name,
-                    pid=proc.pid,
-                    node=proc.node,
-                    virtual_time=proc.clock,
-                ) from exc
+                raise _proc_error(proc, exc) from exc
             proc.sendval = None
             handler = dispatch.get(type(syscall))
             if handler is None:
                 raise SimError(f"proc {proc.name} yielded unknown syscall {syscall!r}")
             handler(proc, syscall)
-        unfinished = [p for p in self._procs if p.state not in (_DONE, _CRASHED)]
+        unfinished = [p for p in procs if p.state not in (_DONE, _CRASHED)]
         if unfinished:
             desc = ", ".join(f"{p.name}(pid={p.pid}, state={p.state})" for p in unfinished[:10])
             raise DeadlockError(
                 f"{len(unfinished)} proc(s) blocked forever: {desc}"
             )
+        self._finished = True
         result = SimulationResult(
-            makespan=max((p.clock for p in self._procs), default=0.0),
-            clocks={p.pid: p.clock for p in self._procs},
-            results={p.pid: p.result for p in self._procs},
-            stats={p.pid: p.stats for p in self._procs},
+            makespan=max((p.clock for p in procs), default=0.0),
+            clocks={p.pid: p.clock for p in procs},
+            results={p.pid: p.result for p in procs},
+            stats={p.pid: p.stats for p in procs},
             n_events=n_events,
-            crashed_pids=tuple(p.pid for p in self._procs if p.state == _CRASHED),
+            crashed_pids=tuple(p.pid for p in procs if p.state == _CRASHED),
             fault_events=tuple(self.faults.events) if self.faults is not None else (),
         )
         if self.metrics is not None:
             # filled once at the end — the event loop itself never touches
             # the registry, so metrics cannot perturb the hot path
             self.metrics.counter("sim.events").value += n_events
+            self.metrics.counter("sim.procs").value += len(procs)
             self.metrics.counter("sim.msgs_sent").value += sum(
                 s.msgs_sent for s in result.stats.values()
             )
@@ -817,6 +1040,22 @@ class Simulation:
         proc.state = _RUNNABLE
         proc.heap_token = next(self._seq)
         heapq.heappush(self._runq, (proc.clock, proc.heap_token, proc.pid))
+
+    def _defer(self, proc: _Proc, handler: Callable, syscall: Any) -> None:
+        """Finish ``syscall`` with ``handler`` where a push would next resume
+        ``proc``: the same run-queue key — clock and tie-break — at which a
+        syscall split in two (a compute, then a post or a send) would make
+        its second call, so every message meets the same receives."""
+        proc.state = _DEFERRED
+        proc._deferred = (handler, syscall)
+        proc.heap_token = next(self._seq)
+        heapq.heappush(self._runq, (proc.clock, proc.heap_token, proc.pid))
+
+    def _charge(self, proc: _Proc, seconds: float, kind: str) -> None:
+        if self.faults is not None:
+            seconds *= self.faults.compute_factor(proc.node)
+        proc.clock += seconds
+        proc.stats.add_compute(kind, seconds)
 
     def _block(self, proc: _Proc, timeout: float | None = None) -> None:
         proc.state = _BLOCKED
@@ -878,6 +1117,7 @@ class Simulation:
             elif isinstance(w, Event) and proc in w._waiters:
                 w._waiters.remove(proc)
         proc._wait_entries = []
+        proc._deferred = None  # a deferred post or send dies unmade
         proc.timeout_token = None
         proc.state = _CRASHED
         proc.clock = max(proc.clock, at)
@@ -889,11 +1129,7 @@ class Simulation:
     # -- syscall handlers ------------------------------------------------------
 
     def _do_compute(self, proc: _Proc, sc: _Compute) -> None:
-        seconds = sc.seconds
-        if self.faults is not None:
-            seconds *= self.faults.compute_factor(proc.node)
-        proc.clock += seconds
-        proc.stats.add_compute(sc.kind, seconds)
+        self._charge(proc, sc.seconds, sc.kind)
         self._push(proc)
 
     def _do_cancel(self, proc: _Proc, sc: _Cancel) -> None:
@@ -924,33 +1160,40 @@ class Simulation:
     # -- messaging ----------------------------------------------------------------
 
     def _do_send(self, proc: _Proc, sc: _SendMsg) -> None:
-        overhead = self.network.send_overhead()
+        self._transmit(proc, sc)
+        self._push(proc)
+
+    def _transmit(self, proc: _Proc, sc: _SendMsg) -> None:
+        network, faults, stats = self.network, self.faults, proc.stats
+        overhead = network.send_overhead()
         proc.clock += overhead
-        proc.stats.send_time += overhead
-        proc.stats.msgs_sent += 1
-        proc.stats.bytes_sent += sc.nbytes
-        if self.faults is None:
-            transfers = [self.network.p2p_time(sc.nbytes, sc.same_node)]
-        else:
-            # the sender is always charged its overhead above — a dropped
-            # message costs the origin the same CPU time as a delivered one
-            transfers = self.faults.transfer_times(
-                proc.node, sc.mailbox.node, sc.nbytes, sc.same_node, self.network, proc.clock
-            )
-        for wire in transfers:
+        stats.send_time += overhead
+        stats.msgs_sent += 1
+        stats.bytes_sent += sc.nbytes
+        if faults is None:
+            arrival = proc.clock + network.p2p_time(sc.nbytes, sc.same_node)
+            self._deliver(sc.mailbox, _Message(arrival, next(self._seq), sc.source, sc.tag, sc.payload))
+            return
+        # the sender is always charged its overhead above — a dropped
+        # message costs the origin the same CPU time as a delivered one
+        for wire in faults.transfer_times(
+            proc.node, sc.mailbox.node, sc.nbytes, sc.same_node, network, proc.clock
+        ):
             arrival = proc.clock + wire
-            if self.faults is not None and self.faults.node_down(sc.mailbox.node, arrival):
-                self.faults.record(
+            if faults.node_down(sc.mailbox.node, arrival):
+                faults.record(
                     "msg_lost_node_down", arrival, src=proc.node, dst=sc.mailbox.node, tag=sc.tag
                 )
                 continue
             msg = _Message(arrival, next(self._seq), sc.source, sc.tag, sc.payload)
             self._deliver(sc.mailbox, msg)
-        self._push(proc)
 
     def _deliver(self, mailbox: Mailbox, msg: _Message) -> None:
         for req in mailbox._pending:
             if req._matches(msg.source, msg.tag):
+                if type(req) is _Gather:
+                    self._gather(req, msg)
+                    return
                 mailbox._pending.remove(req)
                 req._complete(msg)
                 if req._waiter is not None:
@@ -983,6 +1226,13 @@ class Simulation:
         self._push(proc)
 
     def _do_recv(self, proc: _Proc, sc: _Recv) -> None:
+        if sc.compute is None:
+            self._post_recv(proc, sc)
+        else:
+            self._charge(proc, *sc.compute)
+            self._defer(proc, self._post_recv, sc)
+
+    def _post_recv(self, proc: _Proc, sc: _Recv) -> None:
         # the outcomes, clocks and stats of post_recv + wait_any([req,
         # event], timeout) + cancel, in one event
         req = self._do_recv_post(proc, sc)
@@ -1003,6 +1253,82 @@ class Simulation:
             event._waiters.append(proc)
         proc._wake = _WAKE_RECV
         self._block(proc, sc.timeout)
+
+    def _do_recv_n(self, proc: _Proc, sc: _RecvN) -> None:
+        gather = _Gather(sc.mailbox, sc.source, sc.tag, proc.clock, sc.n)
+        gather._waiter = proc
+        while len(gather.payloads) < gather.need:
+            msg = sc.mailbox._take(sc.source, sc.tag)
+            if msg is None:
+                sc.mailbox._pending.append(gather)
+                proc._wait_entries = [gather]
+                self._block(proc)
+                return
+            self._gather(gather, msg)
+        proc.sendval = gather.payloads
+        self._push(proc)
+
+    def _gather(self, gather: _Gather, msg: _Message) -> None:
+        """One match of a ``recv_n``: the clock and stats of one receive
+        posted now (its wait, then its overhead); the last wakes the proc."""
+        proc = gather._waiter
+        overhead = self.network.recv_overhead()
+        start = max(proc.clock, msg.arrival)
+        proc.stats.comm_wait += start - proc.clock
+        proc.clock = start + overhead
+        proc.stats.recv_time += overhead
+        gather.payloads.append(msg.payload)
+        if len(gather.payloads) == gather.need and proc.state == _BLOCKED:
+            gather.done = True
+            gather._mailbox._pending.remove(gather)
+            proc._wait_entries = []
+            proc.sendval = gather.payloads
+            self._push(proc)
+
+    def _do_exit(self, proc: _Proc, sc: _Exit) -> None:
+        if sc.compute is None:
+            self._finish_exit(proc, sc)
+        else:
+            self._charge(proc, *sc.compute)
+            self._defer(proc, self._finish_exit, sc)
+
+    def _finish_exit(self, proc: _Proc, sc: _Exit) -> None:
+        recorder = self.recorder
+        start = proc.clock
+        if sc.span is not None and recorder is not None:
+            recorder.begin_span(proc.pid, sc.span, start)
+        self._transmit(proc, sc.send)
+        if sc.span is not None:
+            proc.stats.add_span(sc.span, proc.clock - start)
+            if recorder is not None:
+                recorder.end_span(proc.pid, proc.clock)
+        if self.faults is not None and self.faults.node_down(proc.node, proc.clock):
+            # a crash before the proc's end still finds it alive: the end
+            # is a step of its own, which the crash then pre-empts
+            self._defer(proc, self._end_run, sc)
+        else:
+            self._end_run(proc, sc)
+
+    def _end_run(self, proc: _Proc, sc: _Exit) -> None:
+        proc.state = _DONE
+        if self.keep_procs:
+            proc.parked = True
+            proc.result = sc.result
+        else:
+            proc.result = self._return_after_exit(proc, proc.gen, False)
+
+    @staticmethod
+    def _return_after_exit(proc: _Proc, gen: Generator, again: bool) -> Any:
+        """Resume ``gen`` out of its ``ctx.exit``; it must return."""
+        try:
+            syscall = gen.send(again)
+        except StopIteration as stop:
+            return stop.value
+        except SimError:
+            raise
+        except Exception as exc:
+            raise _proc_error(proc, exc) from exc
+        raise SimError(f"proc {proc.name!r} yielded {syscall!r} after ctx.exit; it must return")
 
     def _do_wait(self, proc: _Proc, sc: _Wait) -> None:
         req = sc.request
@@ -1047,16 +1373,26 @@ class Simulation:
         entries = proc._wait_entries
         proc._wait_entries = []
         wake = proc._wake
-        # unregister from the others; a recv whose event won withdraws its
-        # receive
+        if wake == _WAKE_RECV:  # entries = [request] or [request, event]
+            req = entries[0]
+            if fired is req:
+                if len(entries) > 1:
+                    entries[1]._waiters.remove(proc)
+                overhead = self.network.recv_overhead()
+                proc.stats.recv_time += overhead
+                proc.sendval = req
+                self._unblock(proc, req.completion_time, overhead)
+            else:  # the event won: withdraw the receive, resume with None
+                _withdraw(req)
+                proc.sendval = None
+                self._unblock(proc, fired.set_time)
+            return
+        # unregister from the others
         for w in entries:
             if w is fired:
                 continue
             if isinstance(w, Request):
-                if wake == _WAKE_RECV:
-                    _withdraw(w)
-                else:
-                    w._waiter = None
+                w._waiter = None
             elif isinstance(w, Event) and proc in w._waiters:
                 w._waiters.remove(proc)
         if isinstance(fired, Request):
@@ -1066,9 +1402,7 @@ class Simulation:
             # wait_any always returns (index, payload) — even for one
             # waitable — so a timeout sentinel (-1, None) stays
             # distinguishable; plain wait() returns the bare payload
-            if wake == _WAKE_RECV:
-                proc.sendval = fired
-            elif wake == _WAKE_ANY:
+            if wake == _WAKE_ANY:
                 proc.sendval = (entries.index(fired), payload)
             else:
                 proc.sendval = payload

@@ -53,18 +53,30 @@ class Window:
 
     def lock_shared(self, ctx: Context):
         """Begin a passive-target shared access epoch (MPI_Win_lock)."""
-        if ctx.pid in self._lock_holders:
-            raise SimError(f"proc {ctx.name} already holds a lock epoch on {self.name}")
-        self._lock_holders.add(ctx.pid)
-        # lock acquisition is one NIC round-trip
-        yield from ctx.compute(ctx.network.rma_latency, kind="rma_sync")
+        yield from ctx.compute(self.open_epoch(ctx), kind="rma_sync")
 
     def unlock(self, ctx: Context):
         """End the access epoch (MPI_Win_unlock); flushes pending ops."""
-        if ctx.pid not in self._lock_holders:
+        yield from ctx.compute(self.close_epoch(ctx), kind="rma_sync")
+
+    def open_epoch(self, ctx: Context) -> float:
+        """Enter the shared epoch without yielding; returns the seconds
+        ``lock_shared`` charges (one NIC round-trip), for a caller that
+        charges them inside another syscall (``ctx.recv(compute=...)``)."""
+        pid = ctx.pid
+        if pid in self._lock_holders:
+            raise SimError(f"proc {ctx.name} already holds a lock epoch on {self.name}")
+        self._lock_holders.add(pid)
+        return ctx.network.rma_latency
+
+    def close_epoch(self, ctx: Context) -> float:
+        """Leave the epoch without yielding; returns the seconds ``unlock``
+        charges (``ctx.exit(compute=...)`` charges them)."""
+        pid = ctx.pid
+        if pid not in self._lock_holders:
             raise SimError(f"proc {ctx.name} does not hold a lock epoch on {self.name}")
-        self._lock_holders.discard(ctx.pid)
-        yield from ctx.compute(ctx.network.rma_latency, kind="rma_sync")
+        self._lock_holders.discard(pid)
+        return ctx.network.rma_latency
 
     # -- one-sided ops ----------------------------------------------------------
 

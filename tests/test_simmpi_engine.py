@@ -622,3 +622,324 @@ class TestPayloadNbytes:
 
     def test_none_small(self):
         assert payload_nbytes(None) == 8
+
+
+# --------------------------------------------------------------------------
+# the one-event forms of a thread's start and stop, against the syscalls
+# they stand for, on random schedules: same clocks, stats, matches, faults
+# and spans, fewer events
+# --------------------------------------------------------------------------
+
+
+def _lifecycle_world(seed: int, merged: bool):
+    """Receivers that think before every receive and end with an exit
+    notice to a collector, plus senders, an event setter, and on odd seeds
+    a lossy, slow and crashing fabric.  ``merged`` uses ``recv(compute=)``
+    and ``exit``; otherwise ``compute`` + ``recv`` and ``compute`` + a
+    spanned send + return."""
+    from repro.faults import LinkFault, SlowNode
+    from repro.obs.trace import TraceRecorder
+
+    rng = random.Random(seed)
+    faults = None
+    if seed % 2:
+        faults = FaultInjector(FaultSpec(
+            links=(LinkFault(dup_prob=0.2, drop_prob=0.1, delay_prob=0.3, delay_seconds=2e-5),),
+            slow_nodes=(SlowNode(node=1, factor=1.5),),
+            crashes=(RankCrash(node=2, at=rng.expovariate(1e5)),),
+            seed=seed,
+        ))
+    recorder = TraceRecorder()
+    sim = Simulation(faults=faults, recorder=recorder)
+    boxes = [sim.new_mailbox(f"mb{i}", node=i) for i in range(3)]
+    collect_box = sim.new_mailbox("collect", node=4)
+    ev = Event()
+
+    def receiver(ctx, node, steps, unlock):
+        got = []
+        for think, tag, with_event, timeout in steps:
+            if merged:
+                req = yield from ctx.recv(
+                    boxes[node], tag=tag, event=ev if with_event else None, timeout=timeout,
+                    compute=None if think is None else (think, "think"),
+                )
+            else:
+                if think is not None:
+                    yield from ctx.compute(think, kind="think")
+                req = yield from ctx.recv(
+                    boxes[node], tag=tag, event=ev if with_event else None, timeout=timeout
+                )
+            got.append(None if req is None else (req.payload, req.source, req.arrival))
+        notice = ctx.send_to_mailbox(
+            collect_box, ("bye", ctx.pid), source=ctx.pid, tag=7, nbytes=24, same_node=False
+        )
+        if merged:
+            yield from ctx.exit(
+                notice, compute=None if unlock is None else (unlock, "rma_sync"), span="drain"
+            )
+        else:
+            if unlock is not None:
+                yield from ctx.compute(unlock, kind="rma_sync")
+            with ctx.span("drain"):
+                yield from notice
+        return got
+
+    def sender(ctx, sends):
+        for gap, node, tag, nbytes in sends:
+            yield from ctx.compute(gap)
+            yield from ctx.send_to_mailbox(
+                boxes[node], (ctx.pid, gap), source=ctx.pid, tag=tag, nbytes=nbytes,
+                same_node=False,
+            )
+
+    def setter(ctx, at):
+        yield from ctx.compute(at)
+        yield from ctx.set_event(ev)
+
+    def collector(ctx, tag, timeout):
+        got = []
+        while True:
+            req = yield from ctx.recv(collect_box, tag=tag, timeout=timeout)
+            if req is None:
+                return got
+            got.append((req.payload, repr(req.arrival), repr(ctx.now)))
+
+    for _ in range(rng.randint(2, 6)):
+        node = rng.randrange(3)
+        steps = []
+        for _ in range(rng.randint(1, 5)):
+            with_event = rng.random() < 0.6
+            steps.append((
+                # None: no compute at all; 0.0: a zero-second compute
+                rng.choice([None, 0.0, rng.expovariate(2e5), rng.expovariate(2e5)]),
+                rng.choice([ANY_TAG, 0, 1]),
+                with_event,
+                rng.expovariate(1e5) if not with_event or rng.random() < 0.3 else None,
+            ))
+        unlock = rng.choice([None, 0.0, 1e-6, rng.expovariate(5e5)])
+        sim.add_proc(receiver, node, steps, unlock, node=node, mailbox=boxes[node])
+    for s in range(rng.randint(1, 3)):
+        sends = [
+            (rng.expovariate(1e5), rng.randrange(3), rng.randrange(2), rng.choice([8, 4096]))
+            for _ in range(rng.randint(2, 10))
+        ]
+        sim.add_proc(sender, sends, node=5 + s)
+    sim.add_proc(setter, rng.expovariate(5e4), node=0)
+    # two collectors share the notice box: which receive gets which notice
+    # depends on when each notice is delivered
+    sim.add_proc(collector, 7, 4e-5, node=4, mailbox=collect_box)
+    sim.add_proc(collector, ANY_TAG, 3e-5, node=4, mailbox=collect_box)
+    out = sim.run()
+    import dataclasses
+
+    stats = {pid: dataclasses.asdict(s) for pid, s in out.stats.items()}
+    spans = [(s.pid, s.name, s.start, s.end, s.parent) for s in recorder.spans]
+    return (
+        out.clocks, out.results, stats, out.crashed_pids, out.fault_events, spans,
+        [len(b) for b in boxes + [collect_box]],
+    ), out.n_events
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_start_and_exit_steps_equal_the_syscalls_they_merge(seed):
+    merged, n_merged = _lifecycle_world(seed, merged=True)
+    split, n_split = _lifecycle_world(seed, merged=False)
+    assert merged == split
+    assert n_merged < n_split
+
+
+def _gather_world(seed: int, merged: bool):
+    """Senders on several nodes send equal-size notices to one collector,
+    which takes all of them with ``recv_n`` or with one ``recv`` each."""
+    rng = random.Random(seed)
+    sim = Simulation()
+    n_senders = rng.randint(1, 6)
+    per_sender = [rng.randint(0, 4) for _ in range(n_senders)]
+    n = sum(per_sender)
+
+    def collector(ctx):
+        yield from ctx.compute(rng_start)
+        if merged:
+            payloads = yield from ctx.recv_n(ctx.mailbox, n, tag=3)
+        else:
+            payloads = []
+            for _ in range(n):
+                req = yield from ctx.recv(ctx.mailbox, tag=3)
+                payloads.append(req.payload)
+        return payloads, ctx.now
+
+    def sender(ctx, gaps):
+        for gap in gaps:
+            yield from ctx.compute(gap)
+            yield from ctx.send_to_mailbox(
+                sim.mailbox_of(0), (ctx.pid, gap), source=ctx.pid, tag=3, nbytes=24,
+                same_node=False,
+            )
+            # other traffic on the collector's mailbox, which it never takes
+            yield from ctx.send_to_mailbox(
+                sim.mailbox_of(0), "noise", source=ctx.pid, tag=4, nbytes=8, same_node=False
+            )
+
+    rng_start = rng.expovariate(1e5)
+    sim.add_proc(collector, node=0)
+    for s, count in enumerate(per_sender):
+        # constant gaps repeat clocks exactly, as constant modeled costs do
+        gaps = [rng.choice([1e-6, 2e-6, rng.expovariate(2e5)]) for _ in range(count)]
+        sim.add_proc(sender, gaps, node=1 + s)
+    out = sim.run()
+    stats = {pid: (s.comm_wait, s.recv_time) for pid, s in out.stats.items()}
+    return (out.clocks, out.results, stats, len(sim.mailbox_of(0))), out.n_events, n
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_recv_n_equals_n_receives_of_in_order_notices(seed):
+    merged, n_merged, n = _gather_world(seed, merged=True)
+    split, n_split, _ = _gather_world(seed, merged=False)
+    assert merged == split
+    assert n_merged == n_split - n + 1  # one event for all n
+
+
+class TestThreadLifecycleBudget:
+    """A worker thread that gets no task costs two engine events — its
+    start and its exit — and the master takes every exit notice in one."""
+
+    @staticmethod
+    def _idle_pool(n_nodes: int, threads: int, one_sided: bool):
+        from repro.core.coordinator.drain import await_thread_exits, broadcast_end
+        from repro.core.worker import NodeWiring, worker_thread_program
+        from repro.simmpi.rma import Window
+
+        sim = Simulation()
+        boxes = [sim.new_mailbox(f"node{n}", node=n) for n in range(n_nodes)]
+
+        def master(ctx):
+            yield from broadcast_end(ctx, boxes)
+            payloads = yield from ctx.recv_n(ctx.mailbox, 0)  # a no-op gather
+            yield from await_thread_exits(ctx, n_nodes * threads)
+            return payloads
+
+        pid = sim.add_proc(master, node=n_nodes, name="master")
+        window = Window(pid, n_nodes, {}, lambda old, new: new) if one_sided else None
+        for n in range(n_nodes):
+            wiring = NodeWiring(boxes[n])
+            wiring.done, wiring.master_mailbox, wiring.window = Event(), sim.mailbox_of(pid), window
+            for _ in range(threads):
+                sim.add_proc(worker_thread_program, wiring, node=n)
+        return sim.run()
+
+    @pytest.mark.parametrize("one_sided", [True, False])
+    @pytest.mark.parametrize("n_nodes, threads", [(1, 1), (3, 2), (3, 7), (5, 4)])
+    def test_two_events_per_idle_thread(self, one_sided, n_nodes, threads):
+        out = self._idle_pool(n_nodes, threads, one_sided)
+        n_threads = n_nodes * threads
+        # per thread: start, exit; per node: the END taker also sets the
+        # flag; master: one send per node, the empty gather, the exit
+        # gather, its return
+        assert out.n_events == 2 * n_threads + n_nodes + (n_nodes + 3)
+        assert out.results[0] == []
+        assert all(out.results[p] == 0 for p in range(1, n_threads + 1))
+        if one_sided:
+            # the lock epoch and the unlock are still charged, once each
+            for p in range(1, n_threads + 1):
+                assert out.stats[p].compute == {"rma_sync": 2 * NETWORK.rma_latency}
+
+
+NETWORK = Simulation().network
+
+
+class TestSession:
+    """``Simulation(keep_procs=True)``: procs that exit park, ``reset``
+    re-arms the run, ``respawn`` refills procs that returned, ``close``
+    lets the parked programs return."""
+
+    @staticmethod
+    def _exiting(ctx, log):
+        runs = 0
+        while True:
+            runs += 1
+            yield from ctx.compute(1.0 * runs)
+            again = yield from ctx.exit(
+                ctx.send_to_mailbox(ctx.mailbox, runs, source=ctx.pid, tag=0, nbytes=8,
+                                    same_node=True),
+                result=runs,
+            )
+            if not again:
+                log.append(("returned", runs))
+                return runs
+
+    @staticmethod
+    def _once(ctx, value):
+        yield from ctx.compute(0.5)
+        return value
+
+    def test_parked_procs_resume_and_returned_ones_are_refilled(self):
+        log = []
+        sim = Simulation(keep_procs=True)
+        once = sim.add_proc(self._once, "a")
+        parked = sim.add_proc(self._exiting, log)
+        first = sim.run()
+        assert first.results == {once: "a", parked: 1}
+        assert first.clocks[parked] == 1.0 + NETWORK.send_overhead()
+        assert sim.reset() == [once]
+        with pytest.raises(SimError, match="respawn"):
+            sim.run()
+        sim.respawn(once, self._once, "b")
+        second = sim.run()
+        # clocks restart at 0, stats are the run's own, the program went on
+        assert second.results == {once: "b", parked: 2}
+        assert second.clocks[parked] == 2.0 + NETWORK.send_overhead()
+        assert second.stats[parked].compute == {"compute": 2.0}
+        assert second.stats[parked].msgs_sent == 1
+        assert first.stats[parked].msgs_sent == 1
+        assert log == []
+        sim.close()
+        assert log == [("returned", 2)]
+
+    def test_reset_is_for_finished_runs_of_a_session(self):
+        plain = Simulation()
+        plain.add_proc(self._once, 1)
+        plain.run()
+        with pytest.raises(SimError, match="keep_procs"):
+            plain.reset()
+        session = Simulation(keep_procs=True)
+        session.add_proc(self._once, 1)
+        with pytest.raises(SimError, match="finished"):
+            session.reset()
+        session.run()
+        with pytest.raises(SimError, match="once per reset"):
+            session.run()
+        session.reset()
+        with pytest.raises(SimError, match="still has a program"):
+            session.respawn(0, self._once, 1) or session.respawn(0, self._once, 1)
+
+    def test_exit_in_a_plain_simulation_returns_at_once(self):
+        log = []
+        sim = Simulation()
+        pid = sim.add_proc(self._exiting, log)
+        out = sim.run()
+        assert out.results[pid] == 1 and log == [("returned", 1)]
+        # the compute, the exit (send and return): two events
+        assert out.n_events == 2
+
+    def test_a_program_must_return_after_its_exit(self):
+        def stays(ctx):
+            yield from ctx.exit(
+                ctx.send_to_mailbox(ctx.mailbox, 1, source=ctx.pid, tag=0, nbytes=8,
+                                    same_node=True)
+            )
+            yield from ctx.compute(1.0)
+
+        sim = Simulation()
+        sim.add_proc(stays)
+        with pytest.raises(SimError, match="must return"):
+            sim.run()
+
+    def test_sim_procs_counter(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        sim = Simulation(metrics=metrics, keep_procs=True)
+        for v in range(3):
+            sim.add_proc(self._once, v)
+        sim.run()
+        assert metrics.counter("sim.procs").value == 3
