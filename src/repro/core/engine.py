@@ -17,6 +17,7 @@ for its tasks, not for registering and starting every simulated thread.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,10 @@ class DistributedANN:
         self.config = config or SystemConfig()
         self._build: BuildOutput | None = None
         self._dim: int | None = None
-        #: the kept ClusterRuntime of the last call (None before one)
+        #: the kept ClusterRuntime of the last call (None before one), and
+        #: the finalizer that closes it if this system is dropped first
         self._session = None
+        self._session_finalizer = None
 
     # -- construction -----------------------------------------------------------
 
@@ -238,12 +241,16 @@ class DistributedANN:
             return session
         self._close_session()
         self._session = ClusterRuntime(config, keep_threads=True)
+        # parked threads and their simulation reference each other: close
+        # the session when the system goes, so they return and are freed
+        # at once rather than at a later full collection
+        self._session_finalizer = weakref.finalize(self, self._session.close)
         return self._session
 
     def _close_session(self) -> None:
         if self._session is not None:
-            session, self._session = self._session, None
-            session.close()
+            self._session = None
+            self._session_finalizer()
 
     # -- incremental updates ------------------------------------------------------
 

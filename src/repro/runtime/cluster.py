@@ -266,7 +266,8 @@ class ClusterRuntime:
 
         out = self.sim.run()
         for wiring in self._nodes:
-            wiring.searcher = wiring.window = None  # hold no call's data between calls
+            # a parked thread keeps its node's wiring: let it hold no data
+            wiring.store = wiring.searcher = wiring.window = None
         D, I = job.results.result_arrays()
         # the run's filter/tenant accounting goes into the registry before
         # the builder dumps it into report.metrics.  The resolved tenant

@@ -59,6 +59,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Generator, NamedTuple
 
 import numpy as np
@@ -1008,9 +1009,10 @@ class Simulation:
                 f"{len(unfinished)} proc(s) blocked forever: {desc}"
             )
         self._finished = True
+        clocks = {p.pid: p.clock for p in procs}
         result = SimulationResult(
-            makespan=max((p.clock for p in procs), default=0.0),
-            clocks={p.pid: p.clock for p in procs},
+            makespan=max(clocks.values(), default=0.0),
+            clocks=clocks,
             results={p.pid: p.result for p in procs},
             stats={p.pid: p.stats for p in procs},
             n_events=n_events,
@@ -1020,17 +1022,13 @@ class Simulation:
         if self.metrics is not None:
             # filled once at the end — the event loop itself never touches
             # the registry, so metrics cannot perturb the hot path
-            self.metrics.counter("sim.events").value += n_events
-            self.metrics.counter("sim.procs").value += len(procs)
-            self.metrics.counter("sim.msgs_sent").value += sum(
-                s.msgs_sent for s in result.stats.values()
-            )
-            self.metrics.counter("sim.bytes_sent").value += sum(
-                s.bytes_sent for s in result.stats.values()
-            )
-            self.metrics.counter("sim.rma_ops").value += sum(
-                s.rma_ops for s in result.stats.values()
-            )
+            stats = result.stats.values()
+            counter = self.metrics.counter
+            counter("sim.events").value += n_events
+            counter("sim.procs").value += len(procs)
+            counter("sim.msgs_sent").value += sum(map(attrgetter("msgs_sent"), stats))
+            counter("sim.bytes_sent").value += sum(map(attrgetter("bytes_sent"), stats))
+            counter("sim.rma_ops").value += sum(map(attrgetter("rma_ops"), stats))
             self.metrics.gauge("sim.makespan_seconds").set(result.makespan)
         return result
 

@@ -634,6 +634,20 @@ def test_the_session_follows_the_wiring():
     assert ann._session is None and not any(proc.parked for proc in second.sim._procs)
 
 
+def test_dropping_a_system_ends_its_session():
+    """Parked threads and their simulation reference each other; the
+    session closes with its system, so its programs return and the
+    cluster's data is not held until a full collection."""
+    ann = DistributedANN(SystemConfig(**BASE))
+    ann.fit(X)
+    ann.query(Q)
+    session = ann._session
+    assert any(proc.parked for proc in session.sim._procs)
+    assert all(w.store is None and w.searcher is None for w in session._nodes)
+    del ann
+    assert not any(proc.parked for proc in session.sim._procs)
+
+
 def test_rows_exercise_what_they_name():
     """The goldens themselves show each named mechanism fired."""
     g = GOLDEN
