@@ -82,82 +82,76 @@ def worker_thread_program(ctx: Context, node: NodeWiring):
     """One simulated OpenMP thread.  Returns the tasks' query count of its
     last call."""
     while True:
-        processed = yield from _serve_call(ctx, node)
+        window = node.window
+        one_sided = window is not None
+        # the lock epoch is charged by the first receive
+        epoch = (window.open_epoch(ctx), "rma_sync") if one_sided else None
+        # the recorder is fixed for the run: span attributes are built only
+        # when one listens
+        traced = ctx.trace_active
+        searcher, store, k, done = node.searcher, node.store, node.k, node.done
+        master_mailbox = node.master_mailbox
+        processed = 0
+        while True:
+            req = yield from ctx.recv(node.mailbox, event=done, compute=epoch)
+            epoch = None
+            if req is None:  # terminate flag set by a sibling thread
+                break
+            payload = req.payload
+            if payload[0] == "end":
+                yield from ctx.set_event(done)
+                break
+            # a task: B >= 1 queries for one partition, answered with one
+            # local search call; two-sided answers go to the task's reply
+            # mailbox when it names one (a multiple-owner dispatcher)
+            _, query_ids, partition_id, Qb, wfilter, reply_to = payload
+            if traced:
+                qids = tuple(query_ids)
+                # the gap between the task landing in the node mailbox
+                # and a thread picking it up is pure queueing delay
+                ctx.trace_complete(
+                    "queue", req.arrival, ctx.now, query_ids=qids, partition=partition_id
+                )
+                span = ctx.span(
+                    "search", query_ids=qids, partition=partition_id, n_queries=len(query_ids)
+                )
+            else:
+                span = ctx.span("search")
+            with span:
+                ds, idss, seconds = searcher.search_batch(
+                    store.get(partition_id),
+                    Qb,
+                    k,
+                    filter=None if wfilter is None else wfilter.spec,
+                )
+                yield from ctx.compute(seconds, kind="search")
+            processed += len(query_ids)
+            # returning a result is the worker-side half of the reduction:
+            # either the remote accumulates or the point-to-point reply
+            with ctx.span("reduce"):
+                if one_sided:
+                    # the RMA window is keyed by query id: one accumulate
+                    # per row, each charged as a one-row result
+                    for qid, d, ids in zip(query_ids, ds, idss):
+                        yield from window.get_accumulate(
+                            ctx, qid, (d, ids), nbytes=result_nbytes((d,), (ids,))
+                        )
+                    if node.send_credits:
+                        yield from send(ctx, master_mailbox, make_credit(query_ids, partition_id))
+                else:
+                    yield from send(
+                        ctx,
+                        master_mailbox if reply_to is None else reply_to,
+                        make_result(query_ids, partition_id, ds, idss),
+                    )
         # unlock, then the completion notice (a tiny message: it is how the
         # master learns every one-sided accumulate has landed), then the
-        # end of the run — one event.  A parked thread holds nothing of
-        # the call: its searcher, window and last task went with the call.
+        # end of the run — one event
         again = yield from ctx.exit(
-            send(ctx, node.master_mailbox, ("tdone", ctx.pid, processed)),
-            compute=None if node.window is None else (node.window.close_epoch(ctx), "rma_sync"),
+            send(ctx, master_mailbox, ("tdone", ctx.pid, processed)),
+            compute=(window.close_epoch(ctx), "rma_sync") if one_sided else None,
             span="drain",
             result=processed,
         )
         if not again:
             return processed
-
-
-def _serve_call(ctx: Context, node: NodeWiring):
-    """Tasks until the node's Done flag; returns their query count."""
-    window = node.window
-    one_sided = window is not None
-    # the lock epoch is charged by the first receive
-    epoch = (window.open_epoch(ctx), "rma_sync") if one_sided else None
-    # the recorder is fixed for the run: span attributes are built only
-    # when one listens
-    traced = ctx.trace_active
-    searcher, store, k, done = node.searcher, node.store, node.k, node.done
-    master_mailbox = node.master_mailbox
-    processed = 0
-    while True:
-        req = yield from ctx.recv(node.mailbox, event=done, compute=epoch)
-        epoch = None
-        if req is None:  # terminate flag set by a sibling thread
-            return processed
-        payload = req.payload
-        if payload[0] == "end":
-            yield from ctx.set_event(done)
-            return processed
-        # a task: B >= 1 queries for one partition, answered with one
-        # local search call; two-sided answers go to the task's reply
-        # mailbox when it names one (a multiple-owner dispatcher)
-        _, query_ids, partition_id, Qb, wfilter, reply_to = payload
-        if traced:
-            qids = tuple(query_ids)
-            # the gap between the task landing in the node mailbox
-            # and a thread picking it up is pure queueing delay
-            ctx.trace_complete(
-                "queue", req.arrival, ctx.now, query_ids=qids, partition=partition_id
-            )
-            span = ctx.span(
-                "search", query_ids=qids, partition=partition_id, n_queries=len(query_ids)
-            )
-        else:
-            span = ctx.span("search")
-        with span:
-            ds, idss, seconds = searcher.search_batch(
-                store.get(partition_id),
-                Qb,
-                k,
-                filter=None if wfilter is None else wfilter.spec,
-            )
-            yield from ctx.compute(seconds, kind="search")
-        processed += len(query_ids)
-        # returning a result is the worker-side half of the reduction:
-        # either the remote accumulates or the point-to-point reply
-        with ctx.span("reduce"):
-            if one_sided:
-                # the RMA window is keyed by query id: one accumulate
-                # per row, each charged as a one-row result
-                for qid, d, ids in zip(query_ids, ds, idss):
-                    yield from window.get_accumulate(
-                        ctx, qid, (d, ids), nbytes=result_nbytes((d,), (ids,))
-                    )
-                if node.send_credits:
-                    yield from send(ctx, master_mailbox, make_credit(query_ids, partition_id))
-            else:
-                yield from send(
-                    ctx,
-                    master_mailbox if reply_to is None else reply_to,
-                    make_result(query_ids, partition_id, ds, idss),
-                )

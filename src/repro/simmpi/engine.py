@@ -395,7 +395,7 @@ class Mailbox:
         buckets = self._buckets
         if not buckets:
             return None
-        if source == ANY_SOURCE and type(tag) is int and tag != ANY_TAG:
+        if tag != ANY_TAG and source == ANY_SOURCE and type(tag) is int:
             # the common receive: one exact tag from anyone is its heap's head
             heap = buckets.get(tag)
             if heap is None:
@@ -556,7 +556,8 @@ class Context:
 
     def compute(self, seconds: float, kind: str = "compute"):
         """Charge ``seconds`` of virtual computation time."""
-        _check_seconds(seconds)
+        if not 0.0 <= seconds < _INF:  # also false for NaN
+            _check_seconds(seconds)  # raises
         yield _Compute(float(seconds), kind)
 
     # -- tracing -------------------------------------------------------------
@@ -1049,11 +1050,17 @@ class Simulation:
         proc.heap_token = next(self._seq)
         heapq.heappush(self._runq, (proc.clock, proc.heap_token, proc.pid))
 
-    def _charge(self, proc: _Proc, seconds: float, kind: str) -> None:
+    def _charge_then(self, proc: _Proc, sc: _Recv | _Exit, handler: Callable) -> None:
+        """Charge the syscall's ``compute``, then hand the rest of it — the
+        same syscall with nothing left to charge — to ``handler`` in a
+        deferred step."""
+        seconds, kind = sc.compute
+        sc.compute = None
         if self.faults is not None:
             seconds *= self.faults.compute_factor(proc.node)
         proc.clock += seconds
         proc.stats.add_compute(kind, seconds)
+        self._defer(proc, handler, sc)
 
     def _block(self, proc: _Proc, timeout: float | None = None) -> None:
         proc.state = _BLOCKED
@@ -1127,7 +1134,11 @@ class Simulation:
     # -- syscall handlers ------------------------------------------------------
 
     def _do_compute(self, proc: _Proc, sc: _Compute) -> None:
-        self._charge(proc, sc.seconds, sc.kind)
+        seconds = sc.seconds
+        if self.faults is not None:
+            seconds *= self.faults.compute_factor(proc.node)
+        proc.clock += seconds
+        proc.stats.add_compute(sc.kind, seconds)
         self._push(proc)
 
     def _do_cancel(self, proc: _Proc, sc: _Cancel) -> None:
@@ -1216,21 +1227,18 @@ class Simulation:
         """Resume ``proc`` on an already completed receive: it waits until
         the completion if that is still ahead, then pays the overhead."""
         overhead = self.network.recv_overhead()
+        stats = proc.stats
         start = max(proc.clock, req.completion_time)
-        proc.stats.comm_wait += start - proc.clock
+        stats.comm_wait += start - proc.clock
+        stats.recv_time += overhead
         proc.clock = start + overhead
-        proc.stats.recv_time += overhead
         proc.sendval = value
         self._push(proc)
 
     def _do_recv(self, proc: _Proc, sc: _Recv) -> None:
-        if sc.compute is None:
-            self._post_recv(proc, sc)
-        else:
-            self._charge(proc, *sc.compute)
-            self._defer(proc, self._post_recv, sc)
-
-    def _post_recv(self, proc: _Proc, sc: _Recv) -> None:
+        if sc.compute is not None:
+            self._charge_then(proc, sc, self._do_recv)
+            return
         # the outcomes, clocks and stats of post_recv + wait_any([req,
         # event], timeout) + cancel, in one event
         req = self._do_recv_post(proc, sc)
@@ -1284,13 +1292,9 @@ class Simulation:
             self._push(proc)
 
     def _do_exit(self, proc: _Proc, sc: _Exit) -> None:
-        if sc.compute is None:
-            self._finish_exit(proc, sc)
-        else:
-            self._charge(proc, *sc.compute)
-            self._defer(proc, self._finish_exit, sc)
-
-    def _finish_exit(self, proc: _Proc, sc: _Exit) -> None:
+        if sc.compute is not None:
+            self._charge_then(proc, sc, self._do_exit)
+            return
         recorder = self.recorder
         start = proc.clock
         if sc.span is not None and recorder is not None:
