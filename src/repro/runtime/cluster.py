@@ -182,9 +182,8 @@ class ClusterRuntime:
         self.config = config
         self._arm(config)
         ended = self.sim.reset(config.network, config.cost, self.faults, self.recorder, self.metrics)
-        n_coordinators = len(self.sim._procs) - len(self._worker_cores)
-        self._refill = [pid for pid in ended if pid < n_coordinators]
-        self._respawn = [pid for pid in ended if pid >= n_coordinators]
+        self._refill = [pid for pid in ended if pid not in self._worker_cores]
+        self._respawn = [pid for pid in ended if pid in self._worker_cores]
 
     def close(self) -> None:
         """End a session: its parked threads' programs return."""
@@ -265,9 +264,6 @@ class ClusterRuntime:
         self._respawn = []
 
         out = self.sim.run()
-        for wiring in self._nodes:
-            # a parked thread keeps its node's wiring: let it hold no data
-            wiring.store = wiring.searcher = wiring.window = None
         D, I = job.results.result_arrays()
         # the run's filter/tenant accounting goes into the registry before
         # the builder dumps it into report.metrics.  The resolved tenant

@@ -556,8 +556,8 @@ class Context:
 
     def compute(self, seconds: float, kind: str = "compute"):
         """Charge ``seconds`` of virtual computation time."""
-        if not 0.0 <= seconds < _INF:  # also false for NaN
-            _check_seconds(seconds)  # raises
+        if not 0.0 <= seconds < _INF:  # also false for NaN; checked inline, per task
+            _check_seconds(seconds)
         yield _Compute(float(seconds), kind)
 
     # -- tracing -------------------------------------------------------------
