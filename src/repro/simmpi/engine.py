@@ -1071,11 +1071,21 @@ class Simulation:
             proc.timeout_token = next(self._seq)
             heapq.heappush(self._runq, (proc.clock + timeout, proc.timeout_token, proc.pid))
 
-    def _unblock(self, proc: _Proc, at_time: float, overhead: float = 0.0) -> None:
-        """Wake ``proc`` at ``at_time``: the blocked interval is its wait,
-        and a receive's ``overhead`` (already in ``recv_time``) follows it."""
+    def _unblock(self, proc: _Proc, at_time: float) -> None:
+        """Wake ``proc`` at ``at_time``; the blocked interval is its wait."""
         proc.timeout_token = None  # a pending wait deadline no longer applies
         new_clock = max(proc.clock, at_time)
+        proc.stats.comm_wait += new_clock - proc._block_start
+        proc.clock = new_clock
+        self._push(proc)
+
+    def _unblock_received(self, proc: _Proc, req: Request) -> None:
+        """Wake ``proc`` on its completed receive: it waited until the
+        completion, then pays the receive overhead (in ``recv_time``)."""
+        overhead = self.network.recv_overhead()
+        proc.stats.recv_time += overhead
+        proc.timeout_token = None
+        new_clock = max(proc.clock, req.completion_time)
         proc.stats.comm_wait += new_clock - proc._block_start
         proc.clock = new_clock + overhead
         self._push(proc)
@@ -1380,10 +1390,8 @@ class Simulation:
             if fired is req:
                 if len(entries) > 1:
                     entries[1]._waiters.remove(proc)
-                overhead = self.network.recv_overhead()
-                proc.stats.recv_time += overhead
                 proc.sendval = req
-                self._unblock(proc, req.completion_time, overhead)
+                self._unblock_received(proc, req)
             else:  # the event won: withdraw the receive, resume with None
                 _withdraw(req)
                 proc.sendval = None
@@ -1398,9 +1406,6 @@ class Simulation:
             elif isinstance(w, Event) and proc in w._waiters:
                 w._waiters.remove(proc)
         if isinstance(fired, Request):
-            overhead = self.network.recv_overhead()
-            at = fired.completion_time
-            proc.stats.recv_time += overhead
             # wait_any always returns (index, payload) — even for one
             # waitable — so a timeout sentinel (-1, None) stays
             # distinguishable; plain wait() returns the bare payload
@@ -1408,11 +1413,10 @@ class Simulation:
                 proc.sendval = (entries.index(fired), payload)
             else:
                 proc.sendval = payload
+            self._unblock_received(proc, fired)
         else:
-            at = fired.set_time
-            overhead = 0.0
             proc.sendval = (entries.index(fired), None) if wake == _WAKE_ANY else None
-        self._unblock(proc, at, overhead)
+            self._unblock(proc, fired.set_time)
 
     # -- collectives -----------------------------------------------------------------
 
