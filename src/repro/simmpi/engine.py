@@ -903,8 +903,7 @@ class Simulation:
             proc.clock = 0.0
             proc.stats = ProcStats(name=proc.name)
             proc.result = None
-            if proc.parked:
-                proc.parked = False
+            if proc.parked:  # until the run starts: close() may still end it
                 proc.sendval = True
             else:
                 proc.gen = None
@@ -934,6 +933,7 @@ class Simulation:
         self._started = True
         for proc in procs:
             proc.state = _RUNNABLE
+            proc.parked = False
             proc.heap_token = next(self._seq)
         # one heapify, not a push per proc
         runq = self._runq

@@ -912,6 +912,15 @@ class TestSession:
         with pytest.raises(SimError, match="still has a program"):
             session.respawn(0, self._once, 1) or session.respawn(0, self._once, 1)
 
+    def test_close_between_reset_and_run_ends_parked_programs(self):
+        log = []
+        sim = Simulation(keep_procs=True)
+        sim.add_proc(self._exiting, log)
+        sim.run()
+        assert sim.reset() == []
+        sim.close()  # e.g. the next call failed before its run started
+        assert log == [("returned", 1)]
+
     def test_exit_in_a_plain_simulation_returns_at_once(self):
         log = []
         sim = Simulation()
