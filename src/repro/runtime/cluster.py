@@ -181,7 +181,9 @@ class ClusterRuntime:
             raise ValueError("rearm() needs a config with the session's wiring_key")
         self.config = config
         self._arm(config)
-        ended = self.sim.reset(config.network, config.cost, self.faults, self.recorder, self.metrics)
+        ended = self.sim.reset(
+            config.network, config.cost, self.faults, self.recorder, self.metrics
+        )
         self._refill = [pid for pid in ended if pid not in self._worker_cores]
         self._respawn = [pid for pid in ended if pid in self._worker_cores]
 

@@ -1191,7 +1191,8 @@ class Simulation:
         stats.bytes_sent += sc.nbytes
         if faults is None:
             arrival = proc.clock + network.p2p_time(sc.nbytes, sc.same_node)
-            self._deliver(sc.mailbox, _Message(arrival, next(self._seq), sc.source, sc.tag, sc.payload))
+            msg = _Message(arrival, next(self._seq), sc.source, sc.tag, sc.payload)
+            self._deliver(sc.mailbox, msg)
             return
         # the sender is always charged its overhead above — a dropped
         # message costs the origin the same CPU time as a delivered one

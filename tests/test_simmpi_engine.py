@@ -1,11 +1,13 @@
 """Unit tests for the discrete-event engine: clocks, matching, blocking."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from repro.faults import FaultInjector, FaultSpec, RankCrash
+from repro.faults import FaultInjector, FaultSpec, LinkFault, RankCrash, SlowNode
+from repro.obs.trace import TraceRecorder
 from repro.simmpi import DeadlockError, ProcError, SimError, Simulation
 from repro.simmpi.engine import ANY_SOURCE, ANY_TAG, Event, payload_nbytes
 
@@ -637,9 +639,6 @@ def _lifecycle_world(seed: int, merged: bool):
     a lossy, slow and crashing fabric.  ``merged`` uses ``recv(compute=)``
     and ``exit``; otherwise ``compute`` + ``recv`` and ``compute`` + a
     spanned send + return."""
-    from repro.faults import LinkFault, SlowNode
-    from repro.obs.trace import TraceRecorder
-
     rng = random.Random(seed)
     faults = None
     if seed % 2:
@@ -730,8 +729,6 @@ def _lifecycle_world(seed: int, merged: bool):
     sim.add_proc(collector, 7, 4e-5, node=4, mailbox=collect_box)
     sim.add_proc(collector, ANY_TAG, 3e-5, node=4, mailbox=collect_box)
     out = sim.run()
-    import dataclasses
-
     stats = {pid: dataclasses.asdict(s) for pid, s in out.stats.items()}
     spans = [(s.pid, s.name, s.start, s.end, s.parent) for s in recorder.spans]
     return (
@@ -799,6 +796,9 @@ def test_recv_n_equals_n_receives_of_in_order_notices(seed):
     assert n_merged == n_split - n + 1  # one event for all n
 
 
+NETWORK = Simulation().network
+
+
 class TestThreadLifecycleBudget:
     """A worker thread that gets no task costs two engine events — its
     start and its exit — and the master takes every exit notice in one."""
@@ -842,9 +842,6 @@ class TestThreadLifecycleBudget:
             # the lock epoch and the unlock are still charged, once each
             for p in range(1, n_threads + 1):
                 assert out.stats[p].compute == {"rma_sync": 2 * NETWORK.rma_latency}
-
-
-NETWORK = Simulation().network
 
 
 class TestSession:
@@ -909,8 +906,9 @@ class TestSession:
         with pytest.raises(SimError, match="once per reset"):
             session.run()
         session.reset()
+        session.respawn(0, self._once, 1)
         with pytest.raises(SimError, match="still has a program"):
-            session.respawn(0, self._once, 1) or session.respawn(0, self._once, 1)
+            session.respawn(0, self._once, 1)
 
     def test_close_between_reset_and_run_ends_parked_programs(self):
         log = []
