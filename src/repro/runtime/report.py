@@ -386,13 +386,12 @@ class ReportBuilder:
         for work is idle, not loaded)."""
         if not self.worker_cores:
             return None
-        busy = [0.0] * (max(self.worker_cores.values()) + 1)
-        all_stats = self.out.stats
+        busy = np.zeros(max(self.worker_cores.values()) + 1, dtype=np.float64)
         for pid, core in self.worker_cores.items():
-            stats = all_stats.get(pid)
+            stats = self.out.stats.get(pid)
             if stats is not None:
                 busy[core] += stats.busy_total - stats.comm_wait
-        return np.array(busy, dtype=np.float64)
+        return busy
 
     def build(self) -> SearchReport:
         out, metrics = self.out, self.metrics

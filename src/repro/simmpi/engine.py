@@ -59,7 +59,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Generator, NamedTuple
 
 import numpy as np
@@ -395,15 +394,6 @@ class Mailbox:
         buckets = self._buckets
         if not buckets:
             return None
-        if tag != ANY_TAG and source == ANY_SOURCE and type(tag) is int:
-            # the common receive: one exact tag from anyone is its heap's head
-            heap = buckets.get(tag)
-            if heap is None:
-                return None
-            msg = heapq.heappop(heap)
-            if not heap:
-                del buckets[tag]
-            return msg
         if tag == ANY_TAG or (isinstance(tag, tuple) and ANY_TAG in tag):
             heaps = [heap for t, heap in buckets.items() if _tag_matches(tag, t)]
         else:
@@ -556,8 +546,7 @@ class Context:
 
     def compute(self, seconds: float, kind: str = "compute"):
         """Charge ``seconds`` of virtual computation time."""
-        if not 0.0 <= seconds < _INF:  # also false for NaN; checked inline, per task
-            _check_seconds(seconds)
+        _check_seconds(seconds)
         yield _Compute(float(seconds), kind)
 
     # -- tracing -------------------------------------------------------------
@@ -1010,10 +999,9 @@ class Simulation:
                 f"{len(unfinished)} proc(s) blocked forever: {desc}"
             )
         self._finished = True
-        clocks = {p.pid: p.clock for p in procs}
         result = SimulationResult(
-            makespan=max(clocks.values(), default=0.0),
-            clocks=clocks,
+            makespan=max((p.clock for p in procs), default=0.0),
+            clocks={p.pid: p.clock for p in procs},
             results={p.pid: p.result for p in procs},
             stats={p.pid: p.stats for p in procs},
             n_events=n_events,
@@ -1023,13 +1011,17 @@ class Simulation:
         if self.metrics is not None:
             # filled once at the end — the event loop itself never touches
             # the registry, so metrics cannot perturb the hot path
-            stats = result.stats.values()
-            counter = self.metrics.counter
-            counter("sim.events").value += n_events
-            counter("sim.procs").value += len(procs)
-            counter("sim.msgs_sent").value += sum(map(attrgetter("msgs_sent"), stats))
-            counter("sim.bytes_sent").value += sum(map(attrgetter("bytes_sent"), stats))
-            counter("sim.rma_ops").value += sum(map(attrgetter("rma_ops"), stats))
+            self.metrics.counter("sim.events").value += n_events
+            self.metrics.counter("sim.procs").value += len(procs)
+            self.metrics.counter("sim.msgs_sent").value += sum(
+                s.msgs_sent for s in result.stats.values()
+            )
+            self.metrics.counter("sim.bytes_sent").value += sum(
+                s.bytes_sent for s in result.stats.values()
+            )
+            self.metrics.counter("sim.rma_ops").value += sum(
+                s.rma_ops for s in result.stats.values()
+            )
             self.metrics.gauge("sim.makespan_seconds").set(result.makespan)
         return result
 
@@ -1080,15 +1072,23 @@ class Simulation:
         self._push(proc)
 
     def _unblock_received(self, proc: _Proc, req: Request) -> None:
-        """Wake ``proc`` on its completed receive: it waited until the
-        completion, then pays the receive overhead (in ``recv_time``)."""
-        overhead = self.network.recv_overhead()
-        proc.stats.recv_time += overhead
-        proc.timeout_token = None
-        new_clock = max(proc.clock, req.completion_time)
-        proc.stats.comm_wait += new_clock - proc._block_start
-        proc.clock = new_clock + overhead
+        """Wake ``proc`` on its completed receive."""
+        proc.timeout_token = None  # a pending wait deadline no longer applies
+        self._charge_receive(proc, req.completion_time)
         self._push(proc)
+
+    def _charge_receive(self, proc: _Proc, completion: float) -> None:
+        """The clock and stats of one receive completing at ``completion``:
+        the proc waits (``comm_wait``) from its clock until the completion
+        if that is still ahead, then pays the receive overhead once
+        (``recv_time``) — whether it blocked on the receive or found it
+        already complete."""
+        overhead = self.network.recv_overhead()
+        stats = proc.stats
+        start = max(proc.clock, completion)
+        stats.comm_wait += start - proc.clock
+        stats.recv_time += overhead
+        proc.clock = start + overhead
 
     def _fire_timeout(self, proc: _Proc, deadline: float) -> None:
         """A ``wait_any`` or ``recv`` deadline passed with nothing completed."""
@@ -1235,14 +1235,8 @@ class Simulation:
         self._push(proc)
 
     def _resume_received(self, proc: _Proc, req: Request, value: Any) -> None:
-        """Resume ``proc`` on an already completed receive: it waits until
-        the completion if that is still ahead, then pays the overhead."""
-        overhead = self.network.recv_overhead()
-        stats = proc.stats
-        start = max(proc.clock, req.completion_time)
-        stats.comm_wait += start - proc.clock
-        stats.recv_time += overhead
-        proc.clock = start + overhead
+        """Resume ``proc`` on an already completed receive."""
+        self._charge_receive(proc, req.completion_time)
         proc.sendval = value
         self._push(proc)
 
@@ -1289,11 +1283,7 @@ class Simulation:
         """One match of a ``recv_n``: the clock and stats of one receive
         posted now (its wait, then its overhead); the last wakes the proc."""
         proc = gather._waiter
-        overhead = self.network.recv_overhead()
-        start = max(proc.clock, msg.arrival)
-        proc.stats.comm_wait += start - proc.clock
-        proc.clock = start + overhead
-        proc.stats.recv_time += overhead
+        self._charge_receive(proc, msg.arrival)
         gather.payloads.append(msg.payload)
         if len(gather.payloads) == gather.need and proc.state == _BLOCKED:
             gather.done = True

@@ -80,14 +80,14 @@ class ProcStats:
 
 def aggregate_stats(stats: list[ProcStats]) -> dict[str, float]:
     """Sum a set of proc stats into one breakdown dict (seconds)."""
-    compute = send = recv = wait = rma = 0.0
+    out = {"compute": 0.0, "send": 0.0, "recv": 0.0, "wait": 0.0, "rma": 0.0}
     for s in stats:
-        compute += s.compute_total
-        send += s.send_time
-        recv += s.recv_time
-        wait += s.comm_wait
-        rma += s.rma_time
-    return {"compute": compute, "send": send, "recv": recv, "wait": wait, "rma": rma}
+        out["compute"] += s.compute_total
+        out["send"] += s.send_time
+        out["recv"] += s.recv_time
+        out["wait"] += s.comm_wait
+        out["rma"] += s.rma_time
+    return out
 
 
 def aggregate_spans(stats: list[ProcStats]) -> dict[str, float]:
