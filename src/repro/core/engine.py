@@ -209,12 +209,12 @@ class DistributedANN:
         from repro.runtime import strategy_for
 
         build = self._build
-        runtime = self._session_for(self.config)
-        if build.metrics is not None:
-            # fold the build-phase hnsw.build.* instruments into the
-            # runtime registry so every report/dump carries them
-            runtime.metrics.merge(build.metrics)
         try:
+            runtime = self._session_for(self.config)
+            if build.metrics is not None:
+                # fold the build-phase hnsw.build.* instruments into the
+                # runtime registry so every report/dump carries them
+                runtime.metrics.merge(build.metrics)
             return runtime.run_search(
                 strategy_for(self.config),
                 build.router,

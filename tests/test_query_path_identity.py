@@ -634,6 +634,33 @@ def test_the_session_follows_the_wiring():
     assert ann._session is None and not any(proc.parked for proc in second.sim._procs)
 
 
+def test_a_call_that_fails_before_its_run_drops_the_session(monkeypatch):
+    """A failure between re-arming the session and running it (here in
+    ``rearm`` itself) ends the session: its parked threads return, and
+    the next call starts a new one rather than meeting a half-armed
+    simulation."""
+    from repro.runtime.cluster import ClusterRuntime
+
+    ann = DistributedANN(SystemConfig(**BASE))
+    ann.fit(X)
+    D, I, _ = ann.query(Q)
+    session = ann._session
+    real_rearm = ClusterRuntime.rearm
+
+    def failing_rearm(self, config):
+        real_rearm(self, config)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ClusterRuntime, "rearm", failing_rearm)
+    with pytest.raises(KeyboardInterrupt):
+        ann.query(Q)
+    assert ann._session is None
+    assert not any(proc.parked for proc in session.sim._procs)
+    monkeypatch.setattr(ClusterRuntime, "rearm", real_rearm)
+    D2, I2, _ = ann.query(Q)
+    assert np.array_equal(I, I2) and np.array_equal(D, D2)
+
+
 def test_dropping_a_system_ends_its_session():
     """Parked threads and their simulation reference each other; the
     session closes with its system, so its programs return and the
