@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.partition import Partition
 from repro.metrics import Metric, get_metric
+from repro.metrics.topk import exact_topk
 from repro.pq.ivfpq import IVFPQIndex
 from repro.simmpi.costmodel import CostModel
 from repro.vptree.tree import VPTree
@@ -49,13 +50,8 @@ class BruteForceSearcher:
         pts = partition.points
         if len(pts) == 0:
             return np.empty(0), np.empty(0, dtype=np.int64), self.cost.sec_per_dist_call
-        d = self.metric.one_to_many(query, pts)
-        order = np.lexsort((partition.ids, d))[:k]
-        return (
-            d[order],
-            partition.ids[order],
-            self.cost.distance_cost(len(pts), pts.shape[1]),
-        )
+        ds, idss = exact_topk(self.metric, np.asarray(query).reshape(1, -1), pts, partition.ids, k)
+        return ds[0], idss[0], self.cost.distance_cost(len(pts), pts.shape[1])
 
     def build_seconds(self, partition: Partition) -> float:
         return 0.0  # nothing to build

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hnsw.index import HnswIndex
+from repro.metrics.topk import ScanRows
 
 __all__ = ["Partition", "NodeStore"]
 
@@ -34,6 +35,18 @@ class Partition:
     #: rows of ``points`` the modeled ``sample`` was drawn from (position-
     #: aligned with the sample's rows); None with a real index
     sample_rows: np.ndarray | None = None
+    _sample_scan: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def sample_scan(self) -> ScanRows | None:
+        """``sample`` prepared for exact top-k scans (None without one);
+        prepared on first use and kept until ``sample`` is replaced."""
+        if self.sample is None:
+            return None
+        kept = self._sample_scan
+        if kept is None or kept[0] is not self.sample:
+            kept = self._sample_scan = (self.sample, ScanRows(*self.sample))
+        return kept[1]
 
     @property
     def n_points(self) -> int:

@@ -16,6 +16,7 @@ Two implementations:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Protocol
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from repro.core.partition import Partition
 from repro.filtering import choose_strategy, mask_for
 from repro.metrics import get_metric
+from repro.metrics.topk import ExactTopk, ScanRows
 from repro.simmpi.costmodel import CostModel
 
 __all__ = [
@@ -59,6 +61,12 @@ class LocalSearcher(Protocol):
     :mod:`repro.core.localindex` family, the KD baseline's, any foreign
     object) is wrapped in a row loop where it enters
     ``ClusterRuntime.run_search`` and cannot take a filter.
+
+    One instance may serve many calls (``query_with_searcher`` passes the
+    caller's searcher to every call, with ``add_points`` allowed in
+    between).  A searcher that memoizes per call offers ``call_scope()``,
+    a context manager the runtime enters around each call's simulation:
+    what it remembers inside one scope must not outlive it.
     """
 
     def search_batch(
@@ -77,6 +85,48 @@ class LocalSearcher(Protocol):
         ...
 
 
+class _PerCall:
+    """The per-call memo both built-in searchers keep.
+
+    Inside :meth:`call_scope` (one ``run_search`` call) :meth:`_once`
+    computes a value once per key and reuses it for every later task of
+    the call; outside a scope — a direct ``search_batch`` call — nothing
+    is kept and every value is computed afresh.  Keys are values (the
+    partition id, the clause tuple), never object ids.
+    """
+
+    _memo: dict | None = None
+
+    @contextmanager
+    def call_scope(self):
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
+
+    def _once(self, key, make, *args):
+        memo = self._memo
+        if memo is None:
+            return make(*args)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = make(*args)
+        return value
+
+
+def _filter_key(partition: Partition, filter, k: int) -> tuple:  # noqa: A002
+    clauses, strategy = filter
+    return ("filter", partition.partition_id, tuple(clauses), strategy, k)
+
+
+def _empty_rows(nq: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    return (
+        [np.empty(0, dtype=np.float64) for _ in range(nq)],
+        [np.empty(0, dtype=np.int64) for _ in range(nq)],
+    )
+
+
 def _found_rows(index, D: np.ndarray, I: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-row results of the padded ``knn_search_batch`` answer ``index``
     just gave: each row cut to the number of results its search found."""
@@ -84,13 +134,14 @@ def _found_rows(index, D: np.ndarray, I: np.ndarray) -> tuple[list[np.ndarray], 
     return [D[i, :n] for i, n in enumerate(found)], [I[i, :n] for i, n in enumerate(found)]
 
 
-class RealHnswSearcher:
+class RealHnswSearcher(_PerCall):
     """Search the partition's real HNSW index; charge measured evaluations."""
 
     def __init__(self, cost: CostModel, ef_search: int) -> None:
         self.cost = cost
         self.ef_search = ef_search
         self.filter_stats = new_filter_stats()
+        self._topk = ExactTopk()
 
     def search_batch(
         self, partition: Partition, Q: np.ndarray, k: int, filter=None  # noqa: A002
@@ -103,13 +154,14 @@ class RealHnswSearcher:
 
         With a ``filter`` the predicate conjunction is evaluated against
         the partition's attribute slice, then every row either
-        brute-forces exactly the matching rows (``pre``; charged one eval
-        per match) or runs the filtered HNSW traversal (``post``; charged
-        its measured evals) — ``auto`` picks per the partition's matching
-        fraction (see :mod:`repro.filtering.strategy`).  The mask and the
-        strategy depend on (partition, clauses) alone, so both are
-        evaluated once per call; virtual time is charged row by row and
-        summed in row order.
+        brute-forces exactly the matching rows (``pre``; one exact top-k
+        scan, charged one eval per match) or runs the filtered HNSW
+        traversal (``post``; charged its measured evals) — ``auto`` picks
+        per the partition's matching fraction (see
+        :mod:`repro.filtering.strategy`).  The mask, the match count, the
+        strategy and the ``pre`` rows depend on (partition, clauses)
+        alone, so inside a call scope they are evaluated once per call;
+        virtual time is charged row by row and summed in row order.
         """
         index = partition.index
         if index is None:
@@ -122,42 +174,49 @@ class RealHnswSearcher:
             ds, idss = _found_rows(index, *index.knn_search_batch(Q, k, ef=self.ef_search))
             evals = index.n_dist_evals - before
             return ds, idss, self.cost.distance_cost(evals, index.dim)
-        clauses, strategy = filter
         nq = len(Q)
-        mask = mask_for(partition.attrs, clauses, partition.n_points)
-        n_match = int(np.count_nonzero(mask))
-        if n_match == 0:
-            self.filter_stats["filter_empty_tasks"] += nq
-            return (
-                [np.empty(0, dtype=np.float64) for _ in range(nq)],
-                [np.empty(0, dtype=np.int64) for _ in range(nq)],
-                0.0,
-            )
-        chosen = "post"
-        if choose_strategy(strategy, n_match, partition.n_points, k) == "pre":
-            chosen = "pre"
-            rows = np.flatnonzero(mask)
-            pts, pids = partition.points[rows], partition.ids[rows]
-            ds, idss = [], []
-            for q in Q:
-                d = index.metric.one_to_many(q, pts)
-                order = np.lexsort((pids, d))[:k]
-                ds.append(np.asarray(d[order], dtype=np.float64))
-                idss.append(np.asarray(pids[order], dtype=np.int64))
-            evals = [n_match] * nq
-        else:
-            # row order == internal node order, so the row mask is the
-            # index's node mask directly
-            ds, idss = _found_rows(
-                index, *index.knn_search_batch(Q, k, ef=self.ef_search, filter=mask)
-            )
-            evals = index._row_evals.tolist()
-        self.filter_stats[f"filter_tasks_{chosen}"] += nq
-        self.filter_stats[f"filter_evals_{chosen}"] += sum(evals)
+        chosen, n_match, target, charge = self._once(
+            _filter_key(partition, filter, k), self._filter_plan, partition, filter, k
+        )
+        stats = self.filter_stats
+        if chosen is None:
+            stats["filter_empty_tasks"] += nq
+            return (*_empty_rows(nq), 0.0)
         seconds = 0.0
+        if chosen == "pre":
+            ds, idss = self._topk(index.metric, Q, target, k)
+            stats["filter_tasks_pre"] += nq
+            stats["filter_evals_pre"] += n_match * nq
+            for _ in range(nq):
+                seconds += charge
+            return ds, idss, seconds
+        # row order == internal node order, so the row mask is the
+        # index's node mask directly
+        ds, idss = _found_rows(
+            index, *index.knn_search_batch(Q, k, ef=self.ef_search, filter=target)
+        )
+        evals = index._row_evals.tolist()
+        stats["filter_tasks_post"] += nq
+        stats["filter_evals_post"] += sum(evals)
         for e in evals:
             seconds += self.cost.distance_cost(e, index.dim)
         return ds, idss, seconds
+
+    def _filter_plan(self, partition: Partition, filter, k: int) -> tuple:  # noqa: A002
+        """``(strategy, matches, target, per-row charge)`` of one
+        (partition, clauses): the strategy is None when nothing matches;
+        the target is the ``pre`` rows prepared for the scan, or the
+        ``post`` node mask."""
+        clauses, strategy = filter
+        mask = mask_for(partition.attrs, clauses, partition.n_points)
+        n_match = int(np.count_nonzero(mask))
+        if n_match == 0:
+            return None, 0, None, 0.0
+        if choose_strategy(strategy, n_match, partition.n_points, k) != "pre":
+            return "post", n_match, mask, 0.0
+        rows = np.flatnonzero(mask)
+        scan = ScanRows(partition.points[rows], partition.ids[rows])
+        return "pre", n_match, scan, self.cost.distance_cost(n_match, partition.index.dim)
 
     def build_seconds(self, partition: Partition) -> float:
         index = partition.index
@@ -169,7 +228,7 @@ class RealHnswSearcher:
         )
 
 
-class ModeledSearcher:
+class ModeledSearcher(_PerCall):
     """Charge paper-scale virtual cost; answer from a real subsample.
 
     ``virtual_points`` is the partition size being modelled (the paper's
@@ -196,6 +255,7 @@ class ModeledSearcher:
         self.metric = get_metric(metric)
         self.search_seconds = search_seconds
         self.filter_stats = new_filter_stats()
+        self._topk = ExactTopk()
 
     def row_seconds(self) -> float:
         """Virtual seconds one (query, partition) row is charged, filtered
@@ -207,53 +267,60 @@ class ModeledSearcher:
     def search_batch(
         self, partition: Partition, Q: np.ndarray, k: int, filter=None  # noqa: A002
     ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Each row answered by a brute-force scan of the partition's
+        """Each row answered by an exact top-k scan of the partition's
         sample and charged :meth:`row_seconds`, summed in row order.
 
         With a ``filter`` only the matching sample rows answer; the
         crossover decision is still taken — and counted in
         ``filter_stats`` — over the real partition mask, so strategy
         accounting works in modeled runs too.  Mask, strategy and the
-        matching sample rows depend on (partition, clauses) alone and are
+        matching sample rows depend on (partition, clauses) alone, and the
+        row charge on the searcher alone: inside a call scope each is
         evaluated once per call.
         """
         nq = len(Q)
-        ds = [np.empty(0, dtype=np.float64) for _ in range(nq)]
-        idss = [np.empty(0, dtype=np.int64) for _ in range(nq)]
-        pts = ids = None
-        if partition.sample is not None:
-            pts, ids = partition.sample
-        if filter is not None:
-            clauses, strategy = filter
-            mask = mask_for(partition.attrs, clauses, partition.n_points)
-            n_match = int(np.count_nonzero(mask))
-            if n_match == 0:
+        if filter is None:
+            scan = partition.sample_scan
+        else:
+            chosen, evals, scan = self._once(
+                _filter_key(partition, filter, k), self._filter_plan, partition, filter, k
+            )
+            if chosen is None:
                 self.filter_stats["filter_empty_tasks"] += nq
-                return ds, idss, 0.0
-            if choose_strategy(strategy, n_match, partition.n_points, k) == "pre":
-                chosen, evals = "pre", n_match
-            else:
-                chosen, evals = "post", min(partition.n_points, self.ef_search * self.m)
+                return (*_empty_rows(nq), 0.0)
             self.filter_stats[f"filter_tasks_{chosen}"] += nq
             self.filter_stats[f"filter_evals_{chosen}"] += nq * evals
-            if ids is not None:
-                if partition.sample_rows is not None:
-                    smask = mask[partition.sample_rows]
-                else:
-                    # legacy partitions without recorded sample rows: map
-                    # sample ids back to partition rows once
-                    row_of = {int(g): r for r, g in enumerate(partition.ids)}
-                    smask = np.array([mask[row_of[int(g)]] for g in ids], dtype=bool)
-                pts, ids = pts[smask], ids[smask]
-        charge, seconds = self.row_seconds(), 0.0
-        for i, q in enumerate(Q):
+        charge, seconds = self._once("row_seconds", self.row_seconds), 0.0
+        for _ in range(nq):
             seconds += charge
-            if ids is not None and len(ids):
-                d = self.metric.one_to_many(q, pts)
-                order = np.lexsort((ids, d))[:k]
-                ds[i] = np.asarray(d[order], dtype=np.float64)
-                idss[i] = np.asarray(ids[order], dtype=np.int64)
-        return ds, idss, seconds
+        if scan is None or not scan.n:
+            return (*_empty_rows(nq), seconds)
+        return (*self._topk(self.metric, Q, scan, k), seconds)
+
+    def _filter_plan(self, partition: Partition, filter, k: int) -> tuple:  # noqa: A002
+        """``(strategy, evals per row, matching sample rows)`` of one
+        (partition, clauses); the strategy is None when nothing matches
+        and the rows are None without a sample."""
+        clauses, strategy = filter
+        mask = mask_for(partition.attrs, clauses, partition.n_points)
+        n_match = int(np.count_nonzero(mask))
+        if n_match == 0:
+            return None, 0, None
+        if choose_strategy(strategy, n_match, partition.n_points, k) == "pre":
+            chosen, evals = "pre", n_match
+        else:
+            chosen, evals = "post", min(partition.n_points, self.ef_search * self.m)
+        if partition.sample is None:
+            return chosen, evals, None
+        pts, ids = partition.sample
+        if partition.sample_rows is not None:
+            smask = mask[partition.sample_rows]
+        else:
+            # legacy partitions without recorded sample rows: map sample
+            # ids back to partition rows
+            row_of = {int(g): r for r, g in enumerate(partition.ids)}
+            smask = np.array([mask[row_of[int(g)]] for g in ids], dtype=bool)
+        return chosen, evals, ScanRows(pts[smask], ids[smask])
 
     def build_seconds(self, partition: Partition) -> float:
         return self.cost.hnsw_build_cost(

@@ -960,3 +960,81 @@ i64 vp_route_exact(route_t *r, double tau)
     r->evals = evals;
     return n_out;
 }
+
+/* ====================================================================
+ * Exact top-k scan (``repro.metrics.topk``): every float32 row against
+ * every query, the k nearest kept in (d, id) order.
+ *
+ * The python reference is ``one_to_many`` — rows and query widened to
+ * double, ``einsum("ij,ij->i", X - q, X - q)``, then ``np.sqrt`` for l2 —
+ * followed by ``np.lexsort((ids, d))[:k]``.  ``l2sq_wide`` is
+ * ``l2sq_f64`` with the row widened as it is loaded (same lanes, same
+ * order); the insertion top-k places a row after every kept row it does
+ * not precede, which is lexsort's stability, and orders NaN after every
+ * number as numpy's sort does.
+ * ==================================================================== */
+
+static inline v2d ld2w(const float *p)
+{
+    v2d v = {(double)p[0], (double)p[1]};
+    return v;
+}
+
+static inline double l2sq_wide(const float *restrict x,
+                               const double *restrict q, i64 dim)
+{
+    v2d R = {0.0, 0.0};
+    i64 k = 0;
+    for (; k + 8 <= dim; k += 8) {
+        v2d d0 = ld2w(x + k) - ld2(q + k);
+        v2d d1 = ld2w(x + k + 2) - ld2(q + k + 2);
+        v2d d2 = ld2w(x + k + 4) - ld2(q + k + 4);
+        v2d d3 = ld2w(x + k + 6) - ld2(q + k + 6);
+        R = d0 * d0 + (d1 * d1 + (d2 * d2 + (d3 * d3 + R)));
+    }
+    for (; k + 2 <= dim; k += 2) {
+        v2d d = ld2w(x + k) - ld2(q + k);
+        R = d * d + R;
+    }
+    if (k < dim) {
+        v2d d = {(double)x[k] - q[k], 0.0};
+        R = d * d + R;
+    }
+    return R[0] + R[1];
+}
+
+/* (d1, i1) sorts before (d2, i2): numpy's float order (NaN last, NaNs
+ * equal), then id */
+static inline int topk_lt(double d1, i64 i1, double d2, i64 i2)
+{
+    if (d1 < d2 || (d2 != d2 && d1 == d1))
+        return 1;
+    return (d1 == d2 || (d1 != d1 && d2 != d2)) && i1 < i2;
+}
+
+/* Q (nq, dim) doubles; X (n, dim) float32 rows with ids; writes the
+ * min(n, k) nearest of each query to row i of D / I (nq, k) */
+void exact_topk(const double *Q, i64 nq, const float *X, const i64 *ids,
+                i64 n, i64 dim, i64 k, int32_t do_sqrt, double *D, i64 *I)
+{
+    for (i64 qi = 0; qi < nq; qi++) {
+        const double *q = Q + qi * dim;
+        double *dk = D + qi * k;
+        i64 *ik = I + qi * k, cnt = 0;
+        for (i64 r = 0; r < n; r++) {
+            double d = l2sq_wide(X + r * dim, q, dim);
+            i64 id = ids[r], j;
+            if (do_sqrt)
+                d = sqrt(d);
+            if (cnt == k && !topk_lt(d, id, dk[k - 1], ik[k - 1]))
+                continue;
+            j = cnt < k ? cnt++ : k - 1;
+            for (; j > 0 && topk_lt(d, id, dk[j - 1], ik[j - 1]); j--) {
+                dk[j] = dk[j - 1];
+                ik[j] = ik[j - 1];
+            }
+            dk[j] = d;
+            ik[j] = id;
+        }
+    }
+}

@@ -7,7 +7,9 @@ neighbor selection, incremental link shrinking).  The master's VP-skeleton
 descent shares the library: ``vp_route_approx`` / ``vp_route_exact`` are
 what :class:`~repro.vptree.router.PartitionRouter` runs under L2
 (:func:`native_route_for`, gated per width by its own float64 self-check
-against the router's python distance).  All are *optional*
+against the router's python distance), and so does the exact top-k scan
+of :mod:`repro.metrics.topk` (:func:`native_topk_for`, gated per width
+against its numpy reference).  All are *optional*
 accelerators with a strict bit-identity contract: they are enabled for an
 index only when
 
@@ -45,9 +47,16 @@ import tempfile
 
 import numpy as np
 
-from repro.metrics.lp import _l2sq_one_to_many
+from repro.metrics.lp import EuclideanMetric, SquaredEuclidean, _l2sq_one_to_many
+from repro.metrics.topk import reference_topk
 
-__all__ = ["native_search_layer_for", "native_build_for", "native_route_for", "RouteDesc"]
+__all__ = [
+    "native_search_layer_for",
+    "native_build_for",
+    "native_route_for",
+    "native_topk_for",
+    "RouteDesc",
+]
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hotpath.c")
 
@@ -56,6 +65,7 @@ _lib_state = "unloaded"  # unloaded -> ready | failed (sticky per process)
 _checked: dict[tuple[int, int], bool] = {}
 _checked_cdist: dict[tuple[int, int], bool] = {}
 _checked_route: dict[int, bool] = {}
+_checked_topk: dict[int, bool] = {}
 
 
 class RouteDesc(ctypes.Structure):
@@ -180,6 +190,8 @@ def _load():
     lib.vp_route_approx.argtypes = [p, i64]
     lib.vp_route_exact.restype = i64
     lib.vp_route_exact.argtypes = [p, ctypes.c_double]
+    lib.exact_topk.restype = None
+    lib.exact_topk.argtypes = [p, i64, p, p, i64, i64, i64, i32, p, p]
     _lib = lib
     _lib_state = "ready"
     return lib
@@ -259,6 +271,48 @@ def _selfcheck_route(lib, dim: int) -> bool:
     )
     _checked_route[dim] = ok
     return ok
+
+
+def _selfcheck_topk(lib, dim: int) -> bool:
+    """Compare the compiled exact top-k against :func:`reference_topk` at
+    this width, bit for bit, under l2 and sqeuclidean: 40 rows, half of
+    them on a {0,1,2} grid (tied distances and duplicate rows) with
+    shuffled ids, scanned by four queries for k = 12 and by one query of
+    the one-row set."""
+    hit = _checked_topk.get(dim)
+    if hit is not None:
+        return hit
+    rng = np.random.default_rng([0x70C4, dim])
+    X = rng.normal(0, 10, size=(40, dim)).astype(np.float32)
+    X[20:] = rng.integers(0, 3, size=(20, dim))
+    Q = np.vstack([rng.normal(0, 10, size=(3, dim)), rng.integers(0, 3, size=(1, dim))])
+    Q = Q.astype(np.float32)
+    ids = rng.permutation(40).astype(np.int64)
+    ok = True
+    for metric, do_sqrt in ((EuclideanMetric(), 1), (SquaredEuclidean(), 0)):
+        for n, nq in ((40, 4), (1, 1)):
+            D = np.empty((nq, 12))
+            I = np.empty((nq, 12), dtype=np.int64)
+            Qd = np.ascontiguousarray(Q[:nq], dtype=np.float64)
+            lib.exact_topk(
+                Qd.ctypes.data, nq, X.ctypes.data, ids.ctypes.data, n, dim, 12, do_sqrt,
+                D.ctypes.data, I.ctypes.data,
+            )
+            m = min(n, 12)
+            ref_d, ref_i = reference_topk(metric, Q[:nq], X[:n], ids[:n], 12)
+            ok = ok and np.array_equal(np.array(ref_d).view(np.int64), D[:, :m].view(np.int64))
+            ok = ok and np.array_equal(np.array(ref_i), I[:, :m])
+    _checked_topk[dim] = bool(ok)
+    return bool(ok)
+
+
+def native_topk_for(dim: int):
+    """The compiled library if the exact top-k scan of float32 rows at
+    width ``dim`` is bit-exact against the numpy reference, else None."""
+    lib = _load()
+    if lib is None or not _selfcheck_topk(lib, dim):
+        return None
+    return lib
 
 
 def native_route_for(dim: int):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics import get_metric
+from repro.metrics.topk import exact_topk
 from repro.utils.validation import check_matrix, check_positive_int, check_vector
 
 __all__ = ["LSHIndex"]
@@ -118,11 +119,10 @@ class LSHIndex:
         cand = self.candidates(query)
         if len(cand) == 0:
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        q = np.asarray(query, dtype=np.float32).ravel()
-        d = self._metric.one_to_many(q, self._X[cand])
+        q = np.asarray(query, dtype=np.float32).reshape(1, -1)
         self.n_dist_evals += len(cand)
-        order = np.lexsort((self._ids[cand], d))[:k]
-        return np.asarray(d[order], dtype=np.float64), self._ids[cand][order]
+        ds, idss = exact_topk(self._metric, q, self._X[cand], self._ids[cand], k)
+        return ds[0], idss[0]
 
     def selectivity(self, queries: np.ndarray) -> float:
         """Mean fraction of the dataset scanned per query."""

@@ -35,6 +35,7 @@ runtime's call exactly — answers, clocks, stats and event count.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any
 
@@ -265,7 +266,10 @@ class ClusterRuntime:
             self.sim.respawn(pid, worker_thread_program, self._nodes[self.sim.node_of(pid)])
         self._respawn = []
 
-        out = self.sim.run()
+        # a searcher that memoizes per call (filter plans) keeps it for
+        # this call's simulation only
+        with getattr(searcher, "call_scope", nullcontext)():
+            out = self.sim.run()
         D, I = job.results.result_arrays()
         # the run's filter/tenant accounting goes into the registry before
         # the builder dumps it into report.metrics.  The resolved tenant
