@@ -15,11 +15,13 @@ test:
 # the HNSW python fallback and the python router as a system: index,
 # equivalence, cluster, filtering and routing tests, the search contract
 # (every backend's knn_search, HnswIndex's batch, padding and filter mask),
-# the query-path goldens, and the exact top-k callers and filter plan on
-# the numpy reference scan, with the compiled kernels off (in `make test`
-# only tests that clear one instance's handles reach them); about a minute
+# the query-path goldens, the exact top-k callers and filter plan on
+# the numpy reference scan, the deferred result rank against its
+# incremental oracle, and every search entry's refusals, with the compiled
+# kernels off (in `make test` only tests that clear one instance's handles
+# reach them); about a minute
 test-nonative:
-	REPRO_HNSW_NO_NATIVE=1 python -m pytest -q tests/test_hnsw_index.py tests/test_hnsw_flat_equivalence.py tests/test_hnsw_search_rows.py tests/test_core_system.py tests/test_filtering.py tests/test_searcher_protocol.py tests/test_vptree.py tests/test_vptree_route_native.py tests/test_query_path_identity.py tests/test_exact_topk.py tests/test_filter_plan.py
+	REPRO_HNSW_NO_NATIVE=1 python -m pytest -q tests/test_hnsw_index.py tests/test_hnsw_flat_equivalence.py tests/test_hnsw_search_rows.py tests/test_core_system.py tests/test_filtering.py tests/test_searcher_protocol.py tests/test_vptree.py tests/test_vptree_route_native.py tests/test_query_path_identity.py tests/test_exact_topk.py tests/test_filter_plan.py tests/test_result_rank.py tests/test_search_refusals.py
 
 lint:
 	ruff check src tests benchmarks examples

@@ -27,9 +27,11 @@ class ResultMerger:
     a time, releasing dispatch credits as tasks settle.
 
     Order independence of the merge (each (query, partition) pair is
-    merged at most once, and per-query merges commute — see
-    ``GlobalResults.combine``) is what lets a finite window consume
-    results *during* dispatch without changing D/I.
+    merged at most once, and a slot is ranked by the associative
+    ``merge_knn`` rule however its answers arrived — see
+    :class:`GlobalResults`) is what lets a finite window consume results
+    *during* dispatch without changing D/I.  A merge here only appends the
+    row to its query's slot; the rank happens when the slot is read.
 
     ``note_result`` observes each settled two-sided row (per-query
     latency accounting); ``on_complete(qid, pid, d)`` feeds the adaptive

@@ -1,11 +1,20 @@
 """Global k-NN result accumulation.
 
-One slot per query holding the best-k (distances, ids) seen so far.  The
-slot combiner is exactly the operation the paper implements remotely with
+One slot per query collecting every local k-NN answered for it.  Adding
+an answer is what the paper implements remotely with
 ``MPI_Get_accumulate``: merge a worker's local k-NN into the global top-k.
 The same object backs both result paths — as the master-side store in
-two-sided mode and as the RMA window buffer in one-sided mode — so both
-paths provably compute the same answer (a property test asserts this).
+two-sided mode (:meth:`GlobalResults.update`) and as the RMA window buffer
+in one-sided mode (:attr:`GlobalResults.store` with
+:meth:`GlobalResults.accumulate`) — so both paths compute the same answer.
+
+A slot is *ranked* — reduced to its best k by the :func:`~repro.utils.
+heaps.merge_knn` rule — once, when it is read, not on every answer:
+:meth:`GlobalResults.result_arrays` ranks every unread slot in one
+vectorized pass, and indexing ranks one slot.  The rule is associative
+(the top k of a union is the top k of the union of each part's top k), so
+when a slot is ranked, and how its answers were grouped, never changes
+the answer.
 """
 
 from __future__ import annotations
@@ -14,9 +23,41 @@ import numpy as np
 
 __all__ = ["GlobalResults"]
 
+#: an unranked slot that already holds this many parts is ranked before
+#: the next one joins it; a part holds at most k entries (a longer answer
+#: is ranked on arrival), so a slot never holds more than
+#: ``_MAX_PARTS * k`` entries
+_MAX_PARTS = 8
+
+
+def _rank(parts: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``merge_knn(parts, k)``, bit for bit: one sort of the ``(distance,
+    id)`` pairs, then each id's first (best) pair, the first ``k`` of
+    those (for distances that are not NaN, which python's sort does not
+    order).  At the sizes a slot holds python's sort beats numpy's
+    per-call overhead."""
+    pairs = []
+    for d, i in parts:
+        pairs += zip(d.tolist(), i.tolist())
+    pairs.sort()
+    best: dict[int, float] = {}  # id -> distance, in (distance, id) order
+    for d, i in pairs:
+        if i not in best:
+            best[i] = d
+            if len(best) == k:
+                break
+    n = len(best)
+    return np.fromiter(best.values(), np.float64, n), np.fromiter(best, np.int64, n)
+
 
 class GlobalResults:
-    """Fixed-size array of per-query top-k results."""
+    """Fixed-size array of per-query top-k results.
+
+    Each entry of :attr:`store` is None (no answer yet), a ranked
+    ``(distances, ids)`` tuple, or a list of unranked ``(distances, ids)``
+    parts.  Indexing returns the ranked slot (ranking it if needed) and
+    assigning stores a value as already ranked — serving's cache hit.
+    """
 
     def __init__(self, n_queries: int, k: int) -> None:
         if n_queries < 1:
@@ -25,55 +66,111 @@ class GlobalResults:
             raise ValueError(f"k must be >= 1, got {k}")
         self.n_queries = n_queries
         self.k = k
-        self._slots: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_queries
+        #: the raw slots; the one-sided window accumulates into this list
+        self.store: list = [None] * n_queries
         self.update_count = 0
 
-    # dict/array protocol so the RMA Window can use this object as storage
     def __getitem__(self, qid: int):
-        return self._slots[qid]
+        slot = self.store[qid]
+        if type(slot) is list:
+            slot = self.store[qid] = _rank(slot, self.k)
+        return slot
 
     def __setitem__(self, qid: int, value) -> None:
-        self._slots[qid] = value
+        self.store[qid] = value
 
-    def combine(self, old, update) -> tuple[np.ndarray, np.ndarray]:
-        """Merge an incoming local result into a slot (the RMA combiner).
-
-        Bit-identical to ``merge_knn([old, update], k)``: one sort of the
-        ``(distance, id)`` pairs, then each id's first (best) pair, the
-        first ``k`` of those.  At ``k``-sized inputs python's sort beats
-        numpy's per-call overhead.
-        """
+    def accumulate(self, slot, update) -> list:
+        """The raw slot after adding one local result ``(d, ids)`` to
+        ``slot`` (the RMA window's combine).  Nothing is ranked unless the
+        update holds more than k entries or the slot already holds
+        ``_MAX_PARTS`` parts, and ``slot`` itself is left unchanged."""
         self.update_count += 1
-        k = self.k
-        if old is None:
-            d, i = update
-            order = np.lexsort((i, d))[:k]
-            return np.asarray(d)[order], np.asarray(i)[order]
-        (d0, i0), (d1, i1) = old, update
-        best: dict[int, float] = {}  # id -> distance, in (distance, id) order
-        for d, i in sorted([*zip(d0.tolist(), i0.tolist()), *zip(d1.tolist(), i1.tolist())]):
-            if i not in best:
-                best[i] = d
-                if len(best) == k:
-                    break
-        n = len(best)
-        return np.fromiter(best.values(), np.float64, n), np.fromiter(best, np.int64, n)
+        if len(update[0]) > self.k:
+            update = _rank([update], self.k)
+        if slot is None:
+            return [update]
+        if type(slot) is tuple:
+            return [slot, update]
+        if len(slot) < _MAX_PARTS:
+            return [*slot, update]
+        return [_rank(slot, self.k), update]
 
     def update(self, qid: int, dists: np.ndarray, ids: np.ndarray) -> None:
         """Master-side (two-sided path) slot update."""
         if not 0 <= qid < self.n_queries:
             raise IndexError(f"query id {qid} out of range [0, {self.n_queries})")
-        self._slots[qid] = self.combine(self._slots[qid], (dists, ids))
+        self.store[qid] = self.accumulate(self.store[qid], (dists, ids))
 
     def result_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n_queries, k) distance and id matrices, inf/-1 padded."""
-        D = np.full((self.n_queries, self.k), np.inf, dtype=np.float64)
-        I = np.full((self.n_queries, self.k), -1, dtype=np.int64)
-        for q, slot in enumerate(self._slots):
+        """(n_queries, k) distance and id matrices, inf/-1 padded.
+
+        Ranked slots are copied; the unranked ones are ranked here, all in
+        one :func:`_rank_rows` pass.
+        """
+        k = self.k
+        D = np.full((self.n_queries, k), np.inf, dtype=np.float64)
+        I = np.full((self.n_queries, k), -1, dtype=np.int64)
+        qids, parts = [], []
+        for q, slot in enumerate(self.store):
             if slot is None:
                 continue
-            d, i = slot
-            n = min(len(d), self.k)
-            D[q, :n] = d[:n]
-            I[q, :n] = i[:n]
+            if type(slot) is tuple:
+                d, i = slot
+                n = min(len(d), k)
+                D[q, :n] = d[:n]
+                I[q, :n] = i[:n]
+                continue
+            owner = len(qids)
+            qids.append(q)
+            for d, i in slot:
+                parts.append((d, i, owner))
+        if qids:
+            _rank_rows(qids, parts, k, D, I)
         return D, I
+
+
+#: a pass whose combined sort codes (below ``slots * ids * distances``)
+#: would reach this sorts key by key instead
+_CODE_LIMIT = 1 << 63
+
+
+def _rank_rows(qids: list[int], parts: list, k: int, D: np.ndarray, I: np.ndarray) -> None:
+    """Rank the unranked slots of queries ``qids`` into their rows of
+    ``D`` / ``I`` in one vectorized pass, each as ``merge_knn`` of its
+    parts in arrival order would, bit for bit.  ``parts`` holds every
+    part as ``(d, ids, j)``, ``j`` indexing ``qids``.
+
+    ``merge_knn`` keeps each id's best distance — the first of equal ones
+    in arrival order — and then the k best ``(distance, id)`` pairs.  Here
+    every entry gets integer codes that sort as those keys do: its slot,
+    the dense rank of its distance (``-0.0 == 0.0``, NaN after every
+    number) and the dense rank of its id.  A stable sort by ``(slot, id,
+    distance)`` finds each (slot, id)'s kept entry, and a sort by ``(slot,
+    distance, id)`` orders the kept ones: each one argsort of a combined
+    code, or a lexsort of the separate codes where a combined one would
+    not fit in an int64.
+    """
+    d = np.concatenate([p[0] for p in parts]).astype(np.float64, copy=False)
+    i = np.concatenate([p[1] for p in parts]).astype(np.int64, copy=False)
+    if not len(d):
+        return
+    q = np.repeat(np.array([p[2] for p in parts], dtype=np.int64), [len(p[0]) for p in parts])
+    dist_vals, rd = np.unique(d + 0.0, return_inverse=True)  # + 0.0 turns -0.0 into 0.0
+    id_vals, ri = np.unique(i, return_inverse=True)
+    nd, ni = len(dist_vals), len(id_vals)
+    combined = len(qids) * ni * nd < _CODE_LIMIT
+    # each (slot, id)'s kept entry: the first of its group in this order
+    qi = q * ni + ri
+    order = np.argsort(qi * nd + rd, kind="stable") if combined else np.lexsort((rd, qi))
+    qi = qi[order]
+    kept = order[np.r_[True, qi[1:] != qi[:-1]]]
+    # the kept entries of each slot in (distance, id) order, then the first k
+    q, rd, ri = q[kept], rd[kept], ri[kept]
+    order = np.argsort((q * nd + rd) * ni + ri) if combined else np.lexsort((ri, rd, q))
+    kept, q = kept[order], q[order]
+    starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+    rank = np.arange(len(q)) - np.repeat(starts, np.diff(np.r_[starts, len(q)]))
+    top = rank < k
+    rows = np.array(qids, dtype=np.int64)[q[top]]
+    D[rows, rank[top]] = d[kept[top]]
+    I[rows, rank[top]] = i[kept[top]]

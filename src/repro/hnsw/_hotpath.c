@@ -391,45 +391,68 @@ static void greedy_step(const graph_t *g, i64 lv, const float *q, i64 *ep_io,
     *epd_io = epd;
 }
 
-/* K-NN-SEARCH (paper Alg. 5) for nq query rows in one call: entry
- * distance, greedy descent through the upper layers, layer-0 beam of
- * width ef under the nullable row mask ``allowed``, then the closest k
- * written straight into row i of the caller's (nq, k) arrays D / I
- * (external ids), a short row padded with inf / -1.  Query i runs under
- * visited epoch ``epoch + 1 + i``; stats[i] receives its distance
- * evaluations and stats[nq + i] the number of results written. */
-void hnsw_knn_search(const float *X, i64 dim, const i64 *nbrs_ptrs,
-                     const i64 *strides, const i64 *cnts_ptrs, i64 *stamp,
-                     double *cd, int32_t *ci, double *rd, int32_t *ri,
-                     int32_t do_sqrt, const i64 *ext, i64 max_level,
-                     i64 entry, i64 epoch, const float *Q, i64 nq, i64 k,
-                     i64 ef, const uint8_t *allowed, double *D, i64 *I,
-                     i64 *stats)
+/* One K-NN-SEARCH call: ``SearchDesc`` in native.py, same fields in the
+ * same order.  The python side fills the graph, the external ids, the
+ * entry point and the buffer addresses once per reallocation of the index
+ * or of its (nq, k) buffers; a call writes epoch, ef and allowed. */
+typedef struct {
+    graph_t g;
+    const i64 *ext;         /* external id of each node */
+    i64 max_level;
+    i64 entry;
+    const float *Q;         /* (nq, dim) query rows */
+    double *D;              /* (nq, k) distances, written */
+    i64 *I;                 /* (nq, k) external ids, written */
+    i64 *stats;             /* (2, nq) evals and result counts, written */
+    i64 nq;
+    i64 k;
+    i64 epoch;              /* query i runs under visited epoch epoch + 1 + i */
+    i64 ef;
+    const uint8_t *allowed; /* nullable row mask */
+} search_t;
+
+/* K-NN-SEARCH (paper Alg. 5) for the nq query rows of ``s`` in one call:
+ * entry distance, greedy descent through the upper layers, layer-0 beam
+ * of width ef under the nullable row mask ``allowed``, then the closest k
+ * written straight into row i of the (nq, k) arrays D / I (external ids),
+ * a short row padded with inf / -1.  stats[i] receives query i's distance
+ * evaluations and stats[nq + i] the number of results written.
+ *
+ * Returns -1, before searching anything, when a query holds a NaN or an
+ * infinity (the python side raises the ValueError ``check_matrix`` would),
+ * else 0. */
+i64 hnsw_knn_search(const search_t *s)
 {
-    graph_t g = {X, dim, nbrs_ptrs, strides, cnts_ptrs, stamp, cd, ci, rd, ri,
-                 do_sqrt};
+    const graph_t *g = &s->g;
+    i64 dim = g->dim, nq = s->nq, k = s->k;
+    for (i64 t = 0; t < nq * dim; t++)
+        if (!isfinite(s->Q[t]))
+            return -1;
     for (i64 i = 0; i < nq; i++) {
-        const float *q = Q + i * dim;
-        i64 ep = entry, evals = 1, ev = 0;
-        double epd = qdist(q, X + ep * dim, dim, do_sqrt);
-        for (i64 lv = max_level; lv > 0; lv--)
-            greedy_step(&g, lv, q, &ep, &epd, &evals);
+        const float *q = s->Q + i * dim;
+        i64 ep = s->entry, evals = 1, ev = 0;
+        double epd = qdist(q, g->X + ep * dim, dim, g->do_sqrt);
+        for (i64 lv = s->max_level; lv > 0; lv--)
+            greedy_step(g, lv, q, &ep, &epd, &evals);
         int32_t in_i = (int32_t)ep;
-        i64 nres = search_layer(&g, 0, epoch + 1 + i, q, &epd, &in_i, 1, ef,
-                                allowed, &ev);
+        i64 nres = search_layer(g, 0, s->epoch + 1 + i, q, &epd, &in_i, 1,
+                                s->ef, s->allowed, &ev);
         if (nres > k)
             nres = k;
+        double *D = s->D + i * k;
+        i64 *I = s->I + i * k;
         for (i64 t = 0; t < nres; t++) {
-            D[i * k + t] = rd[t];
-            I[i * k + t] = ext[ri[t]];
+            D[t] = g->rd[t];
+            I[t] = s->ext[g->ri[t]];
         }
         for (i64 t = nres; t < k; t++) {
-            D[i * k + t] = INFINITY;
-            I[i * k + t] = -1;
+            D[t] = INFINITY;
+            I[t] = -1;
         }
-        stats[i] = evals + ev;
-        stats[nq + i] = nres;
+        s->stats[i] = evals + ev;
+        s->stats[nq + i] = nres;
     }
+    return 0;
 }
 
 /* ====================================================================
@@ -1012,19 +1035,39 @@ static inline int topk_lt(double d1, i64 i1, double d2, i64 i2)
     return (d1 == d2 || (d1 != d1 && d2 != d2)) && i1 < i2;
 }
 
-/* Q (nq, dim) doubles; X (n, dim) float32 rows with ids; writes the
- * min(n, k) nearest of each query to row i of D / I (nq, k) */
-void exact_topk(const double *Q, i64 nq, const float *X, const i64 *ids,
-                i64 n, i64 dim, i64 k, int32_t do_sqrt, double *D, i64 *I)
+/* The two halves of one scan: ``TopkRows`` and ``TopkCall`` in
+ * native.py.  A point set describes its rows once; a caller's call
+ * descriptor holds its query and output buffers. */
+typedef struct {
+    const float *X;     /* (n, dim) rows */
+    const i64 *ids;     /* (n,) their ids */
+    i64 n;
+    i64 dim;
+} topk_rows_t;
+
+typedef struct {
+    const double *Q;    /* (nq, dim) queries, widened from float32 */
+    double *D;          /* (nq, k) distances, written */
+    i64 *I;             /* (nq, k) ids, written */
+    i64 nq;
+    i64 k;
+    int32_t do_sqrt;
+} topk_call_t;
+
+/* writes the min(n, k) nearest rows of each query to row i of D / I */
+void exact_topk(const topk_rows_t *rows, const topk_call_t *c)
 {
-    for (i64 qi = 0; qi < nq; qi++) {
-        const double *q = Q + qi * dim;
-        double *dk = D + qi * k;
-        i64 *ik = I + qi * k, cnt = 0;
+    const float *X = rows->X;
+    const i64 *ids = rows->ids;
+    i64 n = rows->n, dim = rows->dim, k = c->k;
+    for (i64 qi = 0; qi < c->nq; qi++) {
+        const double *q = c->Q + qi * dim;
+        double *dk = c->D + qi * k;
+        i64 *ik = c->I + qi * k, cnt = 0;
         for (i64 r = 0; r < n; r++) {
             double d = l2sq_wide(X + r * dim, q, dim);
             i64 id = ids[r], j;
-            if (do_sqrt)
+            if (c->do_sqrt)
                 d = sqrt(d);
             if (cnt == k && !topk_lt(d, id, dk[k - 1], ik[k - 1]))
                 continue;

@@ -47,13 +47,14 @@ implementation.
 
 from __future__ import annotations
 
+import ctypes
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Sequence
 
 import numpy as np
 
 from repro.hnsw.kernels import fast_kernel_for, fast_self_pairwise_for, fast_self_row_for
-from repro.hnsw.native import native_build_for, native_search_layer_for
+from repro.hnsw.native import SearchDesc, native_build_for, native_search_layer_for
 from repro.hnsw.params import HnswParams
 from repro.hnsw.select import select_heuristic, select_heuristic_rows, select_simple
 from repro.metrics import Metric, get_metric
@@ -135,7 +136,8 @@ class HnswIndex:
         self._native_sqrt = 1 if self.metric.name == "l2" else 0
         self._native_graph_cache: tuple | None = None
         #: the compiled search's query-in / D / I / stats buffers for the
-        #: latest (nq, k), with their addresses; dropped with the graph cache
+        #: latest (nq, k) and the ``SearchDesc`` that points at them and at
+        #: the graph; dropped with the graph cache and by every insert
         self._native_rows_cache: tuple | None = None
         # Compiled INSERT (greedy descent + beam search + selection +
         # shrink in one C call per batch): additionally requires the
@@ -262,6 +264,7 @@ class HnswIndex:
     def add(self, vector: np.ndarray, ext_id: int | None = None) -> int:
         """Insert one point; returns its internal id."""
         q = check_vector(vector, "vector", dim=self.dim)
+        self._native_rows_cache = None  # the search descriptor holds the entry point
         if self._native_build is not None:
             node = self._n
             self._grow(node + 1)
@@ -331,6 +334,7 @@ class HnswIndex:
         if ids is not None and len(ids) != X.shape[0]:
             raise ValueError(f"{len(ids)} ids for {X.shape[0]} points")
         self._grow(self._n + X.shape[0])
+        self._native_rows_cache = None  # the search descriptor holds the entry point
         if self._native_build is not None:
             self._add_items_native(X, ids)
             return
@@ -388,9 +392,10 @@ class HnswIndex:
     def _native_graph(self) -> tuple:
         """``(graph, ext_addr, build, keep)`` for the compiled entries.
 
-        ``graph`` is the argument prefix every entry in ``_hotpath.c``
-        starts with — buffer addresses, the per-level pointer tables, the
-        two search heaps and the sqrt flag.  It is built once and reused
+        ``graph`` is the ``graph_t`` of ``_hotpath.c`` — buffer addresses,
+        the per-level pointer tables, the two search heaps and the sqrt
+        flag: the insert entry's argument prefix, and the head of the
+        search's ``SearchDesc``.  It is built once and reused
         until a buffer is reallocated (``_grow`` or a new level drop the
         cache): a small partition answers in less time than taking
         ``.ctypes.data`` of a dozen arrays costs.  The heaps are sized by
@@ -643,7 +648,15 @@ class HnswIndex:
         cluster workers exploit (see ``core/worker.py``).
         """
         check_positive_int(k, "k")
-        Q = check_matrix(Q, "Q")
+        if self._native is None or not self._n:
+            Q = check_matrix(Q, "Q")
+        else:
+            # the compiled search refuses a non-finite row itself (and its
+            # buffer copy casts to float32), so only the shape is checked
+            if type(Q) is not np.ndarray:
+                Q = np.asarray(Q, dtype=np.float32)
+            if Q.ndim != 2 or not Q.size:
+                check_matrix(Q, "Q")  # raises its shape error
         if Q.shape[1] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {Q.shape[1]}")
         return self._search_rows(Q, k, ef, filter)
@@ -651,14 +664,15 @@ class HnswIndex:
     def _search_rows(
         self, Q: np.ndarray, k: int, ef: int | None, filter: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """K-NN-SEARCH (paper Alg. 5) for validated query rows.
+        """K-NN-SEARCH (paper Alg. 5) for query rows of the index's width.
 
         Returns the padded ``(D, I)`` of :meth:`knn_search_batch`, fresh
         arrays the caller owns, and leaves each row's evaluation count in
         ``_row_evals`` and its number of results in ``_row_found``.  With
         the compiled library this is one C call for the whole matrix,
         filtered or not (``hnsw_knn_search`` writes and pads the rows);
-        without it, one :meth:`_search_prepared` per row.
+        without it, one :meth:`_search_prepared` per row of a matrix
+        ``check_matrix`` validated.
         """
         nq = len(Q)
         ef = max(ef or self.params.ef_search, k)
@@ -686,43 +700,54 @@ class HnswIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_search_rows` as one ``hnsw_knn_search`` call.
 
-        The query rows go into a kept buffer and the call writes into kept
-        D / I / stats buffers whose addresses are taken once per (nq, k),
-        not per call — for the one-row task a worker sends, taking them
-        cost about as much as the search — and the results are copied out.
+        The query rows are copied (as float32) into a kept buffer, and the
+        call writes into kept D / I / stats buffers, all described by one
+        kept ``SearchDesc`` (:meth:`_search_desc`): a call writes its
+        epoch, ef and mask into it and passes its address, not two dozen
+        arguments.  The C side refuses a row holding a NaN or an infinity
+        before it searches anything; the results are copied out.
         """
         nq = len(Q)
-        graph, ext_addr = self._native_graph()[:2]
         rows = self._native_rows_cache
         if rows is None or rows[0] != (nq, k):
-            bufs = (
-                np.empty((nq, self.dim), dtype=np.float32),
-                np.empty((nq, k), dtype=np.float64),
-                np.empty((nq, k), dtype=np.int64),
-                np.empty((2, nq), dtype=np.int64),  # evals, results per row
-            )
-            rows = self._native_rows_cache = ((nq, k), bufs, [b.ctypes.data for b in bufs])
-        _, (q_in, D, I, stats), (q_addr, d_addr, i_addr, stats_addr) = rows
+            rows = self._native_rows_cache = self._search_desc(nq, k)
+        _, (q_in, D, I, stats), desc, desc_addr, _ = rows
         q_in[...] = Q
-        self._native.hnsw_knn_search(
-            *graph,
-            ext_addr,
-            self.max_level,
-            self._entry,
-            self._visit_epoch,
-            q_addr,
-            nq,
-            k,
-            ef,
-            None if allowed is None else allowed.ctypes.data,
-            d_addr,
-            i_addr,
-            stats_addr,
-        )
+        desc.epoch = self._visit_epoch
+        desc.ef = ef
+        desc.allowed = None if allowed is None else allowed.ctypes.data
+        if self._native.hnsw_knn_search(desc_addr):
+            raise ValueError("Q contains non-finite values")
         self._visit_epoch += nq
         self._row_evals, self._row_found = stats.copy()
         self.n_dist_evals += sum(self._row_evals.tolist())
         return D.copy(), I.copy()
+
+    def _search_desc(self, nq: int, k: int) -> tuple:
+        """``((nq, k), buffers, desc, desc address, graph)``: the query-in,
+        D, I and stats buffers of an (nq, k) call and the ``SearchDesc``
+        holding their addresses, the graph's and the entry point.  Taking
+        a dozen ``.ctypes.data`` costs more than searching a small
+        partition, so this runs once per (nq, k), reallocation or insert."""
+        graph = self._native_graph()
+        bufs = (
+            np.empty((nq, self.dim), dtype=np.float32),
+            np.empty((nq, k), dtype=np.float64),
+            np.empty((nq, k), dtype=np.int64),
+            np.empty((2, nq), dtype=np.int64),  # evals, results per row
+        )
+        desc = SearchDesc(
+            *graph[0],
+            None,  # state_ptrs: the insert path's
+            graph[1],
+            self.max_level,
+            self._entry,
+            *(b.ctypes.data for b in bufs),
+            nq,
+            k,
+        )
+        # ``graph`` rides along so the arrays the descriptor points at live
+        return (nq, k), bufs, desc, ctypes.addressof(desc), graph
 
     def _search_prepared(
         self, q: np.ndarray, k: int, ef: int, allowed: np.ndarray | None

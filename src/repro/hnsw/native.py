@@ -56,6 +56,9 @@ __all__ = [
     "native_route_for",
     "native_topk_for",
     "RouteDesc",
+    "SearchDesc",
+    "TopkCall",
+    "TopkRows",
 ]
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hotpath.c")
@@ -85,6 +88,67 @@ class RouteDesc(ctypes.Structure):
         ("heap_n", ctypes.c_void_p),
         ("out", ctypes.c_void_p),
         ("evals", ctypes.c_int64),
+    ]
+
+
+class SearchDesc(ctypes.Structure):
+    """``search_t`` of ``_hotpath.c``: one K-NN-SEARCH call — the graph,
+    the external ids, the entry point, the query / D / I / stats buffers
+    (addresses), and the per-call epoch, ef and nullable row mask."""
+
+    _fields_ = [
+        # graph_t: the index's buffers as the insert entry also takes them
+        ("X", ctypes.c_void_p),
+        ("dim", ctypes.c_int64),
+        ("nbrs_ptrs", ctypes.c_void_p),
+        ("strides", ctypes.c_void_p),
+        ("cnts_ptrs", ctypes.c_void_p),
+        ("stamp", ctypes.c_void_p),
+        ("cd", ctypes.c_void_p),
+        ("ci", ctypes.c_void_p),
+        ("rd", ctypes.c_void_p),
+        ("ri", ctypes.c_void_p),
+        ("do_sqrt", ctypes.c_int32),
+        ("state_ptrs", ctypes.c_void_p),  # the insert path's alone
+        # the call
+        ("ext", ctypes.c_void_p),
+        ("max_level", ctypes.c_int64),
+        ("entry", ctypes.c_int64),
+        ("Q", ctypes.c_void_p),
+        ("D", ctypes.c_void_p),
+        ("I", ctypes.c_void_p),
+        ("stats", ctypes.c_void_p),
+        ("nq", ctypes.c_int64),
+        ("k", ctypes.c_int64),
+        ("epoch", ctypes.c_int64),
+        ("ef", ctypes.c_int64),
+        ("allowed", ctypes.c_void_p),
+    ]
+
+
+class TopkRows(ctypes.Structure):
+    """``topk_rows_t`` of ``_hotpath.c``: the point set of an exact top-k
+    scan — float32 rows and int64 ids (addresses), count and width."""
+
+    _fields_ = [
+        ("X", ctypes.c_void_p),
+        ("ids", ctypes.c_void_p),
+        ("n", ctypes.c_int64),
+        ("dim", ctypes.c_int64),
+    ]
+
+
+class TopkCall(ctypes.Structure):
+    """``topk_call_t`` of ``_hotpath.c``: one scan's float64 query rows
+    and (nq, k) D / I outputs (addresses), and the sqrt flag."""
+
+    _fields_ = [
+        ("Q", ctypes.c_void_p),
+        ("D", ctypes.c_void_p),
+        ("I", ctypes.c_void_p),
+        ("nq", ctypes.c_int64),
+        ("k", ctypes.c_int64),
+        ("do_sqrt", ctypes.c_int32),
     ]
 
 
@@ -131,8 +195,10 @@ def _load():
     p = ctypes.c_void_p
     i64 = ctypes.c_int64
     i32 = ctypes.c_int32
-    # every graph entry starts with the same description of the index's
-    # buffers (HnswIndex._native_graph builds it once per reallocation)
+    # the insert entry starts with the description of the index's buffers
+    # (HnswIndex._native_graph builds it once per reallocation); search
+    # takes the address of a SearchDesc holding the same fields, and
+    # returns -1 for a query row that is not finite
     graph = [
         p,  # X
         i64,  # dim
@@ -146,21 +212,8 @@ def _load():
         p,  # ri
         i32,  # do_sqrt
     ]
-    lib.hnsw_knn_search.restype = None
-    lib.hnsw_knn_search.argtypes = graph + [
-        p,  # ext
-        i64,  # max_level
-        i64,  # entry
-        i64,  # epoch
-        p,  # Q
-        i64,  # nq
-        i64,  # k
-        i64,  # ef
-        p,  # allowed (nullable)
-        p,  # D
-        p,  # I
-        p,  # stats
-    ]
+    lib.hnsw_knn_search.restype = i64
+    lib.hnsw_knn_search.argtypes = [p]
     lib.hnsw_insert_batch.restype = None
     lib.hnsw_insert_batch.argtypes = graph + [
         p,  # node_level
@@ -190,8 +243,9 @@ def _load():
     lib.vp_route_approx.argtypes = [p, i64]
     lib.vp_route_exact.restype = i64
     lib.vp_route_exact.argtypes = [p, ctypes.c_double]
+    # the exact top-k scan takes a TopkRows and a TopkCall address
     lib.exact_topk.restype = None
-    lib.exact_topk.argtypes = [p, i64, p, p, i64, i64, i64, i32, p, p]
+    lib.exact_topk.argtypes = [p, p]
     _lib = lib
     _lib_state = "ready"
     return lib
@@ -294,10 +348,9 @@ def _selfcheck_topk(lib, dim: int) -> bool:
             D = np.empty((nq, 12))
             I = np.empty((nq, 12), dtype=np.int64)
             Qd = np.ascontiguousarray(Q[:nq], dtype=np.float64)
-            lib.exact_topk(
-                Qd.ctypes.data, nq, X.ctypes.data, ids.ctypes.data, n, dim, 12, do_sqrt,
-                D.ctypes.data, I.ctypes.data,
-            )
+            rows = TopkRows(X.ctypes.data, ids.ctypes.data, n, dim)
+            call = TopkCall(Qd.ctypes.data, D.ctypes.data, I.ctypes.data, nq, 12, do_sqrt)
+            lib.exact_topk(ctypes.addressof(rows), ctypes.addressof(call))
             m = min(n, 12)
             ref_d, ref_i = reference_topk(metric, Q[:nq], X[:n], ids[:n], 12)
             ok = ok and np.array_equal(np.array(ref_d).view(np.int64), D[:, :m].view(np.int64))

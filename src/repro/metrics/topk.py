@@ -17,13 +17,16 @@ Two paths give the same bits:
   (:func:`repro.hnsw.native.native_topk_for`); ``REPRO_HNSW_NO_NATIVE=1``
   turns it off with the other compiled paths.
 
-:class:`ScanRows` prepares a point set once (its two addresses are taken
-there, not per scan) and :class:`ExactTopk` keeps the query and output
-buffers of the compiled scan, so a caller that scans many times — one
-searcher serving every task of a run — pays neither per call.
+:class:`ScanRows` prepares a point set once (its ``TopkRows`` descriptor
+is filled there, not per scan) and :class:`ExactTopk` keeps the query and
+output buffers of the compiled scan behind one ``TopkCall`` descriptor,
+so a caller that scans many times — one searcher serving every task of a
+run — passes two addresses per call.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -54,32 +57,35 @@ def reference_topk(
 class ScanRows:
     """A point set prepared for repeated exact top-k scans.
 
-    ``native`` is ``(library, points address, ids address)`` when the
-    compiled scan serves these rows — float32, at least one row, a width
-    whose self-check passed — else None.  The arrays are kept here, so the
-    addresses stay valid as long as this object lives.
+    ``native`` is ``(library, TopkRows address)`` when the compiled scan
+    serves these rows — float32, at least one row, a width whose
+    self-check passed — else None.  The arrays and their ``TopkRows``
+    descriptor are kept here, so the addresses stay valid as long as this
+    object lives.
     """
 
-    __slots__ = ("pts", "ids", "n", "dim", "native")
+    __slots__ = ("pts", "ids", "n", "dim", "native", "_desc")
 
     def __init__(self, pts: np.ndarray, ids: np.ndarray) -> None:
         self.pts, self.ids = pts, ids
         self.n, self.dim = pts.shape
-        self.native = None
+        self.native = self._desc = None
         if pts.dtype == np.float32 and self.n:
-            from repro.hnsw.native import native_topk_for  # the library loads on first use
+            from repro.hnsw.native import TopkRows, native_topk_for  # loads on first use
 
             lib = native_topk_for(self.dim)
             if lib is not None:
                 self.pts = np.ascontiguousarray(pts)
                 self.ids = np.ascontiguousarray(ids, dtype=np.int64)
-                self.native = (lib, self.pts.ctypes.data, self.ids.ctypes.data)
+                self._desc = TopkRows(self.pts.ctypes.data, self.ids.ctypes.data, self.n, self.dim)
+                self.native = (lib, ctypes.addressof(self._desc))
 
 
 class ExactTopk:
     """:func:`exact_topk` over prepared rows, with the compiled scan's
-    query and output buffers kept between calls (grown to the largest
-    query count seen; replaced when the width or k changes)."""
+    query and output buffers and their ``TopkCall`` descriptor kept
+    between calls (grown to the largest query count seen; replaced when
+    the width, k or sqrt flag changes)."""
 
     def __init__(self) -> None:
         self._bufs = None
@@ -90,21 +96,31 @@ class ExactTopk:
         do_sqrt = _COMPILED.get(type(metric))
         if rows.native is None or do_sqrt is None:
             return reference_topk(metric, Q, rows.pts, rows.ids, k)
-        lib, x_addr, ids_addr = rows.native
-        nq, dim = len(Q), rows.dim
+        lib, rows_addr = rows.native
+        nq = len(Q)
         bufs = self._bufs
-        if bufs is None or bufs[0] < nq or bufs[1] != (dim, k):
-            arrays = (
-                np.empty((nq, dim), dtype=np.float64),
-                np.empty((nq, k), dtype=np.float64),
-                np.empty((nq, k), dtype=np.int64),
-            )
-            bufs = self._bufs = (nq, (dim, k), arrays, [a.ctypes.data for a in arrays])
-        _, _, (q_in, D, I), (q_addr, d_addr, i_addr) = bufs
+        if bufs is None or bufs[0] < nq or bufs[1] != (rows.dim, k, do_sqrt):
+            bufs = self._bufs = self._call_bufs(nq, rows.dim, k, do_sqrt)
+        _, _, (q_in, D, I), call, call_addr = bufs
         q_in[:nq] = Q
-        lib.exact_topk(q_addr, nq, x_addr, ids_addr, rows.n, dim, k, do_sqrt, d_addr, i_addr)
+        call.nq = nq
+        lib.exact_topk(rows_addr, call_addr)
         m = min(rows.n, k)
         return [D[i, :m].copy() for i in range(nq)], [I[i, :m].copy() for i in range(nq)]
+
+    @staticmethod
+    def _call_bufs(nq: int, dim: int, k: int, do_sqrt: int) -> tuple:
+        """``(capacity, key, (Q, D, I), TopkCall, its address)`` for scans
+        of up to ``nq`` queries."""
+        from repro.hnsw.native import TopkCall
+
+        arrays = (
+            np.empty((nq, dim), dtype=np.float64),
+            np.empty((nq, k), dtype=np.float64),
+            np.empty((nq, k), dtype=np.int64),
+        )
+        call = TopkCall(*(a.ctypes.data for a in arrays), nq, k, do_sqrt)
+        return nq, (dim, k, do_sqrt), arrays, call, ctypes.addressof(call)
 
 
 def exact_topk(

@@ -165,8 +165,10 @@ class MasterWorkerStrategy(DispatchStrategy):
             self._window = Window(
                 owner_pid=pid,
                 owner_node=master_node,
-                slots=job.results,
-                combine=job.results.combine,
+                # the raw slots: an accumulate appends, and the master
+                # ranks each query once, when it reads it
+                slots=job.results.store,
+                combine=job.results.accumulate,
                 name="results",
             )
         self._master_mailbox = rt.sim.mailbox_of(pid)

@@ -28,9 +28,13 @@ class Window:
     """A remotely-accumulatable buffer owned by one proc.
 
     ``slots`` is any indexable store (list / dict / numpy array rows);
-    ``combine(old, update) -> new`` is the accumulate operation — for the
-    paper's use case it merges a worker's local k-NN list into the global
-    k-NN list for that query id.
+    ``combine(old, update) -> new`` is the accumulate operation, applied
+    to the raw stored value.  For the paper's use case the store is
+    ``GlobalResults.store`` and the combine ``GlobalResults.accumulate``:
+    it adds a worker's local k-NN to that query's slot without ranking it
+    (the master ranks each query once, when it reads it), so the previous
+    value an accumulate returns is that raw slot, which the worker
+    discards.
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Unit tests for GlobalResults: the one combiner both result paths share."""
+"""Unit tests for GlobalResults: the one slot store both result paths share."""
 
 import numpy as np
 import pytest
@@ -54,20 +54,20 @@ class TestGlobalResults:
         ]
         g = GlobalResults(1, 5)
         for d, i in parts:
-            g[0] = g.combine(g[0], (d, i))
+            g.update(0, d, i)
         ref_d, ref_i = merge_knn(parts, 5)
         d, i = g[0]
         assert np.array_equal(i, ref_i)
         assert np.allclose(d, ref_d)
 
     def test_combine_is_merge_knn_bit_for_bit(self):
-        """The python merge returns merge_knn's bytes and dtypes, through
-        duplicate ids, tied and signed-zero distances, infinities, float32
-        input, short and empty results."""
+        """A slot read back after two updates holds merge_knn's bytes and
+        dtypes, through duplicate ids, tied and signed-zero distances,
+        infinities, float32 input, short and empty results — read one slot
+        at a time or all of them through ``result_arrays``."""
         rng = np.random.default_rng(2)
-        g = GlobalResults(1, 1)
         for _ in range(2000):
-            g.k = int(rng.integers(1, 12))
+            k = int(rng.integers(1, 12))
 
             def result(n):
                 pool = [0.0, -0.0, 0.5, 1.0, np.inf] if rng.random() < 0.5 else rng.random(8)
@@ -76,10 +76,18 @@ class TestGlobalResults:
                 order = np.lexsort((i, d))
                 return d[order], i[order]
 
-            old = merge_knn([result(int(rng.integers(0, g.k + 1)))], g.k)
+            old = merge_knn([result(int(rng.integers(0, k + 1)))], k)
             update = result(int(rng.integers(0, 13)))
-            got, want = g.combine(old, update), merge_knn([old, update], g.k)
-            for a, b in zip(got, want):
+            want = merge_knn([old, update], k)
+            g = GlobalResults(2, k)
+            for q in range(2):
+                g.update(q, *old)
+                g.update(q, *update)
+            D, I = g.result_arrays()
+            n = len(want[0])
+            assert D[0, :n].tobytes() == want[0].tobytes() and I[0, :n].tobytes() == want[1].tobytes()
+            assert np.all(D[0, n:] == np.inf) and np.all(I[0, n:] == -1)
+            for a, b in zip(g[1], want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_update_count_tracks(self):

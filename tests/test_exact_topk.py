@@ -7,6 +7,8 @@ The compiled tests run whenever the HNSW library loads (they skip under
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -50,10 +52,9 @@ def _compiled(lib, metric, Q, X, ids, k):
     Qd = np.ascontiguousarray(Q, dtype=np.float64)
     X = np.ascontiguousarray(X, dtype=np.float32)
     ids = np.ascontiguousarray(ids, dtype=np.int64)
-    lib.exact_topk(
-        Qd.ctypes.data, nq, X.ctypes.data, ids.ctypes.data, len(X), dim, k,
-        1 if metric == "l2" else 0, D.ctypes.data, I.ctypes.data,
-    )
+    rows = native.TopkRows(X.ctypes.data, ids.ctypes.data, len(X), dim)
+    call = native.TopkCall(Qd.ctypes.data, D.ctypes.data, I.ctypes.data, nq, k, 1 if metric == "l2" else 0)
+    lib.exact_topk(ctypes.addressof(rows), ctypes.addressof(call))
     m = min(len(X), k)
     return D[:, :m], I[:, :m]
 
