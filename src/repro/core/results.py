@@ -9,12 +9,11 @@ in one-sided mode (:attr:`GlobalResults.store` with
 :meth:`GlobalResults.accumulate`) — so both paths compute the same answer.
 
 A slot is *ranked* — reduced to its best k by the :func:`~repro.utils.
-heaps.merge_knn` rule — once, when it is read, not on every answer:
-:meth:`GlobalResults.result_arrays` ranks every unread slot in one
-vectorized pass, and indexing ranks one slot.  The rule is associative
-(the top k of a union is the top k of the union of each part's top k), so
-when a slot is ranked, and how its answers were grouped, never changes
-the answer.
+heaps.merge_knn` rule — once, when it is read (by indexing or by
+:meth:`GlobalResults.result_arrays`), not on every answer.  The rule is
+associative (the top k of a union is the top k of the union of each
+part's top k), so when a slot is ranked, and how its answers were
+grouped, never changes the answer.
 """
 
 from __future__ import annotations
@@ -83,8 +82,12 @@ class GlobalResults:
         """The raw slot after adding one local result ``(d, ids)`` to
         ``slot`` (the RMA window's combine).  Nothing is ranked unless the
         update holds more than k entries or the slot already holds
-        ``_MAX_PARTS`` parts, and ``slot`` itself is left unchanged."""
+        ``_MAX_PARTS`` parts, and ``slot`` itself is left unchanged.  The
+        update's arrays are kept, not copied; an answer in lists becomes
+        arrays here."""
         self.update_count += 1
+        if type(update[0]) is not np.ndarray or type(update[1]) is not np.ndarray:
+            update = np.asarray(update[0], dtype=np.float64), np.asarray(update[1], dtype=np.int64)
         if len(update[0]) > self.k:
             update = _rank([update], self.k)
         if slot is None:
@@ -102,75 +105,16 @@ class GlobalResults:
         self.store[qid] = self.accumulate(self.store[qid], (dists, ids))
 
     def result_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n_queries, k) distance and id matrices, inf/-1 padded.
-
-        Ranked slots are copied; the unranked ones are ranked here, all in
-        one :func:`_rank_rows` pass.
-        """
+        """(n_queries, k) distance and id matrices, inf/-1 padded; every
+        unranked slot is ranked here."""
         k = self.k
         D = np.full((self.n_queries, k), np.inf, dtype=np.float64)
         I = np.full((self.n_queries, k), -1, dtype=np.int64)
-        qids, parts = [], []
         for q, slot in enumerate(self.store):
             if slot is None:
                 continue
-            if type(slot) is tuple:
-                d, i = slot
-                n = min(len(d), k)
-                D[q, :n] = d[:n]
-                I[q, :n] = i[:n]
-                continue
-            owner = len(qids)
-            qids.append(q)
-            for d, i in slot:
-                parts.append((d, i, owner))
-        if qids:
-            _rank_rows(qids, parts, k, D, I)
+            d, i = self[q]
+            n = min(len(d), k)
+            D[q, :n] = d[:n]
+            I[q, :n] = i[:n]
         return D, I
-
-
-#: a pass whose combined sort codes (below ``slots * ids * distances``)
-#: would reach this sorts key by key instead
-_CODE_LIMIT = 1 << 63
-
-
-def _rank_rows(qids: list[int], parts: list, k: int, D: np.ndarray, I: np.ndarray) -> None:
-    """Rank the unranked slots of queries ``qids`` into their rows of
-    ``D`` / ``I`` in one vectorized pass, each as ``merge_knn`` of its
-    parts in arrival order would, bit for bit.  ``parts`` holds every
-    part as ``(d, ids, j)``, ``j`` indexing ``qids``.
-
-    ``merge_knn`` keeps each id's best distance — the first of equal ones
-    in arrival order — and then the k best ``(distance, id)`` pairs.  Here
-    every entry gets integer codes that sort as those keys do: its slot,
-    the dense rank of its distance (``-0.0 == 0.0``, NaN after every
-    number) and the dense rank of its id.  A stable sort by ``(slot, id,
-    distance)`` finds each (slot, id)'s kept entry, and a sort by ``(slot,
-    distance, id)`` orders the kept ones: each one argsort of a combined
-    code, or a lexsort of the separate codes where a combined one would
-    not fit in an int64.
-    """
-    d = np.concatenate([p[0] for p in parts]).astype(np.float64, copy=False)
-    i = np.concatenate([p[1] for p in parts]).astype(np.int64, copy=False)
-    if not len(d):
-        return
-    q = np.repeat(np.array([p[2] for p in parts], dtype=np.int64), [len(p[0]) for p in parts])
-    dist_vals, rd = np.unique(d + 0.0, return_inverse=True)  # + 0.0 turns -0.0 into 0.0
-    id_vals, ri = np.unique(i, return_inverse=True)
-    nd, ni = len(dist_vals), len(id_vals)
-    combined = len(qids) * ni * nd < _CODE_LIMIT
-    # each (slot, id)'s kept entry: the first of its group in this order
-    qi = q * ni + ri
-    order = np.argsort(qi * nd + rd, kind="stable") if combined else np.lexsort((rd, qi))
-    qi = qi[order]
-    kept = order[np.r_[True, qi[1:] != qi[:-1]]]
-    # the kept entries of each slot in (distance, id) order, then the first k
-    q, rd, ri = q[kept], rd[kept], ri[kept]
-    order = np.argsort((q * nd + rd) * ni + ri) if combined else np.lexsort((ri, rd, q))
-    kept, q = kept[order], q[order]
-    starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-    rank = np.arange(len(q)) - np.repeat(starts, np.diff(np.r_[starts, len(q)]))
-    top = rank < k
-    rows = np.array(qids, dtype=np.int64)[q[top]]
-    D[rows, rank[top]] = d[kept[top]]
-    I[rows, rank[top]] = i[kept[top]]

@@ -77,6 +77,11 @@ class LocalSearcher(Protocol):
         ``filter``: None, or the ``(clauses, strategy)`` pair of a pushed-
         down predicate conjunction — every row may then only be answered
         from the partition rows matching all clauses.
+
+        The runtime holds the returned rows until the query call ends
+        (they travel in messages and wait in the result slots), so a
+        searcher must not write into them afterwards — by reusing its
+        output buffers in a later call, say.
         """
         ...
 

@@ -169,14 +169,10 @@ class TestRankRule:
             assert i.tolist() == [4, 2, 8] and d.dtype == np.float64
             assert _same_slot(g[1], merge_knn([answer], 3))
 
-    @pytest.mark.parametrize("combined", [True, False])
-    def test_vectorized_pass_is_merge_knn(self, monkeypatch, combined):
-        """``result_arrays`` over many slots, sorting combined codes or key
-        by key, against ``merge_knn`` of each slot's parts: duplicate ids
-        within and across answers, signed zeros, infinities, float32, ids
-        beyond 2**40."""
-        if not combined:
-            monkeypatch.setattr(results_mod, "_CODE_LIMIT", 0)
+    def test_result_arrays_is_merge_knn(self):
+        """``result_arrays`` over many slots against ``merge_knn`` of each
+        slot's parts: duplicate ids within and across answers, signed
+        zeros, infinities, float32, ids beyond 2**40."""
         rng = np.random.default_rng(0x7A)
         for _ in range(40):
             k = int(rng.integers(1, 10))
@@ -228,6 +224,17 @@ class TestRankRule:
         second = g.accumulate(first, (np.array([0.5]), np.array([2])))
         assert len(first) == 1 and len(second) == 2 and g.update_count == 2
 
+    def test_answers_may_be_lists(self):
+        """An answer given as lists ranks as the same answer in arrays,
+        alone in its slot or beside others."""
+        g = GlobalResults(2, 3)
+        g.update(0, np.array([0.3, 0.1]), np.array([7, 5]))
+        g.update(0, [0.2, 0.1, 0.4], [1, 5, 2])
+        g.update(1, [0.2, 0.4], [1, 2])
+        want = merge_knn([(np.array([0.3, 0.1]), np.array([7, 5])), (np.array([0.2, 0.1, 0.4]), np.array([1, 5, 2]))], 3)
+        assert _same_slot(g[0], want)
+        assert _same_slot(g[1], (np.array([0.2, 0.4]), np.array([1, 2])))
+
 
 class TestWindow:
     def test_get_accumulate_returns_the_previous_value(self):
@@ -254,8 +261,18 @@ class TestWindow:
         """One-sided accumulates only append: no slot is ranked until the
         answer matrices are built, and the answer equals the two-sided one."""
         calls = []
-        rank = results_mod._rank
-        monkeypatch.setattr(results_mod, "_rank", lambda *a: calls.append(1) or rank(*a))
+        reading = [False]
+        rank, result_arrays = results_mod._rank, GlobalResults.result_arrays
+
+        def reads(self):
+            reading[0] = True
+            try:
+                return result_arrays(self)
+            finally:
+                reading[0] = False
+
+        monkeypatch.setattr(results_mod, "_rank", lambda *a: calls.append(reading[0]) or rank(*a))
+        monkeypatch.setattr(GlobalResults, "result_arrays", reads)
         rng = np.random.default_rng(5)
         X = rng.normal(size=(400, 8)).astype(np.float32)
         Q = rng.normal(size=(12, 8)).astype(np.float32)
@@ -268,7 +285,7 @@ class TestWindow:
             ann = DistributedANN(cfg)
             ann.fit(X)
             out[one_sided] = ann.query(Q)[:2]
-        assert calls == []
+        assert calls and all(calls)
         assert _same_arrays(out[True], out[False])
 
 
