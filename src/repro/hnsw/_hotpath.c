@@ -1,7 +1,8 @@
 /* Compiled hot paths for the HNSW index: SEARCH-LAYER (paper Alg. 2),
  * K-NN-SEARCH (Alg. 5) and INSERT (Alg. 1), at any vector width — and the
- * master's VP-skeleton descent (partition routing), which shares this
- * library, its loader and its self-checks.
+ * master's VP-skeleton descent (partition routing), the exact top-k scan
+ * and the VP-selection tournament scorer, which share this library, its
+ * loader and its self-checks.
  *
  * The python implementation pays ~6-8 interpreter/numpy dispatches per
  * expanded node; these helpers run the loops in C on the index's flat
@@ -1080,4 +1081,156 @@ void exact_topk(const topk_rows_t *rows, const topk_call_t *c)
             ik[j] = id;
         }
     }
+}
+
+/* ====================================================================
+ * VP selection (``repro.vptree.select.spread_scores``) under L2: one
+ * tournament round, every candidate scored by the second moment of its
+ * sample distances about their median.
+ *
+ * The numpy reference computes, per candidate row,
+ *   d   = sqrt(einsum("ij,ij->i", S - c, S - c))    (``l2sq_f64`` order)
+ *   mu  = median(d)               (even count: (lo + hi) / 2.0)
+ *   out = mean((d - mu) ** 2)     (pairwise sum over the row, then / ns)
+ * and this entry follows it operation for operation.
+ * ==================================================================== */
+
+/* four ``l2sq_f64(s_j, c)`` in flight: samples s_0..s_3 are consecutive
+ * rows of S; each chain keeps the single-pair order */
+static inline void l2sq_f64_x4(const double *restrict s,
+                               const double *restrict c, i64 dim,
+                               double *out)
+{
+    const double *s0 = s, *s1 = s + dim, *s2 = s + 2 * dim,
+                 *s3 = s + 3 * dim;
+    v2d R0 = {0.0, 0.0}, R1 = R0, R2 = R0, R3 = R0;
+    i64 k = 0;
+    for (; k + 8 <= dim; k += 8) {
+        v2d c0 = ld2(c + k), c1 = ld2(c + k + 2), c2 = ld2(c + k + 4),
+            c3 = ld2(c + k + 6);
+#define X4_STEP(R, p)                                                      \
+    do {                                                                   \
+        v2d d0 = ld2(p + k) - c0, d1 = ld2(p + k + 2) - c1,                \
+            d2 = ld2(p + k + 4) - c2, d3 = ld2(p + k + 6) - c3;            \
+        R = d0 * d0 + (d1 * d1 + (d2 * d2 + (d3 * d3 + R)));               \
+    } while (0)
+        X4_STEP(R0, s0);
+        X4_STEP(R1, s1);
+        X4_STEP(R2, s2);
+        X4_STEP(R3, s3);
+#undef X4_STEP
+    }
+    for (; k + 2 <= dim; k += 2) {
+        v2d cv = ld2(c + k);
+        v2d d0 = ld2(s0 + k) - cv, d1 = ld2(s1 + k) - cv,
+            d2 = ld2(s2 + k) - cv, d3 = ld2(s3 + k) - cv;
+        R0 = d0 * d0 + R0;
+        R1 = d1 * d1 + R1;
+        R2 = d2 * d2 + R2;
+        R3 = d3 * d3 + R3;
+    }
+    if (k < dim) {
+        v2d d0 = {s0[k] - c[k], 0.0}, d1 = {s1[k] - c[k], 0.0},
+            d2 = {s2[k] - c[k], 0.0}, d3 = {s3[k] - c[k], 0.0};
+        R0 = d0 * d0 + R0;
+        R1 = d1 * d1 + R1;
+        R2 = d2 * d2 + R2;
+        R3 = d3 * d3 + R3;
+    }
+    out[0] = R0[0] + R0[1];
+    out[1] = R1[0] + R1[1];
+    out[2] = R2[0] + R2[1];
+    out[3] = R3[0] + R3[1];
+}
+
+/* numpy's float64 pairwise sum (its add reduce over one contiguous row):
+ * plain below 8 terms, eight accumulators up to 128, halves above */
+static double pairwise_sum(const double *a, i64 n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (i64 i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        i64 i;
+        memcpy(r, a, sizeof r);
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* the k-th smallest of a[0, n), by Hoare partitioning; on return every
+ * a[i] with i < k is <= a[k] (values are finite) */
+static double select_kth(double *a, i64 n, i64 k)
+{
+    i64 lo = 0, hi = n - 1;
+    while (lo < hi) {
+        double x = a[lo + (hi - lo) / 2];
+        i64 i = lo, j = hi;
+        while (i <= j) {
+            while (a[i] < x)
+                i++;
+            while (a[j] > x)
+                j--;
+            if (i <= j) {
+                double t = a[i];
+                a[i++] = a[j];
+                a[j--] = t;
+            }
+        }
+        if (k <= j)
+            hi = j;
+        else if (k >= i)
+            lo = i;
+        else
+            break;
+    }
+    return a[k];
+}
+
+/* out[i] = the spread score of candidate row i of C (nc, dim) over the
+ * sample rows S (ns, dim); work holds 2 * ns doubles.  Returns 1, with
+ * out unfinished, when a distance is not finite (the caller then takes
+ * the numpy path, whose NaN/inf handling this entry does not copy). */
+i64 vp_spread_scores(const double *C, const double *S, i64 nc, i64 ns,
+                     i64 dim, double *work, double *out)
+{
+    double *d = work, *sel = work + ns;
+    for (i64 i = 0; i < nc; i++) {
+        const double *c = C + i * dim;
+        i64 j = 0;
+        for (; j + 4 <= ns; j += 4)
+            l2sq_f64_x4(S + j * dim, c, dim, d + j);
+        for (; j < ns; j++)
+            d[j] = l2sq_f64(S + j * dim, c, dim);
+        for (j = 0; j < ns; j++) {
+            d[j] = sqrt(d[j]);
+            if (!isfinite(d[j]))
+                return 1;
+        }
+        memcpy(sel, d, ns * sizeof *sel);
+        double mu = select_kth(sel, ns, ns / 2);
+        if (ns % 2 == 0) {
+            double lo = sel[0];
+            for (j = 1; j < ns / 2; j++)
+                lo = sel[j] > lo ? sel[j] : lo;
+            mu = (lo + mu) / 2.0;
+        }
+        for (j = 0; j < ns; j++)
+            d[j] = (d[j] - mu) * (d[j] - mu);
+        out[i] = pairwise_sum(d, ns) / (double)ns;
+    }
+    return 0;
 }

@@ -9,7 +9,13 @@ what :class:`~repro.vptree.router.PartitionRouter` runs under L2
 (:func:`native_route_for`, gated per width by its own float64 self-check
 against the router's python distance), and so does the exact top-k scan
 of :mod:`repro.metrics.topk` (:func:`native_topk_for`, gated per width
-against its numpy reference).  All are *optional*
+against its numpy reference), and so does the scorer of a VP-selection
+tournament round: ``vp_spread_scores`` is what
+:func:`repro.vptree.select.spread_scores` runs under L2
+(:func:`native_spread_for`, gated per width against
+``reference_spread_scores`` on random and {0,1,2}-grid rows, odd and
+even sample counts, and more samples than numpy's pairwise-sum block).
+All are *optional*
 accelerators with a strict bit-identity contract: they are enabled for an
 index only when
 
@@ -55,6 +61,7 @@ __all__ = [
     "native_build_for",
     "native_route_for",
     "native_topk_for",
+    "native_spread_for",
     "RouteDesc",
     "SearchDesc",
     "TopkCall",
@@ -69,6 +76,7 @@ _checked: dict[tuple[int, int], bool] = {}
 _checked_cdist: dict[tuple[int, int], bool] = {}
 _checked_route: dict[int, bool] = {}
 _checked_topk: dict[int, bool] = {}
+_checked_spread: dict[int, bool] = {}
 
 
 class RouteDesc(ctypes.Structure):
@@ -246,6 +254,10 @@ def _load():
     # the exact top-k scan takes a TopkRows and a TopkCall address
     lib.exact_topk.restype = None
     lib.exact_topk.argtypes = [p, p]
+    # one VP tournament round: C, S, nc, ns, dim, work, out; returns 1
+    # when a distance is not finite
+    lib.vp_spread_scores.restype = i64
+    lib.vp_spread_scores.argtypes = [p, p, i64, i64, i64, p, p]
     _lib = lib
     _lib_state = "ready"
     return lib
@@ -357,6 +369,47 @@ def _selfcheck_topk(lib, dim: int) -> bool:
             ok = ok and np.array_equal(np.array(ref_i), I[:, :m])
     _checked_topk[dim] = bool(ok)
     return bool(ok)
+
+
+def _selfcheck_spread(lib, dim: int) -> bool:
+    """Compare the compiled tournament scorer against
+    ``reference_spread_scores`` at this width, bit for bit: random and
+    {0,1,2}-grid rows (tied and zero distances), odd and even sample
+    counts, and 131 samples, past the 128-term block of numpy's pairwise
+    sum."""
+    hit = _checked_spread.get(dim)
+    if hit is not None:
+        return hit
+    from repro.vptree.select import reference_spread_scores
+
+    rng = np.random.default_rng([0x5B7EAD, dim])
+    ok = True
+    for nc, ns in ((6, 131), (3, 8), (2, 7)):
+        for grid in (False, True):
+            if grid:
+                C = rng.integers(0, 3, size=(nc, dim)).astype(np.float64)
+                S = rng.integers(0, 3, size=(ns, dim)).astype(np.float64)
+            else:
+                C = rng.normal(0, 10, size=(nc, dim))
+                S = rng.normal(0, 10, size=(ns, dim))
+            out = np.empty(nc)
+            work = np.empty(2 * ns)
+            ref = reference_spread_scores(C, S, EuclideanMetric())
+            status = lib.vp_spread_scores(
+                C.ctypes.data, S.ctypes.data, nc, ns, dim, work.ctypes.data, out.ctypes.data
+            )
+            ok = ok and status == 0 and np.array_equal(ref.view(np.int64), out.view(np.int64))
+    _checked_spread[dim] = bool(ok)
+    return bool(ok)
+
+
+def native_spread_for(dim: int):
+    """The compiled library if the L2 tournament scorer at width ``dim``
+    is bit-exact against the numpy reference, else None."""
+    lib = _load()
+    if lib is None or not _selfcheck_spread(lib, dim):
+        return None
+    return lib
 
 
 def native_topk_for(dim: int):

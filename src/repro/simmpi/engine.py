@@ -136,6 +136,15 @@ def payload_nbytes(obj: Any) -> int:
     scalars get a small fixed pickle-ish overhead.  Callers that know the
     exact size pass ``nbytes`` explicitly instead.
     """
+    # the exact types collectives carry most, before the isinstance ladder
+    # (which still sizes their subclasses: bool, np.float64, ...)
+    t = type(obj)
+    if t is np.ndarray:
+        return obj.nbytes + 96
+    if t is tuple:
+        return 16 + sum([payload_nbytes(x) for x in obj])
+    if t is int or t is float:
+        return 32
     if obj is None:
         return 8
     if isinstance(obj, np.ndarray):

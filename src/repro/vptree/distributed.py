@@ -36,6 +36,7 @@ from repro.metrics import Metric, get_metric
 from repro.simmpi.comm import Comm
 from repro.simmpi.engine import Context
 from repro.utils.rng import rng_for
+from repro.utils.validation import check_positive_int
 from repro.vptree.median import distributed_select
 from repro.vptree.select import spread_scores
 
@@ -184,6 +185,8 @@ def distributed_build(
     m = get_metric(metric)
     if not m.is_true_metric:
         raise ValueError(f"VP partitioning requires a true metric, not {m.name!r}")
+    check_positive_int(n_candidates, "n_candidates")
+    check_positive_int(n_sample, "n_sample")
     X = np.ascontiguousarray(local_points, dtype=np.float32)
     ids = np.asarray(local_ids, dtype=np.int64)
     if len(X) != len(ids):

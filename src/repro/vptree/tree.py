@@ -75,7 +75,7 @@ class VPTree:
             )
         check_positive_int(leaf_size, "leaf_size")
         self.leaf_size = leaf_size
-        self.n_candidates = n_candidates
+        self.n_candidates = check_positive_int(n_candidates, "n_candidates")
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0x59]))
         self.n_dist_evals = 0
         self.root = self._build(np.arange(len(self.X), dtype=np.int64))

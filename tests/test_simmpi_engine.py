@@ -625,6 +625,42 @@ class TestPayloadNbytes:
     def test_none_small(self):
         assert payload_nbytes(None) == 8
 
+    def test_sizes_equal_the_isinstance_ladder(self):
+        """The exact-type fast path changes no size: every payload kind,
+        subclasses included, against the ladder it short-cuts."""
+
+        def ladder(obj):
+            if obj is None:
+                return 8
+            if isinstance(obj, np.ndarray):
+                return int(obj.nbytes) + 96
+            if isinstance(obj, (bytes, bytearray)):
+                return len(obj) + 32
+            if isinstance(obj, (tuple, list)):
+                return 16 + sum(ladder(x) for x in obj)
+            if isinstance(obj, dict):
+                return 32 + sum(ladder(k) + ladder(v) for k, v in obj.items())
+            if isinstance(obj, str):
+                return len(obj) + 40
+            return 32
+
+        class Sub(np.ndarray):
+            pass
+
+        class IntTuple(tuple):
+            pass
+
+        arr = np.arange(12, dtype=np.float32)
+        corpus = [
+            None, 0, -7, 2**70, 1.5, float("nan"), True, False, np.float64(2.0),
+            np.int64(3), np.float32(1.0), arr, arr.view(Sub), arr[::2], np.empty((0, 3)),
+            (), (1, 2.0), (1, (2, (3, None)), arr), IntTuple((1, 2)), [1, [2.0, arr]],
+            {"a": 1, 2: (3, arr)}, "", "hello", b"xyz", bytearray(5), object(), 1j,
+            [(np.int64(1), True)] * 3,
+        ]
+        for obj in corpus:
+            assert payload_nbytes(obj) == ladder(obj), obj
+
 
 # --------------------------------------------------------------------------
 # the one-event forms of a thread's start and stop, against the syscalls

@@ -47,6 +47,25 @@ class TestSelect:
         idx, _ = select_vantage_point(X, candidates=cands, rng=rng)
         assert 0 <= idx < 5
 
+    @pytest.mark.parametrize(
+        "X, kwargs, name",
+        [
+            (np.empty((0, 4)), {}, "X"),
+            (np.empty((5, 0)), {}, "X"),
+            (np.ones((5, 4)), {"n_sample": 0}, "n_sample"),
+            (np.ones((5, 4)), {"n_candidates": 0}, "n_candidates"),
+            (np.ones((5, 4)), {"candidates": np.empty((0, 4))}, "candidates"),
+            (np.ones((5, 4)), {"candidates": np.ones((3, 5))}, "candidates"),
+        ],
+    )
+    def test_edge_inputs_are_refused_by_name(self, X, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            select_vantage_point(X, rng=np.random.default_rng(0), **kwargs)
+
+    def test_tree_refuses_zero_candidates(self, data):
+        with pytest.raises(ValueError, match="n_candidates"):
+            VPTree(data[0], n_candidates=0)
+
 
 class TestVPTree:
     def test_exact_search_matches_brute_force(self, data):

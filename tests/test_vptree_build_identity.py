@@ -122,7 +122,7 @@ def test_build_repeats_the_golden_digest(name):
 # -- (b) the batched scorer against the one-row reference -----------------------
 
 
-@pytest.mark.parametrize("metric", ["l2", "l1", "linf"])
+@pytest.mark.parametrize("metric", ["l2", "l1", "linf", "sqeuclidean"])
 @pytest.mark.parametrize("dim", [1, 3, 32, 33, 128])
 def test_spread_scores_equals_spread_score_bitwise(metric, dim):
     m = get_metric(metric)

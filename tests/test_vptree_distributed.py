@@ -92,6 +92,12 @@ class TestPartitioning:
         with pytest.raises(Exception, match="true metric"):
             run_build_sim(X, 2, metric="sqeuclidean")
 
+    @pytest.mark.parametrize("name", ["n_candidates", "n_sample"])
+    def test_empty_tournament_rejected_by_name(self, name):
+        X = sift_like(64, dim=8, seed=0)
+        with pytest.raises(Exception, match=name):
+            run_build_sim(X, 2, **{name: 0})
+
     def test_mismatched_ids_rejected(self):
         X = sift_like(64, dim=8, seed=0)
         sim = Simulation()
