@@ -7,7 +7,10 @@ Runs the full distributed index construction on the simulated cluster:
    (Algorithms 1-2) to produce one VP-leaf partition per rank,
 3. each rank builds its partition's local HNSW index — for real in
    fidelity mode (charging the exact distance evaluations the build
-   performed), analytically in modeled mode,
+   performed), analytically in modeled mode.  A real compiled insert runs
+   on a host worker thread from the moment the rank's leaf is fixed; the
+   simulated rank waits for it where it builds, so threads change host
+   time only,
 4. rank 0 gathers the per-rank construction paths and assembles the
    global :class:`~repro.vptree.router.PartitionRouter`,
 5. replicas are shipped to workgroup nodes (charged as broadcasts of the
@@ -21,6 +24,9 @@ reports.
 
 from __future__ import annotations
 
+import contextlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +68,57 @@ class BuildOutput:
     metrics: MetricsRegistry | None = None
 
 
+def _place_worker(cpus, mask) -> None:
+    """Start a pool worker on a CPU of its own, then free it to move.
+
+    Without this, every worker is woken onto the CPU of the thread that
+    submits to it — the one running the simulation — and the builds queue
+    there while the other CPUs idle (docs/performance.md, "HNSW builds on
+    host threads during fit").  Placement is a hint, so a refused mask is
+    ignored.
+    """
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, {next(cpus)})
+        os.sched_setaffinity(0, mask)
+
+
+def _build_pool() -> ThreadPoolExecutor:
+    """One worker per usable CPU, each started on a distinct one."""
+    if not hasattr(os, "sched_setaffinity"):
+        return ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+    mask = os.sched_getaffinity(0)
+    return ThreadPoolExecutor(
+        max_workers=len(mask), initializer=_place_worker, initargs=(iter(sorted(mask)), mask)
+    )
+
+
 def _builder_program(
-    ctx, world: Comm, config: SystemConfig, X, chunk_ids, work_scale, metadata=None
+    ctx, world: Comm, config: SystemConfig, X, chunk_ids, work_scale, metadata, pool
 ):
-    """One builder rank: VP partitioning, then the local HNSW build."""
+    """One builder rank: VP partitioning, then the local HNSW build.
+
+    With the real searcher the rank's HNSW index is created as soon as
+    ``distributed_build`` fixes its leaf, and a compiled insert goes to
+    ``pool`` right then; the rank waits for it where it builds the graph,
+    so the simulated program and its virtual clock are those of an inline
+    build.  Without a compiled insert the build runs inline at that point.
+    """
     rank = world.rank(ctx)
+    leaf = []
+
+    def on_leaf(points, ids):
+        index = HnswIndex(
+            dim=X.shape[1],
+            params=config.hnsw,
+            metric=config.metric,
+            capacity=max(len(ids), 16),
+        )
+        job = None
+        if len(ids) and index.native_build_active:
+            insert = index.stage_items(points, ids)
+            job = (pool.submit(insert.run), insert)
+        leaf[:] = index, job
+
     res = yield from distributed_build(
         ctx,
         world,
@@ -75,17 +127,17 @@ def _builder_program(
         metric=config.metric,
         seed=config.seed,
         work_scale=work_scale,
+        on_leaf=on_leaf if config.searcher == "real" else None,
     )
     t_partition_done = ctx.now
 
     if config.searcher == "real":
-        index = HnswIndex(
-            dim=X.shape[1],
-            params=config.hnsw,
-            metric=config.metric,
-            capacity=max(len(res.ids), 16),
-        )
-        if len(res.ids):
+        index, job = leaf
+        if job is not None:
+            future, insert = job
+            future.result()
+            insert.finish()
+        elif len(res.ids):
             index.add_items(res.points, res.ids)
         build_cost = ctx.cost.distance_cost(index.n_dist_evals, X.shape[1])
         build_cost += ctx.cost.graph_update_cost(len(index) * config.hnsw.M)
@@ -189,7 +241,7 @@ def run_build(config: SystemConfig, X: np.ndarray, metadata=None) -> BuildOutput
         def program(ctx):
             return (
                 yield from _builder_program(
-                    ctx, world, config, X, np.sort(chunks[rank]), work_scale, metadata
+                    ctx, world, config, X, np.sort(chunks[rank]), work_scale, metadata, pool
                 )
             )
 
@@ -200,7 +252,14 @@ def run_build(config: SystemConfig, X: np.ndarray, metadata=None) -> BuildOutput
         for rank in range(P)
     ]
     world = Comm(sim, pids, "build")
-    out = sim.run()
+    # the ranks' compiled HNSW inserts run here while the simulation goes
+    # on; the shutdown drops what a failed run left queued and joins every
+    # worker, so no thread outlives the build
+    pool = _build_pool()
+    try:
+        out = sim.run()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     results = [out.results[pid] for pid in pids]
     partitions = {r: results[r]["partition"] for r in range(P)}

@@ -87,8 +87,9 @@ class DistributedANN:
         """
         X = check_matrix(X, "X")
         self._close_session()
-        self._dim = X.shape[1]
-        self._build = run_build(self.config, X, metadata=metadata)
+        # a build that raises leaves the previous index whole
+        build = run_build(self.config, X, metadata=metadata)
+        self._dim, self._build = X.shape[1], build
         max_node_bytes = max(
             ns.total_bytes() for ns in self._build.node_stores.values()
         )

@@ -65,7 +65,7 @@ from repro.utils.validation import (
     check_vector,
 )
 
-__all__ = ["HnswIndex"]
+__all__ = ["HnswIndex", "StagedInsert"]
 
 #: number of int64 fields in the saved ``meta`` array (full param set);
 #: legacy files carry only the first 6 (see ``load``)
@@ -74,6 +74,40 @@ _META_LEN = 10
 #: does not implement: ``save`` writes 0 there, and ``load`` refuses a
 #: graph built with it set, since ``add`` could not continue it alike
 _META_EXTEND = 7
+
+
+class StagedInsert:
+    """A compiled bulk insert staged by :meth:`HnswIndex.stage_items`.
+
+    ``run`` is the one ``hnsw_insert_batch`` call.  It touches only the
+    index's buffers and ctypes drops the GIL around it, so it may run on
+    another thread — as long as nothing uses the index until ``finish``,
+    which reads the call's entry point, visit epoch and counters back into
+    the index on the index's own thread.  ``run`` is a no-op for an empty
+    batch.
+    """
+
+    __slots__ = ("_index", "_args", "_io", "_levels")
+
+    def __init__(
+        self,
+        index: HnswIndex,
+        args: tuple | None = None,
+        io: np.ndarray | None = None,
+        levels: np.ndarray | None = None,
+    ) -> None:
+        self._index = index
+        self._args = args
+        self._io = io
+        self._levels = levels  # ``args`` holds its address
+
+    def run(self) -> None:
+        if self._args is not None:
+            self._index._native_build.hnsw_insert_batch(*self._args)
+
+    def finish(self) -> None:
+        if self._io is not None:
+            self._index._finish_insert(self._io)
 
 
 class HnswIndex:
@@ -261,6 +295,14 @@ class HnswIndex:
         # skiplist-style exponential promotion, mL = 1/ln(M)
         return int(-np.log(max(u, 1e-300)) * self.params.level_mult)
 
+    def _sample_levels(self, n: int) -> np.ndarray:
+        """``n`` levels from one RNG call: the draws and values of ``n``
+        successive :meth:`_sample_level` calls, bit for bit."""
+        if self.params.flat:
+            return np.zeros(n, dtype=np.int32)
+        u = self._rng.random(n)
+        return (-np.log(np.maximum(u, 1e-300)) * self.params.level_mult).astype(np.int32)
+
     def add(self, vector: np.ndarray, ext_id: int | None = None) -> int:
         """Insert one point; returns its internal id."""
         q = check_vector(vector, "vector", dim=self.dim)
@@ -268,7 +310,12 @@ class HnswIndex:
         if self._native_build is not None:
             node = self._n
             self._grow(node + 1)
-            self._add_items_native(q[np.newaxis, :], None if ext_id is None else [ext_id])
+            levels = np.array([self._sample_level()], dtype=np.int32)
+            insert = self._prepare_insert(
+                q[np.newaxis, :], None if ext_id is None else [ext_id], levels
+            )
+            insert.run()
+            insert.finish()
             return node
         return self._add_prepared(q, ext_id)
 
@@ -326,8 +373,34 @@ class HnswIndex:
 
         ``check_matrix`` validates the whole matrix once; the per-row
         ``check_vector`` of :meth:`add` (dtype check + contiguity copy per
-        row) is skipped entirely.
+        row) is skipped entirely.  With the compiled insert this is
+        :meth:`stage_items` and its two steps run inline.
         """
+        if self._native_build is not None:
+            insert = self.stage_items(X, ids)
+            insert.run()
+            insert.finish()
+            return
+        X = self._check_items(X, ids)
+        for i in range(X.shape[0]):
+            self._add_prepared(X[i], None if ids is None else ids[i])
+
+    def stage_items(self, X: np.ndarray, ids: Sequence[int] | None = None) -> StagedInsert:
+        """:meth:`add_items` for the compiled insert, split where it may
+        cross threads.
+
+        Validates, stores the points and samples their levels now; the
+        returned :class:`StagedInsert`'s ``run`` is the compiled call alone
+        and its ``finish`` completes the insert.  Raises ``RuntimeError``
+        when this index has no compiled insert (``native_build_active``).
+        """
+        if self._native_build is None:
+            raise RuntimeError("this index has no compiled insert to stage")
+        X = self._check_items(X, ids)
+        return self._prepare_insert(X, ids, self._sample_levels(X.shape[0]))
+
+    def _check_items(self, X: np.ndarray, ids: Sequence[int] | None) -> np.ndarray:
+        """A bulk insert's validated float32 matrix, with room made for it."""
         X = check_matrix(X, "X")
         if X.shape[1] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {X.shape[1]}")
@@ -335,32 +408,31 @@ class HnswIndex:
             raise ValueError(f"{len(ids)} ids for {X.shape[0]} points")
         self._grow(self._n + X.shape[0])
         self._native_rows_cache = None  # the search descriptor holds the entry point
-        if self._native_build is not None:
-            self._add_items_native(X, ids)
-            return
-        for i in range(X.shape[0]):
-            self._add_prepared(X[i], None if ids is None else ids[i])
+        return X
 
-    def _add_items_native(self, X: np.ndarray, ids: Sequence[int] | None) -> None:
-        """Bulk INSERT via the compiled batch helper (bit-identical by contract).
+    def _prepare_insert(
+        self, X: np.ndarray, ids: Sequence[int] | None, levels: np.ndarray
+    ) -> StagedInsert:
+        """Stage a bulk INSERT for the compiled batch helper (bit-identical
+        by contract).
 
         The python side stays the single source of truth: it stores the
-        points, samples every level (one RNG draw per point, in insert
-        order — exactly the draws the sequential path would make), sizes
-        the per-level adjacency, and hands the C helper raw buffer
+        points and their sampled ``levels`` (one RNG draw per point, in
+        insert order — exactly the draws the sequential path would make),
+        sizes the per-level adjacency, and hands the C helper raw buffer
         addresses; the helper returns the updated entry point, visit
-        epoch, and the logical eval/shrink counts.
+        epoch, and the logical eval/shrink counts in ``io``, which
+        :meth:`StagedInsert.finish` reads back.
         """
         n0 = self._n
         n_new = X.shape[0]
         if n_new == 0:
-            return
+            return StagedInsert(self)
         self._X[n0 : n0 + n_new] = X
         if ids is None:
             self._ext[n0 : n0 + n_new] = np.arange(n0, n0 + n_new)
         else:
             self._ext[n0 : n0 + n_new] = [int(i) for i in ids]
-        levels = np.array([self._sample_level() for _ in range(n_new)], dtype=np.int32)
         self._node_level[n0 : n0 + n_new] = levels
         self._n = n0 + n_new
         self._ensure_level(int(levels.max()))
@@ -370,7 +442,7 @@ class HnswIndex:
             [self._visit_epoch, -1 if self._entry is None else self._entry, 0, 0, 0],
             dtype=np.int64,
         )
-        self._native_build.hnsw_insert_batch(
+        args = (
             *graph,
             self._node_level.ctypes.data,
             n0,
@@ -384,6 +456,9 @@ class HnswIndex:
             *build,
             io.ctypes.data,
         )
+        return StagedInsert(self, args, io, levels)
+
+    def _finish_insert(self, io: np.ndarray) -> None:
         self._visit_epoch, self._entry = int(io[0]), int(io[1])
         self.n_dist_evals += int(io[2])
         self.n_shrink_ops += int(io[3])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from typing import Callable
 
 import numpy as np
 
@@ -171,6 +172,7 @@ def distributed_build(
     n_sample: int = 100,
     seed: int = 0,
     work_scale: float = 1.0,
+    on_leaf: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ):
     """Run the full distributed partitioning on the calling rank.
 
@@ -181,6 +183,12 @@ def distributed_build(
     (paper-scale) mode sets it to virtual_points / real_points so the
     virtual construction time reflects the billion-point workload while
     the algorithm itself runs on the reduced-scale data (see DESIGN.md).
+
+    ``on_leaf(points, ids)`` is called once, with this rank's final
+    partition, as soon as it is fixed: after the last ``alltoallv`` and
+    before the last ``comm.split`` (at entry in a one-rank world).  It
+    costs no virtual time; the caller may start host work on the leaf
+    there while the other ranks are still partitioning.
     """
     m = get_metric(metric)
     if not m.is_true_metric:
@@ -191,7 +199,10 @@ def distributed_build(
     ids = np.asarray(local_ids, dtype=np.int64)
     if len(X) != len(ids):
         raise ValueError(f"{len(X)} points but {len(ids)} ids")
+    del local_points, local_ids  # X may be the caller's copy; rounds replace it
     comm = world
+    if on_leaf is not None and comm.size == 1:
+        on_leaf(X, ids)
     path: list[tuple[np.ndarray, float, bool]] = []
     depth = 0
 
@@ -223,7 +234,11 @@ def distributed_build(
         # an empty inbox leaves an empty shard of the same width and dtypes
         X = np.concatenate([p for p, _ in inbox.values()] or [X[:0]])
         ids = np.concatenate([i for _, i in inbox.values()] or [ids[:0]])
+        del send, inbox, d, inside  # the round's buffers, freed before the next
         path.append((vp, float(mu), went_left))
+        side_size = n_left_ranks if went_left else comm.size - n_left_ranks
+        if on_leaf is not None and side_size == 1:
+            on_leaf(X, ids)
         comm = yield from comm.split(ctx, color=0 if went_left else 1, key=my_rank)
         depth += 1
 

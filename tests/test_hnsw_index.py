@@ -107,6 +107,53 @@ class TestConstruction:
                 assert node in below
 
 
+class _Draws:
+    """A stand-in generator handing out fixed uniforms, in order, to both
+    ``random()`` and ``random(n)``."""
+
+    def __init__(self, u):
+        self._u = list(u)
+
+    def random(self, n=None):
+        if n is None:
+            return self._u.pop(0)
+        out, self._u = np.array(self._u[:n]), self._u[n:]
+        return out
+
+
+class TestLevelSampling:
+    """A batch's levels come from one RNG call; they must be the per-point
+    ``_sample_level`` draws and values, bit for bit."""
+
+    @pytest.mark.parametrize("M", [2, 4, 16, 48])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_batch_levels_equal_per_point_levels(self, M, seed):
+        params = HnswParams(M=M, seed=seed)
+        batch, single = HnswIndex(dim=4, params=params), HnswIndex(dim=4, params=params)
+        for n in (1, 17, 5000):
+            expect = [single._sample_level() for _ in range(n)]
+            assert batch._sample_levels(n).tolist() == expect
+        # both generators were left at the same state
+        assert batch._rng.random() == single._rng.random()
+
+    @pytest.mark.parametrize("M", [2, 4, 16, 48])
+    def test_draws_at_or_below_the_clamp(self, M):
+        u = [0.0, 1e-320, 5e-324, 1e-300, 9.99e-301, 1.0001e-300, 1e-200, 0.5, 1 - 2**-53]
+        params = HnswParams(M=M)
+        batch, single = HnswIndex(dim=4, params=params), HnswIndex(dim=4, params=params)
+        batch._rng, single._rng = _Draws(u), _Draws(u)
+        levels = batch._sample_levels(len(u))
+        assert levels.dtype == np.int32
+        assert levels.tolist() == [single._sample_level() for _ in u]
+        # everything at or below the clamp lands on the clamp's level
+        assert len(set(levels[:5].tolist())) == 1
+
+    def test_flat_samples_no_levels_and_draws_nothing(self):
+        idx = HnswIndex(dim=4, params=HnswParams(M=4, flat=True))
+        idx._rng = _Draws([])
+        assert idx._sample_levels(9).tolist() == [0] * 9
+
+
 class TestSearch:
     def test_recall_above_threshold(self, built_index):
         idx, X, Q, gt_d, gt_i = built_index
