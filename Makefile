@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repo.
 
-.PHONY: install test test-nonative lint bench bench-smoke bench-e2e-smoke bench-paper bench-core obs-smoke examples faults-demo clean
+.PHONY: install test test-nonative lint bench bench-smoke bench-e2e-smoke profile-query bench-paper bench-core obs-smoke examples faults-demo clean
 
 # smoke artifacts are throwaway CI outputs — they land in .benchmarks/
 # (gitignored), never next to the tracked benchmarks/BENCH_hnsw.json
@@ -76,6 +76,13 @@ obs-smoke:
 bench-e2e-smoke:
 	python3 benchmarks/e2e/bench.py --smoke
 	python -m pytest -q benchmarks/e2e/tests
+
+# where one pass of a benchmark workload's queries spends its host time:
+# self time by repro module, engine events per task and the top functions
+# under cProfile (host timing, so no CI job runs it); W names the workload
+W ?= syn32_closed
+profile-query:
+	python benchmarks/profile_query.py $(W)
 
 # full evaluation-section reproduction (all tables + figures + ablations)
 bench-paper:

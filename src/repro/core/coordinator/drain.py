@@ -22,7 +22,7 @@ __all__ = ["await_thread_exits", "broadcast_end", "collect_thread_exits"]
 def broadcast_end(ctx: Context, node_mailboxes: list[Mailbox]):
     """One "End of Queries" message to every worker node's mailbox."""
     for mailbox in node_mailboxes:
-        yield from send(ctx, mailbox, END)
+        yield send(ctx, mailbox, END)
 
 
 def await_thread_exits(ctx: Context, n_threads: int):

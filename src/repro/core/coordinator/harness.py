@@ -155,15 +155,18 @@ class FaultHarness:
             return
         state = {"core": core, "attempts": 1, "tried": {core}, "deadline": 0.0}
         self.pending[(query_id, partition_id)] = state
-        with ctx.span("dispatch", query_id=int(query_id), partition=int(partition_id)):
-            yield from self._send(ctx, query_id, partition_id, core)
+        yield from self._send(ctx, query_id, partition_id, core, "dispatch")
         state["deadline"] = ctx.now + self.base_timeout
 
-    def _send(self, ctx: Context, query_id: int, partition_id: int, core: int):
-        """One attempt of a task: the query as the one-row batch it is."""
-        return self.win.send_task(
-            ctx, (query_id,), partition_id, core, self.queries[query_id : query_id + 1]
-        )
+    def _send(self, ctx: Context, query_id: int, partition_id: int, core: int, span: str):
+        """One attempt of a task under ``span``: the query as the one-row
+        batch it is (a retry or failover span names its core too)."""
+        attrs = None
+        if ctx.trace_active:
+            attrs = {"query_id": int(query_id), "partition": int(partition_id)}
+            if span != "dispatch":
+                attrs["core"] = int(core)
+        return self.win.send_task(ctx, (query_id,), partition_id, core, span=span, attrs=attrs)
 
     def _drain_deferred(self, ctx: Context):
         """Re-try parked tasks: each is dispatched, parked again or failed
@@ -218,10 +221,7 @@ class FaultHarness:
         else:
             self.report.failovers += 1
         state["core"] = nxt
-        with ctx.span(
-            span, query_id=int(query_id), partition=int(partition_id), core=int(nxt)
-        ):
-            yield from self._send(ctx, query_id, partition_id, nxt)
+        yield from self._send(ctx, query_id, partition_id, nxt, span)
         state["deadline"] = ctx.now + self.base_timeout * self.policy.backoff ** (
             state["attempts"] - 1
         )

@@ -33,7 +33,7 @@ class ResultMerger:
     *during* dispatch without changing D/I.  A merge here only appends the
     row to its query's slot; the rank happens when the slot is read.
 
-    ``note_result`` observes each settled two-sided row (per-query
+    ``note_result`` observes each settled row (per-query
     latency accounting); ``on_complete(qid, pid, d)`` feeds the adaptive
     path's second-wave trigger.
     """
@@ -60,33 +60,25 @@ class ResultMerger:
         ``rows`` a list of settled ``(query_id, dists)`` pairs.
 
         Charges one ``compare_cost`` merge per row — the caller wraps
-        this in its own ``reduce`` span.
+        this in its own ``reduce`` span.  A one-sided credit ack's rows
+        landed in the RMA window already: it merges nothing and charges
+        nothing, and its rows carry no distances.
         """
+        if payload[0] == "credit":
+            return [(qid, None) for qid in payload[1]], payload[2]
         k = self.config.k
         _, query_ids, pid_part, ds, idss = payload
         rows = []
         for qid, d, ids in zip(query_ids, ds, idss):
-            yield from ctx.compute(ctx.cost.compare_cost(len(d) + k), kind="merge")
+            yield ctx.compute_op(ctx.cost.compare_cost(len(d) + k), "merge")
             self.results.update(qid, d, ids)
             rows.append((qid, d))
         return rows, pid_part
 
-    def settle_credit(self, payload, window, ctx: Context | None = None) -> None:
-        """Settle one credit-ack payload: count the tasks done, return
-        their dispatch credits.  Pure bookkeeping — charges no time."""
-        _, qids_b, pid_part = payload
-        for qid in qids_b:
-            self.tasks_completed += 1
-            window.release((int(qid), int(pid_part)))
-            if ctx is not None and ctx.trace_active:
-                ctx.trace_instant(
-                    "task_settle", query_id=int(qid), partition=int(pid_part)
-                )
-
-    def finish_rows(self, rows, pid_part, window, ctx: Context | None = None) -> None:
+    def finish_rows(self, rows, pid_part, window, ctx: Context) -> None:
         """Settle already-merged rows: credits back, completion hooks.
         Pure bookkeeping — charges no time."""
-        trace = ctx is not None and ctx.trace_active
+        trace = ctx.trace_active
         for qid, d in rows:
             self.tasks_completed += 1
             window.release((qid, pid_part))
@@ -105,12 +97,10 @@ class ResultMerger:
         window, only the flow-control bookkeeping passes through the
         coordinator.
         """
-        if self.one_sided:
-            with ctx.span("reduce"):
-                req = yield from ctx.recv(ctx.mailbox, tag=TAG_CREDIT)
-            self.settle_credit(req.payload, window, ctx=ctx)
-            return
-        with ctx.span("reduce"):
-            req = yield from ctx.recv(ctx.mailbox, tag=TAG_RESULT)
+        start = ctx.span_begin("reduce")
+        try:
+            req = yield ctx.recv_op(ctx.mailbox, tag=TAG_CREDIT if self.one_sided else TAG_RESULT)
             rows, pid_part = yield from self.merge_payload(ctx, req.payload)
-        self.finish_rows(rows, pid_part, window, ctx=ctx)
+        finally:
+            ctx.span_end("reduce", start)
+        self.finish_rows(rows, pid_part, window, ctx)

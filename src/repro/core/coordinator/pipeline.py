@@ -48,6 +48,8 @@ class CoordinatorPipeline:
         #: (query_id, dists) completions awaiting adaptive second waves
         self._events: deque = deque()
         self._pending_pilot: dict[int, int] = {}
+        #: a recorder listens (fixed per run): build span attributes
+        self._traced = False
 
     def run(self, ctx: Context):
         """The coordinator proc body.  Returns a :class:`MasterReport`."""
@@ -55,6 +57,7 @@ class CoordinatorPipeline:
         window, merger = self.window, self.merger
         queries = self.queries
         one_sided = merger.one_sided
+        self._traced = ctx.trace_active
         batch_start = ctx.now
         outstanding = np.zeros(len(queries), dtype=np.int64)
         latencies = np.full(len(queries), np.nan)
@@ -69,8 +72,9 @@ class CoordinatorPipeline:
             for qid in query_ids:
                 outstanding[qid] += 1
 
-        window.on_dispatch = note_dispatch
+        # latencies are two-sided only: a one-sided run counts nothing
         if not one_sided:
+            window.on_dispatch = note_dispatch
             merger.note_result = note_result
 
         if config.routing == "approx":
@@ -101,11 +105,18 @@ class CoordinatorPipeline:
         report.queue_depth_timeline = window.tracker.timeline()
         return report
 
+    def _send(self, ctx: Context, query_ids, partition_id: int):
+        """The window's send routine for one task (``yield from`` it)."""
+        attrs = None
+        if self._traced:
+            attrs = {"partition": int(partition_id), "n_queries": len(query_ids)}
+        return self.window.send_task(ctx, query_ids, partition_id, merger=self.merger, attrs=attrs)
+
     # -- approx: route everything, batch per partition, collect after -------
 
     def _approx_dispatch(self, ctx: Context):
-        config, window, merger = self.config, self.window, self.merger
-        queries = self.queries
+        config, queries = self.config, self.queries
+        fanouts = self.report.fanouts
         # per-partition dispatch buffers: a partition's batch flushes as
         # soon as it holds batch_size queries, and stragglers flush in
         # partition order after the last query routes
@@ -116,28 +127,26 @@ class CoordinatorPipeline:
             parts = yield from self.router.route_approx(
                 ctx, queries[qid], config.n_probe, query_id=qid
             )
-            self.report.fanouts.append(len(parts))
+            fanouts.append(len(parts))
             for pid_part in parts:
                 buf = buffers.setdefault(pid_part, [])
                 buf.append(qid)
                 if len(buf) >= batch:
                     del buffers[pid_part]
-                    yield from window.dispatch(ctx, merger, buf, pid_part, queries[buf])
+                    yield from self._send(ctx, buf, pid_part)
         for pid_part in sorted(buffers):
-            buf = buffers[pid_part]
-            yield from window.dispatch(ctx, merger, buf, pid_part, queries[buf])
+            yield from self._send(ctx, buffers[pid_part], pid_part)
 
     # -- adaptive: pilot wave, then per-pilot exact second waves -------------
 
     def _adaptive(self, ctx: Context):
-        window, merger = self.window, self.merger
+        merger = self.merger
         queries = self.queries
         merger.on_complete = lambda qid, _pid, d: self._events.append((qid, d))
         for qid in range(len(queries)):
-            q = queries[qid]
-            parts = yield from self.router.route_approx(ctx, q, 1, query_id=qid)
+            parts = yield from self.router.route_approx(ctx, queries[qid], 1, query_id=qid)
             self._pending_pilot[qid] = parts[0]
-            yield from window.dispatch(ctx, merger, (qid,), parts[0], queries[qid : qid + 1])
+            yield from self._send(ctx, [qid], parts[0])
             # completions consumed while blocked on credits trigger their
             # second waves right away (empty at W = 0: nothing is consumed
             # until dispatch finishes)
@@ -151,7 +160,7 @@ class CoordinatorPipeline:
                 eqid, d = self._events.popleft()
                 yield from self._second_wave(ctx, eqid, d)
                 continue
-            yield from merger.consume_one(ctx, window)
+            yield from merger.consume_one(ctx, self.window)
 
     def _second_wave(self, ctx: Context, qid: int, d):
         pilot = self._pending_pilot.pop(qid, None)
@@ -167,6 +176,4 @@ class CoordinatorPipeline:
             parts = [p for p in range(config.n_cores) if p != pilot]
         self.report.fanouts.append(len(parts) + 1)
         for pid_part in parts:
-            yield from self.window.dispatch(
-                ctx, self.merger, (qid,), pid_part, self.queries[qid : qid + 1]
-            )
+            yield from self._send(ctx, [qid], pid_part)

@@ -33,18 +33,22 @@ class Router:
         self.report = report
         self.dim = dim
 
-    def _cost(self, ctx: Context, evals_before: int) -> float:
-        evals = self.inner.n_dist_evals - evals_before
-        self.report.route_dist_evals += evals
-        return ctx.cost.distance_cost(evals, self.dim)
+    def _route(self, ctx: Context, query_id, route, *args):
+        # one frame: the span by hand, its attributes only when traced
+        start = ctx.span_begin("route", {"query_id": query_id} if ctx.trace_active else None)
+        try:
+            before = self.inner.n_dist_evals
+            parts = route(*args)
+            evals = self.inner.n_dist_evals - before
+            self.report.route_dist_evals += evals
+            yield ctx.compute_op(ctx.cost.distance_cost(evals, self.dim), "route")
+        finally:
+            ctx.span_end("route", start)
+        return parts
 
     def route_approx(self, ctx: Context, q: np.ndarray, n_probe: int, query_id=None):
         """Best-first ``n_probe`` partitions for ``q`` (Alg. 3 line 4)."""
-        with ctx.span("route", query_id=query_id):
-            before = self.inner.n_dist_evals
-            parts = self.inner.route_approx(q, n_probe)
-            yield from ctx.compute(self._cost(ctx, before), kind="route")
-        return parts
+        return self._route(ctx, query_id, self.inner.route_approx, q, n_probe)
 
     def route_exact(self, ctx: Context, q: np.ndarray, tau: float, drop=None, query_id=None):
         """Exact ball route for the adaptive second wave.
@@ -53,10 +57,5 @@ class Router:
         returned set (the distance evaluations are still charged — the
         router visited them either way).
         """
-        with ctx.span("route", query_id=query_id):
-            before = self.inner.n_dist_evals
-            parts = self.inner.route_exact(q, tau)
-            if drop is not None:
-                parts = [p for p in parts if p != drop]
-            yield from ctx.compute(self._cost(ctx, before), kind="route")
-        return parts
+        parts = yield from self._route(ctx, query_id, self.inner.route_exact, q, tau)
+        return parts if drop is None else [p for p in parts if p != drop]

@@ -50,13 +50,13 @@ class _CreditBlocked:
 
 
 class DispatchWindow:
-    """Per-core credit accounting plus the task send path.
+    """Per-core credit accounting plus the one task send routine.
 
     Every coordinator sends every task through :meth:`send_task`: the
-    plain pipeline via :meth:`dispatch` (which blocks on credits first),
-    the fault harness and the serving pipeline directly (they own their
-    spans and deadline bookkeeping and handle credit exhaustion by
-    deferring or gating, never by blocking their event loops).
+    plain pipeline lets it block on credits and pick the core, the fault
+    harness and the serving pipeline pick their own (they own their
+    deadline bookkeeping and handle credit exhaustion by deferring or
+    gating, never by blocking their event loops).
     """
 
     def __init__(
@@ -65,6 +65,7 @@ class DispatchWindow:
         selector: ReplicaSelector,
         report: MasterReport,
         node_mailboxes: list[Mailbox],
+        queries: np.ndarray,
         fpayload: dict | None = None,
     ) -> None:
         self.config = config
@@ -73,25 +74,29 @@ class DispatchWindow:
         self.workgroups = selector.workgroups
         self.report = report
         self.node_mailboxes = node_mailboxes
+        self._mailbox_of = [node_mailboxes[config.node_of_core(c)] for c in range(config.n_cores)]
+        #: the batch's query matrix; a task carries its queries' rows
+        self.queries = queries
         #: run-wide pushed-down filter in wire form; when set, every task
         #: carries it (and its wire bytes).  None keeps the send path
         #: byte-identical to the unfiltered wire.
         self.wfilter = wire_filter(fpayload)
-        self.window = int(config.dispatch_window)
+        window = int(config.dispatch_window)
         #: remaining credits per core; None when flow control is off
-        self.credits = (
-            np.full(config.n_cores, self.window, dtype=np.int64) if self.window else None
-        )
+        self.credits = np.full(config.n_cores, window, dtype=np.int64) if window else None
         #: (query_id, partition_id) -> core currently charged for the task
         self.charged: dict[tuple[int, int], int] = {}
+        registry = report.registry
+        # ``report.tasks_sent`` / ``batches_sent``, resolved once
+        self._tasks_sent = registry.counter("coordinator.tasks_sent")
+        self._batches_sent = registry.counter("coordinator.batches_sent")
         #: tasks in flight under credit accounting.  Whatever is still
         #: charged when the run ends is a leak (failover must reclaim a
         #: crashed worker's credits), hence the instrument's name: 0 on a
         #: correct run
-        self.outstanding = report.registry.gauge("dispatch.credits_leaked")
-        self.peak_outstanding = report.registry.gauge("dispatch.max_outstanding_tasks")
-        #: set by the pipeline to observe dispatched query ids (per-query
-        #: outstanding-result accounting for latencies)
+        self.outstanding = registry.gauge("dispatch.credits_leaked")
+        self.peak_outstanding = registry.gauge("dispatch.max_outstanding_tasks")
+        #: a two-sided pipeline's observer of dispatched query ids (latencies)
         self.on_dispatch = None
 
     # -- credit accounting ---------------------------------------------------
@@ -132,63 +137,58 @@ class DispatchWindow:
 
     def _await_credit(self, ctx: Context, merger, partition_id: int, need: int):
         """Block (consuming in-flight results) until the partition's
-        workgroup has a core with ``need`` spare credits."""
-        stall_start = None
+        workgroup has a core with ``need`` spare credits; only a dispatch
+        that lacks one calls it, so only real stalls reach the trace."""
+        stall_start = ctx.now
         while not self.group_has_credit(partition_id, need):
-            if stall_start is None:
-                stall_start = ctx.now
             yield from merger.consume_one(ctx, self)
-        if stall_start is not None:
-            self.report.credit_stall_seconds += ctx.now - stall_start
-            # only actual stalls land in the trace — a zero-width
-            # credit_wait on every dispatch would drown the timeline
-            ctx.trace_complete(
-                "credit_wait", stall_start, ctx.now, partition=int(partition_id)
-            )
+        self.report.credit_stall_seconds += ctx.now - stall_start
+        ctx.trace_complete("credit_wait", stall_start, ctx.now, partition=int(partition_id))
 
     # -- send path -----------------------------------------------------------
 
-    def send_task(self, ctx: Context, query_ids, partition_id: int, core: int, Q):
-        """Record + charge + ship the rows of ``Q`` (queries ``query_ids``)
-        to ``core`` as one task for ``partition_id``.
-
-        No span and no credit *wait* — the callers own both (the plain
-        pipeline blocks up front, the fault harness defers instead).  One
-        message and one worker-side search call, but one credit per row
-        against the chosen core, so config validation requires
-        ``batch_size <= dispatch_window`` when flow control is on.
+    def send_task(
+        self, ctx: Context, query_ids, partition_id: int, core=None, merger=None,
+        span: str = "dispatch", attrs: dict | None = None,
+    ):
+        """Send queries ``query_ids`` as one task for ``partition_id``:
+        record it, charge its credits and yield the send syscall, inside
+        span ``span`` with trace ``attrs`` (built only when a recorder
+        listens).  With ``core=None`` it first blocks until a replica has
+        a credit per row, consuming results through ``merger``, and lets
+        the selector pick it.  One credit per row, so config validation
+        requires ``batch_size <= dispatch_window`` under flow control.
         """
-        query_ids = [int(q) for q in query_ids]
-        partition_id = int(partition_id)
         need = len(query_ids)
-        self.tracker.record_dispatch(core, ctx.now, n_tasks=need)
-        self.report.dispatch_counts[core] += need
-        self.report.tasks_sent += need
-        self.report.batches_sent += 1
-        if self.credits is not None:
-            self.credits[core] -= need
-            for q in query_ids:
-                self.charged[(q, partition_id)] = core
-            self.outstanding.value += need
-            self.peak_outstanding.track_max(self.outstanding.value)
-        if ctx.trace_active:
-            ctx.trace_instant(
-                "task_send", query_ids=tuple(query_ids), partition=partition_id, core=int(core)
-            )
-        yield from send(
-            ctx,
-            self.node_mailboxes[self.config.node_of_core(core)],
-            make_task(query_ids, partition_id, Q, self.wfilter),
-        )
-
-    def dispatch(self, ctx: Context, merger, query_ids, partition_id: int, Q):
-        """One flow-controlled task dispatch: block (consuming in-flight
-        results) until a replica has a credit per row, pick it, send."""
-        need = len(query_ids)
-        if self.credits is not None:
+        credits = self.credits
+        if core is None and credits is not None and not self.group_has_credit(partition_id, need):
             yield from self._await_credit(ctx, merger, partition_id, need)
-        with ctx.span("dispatch", partition=int(partition_id), n_queries=need):
-            core = self.selector.pick(partition_id, ctx.now, exclude=self.blocked(need))
+        start = ctx.span_begin(span, attrs)
+        try:
+            if core is None:
+                exclude = () if credits is None else _CreditBlocked(credits, need)
+                core = self.selector.pick(partition_id, start, exclude=exclude)
+            partition_id = int(partition_id)
             if self.on_dispatch is not None:
                 self.on_dispatch(query_ids)
-            yield from self.send_task(ctx, query_ids, partition_id, core, Q)
+            self.tracker.record_dispatch(core, start, n_tasks=need)
+            self.report.dispatch_counts[core] += need
+            self._tasks_sent.value += need
+            self._batches_sent.value += 1
+            if credits is not None:
+                credits[core] -= need
+                for q in query_ids:
+                    self.charged[(q, partition_id)] = core
+                self.outstanding.value += need
+                self.peak_outstanding.track_max(self.outstanding.value)
+            if ctx.trace_active:
+                ctx.trace_instant(
+                    "task_send", query_ids=tuple(query_ids), partition=partition_id, core=int(core)
+                )
+            first = query_ids[0]
+            # one row is a view; a batch gathers its rows
+            rows = self.queries[first : first + 1] if need == 1 else self.queries[query_ids]
+            task = make_task(query_ids, partition_id, rows, self.wfilter)
+            yield send(ctx, self._mailbox_of[core], task)
+        finally:
+            ctx.span_end(span, start)

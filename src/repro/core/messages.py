@@ -160,8 +160,6 @@ WIRE = {
 
 def send(ctx, mailbox, payload: tuple, same_node: bool = False):
     """The send syscall for ``payload``, under its kind's tag and size
-    (``yield from`` it, like ``ctx.send_to_mailbox``)."""
+    (``yield`` it, or hand it to ``ctx.exit``)."""
     tag, nbytes = WIRE[payload[0]]
-    return ctx.send_to_mailbox(
-        mailbox, payload, source=ctx.pid, tag=tag, nbytes=nbytes(payload), same_node=same_node
-    )
+    return ctx.send_op(mailbox, payload, tag=tag, nbytes=nbytes(payload), same_node=same_node)

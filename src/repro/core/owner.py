@@ -59,7 +59,7 @@ def owner_node_program(
                 report.batches_sent += 1
                 node = config.node_of_core(core)
                 # workers answer to this owner's mailbox, not their own node's
-                yield from send(
+                yield send(
                     ctx,
                     node_mailboxes[node],
                     make_task([qid], int(pid_part), Q[qid : qid + 1], wfilter, ctx.mailbox),
@@ -83,5 +83,5 @@ def owner_node_program(
             # per node): modelled traffic of this mode, not duplication
             for mailbox in node_mailboxes:
                 for _ in range(config.threads_per_node):
-                    yield from send(ctx, mailbox, END)
+                    yield send(ctx, mailbox, END)
     return report

@@ -90,10 +90,10 @@ def worker_thread_program(ctx: Context, node: NodeWiring):
         # when one listens
         traced = ctx.trace_active
         searcher, store, k, done = node.searcher, node.store, node.k, node.done
-        master_mailbox = node.master_mailbox
+        master_mailbox, send_credits = node.master_mailbox, node.send_credits
         processed = 0
         while True:
-            req = yield from ctx.recv(node.mailbox, event=done, compute=epoch)
+            req = yield ctx.recv_op(node.mailbox, event=done, compute=epoch)
             epoch = None
             if req is None:  # terminate flag set by a sibling thread
                 break
@@ -105,6 +105,7 @@ def worker_thread_program(ctx: Context, node: NodeWiring):
             # local search call; two-sided answers go to the task's reply
             # mailbox when it names one (a multiple-owner dispatcher)
             _, query_ids, partition_id, Qb, wfilter, reply_to = payload
+            attrs = None
             if traced:
                 qids = tuple(query_ids)
                 # the gap between the task landing in the node mailbox
@@ -112,38 +113,32 @@ def worker_thread_program(ctx: Context, node: NodeWiring):
                 ctx.trace_complete(
                     "queue", req.arrival, ctx.now, query_ids=qids, partition=partition_id
                 )
-                span = ctx.span(
-                    "search", query_ids=qids, partition=partition_id, n_queries=len(query_ids)
-                )
-            else:
-                span = ctx.span("search")
-            with span:
+                attrs = {"query_ids": qids, "partition": partition_id, "n_queries": len(qids)}
+            start = ctx.span_begin("search", attrs)
+            try:
                 ds, idss, seconds = searcher.search_batch(
-                    store.get(partition_id),
-                    Qb,
-                    k,
-                    filter=None if wfilter is None else wfilter.spec,
+                    store.get(partition_id), Qb, k, filter=None if wfilter is None else wfilter.spec
                 )
-                yield from ctx.compute(seconds, kind="search")
+                yield ctx.compute_op(seconds, "search")
+            finally:
+                ctx.span_end("search", start)
             processed += len(query_ids)
             # returning a result is the worker-side half of the reduction:
             # either the remote accumulates or the point-to-point reply
-            with ctx.span("reduce"):
+            start = ctx.span_begin("reduce")
+            try:
                 if one_sided:
                     # the RMA window is keyed by query id: one accumulate
                     # per row, each charged as a one-row result
                     for qid, d, ids in zip(query_ids, ds, idss):
-                        yield from window.get_accumulate(
-                            ctx, qid, (d, ids), nbytes=result_nbytes((d,), (ids,))
-                        )
-                    if node.send_credits:
-                        yield from send(ctx, master_mailbox, make_credit(query_ids, partition_id))
+                        yield window.accumulate_op(ctx, qid, (d, ids), result_nbytes((d,), (ids,)))
+                    if send_credits:
+                        yield send(ctx, master_mailbox, make_credit(query_ids, partition_id))
                 else:
-                    yield from send(
-                        ctx,
-                        master_mailbox if reply_to is None else reply_to,
-                        make_result(query_ids, partition_id, ds, idss),
-                    )
+                    reply = make_result(query_ids, partition_id, ds, idss)
+                    yield send(ctx, master_mailbox if reply_to is None else reply_to, reply)
+            finally:
+                ctx.span_end("reduce", start)
         # unlock, then the completion notice (a tiny message: it is how the
         # master learns every one-sided accumulate has landed), then the
         # end of the run — one event

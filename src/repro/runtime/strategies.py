@@ -149,7 +149,7 @@ class MasterWorkerStrategy(DispatchStrategy):
         parts = (
             job.Q,
             Router(job.router, report, int(job.Q.shape[1])),
-            DispatchWindow(cfg, selector, report, rt.node_mailboxes, fpayload=job.fpayload),
+            DispatchWindow(cfg, selector, report, rt.node_mailboxes, job.Q, fpayload=job.fpayload),
             ResultMerger(cfg, job.results, report, one_sided=cfg.one_sided),
         )
         if fault_tolerant:

@@ -103,4 +103,4 @@ def arrival_source_program(ctx, master_mailbox, schedule):
         gap = float(t) - ctx.now
         if gap > 0:
             yield from ctx.compute(gap, kind="arrival_gap")
-        yield from send(ctx, master_mailbox, make_arrival(query_id, t))
+        yield send(ctx, master_mailbox, make_arrival(query_id, t))

@@ -103,25 +103,30 @@ class ServingPipeline:
         state.admit(ctx)
         self.report.fanouts.append(len(parts))
         self._outstanding[qid] = len(parts)
+        traced = ctx.trace_active
         for pid_part in parts:
-            with ctx.span("dispatch", query_id=int(qid), partition=int(pid_part)):
-                core = window.selector.pick(pid_part, ctx.now, exclude=window.blocked(1))
-                yield from window.send_task(
-                    ctx, (qid,), pid_part, core, self.queries[qid : qid + 1]
-                )
+            core = window.selector.pick(pid_part, ctx.now, exclude=window.blocked(1))
+            if core is None:
+                # an earlier partition of this query took the last credit
+                # of a replica this one shares: over-commit it by one
+                core = window.selector.pick(pid_part, ctx.now)
+            yield from window.send_task(
+                ctx, (qid,), pid_part, core,
+                attrs={"query_id": int(qid), "partition": int(pid_part)} if traced else None,
+            )
         return True
 
     def _handle_result(self, ctx: Context, payload):
-        merger, window = self.merger, self.window
-        if merger.one_sided:
-            merger.settle_credit(payload, window, ctx=ctx)
-            _, qids_b, _pid = payload
-            for qid in qids_b:
-                self._note_settle(ctx, int(qid))
-            return
-        with ctx.span("reduce"):
+        merger = self.merger
+        if merger.one_sided:  # a credit ack: nothing to merge, no span
             rows, pid_part = yield from merger.merge_payload(ctx, payload)
-        merger.finish_rows(rows, pid_part, window, ctx=ctx)
+        else:
+            start = ctx.span_begin("reduce")
+            try:
+                rows, pid_part = yield from merger.merge_payload(ctx, payload)
+            finally:
+                ctx.span_end("reduce", start)
+        merger.finish_rows(rows, pid_part, self.window, ctx)
 
     # -- the coordinator proc body -------------------------------------------
 
@@ -132,8 +137,7 @@ class ServingPipeline:
         one_sided = merger.one_sided
         result_tag = TAG_CREDIT if one_sided else TAG_RESULT
         n = state.n_queries
-        if not one_sided:
-            merger.note_result = lambda qid: self._note_settle(ctx, qid)
+        merger.note_result = lambda qid: self._note_settle(ctx, qid)
 
         def want_arrival() -> bool:
             return state.consumed < n and adm.accepting()

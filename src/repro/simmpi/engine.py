@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, NamedTuple
 
@@ -477,41 +478,6 @@ class _Proc:
         self.parked = False
 
 
-class _SpanScope:
-    """Context manager recording one named tracing span on a proc.
-
-    Measures the elapsed *virtual* interval between entry and exit — which
-    includes any communication blocking inside the block — and charges no
-    virtual time itself, so tracing never perturbs the simulation.  Usable
-    inside proc generators (``with`` works across ``yield from``).
-
-    When the simulation carries a :class:`~repro.obs.trace.TraceRecorder`,
-    the span is mirrored into it (with attributes and parent links); the
-    per-proc :class:`~repro.simmpi.trace.ProcStats` accounting is identical
-    with or without a recorder.
-    """
-
-    __slots__ = ("_proc", "name", "start", "_recorder", "_attrs")
-
-    def __init__(self, proc: _Proc, name: str, recorder=None, attrs: dict | None = None):
-        self._proc = proc
-        self.name = name
-        self.start = proc.clock
-        self._recorder = recorder
-        self._attrs = attrs
-
-    def __enter__(self) -> "_SpanScope":
-        if self._recorder is not None:
-            self._recorder.begin_span(self._proc.pid, self.name, self._proc.clock, self._attrs)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._proc.stats.add_span(self.name, self._proc.clock - self.start)
-        if self._recorder is not None:
-            self._recorder.end_span(self._proc.pid, self._proc.clock)
-        return False
-
-
 class Context:
     """Per-proc API surface handed to proc generator functions."""
 
@@ -555,22 +521,49 @@ class Context:
 
     def compute(self, seconds: float, kind: str = "compute"):
         """Charge ``seconds`` of virtual computation time."""
+        yield self.compute_op(seconds, kind)
+
+    def compute_op(self, seconds: float, kind: str = "compute") -> _Compute:
+        """The syscall :meth:`compute` yields, for a program that yields it
+        itself (``yield ctx.compute_op(s)``), one generator frame fewer."""
         _check_seconds(seconds)
-        yield _Compute(float(seconds), kind)
+        return _Compute(float(seconds), kind)
 
     # -- tracing -------------------------------------------------------------
 
-    def span(self, name: str, **attrs) -> _SpanScope:
+    @contextmanager
+    def span(self, name: str, **attrs):
         """Open a named tracing span: ``with ctx.span("route"): ...``.
 
-        The elapsed virtual interval lands in this proc's
-        :attr:`~repro.simmpi.trace.ProcStats.span_time`; see
-        :data:`~repro.simmpi.trace.PHASES` for the standard names.  Keyword
-        ``attrs`` (e.g. ``query_id=qid``) are attached to the span in the
-        distributed trace when one is being recorded; they never affect the
-        ProcStats aggregate.
+        The elapsed virtual interval, blocking included, lands in this
+        proc's :attr:`~repro.simmpi.trace.ProcStats.span_time` (see
+        :data:`~repro.simmpi.trace.PHASES`); a span charges no virtual time.
+        Keyword ``attrs`` (e.g. ``query_id=qid``) are attached to the span
+        in the distributed trace when one is being recorded.
         """
-        return _SpanScope(self._proc, name, self._sim.recorder, attrs or None)
+        start = self.span_begin(name, attrs or None)
+        try:
+            yield
+        finally:
+            self.span_end(name, start)
+
+    def span_begin(self, name: str, attrs: dict | None = None) -> float:
+        """Open span ``name`` by hand; returns its start for :meth:`span_end`.
+        A per-task path calls the pair around a ``yield`` in ``try`` /
+        ``finally``, so a proc killed inside still closes it."""
+        proc = self._proc
+        recorder = self._sim.recorder
+        if recorder is not None:
+            recorder.begin_span(proc.pid, name, proc.clock, attrs)
+        return proc.clock
+
+    def span_end(self, name: str, start: float) -> None:
+        """Close the innermost open span, ``name`` begun at ``start``."""
+        proc = self._proc
+        proc.stats.add_span(name, proc.clock - start)
+        recorder = self._sim.recorder
+        if recorder is not None:
+            recorder.end_span(proc.pid, proc.clock)
 
     @property
     def trace_active(self) -> bool:
@@ -637,11 +630,17 @@ class Context:
         by this receive, still in one event (a worker thread's lock epoch
         rides its first receive this way).
         """
+        req = yield self.recv_op(mailbox, source, tag, event, timeout, compute)
+        return req
+
+    def recv_op(
+        self, mailbox, source=ANY_SOURCE, tag=ANY_TAG, event=None, timeout=None, compute=None
+    ) -> _Recv:
+        """The syscall :meth:`recv` yields, for a program that yields it itself."""
         _check_timeout(timeout)
         if compute is not None:
             _check_seconds(compute[0])
-        req = yield _Recv(mailbox, source, tag, event, timeout, compute)
-        return req
+        return _Recv(mailbox, source, tag, event, timeout, compute)
 
     def recv_n(self, mailbox: Mailbox, n: int, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Receive ``n`` messages in one engine event; resumes with their
@@ -675,6 +674,13 @@ class Context:
             nbytes = payload_nbytes(payload)
         yield _SendMsg(mailbox, source, tag, payload, int(nbytes), same_node)
 
+    def send_op(
+        self, mailbox: Mailbox, payload: Any, *, tag: int, nbytes: int, same_node: bool = False
+    ) -> _SendMsg:
+        """The syscall of a send from this proc, for a program that yields
+        it itself (``yield ctx.send_op(...)``) or hands it to :meth:`exit`."""
+        return _SendMsg(mailbox, self._proc.pid, tag, payload, int(nbytes), same_node)
+
     def wait(self, request: Request):
         """Block until ``request`` completes; resumes with its payload."""
         payload = yield _Wait(request)
@@ -696,10 +702,12 @@ class Context:
     def cancel(self, request: Request):
         yield _Cancel(request)
 
-    def exit(self, send, *, compute: tuple | None = None, span: str | None = None, result=None):
+    def exit(
+        self, send: _SendMsg, *, compute: tuple | None = None, span: str | None = None, result=None
+    ):
         """End this proc's run in one engine event: charge ``compute=
-        (seconds, kind)``, then make ``send`` — a ``send_to_mailbox`` call
-        not yet started — inside a span named ``span``, then end.
+        (seconds, kind)``, then make ``send`` — a :meth:`send_op` syscall —
+        inside a span named ``span``, then end.
 
         Clocks, stats, spans and the message are those of ``compute``,
         ``with span(...): send`` and a return.  The program must return
@@ -708,21 +716,15 @@ class Context:
         instead, with ``result`` as its result; the exit returns True when
         the next run resumes it, and False when the simulation closes.
         """
-        syscall = next(send)
-        if type(syscall) is not _SendMsg:
-            raise SimError(f"exit takes a send_to_mailbox call, which yielded {syscall!r}")
+        if type(send) is not _SendMsg:
+            raise SimError(f"exit takes a send syscall (ctx.send_op), got {send!r}")
         if compute is not None:
             _check_seconds(compute[0])
-        again = yield _Exit(syscall, compute, span, result)
-        next(send, None)  # let the send call return, as after a plain send
+        again = yield _Exit(send, compute, span, result)
         return again
 
     def collective(self, key: tuple, members: tuple, data: Any, complete: Callable):
         result = yield _CollectiveCall(key, members, data, complete)
-        return result
-
-    def rma(self, seconds: float, apply: Callable[[], Any], nbytes: int):
-        result = yield _RmaOp(float(seconds), apply, int(nbytes))
         return result
 
 

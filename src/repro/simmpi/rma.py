@@ -16,9 +16,10 @@ code keeps the same shape it would have with real MPI.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
-from repro.simmpi.engine import Context, payload_nbytes
+from repro.simmpi.engine import Context, _RmaOp, payload_nbytes
 from repro.simmpi.errors import SimError
 
 __all__ = ["Window"]
@@ -91,23 +92,25 @@ class Window:
         ``MPI_Get_accumulate`` does.  The origin pays one RMA round-trip;
         the window owner pays nothing.
         """
+        nbytes = payload_nbytes(update) if nbytes is None else int(nbytes)
+        old = yield self.accumulate_op(ctx, index, update, nbytes)
+        return old
+
+    def accumulate_op(self, ctx: Context, index: Any, update: Any, nbytes: int) -> _RmaOp:
+        """The syscall :meth:`get_accumulate` yields, for a program that
+        yields it itself; the engine's step applies it and resumes the
+        origin with the previous slot value."""
         if ctx.pid not in self._lock_holders:
             raise SimError(
                 f"proc {ctx.name} must hold a lock epoch on {self.name} before accumulating"
             )
-        if nbytes is None:
-            nbytes = payload_nbytes(update)
-        same_node = ctx.node == self.owner_node
-        seconds = ctx.network.rma_accumulate_time(nbytes, same_node)
-        win = self
+        seconds = ctx.network.rma_accumulate_time(nbytes, ctx.node == self.owner_node)
+        return _RmaOp(seconds, partial(self._apply, index, update), nbytes)
 
-        def apply() -> Any:
-            old = win._slots[index]
-            win._slots[index] = win._combine(old, update)
-            win.accum_count += 1
-            return old
-
-        old = yield from ctx.rma(seconds, apply, nbytes)
+    def _apply(self, index: Any, update: Any) -> Any:
+        old = self._slots[index]
+        self._slots[index] = self._combine(old, update)
+        self.accum_count += 1
         return old
 
     # -- owner-side access ---------------------------------------------------------

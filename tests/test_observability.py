@@ -12,6 +12,7 @@ JSON round-trip.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -85,6 +86,49 @@ MODES = {
         queue_depth=4,
         overload_policy="shed_oldest",
     ),
+}
+
+
+def _plain(v):
+    if isinstance(v, (tuple, list)):
+        return [_plain(x) for x in v]
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def trace_digest(rep) -> str:
+    """What a traced run recorded, as one hash: every span (name, proc,
+    virtual start and end, parent link, attributes), every instant and
+    every flow arrow the Chrome export pairs from them, in record order."""
+    rec = rep.trace
+    rows = [
+        ["span", s.id, s.name, s.pid, s.start, s.end, s.parent, _plain(s.attrs or {})]
+        for s in rec.spans
+    ]
+    rows += [["instant", i.name, i.pid, i.ts, _plain(i.attrs or {})] for i in rec.instants]
+    rows += [
+        ["flow", e["ph"], e["id"], e["tid"], e["ts"]]
+        for e in chrome_trace(rec, rep)["traceEvents"]
+        if e["ph"] in ("s", "f")
+    ]
+    blob = json.dumps(rows, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+#: ``trace_digest`` of every mode's traced run, computed at the parent
+#: commit (4b174df), before any source edit of the change that opened the
+#: per-task spans by hand and built trace attributes only when a recorder
+#: listens.  The span vocabulary test alone would pass a dropped
+#: attribute or a mis-parented ``search`` span.
+TRACE_DIGESTS: dict[str, str] = {
+    "adaptive": "a1f6ed6291318cd9",
+    "faults": "80f8939f4aff3a96",
+    "multiple_owner": "6ee91e9d2a26b0d5",
+    "one_sided": "bdc69239f82101eb",
+    "one_sided_window": "e77c1899df1964d1",
+    "replicated": "a7fb815f08360abe",
+    "serving": "23a181985b492f26",
+    "two_sided": "14cea226567c4f3e",
+    "window": "e240d2fed4e47920",
 }
 
 
@@ -209,6 +253,12 @@ class TestZeroPerturbation:
         unknown_instants = rep.trace.instant_names() - INSTANT_NAMES
         assert not unknown_spans, unknown_spans
         assert not unknown_instants, unknown_instants
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_what_the_recorder_records_is_pinned(self, data, mode):
+        X, Q = data
+        _, _, rep = run(X, Q, traced=True, **MODES[mode])
+        assert trace_digest(rep) == TRACE_DIGESTS[mode]
 
 
 class TestExporters:

@@ -16,7 +16,7 @@ threads: until then a duplicated exit notice ended it early.)
 Crash times are fractions of the same mode's fault-free makespan, so a
 "crash" row really loses in-flight work.
 
-The same runs feed the wire check: every ``Context.send_to_mailbox`` of
+The same runs feed the wire check: every message the engine transmits in
 every mode must carry a payload whose kind is in ``messages.WIRE`` under
 that kind's tag, with exactly the byte count the table gives it.
 """
@@ -38,7 +38,7 @@ from repro.filtering import FilterSpec, clauses_to_wire
 from repro.kdtree.system import KDBaselineSystem
 from repro.obs import validate_metrics
 from repro.runtime.report import REPORT_INSTRUMENTS, SearchReport
-from repro.simmpi.engine import Context, Simulation
+from repro.simmpi.engine import Simulation
 
 N, DIM, NQ, K = 600, 16, 24, 5
 WIDE, NARROW = "tier=0..9", "tier=0"  # ~50 % of rows (post), ~5 % (pre)
@@ -173,6 +173,10 @@ def _observe(D, I, rep) -> dict:
     }
     if rep.dispatch_times is not None:
         out["timeline"] = _digest(rep.dispatch_times, rep.complete_times)
+    # per-phase span time and per-role time buckets, summed over procs
+    out["breakdowns"] = (
+        repr(rep.phase_breakdown), repr(rep.worker_breakdown), repr(rep.master_breakdown)
+    )
     return out
 
 
@@ -206,28 +210,26 @@ def runs():
     """name -> (observation, [(payload, tag, nbytes) of every query-phase
     send], report, the query's SimulationResult)."""
     out = {}
-    real_send, real_run = Context.send_to_mailbox, Simulation.run
+    real_transmit, real_run = Simulation._transmit, Simulation.run
     for name in CASES:
         query = _prepare(name)
         sent, sims = [], []
 
-        def spy(self, mailbox, payload, *, source, tag, nbytes, same_node, _sent=sent):
-            _sent.append((payload, tag, nbytes))
-            return real_send(
-                self, mailbox, payload, source=source, tag=tag, nbytes=nbytes, same_node=same_node
-            )
+        def spy(self, proc, sc, _sent=sent):
+            _sent.append((sc.payload, sc.tag, sc.nbytes))
+            return real_transmit(self, proc, sc)
 
         def run_spy(self, _sims=sims):
             _sims.append(real_run(self))
             return _sims[-1]
 
-        Context.send_to_mailbox, Simulation.run = spy, run_spy
+        Simulation._transmit, Simulation.run = spy, run_spy
         try:
             D, I, rep = query()
             (sim_out,) = sims
             out[name] = (_observe(D, I, rep), sent, rep, sim_out)
         finally:
-            Context.send_to_mailbox, Simulation.run = real_send, real_run
+            Simulation._transmit, Simulation.run = real_transmit, real_run
     return out
 
 
@@ -526,9 +528,164 @@ GOLDEN: dict[str, dict] = {'ft_free': {'answer': 'af18f7c6b134b47a',
                  'latency_sum': '0.002213199999999977'}}
 
 
+#: ``_observe``'s ``breakdowns`` of every case — ``repr`` of the report's
+#: ``phase_breakdown``, ``worker_breakdown`` and ``master_breakdown`` —
+#: computed at the parent commit (4b174df) before any source edit of the
+#: change that added them, when the worker's span accounting was
+#: rewritten by hand: a span that moves, or a float summed in another
+#: order, changes a literal here.
+BREAKDOWNS: dict[str, tuple] = {
+    'adaptive_w0': (
+        "{'route': 4.991999999999994e-06, 'dispatch': 5.75999999999999e-05, 'search': 0.00036085919999999996, 'reduce': 0.00011711999999999794, 'drain': 8.303200000000155e-06}",
+        "{'compute': 0.00036085920000000006, 'send': 5.999999999999998e-05, 'recv': 5.8799999999999986e-05, 'wait': 0.0005184431999999846, 'rma': 0.0}",
+        "{'compute': 6.911999999999991e-06, 'send': 5.880000000000008e-05, 'recv': 6.000000000000008e-05, 'wait': 2.3032000000000087e-06, 'rma': 0.0}",
+    ),
+    'adaptive_w2': (
+        "{'route': 4.991999999999953e-06, 'dispatch': 5.759999999999945e-05, 'search': 0.00036085919999999974, 'reduce': 0.00012133879999999863, 'drain': 8.303200000000155e-06}",
+        "{'compute': 0.00036085919999999996, 'send': 5.999999999999998e-05, 'recv': 5.8799999999999986e-05, 'wait': 0.0005521935999999902, 'rma': 0.0}",
+        "{'compute': 6.911999999999989e-06, 'send': 5.880000000000008e-05, 'recv': 6.000000000000008e-05, 'wait': 6.522000000000151e-06, 'rma': 0.0}",
+    ),
+    'closed_b1_onesided': (
+        "{'route': 2.4543999999999955e-06, 'dispatch': 2.1600000000000024e-05, 'search': 0.0001351584, 'reduce': 0.00013034879999999997, 'drain': 3.27456e-05}",
+        "{'compute': 0.0001639584, 'send': 2.4000000000000003e-06, 'recv': 2.2800000000000005e-05, 'wait': 1.2159200000000007e-05, 'rma': 0.0001303488}",
+        "{'compute': 2.4544e-06, 'send': 2.2800000000000022e-05, 'recv': 2.4000000000000003e-06, 'wait': 2.674559999999999e-05, 'rma': 0.0}",
+    ),
+    'closed_b1_onesided_filter': (
+        "{'route': 2.4543999999999955e-06, 'dispatch': 2.1600000000000024e-05, 'search': 0.00013553279999999998, 'reduce': 0.00013034879999999997, 'drain': 3.2836199999999996e-05}",
+        "{'compute': 0.0001643328, 'send': 2.4000000000000003e-06, 'recv': 2.2800000000000005e-05, 'wait': 1.2120400000000007e-05, 'rma': 0.0001303488}",
+        "{'compute': 2.4544e-06, 'send': 2.2800000000000022e-05, 'recv': 2.4000000000000003e-06, 'wait': 2.6836199999999985e-05, 'rma': 0.0}",
+    ),
+    'closed_b1_twosided': (
+        "{'route': 2.4543999999999955e-06, 'dispatch': 2.1600000000000024e-05, 'search': 0.0001351584, 'reduce': 4.392000000000019e-05, 'drain': 6.00000000000001e-06}",
+        "{'compute': 0.0001351584, 'send': 2.4000000000000004e-05, 'recv': 2.2800000000000005e-05, 'wait': 5.668640000000005e-05, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 2.2800000000000022e-05, 'recv': 2.4000000000000024e-05, 'wait': 0.0, 'rma': 0.0}",
+    ),
+    'closed_b1_twosided_filter': (
+        "{'route': 2.4543999999999955e-06, 'dispatch': 2.1600000000000024e-05, 'search': 5.36640000000001e-06, 'reduce': 4.380000000000008e-05, 'drain': 6.00000000000001e-06}",
+        "{'compute': 5.3664e-06, 'send': 2.4000000000000004e-05, 'recv': 2.2800000000000005e-05, 'wait': 0.0001614752000000001, 'rma': 0.0}",
+        "{'compute': 3.0544000000000004e-06, 'send': 2.2800000000000022e-05, 'recv': 2.4000000000000024e-05, 'wait': 0.0, 'rma': 0.0}",
+    ),
+    'closed_b4_onesided': (
+        "{'route': 2.4544000000000014e-06, 'dispatch': 6.599999999999999e-06, 'search': 0.0001351584, 'reduce': 0.00013034879999999997, 'drain': 4.66312e-05}",
+        "{'compute': 0.00016395840000000002, 'send': 2.4000000000000003e-06, 'recv': 7.8e-06, 'wait': 1.6328800000000002e-05, 'rma': 0.0001303488}",
+        "{'compute': 2.4544e-06, 'send': 7.799999999999996e-06, 'recv': 2.4000000000000003e-06, 'wait': 4.063119999999999e-05, 'rma': 0.0}",
+    ),
+    'closed_b4_onesided_filter': (
+        "{'route': 2.454399999999997e-06, 'dispatch': 6.600000000000008e-06, 'search': 5.366399999999993e-06, 'reduce': 0.00017213559999999998, 'drain': 6.00000000000001e-06}",
+        "{'compute': 3.41664e-05, 'send': 9e-06, 'recv': 7.8e-06, 'wait': 0.00017135830000000003, 'rma': 0.0001301568}",
+        "{'compute': 2.4544e-06, 'send': 7.799999999999996e-06, 'recv': 8.999999999999999e-06, 'wait': 2.8778799999999983e-05, 'rma': 0.0}",
+    ),
+    'closed_b4_twosided': (
+        "{'route': 2.4544000000000014e-06, 'dispatch': 6.599999999999999e-06, 'search': 0.0001351584, 'reduce': 2.6785600000000024e-05, 'drain': 6.00000000000001e-06}",
+        "{'compute': 0.0001351584, 'send': 9e-06, 'recv': 7.8e-06, 'wait': 3.07312e-05, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 7.799999999999996e-06, 'recv': 8.999999999999999e-06, 'wait': 1.2865599999999932e-05, 'rma': 0.0}",
+    ),
+    'closed_b4_twosided_filter': (
+        "{'route': 2.4544000000000014e-06, 'dispatch': 6.599999999999999e-06, 'search': 0.0001355328, 'reduce': 2.6913000000000018e-05, 'drain': 6.00000000000001e-06}",
+        "{'compute': 0.0001355328, 'send': 9e-06, 'recv': 7.8e-06, 'wait': 3.0788000000000004e-05, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 7.799999999999996e-06, 'recv': 8.999999999999999e-06, 'wait': 1.2992999999999926e-05, 'rma': 0.0}",
+    ),
+    'ft_crash_r1': (
+        "{'route': 2.4544e-06, 'dispatch': 2.1600000000000024e-05, 'search': 0.0001296464, 'reduce': 2.108000000000014e-05, 'drain': 0.002433443199999996, 'retry': 3.599999999999437e-06}",
+        "{'compute': 0.0001296464, 'send': 2.25e-05, 'recv': 2.2800000000000002e-05, 'wait': 0.08475432559999999, 'rma': 0.0}",
+        "{'compute': 3.134400000000001e-06, 'send': 3.2400000000000035e-05, 'recv': 2.2500000000000022e-05, 'wait': 0.014500263199999997, 'rma': 0.0}",
+    ),
+    'ft_crash_r2_w1': (
+        "{'route': 2.4544e-06, 'dispatch': 2.160000000000003e-05, 'search': 0.00013515839999999997, 'reduce': 2.2320000000000105e-05, 'drain': 0.002433443199999998, 'failover': 2.999999999999531e-07}",
+        "{'compute': 0.00013515840000000002, 'send': 2.3700000000000007e-05, 'recv': 2.3700000000000007e-05, 'wait': 0.0057005159999999975, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 2.9100000000000033e-05, 'recv': 2.3700000000000024e-05, 'wait': 0.0032096379999999995, 'rma': 0.0}",
+    ),
+    'ft_filter': (
+        "{'route': 2.4544e-06, 'dispatch': 2.1600000000000024e-05, 'search': 0.00013553279999999992, 'reduce': 2.232000000000015e-05, 'drain': 0.002433443199999998, 'failover': 8.999999999998592e-07}",
+        "{'compute': 0.0001355328, 'send': 2.37e-05, 'recv': 2.37e-05, 'wait': 0.005706360399999996, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 2.9700000000000034e-05, 'recv': 2.3700000000000024e-05, 'wait': 0.0032106157999999994, 'rma': 0.0}",
+    ),
+    'ft_free': (
+        "{'route': 2.4544e-06, 'dispatch': 2.1600000000000024e-05, 'search': 0.0001351584, 'reduce': 2.232000000000015e-05, 'drain': 8.303200000000012e-06}",
+        "{'compute': 0.0001351584, 'send': 2.4e-05, 'recv': 2.4e-05, 'wait': 0.0002138432000000014, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 2.4000000000000024e-05, 'recv': 2.4000000000000024e-05, 'wait': 1.1031999999999999e-06, 'rma': 0.0}",
+    ),
+    'ft_lossy': (
+        "{'route': 2.4544e-06, 'dispatch': 2.1600000000000024e-05, 'search': 0.00015724799999999994, 'reduce': 2.5919999999999782e-05, 'drain': 0.0024337431999999983, 'failover': 7.79999999999878e-06, 'retry': 5.999999999999062e-07}",
+        "{'compute': 0.000157248, 'send': 2.76e-05, 'recv': 2.76e-05, 'wait': 0.01935176639999999, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 3.7200000000000044e-05, 'recv': 2.5800000000000027e-05, 'wait': 0.0048074448, 'rma': 0.0}",
+    ),
+    'ft_serve_cache_crash': (
+        "{'route': 1.3519999999999974e-06, 'dispatch': 1.2599999999999995e-05, 'search': 7.920639999999993e-05, 'reduce': 1.3020000000000036e-05, 'drain': 0.002433443199999998, 'failover': 2.3999999999996247e-06}",
+        "{'compute': 7.92064e-05, 'send': 1.4700000000000002e-05, 'recv': 1.4700000000000002e-05, 'wait': 0.006084515477637586, 'rma': 0.0}",
+        "{'compute': 1.7720000000000004e-06, 'send': 2.220000000000002e-05, 'recv': 2.190000000000002e-05, 'wait': 0.0032655455368214526, 'rma': 0.0}",
+    ),
+    'ft_serve_lossy_w1': (
+        "{'route': 2.4543999999999968e-06, 'dispatch': 2.03999999999978e-05, 'search': 0.0001503008000000006, 'reduce': 2.4679999999996084e-05, 'drain': 8.603199999999457e-06, 'retry': 6.899999999998921e-06, 'failover': 1.1999999999998123e-06}",
+        "{'compute': 0.0001503008, 'send': 2.6399999999999998e-05, 'recv': 2.6399999999999998e-05, 'wait': 0.03284985279999999, 'rma': 0.0}",
+        "{'compute': 3.134400000000001e-06, 'send': 3.090000000000003e-05, 'recv': 3.3000000000000036e-05, 'wait': 0.004067537200000006, 'rma': 0.0}",
+    ),
+    'ft_windowed': (
+        "{'route': 2.4544e-06, 'dispatch': 2.160000000000003e-05, 'search': 0.0001351584, 'reduce': 2.232000000000012e-05, 'drain': 8.303199999999884e-06}",
+        "{'compute': 0.0001351584, 'send': 2.4000000000000007e-05, 'recv': 2.4000000000000007e-05, 'wait': 0.00034614079999999994, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 2.4000000000000024e-05, 'recv': 2.4000000000000024e-05, 'wait': 1.7640399999999903e-05, 'rma': 0.0}",
+    ),
+    'kd_baseline': (
+        "{'route': 0.0, 'dispatch': 5.7599999999999984e-05, 'search': 0.00029951999999999995, 'reduce': 0.00011711999999999805, 'drain': 8.303199999999924e-06}",
+        "{'compute': 0.0002995199999999998, 'send': 5.999999999999998e-05, 'recv': 5.8799999999999986e-05, 'wait': 0.0005398463999999849, 'rma': 0.0}",
+        "{'compute': 1.9199999999999918e-06, 'send': 5.880000000000008e-05, 'recv': 6.000000000000008e-05, 'wait': 2.3032000000000087e-06, 'rma': 0.0}",
+    ),
+    'modeled_ft': (
+        "{'route': 2.4544e-06, 'dispatch': 2.1600000000000024e-05, 'search': 0.003026171199999999, 'reduce': 2.231999999999961e-05, 'drain': 0.006710963199999997, 'failover': 1.1999999999998123e-06}",
+        "{'compute': 0.0030261712, 'send': 2.37e-05, 'recv': 2.4e-05, 'wait': 0.013478801999999995, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 3.0000000000000035e-05, 'recv': 2.3700000000000024e-05, 'wait': 0.008988601199999998, 'rma': 0.0}",
+    ),
+    'modeled_serve_filter': (
+        "{'route': 2.454400000000109e-06, 'dispatch': 2.1600000000000213e-05, 'search': 0.0029847168000000004, 'reduce': 2.2320000000000098e-05, 'drain': 8.303199999999179e-06}",
+        "{'compute': 0.0029847167999999995, 'send': 2.4000000000000004e-05, 'recv': 2.2800000000000005e-05, 'wait': 0.001901466559099356, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 2.2800000000000022e-05, 'recv': 3.120000000000003e-05, 'wait': 0.0005627009198874193, 'rma': 0.0}",
+    ),
+    'owner': (
+        "{'route': 2.454400000000002e-06, 'dispatch': 2.1599999999999993e-05, 'search': 0.0001351584, 'reduce': 0.00011685920000000006, 'drain': 3.0406400000000035e-05}",
+        "{'compute': 0.0001351584, 'send': 2.4000000000000004e-05, 'recv': 2.4000000000000004e-05, 'wait': 0.0001326880000000001, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 2.3999999999999994e-05, 'recv': 2.1599999999999996e-05, 'wait': 9.85456e-05, 'rma': 0.0}",
+    ),
+    'owner_filter': (
+        "{'route': 2.454400000000002e-06, 'dispatch': 2.1599999999999993e-05, 'search': 5.366399999999996e-06, 'reduce': 4.400590000000001e-05, 'drain': 1.6092900000000003e-05}",
+        "{'compute': 5.3664e-06, 'send': 2.4000000000000004e-05, 'recv': 2.4000000000000004e-05, 'wait': 8.814640000000006e-05, 'rma': 0.0}",
+        "{'compute': 3.0544e-06, 'send': 2.3999999999999994e-05, 'recv': 2.1599999999999996e-05, 'wait': 1.1498799999999994e-05, 'rma': 0.0}",
+    ),
+    'serve_onesided_w2': (
+        "{'route': 2.454400000000014e-06, 'dispatch': 2.159999999999991e-05, 'search': 0.00013515839999999997, 'reduce': 0.00015194879999999981, 'drain': 1.0103199999999887e-05}",
+        "{'compute': 0.0001639584, 'send': 2.4000000000000004e-05, 'recv': 2.2800000000000005e-05, 'wait': 0.00040807295909935624, 'rma': 0.0001303488}",
+        "{'compute': 2.4544e-06, 'send': 2.2800000000000022e-05, 'recv': 3.120000000000003e-05, 'wait': 4.0445519887419745e-05, 'rma': 0.0}",
+    ),
+    'serve_prefilter': (
+        "{'route': 2.4544000000000108e-06, 'dispatch': 2.1599999999999946e-05, 'search': 5.599359999999998e-05, 'reduce': 2.2319999999999888e-05, 'drain': 8.303199999999884e-06}",
+        "{'compute': 5.5993600000000005e-05, 'send': 2.4000000000000004e-05, 'recv': 2.2800000000000005e-05, 'wait': 0.0005189839413270196, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 2.2800000000000022e-05, 'recv': 3.120000000000003e-05, 'wait': 2.380019266587762e-05, 'rma': 0.0}",
+    ),
+    'serve_reject': (
+        "{'route': 4.159999999999982e-07, 'dispatch': 3.6000000000000036e-06, 'search': 2.24016e-05, 'reduce': 3.7200000000000203e-06, 'drain': 8.303200000000009e-06}",
+        "{'compute': 2.2401600000000002e-05, 'send': 5.999999999999999e-06, 'recv': 4.8e-06, 'wait': 0.00014995360000000005, 'rma': 0.0}",
+        "{'compute': 5.36e-07, 'send': 4.8e-06, 'recv': 1.3200000000000006e-05, 'wait': 7.610799999999981e-06, 'rma': 0.0}",
+    ),
+    'serve_shed_w1': (
+        "{'route': 4.159999999999982e-07, 'dispatch': 3.6000000000000036e-06, 'search': 2.2900800000000003e-05, 'reduce': 3.7200000000000186e-06, 'drain': 8.303200000000009e-06}",
+        "{'compute': 2.2900800000000003e-05, 'send': 6e-06, 'recv': 4.800000000000001e-06, 'wait': 0.0001839216000000001, 'rma': 0.0}",
+        "{'compute': 5.36e-07, 'send': 4.8e-06, 'recv': 1.3200000000000006e-05, 'wait': 1.1919199999999989e-05, 'rma': 0.0}",
+    ),
+    'serve_w0': (
+        "{'route': 2.454400000000004e-06, 'dispatch': 2.1599999999999966e-05, 'search': 0.00013515839999999994, 'reduce': 2.2319999999999868e-05, 'drain': 8.303199999999884e-06}",
+        "{'compute': 0.0001351584, 'send': 2.4000000000000004e-05, 'recv': 2.2800000000000005e-05, 'wait': 0.00044841354132701955, 'rma': 0.0}",
+        "{'compute': 3.1744000000000005e-06, 'send': 2.2800000000000022e-05, 'recv': 3.120000000000003e-05, 'wait': 2.4874492665877637e-05, 'rma': 0.0}",
+    ),
+    'serve_w2_cache': (
+        "{'route': 7.904000000000026e-07, 'dispatch': 7.200000000000005e-06, 'search': 4.52192e-05, 'reduce': 7.4400000000000355e-06, 'drain': 8.303199999999884e-06}",
+        "{'compute': 4.52192e-05, 'send': 9.6e-06, 'recv': 8.4e-06, 'wait': 0.0005149991413270199, 'rma': 0.0}",
+        "{'compute': 1.0304e-06, 'send': 8.399999999999998e-06, 'recv': 1.6800000000000012e-05, 'wait': 4.929929266587747e-05, 'rma': 0.0}",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_mode_repeats_the_parent(runs, name):
-    assert runs[name][0] == GOLDEN[name]
+    assert runs[name][0] == dict(GOLDEN[name], breakdowns=BREAKDOWNS[name])
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -725,8 +882,11 @@ def test_report_reads_the_registry(runs, name):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_wire_matches_its_table(runs, name):
-    sent = runs[name][1]
+    sent, rep = runs[name][1], runs[name][2]
     assert sent
+    # the spy sits where every message passes, the engine's transmit:
+    # what it saw is what the run counted, faults and crashes included
+    assert len(sent) == rep.metrics["counters"]["sim.msgs_sent"]
     for payload, tag, nbytes in sent:
         assert payload[0] in messages.WIRE, payload[0]
         want_tag, size = messages.WIRE[payload[0]]

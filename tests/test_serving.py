@@ -277,6 +277,49 @@ class TestServingEquivalence:
         np.testing.assert_array_equal(a[2].query_latencies, b[2].query_latencies)
 
 
+class TestCreditsWithSharedReplicas:
+    """A query whose routed partitions share a replica core under credits.
+
+    The serving gate checks each routed partition's workgroup alone, so
+    the query's first task may take the last credit of a replica that a
+    later partition of the same query also lives on.  That later task
+    over-commits the replica by one credit (docs/serving.md); without
+    that, it finds no replica at all and the run crashes.
+    """
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((300, 8)).astype(np.float32)
+        Q = (X[:40] + 0.01).astype(np.float32)
+        return X, Q
+
+    @staticmethod
+    def _query(system, **kw):
+        X, Q = system
+        cfg = SystemConfig(
+            n_cores=4, cores_per_node=2, k=5, n_probe=2, replication_factor=2, seed=1,
+            hnsw=HNSW, arrival="poisson:400000", **kw,
+        )
+        ann = DistributedANN(cfg)
+        ann.fit(X)
+        return ann.query(Q)
+
+    @pytest.mark.parametrize("one_sided", [False, True], ids=["two_sided", "one_sided"])
+    @pytest.mark.parametrize("selector", ["primary", "least_loaded"])
+    def test_answers_and_ledgers(self, system, selector, one_sided):
+        D0, I0, _ = self._query(system, replica_selector=selector, one_sided=False)
+        D, I, rep = self._query(
+            system, replica_selector=selector, one_sided=one_sided, dispatch_window=2
+        )
+        np.testing.assert_array_equal(D0, D)
+        np.testing.assert_array_equal(I0, I)
+        assert rep.credits_leaked == 0
+        assert rep.offered_queries == len(I) == (
+            rep.admitted_queries + rep.shed_queries + rep.rejected_queries
+        )
+
+
 class TestResultCacheServing:
     def test_hits_are_bit_identical(self, hot_corpus):
         D0, I0, rep0 = _run(hot_corpus, one_sided=False, arrival="poisson:5000")

@@ -705,9 +705,7 @@ def _lifecycle_world(seed: int, merged: bool):
                     boxes[node], tag=tag, event=ev if with_event else None, timeout=timeout
                 )
             got.append(None if req is None else (req.payload, req.source, req.arrival))
-        notice = ctx.send_to_mailbox(
-            collect_box, ("bye", ctx.pid), source=ctx.pid, tag=7, nbytes=24, same_node=False
-        )
+        notice = ctx.send_op(collect_box, ("bye", ctx.pid), tag=7, nbytes=24)
         if merged:
             yield from ctx.exit(
                 notice, compute=None if unlock is None else (unlock, "rma_sync"), span="drain"
@@ -716,7 +714,7 @@ def _lifecycle_world(seed: int, merged: bool):
             if unlock is not None:
                 yield from ctx.compute(unlock, kind="rma_sync")
             with ctx.span("drain"):
-                yield from notice
+                yield notice
         return got
 
     def sender(ctx, sends):
@@ -892,9 +890,7 @@ class TestSession:
             runs += 1
             yield from ctx.compute(1.0 * runs)
             again = yield from ctx.exit(
-                ctx.send_to_mailbox(ctx.mailbox, runs, source=ctx.pid, tag=0, nbytes=8,
-                                    same_node=True),
-                result=runs,
+                ctx.send_op(ctx.mailbox, runs, tag=0, nbytes=8, same_node=True), result=runs
             )
             if not again:
                 log.append(("returned", runs))
@@ -966,10 +962,7 @@ class TestSession:
 
     def test_a_program_must_return_after_its_exit(self):
         def stays(ctx):
-            yield from ctx.exit(
-                ctx.send_to_mailbox(ctx.mailbox, 1, source=ctx.pid, tag=0, nbytes=8,
-                                    same_node=True)
-            )
+            yield from ctx.exit(ctx.send_op(ctx.mailbox, 1, tag=0, nbytes=8, same_node=True))
             yield from ctx.compute(1.0)
 
         sim = Simulation()
