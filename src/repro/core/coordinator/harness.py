@@ -33,7 +33,7 @@ from repro.core.coordinator.window import DispatchWindow
 from repro.core.messages import TAG_ARRIVE, TAG_RESULT
 from repro.faults.spec import FaultPolicy
 from repro.loadbalance import derive_drain_timeout, derive_task_timeout
-from repro.simmpi.engine import WAIT_TIMED_OUT, Context
+from repro.simmpi.engine import Context
 
 __all__ = ["FaultHarness"]
 
@@ -276,13 +276,12 @@ class FaultHarness:
         Closed loop, the whole batch is routed and then dispatched up
         front.  Under open-loop arrivals a query becomes work only when
         its ``TAG_ARRIVE`` lands and the admission queue lets it through:
-        the collect loop then waits on the arrival receive *and* the
-        result receive together, under the same deadline budget, so
-        timeout sweeps, retries and failovers work unchanged while
-        queries trickle in.  Already-completed receives are consumed in
-        virtual-completion order, keeping the arrival/result
-        interleaving causal.  The closed loop is that same loop with no
-        arrival receive ever posted.
+        the collect loop then makes one receive over both tags, under
+        the same deadline budget, so timeout sweeps, retries and
+        failovers work unchanged while queries trickle in.  Messages
+        are taken in fabric arrival order, keeping the arrival/result
+        interleaving causal.  The closed loop is that same loop with
+        results as its only tag.
         """
         config, report, policy = self.config, self.report, self.policy
         state = self.serving
@@ -313,49 +312,36 @@ class FaultHarness:
             return state is not None and state.consumed < n_q
 
         # -- collect with deadlines ------------------------------------------
-        recv_req = None
-        arrive_req = None
+        mailbox = ctx.mailbox
+        both = frozenset((TAG_ARRIVE, TAG_RESULT))
         while arrival_due() or queue or self.pending or self.deferred:
             while queue:
                 yield from self._serve_query(ctx)
             if self.deferred:
                 yield from self._drain_deferred(ctx)
-            if arrive_req is None and arrival_due() and state.admission.accepting():
-                arrive_req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_ARRIVE)
-            if recv_req is None and self.pending:
-                recv_req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_RESULT)
-            if not self.pending and arrive_req is None:
+            arrivals = arrival_due() and state.admission.accepting()
+            if self.pending:
+                tags = both if arrivals else TAG_RESULT
+                budget = max(min(s["deadline"] for s in self.pending.values()) - ctx.now, 0.0)
+            elif arrivals:
+                tags, budget = TAG_ARRIVE, None
+            else:
                 # nothing in flight and no arrival due: every credit is
                 # home, so what _drain_deferred left parked the next sweep
                 # dispatches or fails — never block on a result receive
                 # that no task is pending for
                 continue
-            waits = [r for r in (recv_req, arrive_req) if r is not None]
-            done = [r for r in waits if r.done and not r.cancelled]
-            if done:
-                fired_req = min(done, key=lambda r: r.completion_time)
-                payload = yield from ctx.wait(fired_req)
-            else:
-                budget = None
-                if self.pending:
-                    budget = max(
-                        min(s["deadline"] for s in self.pending.values()) - ctx.now, 0.0
-                    )
-                idx, payload = yield from ctx.wait_any(waits, timeout=budget)
-                if idx == WAIT_TIMED_OUT:
-                    now = ctx.now
-                    struck: set[int] = set()
-                    for key in [
-                        kk for kk, s in self.pending.items() if s["deadline"] <= now
-                    ]:
-                        yield from self._handle_timeout(ctx, key, struck)
-                    continue
-                fired_req = waits[idx]
-            if fired_req is arrive_req:
-                arrive_req = None
-                state.on_arrival(ctx, payload)
+            req = yield ctx.recv_op(mailbox, tag=tags, timeout=budget)
+            if req is None:  # the earliest deadline passed first
+                now = ctx.now
+                struck: set[int] = set()
+                for key in [kk for kk, s in self.pending.items() if s["deadline"] <= now]:
+                    yield from self._handle_timeout(ctx, key, struck)
                 continue
-            recv_req = None
+            if req.tag == TAG_ARRIVE:
+                state.on_arrival(ctx, req.payload)
+                continue
+            payload = req.payload
             _, (qid,), pid_part, _ds, _idss = payload
             key = (qid, pid_part)
             if key in self.completed:
@@ -376,10 +362,6 @@ class FaultHarness:
                 self.win.release(key)
                 del self.pending[key]
                 self._resolve(key[0])
-
-        for r in (recv_req, arrive_req):
-            if r is not None:
-                yield from ctx.cancel(r)
 
         # -- bounded shutdown drain ------------------------------------------
         # Rebroadcast "End of Queries" up to drain_rounds times, collecting

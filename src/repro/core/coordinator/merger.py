@@ -6,9 +6,10 @@ plain pipeline's collect loops and the
 :class:`~repro.core.coordinator.window.DispatchWindow`'s blocked
 dispatch, which *streams* results while waiting for a credit so merging
 overlaps in-flight work.  :meth:`ResultMerger.consume_one` is the one
-message-at-a-time entry both use; the fault harness reuses the
-lower-level :meth:`merge_payload` (its receive is a deadline-bounded
-``wait_any``, not a plain wait).
+message-at-a-time entry both use; the serving coordinator and the fault
+harness reuse the lower-level :meth:`merge_payload` (each receives
+arrivals and results through one receive over both tags, the harness's
+bounded by a deadline).
 """
 
 from __future__ import annotations

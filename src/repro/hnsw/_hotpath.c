@@ -936,10 +936,24 @@ static void route_pop(route_t *r, i64 *n)
     r->heap_n[i] = node;
 }
 
+/* 1 when the query holds a NaN or an infinity: both routes then return
+ * -1 before descending (the python side raises the ValueError
+ * ``check_vector`` would) */
+static int route_bad_query(route_t *r)
+{
+    r->evals = 0;
+    for (i64 i = 0; i < r->dim; i++)
+        if (!isfinite(r->q[i]))
+            return 1;
+    return 0;
+}
+
 /* best-first multi-probe: the n_probe partitions of least accumulated
  * boundary margin, in pop order; returns how many were written */
 i64 vp_route_approx(route_t *r, i64 n_probe)
 {
+    if (route_bad_query(r))
+        return -1;
     i64 n_out = 0, nh = 0, seq = 0, evals = 0;
     route_push(r, &nh, 0.0, 0, r->root);
     while (nh && n_out < n_probe) {
@@ -964,6 +978,8 @@ i64 vp_route_approx(route_t *r, i64 n_probe)
  * left-first DFS order of the python recursion (both tests non-strict) */
 i64 vp_route_exact(route_t *r, double tau)
 {
+    if (route_bad_query(r))
+        return -1;
     i64 n_out = 0, top = 0, evals = 0;
     i64 *stack = r->heap_n;
     stack[top++] = r->root;

@@ -6,8 +6,8 @@ cluster does not control.  :func:`arrival_schedule` turns an arrival spec
 string into a deterministic vector of virtual arrival times, and
 :func:`arrival_source_program` is the simmpi proc that replays that
 schedule into the master's mailbox as ``TAG_ARRIVE`` messages — so
-arrivals are ordinary timestamped fabric events the coordinator can
-``wait_any`` on alongside results.
+arrivals are ordinary timestamped fabric events the coordinator receives
+with its results, through one receive over both tags, in arrival order.
 
 Two generator families (both replayable):
 

@@ -16,10 +16,12 @@ activities on the virtual clock —
    than unbounded deferral (the bounded ingress queue stays the only
    queue).
 
-When nothing is ready it blocks on whichever of the two posted receives
-completes first.  Already-completed requests are settled in virtual-
-completion-time order (not post order), so the interleaving of arrivals
-and results is causal and deterministic.
+Arrivals and results come in through one receive over both tags
+(``ctx.recv`` with a ``frozenset`` tag), so they are settled in fabric
+arrival order, earliest first, and the interleaving is causal and
+deterministic.  ``ctx.iprobe`` tells, without an engine event, whether
+anything has arrived by now; when nothing has and the head cannot be
+served, that same receive blocks until the next message lands.
 
 Cache hits complete instantly at the master — no routing charge, no
 dispatch, no worker time — which is exactly the capacity win the bench
@@ -116,14 +118,19 @@ class ServingPipeline:
             )
         return True
 
-    def _handle_result(self, ctx: Context, payload):
+    def _settle(self, ctx: Context, req):
+        """One received message: an arrival is offered to admission, a
+        result (or credit ack) is merged and settles its task."""
+        if req.tag == TAG_ARRIVE:
+            self.serving.on_arrival(ctx, req.payload)
+            return
         merger = self.merger
         if merger.one_sided:  # a credit ack: nothing to merge, no span
-            rows, pid_part = yield from merger.merge_payload(ctx, payload)
+            rows, pid_part = yield from merger.merge_payload(ctx, req.payload)
         else:
             start = ctx.span_begin("reduce")
             try:
-                rows, pid_part = yield from merger.merge_payload(ctx, payload)
+                rows, pid_part = yield from merger.merge_payload(ctx, req.payload)
             finally:
                 ctx.span_end("reduce", start)
         merger.finish_rows(rows, pid_part, self.window, ctx)
@@ -134,86 +141,39 @@ class ServingPipeline:
         config, report = self.config, self.report
         state, merger, window = self.serving, self.merger, self.window
         adm = state.admission
-        one_sided = merger.one_sided
-        result_tag = TAG_CREDIT if one_sided else TAG_RESULT
+        result_tag = TAG_CREDIT if merger.one_sided else TAG_RESULT
+        both = frozenset((TAG_ARRIVE, result_tag))
         n = state.n_queries
+        mailbox = ctx.mailbox
         merger.note_result = lambda qid: self._note_settle(ctx, qid)
 
-        def want_arrival() -> bool:
-            return state.consumed < n and adm.accepting()
+        def wanted():
+            """The tag(s) to receive on: arrivals while some are due and
+            admission takes them, results while a task is out."""
+            arrivals = state.consumed < n and adm.accepting()
+            if merger.tasks_completed < report.tasks_sent:
+                return both if arrivals else result_tag
+            return TAG_ARRIVE if arrivals else None
 
-        def expect_result() -> bool:
-            return merger.tasks_completed < report.tasks_sent
-
-        arrive_req = None
-        result_req = None
-        while state.consumed < n or adm.queue or expect_result():
-            if arrive_req is None and want_arrival():
-                arrive_req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_ARRIVE)
-            if result_req is None and expect_result():
-                result_req = yield from ctx.post_recv(ctx.mailbox, tag=result_tag)
-
-            # settle everything that has already happened, in virtual-
-            # completion order, without advancing the clock
-            progressed = False
-            while True:
-                ready = [
-                    r
-                    for r in (arrive_req, result_req)
-                    if r is not None and r.done and r.completion_time <= ctx.now
-                ]
-                if not ready:
-                    break
-                req = min(ready, key=lambda r: r.completion_time)
-                payload = yield from ctx.wait(req)
-                if req is arrive_req:
-                    arrive_req = None
-                    state.on_arrival(ctx, payload)
-                    if want_arrival():
-                        arrive_req = yield from ctx.post_recv(ctx.mailbox, tag=TAG_ARRIVE)
-                else:
-                    result_req = None
-                    yield from self._handle_result(ctx, payload)
-                    if expect_result():
-                        result_req = yield from ctx.post_recv(ctx.mailbox, tag=result_tag)
-                progressed = True
-
-            if adm.queue:
-                served = yield from self._serve_head(ctx)
-                if served:
-                    continue
-            if progressed:
+        while state.consumed < n or adm.queue or merger.tasks_completed < report.tasks_sent:
+            tags = wanted()
+            # everything that has arrived by now is settled, earliest
+            # first, before the head is tried
+            if tags is not None and ctx.iprobe(mailbox, tag=tags):
+                yield from self._settle(ctx, (yield ctx.recv_op(mailbox, tag=tags)))
                 continue
-
-            # nothing ready and the head (if any) is credit-blocked:
-            # block until the next arrival or settle.  Requests that are
-            # done-but-future are waited directly in completion order —
-            # wait_any's immediate-completion check is post-order, which
-            # would let a later result overtake an earlier arrival.
-            waits = [r for r in (arrive_req, result_req) if r is not None]
-            if not waits:
+            if adm.queue and (yield from self._serve_head(ctx)):
+                continue
+            # nothing has arrived and the head (if any) is credit-blocked
+            # (a refused head changes no wanted tag): block until the next
+            # arrival or result
+            if tags is None:
                 raise SimError(
-                    "serving coordinator stalled with no receive posted "
+                    "serving coordinator stalled with nothing to receive "
                     f"(consumed {state.consumed}/{n}, queue {len(adm.queue)}, "
                     f"outstanding {report.tasks_sent - merger.tasks_completed})"
                 )
-            done = [r for r in waits if r.done]
-            if done:
-                req = min(done, key=lambda r: r.completion_time)
-                payload = yield from ctx.wait(req)
-            else:
-                idx, payload = yield from ctx.wait_any(waits)
-                req = waits[idx]
-            if req is arrive_req:
-                arrive_req = None
-                state.on_arrival(ctx, payload)
-            else:
-                result_req = None
-                yield from self._handle_result(ctx, payload)
-
-        for r in (arrive_req, result_req):
-            if r is not None:
-                yield from ctx.cancel(r)
+            yield from self._settle(ctx, (yield ctx.recv_op(mailbox, tag=tags)))
 
         # End of Queries + thread-exit drain, as in the closed-loop pipeline
         with ctx.span("drain"):

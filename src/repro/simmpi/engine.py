@@ -27,12 +27,16 @@ Blocking primitives:
   same step.  This is how worker threads wait for "a query *or* the
   terminate flag", replacing the paper's MPI_Test busy-poll loop with an
   equivalent that does not need millions of simulated poll iterations,
-  and how every coordinator receives one message,
+  and how every coordinator receives one message.  A ``frozenset`` tag
+  receives over several tags at once, in arrival order (a serving
+  coordinator taking arrivals and results); ``iprobe`` asks, without
+  an event, whether such a match has arrived yet,
 - ``recv_n(mailbox, n, ...)`` — ``n`` receives in one event (a master
   counting its threads' exit notices),
 - ``wait(request)``     — block until an already posted receive matches,
 - ``wait_any(waitables)`` — block until any of several requests/events
-  completes (a coordinator waiting on two receives at once),
+  completes (the three-call form ``recv`` replaces: post, ``wait_any``,
+  ``cancel``),
 - collectives and RMA — see :mod:`repro.simmpi.comm` / :mod:`~repro.simmpi.rma`.
 
 ``exit(send, compute=, span=)`` ends a proc's run in one event: a last
@@ -102,12 +106,15 @@ def _tag_matches(pattern, tag) -> bool:
     The comm layer namespaces user tags as ``(comm_id, user_tag)``; a
     receive for "any tag on this comm" uses ``(comm_id, ANY_TAG)``, so
     tuple patterns are compared elementwise with ``ANY_TAG`` as a
-    per-element wildcard.
+    per-element wildcard.  A ``frozenset`` pattern matches each of its
+    members exactly (a receive over several tags).
     """
     if pattern == ANY_TAG:
         return True
     if isinstance(pattern, tuple) and isinstance(tag, tuple) and len(pattern) == len(tag):
         return all(p == ANY_TAG or p == t for p, t in zip(pattern, tag))
+    if type(pattern) is frozenset:
+        return tag in pattern
     return pattern == tag
 
 
@@ -398,14 +405,18 @@ class Mailbox:
         else:
             heapq.heappush(bucket, msg)
 
-    def _take(self, source: int, tag) -> _Message | None:
-        """Remove and return the queued message with the smallest
-        ``(arrival, seq)`` that a receive for ``(source, tag)`` matches."""
+    def _find(self, source: int, tag) -> tuple:
+        """The queued message with the smallest ``(arrival, seq)`` that a
+        receive for ``(source, tag)`` matches, and its heap; ``(None,
+        None)`` when none does.  A ``frozenset`` tag looks at each of its
+        tags' heaps, as a wildcard looks at every heap it matches."""
         buckets = self._buckets
         if not buckets:
-            return None
+            return None, None
         if tag == ANY_TAG or (isinstance(tag, tuple) and ANY_TAG in tag):
             heaps = [heap for t, heap in buckets.items() if _tag_matches(tag, t)]
+        elif type(tag) is frozenset:
+            heaps = [buckets[t] for t in tag if t in buckets]
         else:
             heaps = [buckets[tag]] if tag in buckets else ()
         best = best_heap = None
@@ -417,6 +428,11 @@ class Mailbox:
                 msg = min((m for m in heap if m.source == source), default=None)
             if msg is not None and (best is None or msg < best):
                 best, best_heap = msg, heap
+        return best, best_heap
+
+    def _take(self, source: int, tag) -> _Message | None:
+        """Remove and return what :meth:`_find` finds."""
+        best, best_heap = self._find(source, tag)
         if best is None:
             return None
         if best is best_heap[0]:
@@ -425,7 +441,7 @@ class Mailbox:
             best_heap.remove(best)
             heapq.heapify(best_heap)
         if not best_heap:
-            del buckets[best.tag]
+            del self._buckets[best.tag]
         return best
 
 
@@ -600,9 +616,21 @@ class Context:
     # -- low-level messaging (Comm builds on these) -------------------------
 
     def post_recv(self, mailbox: Mailbox, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Post a non-blocking receive; resumes with a :class:`Request`."""
+        """Post a non-blocking receive; resumes with a :class:`Request`.
+        ``tag`` may be a ``frozenset`` of tags, as for :meth:`recv`."""
         req = yield _RecvPost(mailbox, source, tag)
         return req
+
+    def iprobe(self, mailbox: Mailbox, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
+        """Whether the message a receive for ``(source, tag)`` would take
+        from ``mailbox`` now has arrived by this proc's clock (MPI_Iprobe).
+
+        A host read, not a syscall: no event, no virtual time.  It is
+        causal because the scheduler always resumes the lowest clock, so
+        every message due by now has already been delivered.
+        """
+        msg = mailbox._find(source, tag)[0]
+        return msg is not None and msg.arrival <= self._proc.clock
 
     def recv(
         self,
@@ -618,7 +646,12 @@ class Context:
 
         Resumes with the completed :class:`Request` (its ``payload``,
         ``source``, ``tag`` and ``arrival`` are set), charged exactly as
-        ``post_recv`` followed by ``wait``.  With an ``event``, or a
+        ``post_recv`` followed by ``wait``.  ``tag`` may be a
+        ``frozenset`` of exact tags: the receive then takes the queued
+        match with the smallest ``(arrival, seq)`` across them, or the
+        first one delivered — one receive over several sources of work,
+        settled in arrival order (not a tuple: a tuple is a
+        comm-namespaced tag).  With an ``event``, or a
         ``timeout`` in virtual seconds, it resumes with ``None`` when the
         event is set first or the deadline passes — as
         ``wait_any([request, event], timeout)`` would — and the receive is

@@ -201,6 +201,26 @@ class PartitionRouter:
             return math.sqrt(_l2sq_one_to_many(q64, node._vp64)[0])
         return float(self.metric.one_to_many(q64, node._vp64)[0])
 
+    def _load(self, query: np.ndarray) -> np.ndarray | None:
+        """The python route's checked float64 query, or None once ``query``
+        is widened into the compiled descent's buffer.  That leg checks
+        only the shape: the descent refuses a non-finite row itself, so a
+        batch its caller already checked is not scanned twice."""
+        if self._native is None:
+            return check_vector(query, "query", dim=self._dim).astype(np.float64)
+        q = np.asarray(query, dtype=np.float32)
+        if q.shape != self._q64.shape:
+            check_vector(q, "query", dim=self._dim)  # raises the python leg's error
+        self._q64[:] = q
+        return None
+
+    def _routed(self, n: int) -> list[int]:
+        """The partitions a compiled route wrote, or its refusal."""
+        if n < 0:
+            raise ValueError("query contains non-finite values")
+        self.n_dist_evals += self._desc.evals
+        return self._out[:n].tolist()
+
     def route_exact(self, query: np.ndarray, tau: float) -> list[int]:
         """All partitions intersecting the ball of radius ``tau``.
 
@@ -208,16 +228,12 @@ class PartitionRouter:
         ``d(x, vp) >= mu`` (ties at the radius go to either side to keep the
         split exact), so both tests are non-strict.
         """
-        q = check_vector(query, "query", dim=self._dim)
+        q = self._load(query)
         tau = float(tau)
         if tau < 0:
             raise ValueError(f"tau must be non-negative, got {tau}")
-        if self._native is not None:
-            self._q64[:] = q
-            n = self._native.vp_route_exact(self._desc_addr, tau)
-            self.n_dist_evals += self._desc.evals
-            return self._out[:n].tolist()
-        q = q.astype(np.float64)
+        if q is None:
+            return self._routed(self._native.vp_route_exact(self._desc_addr, tau))
         out: list[int] = []
 
         def rec(node: RouteNode) -> None:
@@ -240,14 +256,11 @@ class PartitionRouter:
         path; the nearest leaf always has penalty 0.  Returned in
         increasing-penalty order.
         """
-        q = check_vector(query, "query", dim=self._dim)
+        q = self._load(query)
         n_probe = check_positive_int(n_probe, "n_probe")
-        if self._native is not None:
-            self._q64[:] = q
-            n = self._native.vp_route_approx(self._desc_addr, min(n_probe, len(self._out)))
-            self.n_dist_evals += self._desc.evals
-            return self._out[:n].tolist()
-        q = q.astype(np.float64)
+        if q is None:
+            n = min(n_probe, len(self._out))
+            return self._routed(self._native.vp_route_approx(self._desc_addr, n))
         out: list[int] = []
         seq = 0
         heap: list[tuple[float, int, RouteNode]] = [(0.0, seq, self.root)]

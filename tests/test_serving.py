@@ -16,12 +16,15 @@ import numpy as np
 import pytest
 
 from repro.core import DistributedANN, SystemConfig
+from repro.core.coordinator.merger import ResultMerger
 from repro.datasets import zipf_queries, zipf_query_targets
 from repro.eval import latency_stats
-from repro.faults import FaultSpec, RankCrash
+from repro.faults import FaultPolicy, FaultSpec, RankCrash
 from repro.hnsw import HnswParams
 from repro.serving import AdmissionQueue, ResultCache, ServingTimeline
 from repro.serving.arrivals import arrival_schedule, parse_arrival_spec
+from repro.serving.state import ServingState
+from repro.simmpi.engine import Simulation
 from repro.simmpi.errors import SimConfigError
 from tests.test_loadbalance import partition_anchors, skewed_corpus, skewed_system
 
@@ -473,6 +476,55 @@ class TestServingWithFaults:
             rep.admitted_queries + rep.shed_queries + rep.rejected_queries
             == rep.offered_queries
         )
+
+
+class TestSettleOrder:
+    """Both open-loop coordinators take arrivals and results through one
+    receive over the two tags, so they settle messages in the order the
+    fabric delivered them: earliest wire arrival first.  (A loop that
+    posts one receive per tag and orders by completion — the later of
+    post and arrival — settles an arrival before a result that landed
+    earlier whenever it re-posted the result receive after that result
+    landed.)"""
+
+    @staticmethod
+    def _settled(corpus, monkeypatch, **kw):
+        """(kind, wire arrival) of every message the coordinator settles."""
+        arrival_of, settled = {}, []
+        deliver, on_arrival, merge = (
+            Simulation._deliver, ServingState.on_arrival, ResultMerger.merge_payload
+        )
+
+        def spy_deliver(self, mailbox, msg):
+            # keep the payload alive so its id names it for the whole run
+            arrival_of[id(msg.payload)] = (msg.payload, msg.arrival)
+            return deliver(self, mailbox, msg)
+
+        def spy_arrival(self, ctx, payload):
+            settled.append(("arrive", arrival_of[id(payload)][1]))
+            return on_arrival(self, ctx, payload)
+
+        def spy_merge(self, ctx, payload):
+            settled.append(("result", arrival_of[id(payload)][1]))
+            return (yield from merge(self, ctx, payload))
+
+        monkeypatch.setattr(Simulation, "_deliver", spy_deliver)
+        monkeypatch.setattr(ServingState, "on_arrival", spy_arrival)
+        monkeypatch.setattr(ResultMerger, "merge_payload", spy_merge)
+        _run(corpus, one_sided=False, arrival="poisson:400000", **kw)
+        return settled
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"dispatch_window": 2}, {"replication_factor": 2, "fault_policy": FaultPolicy()}],
+        ids=["serving", "serving_w2", "fault_harness"],
+    )
+    def test_messages_settle_in_arrival_order(self, corpus, monkeypatch, kw):
+        settled = self._settled(corpus, monkeypatch, **kw)
+        kinds = [kind for kind, _ in settled]
+        assert kinds.count("arrive") == 24 and kinds.count("result") == 72
+        arrivals = [at for _, at in settled]
+        assert arrivals == sorted(arrivals)
 
 
 class TestSloAccounting:

@@ -419,6 +419,84 @@ class TestRecv:
         assert shared._pending == [] and ev._waiters == []
 
 
+class TestTagSets:
+    """A ``frozenset`` tag receives over several tags at once, taking the
+    match with the smallest ``(arrival, seq)`` across them; ``iprobe``
+    reads that match without an event."""
+
+    @staticmethod
+    def _receive(tag, sent_tags, n_recv):
+        """One sender spreads ``sent_tags`` over time, one receiver makes
+        ``n_recv`` receives with ``tag`` — the first few find their match
+        queued, the rest block for it.  Returns what each receive got,
+        the receiver's clock and what stays queued."""
+        sim = Simulation()
+
+        def receiver(ctx):
+            yield from ctx.compute(0.35)
+            got = []
+            for _ in range(n_recv):
+                req = yield from ctx.recv(ctx.mailbox, tag=tag)
+                got.append((req.payload, req.tag, req.arrival))
+            return got, ctx.now
+
+        def sender(ctx):
+            for i, t in enumerate(sent_tags):
+                yield from ctx.compute(0.1)
+                # sizes vary, so arrival order is not send order
+                yield from ctx.send_to_mailbox(
+                    sim.mailbox_of(0), i, source=ctx.pid, tag=t, nbytes=(1 << 20) * (i % 3),
+                    same_node=False,
+                )
+
+        sim.add_proc(receiver)
+        sim.add_proc(sender)
+        out = sim.run()
+        return out.results[0], sorted(m.tag for b in sim.mailbox_of(0)._buckets.values() for m in b)
+
+    def test_a_set_of_every_tag_present_is_any_tag(self):
+        sent = [1, 0, 0, 1, 1, 0, 1, 0, 0]
+        assert self._receive(frozenset({0, 1}), sent, 9) == self._receive(ANY_TAG, sent, 9)
+
+    def test_other_tags_stay_queued(self):
+        sent = [1, 2, 0, 2, 1, 0, 2, 0, 1]
+        (got, _), queued = self._receive(frozenset({0, 1}), sent, 6)
+        assert sorted(p for p, _, _ in got) == [i for i, t in enumerate(sent) if t != 2]
+        arrivals = [at for _, _, at in got]
+        assert arrivals == sorted(arrivals)
+        assert queued == [2, 2, 2]
+
+    def test_a_tuple_tag_still_matches_elementwise(self):
+        sent = [(7, 0), (8, 0), (7, 1)]
+        (got, _), queued = self._receive((7, ANY_TAG), sent, 2)
+        assert sorted(t for _, t, _ in got) == [(7, 0), (7, 1)] and queued == [(8, 0)]
+        (got, _), queued = self._receive(frozenset({(8, 0)}), sent, 1)
+        assert [t for _, t, _ in got] == [(8, 0)] and queued == [(7, 0), (7, 1)]
+
+    def test_iprobe_sees_only_what_has_arrived(self):
+        sim = Simulation()
+
+        def receiver(ctx):
+            yield from ctx.compute(1e-6)  # the message is queued, still on the wire
+            early = ctx.iprobe(ctx.mailbox, tag=frozenset({0, 3}))
+            yield from ctx.compute(1.0)
+            return (early, ctx.iprobe(ctx.mailbox, tag=frozenset({0, 3})),
+                    ctx.iprobe(ctx.mailbox, tag=0), ctx.iprobe(ctx.mailbox, source=5),
+                    ctx.now)
+
+        def sender(ctx):
+            yield from ctx.send_to_mailbox(
+                sim.mailbox_of(0), "big", source=ctx.pid, tag=3, nbytes=1 << 20, same_node=False,
+            )
+
+        sim.add_proc(receiver)
+        sim.add_proc(sender)
+        out = sim.run()
+        # a host read: no event and no virtual time
+        assert out.results[0] == (False, True, False, False, 1.0 + 1e-6)
+        assert len(sim.mailbox_of(0)) == 1
+
+
 class TestWaitAccounting:
     """A receive's wait is the time from the post to the completion, and
     its overhead is ``recv_time`` only: the buckets sum to the clock
@@ -498,7 +576,7 @@ def _random_schedule(seed: int, receive):
             steps.append((
                 rng.expovariate(2e5),  # think time
                 rng.randrange(2),  # mailbox
-                rng.choice([ANY_TAG, 0, 1]),
+                rng.choice([ANY_TAG, 0, 1, frozenset({0, 1})]),
                 with_event,
                 timeout,
             ))
@@ -745,7 +823,7 @@ def _lifecycle_world(seed: int, merged: bool):
             steps.append((
                 # None: no compute at all; 0.0: a zero-second compute
                 rng.choice([None, 0.0, rng.expovariate(2e5), rng.expovariate(2e5)]),
-                rng.choice([ANY_TAG, 0, 1]),
+                rng.choice([ANY_TAG, 0, 1, frozenset({0, 1})]),
                 with_event,
                 rng.expovariate(1e5) if not with_event or rng.random() < 0.3 else None,
             ))

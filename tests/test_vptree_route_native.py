@@ -187,14 +187,36 @@ def test_other_metrics_stay_on_python():
         assert not PartitionRouter(root, n_parts, metric).native_active
 
 
-def test_wrong_width_query_is_refused():
+def test_wrong_width_query_is_refused(monkeypatch):
+    """Both legs refuse a wrong-width row, a non-finite row and a probe
+    count below one, with the same errors.  The compiled leg checks only
+    the shape in python; the descent refuses a NaN or infinity itself."""
     X = _points(80, 8, seed=6)
-    router = PartitionRouter(*_skeleton(X, leaf_size=4, seed=6))
-    for bad in (np.zeros(1, np.float32), np.zeros(9, np.float32)):
-        with pytest.raises(ValueError, match="dimension"):
-            router.route_approx(bad, 2)
-        with pytest.raises(ValueError, match="dimension"):
-            router.route_exact(bad, 0.5)
+    root, n = _skeleton(X, leaf_size=4, seed=6)
+    routers = _twins(root, n, monkeypatch)
+    assert not routers[1].native_active
+    for router in routers:
+        for bad in (np.zeros(1, np.float32), np.zeros(9, np.float32)):
+            with pytest.raises(ValueError, match="dimension"):
+                router.route_approx(bad, 2)
+            with pytest.raises(ValueError, match="dimension"):
+                router.route_exact(bad, 0.5)
+        with pytest.raises(ValueError, match="1-D"):
+            router.route_approx(np.zeros((1, 8), np.float32), 2)
+        for value in (np.nan, np.inf, -np.inf):
+            bad = X[3].copy()
+            bad[5] = value
+            evals = router.n_dist_evals
+            with pytest.raises(ValueError, match="non-finite"):
+                router.route_approx(bad, 2)
+            with pytest.raises(ValueError, match="non-finite"):
+                router.route_exact(bad.astype(np.float64), 0.5)
+            assert router.n_dist_evals == evals
+        for n_probe in (0, -1):
+            with pytest.raises(ValueError, match="n_probe"):
+                router.route_approx(X[3], n_probe)
+        # a refusal leaves the router as it was
+        assert routers[0].route_approx(X[3], 3) == routers[1].route_approx(X[3], 3)
 
 
 def test_skeleton_is_stored_once():
