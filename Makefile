@@ -19,11 +19,13 @@ test:
 # the numpy reference scan, the deferred result rank against its
 # incremental oracle, every search entry's refusals, and the VP build on
 # the numpy tournament scorer (the golden build digests and the scorer's
-# bit-for-bit tests), and the fit's inline HNSW builds (each partition
-# against a serial add_items), with the compiled kernels off (in `make test`
-# only tests that clear one instance's handles reach them); about two minutes
+# bit-for-bit tests), the fit's inline HNSW builds (each partition
+# against a serial add_items) and the query's inline task searches (no
+# search thread starts, and every mode answers as with one), with the
+# compiled kernels off (in `make test` only tests that clear one instance's
+# handles reach them); about two minutes
 test-nonative:
-	REPRO_HNSW_NO_NATIVE=1 python -m pytest -q tests/test_hnsw_index.py tests/test_hnsw_flat_equivalence.py tests/test_hnsw_search_rows.py tests/test_core_system.py tests/test_filtering.py tests/test_searcher_protocol.py tests/test_vptree.py tests/test_vptree_route_native.py tests/test_query_path_identity.py tests/test_exact_topk.py tests/test_filter_plan.py tests/test_result_rank.py tests/test_search_refusals.py tests/test_vptree_build_identity.py tests/test_vptree_spread_native.py tests/test_build_pool.py
+	REPRO_HNSW_NO_NATIVE=1 python -m pytest -q tests/test_hnsw_index.py tests/test_hnsw_flat_equivalence.py tests/test_hnsw_search_rows.py tests/test_core_system.py tests/test_filtering.py tests/test_searcher_protocol.py tests/test_vptree.py tests/test_vptree_route_native.py tests/test_query_path_identity.py tests/test_exact_topk.py tests/test_filter_plan.py tests/test_result_rank.py tests/test_search_refusals.py tests/test_vptree_build_identity.py tests/test_vptree_spread_native.py tests/test_build_pool.py tests/test_search_thread.py
 
 lint:
 	ruff check src tests benchmarks examples

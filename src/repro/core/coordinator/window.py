@@ -21,6 +21,8 @@ have credit (feedback the open-loop LoadTracker model cannot provide).
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.core.config import SystemConfig
@@ -57,6 +59,11 @@ class DispatchWindow:
     harness and the serving pipeline pick their own (they own their
     deadline bookkeeping and handle credit exhaustion by deferring or
     gating, never by blocking their event loops).
+
+    When the call's ``searcher`` offers ``prefetch`` (see
+    :class:`~repro.core.searcher.LocalSearcher`), every sent task is
+    handed to it too: its rows, ``k``, the run's filter and the partition
+    replica the chosen core's node holds in ``node_stores``.
     """
 
     def __init__(
@@ -67,6 +74,9 @@ class DispatchWindow:
         node_mailboxes: list[Mailbox],
         queries: np.ndarray,
         fpayload: dict | None = None,
+        searcher=None,
+        node_stores: dict | None = None,
+        k: int = 0,
     ) -> None:
         self.config = config
         self.selector = selector
@@ -81,6 +91,17 @@ class DispatchWindow:
         #: carries it (and its wire bytes).  None keeps the send path
         #: byte-identical to the unfiltered wire.
         self.wfilter = wire_filter(fpayload)
+        #: the searcher's optional hook, told of every task as it is sent
+        self._prefetch = getattr(searcher, "prefetch", None)
+        if self._prefetch is not None:
+            # held weakly: a kept session's suspended coordinator frames
+            # still reach the window after the call, and strong references
+            # would keep every index alive until a garbage collection
+            self._store_of = [
+                weakref.proxy(node_stores[config.node_of_core(c)]) for c in range(config.n_cores)
+            ]
+            self._k = k
+            self._filter = None if self.wfilter is None else self.wfilter.spec
         window = int(config.dispatch_window)
         #: remaining credits per core; None when flow control is off
         self.credits = np.full(config.n_cores, window, dtype=np.int64) if window else None
@@ -188,6 +209,11 @@ class DispatchWindow:
             first = query_ids[0]
             # one row is a view; a batch gathers its rows
             rows = self.queries[first : first + 1] if need == 1 else self.queries[query_ids]
+            if self._prefetch is not None:
+                # a node missing the replica is for the worker to report
+                partition = self._store_of[core].partitions.get(partition_id)
+                if partition is not None:
+                    self._prefetch(partition, rows, self._k, self._filter)
             task = make_task(query_ids, partition_id, rows, self.wfilter)
             yield send(ctx, self._mailbox_of[core], task)
         finally:

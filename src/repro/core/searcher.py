@@ -7,6 +7,8 @@ Two implementations:
 - :class:`RealHnswSearcher`: searches the partition's real HNSW index,
   charges exactly the distance evaluations the traversal performed.
   Results (and therefore recall) are genuine.  Used in fidelity mode.
+  Inside a call it runs each task's compiled search on one host thread
+  from the moment the task is sent (:meth:`RealHnswSearcher.prefetch`).
 - :class:`ModeledSearcher`: charges the analytic HNSW cost for a partition
   of the *paper-scale* virtual size (e.g. 1B/8192 points) while answering
   from a small real subsample so result messages carry realistic bytes.
@@ -16,6 +18,8 @@ Two implementations:
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager
 from typing import Protocol
 
@@ -67,6 +71,16 @@ class LocalSearcher(Protocol):
     between).  A searcher that memoizes per call offers ``call_scope()``,
     a context manager the runtime enters around each call's simulation:
     what it remembers inside one scope must not outlive it.
+
+    A searcher may also offer ``prefetch(partition, Q, k, filter=None)``:
+    the coordinator calls it when it sends a task, with the partition the
+    task goes to and the very rows object the task carries, so the
+    searcher can start the search then and have ``search_batch`` — called
+    with that same object — collect it.  It returns nothing, must not
+    raise for rows ``search_batch`` would refuse, and must leave every
+    answer and charge as they would be without it; a task it was told of
+    may never be collected (a lost message) or be searched twice (a
+    duplicated one).
     """
 
     def search_batch(
@@ -139,14 +153,147 @@ def _found_rows(index, D: np.ndarray, I: np.ndarray) -> tuple[list[np.ndarray], 
     return [D[i, :n] for i, n in enumerate(found)], [I[i, :n] for i, n in enumerate(found)]
 
 
+#: slots of a search thread's ring: a full ring runs its oldest search,
+#: so this bounds the searches in flight, not the tasks a coordinator
+#: may send ahead of its workers
+_RING_SLOTS = 64
+
+
+class _SearchThread:
+    """One host thread serving a ring of staged compiled searches.
+
+    The thread enters ``search_ring_serve`` in ``_hotpath.c`` and stays
+    there, without the GIL, until :meth:`close` stops it, joins it and
+    frees the ring.  :meth:`wait` runs a search itself when the thread
+    has not got to it and is not searching (see the C file).  The serve
+    loop first moves the thread to ``cpu`` and then frees it to move, as
+    ``_place_worker`` starts a build worker: left alone it often runs on
+    the CPU of the thread that submits to it.
+    """
+
+    def __init__(self, lib, cpu: int) -> None:
+        self._lib = lib
+        self._ring = lib.search_ring_new(_RING_SLOTS)
+        if not self._ring:
+            raise MemoryError("no memory for a search ring")
+        self._thread = threading.Thread(
+            target=lib.search_ring_serve, args=(self._ring, cpu), name="repro-search", daemon=True
+        )
+        self._thread.start()
+
+    def submit(self, search) -> None:
+        search.seq = self._lib.search_ring_submit(self._ring, search.address)
+
+    def wait(self, search) -> None:
+        self._lib.search_ring_wait(self._ring, search.seq)
+
+    def close(self) -> None:
+        self._lib.search_ring_close(self._ring)
+        self._thread.join()
+        self._lib.search_ring_free(self._ring)
+
+
+def _spare_cpu(lib) -> int | None:
+    """A CPU of this thread's affinity mask other than the one it runs
+    on; None under a one-CPU mask or where the mask cannot be read."""
+    if not hasattr(os, "sched_getaffinity"):
+        return None
+    mask = os.sched_getaffinity(0)
+    here = lib.host_cpu()
+    other = sorted(c for c in mask if c != here)
+    if len(mask) < 2 or not other:
+        return None
+    return other[0]
+
+
 class RealHnswSearcher(_PerCall):
-    """Search the partition's real HNSW index; charge measured evaluations."""
+    """Search the partition's real HNSW index; charge measured evaluations.
+
+    Inside a call scope, a compiled search runs on one host thread
+    (:class:`_SearchThread`) from the moment its task is sent
+    (:meth:`prefetch`), and :meth:`search_batch` collects it.  While that
+    thread is live every compiled search of the call goes through it, so
+    an index's visited array and heaps have one user.  Answers, counted
+    evaluations and charges are those of the inline search, which runs
+    with no thread: outside a scope, for the python path, or under a
+    one-CPU affinity mask.
+    """
 
     def __init__(self, cost: CostModel, ef_search: int) -> None:
         self.cost = cost
         self.ef_search = ef_search
         self.filter_stats = new_filter_stats()
         self._topk = ExactTopk()
+        #: the call's search thread: None until a compiled search is
+        #: prefetched, False when the call may not start one
+        self._thread: _SearchThread | None | bool = False
+        #: id(rows) -> (rows, staged search) of each prefetched task
+        self._tickets: dict = {}
+
+    @contextmanager
+    def call_scope(self):
+        self._thread = None
+        try:
+            with super().call_scope():
+                yield
+        finally:
+            thread, self._thread = self._thread, False
+            if thread:
+                thread.close()
+            # after the join: the buffers the searches wrote live to here
+            self._tickets = {}
+
+    def prefetch(self, partition: Partition, Q: np.ndarray, k: int, filter=None) -> None:  # noqa: A002
+        """Start the compiled search ``search_batch(partition, Q, k,
+        filter)`` will make, on the call's search thread (started here,
+        the first time, if a CPU is spare).  A ``pre``-filtered or empty
+        task has none; rows of the wrong shape are left for
+        ``search_batch`` to refuse."""
+        index = partition.index
+        if self._thread is False or index is None or index._native is None or not len(index):
+            return
+        thread = self._thread
+        if thread is None:
+            cpu = _spare_cpu(index._native)
+            if cpu is None:
+                self._thread = False
+                return
+        target = None
+        if filter is not None:
+            chosen, _, target, _ = self._once(
+                _filter_key(partition, filter, k), self._filter_plan, partition, filter, k
+            )
+            if chosen != "post":
+                return
+        try:
+            search = index.stage_search(Q, k, self.ef_search, filter=target)
+        except (TypeError, ValueError):
+            return
+        if thread is None:
+            thread = self._thread = _SearchThread(index._native, cpu)
+        thread.submit(search)
+        self._tickets[id(Q)] = (Q, search)
+
+    def _knn(self, index, Q: np.ndarray, k: int, mask) -> tuple[list, list]:
+        """``index.knn_search_batch(Q, k, ef, filter=mask)``, each row cut
+        to its results: the prefetched search of ``Q`` if there is one,
+        else a compiled search staged now — through the call's thread
+        while it is live, inline otherwise — else the python path."""
+        # a ticket holds its rows, so no other live object has their id
+        ticket = self._tickets.pop(id(Q), None)
+        thread = self._thread
+        if ticket is not None:
+            search = ticket[1]
+        elif index._native is None or not len(index):
+            return _found_rows(index, *index.knn_search_batch(Q, k, ef=self.ef_search, filter=mask))
+        else:
+            search = index.stage_search(Q, k, self.ef_search, filter=mask)
+            if not thread:
+                search.run()
+                return search.finish()
+            thread.submit(search)
+        thread.wait(search)
+        return search.finish()
 
     def search_batch(
         self, partition: Partition, Q: np.ndarray, k: int, filter=None  # noqa: A002
@@ -176,7 +323,7 @@ class RealHnswSearcher(_PerCall):
             )
         if filter is None:
             before = index.n_dist_evals
-            ds, idss = _found_rows(index, *index.knn_search_batch(Q, k, ef=self.ef_search))
+            ds, idss = self._knn(index, Q, k, None)
             evals = index.n_dist_evals - before
             return ds, idss, self.cost.distance_cost(evals, index.dim)
         nq = len(Q)
@@ -197,9 +344,7 @@ class RealHnswSearcher(_PerCall):
             return ds, idss, seconds
         # row order == internal node order, so the row mask is the
         # index's node mask directly
-        ds, idss = _found_rows(
-            index, *index.knn_search_batch(Q, k, ef=self.ef_search, filter=target)
-        )
+        ds, idss = self._knn(index, Q, k, target)
         evals = index._row_evals.tolist()
         stats["filter_tasks_post"] += nq
         stats["filter_evals_post"] += sum(evals)

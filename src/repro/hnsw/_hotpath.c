@@ -1,8 +1,9 @@
 /* Compiled hot paths for the HNSW index: SEARCH-LAYER (paper Alg. 2),
- * K-NN-SEARCH (Alg. 5) and INSERT (Alg. 1), at any vector width — and the
- * master's VP-skeleton descent (partition routing), the exact top-k scan
- * and the VP-selection tournament scorer, which share this library, its
- * loader and its self-checks.
+ * K-NN-SEARCH (Alg. 5) and INSERT (Alg. 1), at any vector width, and the
+ * ring a host thread serves K-NN-SEARCH calls from — and the master's
+ * VP-skeleton descent (partition routing), the exact top-k scan and the
+ * VP-selection tournament scorer, which share this library, its loader
+ * and its self-checks.
  *
  * The python implementation pays ~6-8 interpreter/numpy dispatches per
  * expanded node; these helpers run the loops in C on the index's flat
@@ -46,9 +47,14 @@
  * python's heapq.
  */
 
+#define _GNU_SOURCE /* sched_getcpu */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 typedef int64_t i64;
 
@@ -393,9 +399,9 @@ static void greedy_step(const graph_t *g, i64 lv, const float *q, i64 *ep_io,
 }
 
 /* One K-NN-SEARCH call: ``SearchDesc`` in native.py, same fields in the
- * same order.  The python side fills the graph, the external ids, the
- * entry point and the buffer addresses once per reallocation of the index
- * or of its (nq, k) buffers; a call writes epoch, ef and allowed. */
+ * same order.  The python side fills the graph, the external ids, the top
+ * level and the entry point once per reallocation or insert of the index;
+ * search_bind copies that and binds a staged buffer's fields to it. */
 typedef struct {
     graph_t g;
     const i64 *ext;         /* external id of each node */
@@ -422,7 +428,7 @@ typedef struct {
  * Returns -1, before searching anything, when a query holds a NaN or an
  * infinity (the python side raises the ValueError ``check_matrix`` would),
  * else 0. */
-i64 hnsw_knn_search(const search_t *s)
+static i64 hnsw_knn_search(const search_t *s)
 {
     const graph_t *g = &s->g;
     i64 dim = g->dim, nq = s->nq, k = s->k;
@@ -454,6 +460,230 @@ i64 hnsw_knn_search(const search_t *s)
         s->stats[nq + i] = nres;
     }
     return 0;
+}
+
+/* ====================================================================
+ * Task searches on a host thread.  A query call's coordinator stages a
+ * task's search when it sends the task, and one host thread runs the
+ * staged searches while the simulation goes on; the worker that takes
+ * the task collects the answer.  The two meet in a single-producer ring
+ * of search_t slots, run in submission order.  The simulation's thread
+ * alone submits and waits; whoever holds ``run`` runs the next slot, so
+ * an index's visited array and heaps have one user at a time.
+ *
+ * A staged search is one caller-owned buffer (layout at search_bind), so
+ * a call takes one address, not a dozen arguments.  A slot is free again
+ * once its search ran, so a full ring waits for a search, never for a
+ * collection.
+ *
+ * A waiting producer never sleeps: when its search has not run, it runs
+ * it (and those queued before it) itself, unless the thread is searching
+ * at that moment, which it then lets finish.  The thread spins for
+ * SPIN_NS when the ring is empty, then sleeps on ``work``; it announces
+ * the sleep in ``idle``, which a submit reads after publishing (both
+ * sequentially consistent), so a wake-up is never lost.  Where an idle
+ * CPU halts, a sleeping thread takes milliseconds to run again (10-20 ms
+ * on a 2-vCPU guest), hence the long spin: the thread lives for one
+ * query call and spins through that call's gaps; the rare search a late
+ * wake-up would delay the producer runs itself.
+ * ==================================================================== */
+
+#define SPIN_NS 20000000 /* 20 ms */
+
+/* A staged search's buffer starts with a header of i64 words: the status,
+ * nq, k, the address of the index's kept search_t (graph, external ids,
+ * entry point, levels), the first visited epoch, ef and the nullable
+ * mask.  The (2, nq) stats, the (nq, k) D and I and the (nq, dim) float32
+ * query rows follow it. */
+enum { H_STATUS, H_NQ, H_K, H_BASE, H_EPOCH, H_EF, H_ALLOWED, H_LEN };
+
+/* the search_t a staged buffer describes */
+static void search_bind(search_t *s, double *buf)
+{
+    i64 *h = (i64 *)buf;
+    i64 nq = h[H_NQ], k = h[H_K];
+    *s = *(const search_t *)(intptr_t)h[H_BASE];
+    s->stats = h + H_LEN;
+    s->D = buf + H_LEN + 2 * nq;
+    s->I = h + H_LEN + 2 * nq + nq * k;
+    s->Q = (const float *)(buf + H_LEN + 2 * nq + 2 * nq * k);
+    s->nq = nq;
+    s->k = k;
+    s->epoch = h[H_EPOCH];
+    s->ef = h[H_EF];
+    s->allowed = (const uint8_t *)(intptr_t)h[H_ALLOWED];
+}
+
+/* One staged search, on the calling thread; its status (hnsw_knn_search's
+ * return) goes to the buffer's status word too. */
+i64 hnsw_search_staged(double *buf)
+{
+    search_t s;
+    search_bind(&s, buf);
+    return ((i64 *)buf)[H_STATUS] = hnsw_knn_search(&s);
+}
+
+typedef struct {
+    search_t s;
+    i64 *status; /* the staged buffer's status word */
+} slot_t;
+
+typedef struct {
+    i64 head;          /* slots submitted; the producer writes it */
+    char pad0[56];     /* head and done on cache lines of their own */
+    i64 done;          /* slots searched; written holding ``run`` */
+    char pad1[56];
+    i64 cap;
+    int32_t closed;
+    int32_t idle;      /* the thread sleeps on ``work`` */
+    pthread_mutex_t run; /* held while running a slot */
+    pthread_mutex_t mu;
+    pthread_cond_t work;
+    slot_t slot[];
+} ring_t;
+
+static inline i64 now_ns(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (i64)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
+static inline void cpu_relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+}
+
+#define LOAD(p) __atomic_load_n((p), __ATOMIC_SEQ_CST)
+#define STORE(p, v) __atomic_store_n((p), (v), __ATOMIC_SEQ_CST)
+
+/* the CPU the calling thread runs on, -1 where that cannot be asked */
+i64 host_cpu(void)
+{
+#ifdef __linux__
+    return sched_getcpu();
+#else
+    return -1;
+#endif
+}
+
+ring_t *search_ring_new(i64 cap)
+{
+    ring_t *r = calloc(1, sizeof(ring_t) + (size_t)cap * sizeof(slot_t));
+    if (!r)
+        return NULL;
+    r->cap = cap;
+    pthread_mutex_init(&r->run, NULL);
+    pthread_mutex_init(&r->mu, NULL);
+    pthread_cond_init(&r->work, NULL);
+    return r;
+}
+
+void search_ring_free(ring_t *r)
+{
+    pthread_cond_destroy(&r->work);
+    pthread_mutex_destroy(&r->mu);
+    pthread_mutex_destroy(&r->run);
+    free(r);
+}
+
+/* Run the next slot; the caller holds ``run`` and has seen one queued. */
+static void run_next(ring_t *r)
+{
+    i64 t = LOAD(&r->done);
+    slot_t *slot = &r->slot[t % r->cap];
+    *slot->status = hnsw_knn_search(&slot->s);
+    STORE(&r->done, t + 1);
+}
+
+/* Return once the search numbered ``seq`` ran (the producer's side). */
+void search_ring_wait(ring_t *r, i64 seq)
+{
+    while (LOAD(&r->done) <= seq) {
+        if (pthread_mutex_trylock(&r->run) == 0) {
+            while (LOAD(&r->done) <= seq)
+                run_next(r);
+            pthread_mutex_unlock(&r->run);
+            return;
+        }
+        cpu_relax(); /* the thread is running a search */
+    }
+}
+
+/* Queue one staged search and return its sequence number; a full ring
+ * first runs out its oldest search. */
+i64 search_ring_submit(ring_t *r, double *buf)
+{
+    i64 seq = r->head;
+    if (seq - LOAD(&r->done) >= r->cap)
+        search_ring_wait(r, seq - r->cap);
+    slot_t *slot = &r->slot[seq % r->cap];
+    search_bind(&slot->s, buf);
+    slot->status = (i64 *)buf + H_STATUS;
+    STORE(&r->head, seq + 1);
+    if (LOAD(&r->idle)) {
+        pthread_mutex_lock(&r->mu);
+        pthread_cond_signal(&r->work);
+        pthread_mutex_unlock(&r->mu);
+    }
+    return seq;
+}
+
+/* Let the serve loop return; what it has not run, nobody collects. */
+void search_ring_close(ring_t *r)
+{
+    pthread_mutex_lock(&r->mu);
+    STORE(&r->closed, 1);
+    pthread_cond_signal(&r->work);
+    pthread_mutex_unlock(&r->mu);
+}
+
+/* The search thread's body: run slots in order until the ring is closed.
+ * With cpu >= 0 the thread first moves to that CPU and is then freed to
+ * move again, as ``_place_worker`` in core/build.py starts a build
+ * worker; here the move happens without the GIL, so the thread that
+ * started this one need not wait for it. */
+void search_ring_serve(ring_t *r, i64 cpu)
+{
+#ifdef __linux__
+    cpu_set_t mask, one;
+    if (cpu >= 0 && cpu < CPU_SETSIZE && !sched_getaffinity(0, sizeof mask, &mask)) {
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        sched_setaffinity(0, sizeof one, &one);
+        sched_setaffinity(0, sizeof mask, &mask);
+    }
+#else
+    (void)cpu;
+#endif
+    i64 idle_since = -1;
+    while (!LOAD(&r->closed)) {
+        if (LOAD(&r->done) < LOAD(&r->head)) {
+            pthread_mutex_lock(&r->run);
+            if (LOAD(&r->done) < LOAD(&r->head)) /* not run by the producer */
+                run_next(r);
+            pthread_mutex_unlock(&r->run);
+            idle_since = -1;
+            continue;
+        }
+        if (idle_since < 0)
+            idle_since = now_ns();
+        if (now_ns() - idle_since < SPIN_NS) {
+            cpu_relax();
+            continue;
+        }
+        pthread_mutex_lock(&r->mu);
+        STORE(&r->idle, 1);
+        while (LOAD(&r->done) == LOAD(&r->head) && !LOAD(&r->closed))
+            pthread_cond_wait(&r->work, &r->mu);
+        STORE(&r->idle, 0);
+        pthread_mutex_unlock(&r->mu);
+        idle_since = -1;
+    }
 }
 
 /* ====================================================================

@@ -65,7 +65,7 @@ from repro.utils.validation import (
     check_vector,
 )
 
-__all__ = ["HnswIndex", "StagedInsert"]
+__all__ = ["HnswIndex", "StagedInsert", "StagedSearch"]
 
 #: number of int64 fields in the saved ``meta`` array (full param set);
 #: legacy files carry only the first 6 (see ``load``)
@@ -74,6 +74,8 @@ _META_LEN = 10
 #: does not implement: ``save`` writes 0 there, and ``load`` refuses a
 #: graph built with it set, since ``add`` could not continue it alike
 _META_EXTEND = 7
+#: free compiled-search buffers of one shape an index keeps for reuse
+_SEARCH_BUFS_KEPT = 4
 
 
 class StagedInsert:
@@ -108,6 +110,86 @@ class StagedInsert:
     def finish(self) -> None:
         if self._io is not None:
             self._index._finish_insert(self._io)
+
+
+class StagedSearch:
+    """A compiled K-NN-SEARCH staged by :meth:`HnswIndex.stage_search`.
+
+    It is one of the index's search buffers, laid out as ``search_bind``
+    in ``_hotpath.c`` reads it: a header of seven int64 words (status,
+    nq, k, then the kept ``SearchDesc``'s address, the first visited
+    epoch, ef and the mask that staging writes), the (2, nq) stats, the
+    (nq, k) D and I, and the float32 query rows.  ``address`` is the one
+    argument of the compiled call: ``hnsw_search_staged`` runs it where
+    :meth:`run` is called, and ``search_ring_submit`` hands it to a ring,
+    whose host thread runs it.  The call reads the index's graph and
+    writes its visited array and heaps and this buffer, and ctypes drops
+    the GIL around it, so it may run on another thread as long as no
+    other search of the index runs meanwhile.  :meth:`finish`, on the
+    index's own thread once the call ran, completes the search and hands
+    the buffer back to the index for the next staging.  ``seq`` is the
+    ring's number for it.
+    """
+
+    __slots__ = ("_index", "address", "_head", "_stats", "_D", "_I", "_rows", "_mask", "seq")
+
+    def __init__(self, index: HnswIndex, nq: int, k: int) -> None:
+        d0 = 7 + 2 * nq
+        i0 = d0 + nq * k
+        q0 = i0 + nq * k
+        raw = np.empty(q0 + (nq * index.dim + 1) // 2)
+        ints = raw.view(np.int64)
+        ints[:3] = (0, nq, k)
+        self._index = index
+        self.address = raw.ctypes.data
+        self._head = ints[:7]
+        self._stats = ints[7:d0].reshape(2, nq)
+        self._D = raw[d0:i0].reshape(nq, k)
+        self._I = ints[i0:q0].reshape(nq, k)
+        self._rows = raw[q0:].view(np.float32)[: nq * index.dim].reshape(nq, index.dim)
+        self._mask: np.ndarray | None = None  # the header holds its address
+        self.seq = -1
+
+    def run(self) -> None:
+        self._index._native.hnsw_search_staged(self.address)
+
+    def finish(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Each row's answer cut to its results, as fresh arrays the
+        caller owns.  Adds the counted evaluations to the index, leaves
+        each row's count and number of results in its ``_row_evals`` /
+        ``_row_found`` and hands the buffer back; raises the
+        ``ValueError`` of a batch holding a non-finite value, which the
+        call refused before searching."""
+        index = self._index
+        found = self._complete()
+        D, I = self._D, self._I
+        ds, idss = [], []
+        for i, n in enumerate(found):
+            ds.append(D[i, :n].copy())
+            idss.append(I[i, :n].copy())
+        index._free_search(self)
+        return ds, idss
+
+    def _finish_padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`finish` for :meth:`HnswIndex.knn_search_batch`: the
+        padded ``(D, I)``."""
+        index = self._index
+        self._complete()
+        out = self._D.copy(), self._I.copy()
+        index._free_search(self)
+        return out
+
+    def _complete(self) -> list[int]:
+        """Book the call's counts into the index; its rows' result counts."""
+        index = self._index
+        if self._head[0]:
+            index._free_search(self)
+            raise ValueError("Q contains non-finite values")
+        stats = self._stats.copy()
+        index._row_evals, index._row_found = stats
+        evals, found = stats.tolist()
+        index.n_dist_evals += sum(evals)
+        return found
 
 
 class HnswIndex:
@@ -169,10 +251,12 @@ class HnswIndex:
         self._native = native_search_layer_for(self.metric.name, dim)
         self._native_sqrt = 1 if self.metric.name == "l2" else 0
         self._native_graph_cache: tuple | None = None
-        #: the compiled search's query-in / D / I / stats buffers for the
-        #: latest (nq, k) and the ``SearchDesc`` that points at them and at
-        #: the graph; dropped with the graph cache and by every insert
-        self._native_rows_cache: tuple | None = None
+        #: the ``SearchDesc`` every compiled search starts from (graph,
+        #: external ids, top level, entry point); dropped with the graph
+        #: cache and by every insert
+        self._native_search_cache: tuple | None = None
+        #: finished compiled searches by (nq, k), their buffers for reuse
+        self._search_bufs: dict[tuple[int, int], list[StagedSearch]] = {}
         # Compiled INSERT (greedy descent + beam search + selection +
         # shrink in one C call per batch): additionally requires the
         # cdist-compatible double kernel to pass its self-check.
@@ -258,7 +342,7 @@ class HnswIndex:
             return
         cap = max(need, cap * 2)
         n = self._n
-        self._native_graph_cache = self._native_rows_cache = None  # every buffer below moves
+        self._native_graph_cache = self._native_search_cache = None  # every buffer below moves
         for name in ("_X", "_ext", "_node_level"):
             old = getattr(self, name)
             new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
@@ -286,7 +370,7 @@ class HnswIndex:
             self._cnts.append(np.zeros(cap, dtype=np.int32))
             if self._native_build is not None:
                 self._shrink_state.append(np.zeros((cap, 1 + 2 * limit), dtype=np.int32))
-            self._native_graph_cache = self._native_rows_cache = None  # the level tables grew
+            self._native_graph_cache = self._native_search_cache = None  # the level tables grew
 
     def _sample_level(self) -> int:
         if self.params.flat:
@@ -306,7 +390,7 @@ class HnswIndex:
     def add(self, vector: np.ndarray, ext_id: int | None = None) -> int:
         """Insert one point; returns its internal id."""
         q = check_vector(vector, "vector", dim=self.dim)
-        self._native_rows_cache = None  # the search descriptor holds the entry point
+        self._native_search_cache = None  # the search descriptor holds the entry point
         if self._native_build is not None:
             node = self._n
             self._grow(node + 1)
@@ -407,7 +491,7 @@ class HnswIndex:
         if ids is not None and len(ids) != X.shape[0]:
             raise ValueError(f"{len(ids)} ids for {X.shape[0]} points")
         self._grow(self._n + X.shape[0])
-        self._native_rows_cache = None  # the search descriptor holds the entry point
+        self._native_search_cache = None  # the search descriptor holds the entry point
         return X
 
     def _prepare_insert(
@@ -725,16 +809,46 @@ class HnswIndex:
         check_positive_int(k, "k")
         if self._native is None or not self._n:
             Q = check_matrix(Q, "Q")
+            if Q.shape[1] != self.dim:
+                raise ValueError(f"expected dim {self.dim}, got {Q.shape[1]}")
         else:
-            # the compiled search refuses a non-finite row itself (and its
-            # buffer copy casts to float32), so only the shape is checked
-            if type(Q) is not np.ndarray:
-                Q = np.asarray(Q, dtype=np.float32)
-            if Q.ndim != 2 or not Q.size:
-                check_matrix(Q, "Q")  # raises its shape error
+            Q = self._query_rows(Q)
+        return self._search_rows(Q, k, ef, filter)
+
+    def _query_rows(self, Q) -> np.ndarray:
+        """A compiled search's query matrix, shape checked.  The call
+        refuses a non-finite row itself (and its buffer copy casts to
+        float32), so the values are not looked at here."""
+        if type(Q) is not np.ndarray:
+            Q = np.asarray(Q, dtype=np.float32)
+        if Q.ndim != 2 or not Q.size:
+            check_matrix(Q, "Q")  # raises its shape error
         if Q.shape[1] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {Q.shape[1]}")
-        return self._search_rows(Q, k, ef, filter)
+        return Q
+
+    def stage_search(
+        self,
+        Q: np.ndarray,
+        k: int,
+        ef: int | None = None,
+        *,
+        filter: np.ndarray | None = None,
+    ) -> StagedSearch:
+        """:meth:`knn_search_batch` for the compiled search, split where it
+        may cross threads.
+
+        Checks the shape, reserves the batch's visited epochs, copies the
+        rows into the search's buffer and points it at the mask now; the
+        returned :class:`StagedSearch` is run once (inline by its ``run``,
+        or by a ring's thread) and its ``finish`` returns the answer, each
+        row cut to its results.  Raises ``RuntimeError`` when the search
+        would not be compiled (no compiled search, or an empty index).
+        """
+        check_positive_int(k, "k")
+        if self._native is None or not self._n:
+            raise RuntimeError("this index has no compiled search to stage")
+        return self._stage_search(self._query_rows(Q), k, ef, filter)
 
     def _search_rows(
         self, Q: np.ndarray, k: int, ef: int | None, filter: np.ndarray | None
@@ -745,17 +859,20 @@ class HnswIndex:
         arrays the caller owns, and leaves each row's evaluation count in
         ``_row_evals`` and its number of results in ``_row_found``.  With
         the compiled library this is one C call for the whole matrix,
-        filtered or not (``hnsw_knn_search`` writes and pads the rows);
-        without it, one :meth:`_search_prepared` per row of a matrix
-        ``check_matrix`` validated.
+        filtered or not (``hnsw_knn_search`` writes and pads the rows):
+        :meth:`stage_search`'s three steps, run inline.  Without it, one
+        :meth:`_search_prepared` per row of a matrix ``check_matrix``
+        validated.
         """
+        if self._n and self._native is not None:
+            search = self._stage_search(Q, k, ef, filter)
+            search.run()
+            return search._finish_padded()
         nq = len(Q)
         ef = max(ef or self.params.ef_search, k)
         allowed = None
         if filter is not None:
             allowed = np.ascontiguousarray(check_filter_mask(filter, self._n))
-        if self._n and self._native is not None:
-            return self._search_rows_native(Q, k, ef, allowed)
         D = np.full((nq, k), np.inf, dtype=np.float64)
         I = np.full((nq, k), -1, dtype=np.int64)
         stats = np.zeros((2, nq), dtype=np.int64)  # evals, results per row
@@ -770,59 +887,68 @@ class HnswIndex:
             stats[:, i] = self.n_dist_evals - before, len(d)
         return D, I
 
-    def _search_rows_native(
-        self, Q: np.ndarray, k: int, ef: int, allowed: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_search_rows` as one ``hnsw_knn_search`` call.
+    def _stage_search(
+        self, Q: np.ndarray, k: int, ef: int | None, filter: np.ndarray | None
+    ) -> StagedSearch:
+        """Stage one ``hnsw_knn_search`` for the shape-checked rows ``Q``.
 
-        The query rows are copied (as float32) into a kept buffer, and the
-        call writes into kept D / I / stats buffers, all described by one
-        kept ``SearchDesc`` (:meth:`_search_desc`): a call writes its
-        epoch, ef and mask into it and passes its address, not two dozen
-        arguments.  The C side refuses a row holding a NaN or an infinity
-        before it searches anything; the results are copied out.
+        The rows are copied (as float32) into a search buffer of their
+        own that also takes the call's knobs and outputs, so several
+        staged searches may be in flight.  A serial caller reuses one
+        buffer and a ring's thread has as many as there are searches in
+        flight; a finished search's buffer comes back to the index, which
+        keeps a few of each shape (``_SEARCH_BUFS_KEPT``).  The call
+        starts from the index's kept ``SearchDesc`` (:meth:`_search_desc`)
+        and binds the buffer's knobs to it in C.
         """
+        allowed = None
+        if filter is not None:
+            allowed = np.ascontiguousarray(check_filter_mask(filter, self._n))
+        cached = self._native_search_cache
+        if cached is None:
+            cached = self._native_search_cache = self._search_desc()
         nq = len(Q)
-        rows = self._native_rows_cache
-        if rows is None or rows[0] != (nq, k):
-            rows = self._native_rows_cache = self._search_desc(nq, k)
-        _, (q_in, D, I, stats), desc, desc_addr, _ = rows
-        q_in[...] = Q
-        desc.epoch = self._visit_epoch
-        desc.ef = ef
-        desc.allowed = None if allowed is None else allowed.ctypes.data
-        if self._native.hnsw_knn_search(desc_addr):
-            raise ValueError("Q contains non-finite values")
-        self._visit_epoch += nq
-        self._row_evals, self._row_found = stats.copy()
-        self.n_dist_evals += sum(self._row_evals.tolist())
-        return D.copy(), I.copy()
-
-    def _search_desc(self, nq: int, k: int) -> tuple:
-        """``((nq, k), buffers, desc, desc address, graph)``: the query-in,
-        D, I and stats buffers of an (nq, k) call and the ``SearchDesc``
-        holding their addresses, the graph's and the entry point.  Taking
-        a dozen ``.ctypes.data`` costs more than searching a small
-        partition, so this runs once per (nq, k), reallocation or insert."""
-        graph = self._native_graph()
-        bufs = (
-            np.empty((nq, self.dim), dtype=np.float32),
-            np.empty((nq, k), dtype=np.float64),
-            np.empty((nq, k), dtype=np.int64),
-            np.empty((2, nq), dtype=np.int64),  # evals, results per row
+        free = self._search_bufs.get((nq, k))
+        if free:
+            search = free.pop()
+            search._index = self
+        else:
+            search = StagedSearch(self, nq, k)
+        search._rows[...] = Q
+        search._head[3:] = (
+            cached[1],
+            self._visit_epoch,
+            max(ef or self.params.ef_search, k),
+            0 if allowed is None else allowed.ctypes.data,
         )
+        search._mask = allowed
+        self._visit_epoch += nq
+        return search
+
+    def _free_search(self, search: StagedSearch) -> None:
+        """Take a finished search's buffer back for a later staging.  A
+        kept one holds no reference to the index, so dropping the index
+        frees it at once, without a garbage collection."""
+        search._index = search._mask = None
+        free = self._search_bufs.setdefault(search._D.shape, [])
+        if len(free) < _SEARCH_BUFS_KEPT:
+            free.append(search)
+
+    def _search_desc(self) -> tuple:
+        """``(desc, desc address, graph)``: the ``SearchDesc`` holding the
+        graph's addresses, the external ids, the top level and the entry
+        point.  Taking a dozen ``.ctypes.data`` costs more than searching
+        a small partition, so this runs once per reallocation or insert."""
+        graph = self._native_graph()
         desc = SearchDesc(
             *graph[0],
             None,  # state_ptrs: the insert path's
             graph[1],
             self.max_level,
             self._entry,
-            *(b.ctypes.data for b in bufs),
-            nq,
-            k,
         )
         # ``graph`` rides along so the arrays the descriptor points at live
-        return (nq, k), bufs, desc, ctypes.addressof(desc), graph
+        return desc, ctypes.addressof(desc), graph
 
     def _search_prepared(
         self, q: np.ndarray, k: int, ef: int, allowed: np.ndarray | None

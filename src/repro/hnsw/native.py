@@ -3,7 +3,10 @@
 Two index entries live in the shared object: K-NN-SEARCH for a whole query
 matrix in one call (what ``knn_search`` / ``knn_search_batch`` run,
 filtered or not), and the full INSERT batch (greedy descent, beam search,
-neighbor selection, incremental link shrinking).  The master's VP-skeleton
+neighbor selection, incremental link shrinking).  A staged K-NN-SEARCH
+(``HnswIndex.stage_search``) runs inline through ``hnsw_search_staged``
+or on a host thread through the ``search_ring_*`` entries, the ring that
+thread serves (``repro.core.searcher``).  The master's VP-skeleton
 descent shares the library: ``vp_route_approx`` / ``vp_route_exact`` are
 what :class:`~repro.vptree.router.PartitionRouter` runs under L2
 (:func:`native_route_for`, gated per width by its own float64 self-check
@@ -176,7 +179,8 @@ def _compile_and_load() -> ctypes.CDLL | None:
         try:
             os.makedirs(cache, exist_ok=True)
             subprocess.run(
-                [cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", _SRC, "-o", tmp, "-lm"],
+                [cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread", _SRC, "-o", tmp,
+                 "-lm"],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -204,9 +208,8 @@ def _load():
     i64 = ctypes.c_int64
     i32 = ctypes.c_int32
     # the insert entry starts with the description of the index's buffers
-    # (HnswIndex._native_graph builds it once per reallocation); search
-    # takes the address of a SearchDesc holding the same fields, and
-    # returns -1 for a query row that is not finite
+    # (HnswIndex._native_graph builds it once per reallocation); a search
+    # starts from a SearchDesc holding the same fields
     graph = [
         p,  # X
         i64,  # dim
@@ -220,8 +223,25 @@ def _load():
         p,  # ri
         i32,  # do_sqrt
     ]
-    lib.hnsw_knn_search.restype = i64
-    lib.hnsw_knn_search.argtypes = [p]
+    # a staged search is the address of its buffer, whose header holds the
+    # kept SearchDesc's address and the call's knobs; it returns -1 for a
+    # query row that is not finite, and the ring hands back the search's
+    # sequence number
+    lib.hnsw_search_staged.restype = i64
+    lib.hnsw_search_staged.argtypes = [p]
+    lib.search_ring_new.restype = p
+    lib.search_ring_new.argtypes = [i64]
+    lib.search_ring_submit.restype = i64
+    lib.search_ring_submit.argtypes = [p, p]
+    lib.search_ring_wait.restype = None
+    lib.search_ring_wait.argtypes = [p, i64]
+    lib.search_ring_serve.restype = None
+    lib.search_ring_serve.argtypes = [p, i64]  # the ring, the CPU to start on
+    for name in ("search_ring_close", "search_ring_free"):
+        getattr(lib, name).restype = None
+        getattr(lib, name).argtypes = [p]
+    lib.host_cpu.restype = i64
+    lib.host_cpu.argtypes = []
     lib.hnsw_insert_batch.restype = None
     lib.hnsw_insert_batch.argtypes = graph + [
         p,  # node_level

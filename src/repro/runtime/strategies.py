@@ -149,7 +149,10 @@ class MasterWorkerStrategy(DispatchStrategy):
         parts = (
             job.Q,
             Router(job.router, report, int(job.Q.shape[1])),
-            DispatchWindow(cfg, selector, report, rt.node_mailboxes, job.Q, fpayload=job.fpayload),
+            DispatchWindow(
+                cfg, selector, report, rt.node_mailboxes, job.Q, fpayload=job.fpayload,
+                searcher=job.searcher, node_stores=job.node_stores, k=job.k,
+            ),
             ResultMerger(cfg, job.results, report, one_sided=cfg.one_sided),
         )
         if fault_tolerant:

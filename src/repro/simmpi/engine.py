@@ -27,7 +27,11 @@ Blocking primitives:
   same step.  This is how worker threads wait for "a query *or* the
   terminate flag", replacing the paper's MPI_Test busy-poll loop with an
   equivalent that does not need millions of simulated poll iterations,
-  and how every coordinator receives one message.  A ``frozenset`` tag
+  and how every coordinator receives one message.  Under a fault model,
+  a proc still blocked in such a flag-guarded receive when nothing else
+  can run ends with the run (a thread whose every End-of-Queries a lossy
+  link dropped); any other proc left blocked, and any at all on a
+  perfect fabric, is a ``DeadlockError``.  A ``frozenset`` tag
   receives over several tags at once, in arrival order (a serving
   coordinator taking arrivals and results); ``iprobe`` asks, without
   an event, whether such a match has arrived yet,
@@ -1036,6 +1040,18 @@ class Simulation:
             if handler is None:
                 raise SimError(f"proc {proc.name} yielded unknown syscall {syscall!r}")
             handler(proc, syscall)
+        if self.faults is not None:
+            for proc in procs:
+                if (
+                    proc.state == _BLOCKED
+                    and proc._wake == _WAKE_RECV
+                    and isinstance(proc._wait_entries[-1], Event)
+                ):
+                    # a receive guarded by a stop flag: a server waiting
+                    # for work or for the word to stop, which a faulty
+                    # fabric may have dropped, and nothing is left to send
+                    # either — it ends with the run
+                    self._end(proc, _DONE, proc.clock)
         unfinished = [p for p in procs if p.state not in (_DONE, _CRASHED)]
         if unfinished:
             desc = ", ".join(f"{p.name}(pid={p.pid}, state={p.state})" for p in unfinished[:10])
@@ -1160,11 +1176,13 @@ class Simulation:
         self.faults.record("crash", at, node=node)
         for proc in self._procs:
             if proc.node == node and proc.state not in (_DONE, _CRASHED):
-                self._kill(proc, at)
+                self._end(proc, _CRASHED, at)
 
-    def _kill(self, proc: _Proc, at: float) -> None:
-        # withdraw every posted receive and wait registration — a dead rank
-        # must never consume a message or wake from an event
+    def _end(self, proc: _Proc, state: str, at: float) -> None:
+        """End ``proc``'s program where it stands, in ``state`` at time
+        ``at`` or its own clock if later: withdraw every posted receive
+        and wait registration — an ended proc must never consume a
+        message or wake from an event — then close the generator."""
         for req in list(proc.mailbox._pending):
             if req._waiter is proc:
                 proc.mailbox._pending.remove(req)
@@ -1178,12 +1196,12 @@ class Simulation:
         proc._wait_entries = []
         proc._deferred = None  # a deferred post or send dies unmade
         proc.timeout_token = None
-        proc.state = _CRASHED
+        proc.state = state
         proc.clock = max(proc.clock, at)
         try:
             proc.gen.close()
         except Exception:
-            pass  # cleanup code in the dying proc must not sink the engine
+            pass  # cleanup code in the ending proc must not sink the engine
 
     # -- syscall handlers ------------------------------------------------------
 

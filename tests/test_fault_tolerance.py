@@ -209,6 +209,26 @@ class TestShutdownDrain:
             assert rep.completeness.shape == (24,) and np.all(rep.completeness == 1.0), seed
             assert rep.duplicate_results > 0, seed
 
+    def test_a_thread_that_misses_every_end_ends_with_the_run(self):
+        """A lossy fabric can drop every End-of-Queries copy a live node
+        is sent: its thread stayed blocked in its receive and the query
+        ended in ``DeadlockError: worker_n5_t0 blocked forever`` at these
+        seeds.  Such a thread ends with the run, so the query returns its
+        (degraded or complete) report."""
+        from tests.test_query_path_identity import CASES, LOSSY, Q, X
+
+        config, _, _, _ = CASES["ft_serve_lossy_w1"]
+        for seed in (6, 18, 39):
+            cfg = SystemConfig(**dict(config, fault_spec=FaultSpec(links=LOSSY, seed=seed)))
+            ann = DistributedANN(cfg)
+            ann.fit(X)
+            D, I, rep = ann.query(Q)
+            assert rep.completeness.shape == (len(Q),), seed
+            assert np.all(rep.completeness <= 1.0), seed
+            # the session's ended thread is respawned for the next call
+            again = ann.query(Q)
+            assert np.array_equal(again[1], I), seed
+
 
 class TestConfigValidation:
     def test_faults_require_two_sided(self):

@@ -660,6 +660,54 @@ class TestDeadlock:
             sim.run()
 
 
+class TestStopFlagReceives:
+    @staticmethod
+    def _guarded(sim):
+        flag = Event()
+
+        def server(ctx):
+            yield from ctx.compute(1.0)
+            req = yield from ctx.recv(ctx.mailbox, event=flag)
+            return req  # never reached
+
+        def coordinator(ctx):
+            yield from ctx.compute(3.0)
+            return "done"
+
+        pid = sim.add_proc(server, name="server")
+        sim.add_proc(coordinator)
+        return pid
+
+    def test_a_flag_guarded_receive_ends_with_a_lossy_run(self):
+        """Under a fault model that drops messages, a receive guarded by
+        a stop flag that nothing is left to set or to match ends with
+        the run, at the proc's own clock; its message box keeps no
+        posted receive."""
+        sim = Simulation(faults=FaultInjector(FaultSpec(links=(LinkFault(drop_prob=0.5),))))
+        pid = self._guarded(sim)
+        out = sim.run()
+        assert out.clocks[pid] == 1.0 and out.results[pid] is None
+        assert not sim.mailbox_of(pid)._pending
+
+    def test_a_flag_guarded_receive_deadlocks_on_a_perfect_fabric(self):
+        """With no fault model nothing was lost, so a server left waiting
+        for work or its stop flag is a bug the run must report."""
+        sim = Simulation()
+        self._guarded(sim)
+        with pytest.raises(DeadlockError, match="server"):
+            sim.run()
+
+    def test_a_plain_receive_still_deadlocks_on_a_lossy_fabric(self):
+        sim = Simulation(faults=FaultInjector(FaultSpec(links=(LinkFault(drop_prob=0.5),))))
+
+        def server(ctx):
+            yield from ctx.recv(ctx.mailbox)
+
+        sim.add_proc(server, name="stuck")
+        with pytest.raises(DeadlockError, match="stuck"):
+            sim.run()
+
+
 class TestProcError:
     def test_proc_exception_carries_typed_context(self):
         def p(ctx):
