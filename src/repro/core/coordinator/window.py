@@ -62,8 +62,9 @@ class DispatchWindow:
 
     When the call's ``searcher`` offers ``prefetch`` (see
     :class:`~repro.core.searcher.LocalSearcher`), every sent task is
-    handed to it too: its rows, ``k``, the run's filter and the partition
-    replica the chosen core's node holds in ``node_stores``.
+    handed to it too: its rows, ``k``, the run's filter, the query matrix
+    and the task's first row in it, and the partition replica the chosen
+    core's node holds in ``node_stores``.
     """
 
     def __init__(
@@ -213,7 +214,7 @@ class DispatchWindow:
                 # a node missing the replica is for the worker to report
                 partition = self._store_of[core].partitions.get(partition_id)
                 if partition is not None:
-                    self._prefetch(partition, rows, self._k, self._filter)
+                    self._prefetch(partition, rows, self._k, self._filter, self.queries, first)
             task = make_task(query_ids, partition_id, rows, self.wfilter)
             yield send(ctx, self._mailbox_of[core], task)
         finally:

@@ -7,8 +7,9 @@ Two implementations:
 - :class:`RealHnswSearcher`: searches the partition's real HNSW index,
   charges exactly the distance evaluations the traversal performed.
   Results (and therefore recall) are genuine.  Used in fidelity mode.
-  Inside a call it runs each task's compiled search on one host thread
-  from the moment the task is sent (:meth:`RealHnswSearcher.prefetch`).
+  Inside a call it stages each task's compiled search the moment the
+  task is sent (:meth:`RealHnswSearcher.prefetch`), on a ring one host
+  thread serves.
 - :class:`ModeledSearcher`: charges the analytic HNSW cost for a partition
   of the *paper-scale* virtual size (e.g. 1B/8192 points) while answering
   from a small real subsample so result messages carry realistic bytes.
@@ -19,7 +20,6 @@ Two implementations:
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 from typing import Protocol
 
@@ -27,9 +27,11 @@ import numpy as np
 
 from repro.core.partition import Partition
 from repro.filtering import choose_strategy, mask_for
+from repro.hnsw.index import SearchRing
 from repro.metrics import get_metric
 from repro.metrics.topk import ExactTopk, ScanRows
 from repro.simmpi.costmodel import CostModel
+from repro.utils.validation import check_filter_mask, check_positive_int
 
 __all__ = [
     "LocalSearcher",
@@ -72,15 +74,17 @@ class LocalSearcher(Protocol):
     a context manager the runtime enters around each call's simulation:
     what it remembers inside one scope must not outlive it.
 
-    A searcher may also offer ``prefetch(partition, Q, k, filter=None)``:
-    the coordinator calls it when it sends a task, with the partition the
-    task goes to and the very rows object the task carries, so the
-    searcher can start the search then and have ``search_batch`` — called
-    with that same object — collect it.  It returns nothing, must not
-    raise for rows ``search_batch`` would refuse, and must leave every
-    answer and charge as they would be without it; a task it was told of
-    may never be collected (a lost message) or be searched twice (a
-    duplicated one).
+    A searcher may also offer ``prefetch(partition, Q, k, filter, source,
+    first)``: the coordinator calls it when it sends a task, with the
+    partition the task goes to, the very rows object the task carries,
+    the call's query matrix ``source`` and the row ``first`` of it that
+    a one-row task carries (``Q`` is then ``source[first:first + 1]``; a
+    batch task carries a gathered copy), so the searcher can start the
+    search then and have ``search_batch`` — called with that same object
+    — collect it.  It returns nothing, must not raise for rows
+    ``search_batch`` would refuse, and must leave every answer and charge
+    as they would be without it; a task it was told of may never be
+    collected (a lost message) or be searched twice (a duplicated one).
     """
 
     def search_batch(
@@ -146,51 +150,28 @@ def _empty_rows(nq: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     )
 
 
-def _found_rows(index, D: np.ndarray, I: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-row results of the padded ``knn_search_batch`` answer ``index``
-    just gave: each row cut to the number of results its search found."""
-    found = index._row_found.tolist()
-    return [D[i, :n] for i, n in enumerate(found)], [I[i, :n] for i, n in enumerate(found)]
+def _cut(D: np.ndarray, I: np.ndarray, stats: list, row: int) -> tuple[list, list, list]:
+    """Per-row results of a search answered into rows ``row`` on of the
+    padded ``D`` / ``I``, each a view cut to the number of results
+    ``stats`` (``[evaluations, results]`` per row) gives it, and each
+    row's evaluations."""
+    if len(stats) == 1:
+        evals, n = stats[0]
+        return [D[row, :n]], [I[row, :n]], [evals]
+    ds, idss, evals = [], [], []
+    for r, (e, n) in enumerate(stats, row):
+        ds.append(D[r, :n])
+        idss.append(I[r, :n])
+        evals.append(e)
+    return ds, idss, evals
 
 
-#: slots of a search thread's ring: a full ring runs its oldest search,
-#: so this bounds the searches in flight, not the tasks a coordinator
-#: may send ahead of its workers
+#: slots of a call's search ring: a full ring runs its oldest search, so
+#: this bounds the searches in flight, not the tasks a coordinator may
+#: send ahead of its workers
 _RING_SLOTS = 64
-
-
-class _SearchThread:
-    """One host thread serving a ring of staged compiled searches.
-
-    The thread enters ``search_ring_serve`` in ``_hotpath.c`` and stays
-    there, without the GIL, until :meth:`close` stops it, joins it and
-    frees the ring.  :meth:`wait` runs a search itself when the thread
-    has not got to it and is not searching (see the C file).  The serve
-    loop first moves the thread to ``cpu`` and then frees it to move, as
-    ``_place_worker`` starts a build worker: left alone it often runs on
-    the CPU of the thread that submits to it.
-    """
-
-    def __init__(self, lib, cpu: int) -> None:
-        self._lib = lib
-        self._ring = lib.search_ring_new(_RING_SLOTS)
-        if not self._ring:
-            raise MemoryError("no memory for a search ring")
-        self._thread = threading.Thread(
-            target=lib.search_ring_serve, args=(self._ring, cpu), name="repro-search", daemon=True
-        )
-        self._thread.start()
-
-    def submit(self, search) -> None:
-        search.seq = self._lib.search_ring_submit(self._ring, search.address)
-
-    def wait(self, search) -> None:
-        self._lib.search_ring_wait(self._ring, search.seq)
-
-    def close(self) -> None:
-        self._lib.search_ring_close(self._ring)
-        self._thread.join()
-        self._lib.search_ring_free(self._ring)
+#: rows of one block of a call's answer arena
+_ARENA_ROWS = 1024
 
 
 def _spare_cpu(lib) -> int | None:
@@ -206,17 +187,37 @@ def _spare_cpu(lib) -> int | None:
     return other[0]
 
 
+def _float32_rows(Q) -> np.ndarray | None:
+    """``Q`` as float32 C-contiguous rows (converted once, if it is not),
+    or None when it is no matrix."""
+    try:
+        rows = np.ascontiguousarray(Q, dtype=np.float32)
+    except (TypeError, ValueError):
+        return None
+    return rows if rows.ndim == 2 else None
+
+
+def _bound_rows(source) -> tuple:
+    """``(source, its float32 rows, width, address, row stride)`` for
+    reading a call's query rows in place; width -1 when it is no matrix."""
+    rows = _float32_rows(source)
+    if rows is None:
+        return source, None, -1, 0, 0
+    return source, rows, rows.shape[1], rows.ctypes.data, rows.strides[0]
+
+
 class RealHnswSearcher(_PerCall):
     """Search the partition's real HNSW index; charge measured evaluations.
 
-    Inside a call scope, a compiled search runs on one host thread
-    (:class:`_SearchThread`) from the moment its task is sent
-    (:meth:`prefetch`), and :meth:`search_batch` collects it.  While that
-    thread is live every compiled search of the call goes through it, so
-    an index's visited array and heaps have one user.  Answers, counted
-    evaluations and charges are those of the inline search, which runs
-    with no thread: outside a scope, for the python path, or under a
-    one-CPU affinity mask.
+    Inside a call scope every compiled search goes through one
+    :class:`~repro.hnsw.index.SearchRing`: :meth:`prefetch` stages a
+    task's search when the task is sent, reading its query row in place,
+    and :meth:`search_batch` collects it, each row a view of the call's
+    answer arena.  Where a CPU is spare, a host thread serves the ring,
+    so the search runs while the simulation goes on; otherwise the
+    collection runs it.  Answers, counted evaluations and charges are
+    those of ``knn_search_batch``, which outside a scope, and for the
+    python path, is what runs.
     """
 
     def __init__(self, cost: CostModel, ef_search: int) -> None:
@@ -224,76 +225,110 @@ class RealHnswSearcher(_PerCall):
         self.ef_search = ef_search
         self.filter_stats = new_filter_stats()
         self._topk = ExactTopk()
-        #: the call's search thread: None until a compiled search is
-        #: prefetched, False when the call may not start one
-        self._thread: _SearchThread | None | bool = False
-        #: id(rows) -> (rows, staged search) of each prefetched task
+        #: the call's search ring: None until its first compiled search,
+        #: False outside a call scope
+        self._ring: SearchRing | None | bool = False
+        #: the call's query matrix as ``_bound_rows`` gives it; None until
+        #: a one-row task is staged
+        self._source: tuple | None = None
+        #: id(rows) -> (rows, ticket, staged rows) of each prefetched task
         self._tickets: dict = {}
 
     @contextmanager
     def call_scope(self):
-        self._thread = None
+        self._ring = None
         try:
             with super().call_scope():
                 yield
         finally:
-            thread, self._thread = self._thread, False
-            if thread:
-                thread.close()
-            # after the join: the buffers the searches wrote live to here
+            ring, self._ring = self._ring, False
+            if ring:
+                ring.close()
+            # after the join: the rows the searches read live to here
             self._tickets = {}
+            self._source = None
 
-    def prefetch(self, partition: Partition, Q: np.ndarray, k: int, filter=None) -> None:  # noqa: A002
-        """Start the compiled search ``search_batch(partition, Q, k,
-        filter)`` will make, on the call's search thread (started here,
-        the first time, if a CPU is spare).  A ``pre``-filtered or empty
-        task has none; rows of the wrong shape are left for
-        ``search_batch`` to refuse."""
+    def _open_ring(self, index, k: int, threaded: bool) -> SearchRing:
+        """The call's ring, opened by its first compiled search.  When that
+        is a prefetch and a CPU is spare, a host thread serves it; a call
+        whose tasks are not prefetched gains nothing from one."""
+        lib = index._native
+        ef = max(self.ef_search or index.params.ef_search, k)
+        ring = self._ring = SearchRing(lib, k, ef, _ARENA_ROWS, _RING_SLOTS)
+        cpu = _spare_cpu(lib) if threaded else None
+        if cpu is not None:
+            ring.serve(cpu)
+        return ring
+
+    def prefetch(
+        self, partition: Partition, Q, k: int, filter, source, first: int  # noqa: A002
+    ) -> None:
+        """Stage the compiled search ``search_batch(partition, Q, k,
+        filter)`` will collect.  A one-row task's row is read in place
+        from the call's float32 ``source`` rows (converted once per call
+        when ``source`` is not that); a batch is converted once here.  A
+        ``pre``-filtered or empty task has no search; rows of the wrong
+        shape are left for ``search_batch`` to refuse."""
+        ring = self._ring
         index = partition.index
-        if self._thread is False or index is None or index._native is None or not len(index):
+        if ring is False or k < 1 or index is None or index._native is None or not index._n:
             return
-        thread = self._thread
-        if thread is None:
-            cpu = _spare_cpu(index._native)
-            if cpu is None:
-                self._thread = False
-                return
-        target = None
+        mask = 0
         if filter is not None:
-            chosen, _, target, _ = self._once(
+            plan = self._once(
                 _filter_key(partition, filter, k), self._filter_plan, partition, filter, k
             )
-            if chosen != "post":
+            if plan[0] != "post":
                 return
-        try:
-            search = index.stage_search(Q, k, self.ef_search, filter=target)
-        except (TypeError, ValueError):
-            return
-        if thread is None:
-            thread = self._thread = _SearchThread(index._native, cpu)
-        thread.submit(search)
-        self._tickets[id(Q)] = (Q, search)
-
-    def _knn(self, index, Q: np.ndarray, k: int, mask) -> tuple[list, list]:
-        """``index.knn_search_batch(Q, k, ef, filter=mask)``, each row cut
-        to its results: the prefetched search of ``Q`` if there is one,
-        else a compiled search staged now — through the call's thread
-        while it is live, inline otherwise — else the python path."""
-        # a ticket holds its rows, so no other live object has their id
-        ticket = self._tickets.pop(id(Q), None)
-        thread = self._thread
-        if ticket is not None:
-            search = ticket[1]
-        elif index._native is None or not len(index):
-            return _found_rows(index, *index.knn_search_batch(Q, k, ef=self.ef_search, filter=mask))
+            mask = plan[2][1]
+        nq = len(Q)
+        rows = None
+        if nq == 1:
+            bound = self._source
+            if bound is None or bound[0] is not source:
+                bound = self._source = _bound_rows(source)
+            _, _, width, base, stride = bound
+            if width != index.dim:
+                return
+            address = base + first * stride
         else:
-            search = index.stage_search(Q, k, self.ef_search, filter=mask)
-            if not thread:
-                search.run()
-                return search.finish()
-            thread.submit(search)
-        thread.wait(search)
-        return search.finish()
+            rows = _float32_rows(Q)
+            if rows is None or not nq or rows.shape[1] != index.dim:
+                return
+            address = rows.ctypes.data
+        if ring is None:
+            ring = self._open_ring(index, k, True)
+        ticket = ring.stage(index, address, nq, mask)
+        if ticket is not None:
+            self._tickets[id(Q)] = (Q, ticket, rows)
+
+    def _knn(self, index, Q: np.ndarray, k: int, mask) -> tuple[list, list, list]:
+        """``index.knn_search_batch(Q, k, ef, filter=mask)`` with each row
+        cut to its results, and each row's evaluations: the prefetched
+        search of ``Q`` if there is one, else one staged now on the
+        call's ring, else (outside a call, or on the python path) the
+        index's own.  ``mask`` is a ``post`` plan's (mask, address)."""
+        # a ticket holds its rows, so no other live object has their id
+        entry = self._tickets.pop(id(Q), None)
+        ring = self._ring
+        if entry is not None:
+            ticket = entry[1]
+        else:
+            check_positive_int(k, "k")
+            if ring is False or index._native is None or not index._n:
+                D, I, stats = index._search_rows(
+                    index._query_rows(Q), k, self.ef_search, None if mask is None else mask[0]
+                )
+                return _cut(D, I, stats.tolist(), 0)
+            rows = index._query_rows(Q)
+            if ring is None:
+                ring = self._open_ring(index, k, False)
+            ticket = ring.stage(index, rows.ctypes.data, len(rows), 0 if mask is None else mask[1])
+            if ticket is None:
+                raise ValueError("Q contains non-finite values")
+        stats = ring.collect(index, ticket)
+        block = ticket[3]
+        return _cut(block[0], block[1], stats, ticket[1])
 
     def search_batch(
         self, partition: Partition, Q: np.ndarray, k: int, filter=None  # noqa: A002
@@ -322,10 +357,8 @@ class RealHnswSearcher(_PerCall):
                 "was the system built with searcher='modeled'?"
             )
         if filter is None:
-            before = index.n_dist_evals
-            ds, idss = self._knn(index, Q, k, None)
-            evals = index.n_dist_evals - before
-            return ds, idss, self.cost.distance_cost(evals, index.dim)
+            ds, idss, evals = self._knn(index, Q, k, None)
+            return ds, idss, self.cost.distance_cost(sum(evals), index.dim)
         nq = len(Q)
         chosen, n_match, target, charge = self._once(
             _filter_key(partition, filter, k), self._filter_plan, partition, filter, k
@@ -342,10 +375,7 @@ class RealHnswSearcher(_PerCall):
             for _ in range(nq):
                 seconds += charge
             return ds, idss, seconds
-        # row order == internal node order, so the row mask is the
-        # index's node mask directly
-        ds, idss = self._knn(index, Q, k, target)
-        evals = index._row_evals.tolist()
+        ds, idss, evals = self._knn(index, Q, k, target)
         stats["filter_tasks_post"] += nq
         stats["filter_evals_post"] += sum(evals)
         for e in evals:
@@ -356,14 +386,16 @@ class RealHnswSearcher(_PerCall):
         """``(strategy, matches, target, per-row charge)`` of one
         (partition, clauses): the strategy is None when nothing matches;
         the target is the ``pre`` rows prepared for the scan, or the
-        ``post`` node mask."""
+        ``post`` node mask (row order == internal node order) with its
+        address."""
         clauses, strategy = filter
         mask = mask_for(partition.attrs, clauses, partition.n_points)
         n_match = int(np.count_nonzero(mask))
         if n_match == 0:
             return None, 0, None, 0.0
         if choose_strategy(strategy, n_match, partition.n_points, k) != "pre":
-            return "post", n_match, mask, 0.0
+            mask = np.ascontiguousarray(check_filter_mask(mask, len(partition.index)))
+            return "post", n_match, (mask, mask.ctypes.data), 0.0
         rows = np.flatnonzero(mask)
         scan = ScanRows(partition.points[rows], partition.ids[rows])
         return "pre", n_match, scan, self.cost.distance_cost(n_match, partition.index.dim)

@@ -401,7 +401,7 @@ static void greedy_step(const graph_t *g, i64 lv, const float *q, i64 *ep_io,
 /* One K-NN-SEARCH call: ``SearchDesc`` in native.py, same fields in the
  * same order.  The python side fills the graph, the external ids, the top
  * level and the entry point once per reallocation or insert of the index;
- * search_bind copies that and binds a staged buffer's fields to it. */
+ * search_ring_stage copies that and sets the call's fields. */
 typedef struct {
     graph_t g;
     const i64 *ext;         /* external id of each node */
@@ -410,7 +410,7 @@ typedef struct {
     const float *Q;         /* (nq, dim) query rows */
     double *D;              /* (nq, k) distances, written */
     i64 *I;                 /* (nq, k) external ids, written */
-    i64 *stats;             /* (2, nq) evals and result counts, written */
+    i64 *stats;             /* (nq, 2) evals and result counts, written */
     i64 nq;
     i64 k;
     i64 epoch;              /* query i runs under visited epoch epoch + 1 + i */
@@ -422,20 +422,14 @@ typedef struct {
  * entry distance, greedy descent through the upper layers, layer-0 beam
  * of width ef under the nullable row mask ``allowed``, then the closest k
  * written straight into row i of the (nq, k) arrays D / I (external ids),
- * a short row padded with inf / -1.  stats[i] receives query i's distance
- * evaluations and stats[nq + i] the number of results written.
- *
- * Returns -1, before searching anything, when a query holds a NaN or an
- * infinity (the python side raises the ValueError ``check_matrix`` would),
- * else 0. */
-static i64 hnsw_knn_search(const search_t *s)
+ * a short row padded with inf / -1.  Row i of the (nq, 2) stats receives
+ * query i's distance evaluations and the number of results written.  The
+ * rows are finite: search_ring_stage refuses any other. */
+static void hnsw_knn_search(const search_t *s)
 {
     const graph_t *g = &s->g;
-    i64 dim = g->dim, nq = s->nq, k = s->k;
-    for (i64 t = 0; t < nq * dim; t++)
-        if (!isfinite(s->Q[t]))
-            return -1;
-    for (i64 i = 0; i < nq; i++) {
+    i64 dim = g->dim, k = s->k;
+    for (i64 i = 0; i < s->nq; i++) {
         const float *q = s->Q + i * dim;
         i64 ep = s->entry, evals = 1, ev = 0;
         double epd = qdist(q, g->X + ep * dim, dim, g->do_sqrt);
@@ -456,10 +450,9 @@ static i64 hnsw_knn_search(const search_t *s)
             D[t] = INFINITY;
             I[t] = -1;
         }
-        s->stats[i] = evals + ev;
-        s->stats[nq + i] = nres;
+        s->stats[2 * i] = evals + ev;
+        s->stats[2 * i + 1] = nres;
     }
-    return 0;
 }
 
 /* ====================================================================
@@ -467,79 +460,52 @@ static i64 hnsw_knn_search(const search_t *s)
  * task's search when it sends the task, and one host thread runs the
  * staged searches while the simulation goes on; the worker that takes
  * the task collects the answer.  The two meet in a single-producer ring
- * of search_t slots, run in submission order.  The simulation's thread
- * alone submits and waits; whoever holds ``run`` runs the next slot, so
- * an index's visited array and heaps have one user at a time.
+ * of search_t slots, run in staging order.  The simulation's thread
+ * alone stages and collects; whoever holds ``run`` runs the next slot, so
+ * an index's visited array and heaps have one user at a time.  Without
+ * the thread (one CPU, or an index's own knn_search_batch) the same ring
+ * runs each search when it is collected.
  *
- * A staged search is one caller-owned buffer (layout at search_bind), so
- * a call takes one address, not a dozen arguments.  A slot is free again
- * once its search ran, so a full ring waits for a search, never for a
- * collection.
+ * A search is staged from integers: the index's kept search_t (graph,
+ * external ids, entry point, levels), the address of its rows, read in
+ * place, their number, the first visited epoch, the nullable mask and a
+ * row of the ring's arena.  The arena is a caller-owned block of (rows,
+ * k) D and I and (rows, 2) stats, set once per block with the call's k
+ * and ef; a search writes its answer there, so the caller reads it in
+ * place.  A slot is free again once its search ran, so a full ring
+ * waits for a search, never for a collection.
  *
- * A waiting producer never sleeps: when its search has not run, it runs
- * it (and those queued before it) itself, unless the thread is searching
- * at that moment, which it then lets finish.  The thread spins for
- * SPIN_NS when the ring is empty, then sleeps on ``work``; it announces
- * the sleep in ``idle``, which a submit reads after publishing (both
- * sequentially consistent), so a wake-up is never lost.  Where an idle
- * CPU halts, a sleeping thread takes milliseconds to run again (10-20 ms
- * on a 2-vCPU guest), hence the long spin: the thread lives for one
- * query call and spins through that call's gaps; the rare search a late
- * wake-up would delay the producer runs itself.
+ * A collecting producer never sleeps: when its search has not run, it
+ * runs it (and those queued before it) itself, unless the thread is
+ * searching at that moment, which it then lets finish.  The thread spins
+ * for SPIN_NS when the ring is empty, then sleeps on ``work``; it
+ * announces the sleep in ``idle``, which a stage reads after publishing
+ * (both sequentially consistent), so a wake-up is never lost.  Where an
+ * idle CPU halts, a sleeping thread takes milliseconds to run again
+ * (10-20 ms on a 2-vCPU guest), hence the long spin: the thread lives for
+ * one query call and spins through that call's gaps; the rare search a
+ * late wake-up would delay the producer runs itself.
  * ==================================================================== */
 
 #define SPIN_NS 20000000 /* 20 ms */
 
-/* A staged search's buffer starts with a header of i64 words: the status,
- * nq, k, the address of the index's kept search_t (graph, external ids,
- * entry point, levels), the first visited epoch, ef and the nullable
- * mask.  The (2, nq) stats, the (nq, k) D and I and the (nq, dim) float32
- * query rows follow it. */
-enum { H_STATUS, H_NQ, H_K, H_BASE, H_EPOCH, H_EF, H_ALLOWED, H_LEN };
-
-/* the search_t a staged buffer describes */
-static void search_bind(search_t *s, double *buf)
-{
-    i64 *h = (i64 *)buf;
-    i64 nq = h[H_NQ], k = h[H_K];
-    *s = *(const search_t *)(intptr_t)h[H_BASE];
-    s->stats = h + H_LEN;
-    s->D = buf + H_LEN + 2 * nq;
-    s->I = h + H_LEN + 2 * nq + nq * k;
-    s->Q = (const float *)(buf + H_LEN + 2 * nq + 2 * nq * k);
-    s->nq = nq;
-    s->k = k;
-    s->epoch = h[H_EPOCH];
-    s->ef = h[H_EF];
-    s->allowed = (const uint8_t *)(intptr_t)h[H_ALLOWED];
-}
-
-/* One staged search, on the calling thread; its status (hnsw_knn_search's
- * return) goes to the buffer's status word too. */
-i64 hnsw_search_staged(double *buf)
-{
-    search_t s;
-    search_bind(&s, buf);
-    return ((i64 *)buf)[H_STATUS] = hnsw_knn_search(&s);
-}
-
 typedef struct {
-    search_t s;
-    i64 *status; /* the staged buffer's status word */
-} slot_t;
-
-typedef struct {
-    i64 head;          /* slots submitted; the producer writes it */
+    i64 head;          /* slots staged; the producer writes it */
     char pad0[56];     /* head and done on cache lines of their own */
     i64 done;          /* slots searched; written holding ``run`` */
     char pad1[56];
     i64 cap;
     int32_t closed;
     int32_t idle;      /* the thread sleeps on ``work`` */
+    double *D;         /* the arena block: (rows, k) D and I, (rows, 2) */
+    i64 *I;            /* stats; the producer's alone */
+    i64 *S;
+    i64 k;
+    i64 ef;
     pthread_mutex_t run; /* held while running a slot */
     pthread_mutex_t mu;
     pthread_cond_t work;
-    slot_t slot[];
+    search_t slot[];
 } ring_t;
 
 static inline i64 now_ns(void)
@@ -573,7 +539,7 @@ i64 host_cpu(void)
 
 ring_t *search_ring_new(i64 cap)
 {
-    ring_t *r = calloc(1, sizeof(ring_t) + (size_t)cap * sizeof(slot_t));
+    ring_t *r = calloc(1, sizeof(ring_t) + (size_t)cap * sizeof(search_t));
     if (!r)
         return NULL;
     r->cap = cap;
@@ -591,17 +557,29 @@ void search_ring_free(ring_t *r)
     free(r);
 }
 
+/* The arena block later stages write to: ``rows`` rows of k doubles (D),
+ * then of k i64 (I), then of 2 i64 (stats), from ``block``; and the
+ * call's k and ef. */
+void search_ring_arena(ring_t *r, double *block, i64 rows, i64 k, i64 ef)
+{
+    r->D = block;
+    r->I = (i64 *)(block + rows * k);
+    r->S = (i64 *)(block + 2 * rows * k);
+    r->k = k;
+    r->ef = ef;
+}
+
 /* Run the next slot; the caller holds ``run`` and has seen one queued. */
 static void run_next(ring_t *r)
 {
     i64 t = LOAD(&r->done);
-    slot_t *slot = &r->slot[t % r->cap];
-    *slot->status = hnsw_knn_search(&slot->s);
+    hnsw_knn_search(&r->slot[t % r->cap]);
     STORE(&r->done, t + 1);
 }
 
-/* Return once the search numbered ``seq`` ran (the producer's side). */
-void search_ring_wait(ring_t *r, i64 seq)
+/* Return once the search numbered ``seq`` ran (the producer's side): its
+ * answer is in its arena rows. */
+void search_ring_collect(ring_t *r, i64 seq)
 {
     while (LOAD(&r->done) <= seq) {
         if (pthread_mutex_trylock(&r->run) == 0) {
@@ -614,16 +592,31 @@ void search_ring_wait(ring_t *r, i64 seq)
     }
 }
 
-/* Queue one staged search and return its sequence number; a full ring
- * first runs out its oldest search. */
-i64 search_ring_submit(ring_t *r, double *buf)
+/* Queue the search of the nq rows at Q against the index ``base``
+ * describes, answered into arena rows row .. row + nq - 1, and return its
+ * sequence number; -1, queueing nothing, when a row holds a NaN or an
+ * infinity (the python side raises the ValueError ``check_matrix``
+ * would).  A full ring first runs out its oldest search. */
+i64 search_ring_stage(ring_t *r, const search_t *base, const float *Q, i64 nq,
+                      i64 epoch, const uint8_t *allowed, i64 row)
 {
+    for (i64 t = 0; t < nq * base->g.dim; t++)
+        if (!isfinite(Q[t]))
+            return -1;
     i64 seq = r->head;
     if (seq - LOAD(&r->done) >= r->cap)
-        search_ring_wait(r, seq - r->cap);
-    slot_t *slot = &r->slot[seq % r->cap];
-    search_bind(&slot->s, buf);
-    slot->status = (i64 *)buf + H_STATUS;
+        search_ring_collect(r, seq - r->cap);
+    search_t *s = &r->slot[seq % r->cap];
+    *s = *base;
+    s->Q = Q;
+    s->D = r->D + row * r->k;
+    s->I = r->I + row * r->k;
+    s->stats = r->S + 2 * row;
+    s->nq = nq;
+    s->k = r->k;
+    s->epoch = epoch;
+    s->ef = r->ef;
+    s->allowed = allowed;
     STORE(&r->head, seq + 1);
     if (LOAD(&r->idle)) {
         pthread_mutex_lock(&r->mu);

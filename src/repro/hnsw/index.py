@@ -48,6 +48,7 @@ implementation.
 from __future__ import annotations
 
 import ctypes
+import threading
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Sequence
 
@@ -65,7 +66,7 @@ from repro.utils.validation import (
     check_vector,
 )
 
-__all__ = ["HnswIndex", "StagedInsert", "StagedSearch"]
+__all__ = ["HnswIndex", "SearchRing", "StagedInsert"]
 
 #: number of int64 fields in the saved ``meta`` array (full param set);
 #: legacy files carry only the first 6 (see ``load``)
@@ -74,8 +75,6 @@ _META_LEN = 10
 #: does not implement: ``save`` writes 0 there, and ``load`` refuses a
 #: graph built with it set, since ``add`` could not continue it alike
 _META_EXTEND = 7
-#: free compiled-search buffers of one shape an index keeps for reuse
-_SEARCH_BUFS_KEPT = 4
 
 
 class StagedInsert:
@@ -112,84 +111,95 @@ class StagedInsert:
             self._index._finish_insert(self._io)
 
 
-class StagedSearch:
-    """A compiled K-NN-SEARCH staged by :meth:`HnswIndex.stage_search`.
+class SearchRing:
+    """Compiled K-NN-SEARCHes queued on a ``_hotpath.c`` ring and answered
+    into an arena of the ring's own.
 
-    It is one of the index's search buffers, laid out as ``search_bind``
-    in ``_hotpath.c`` reads it: a header of seven int64 words (status,
-    nq, k, then the kept ``SearchDesc``'s address, the first visited
-    epoch, ef and the mask that staging writes), the (2, nq) stats, the
-    (nq, k) D and I, and the float32 query rows.  ``address`` is the one
-    argument of the compiled call: ``hnsw_search_staged`` runs it where
-    :meth:`run` is called, and ``search_ring_submit`` hands it to a ring,
-    whose host thread runs it.  The call reads the index's graph and
-    writes its visited array and heaps and this buffer, and ctypes drops
-    the GIL around it, so it may run on another thread as long as no
-    other search of the index runs meanwhile.  :meth:`finish`, on the
-    index's own thread once the call ran, completes the search and hands
-    the buffer back to the index for the next staging.  ``seq`` is the
-    ring's number for it.
+    :meth:`stage` queues the search of ``nq`` float32 rows at an address,
+    read in place (they must stay alive until the search is collected).
+    :meth:`collect` returns once it ran — on the host thread :meth:`serve`
+    started, or, without one, run there and then — and leaves the answer
+    in the arena: padded (nq, k) D and I rows and an (nq, 2) row of
+    evaluations and results per query.  The arena is blocks of ``rows``
+    rows, a new one taken when the last is full and none reused, so an
+    answer is read in place and stays valid as long as anyone holds it.
+
+    A search reads its index's graph and writes its visited array and
+    heaps, so while a ring is open every compiled search of its indexes
+    goes through it; one thread stages and collects.
     """
 
-    __slots__ = ("_index", "address", "_head", "_stats", "_D", "_I", "_rows", "_mask", "seq")
+    __slots__ = ("_lib", "_ring", "_k", "_ef", "_rows", "_block", "_next", "_end", "_thread")
 
-    def __init__(self, index: HnswIndex, nq: int, k: int) -> None:
-        d0 = 7 + 2 * nq
-        i0 = d0 + nq * k
-        q0 = i0 + nq * k
-        raw = np.empty(q0 + (nq * index.dim + 1) // 2)
+    def __init__(self, lib, k: int, ef: int, rows: int, slots: int = 1) -> None:
+        ring = lib.search_ring_new(slots)
+        if not ring:
+            raise MemoryError("no memory for a search ring")
+        self._lib, self._ring = lib, ring
+        self._k, self._ef, self._rows = k, ef, rows
+        self._block: tuple | None = None
+        self._next = self._end = 0
+        self._thread: threading.Thread | None = None
+
+    def serve(self, cpu: int) -> None:
+        """Run the staged searches on a host thread, which starts on
+        ``cpu`` and is then free to move (``search_ring_serve``)."""
+        self._thread = threading.Thread(
+            target=self._lib.search_ring_serve, args=(self._ring, cpu), name="repro-search",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def stage(self, index: HnswIndex, address: int, nq: int, mask: int = 0) -> tuple | None:
+        """Queue the search of ``index`` for the ``nq`` rows at ``address``
+        under the row mask at address ``mask`` (0: none).  Returns the
+        ticket :meth:`collect` takes — ``(seq, first arena row, nq,
+        (D, I, stats) block)`` — or None, queueing nothing, when a row is
+        not finite."""
+        row = self._next
+        if row + nq > self._end:
+            self._take_block(nq)
+            row = 0
+        cached = index._native_search_cache
+        if cached is None:
+            cached = index._native_search_cache = index._search_desc()
+        epoch = index._visit_epoch
+        seq = self._lib.search_ring_stage(self._ring, cached[1], address, nq, epoch, mask, row)
+        if seq < 0:
+            return None
+        index._visit_epoch = epoch + nq
+        self._next = row + nq
+        return seq, row, nq, self._block
+
+    def _take_block(self, nq: int) -> None:
+        rows, k = max(self._rows, nq), self._k
+        raw = np.empty(rows * (2 * k + 2))
         ints = raw.view(np.int64)
-        ints[:3] = (0, nq, k)
-        self._index = index
-        self.address = raw.ctypes.data
-        self._head = ints[:7]
-        self._stats = ints[7:d0].reshape(2, nq)
-        self._D = raw[d0:i0].reshape(nq, k)
-        self._I = ints[i0:q0].reshape(nq, k)
-        self._rows = raw[q0:].view(np.float32)[: nq * index.dim].reshape(nq, index.dim)
-        self._mask: np.ndarray | None = None  # the header holds its address
-        self.seq = -1
+        self._block = (
+            raw[: rows * k].reshape(rows, k),
+            ints[rows * k : 2 * rows * k].reshape(rows, k),
+            ints[2 * rows * k :].reshape(rows, 2),
+        )
+        self._lib.search_ring_arena(self._ring, raw.ctypes.data, rows, k, self._ef)
+        self._next, self._end = 0, rows
 
-    def run(self) -> None:
-        self._index._native.hnsw_search_staged(self.address)
+    def collect(self, index: HnswIndex, ticket: tuple) -> list[list[int]]:
+        """Return once the search of ``ticket`` ran, with its rows'
+        ``[evaluations, results]``, and add the evaluations to ``index``;
+        the answer is in the ticket's block, from its first row on."""
+        seq, row, nq, block = ticket
+        self._lib.search_ring_collect(self._ring, seq)
+        stats = block[2][row : row + nq].tolist()
+        index.n_dist_evals += stats[0][0] if nq == 1 else sum(e for e, _ in stats)
+        return stats
 
-    def finish(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Each row's answer cut to its results, as fresh arrays the
-        caller owns.  Adds the counted evaluations to the index, leaves
-        each row's count and number of results in its ``_row_evals`` /
-        ``_row_found`` and hands the buffer back; raises the
-        ``ValueError`` of a batch holding a non-finite value, which the
-        call refused before searching."""
-        index = self._index
-        found = self._complete()
-        D, I = self._D, self._I
-        ds, idss = [], []
-        for i, n in enumerate(found):
-            ds.append(D[i, :n].copy())
-            idss.append(I[i, :n].copy())
-        index._free_search(self)
-        return ds, idss
-
-    def _finish_padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`finish` for :meth:`HnswIndex.knn_search_batch`: the
-        padded ``(D, I)``."""
-        index = self._index
-        self._complete()
-        out = self._D.copy(), self._I.copy()
-        index._free_search(self)
-        return out
-
-    def _complete(self) -> list[int]:
-        """Book the call's counts into the index; its rows' result counts."""
-        index = self._index
-        if self._head[0]:
-            index._free_search(self)
-            raise ValueError("Q contains non-finite values")
-        stats = self._stats.copy()
-        index._row_evals, index._row_found = stats
-        evals, found = stats.tolist()
-        index.n_dist_evals += sum(evals)
-        return found
+    def close(self) -> None:
+        """Stop and join the thread, if one serves, and free the ring;
+        what was staged and not collected is not searched."""
+        if self._thread is not None:
+            self._lib.search_ring_close(self._ring)
+            self._thread.join()
+        self._lib.search_ring_free(self._ring)
 
 
 class HnswIndex:
@@ -255,8 +265,6 @@ class HnswIndex:
         #: external ids, top level, entry point); dropped with the graph
         #: cache and by every insert
         self._native_search_cache: tuple | None = None
-        #: finished compiled searches by (nq, k), their buffers for reuse
-        self._search_bufs: dict[tuple[int, int], list[StagedSearch]] = {}
         # Compiled INSERT (greedy descent + beam search + selection +
         # shrink in one C call per batch): additionally requires the
         # cdist-compatible double kernel to pass its self-check.
@@ -270,7 +278,8 @@ class HnswIndex:
         self._n_full_shrinks = 0
         #: per-query split of the ``n_dist_evals`` charge of the latest
         #: ``knn_search`` / ``knn_search_batch`` call, in row order, and
-        #: how many results each of its rows holds before the padding
+        #: how many results each of its rows holds before the padding (a
+        #: record for the caller; a cluster search reads its own arena)
         self._row_evals = np.empty(0, dtype=np.int64)
         self._row_found = np.empty(0, dtype=np.int64)
 
@@ -782,8 +791,8 @@ class HnswIndex:
         """
         check_positive_int(k, "k")
         q = check_vector(query, "query", dim=self.dim)
-        D, I = self._search_rows(q[np.newaxis, :], k, ef, filter)
-        n = int(self._row_found[0])
+        D, I, stats = self._search_rows(q[np.newaxis, :], k, ef, filter)
+        n = int(stats[0, 1])
         return D[0, :n], I[0, :n]
 
     def knn_search_batch(
@@ -807,132 +816,66 @@ class HnswIndex:
         cluster workers exploit (see ``core/worker.py``).
         """
         check_positive_int(k, "k")
-        if self._native is None or not self._n:
-            Q = check_matrix(Q, "Q")
-            if Q.shape[1] != self.dim:
-                raise ValueError(f"expected dim {self.dim}, got {Q.shape[1]}")
-        else:
-            Q = self._query_rows(Q)
-        return self._search_rows(Q, k, ef, filter)
+        return self._search_rows(self._query_rows(Q), k, ef, filter)[:2]
 
     def _query_rows(self, Q) -> np.ndarray:
-        """A compiled search's query matrix, shape checked.  The call
-        refuses a non-finite row itself (and its buffer copy casts to
-        float32), so the values are not looked at here."""
-        if type(Q) is not np.ndarray:
-            Q = np.asarray(Q, dtype=np.float32)
-        if Q.ndim != 2 or not Q.size:
-            check_matrix(Q, "Q")  # raises its shape error
+        """``Q`` as a search reads it: a float32 C-contiguous matrix of the
+        index's width, converted once if it is not one.  The python path
+        validates the values (``check_matrix``); the compiled stage refuses
+        a non-finite row itself, so only the shape is checked for it."""
+        if self._native is None or not self._n:
+            Q = check_matrix(Q, "Q")
+        else:
+            if type(Q) is not np.ndarray:
+                Q = np.asarray(Q, dtype=np.float32)
+            if Q.ndim != 2 or not Q.size:
+                check_matrix(Q, "Q")  # raises its shape error
         if Q.shape[1] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {Q.shape[1]}")
-        return Q
-
-    def stage_search(
-        self,
-        Q: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        *,
-        filter: np.ndarray | None = None,
-    ) -> StagedSearch:
-        """:meth:`knn_search_batch` for the compiled search, split where it
-        may cross threads.
-
-        Checks the shape, reserves the batch's visited epochs, copies the
-        rows into the search's buffer and points it at the mask now; the
-        returned :class:`StagedSearch` is run once (inline by its ``run``,
-        or by a ring's thread) and its ``finish`` returns the answer, each
-        row cut to its results.  Raises ``RuntimeError`` when the search
-        would not be compiled (no compiled search, or an empty index).
-        """
-        check_positive_int(k, "k")
-        if self._native is None or not self._n:
-            raise RuntimeError("this index has no compiled search to stage")
-        return self._stage_search(self._query_rows(Q), k, ef, filter)
+        return np.ascontiguousarray(Q, dtype=np.float32)
 
     def _search_rows(
         self, Q: np.ndarray, k: int, ef: int | None, filter: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """K-NN-SEARCH (paper Alg. 5) for query rows of the index's width.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """K-NN-SEARCH (paper Alg. 5) for the rows :meth:`_query_rows`
+        returned.
 
-        Returns the padded ``(D, I)`` of :meth:`knn_search_batch`, fresh
-        arrays the caller owns, and leaves each row's evaluation count in
-        ``_row_evals`` and its number of results in ``_row_found``.  With
-        the compiled library this is one C call for the whole matrix,
-        filtered or not (``hnsw_knn_search`` writes and pads the rows):
-        :meth:`stage_search`'s three steps, run inline.  Without it, one
-        :meth:`_search_prepared` per row of a matrix ``check_matrix``
-        validated.
+        Returns the padded ``(D, I)`` of :meth:`knn_search_batch` and the
+        (nq, 2) evaluations and results of each row, fresh arrays the
+        caller owns, and records the latter in ``_row_evals`` /
+        ``_row_found``.  With the compiled library this is one search
+        staged on a ring of its own and collected at once, the call a
+        query call's task searches make; without it, one
+        :meth:`_search_prepared` per row.
         """
-        if self._n and self._native is not None:
-            search = self._stage_search(Q, k, ef, filter)
-            search.run()
-            return search._finish_padded()
         nq = len(Q)
         ef = max(ef or self.params.ef_search, k)
         allowed = None
         if filter is not None:
             allowed = np.ascontiguousarray(check_filter_mask(filter, self._n))
-        D = np.full((nq, k), np.inf, dtype=np.float64)
-        I = np.full((nq, k), -1, dtype=np.int64)
-        stats = np.zeros((2, nq), dtype=np.int64)  # evals, results per row
-        self._row_evals, self._row_found = stats
-        if self._n == 0:
-            return D, I
-        for i in range(nq):
-            before = self.n_dist_evals
-            d, ids = self._search_prepared(Q[i], k, ef, allowed)
-            D[i, : len(d)] = d
-            I[i, : len(ids)] = ids
-            stats[:, i] = self.n_dist_evals - before, len(d)
-        return D, I
-
-    def _stage_search(
-        self, Q: np.ndarray, k: int, ef: int | None, filter: np.ndarray | None
-    ) -> StagedSearch:
-        """Stage one ``hnsw_knn_search`` for the shape-checked rows ``Q``.
-
-        The rows are copied (as float32) into a search buffer of their
-        own that also takes the call's knobs and outputs, so several
-        staged searches may be in flight.  A serial caller reuses one
-        buffer and a ring's thread has as many as there are searches in
-        flight; a finished search's buffer comes back to the index, which
-        keeps a few of each shape (``_SEARCH_BUFS_KEPT``).  The call
-        starts from the index's kept ``SearchDesc`` (:meth:`_search_desc`)
-        and binds the buffer's knobs to it in C.
-        """
-        allowed = None
-        if filter is not None:
-            allowed = np.ascontiguousarray(check_filter_mask(filter, self._n))
-        cached = self._native_search_cache
-        if cached is None:
-            cached = self._native_search_cache = self._search_desc()
-        nq = len(Q)
-        free = self._search_bufs.get((nq, k))
-        if free:
-            search = free.pop()
-            search._index = self
+        if self._n and self._native is not None:
+            ring = SearchRing(self._native, k, ef, nq)
+            try:
+                mask = 0 if allowed is None else allowed.ctypes.data
+                ticket = ring.stage(self, Q.ctypes.data, nq, mask)
+                if ticket is None:
+                    raise ValueError("Q contains non-finite values")
+                ring.collect(self, ticket)
+            finally:
+                ring.close()
+            D, I, stats = ticket[3]
         else:
-            search = StagedSearch(self, nq, k)
-        search._rows[...] = Q
-        search._head[3:] = (
-            cached[1],
-            self._visit_epoch,
-            max(ef or self.params.ef_search, k),
-            0 if allowed is None else allowed.ctypes.data,
-        )
-        search._mask = allowed
-        self._visit_epoch += nq
-        return search
-
-    def _free_search(self, search: StagedSearch) -> None:
-        """Take a finished search's buffer back for a later staging.  A
-        kept one holds no reference to the index, so dropping the index
-        frees it at once, without a garbage collection."""
-        search._index = search._mask = None
-        free = self._search_bufs.setdefault(search._D.shape, [])
-        if len(free) < _SEARCH_BUFS_KEPT:
-            free.append(search)
+            D = np.full((nq, k), np.inf, dtype=np.float64)
+            I = np.full((nq, k), -1, dtype=np.int64)
+            stats = np.zeros((nq, 2), dtype=np.int64)
+            for i in range(nq if self._n else 0):
+                before = self.n_dist_evals
+                d, ids = self._search_prepared(Q[i], k, ef, allowed)
+                D[i, : len(d)] = d
+                I[i, : len(ids)] = ids
+                stats[i] = self.n_dist_evals - before, len(d)
+        self._row_evals, self._row_found = stats.T
+        return D, I, stats
 
     def _search_desc(self) -> tuple:
         """``(desc, desc address, graph)``: the ``SearchDesc`` holding the

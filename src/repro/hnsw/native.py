@@ -1,13 +1,12 @@
 """ctypes loader for the compiled HNSW hot paths (``_hotpath.c``).
 
 Two index entries live in the shared object: K-NN-SEARCH for a whole query
-matrix in one call (what ``knn_search`` / ``knn_search_batch`` run,
-filtered or not), and the full INSERT batch (greedy descent, beam search,
-neighbor selection, incremental link shrinking).  A staged K-NN-SEARCH
-(``HnswIndex.stage_search``) runs inline through ``hnsw_search_staged``
-or on a host thread through the ``search_ring_*`` entries, the ring that
-thread serves (``repro.core.searcher``).  The master's VP-skeleton
-descent shares the library: ``vp_route_approx`` / ``vp_route_exact`` are
+matrix in one call, staged on a ``search_ring_*`` ring (what
+``knn_search`` / ``knn_search_batch`` run, filtered or not, and what a
+query call's task searches run, on a host thread or inline:
+:class:`~repro.hnsw.index.SearchRing`), and the full INSERT batch (greedy
+descent, beam search, neighbor selection, incremental link shrinking).
+The master's VP-skeleton descent shares the library: ``vp_route_approx`` / ``vp_route_exact`` are
 what :class:`~repro.vptree.router.PartitionRouter` runs under L2
 (:func:`native_route_for`, gated per width by its own float64 self-check
 against the router's python distance), and so does the exact top-k scan
@@ -223,18 +222,20 @@ def _load():
         p,  # ri
         i32,  # do_sqrt
     ]
-    # a staged search is the address of its buffer, whose header holds the
-    # kept SearchDesc's address and the call's knobs; it returns -1 for a
-    # query row that is not finite, and the ring hands back the search's
-    # sequence number
-    lib.hnsw_search_staged.restype = i64
-    lib.hnsw_search_staged.argtypes = [p]
+    # the search ring (HnswIndex.SearchRing): a search is staged from
+    # integers alone and returns its sequence number, -1 for a query row
+    # that is not finite.  Its integers travel as c_void_p where that is a
+    # 64-bit word: ctypes converts a python int to it in half the time a
+    # c_int64 takes, and a staging pays that per task
+    word = p if ctypes.sizeof(p) == 8 else i64
     lib.search_ring_new.restype = p
     lib.search_ring_new.argtypes = [i64]
-    lib.search_ring_submit.restype = i64
-    lib.search_ring_submit.argtypes = [p, p]
-    lib.search_ring_wait.restype = None
-    lib.search_ring_wait.argtypes = [p, i64]
+    lib.search_ring_arena.restype = None
+    lib.search_ring_arena.argtypes = [p, p, i64, i64, i64]  # block, rows, k, ef
+    lib.search_ring_stage.restype = i64
+    lib.search_ring_stage.argtypes = [p, word, word, word, word, word, word]
+    lib.search_ring_collect.restype = None
+    lib.search_ring_collect.argtypes = [p, word]
     lib.search_ring_serve.restype = None
     lib.search_ring_serve.argtypes = [p, i64]  # the ring, the CPU to start on
     for name in ("search_ring_close", "search_ring_free"):

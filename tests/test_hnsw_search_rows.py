@@ -1,8 +1,8 @@
 """The one-row search call and its batch form: fresh results, unchanged rows.
 
-``knn_search`` / ``knn_search_batch`` run the compiled K-NN-SEARCH on
-buffers the index keeps between calls (query in, D, I, stats) and copy the
-answer out; ``hnsw_knn_search`` pads short rows itself.  These tests hold
+``knn_search`` / ``knn_search_batch`` stage the compiled K-NN-SEARCH on
+a ring of their own, which answers into a fresh arena per call;
+``hnsw_knn_search`` pads short rows itself.  These tests hold
 the returned arrays to being the caller's own, the rows to the digest the
 pre-scratch implementation produced (for every batch size from 1 to 70,
 for ``k`` larger than the index and under filter masks), the compiled rows
