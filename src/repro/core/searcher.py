@@ -155,9 +155,6 @@ def _cut(D: np.ndarray, I: np.ndarray, stats: list, row: int) -> tuple[list, lis
     padded ``D`` / ``I``, each a view cut to the number of results
     ``stats`` (``[evaluations, results]`` per row) gives it, and each
     row's evaluations."""
-    if len(stats) == 1:
-        evals, n = stats[0]
-        return [D[row, :n]], [I[row, :n]], [evals]
     ds, idss, evals = [], [], []
     for r, (e, n) in enumerate(stats, row):
         ds.append(D[r, :n])
@@ -236,17 +233,19 @@ class RealHnswSearcher(_PerCall):
 
     @contextmanager
     def call_scope(self):
-        self._ring = None
-        try:
-            with super().call_scope():
+        # the memo holds the post-filter masks staged searches read, so it
+        # is dropped only after the ring is closed and its thread joined
+        with super().call_scope():
+            self._ring = None
+            try:
                 yield
-        finally:
-            ring, self._ring = self._ring, False
-            if ring:
-                ring.close()
-            # after the join: the rows the searches read live to here
-            self._tickets = {}
-            self._source = None
+            finally:
+                ring, self._ring = self._ring, False
+                if ring:
+                    ring.close()
+                # after the join: the rows the searches read live to here
+                self._tickets = {}
+                self._source = None
 
     def _open_ring(self, index, k: int, threaded: bool) -> SearchRing:
         """The call's ring, opened by its first compiled search.  When that

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import ctypes
 import threading
+import weakref
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Sequence
 
@@ -121,25 +122,42 @@ class SearchRing:
     started, or, without one, run there and then — and leaves the answer
     in the arena: padded (nq, k) D and I rows and an (nq, 2) row of
     evaluations and results per query.  The arena is blocks of ``rows``
-    rows, a new one taken when the last is full and none reused, so an
-    answer is read in place and stays valid as long as anyone holds it.
+    rows, a new one taken when the last is full and none reused (unless
+    :meth:`rewind` says so), so an answer is read in place and stays
+    valid as long as anyone holds it.
 
     A search reads its index's graph and writes its visited array and
-    heaps, so while a ring is open every compiled search of its indexes
-    goes through it; one thread stages and collects.
+    heaps, so while a thread serves a ring every compiled search of its
+    indexes goes through it; one thread stages and collects.
     """
 
-    __slots__ = ("_lib", "_ring", "_k", "_ef", "_rows", "_block", "_next", "_end", "_thread")
+    __slots__ = (
+        "_lib", "_ring", "_free", "_k", "_ef", "_rows", "_block", "_next", "_end", "_thread",
+        "__weakref__",
+    )
 
     def __init__(self, lib, k: int, ef: int, rows: int, slots: int = 1) -> None:
         ring = lib.search_ring_new(slots)
         if not ring:
             raise MemoryError("no memory for a search ring")
         self._lib, self._ring = lib, ring
+        #: frees the C ring once, at :meth:`close` or when the ring dies
+        self._free = weakref.finalize(self, lib.search_ring_free, ring)
+        self._thread: threading.Thread | None = None
         self._k, self._ef, self._rows = k, ef, rows
         self._block: tuple | None = None
         self._next = self._end = 0
-        self._thread: threading.Thread | None = None
+
+    def rewind(self, k: int, ef: int, rows: int) -> None:
+        """Answer the next search from the first row of the arena block,
+        over the answers there, for ``k`` and ``ef``: the caller copies
+        each answer out before it stages the next.  A new block of
+        ``rows`` rows is taken unless the block is of ``k`` and ``ef`` and
+        holds that many."""
+        if k != self._k or ef != self._ef or rows > self._end:
+            self._k, self._ef, self._rows = k, ef, rows
+            self._end = 0
+        self._next = 0
 
     def serve(self, cpu: int) -> None:
         """Run the staged searches on a host thread, which starts on
@@ -190,7 +208,7 @@ class SearchRing:
         seq, row, nq, block = ticket
         self._lib.search_ring_collect(self._ring, seq)
         stats = block[2][row : row + nq].tolist()
-        index.n_dist_evals += stats[0][0] if nq == 1 else sum(e for e, _ in stats)
+        index.n_dist_evals += sum(e for e, _ in stats)
         return stats
 
     def close(self) -> None:
@@ -199,7 +217,7 @@ class SearchRing:
         if self._thread is not None:
             self._lib.search_ring_close(self._ring)
             self._thread.join()
-        self._lib.search_ring_free(self._ring)
+        self._free()
 
 
 class HnswIndex:
@@ -276,12 +294,9 @@ class HnswIndex:
         #: compiled shrinks that fell back to a full re-selection (C's
         #: ``full_shrinks`` counter; the python path re-selects always)
         self._n_full_shrinks = 0
-        #: per-query split of the ``n_dist_evals`` charge of the latest
-        #: ``knn_search`` / ``knn_search_batch`` call, in row order, and
-        #: how many results each of its rows holds before the padding (a
-        #: record for the caller; a cluster search reads its own arena)
-        self._row_evals = np.empty(0, dtype=np.int64)
-        self._row_found = np.empty(0, dtype=np.int64)
+        #: the ring ``knn_search`` / ``knn_search_batch`` stage the compiled
+        #: search on, opened by the first
+        self._search_ring: SearchRing | None = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -842,11 +857,10 @@ class HnswIndex:
 
         Returns the padded ``(D, I)`` of :meth:`knn_search_batch` and the
         (nq, 2) evaluations and results of each row, fresh arrays the
-        caller owns, and records the latter in ``_row_evals`` /
-        ``_row_found``.  With the compiled library this is one search
-        staged on a ring of its own and collected at once, the call a
-        query call's task searches make; without it, one
-        :meth:`_search_prepared` per row.
+        caller owns.  With the compiled library this is one search staged
+        on the index's ring and collected at once, the calls a query
+        call's task searches make, and the answer copied out of the ring's
+        one arena block; without it, one :meth:`_search_prepared` per row.
         """
         nq = len(Q)
         ef = max(ef or self.params.ef_search, k)
@@ -854,16 +868,17 @@ class HnswIndex:
         if filter is not None:
             allowed = np.ascontiguousarray(check_filter_mask(filter, self._n))
         if self._n and self._native is not None:
-            ring = SearchRing(self._native, k, ef, nq)
-            try:
-                mask = 0 if allowed is None else allowed.ctypes.data
-                ticket = ring.stage(self, Q.ctypes.data, nq, mask)
-                if ticket is None:
-                    raise ValueError("Q contains non-finite values")
-                ring.collect(self, ticket)
-            finally:
-                ring.close()
+            ring = self._search_ring
+            if ring is None:
+                ring = self._search_ring = SearchRing(self._native, k, ef, nq)
+            ring.rewind(k, ef, nq)
+            mask = 0 if allowed is None else allowed.ctypes.data
+            ticket = ring.stage(self, Q.ctypes.data, nq, mask)
+            if ticket is None:
+                raise ValueError("Q contains non-finite values")
+            ring.collect(self, ticket)
             D, I, stats = ticket[3]
+            D, I, stats = D[:nq].copy(), I[:nq].copy(), stats[:nq].copy()
         else:
             D = np.full((nq, k), np.inf, dtype=np.float64)
             I = np.full((nq, k), -1, dtype=np.int64)
@@ -874,7 +889,6 @@ class HnswIndex:
                 D[i, : len(d)] = d
                 I[i, : len(ids)] = ids
                 stats[i] = self.n_dist_evals - before, len(d)
-        self._row_evals, self._row_found = stats.T
         return D, I, stats
 
     def _search_desc(self) -> tuple:

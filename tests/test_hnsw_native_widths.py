@@ -20,6 +20,7 @@ import pytest
 import repro.hnsw.native as hnsw_native
 from repro.hnsw import HnswIndex, HnswParams
 from repro.hnsw.kernels import _cdist_euclidean, _cdist_sqeuclidean
+from tests.test_hnsw_search_rows import search_rows
 
 WIDTHS = (1, 3, 4, 17, 31, 32, 33, 96, 128, 960)
 METRICS = ("l2", "sqeuclidean")
@@ -125,7 +126,8 @@ class TestNativeEqualsPython:
             Ds, Is = slow.knn_search_batch(Q, k, ef=ef)
             assert Df.dtype == np.float64 and If.dtype == np.int64
             assert Df.tobytes() == Ds.tobytes() and If.tobytes() == Is.tobytes()
-            assert fast._row_evals.tolist() == slow._row_evals.tolist()
+            stats = search_rows(fast, Q, k, ef)[2]
+            assert stats.tolist() == search_rows(slow, Q, k, ef)[2].tolist()
             _check_rows_against_single(fast, slow, Q, k, Df, If, ef=ef)
             if k > N:  # short rows are padded, never garbage
                 assert np.all(If[:, N:] == -1)
@@ -140,7 +142,10 @@ class TestNativeEqualsPython:
         Ds, Is = slow.knn_search_batch(Q, k, filter=mask)
         assert Df.dtype == np.float64 and If.dtype == np.int64
         assert Df.tobytes() == Ds.tobytes() and If.tobytes() == Is.tobytes()
-        assert fast._row_evals.tolist() == slow._row_evals.tolist()
+        assert (
+            search_rows(fast, Q, k, filter=mask)[2].tolist()
+            == search_rows(slow, Q, k, filter=mask)[2].tolist()
+        )
         assert np.all(mask[If[If >= 0]])  # the predicate is honored
         assert np.all((If >= 0).sum(axis=1) <= min(k, int(mask.sum())))
         _check_rows_against_single(fast, slow, Q, k, Df, If, filter=mask)

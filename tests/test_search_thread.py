@@ -40,6 +40,7 @@ from repro.hnsw.index import SearchRing
 from repro.runtime import strategy_for
 from repro.simmpi.engine import Simulation
 from repro.simmpi.errors import ProcError
+from tests.test_hnsw_search_rows import search_rows
 from tests.test_query_path_identity import (
     BASE,
     CASES,
@@ -47,6 +48,7 @@ from tests.test_query_path_identity import (
     Q,
     Q_HOT,
     TIERS,
+    WIDE,
     X,
     _observe,
     _sim_facts,
@@ -220,6 +222,41 @@ def test_nan_row_is_refused_alike_and_the_thread_joined(monkeypatch, threaded):
         assert spy.staged
 
 
+@pytest.mark.skipif(not COMPILED, reason="needs the compiled search")
+def test_a_failed_filtered_call_keeps_its_masks_until_the_ring_is_closed(monkeypatch):
+    """A post-filtered threaded call that fails partway leaves searches
+    staged and never collected, which read the filter plan's mask until
+    the thread is joined: the call's memo, the mask's one owner, is still
+    set when the ring closes and dropped only after."""
+    config = SystemConfig(**CASES["closed_b1_onesided_filter"][0])
+    ann = DistributedANN(config)
+    ann.fit(X, metadata=TIERS)
+    build = ann._build
+    bad = Q.copy()
+    bad[5, 2] = np.nan
+    searcher = RealHnswSearcher(config.cost, config.effective_ef_search)
+    plans_at_close = []
+    close = SearchRing.close
+
+    def spy_close(ring):
+        memo = searcher._memo
+        plans_at_close.append(None if memo is None else [plan[0] for plan in memo.values()])
+        close(ring)
+
+    _cpus(monkeypatch, True)
+    spy = _Spy(monkeypatch)
+    monkeypatch.setattr(SearchRing, "close", spy_close)
+    with pytest.raises(ProcError):
+        ClusterRuntime(config).run_search(
+            strategy_for(config), _NaNBlindRouter(build.router), build.workgroups,
+            build.node_stores, searcher, bad, config.k, fpayload=ann._resolve_filter(WIDE, None),
+        )
+    assert spy.threads == 1 and any(masked for _, masked in spy.staged)
+    assert len(plans_at_close) == 1 and plans_at_close[0] is not None
+    assert "post" in plans_at_close[0]
+    assert searcher._memo is None
+
+
 def test_no_thread_outlives_a_call_or_a_closed_session(monkeypatch):
     config = SystemConfig(**CASES["closed_b1_onesided"][0])
     ann = DistributedANN(config)
@@ -295,8 +332,8 @@ def _inline_answers(jobs, k):
     own ``knn_search_batch``."""
     out = []
     for index, rows in jobs:
-        D, I = index.knn_search_batch(rows, k)
-        out.append((D, I, index._row_evals.tolist()))
+        D, I, stats = search_rows(index, rows, k)
+        out.append((D, I, stats[:, 0].tolist()))
     return out
 
 
