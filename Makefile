@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repo.
 
-.PHONY: install test test-nonative lint bench bench-smoke bench-e2e-smoke profile-query bench-paper bench-core obs-smoke examples faults-demo clean
+.PHONY: install test test-nonative lint loc bench bench-smoke bench-e2e-smoke profile-query bench-paper bench-core obs-smoke examples faults-demo clean
 
 # smoke artifacts are throwaway CI outputs — they land in .benchmarks/
 # (gitignored), never next to the tracked benchmarks/BENCH_hnsw.json
@@ -29,6 +29,12 @@ test-nonative:
 
 lint:
 	ruff check src tests benchmarks examples
+
+# the size of the program: .py lines under src/repro and lines of its one
+# C file (ROADMAP.md tracks both)
+loc:
+	@printf 'src/repro .py lines: '; find src/repro -name '*.py' -exec cat {} + | wc -l
+	@printf 'src/repro/hnsw/_hotpath.c lines: '; wc -l < src/repro/hnsw/_hotpath.c
 
 # HNSW hot-path benchmark: build + search timings, recall, and the
 # speedup vs the previous run recorded in benchmarks/BENCH_hnsw.json (the

@@ -37,7 +37,6 @@ from repro.simmpi.engine import (
     Request,
     ANY_SOURCE,
     ANY_TAG,
-    WAIT_TIMED_OUT,
 )
 from repro.simmpi.comm import Comm
 from repro.simmpi.rma import Window
@@ -67,5 +66,4 @@ __all__ = [
     "Window",
     "ANY_SOURCE",
     "ANY_TAG",
-    "WAIT_TIMED_OUT",
 ]

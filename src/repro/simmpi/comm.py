@@ -1,7 +1,7 @@
 """MPI-style communicator over the simulated engine.
 
 Mirrors the subset of the MPI API the paper's algorithms use:
-``isend/irecv/wait`` point-to-point (Algs 3-4), ``bcast`` (vantage
+``send/recv`` point-to-point, ``bcast`` (vantage
 point broadcast), ``allreduce``/``gather`` (distributed statistics),
 ``alltoallv`` (the partition shuffle of Alg 2), ``barrier``, and ``split``
 (halving the process group at each VP-tree level).
@@ -22,7 +22,6 @@ from repro.simmpi.engine import (
     ANY_TAG,
     Context,
     Mailbox,
-    Request,
     Simulation,
     payload_nbytes,
 )
@@ -88,25 +87,10 @@ class Comm:
             same_node=self._same_node(ctx, dest),
         )
 
-    # The engine's sends are always non-blocking eager sends, so isend is
-    # literally send; both names exist so algorithm code reads like the paper.
-    isend = send
-
-    def irecv(self, ctx: Context, source: int = ANY_SOURCE, tag=ANY_TAG):
-        """Post a non-blocking receive; returns a Request."""
-        req = yield from ctx.post_recv(
-            self._sim.mailbox_of(ctx.pid), source=source, tag=self._tag(tag)
-        )
-        return req
-
     def recv(self, ctx: Context, source: int = ANY_SOURCE, tag=ANY_TAG):
         """Blocking receive; returns ``(payload, source_rank, user_tag)``."""
         req = yield from ctx.recv(self._sim.mailbox_of(ctx.pid), source=source, tag=self._tag(tag))
         return req.payload, req.source, req.tag[1]
-
-    def wait(self, ctx: Context, req: Request):
-        payload = yield from ctx.wait(req)
-        return payload
 
     # -- collectives -------------------------------------------------------------
 

@@ -27,7 +27,8 @@ Blocking primitives:
   same step.  This is how worker threads wait for "a query *or* the
   terminate flag", replacing the paper's MPI_Test busy-poll loop with an
   equivalent that does not need millions of simulated poll iterations,
-  and how every coordinator receives one message.  Under a fault model,
+  how every coordinator receives one message, and the deadline
+  fault-tolerant dispatch builds its retries on.  Under a fault model,
   a proc still blocked in such a flag-guarded receive when nothing else
   can run ends with the run (a thread whose every End-of-Queries a lossy
   link dropped); any other proc left blocked, and any at all on a
@@ -37,10 +38,8 @@ Blocking primitives:
   an event, whether such a match has arrived yet,
 - ``recv_n(mailbox, n, ...)`` — ``n`` receives in one event (a master
   counting its threads' exit notices),
-- ``wait(request)``     — block until an already posted receive matches,
-- ``wait_any(waitables)`` — block until any of several requests/events
-  completes (the three-call form ``recv`` replaces: post, ``wait_any``,
-  ``cancel``),
+- ``wait(request)``     — block until a receive posted with ``post_recv``
+  matches,
 - collectives and RMA — see :mod:`repro.simmpi.comm` / :mod:`~repro.simmpi.rma`.
 
 ``exit(send, compute=, span=)`` ends a proc's run in one event: a last
@@ -48,10 +47,6 @@ charge, a last send, and the end.  In a ``Simulation(keep_procs=True)``
 the proc parks there instead of returning, and :meth:`Simulation.reset`
 starts another run in which it resumes — a session that registers and
 starts its thread procs once for many runs.
-
-``wait_any`` additionally takes an optional virtual-time ``timeout``; a
-wait that times out resumes with ``(WAIT_TIMED_OUT, None)`` at exactly the
-deadline — the primitive fault-tolerant dispatch builds retries on.
 
 Fault injection: constructed with a :class:`~repro.faults.FaultInjector`,
 the engine perturbs the fabric per the injector's spec — procs on a
@@ -80,7 +75,6 @@ from repro.simmpi.trace import ProcStats
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
-    "WAIT_TIMED_OUT",
     "Context",
     "Event",
     "Mailbox",
@@ -93,15 +87,7 @@ __all__ = [
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-#: index returned by ``wait_any(..., timeout=...)`` when the wait timed out
-WAIT_TIMED_OUT = -1
-
 _INF = float("inf")
-
-# what a blocked proc resumes with, by the syscall that blocked it
-_WAKE_WAIT = 0  # the payload
-_WAKE_ANY = 1  # (index, payload)
-_WAKE_RECV = 2  # the Request, or None once it is withdrawn
 
 
 def _tag_matches(pattern, tag) -> bool:
@@ -236,17 +222,6 @@ class _Wait:
 
 
 @dataclass(slots=True)
-class _WaitAny:
-    waitables: list
-    timeout: float | None = None
-
-
-@dataclass(slots=True)
-class _Cancel:
-    request: "Request"
-
-
-@dataclass(slots=True)
 class _EventSet:
     event: "Event"
 
@@ -281,7 +256,6 @@ class Request:
         "payload",
         "source",
         "tag",
-        "cancelled",
         "arrival",
         "_mailbox",
         "_match_source",
@@ -292,7 +266,6 @@ class Request:
 
     def __init__(self, mailbox: "Mailbox", source: int, tag: int, post_time: float):
         self.done = False
-        self.cancelled = False
         self.completion_time = float("inf")
         self.payload: Any = None
         self.source: int | None = None
@@ -336,8 +309,8 @@ class Event:
     """A one-shot condition flag (simulated condition variable).
 
     Models the shared "Done" flag of Algorithm 4: one thread sets it, and
-    every thread blocked on it — in a ``recv(..., event=)`` or a
-    ``wait_any`` — wakes at the set time.
+    every thread blocked on it in a ``recv(..., event=)`` wakes at the set
+    time.
     """
 
     __slots__ = ("done", "set_time", "_waiters")
@@ -349,8 +322,7 @@ class Event:
 
 
 def _withdraw(req: Request) -> None:
-    """Take a posted, unmatched receive off its mailbox, as ``cancel`` does."""
-    req.cancelled = True
+    """Take a posted, unmatched receive off its mailbox."""
     req._waiter = None
     req._mailbox._pending.remove(req)
 
@@ -469,8 +441,8 @@ class _Proc:
         "heap_token",
         "timeout_token",
         "_block_start",
-        "_wait_entries",
-        "_wake",
+        "_waiting",
+        "_guard",
         "_deferred",
         "parked",
     )
@@ -489,8 +461,10 @@ class _Proc:
         self.heap_token = 0
         self.timeout_token: int | None = None
         self._block_start = 0.0
-        self._wait_entries: list = []
-        self._wake = _WAKE_WAIT
+        #: while blocked in ``wait``, ``recv`` or ``recv_n``: the receive
+        #: it waits on, and the event that ends a ``recv`` early (or None)
+        self._waiting: Request | None = None
+        self._guard: Event | None = None
         #: (handler, syscall) of a _DEFERRED proc's pending step
         self._deferred: tuple | None = None
         #: ended its run with ``ctx.exit`` in a keep_procs simulation: the
@@ -657,8 +631,7 @@ class Context:
         settled in arrival order (not a tuple: a tuple is a
         comm-namespaced tag).  With an ``event``, or a
         ``timeout`` in virtual seconds, it resumes with ``None`` when the
-        event is set first or the deadline passes — as
-        ``wait_any([request, event], timeout)`` would — and the receive is
+        event is set first or the deadline passes, and the receive is
         withdrawn in the same step, so a message arriving later stays
         queued for the next receive.
 
@@ -720,24 +693,8 @@ class Context:
 
     def wait(self, request: Request):
         """Block until ``request`` completes; resumes with its payload."""
-        payload = yield _Wait(request)
-        return payload
-
-    def wait_any(self, waitables: list, timeout: float | None = None):
-        """Block until any request/event completes; resumes with
-        ``(index, payload)`` (payload is None for events).
-
-        With a ``timeout`` (virtual seconds), resumes with
-        ``(WAIT_TIMED_OUT, None)`` at the deadline if nothing completed
-        first; the waitables stay registered with their mailboxes, so a
-        timed-out receive can be waited on again or cancelled.
-        """
-        _check_timeout(timeout)
-        result = yield _WaitAny(list(waitables), timeout)
-        return result
-
-    def cancel(self, request: Request):
-        yield _Cancel(request)
+        yield _Wait(request)
+        return request.payload
 
     def exit(
         self, send: _SendMsg, *, compute: tuple | None = None, span: str | None = None, result=None
@@ -991,8 +948,6 @@ class Simulation:
             _Recv: self._do_recv,
             _RecvN: self._do_recv_n,
             _Wait: self._do_wait,
-            _WaitAny: self._do_wait_any,
-            _Cancel: self._do_cancel,
             _EventSet: self._do_set_event,
             _CollectiveCall: self._do_collective,
             _RmaOp: self._do_rma,
@@ -1023,7 +978,7 @@ class Simulation:
             if n_events > max_events:
                 raise SimError(
                     f"exceeded max_events={max_events}; "
-                    "likely a loop that never blocks — use recv/wait/wait_any"
+                    "likely a loop that never blocks — use recv/wait"
                 )
             try:
                 syscall = proc.gen.send(proc.sendval)
@@ -1042,11 +997,7 @@ class Simulation:
             handler(proc, syscall)
         if self.faults is not None:
             for proc in procs:
-                if (
-                    proc.state == _BLOCKED
-                    and proc._wake == _WAKE_RECV
-                    and isinstance(proc._wait_entries[-1], Event)
-                ):
+                if proc.state == _BLOCKED and proc._guard is not None:
                     # a receive guarded by a stop flag: a server waiting
                     # for work or for the word to stop, which a faulty
                     # fabric may have dropped, and nothing is left to send
@@ -1118,8 +1069,8 @@ class Simulation:
         proc.state = _BLOCKED
         proc._block_start = proc.clock
         if timeout is not None:
-            # arm a deadline: a heap entry keyed to timeout_token; completion
-            # of any waitable clears the token, making the entry inert
+            # arm a deadline: a heap entry keyed to timeout_token; a match
+            # or the event clears the token, making the entry inert
             proc.timeout_token = next(self._seq)
             heapq.heappush(self._runq, (proc.clock + timeout, proc.timeout_token, proc.pid))
 
@@ -1129,12 +1080,6 @@ class Simulation:
         new_clock = max(proc.clock, at_time)
         proc.stats.comm_wait += new_clock - proc._block_start
         proc.clock = new_clock
-        self._push(proc)
-
-    def _unblock_received(self, proc: _Proc, req: Request) -> None:
-        """Wake ``proc`` on its completed receive."""
-        proc.timeout_token = None  # a pending wait deadline no longer applies
-        self._charge_receive(proc, req.completion_time)
         self._push(proc)
 
     def _charge_receive(self, proc: _Proc, completion: float) -> None:
@@ -1151,23 +1096,18 @@ class Simulation:
         proc.clock = start + overhead
 
     def _fire_timeout(self, proc: _Proc, deadline: float) -> None:
-        """A ``wait_any`` or ``recv`` deadline passed with nothing completed."""
-        entries = proc._wait_entries
-        proc._wait_entries = []
-        recv = proc._wake == _WAKE_RECV
-        for w in entries:
-            if isinstance(w, Request):
-                if recv:
-                    _withdraw(w)
-                else:
-                    # leave a wait_any's requests posted on their mailboxes
-                    # (the caller may wait again or cancel); only detach
-                    # this proc as the waiter
-                    w._waiter = None
-            elif isinstance(w, Event) and proc in w._waiters:
-                w._waiters.remove(proc)
-        proc.sendval = None if recv else (WAIT_TIMED_OUT, None)
-        self._unblock(proc, deadline)
+        """A ``recv`` deadline passed with nothing matched."""
+        if proc._guard is not None:
+            proc._guard._waiters.remove(proc)
+        self._stop_receive(proc, deadline)
+
+    def _stop_receive(self, proc: _Proc, at: float) -> None:
+        """End ``proc``'s blocked ``recv`` unmatched at ``at`` (its event
+        was set or its deadline passed): withdraw it, resume with None."""
+        _withdraw(proc._waiting)
+        proc._waiting = proc._guard = None
+        proc.sendval = None
+        self._unblock(proc, at)
 
     # -- fault enactment ---------------------------------------------------------
 
@@ -1180,20 +1120,18 @@ class Simulation:
 
     def _end(self, proc: _Proc, state: str, at: float) -> None:
         """End ``proc``'s program where it stands, in ``state`` at time
-        ``at`` or its own clock if later: withdraw every posted receive
-        and wait registration — an ended proc must never consume a
-        message or wake from an event — then close the generator."""
-        for req in list(proc.mailbox._pending):
-            if req._waiter is proc:
-                proc.mailbox._pending.remove(req)
-        for w in proc._wait_entries:
-            if isinstance(w, Request):
-                w._waiter = None
-                if w in w._mailbox._pending:
-                    w._mailbox._pending.remove(w)
-            elif isinstance(w, Event) and proc in w._waiters:
-                w._waiters.remove(proc)
-        proc._wait_entries = []
+        ``at`` or its own clock if later: withdraw the receive it is
+        blocked on and its event registration — an ended proc must never
+        consume a message or wake from an event — then close the
+        generator."""
+        req = proc._waiting
+        if req is not None:
+            req._waiter = None
+            if req in req._mailbox._pending:
+                req._mailbox._pending.remove(req)
+        if proc._guard is not None:
+            proc._guard._waiters.remove(proc)
+        proc._waiting = proc._guard = None
         proc._deferred = None  # a deferred post or send dies unmade
         proc.timeout_token = None
         proc.state = state
@@ -1213,13 +1151,6 @@ class Simulation:
         proc.stats.add_compute(sc.kind, seconds)
         self._push(proc)
 
-    def _do_cancel(self, proc: _Proc, sc: _Cancel) -> None:
-        req = sc.request
-        req.cancelled = True
-        if not req.done and req in req._mailbox._pending:
-            req._mailbox._pending.remove(req)
-        self._push(proc)
-
     def _do_set_event(self, proc: _Proc, sc: _EventSet) -> None:
         ev = sc.event
         if not ev.done:
@@ -1227,7 +1158,7 @@ class Simulation:
             ev.set_time = proc.clock
             waiters, ev._waiters = ev._waiters, []
             for waiter in waiters:
-                self._finish_wait_any(waiter, ev, None)
+                self._stop_receive(waiter, ev.set_time)
         self._push(proc)
 
     def _do_rma(self, proc: _Proc, sc: _RmaOp) -> None:
@@ -1279,7 +1210,7 @@ class Simulation:
                 mailbox._pending.remove(req)
                 req._complete(msg)
                 if req._waiter is not None:
-                    self._finish_wait_any(req._waiter, req, msg.payload)
+                    self._wake_receiver(req._waiter, req)
                 return
         mailbox._put(msg)
 
@@ -1296,21 +1227,21 @@ class Simulation:
         proc.sendval = self._do_recv_post(proc, sc)
         self._push(proc)
 
-    def _resume_received(self, proc: _Proc, req: Request, value: Any) -> None:
-        """Resume ``proc`` on an already completed receive."""
+    def _resume_received(self, proc: _Proc, req: Request) -> None:
+        """Resume ``proc`` with an already completed receive."""
         self._charge_receive(proc, req.completion_time)
-        proc.sendval = value
+        proc.sendval = req
         self._push(proc)
 
     def _do_recv(self, proc: _Proc, sc: _Recv) -> None:
         if sc.compute is not None:
             self._charge_then(proc, sc, self._do_recv)
             return
-        # the outcomes, clocks and stats of post_recv + wait_any([req,
-        # event], timeout) + cancel, in one event
+        # a post, a wait for the match, the event or the deadline, and the
+        # withdrawal of an unmatched receive, in one event
         req = self._do_recv_post(proc, sc)
         if req.done:
-            self._resume_received(proc, req, req)
+            self._resume_received(proc, req)
             return
         event = sc.event
         if event is not None and event.done:
@@ -1319,12 +1250,10 @@ class Simulation:
             self._push(proc)  # resumes with None
             return
         req._waiter = proc
-        if event is None:
-            proc._wait_entries = [req]
-        else:
-            proc._wait_entries = [req, event]
+        proc._waiting = req
+        if event is not None:
+            proc._guard = event
             event._waiters.append(proc)
-        proc._wake = _WAKE_RECV
         self._block(proc, sc.timeout)
 
     def _do_recv_n(self, proc: _Proc, sc: _RecvN) -> None:
@@ -1334,7 +1263,7 @@ class Simulation:
             msg = sc.mailbox._take(sc.source, sc.tag)
             if msg is None:
                 sc.mailbox._pending.append(gather)
-                proc._wait_entries = [gather]
+                proc._waiting = gather
                 self._block(proc)
                 return
             self._gather(gather, msg)
@@ -1350,7 +1279,7 @@ class Simulation:
         if len(gather.payloads) == gather.need and proc.state == _BLOCKED:
             gather.done = True
             gather._mailbox._pending.remove(gather)
-            proc._wait_entries = []
+            proc._waiting = None
             proc.sendval = gather.payloads
             self._push(proc)
 
@@ -1397,79 +1326,21 @@ class Simulation:
 
     def _do_wait(self, proc: _Proc, sc: _Wait) -> None:
         req = sc.request
-        if req.cancelled:
-            raise SimError(f"proc {proc.name} waiting on a cancelled request")
         if req.done:
-            self._resume_received(proc, req, req.payload)
+            self._resume_received(proc, req)
         else:
             req._waiter = proc
-            proc._wait_entries = [req]
-            proc._wake = _WAKE_WAIT
+            proc._waiting = req
             self._block(proc)
 
-    def _do_wait_any(self, proc: _Proc, sc: _WaitAny) -> None:
-        waitables = sc.waitables
-        # immediate completion?
-        for idx, w in enumerate(waitables):
-            if isinstance(w, Request) and w.done and not w.cancelled:
-                self._resume_received(proc, w, (idx, w.payload))
-                return
-            if isinstance(w, Event) and w.done:
-                proc.clock = max(proc.clock, w.set_time)
-                proc.sendval = (idx, None)
-                self._push(proc)
-                return
-        # none ready: register on all (the list is the syscall's own copy)
-        proc._wait_entries = waitables
-        proc._wake = _WAKE_ANY
-        for w in waitables:
-            if isinstance(w, Request):
-                w._waiter = proc
-            elif isinstance(w, Event):
-                w._waiters.append(proc)
-            else:
-                raise SimError(f"unsupported waitable {w!r}")
-        self._block(proc, sc.timeout)
-
-    def _finish_wait_any(self, proc: _Proc, fired: Any, payload: Any) -> None:
-        """A registered waitable fired while ``proc`` was blocked."""
-        if proc.state != _BLOCKED:
-            return
-        entries = proc._wait_entries
-        proc._wait_entries = []
-        wake = proc._wake
-        if wake == _WAKE_RECV:  # entries = [request] or [request, event]
-            req = entries[0]
-            if fired is req:
-                if len(entries) > 1:
-                    entries[1]._waiters.remove(proc)
-                proc.sendval = req
-                self._unblock_received(proc, req)
-            else:  # the event won: withdraw the receive, resume with None
-                _withdraw(req)
-                proc.sendval = None
-                self._unblock(proc, fired.set_time)
-            return
-        # unregister from the others
-        for w in entries:
-            if w is fired:
-                continue
-            if isinstance(w, Request):
-                w._waiter = None
-            elif isinstance(w, Event) and proc in w._waiters:
-                w._waiters.remove(proc)
-        if isinstance(fired, Request):
-            # wait_any always returns (index, payload) — even for one
-            # waitable — so a timeout sentinel (-1, None) stays
-            # distinguishable; plain wait() returns the bare payload
-            if wake == _WAKE_ANY:
-                proc.sendval = (entries.index(fired), payload)
-            else:
-                proc.sendval = payload
-            self._unblock_received(proc, fired)
-        else:
-            proc.sendval = (entries.index(fired), None) if wake == _WAKE_ANY else None
-            self._unblock(proc, fired.set_time)
+    def _wake_receiver(self, proc: _Proc, req: Request) -> None:
+        """``req``, the receive ``proc`` is blocked on, has matched."""
+        proc._waiting = None
+        if proc._guard is not None:
+            proc._guard._waiters.remove(proc)
+            proc._guard = None
+        proc.timeout_token = None  # a pending deadline no longer applies
+        self._resume_received(proc, req)
 
     # -- collectives -----------------------------------------------------------------
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.faults import FaultInjector, FaultSpec, LinkFault, RankCrash, SlowNode
 from repro.simmpi import Simulation
-from repro.simmpi.engine import WAIT_TIMED_OUT
 from repro.simmpi.network import NetworkModel
 
 
@@ -13,21 +12,18 @@ def faulted_sim(**spec_kwargs):
     return Simulation(faults=inj), inj
 
 
-class TestWaitAnyTimeout:
+class TestRecvTimeout:
     def test_timeout_fires_at_deadline(self):
         sim = Simulation()
 
         def p(ctx):
-            req = yield from ctx.post_recv(ctx.mailbox)
-            fired, payload = yield from ctx.wait_any([req], timeout=1.5)
-            return fired, payload, ctx.now
+            req = yield from ctx.recv(ctx.mailbox, timeout=1.5)
+            return req, ctx.now
 
         pid = sim.add_proc(p)
-        fired, payload, t = sim.run().results[pid]
-        assert fired == WAIT_TIMED_OUT and payload is None
-        assert t == pytest.approx(1.5)
+        assert sim.run().results[pid] == (None, 1.5)
 
-    def test_request_survives_timeout_and_completes_later(self):
+    def test_late_message_stays_queued_for_the_next_receive(self):
         sim = Simulation()
 
         def sender(ctx):
@@ -37,17 +33,15 @@ class TestWaitAnyTimeout:
             )
 
         def waiter(ctx):
-            req = yield from ctx.post_recv(ctx.mailbox)
-            fired, _ = yield from ctx.wait_any([req], timeout=0.5)
-            assert fired == WAIT_TIMED_OUT
-            # the receive stayed posted; waiting again gets the message
-            fired, payload = yield from ctx.wait_any([req])
-            return fired, payload, ctx.now
+            timed_out = yield from ctx.recv(ctx.mailbox, timeout=0.5)
+            # the receive was withdrawn; the next one gets the message
+            req = yield from ctx.recv(ctx.mailbox)
+            return timed_out, req.payload, ctx.now
 
         sim.add_proc(sender)
         w = sim.add_proc(waiter)
-        fired, payload, t = sim.run().results[w]
-        assert (fired, payload) == (0, "late")
+        timed_out, payload, t = sim.run().results[w]
+        assert (timed_out, payload) == (None, "late")
         assert t > 2.0
 
     def test_completion_beats_timeout(self):
@@ -59,22 +53,20 @@ class TestWaitAnyTimeout:
             )
 
         def waiter(ctx):
-            req = yield from ctx.post_recv(ctx.mailbox)
-            fired, payload = yield from ctx.wait_any([req], timeout=100.0)
-            return fired, payload, ctx.now
+            req = yield from ctx.recv(ctx.mailbox, timeout=100.0)
+            return req.payload, ctx.now
 
         sim.add_proc(sender)
         w = sim.add_proc(waiter)
-        fired, payload, t = sim.run().results[w]
-        assert (fired, payload) == (0, "fast")
+        payload, t = sim.run().results[w]
+        assert payload == "fast"
         assert t < 100.0  # the stale timer entry never fired
 
     def test_negative_timeout_rejected(self):
         sim = Simulation()
 
         def p(ctx):
-            req = yield from ctx.post_recv(ctx.mailbox)
-            yield from ctx.wait_any([req], timeout=-1.0)
+            yield from ctx.recv(ctx.mailbox, timeout=-1.0)
 
         sim.add_proc(p)
         with pytest.raises(Exception, match="timeout"):

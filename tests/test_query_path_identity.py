@@ -244,8 +244,8 @@ def runs():
 #: computed at the parent commit (e74adb0) by calling ``_observe`` on every
 #: case, before any source edit of the change that introduced this file.
 #: ``n_events`` alone was recomputed when ``Context.recv`` made a receive
-#: one engine event instead of two (post, wait) or three (post, wait_any,
-#: cancel): every other field, virtual times included, is unchanged, and
+#: one engine event instead of two (post, wait) or three (post, a wait on
+#: the receive or the stop flag, cancel): every other field, virtual times included, is unchanged, and
 #: each count only fell (``closed_b1_onesided`` 461 -> 369, ``adaptive_w0``
 #: 1645 -> 1241, ``owner`` 656 -> 504).  It was recomputed once more when a
 #: worker thread's start and stop became two events (its lock epoch rides

@@ -96,18 +96,6 @@ class TestPointToPoint:
         out = sim.run()
         assert out.results[1] == ("from-c1", "from-c2")
 
-    def test_irecv_wait(self):
-        def p(ctx, comm):
-            r = comm.rank(ctx)
-            if r == 0:
-                req = yield from comm.irecv(ctx, source=1, tag=3)
-                yield from ctx.compute(0.5)
-                val = yield from comm.wait(ctx, req)
-                return val
-            yield from comm.send(ctx, 0, 42, tag=3)
-
-        assert spmd(2, p).results[0] == 42
-
 
 class TestCollectives:
     def test_bcast_from_nonzero_root(self):

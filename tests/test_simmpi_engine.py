@@ -52,15 +52,14 @@ class TestBasics:
         with pytest.raises(SimError, match="finite"):
             sim.run()
 
-    @pytest.mark.parametrize("how", ["wait_any", "recv"])
+    @pytest.mark.parametrize("how", ["recv", "recv_op"])
     @pytest.mark.parametrize("timeout", [float("nan"), -1.0])
     def test_bad_timeout_rejected(self, how, timeout):
         def p(ctx):
-            if how == "wait_any":
-                req = yield from ctx.post_recv(ctx.mailbox)
-                yield from ctx.wait_any([req], timeout=timeout)
-            else:
+            if how == "recv":
                 yield from ctx.recv(ctx.mailbox, timeout=timeout)
+            else:  # the syscall a worker yields itself
+                yield ctx.recv_op(ctx.mailbox, timeout=timeout)
 
         sim = Simulation()
         sim.add_proc(p)
@@ -181,43 +180,21 @@ class TestMessaging:
         sim.add_proc(receiver)
         assert sim.run().results[1] == [0, 1, 2]
 
-    def test_cancel_removes_pending(self):
-        sim = Simulation()
-
-        def p(ctx):
-            req = yield from ctx.post_recv(ctx.mailbox)
-            yield from ctx.cancel(req)
-            return req.cancelled
-
-        out, pid = run_single(p)
-        assert out.results[pid] is True
-
-    def test_wait_on_cancelled_request_raises(self):
-        def p(ctx):
-            req = yield from ctx.post_recv(ctx.mailbox)
-            yield from ctx.cancel(req)
-            yield from ctx.wait(req)
-
-        sim = Simulation()
-        sim.add_proc(p)
-        with pytest.raises(SimError, match="cancelled"):
-            sim.run()
-
     def test_cancelled_recv_does_not_consume_message(self):
-        """A message sent after cancel must land in the queue, not the
-        withdrawn request — a later receive picks it up."""
+        """A message sent after a receive timed out must land in the
+        queue, not the withdrawn receive — a later receive picks it up."""
         sim = Simulation()
 
         def p(ctx):
-            first = yield from ctx.post_recv(ctx.mailbox, tag=7)
-            yield from ctx.cancel(first)
+            first = yield from ctx.recv(ctx.mailbox, tag=7, timeout=0.25)
+            withdrawn = not ctx.mailbox._pending
             yield from ctx.compute(1.0)  # let the message arrive meanwhile
             second = yield from ctx.post_recv(ctx.mailbox, tag=7)
             payload = yield from ctx.wait(second)
-            return first.payload, payload
+            return first, withdrawn, payload
 
         def sender(ctx):
-            yield from ctx.compute(0.5)  # send strictly after the cancel
+            yield from ctx.compute(0.5)  # send strictly after the timeout
             yield from ctx.send_to_mailbox(
                 sim.mailbox_of(0), "kept", source=1, tag=7, nbytes=8, same_node=True
             )
@@ -225,7 +202,7 @@ class TestMessaging:
         pid = sim.add_proc(p)
         sim.add_proc(sender)
         out = sim.run()
-        assert out.results[pid] == (None, "kept")
+        assert out.results[pid] == (None, True, "kept")
 
 
 class TestSharedMailbox:
@@ -257,7 +234,7 @@ class TestSharedMailbox:
 
 
 class TestEvents:
-    def test_wait_any_event_vs_message(self):
+    def test_event_set_before_any_message_wins(self):
         sim = Simulation()
         ev = Event()
 
@@ -266,27 +243,26 @@ class TestEvents:
             yield from ctx.set_event(ev)
 
         def waiter(ctx):
-            req = yield from ctx.post_recv(ctx.mailbox)
-            idx, payload = yield from ctx.wait_any([req, ev])
-            yield from ctx.cancel(req)
-            return idx, ctx.now
+            req = yield from ctx.recv(ctx.mailbox, event=ev)
+            return req, ctx.now
 
         sim.add_proc(setter)
         sim.add_proc(waiter)
-        idx, t = sim.run().results[1]
-        assert idx == 1 and t == pytest.approx(2.0)
+        req, t = sim.run().results[1]
+        assert req is None and t == 2.0
 
     def test_event_already_set_returns_immediately(self):
         sim = Simulation()
         ev = Event()
 
         def setter_then_waiter(ctx):
+            yield from ctx.compute(1.0)
             yield from ctx.set_event(ev)
-            idx, _ = yield from ctx.wait_any([ev])
-            return idx
+            req = yield from ctx.recv(ctx.mailbox, event=ev)
+            return req, ctx.now
 
         out, pid = run_single_sim(sim, setter_then_waiter)
-        assert out.results[pid] == 0
+        assert out.results[pid] == (None, 1.0)
 
     def test_multiple_waiters_all_wake(self):
         sim = Simulation()
@@ -297,7 +273,7 @@ class TestEvents:
             yield from ctx.set_event(ev)
 
         def waiter(ctx):
-            yield from ctx.wait_any([ev])
+            yield from ctx.recv(ctx.mailbox, event=ev)
             return ctx.now
 
         sim.add_proc(setter)
@@ -362,7 +338,7 @@ class TestRecv:
         first, withdrawn, t_event, payload = sim.run().results[pid]
         assert first is None and withdrawn
         assert t_event == 2.0
-        # a received message beats an already set event, as in wait_any
+        # a queued message beats an already set event
         assert payload == "kept"
 
     def test_set_event_returns_none_without_blocking(self):
@@ -540,29 +516,72 @@ class TestWaitAccounting:
 
 
 # --------------------------------------------------------------------------
-# recv against the three-syscall form it replaces, on random schedules
+# recv against a direct model of post, wait for any of match / event /
+# deadline, and cancel, on random schedules
 # --------------------------------------------------------------------------
 
 
-def _receive_three_calls(ctx, mailbox, tag, event, timeout):
-    req = yield from ctx.post_recv(mailbox, tag=tag)
-    waitables = [req] if event is None else [req, event]
-    fired, _ = yield from ctx.wait_any(waitables, timeout=timeout)
-    if fired != 0:  # the event or the deadline won
-        yield from ctx.cancel(req)
-        return None
-    return req
+class ReferenceSimulation(Simulation):
+    """``Simulation`` whose ``recv`` keeps its blocked receives in one
+    table, ``proc -> (request, event)``, which every match, event set and
+    deadline looks up — in place of the engine's per-proc wait state and
+    per-event waiter lists.  Clocks are charged by the engine's helpers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._blocked: dict = {}
+
+    def _do_recv(self, proc, sc):
+        req = self._do_recv_post(proc, sc)
+        event = sc.event
+        if req.done:  # a match is queued: take it
+            self._charge_receive(proc, req.completion_time)
+            proc.sendval = req
+            self._push(proc)
+        elif event is not None and event.done:  # cancelled at once
+            self._cancel(req)
+            proc.clock = max(proc.clock, event.set_time)
+            self._push(proc)
+        else:
+            req._waiter = proc
+            self._blocked[proc] = (req, event)
+            self._block(proc, sc.timeout)
+
+    def _wake_receiver(self, proc, req):  # the match came first
+        del self._blocked[proc]
+        proc.timeout_token = None
+        self._resume_received(proc, req)
+
+    def _fire_timeout(self, proc, deadline):  # the deadline came first
+        req, _ = self._blocked.pop(proc)
+        self._give_up(proc, req, deadline)
+
+    def _do_set_event(self, proc, sc):  # the event came first
+        ev = sc.event
+        if not ev.done:
+            ev.done, ev.set_time = True, proc.clock
+            for waiter, (req, event) in list(self._blocked.items()):
+                if event is ev:
+                    del self._blocked[waiter]
+                    self._give_up(waiter, req, ev.set_time)
+        self._push(proc)
+
+    def _give_up(self, proc, req, at):
+        self._cancel(req)
+        proc.sendval = None
+        self._unblock(proc, at)
+
+    @staticmethod
+    def _cancel(req):
+        req._mailbox._pending.remove(req)
+        req._waiter = None
 
 
-def _receive_one_call(ctx, mailbox, tag, event, timeout):
-    return (yield from ctx.recv(mailbox, tag=tag, event=event, timeout=timeout))
-
-
-def _random_schedule(seed: int, receive):
+def _random_schedule(seed: int, sim_cls):
     """Senders, receivers sharing two mailboxes, and an event setter, all
-    timed by one seeded draw; ``receive`` is the receive under test."""
+    timed by one seeded draw, on ``sim_cls``."""
     rng = random.Random(seed)
-    sim = Simulation()
+    sim = sim_cls()
     boxes = [sim.new_mailbox(f"mb{i}") for i in range(2)]
     ev = Event()
     n_recv = rng.randint(1, 4)
@@ -586,7 +605,9 @@ def _random_schedule(seed: int, receive):
         got = []
         for think, mb, tag, with_event, timeout in steps:
             yield from ctx.compute(think)
-            req = yield from receive(ctx, boxes[mb], tag, ev if with_event else None, timeout)
+            req = yield from ctx.recv(
+                boxes[mb], tag=tag, event=ev if with_event else None, timeout=timeout
+            )
             got.append(None if req is None else (req.payload, req.source, req.tag, req.arrival))
         return got
 
@@ -619,15 +640,15 @@ def _random_schedule(seed: int, receive):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_recv_equals_post_wait_any_cancel(seed):
-    clocks, results, stats, queued, n_events = _random_schedule(seed, _receive_one_call)
+    clocks, results, stats, queued, n_events = _random_schedule(seed, Simulation)
     ref_clocks, ref_results, ref_stats, ref_queued, ref_events = _random_schedule(
-        seed, _receive_three_calls
+        seed, ReferenceSimulation
     )
     assert results == ref_results
     assert clocks == ref_clocks
     assert stats == ref_stats
     assert queued == ref_queued
-    assert n_events < ref_events
+    assert n_events == ref_events  # one event per receive, whatever came first
 
 
 def run_single_sim(sim, program, *args):
@@ -704,6 +725,25 @@ class TestStopFlagReceives:
             yield from ctx.recv(ctx.mailbox)
 
         sim.add_proc(server, name="stuck")
+        with pytest.raises(DeadlockError, match="stuck"):
+            sim.run()
+
+    def test_a_collective_after_a_timed_receive_deadlocks_on_a_lossy_fabric(self):
+        """A proc left in a collective holds no receive: it is a deadlock
+        (once an IndexError, when it had made a receive before)."""
+        from repro.simmpi import Comm
+
+        sim = Simulation(faults=FaultInjector(FaultSpec(links=(LinkFault(drop_prob=0.5),))))
+        holder = {}
+
+        def member(ctx):
+            yield from ctx.recv(ctx.mailbox, timeout=1.0)
+            yield from holder["comm"].barrier(ctx)
+
+        def absent(ctx):
+            yield from ctx.compute(1.0)
+
+        holder["comm"] = Comm(sim, [sim.add_proc(member, name="stuck"), sim.add_proc(absent)])
         with pytest.raises(DeadlockError, match="stuck"):
             sim.run()
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core import DistributedANN, SystemConfig
 from repro.core.messages import TAG_RESULT, TAG_THREAD_DONE
 from repro.simmpi import engine
-from repro.simmpi.engine import ANY_SOURCE, ANY_TAG, Request, Simulation
+from repro.simmpi.engine import ANY_SOURCE, ANY_TAG, Event, Request, Simulation
 from repro.simmpi.errors import DeadlockError
 
 # --------------------------------------------------------------------------
@@ -59,7 +59,7 @@ class ReferenceSimulation(Simulation):
                 mailbox._pending.remove(req)
                 req._complete(msg)
                 if req._waiter is not None:
-                    self._finish_wait_any(req._waiter, req, msg.payload)
+                    self._wake_receiver(req._waiter, req)
                 return
         self._queues.setdefault(mailbox, []).append(msg)
 
@@ -86,7 +86,7 @@ class ReferenceSimulation(Simulation):
 N_MAILBOXES = 2
 SEND_TAGS = [0, 1, (7, 0), (7, 1), (8, 0)]
 RECV_TAGS = [*SEND_TAGS, ANY_TAG, (7, ANY_TAG), (ANY_TAG, 0), (ANY_TAG, ANY_TAG), (9, ANY_TAG)]
-OP_WEIGHTS = {"compute": 3, "send": 6, "post": 5, "wait": 1, "wait_any": 3, "cancel": 1}
+OP_WEIGHTS = {"compute": 3, "send": 6, "post": 5, "wait": 1, "recv": 4, "set": 1}
 
 
 def make_script(rng: random.Random) -> list[list[tuple]]:
@@ -118,15 +118,21 @@ def make_script(rng: random.Random) -> list[list[tuple]]:
             elif kind == "post":
                 source = rng.choice([ANY_SOURCE, ANY_SOURCE, *range(n_procs)])
                 ops.append((kind, rng.randrange(n_mailboxes), source, rng.choice(RECV_TAGS)))
-            elif kind == "wait_any":
-                picked = [slot() for _ in range(rng.randint(1, 3))]
-                ops.append((kind, picked, rng.choice([0.0, 1e-6, 1e-4])))
+            elif kind == "recv":
+                # timed, guarded by the script's event, or both
+                source = rng.choice([ANY_SOURCE, ANY_SOURCE, *range(n_procs)])
+                guarded = rng.random() < 0.5
+                timeout = rng.choice([None, 0.0, 1e-6, 1e-4]) if guarded else rng.choice(
+                    [0.0, 1e-6, 1e-4]
+                )
+                ops.append((kind, rng.randrange(n_mailboxes), source, rng.choice(RECV_TAGS),
+                            guarded, timeout))
             elif kind == "wait":
                 # blocking on a receive nothing will match is a deadlock, which
                 # ends the comparison early: most waits only block when asked to
                 ops.append((kind, slot(), rng.random() < 0.2))
             else:
-                ops.append((kind, slot()))
+                ops.append((kind,))
         script.append(ops)
     return script
 
@@ -137,6 +143,7 @@ def run_script(sim_cls, script):
     boxes = [sim.new_mailbox(f"mb{i}") for i in range(N_MAILBOXES)]
     log: list = []  # (pid, op index, virtual time, outcome), in engine order
     posted: list = []  # (pid, op index, Request)
+    event = Event()
 
     def program(ctx, ops):
         reqs: list[Request] = []
@@ -155,20 +162,22 @@ def run_script(sim_cls, script):
                 req = yield from ctx.post_recv(boxes[mb], source=source, tag=tag)
                 reqs.append(req)
                 posted.append((ctx.pid, i, req))
-            elif not reqs:
-                continue
-            elif kind == "wait":
+            elif kind == "recv":
+                _, mb, source, tag, guarded, timeout = op
+                req = yield from ctx.recv(
+                    boxes[mb], source=source, tag=tag, event=event if guarded else None,
+                    timeout=timeout,
+                )
+                got = None if req is None else (req.source, req.tag, req.payload, req.arrival)
+                log.append((ctx.pid, i, ctx.now, got))
+            elif kind == "set":
+                yield from ctx.set_event(event)
+            elif kind == "wait" and reqs:
                 req = reqs[op[1] % len(reqs)]
-                if req.cancelled or not (req.done or op[2]):
-                    continue  # the engine rejects a wait on a cancelled request
+                if not (req.done or op[2]):
+                    continue
                 payload = yield from ctx.wait(req)
                 log.append((ctx.pid, i, ctx.now, payload))
-            elif kind == "wait_any":
-                picked = [reqs[s % len(reqs)] for s in op[1]]
-                fired = yield from ctx.wait_any(picked, timeout=op[2])
-                log.append((ctx.pid, i, ctx.now, fired))
-            elif kind == "cancel":
-                yield from ctx.cancel(reqs[op[1] % len(reqs)])
         return ctx.now
 
     for pid, ops in enumerate(script):
@@ -179,7 +188,7 @@ def run_script(sim_cls, script):
     except DeadlockError as exc:
         outcome = ("deadlock", str(exc))
     pairing = [
-        (pid, i, r.done, r.cancelled, r.source, r.tag, r.payload, r.arrival, r.completion_time)
+        (pid, i, r.done, r.source, r.tag, r.payload, r.arrival, r.completion_time)
         for pid, i, r in posted
     ]
     return outcome, log, pairing
