@@ -257,6 +257,7 @@ class Request:
         "source",
         "tag",
         "arrival",
+        "deadline",
         "_mailbox",
         "_match_source",
         "_match_tag",
@@ -273,6 +274,8 @@ class Request:
         #: wire arrival time of the matched message (None until done) — lets
         #: receivers attribute mailbox queueing delay without wire changes
         self.arrival: float | None = None
+        #: a match arriving later is not this receive's (a timed ``recv``)
+        self.deadline = _INF
         self._mailbox = mailbox
         self._match_source = source
         self._match_tag = tag
@@ -406,10 +409,10 @@ class Mailbox:
                 best, best_heap = msg, heap
         return best, best_heap
 
-    def _take(self, source: int, tag) -> _Message | None:
-        """Remove and return what :meth:`_find` finds."""
+    def _take(self, source: int, tag, by: float = _INF) -> _Message | None:
+        """Remove and return what :meth:`_find` finds, if it arrives ``by``."""
         best, best_heap = self._find(source, tag)
-        if best is None:
+        if best is None or best.arrival > by:
             return None
         if best is best_heap[0]:
             heapq.heappop(best_heap)
@@ -633,7 +636,8 @@ class Context:
         ``timeout`` in virtual seconds, it resumes with ``None`` when the
         event is set first or the deadline passes, and the receive is
         withdrawn in the same step, so a message arriving later stays
-        queued for the next receive.
+        queued for the next receive — one that arrives after the deadline
+        is never this receive's, even if it was sent (or queued) before.
 
         ``compute=(seconds, kind)`` charges that computation first: the
         clocks, stats and matching of ``compute(seconds, kind)`` followed
@@ -1204,6 +1208,8 @@ class Simulation:
     def _deliver(self, mailbox: Mailbox, msg: _Message) -> None:
         for req in mailbox._pending:
             if req._matches(msg.source, msg.tag):
+                if msg.arrival > req.deadline:
+                    continue  # the receive times out first; the message is not its
                 if type(req) is _Gather:
                     self._gather(req, msg)
                     return
@@ -1214,12 +1220,13 @@ class Simulation:
                 return
         mailbox._put(msg)
 
-    def _do_recv_post(self, proc: _Proc, sc: _RecvPost) -> Request:
+    def _do_recv_post(self, proc: _Proc, sc: _RecvPost, deadline: float = _INF) -> Request:
         req = Request(sc.mailbox, sc.source, sc.tag, proc.clock)
-        msg = sc.mailbox._take(sc.source, sc.tag)
+        msg = sc.mailbox._take(sc.source, sc.tag, deadline)
         if msg is not None:
             req._complete(msg)
         else:
+            req.deadline = deadline
             sc.mailbox._pending.append(req)
         return req
 
@@ -1238,8 +1245,10 @@ class Simulation:
             self._charge_then(proc, sc, self._do_recv)
             return
         # a post, a wait for the match, the event or the deadline, and the
-        # withdrawal of an unmatched receive, in one event
-        req = self._do_recv_post(proc, sc)
+        # withdrawal of an unmatched receive, in one event; a match that
+        # arrives after the deadline stays queued
+        timeout = sc.timeout
+        req = self._do_recv_post(proc, sc, _INF if timeout is None else proc.clock + timeout)
         if req.done:
             self._resume_received(proc, req)
             return
@@ -1254,7 +1263,7 @@ class Simulation:
         if event is not None:
             proc._guard = event
             event._waiters.append(proc)
-        self._block(proc, sc.timeout)
+        self._block(proc, timeout)
 
     def _do_recv_n(self, proc: _Proc, sc: _RecvN) -> None:
         gather = _Gather(sc.mailbox, sc.source, sc.tag, proc.clock, sc.n)

@@ -9,7 +9,7 @@ import pytest
 from repro.faults import FaultInjector, FaultSpec, LinkFault, RankCrash, SlowNode
 from repro.obs.trace import TraceRecorder
 from repro.simmpi import DeadlockError, ProcError, SimError, Simulation
-from repro.simmpi.engine import ANY_SOURCE, ANY_TAG, Event, payload_nbytes
+from repro.simmpi.engine import ANY_SOURCE, ANY_TAG, Event, Request, payload_nbytes
 
 
 def run_single(program, *args, **kwargs):
@@ -369,6 +369,35 @@ class TestRecv:
         assert out.stats[pid].comm_wait == 1.25
         assert len(sim.mailbox_of(pid)) == 1  # the late message stays queued
 
+    @pytest.mark.parametrize("send_first", [True, False])
+    def test_a_match_arriving_after_the_deadline_stays_queued(self, send_first):
+        """A 50 MB message, on the wire until ~5 ms, is not the match of a
+        receive that times out at 1 ms — whether it was queued before the
+        post or delivered while the receive waited."""
+        sim = Simulation()
+
+        def receiver(ctx):
+            if send_first:
+                yield from ctx.compute(1e-6)
+            req = yield from ctx.recv(ctx.mailbox, timeout=1e-3)
+            return req, ctx.now
+
+        def sender(ctx):
+            if not send_first:
+                yield from ctx.compute(1e-6)
+            yield from ctx.send_to_mailbox(
+                sim.mailbox_of(0), "big", source=ctx.pid, tag=0, nbytes=50 << 20,
+                same_node=False,
+            )
+
+        sim.add_proc(receiver)
+        sim.add_proc(sender)
+        out = sim.run()
+        assert out.results[0] == (None, (1e-6 if send_first else 0.0) + 1e-3)
+        assert len(sim.mailbox_of(0)) == 1 and not sim.mailbox_of(0)._pending
+        (msg,) = sim.mailbox_of(0)._buckets[0]
+        assert msg.arrival > 4e-3
+
     def test_message_before_deadline_disarms_the_timer(self):
         sim = Simulation()
 
@@ -523,16 +552,23 @@ class TestWaitAccounting:
 
 class ReferenceSimulation(Simulation):
     """``Simulation`` whose ``recv`` keeps its blocked receives in one
-    table, ``proc -> (request, event)``, which every match, event set and
-    deadline looks up — in place of the engine's per-proc wait state and
-    per-event waiter lists.  Clocks are charged by the engine's helpers."""
+    table, ``proc -> (request, event, deadline)``, which every match,
+    event set and deadline looks up — in place of the engine's per-proc
+    wait state, per-event waiter lists and per-request deadlines.  Clocks
+    are charged by the engine's helpers."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._blocked: dict = {}
 
     def _do_recv(self, proc, sc):
-        req = self._do_recv_post(proc, sc)
+        deadline = float("inf") if sc.timeout is None else proc.clock + sc.timeout
+        first = sc.mailbox._find(sc.source, sc.tag)[0]
+        if first is not None and first.arrival <= deadline:
+            req = self._do_recv_post(proc, sc)
+        else:  # nothing queued arrives in time: post an empty receive
+            req = Request(sc.mailbox, sc.source, sc.tag, proc.clock)
+            sc.mailbox._pending.append(req)
         event = sc.event
         if req.done:  # a match is queued: take it
             self._charge_receive(proc, req.completion_time)
@@ -544,8 +580,19 @@ class ReferenceSimulation(Simulation):
             self._push(proc)
         else:
             req._waiter = proc
-            self._blocked[proc] = (req, event)
+            self._blocked[proc] = (req, event, deadline)
             self._block(proc, sc.timeout)
+
+    def _deliver(self, mailbox, msg):
+        for req in mailbox._pending:
+            if req._matches(msg.source, msg.tag):
+                if msg.arrival > self._blocked[req._waiter][2]:
+                    continue  # its receive times out before the message lands
+                mailbox._pending.remove(req)
+                req._complete(msg)
+                self._wake_receiver(req._waiter, req)
+                return
+        mailbox._put(msg)
 
     def _wake_receiver(self, proc, req):  # the match came first
         del self._blocked[proc]
@@ -553,14 +600,14 @@ class ReferenceSimulation(Simulation):
         self._resume_received(proc, req)
 
     def _fire_timeout(self, proc, deadline):  # the deadline came first
-        req, _ = self._blocked.pop(proc)
+        req, _, _ = self._blocked.pop(proc)
         self._give_up(proc, req, deadline)
 
     def _do_set_event(self, proc, sc):  # the event came first
         ev = sc.event
         if not ev.done:
             ev.done, ev.set_time = True, proc.clock
-            for waiter, (req, event) in list(self._blocked.items()):
+            for waiter, (req, event, _) in list(self._blocked.items()):
                 if event is ev:
                     del self._blocked[waiter]
                     self._give_up(waiter, req, ev.set_time)

@@ -55,7 +55,7 @@ class ReferenceSimulation(Simulation):
 
     def _deliver(self, mailbox, msg):
         for req in mailbox._pending:
-            if _ref_matches(req, msg.source, msg.tag):
+            if _ref_matches(req, msg.source, msg.tag) and msg.arrival <= req.deadline:
                 mailbox._pending.remove(req)
                 req._complete(msg)
                 if req._waiter is not None:
@@ -63,7 +63,7 @@ class ReferenceSimulation(Simulation):
                 return
         self._queues.setdefault(mailbox, []).append(msg)
 
-    def _do_recv_post(self, proc, sc):
+    def _do_recv_post(self, proc, sc, deadline=float("inf")):
         req = Request(sc.mailbox, sc.source, sc.tag, proc.clock)
         queue = self._queues.setdefault(sc.mailbox, [])
         best_idx, best = -1, None
@@ -71,10 +71,11 @@ class ReferenceSimulation(Simulation):
             if _ref_matches(req, msg.source, msg.tag):
                 if best is None or (msg.arrival, msg.seq) < (best.arrival, best.seq):
                     best_idx, best = idx, msg
-        if best is not None:
+        if best is not None and best.arrival <= deadline:
             del queue[best_idx]
             req._complete(best)
         else:
+            req.deadline = deadline
             sc.mailbox._pending.append(req)
         return req
 
