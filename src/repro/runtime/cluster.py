@@ -223,8 +223,11 @@ class ClusterRuntime:
         workers, which pass it to ``search_batch(filter=)`` — so it needs
         a searcher with that call, not a one-row one (``TypeError``).
         None leaves every message and result bit-identical to the
-        pre-filtering wire.
+        pre-filtering wire.  ``Q`` is taken as C-contiguous float32 rows,
+        what every search reads, so the task messages carry 4 bytes a
+        coordinate whatever the caller's dtype.
         """
+        Q = np.ascontiguousarray(Q, dtype=np.float32)
         cfg = self.config
         worker_searcher = _batched(searcher, fpayload)
         workgroups.reset()

@@ -399,8 +399,9 @@ def test_answers_outlive_their_call(systems, monkeypatch):
 @pytest.mark.parametrize("threaded", [False, True])
 def test_float64_noncontiguous_queries_are_converted_once(monkeypatch, threaded):
     """A float64 query matrix that is not contiguous answers as its
-    float32 rows do through ``ClusterRuntime.run_search``; one-row tasks
-    read the one float32 copy the call makes of it."""
+    float32 rows do through ``ClusterRuntime.run_search``, at the same
+    virtual times and with the same bytes on the wire; one-row tasks read
+    the one float32 copy the call makes of it."""
     config = SystemConfig(**CASES["closed_b1_onesided"][0])
     ann = DistributedANN(config)
     ann.fit(X, metadata=TIERS)
@@ -426,11 +427,15 @@ def test_float64_noncontiguous_queries_are_converted_once(monkeypatch, threaded)
         strategy_for(config), ann._build.router, ann._build.workgroups, ann._build.node_stores,
         RealHnswSearcher(config.cost, config.effective_ef_search), Q64, config.k,
     )
-    # the answers; the wire carries the caller's float64 rows, so bytes differ
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2].total_seconds == want[2].total_seconds
+    counters, want_counters = got[2].metrics["counters"], want[2].metrics["counters"]
+    assert counters["sim.bytes_sent"] == want_counters["sim.bytes_sent"]
+    assert counters["sim.events"] == want_counters["sim.events"]
     if COMPILED:
         assert spy.staged and all(nq == 1 for nq, _ in spy.staged)
-        assert len(conversions) == 1 and conversions[0] is Q64
+        (rows,) = conversions
+        assert rows.dtype == np.float32 and rows.flags.c_contiguous and np.array_equal(rows, Q)
 
 
 def test_ring_entries_declare_their_types():
