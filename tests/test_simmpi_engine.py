@@ -776,8 +776,8 @@ class TestStopFlagReceives:
             sim.run()
 
     def test_a_collective_after_a_timed_receive_deadlocks_on_a_lossy_fabric(self):
-        """A proc left in a collective holds no receive: it is a deadlock
-        (once an IndexError, when it had made a receive before)."""
+        """A proc left in a collective holds no receive, whatever receives
+        it made before: on a lossy fabric too, that is a deadlock."""
         from repro.simmpi import Comm
 
         sim = Simulation(faults=FaultInjector(FaultSpec(links=(LinkFault(drop_prob=0.5),))))

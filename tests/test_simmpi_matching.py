@@ -4,10 +4,11 @@
 receive does not depend on how many messages wait.  What a receive *gets*
 must be exactly what the two linear scans of the original engine gave:
 the first posted request a delivered message matches, and for a posted
-receive the queued match with the smallest ``(arrival, seq)``.  The
-reference below is those two loops, verbatim, over one plain list per
-mailbox; random scripts are run on both and must agree on every request's
-message, every clock and the event count.
+receive the queued match with the smallest ``(arrival, seq)`` — each
+bounded by a timed receive's deadline.  The reference below is those two
+loops over one plain list per mailbox; random scripts of posts, waits,
+timed and event-guarded receives are run on both and must agree on every
+request's message, every clock and the event count.
 
 The second half guards the cost: matcher work per receive may not grow
 with the queue, on a bare engine and on the real coordinator.
