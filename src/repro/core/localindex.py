@@ -9,16 +9,13 @@ that seam:
   its routing coverage).
 - :class:`VPTreeLocalSearcher` — exact metric-tree search per partition
   (cheaper than brute force, still exact).
-- :class:`IvfPqLocalSearcher` — compressed IVF-PQ partitions (the
-  related-work comparator class); demonstrates the recall plateau of
-  compressed indexes inside the same distributed harness.
 
 Each offers the one-row ``search(partition, query, k)`` call, which
 ``ClusterRuntime.run_search`` adapts to the batched
-:class:`~repro.core.searcher.LocalSearcher` protocol.  The VP-tree and
-IVF-PQ searchers are paired with a ``build(partition)`` hook that puts
-their index into ``partition.index``; run it over a fitted system's
-``partitions.values()`` before querying with the searcher.
+:class:`~repro.core.searcher.LocalSearcher` protocol.  The VP-tree
+searcher is paired with a ``build(partition)`` hook that puts its tree into
+``partition.index``; run it over a fitted system's ``partitions.values()``
+before querying with the searcher.
 """
 
 from __future__ import annotations
@@ -28,14 +25,12 @@ import numpy as np
 from repro.core.partition import Partition
 from repro.metrics import Metric, get_metric
 from repro.metrics.topk import exact_topk
-from repro.pq.ivfpq import IVFPQIndex
 from repro.simmpi.costmodel import CostModel
 from repro.vptree.tree import VPTree
 
 __all__ = [
     "BruteForceSearcher",
     "VPTreeLocalSearcher",
-    "IvfPqLocalSearcher",
 ]
 
 
@@ -83,52 +78,3 @@ class VPTreeLocalSearcher:
         n = partition.n_points
         return self.cost.distance_cost(int(n * max(np.log2(max(n, 2)), 1.0)), partition.points.shape[1])
 
-
-class IvfPqLocalSearcher:
-    """Compressed IVF-PQ search per partition.
-
-    ``n_probe_cells`` probes that many coarse cells inside the partition's
-    index.  The ADC cost charged is one lookup-sum per scanned code — far
-    cheaper per point than full distances, which is the compression
-    trade's other half.
-    """
-
-    def __init__(self, cost: CostModel, n_probe_cells: int = 4) -> None:
-        self.cost = cost
-        self.n_probe_cells = n_probe_cells
-
-    @staticmethod
-    def build(
-        partition: Partition,
-        n_cells: int = 16,
-        n_subspaces: int = 8,
-        n_centroids: int = 64,
-        seed: int = 0,
-    ) -> None:
-        idx = IVFPQIndex(n_cells=n_cells, n_subspaces=n_subspaces, n_centroids=n_centroids, seed=seed)
-        idx.fit(partition.points, partition.ids)
-        partition.index = idx
-
-    def search(self, partition: Partition, query: np.ndarray, k: int):
-        idx = partition.index
-        if not isinstance(idx, IVFPQIndex):
-            raise ValueError(
-                f"partition {partition.partition_id} holds {type(idx).__name__}, "
-                "expected IVFPQIndex — run IvfPqLocalSearcher.build on it first"
-            )
-        before = idx.n_dist_evals
-        idx.n_probe = self.n_probe_cells
-        d, ids = idx.knn_search(query, k)
-        scanned = idx.n_dist_evals - before
-        # ADC: table build (n_centroids x sub_dim madds x n_subspaces) plus
-        # n_subspaces lookup-adds per scanned code
-        table_cost = self.cost.distance_cost(
-            idx.pq.n_centroids * idx.pq.n_subspaces, idx.pq.sub_dim
-        )
-        scan_cost = self.cost.compare_cost(scanned * idx.pq.n_subspaces)
-        return d, ids, table_cost + scan_cost
-
-    def build_seconds(self, partition: Partition) -> float:
-        n = partition.n_points
-        # k-means training passes dominate
-        return self.cost.distance_cost(25 * n, partition.points.shape[1])

@@ -15,6 +15,12 @@ Two implementations:
   from a small real subsample so result messages carry realistic bytes.
   Used for the billion-point scaling experiments where indexing the real
   volume is impossible in this environment (see DESIGN.md substitutions).
+  :class:`GpuModeledSearcher` prices the same rows on the §VI GPU
+  projection; it regenerates that row of DESIGN.md.
+
+The exact one-row searchers of :mod:`repro.core.localindex` (brute force,
+a VP-tree per partition) show §VI's other claim, that any local index
+can replace HNSW behind this interface.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """One exact top-k: the k rows of a point set nearest to each query.
 
 Every brute-force ranking in the package — the ``pre`` filter branch and
-the sample scan of the cluster searchers, the brute-force local searcher
-and LSH's candidate ranking — is this routine.  Each row is ranked on its
+the sample scan of the cluster searchers and the brute-force local
+searcher — is this routine.  Each row is ranked on its
 metric's ``one_to_many`` distances and the k smallest are kept in
 ``(d, id)`` order, ties broken by id and then by row order.
 

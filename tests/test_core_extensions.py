@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import DistributedANN, SystemConfig
-from repro.core.localindex import (
-    BruteForceSearcher,
-    IvfPqLocalSearcher,
-    VPTreeLocalSearcher,
-)
+from repro.core.localindex import BruteForceSearcher, VPTreeLocalSearcher
 from repro.datasets import brute_force_knn, sample_queries, sift_like
 from repro.eval import recall_at_k
 from repro.hnsw import HnswParams
@@ -81,19 +77,6 @@ class TestAlternativeLocalIndexes:
             VPTreeLocalSearcher.build(p, seed=1)
         _, _, rep_v = ann.query_with_searcher(Q, 5, VPTreeLocalSearcher(CostModel()))
         assert rep_v.worker_breakdown["compute"] < rep_b.worker_breakdown["compute"]
-
-    def test_ivfpq_local_search_lossy_but_useful(self, fitted):
-        ann, X, Q, gt_d, gt_i = fitted
-        for p in ann.partitions.values():
-            IvfPqLocalSearcher.build(p, n_cells=8, n_subspaces=4, n_centroids=32, seed=1)
-        try:
-            searcher = IvfPqLocalSearcher(CostModel(), n_probe_cells=8)
-            D, I, rep = ann.query_with_searcher(Q, 10, searcher)
-            rec = recall_at_k(I, gt_i)
-            # compressed: clearly below exact, clearly above chance
-            assert 0.2 <= rec < 0.999
-        finally:
-            restore_hnsw_indexes(ann)
 
     def test_wrong_index_type_raises(self, fitted):
         ann, X, Q, *_ = fitted

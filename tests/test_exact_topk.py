@@ -18,7 +18,6 @@ from repro.core.searcher import ModeledSearcher, RealHnswSearcher
 from repro.filtering import FilterSpec, mask_for
 from repro.hnsw import HnswIndex, HnswParams
 from repro.hnsw import native
-from repro.lsh import LSHIndex
 from repro.metrics import get_metric
 from repro.metrics.topk import ExactTopk, ScanRows, exact_topk, reference_topk
 from repro.simmpi.costmodel import CostModel
@@ -242,13 +241,3 @@ def test_brute_force_searcher(grid_partition):
         d, ids, _ = s.search(part, q, 11)
         _assert_row(d, ids, _inline(s.metric, q, part.points, part.ids, 11))
 
-
-def test_lsh_index():
-    rng = np.random.default_rng(23)
-    X = _grid(rng, 300, 10, signed_zero=False)
-    ids = rng.permutation(10_000)[:300].astype(np.int64)
-    idx = LSHIndex(n_tables=4, n_bits=3, seed=1).fit(X, ids)
-    for q in _grid(rng, 8, 10, signed_zero=False):
-        cand = idx.candidates(q)
-        d, got_ids = idx.knn_search(q, 6)
-        _assert_row(d, got_ids, _inline(get_metric("l2"), q, X[cand], ids[cand], 6))

@@ -1,7 +1,7 @@
 """The k-NN search contract of the in-memory indexes.
 
 Every backend — production HNSW, the reference HNSW oracle, and the
-KD-tree / VP-tree / LSH / IVF-PQ comparators — answers
+KD-tree / VP-tree comparators — answers
 ``knn_search(q, k)`` with ``(distances, ids)`` closest first, as float64 /
 int64.  Only :class:`~repro.hnsw.HnswIndex` also takes a whole query
 matrix (``knn_search_batch``, rows padded with ``inf`` / ``-1``) and a
@@ -16,8 +16,6 @@ from repro.datasets import sample_queries, sift_like
 from repro.hnsw import HnswIndex, HnswParams
 from repro.hnsw.reference import ReferenceHnswIndex
 from repro.kdtree import KDTree
-from repro.lsh import LSHIndex
-from repro.pq import IVFPQIndex
 from repro.vptree import VPTree
 
 DIM = 24
@@ -40,10 +38,6 @@ BACKENDS = {
     "reference_hnsw": _build_reference,
     "kdtree": lambda X: KDTree(X, leaf_size=16),
     "vptree": lambda X: VPTree(X, leaf_size=16, seed=11),
-    "lsh": lambda X: LSHIndex(n_tables=12, n_bits=8, seed=11).fit(X),
-    "ivfpq": lambda X: IVFPQIndex(
-        n_cells=8, n_subspaces=4, n_centroids=32, seed=11, n_probe=8
-    ).fit(X),
 }
 
 #: the backends with ``knn_search_batch`` and a ``filter=`` mask
