@@ -681,8 +681,8 @@ void search_ring_serve(ring_t *r, i64 cpu)
 
 /* ====================================================================
  * Native insert path (INSERT, paper Alg. 1): greedy descent, beam
- * search, neighbor selection (SELECT-NEIGHBORS, simple or Alg. 4
- * heuristic) and link shrinking, batched over many points per call.
+ * search, neighbor selection (SELECT-NEIGHBORS, the Alg. 4 heuristic)
+ * and link shrinking, batched over many points per call.
  *
  * Second bit-identity contract: the python selection/shrink paths
  * compute pairwise candidate distances through scipy's cdist on the
@@ -767,15 +767,13 @@ typedef struct {
 } build_counts_t;
 
 /* SELECT-NEIGHBORS over n candidates pre-sorted ascending by (d, id).
- * Mirrors select.py: simple selection takes the closest m; the
- * heuristic keeps a candidate iff no already-kept candidate is at
- * least as close to it as the query is (pair distance <= d_i), stops
- * once m are kept, and with keep_pruned backfills the first examined
- * discards.  The output (ascending by (d, id), like the python
- * position-order merge) goes to (out_d, out_i); returns its length.
- * Under the heuristic out_dom says why each output entry is there: -1
- * for a kept one, else the id of the first kept candidate that
- * dominated it (a backfilled discard).
+ * Mirrors select.py: keeps a candidate iff no already-kept candidate is
+ * at least as close to it as the query is (pair distance <= d_i), stops
+ * once m are kept, and backfills the first examined discards.  The
+ * output (ascending by (d, id), like the python position-order merge)
+ * goes to (out_d, out_i); returns its length.  out_dom says why each
+ * output entry is there: -1 for a kept one, else the id of the first
+ * kept candidate that dominated it (a backfilled discard).
  *
  * Pair distances are computed on demand, a candidate against one block
  * of kept rows at a time, stopping at the first block that holds a
@@ -787,18 +785,9 @@ typedef struct {
  * their ids and ``ws->dom`` the verdict per candidate position. */
 static i64 select_links(const float *X, i64 dim, const double *cand_d,
                         const int32_t *cand_i, i64 n, i64 m,
-                        int32_t heuristic, int32_t keep_pruned,
                         int32_t do_sqrt, const select_ws_t *ws,
                         double *out_d, int32_t *out_i, int32_t *out_dom)
 {
-    if (!heuristic) {
-        i64 take = n < m ? n : m;
-        for (i64 i = 0; i < take; i++) {
-            out_d[i] = cand_d[i];
-            out_i[i] = cand_i[i];
-        }
-        return take;
-    }
     double *kt = ws->kt;
     int32_t *dom = ws->dom, *kept_i = ws->kept_i;
     i64 n_kept = 0, examined = n;
@@ -825,7 +814,7 @@ static i64 select_links(const float *X, i64 dim, const double *cand_d,
             kt_store(kt, dim, n_kept++, xi);
         }
     }
-    i64 backfill = (keep_pruned && n_kept < m) ? m - n_kept : 0;
+    i64 backfill = n_kept < m ? m - n_kept : 0;
     i64 n_out = 0;
     for (i64 i = 0; i < examined; i++) {
         if (dom[i] >= 0) {
@@ -844,11 +833,9 @@ static i64 select_links(const float *X, i64 dim, const double *cand_d,
  * (python _shrink), the link just appended being node x at query
  * distance d_x.  Python re-selects the whole list every time; this
  * must leave the same links and charges the same logical eval count:
- * cnt query distances plus, under the heuristic, the cnt-candidate
- * cross matrix.
+ * cnt query distances plus the cnt-candidate cross matrix.
  *
- * Under the heuristic every selection leaves a record of itself in the
- * level's state array (python-owned, 1 + 2 * limit int32 per node,
+ * Every selection leaves a record of itself in the level's state array (python-owned, 1 + 2 * limit int32 per node,
  * zeroed = cold):
  *
  *   st[0]            length of the list the record describes
@@ -869,14 +856,13 @@ static i64 select_links(const float *X, i64 dim, const double *cand_d,
  * victim as its dominator; one that does may flip back, a genuine
  * cascade, which — like a cold or stale record — takes the full
  * re-selection below.  The merged list of limit + 1 then loses one
- * entry: without keep_pruned every discard (and any kept one past the
- * cap), with it the last entry when all are kept, else the last discard
- * (the backfill quota shrinks by one).  Only x's pairs to the kept
+ * entry: the last one when all are kept, else the last discard (the
+ * backfill quota shrinks by one).  Only x's pairs to the kept
  * entries are computed, a block of eight at a time, stopping at x's
  * first dominator. */
 static void shrink_node(const graph_t *g, i64 lv, i64 c, i64 limit,
-                        int32_t heuristic, int32_t keep_pruned, double d_x,
-                        const select_ws_t *ws, build_counts_t *counts)
+                        double d_x, const select_ws_t *ws,
+                        build_counts_t *counts)
 {
     i64 stride = g->strides[lv], dim = g->dim;
     int32_t *nrow = level_nbrs(g, lv) + c * stride;
@@ -884,17 +870,13 @@ static void shrink_node(const graph_t *g, i64 lv, i64 c, i64 limit,
     double *tmp_d = ws->tmp_d;
     int32_t *tmp_i = ws->tmp_i, *tmp_dom = ws->sh_dom;
     i64 cnt = cnts[c];
-    counts->evals += heuristic ? cnt + cnt * (cnt - 1) / 2 : cnt;
+    counts->evals += cnt + cnt * (cnt - 1) / 2;
     counts->shrinks++;
-    int32_t *st = 0, *st_dom = 0;
-    float *st_d = 0;
-    if (heuristic) {
-        st = level_state(g, lv) + c * (1 + 2 * limit);
-        st_d = (float *)(st + 1);
-        st_dom = st + 1 + limit;
-    }
+    int32_t *st = level_state(g, lv) + c * (1 + 2 * limit);
+    float *st_d = (float *)(st + 1);
+    int32_t *st_dom = st + 1 + limit;
 
-    if (st && st[0] + 1 == cnt) {
+    if (st[0] + 1 == cnt) {
         i64 k = limit, p = 0, n_victims = 0, x_dom = -1;
         int32_t x = nrow[k];
         int32_t *victims = ws->kept_i;
@@ -943,11 +925,11 @@ static void shrink_node(const graph_t *g, i64 lv, i64 c, i64 limit,
                 }
                 n_kept += tmp_dom[j] < 0;
             }
-            if (keep_pruned && n_kept <= limit)
+            if (n_kept <= limit)
                 while (tmp_dom[drop] < 0)
                     drop--;
             for (i64 j = 0; j <= k && m_out < limit; j++) {
-                if (keep_pruned ? j == drop : tmp_dom[j] >= 0)
+                if (j == drop)
                     continue;
                 st_d[m_out] = (float)tmp_d[j];
                 nrow[m_out] = tmp_i[j];
@@ -977,14 +959,11 @@ static void shrink_node(const graph_t *g, i64 lv, i64 c, i64 limit,
         tmp_d[p + 1] = d;
         tmp_i[p + 1] = id;
     }
-    i64 m_out = select_links(g->X, dim, tmp_d, tmp_i, cnt, limit, heuristic,
-                             keep_pruned, g->do_sqrt, ws, ws->sh_d, ws->sh_i,
-                             tmp_dom);
+    i64 m_out = select_links(g->X, dim, tmp_d, tmp_i, cnt, limit, g->do_sqrt,
+                             ws, ws->sh_d, ws->sh_i, tmp_dom);
     cnts[c] = (int32_t)m_out;
     for (i64 j = 0; j < m_out; j++)
         nrow[j] = ws->sh_i[j];
-    if (!st)
-        return;
     st[0] = (int32_t)m_out;
     for (i64 j = 0; j < m_out; j++) {
         st_d[j] = (float)ws->sh_d[j];
@@ -1003,8 +982,7 @@ void hnsw_insert_batch(const float *X, i64 dim, const i64 *nbrs_ptrs,
                        double *cd, int32_t *ci, double *rd, int32_t *ri,
                        int32_t do_sqrt, const int32_t *node_level,
                        i64 n_start, i64 n_new, const int32_t *new_levels,
-                       i64 M, i64 M0, i64 efc, int32_t heuristic,
-                       int32_t keep_pruned, const i64 *state_ptrs,
+                       i64 M, i64 M0, i64 efc, const i64 *state_ptrs,
                        double *ws_d, int32_t *ws_i, i64 maxn, i64 *io)
 {
     graph_t g = {X, dim, nbrs_ptrs, strides, cnts_ptrs, stamp, cd, ci, rd, ri,
@@ -1049,12 +1027,10 @@ void hnsw_insert_batch(const float *X, i64 dim, const i64 *nbrs_ptrs,
             i64 ev = 0;
             i64 nres = search_layer(&g, lv, ++epoch, q, &epd, &in_i, 1, efc,
                                     0, &ev);
-            counts.evals += ev;
-            if (heuristic) /* the python _select charge for the cross matrix */
-                counts.evals += nres * (nres - 1) / 2;
-            i64 nch = select_links(X, dim, rd, ri, nres, limit, heuristic,
-                                   keep_pruned, do_sqrt, &ws, ws.ch_d,
-                                   ws.ch_i, ws.sh_dom);
+            /* plus the python _select charge for the cross matrix */
+            counts.evals += ev + nres * (nres - 1) / 2;
+            i64 nch = select_links(X, dim, rd, ri, nres, limit, do_sqrt, &ws,
+                                   ws.ch_d, ws.ch_i, ws.sh_dom);
             for (i64 t = 0; t < nch; t++)
                 nbrs[node * stride + t] = ws.ch_i[t];
             cnts[node] = (int32_t)nch;
@@ -1064,8 +1040,7 @@ void hnsw_insert_batch(const float *X, i64 dim, const i64 *nbrs_ptrs,
                 nbrs[c * stride + cc] = (int32_t)node;
                 cnts[c] = (int32_t)(cc + 1);
                 if (cc + 1 > limit)
-                    shrink_node(&g, lv, c, limit, heuristic, keep_pruned,
-                                ws.ch_d[t], &ws, &counts);
+                    shrink_node(&g, lv, c, limit, ws.ch_d[t], &ws, &counts);
             }
             if (nch) { /* python: best = min(chosen) (chosen is sorted) */
                 epd = ws.ch_d[0];

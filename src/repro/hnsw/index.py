@@ -58,7 +58,7 @@ import numpy as np
 from repro.hnsw.kernels import fast_kernel_for, fast_self_pairwise_for, fast_self_row_for
 from repro.hnsw.native import SearchDesc, native_build_for, native_search_layer_for
 from repro.hnsw.params import HnswParams
-from repro.hnsw.select import select_heuristic, select_heuristic_rows, select_simple
+from repro.hnsw.select import select_heuristic, select_heuristic_rows
 from repro.metrics import Metric, get_metric
 from repro.utils.validation import (
     check_filter_mask,
@@ -72,10 +72,12 @@ __all__ = ["HnswIndex", "SearchRing", "StagedInsert"]
 #: number of int64 fields in the saved ``meta`` array (full param set);
 #: legacy files carry only the first 6 (see ``load``)
 _META_LEN = 10
-#: the ``meta`` slot of Alg. 4's extendCandidates flag, which this index
-#: does not implement: ``save`` writes 0 there, and ``load`` refuses a
-#: graph built with it set, since ``add`` could not continue it alike
-_META_EXTEND = 7
+#: ``meta`` slots of selection switches this index no longer has, with the
+#: one value it implements: 4 the diversity heuristic (1), 7 Alg. 4's
+#: extendCandidates (0), 8 keepPrunedConnections (1).  ``save`` writes
+#: these values, and ``load`` refuses a graph built with any other, since
+#: ``add`` could not continue it alike
+_META_FIXED = {4: 1, 7: 0, 8: 1}
 
 
 class StagedInsert:
@@ -559,8 +561,6 @@ class HnswIndex:
             self.params.M,
             self.params.M0,
             self.params.ef_construction,
-            1 if self.params.select_heuristic else 0,
-            1 if self.params.keep_pruned else 0,
             *build,
             io.ctypes.data,
         )
@@ -652,8 +652,6 @@ class HnswIndex:
         self._cnts[level][node] = len(chosen)
 
     def _select(self, candidates: list[tuple[float, int]], m: int) -> list[tuple[float, int]]:
-        if not self.params.select_heuristic:
-            return select_simple(candidates, m)
         cands = sorted(candidates)
         ids = np.array([c for _, c in cands], dtype=np.int64)
         n = len(ids)
@@ -665,17 +663,12 @@ class HnswIndex:
             # keep only ~M of n rows: compute just those, lazily.  The row
             # kernel is bit-identical to the matrix row, and virtual time
             # was already charged for the full n^2/2 above.
-            return select_heuristic_rows(
-                cands,
-                m,
-                lambda i: row_kernel(sub, i),
-                keep_pruned=self.params.keep_pruned,
-            )
+            return select_heuristic_rows(cands, m, lambda i: row_kernel(sub, i))
         if self._fast_self_pairwise is not None:
             cross = self._fast_self_pairwise(sub)
         else:
             cross = self.metric.pairwise(sub, sub)
-        return select_heuristic(cands, m, cross, keep_pruned=self.params.keep_pruned)
+        return select_heuristic(cands, m, cross)
 
     # -- search ------------------------------------------------------------------
 
@@ -931,8 +924,8 @@ class HnswIndex:
         """Persist to an ``.npz`` file (points, links, levels, params).
 
         The ``meta`` record carries the full parameter set — including
-        ``M0``, ``keep_pruned`` and ``flat`` — so a reloaded index shrinks
-        and selects exactly like the saved one.
+        ``M0`` and ``flat`` — so a reloaded index shrinks and selects
+        exactly like the saved one.
         """
         flat_links: list[np.ndarray] = []
         link_index: list[tuple[int, int, int]] = []  # (level, node, count)
@@ -957,11 +950,11 @@ class HnswIndex:
                     self.params.M,
                     self.params.ef_construction,
                     self.params.ef_search,
-                    int(self.params.select_heuristic),
+                    _META_FIXED[4],
                     self.params.seed,
                     self.params.M0,
-                    0,  # _META_EXTEND
-                    int(self.params.keep_pruned),
+                    _META_FIXED[7],
+                    _META_FIXED[8],
                     int(self.params.flat),
                 ],
                 dtype=np.int64,
@@ -979,15 +972,10 @@ class HnswIndex:
             M=int(meta[1]),
             ef_construction=int(meta[2]),
             ef_search=int(meta[3]),
-            select_heuristic=bool(meta[4]),
             seed=int(meta[5]),
         )
         if len(meta) >= _META_LEN:
-            kwargs.update(
-                M0=int(meta[6]),
-                keep_pruned=bool(meta[8]),
-                flat=bool(meta[9]),
-            )
+            kwargs.update(M0=int(meta[6]), flat=bool(meta[9]))
         # else: legacy 6-field file — fall back to the params defaults
         params = HnswParams(**kwargs)
         n = len(X)
@@ -998,7 +986,7 @@ class HnswIndex:
         # without bounds checks: refuse what ``save`` cannot have written
         for name, ok in (
             ("meta", int(meta[0]) == X.shape[1]
-             and (len(meta) < _META_LEN or int(meta[_META_EXTEND]) == 0)),
+             and all(int(meta[i]) == v for i, v in _META_FIXED.items() if i < len(meta))),
             ("ext_ids", len(ext_ids) == n),
             ("node_level", len(levels) == n),
             ("entry", 0 <= entry < n or (n == 0 and entry < 0)),

@@ -252,8 +252,6 @@ def _load():
         i64,  # M
         i64,  # M0
         i64,  # efc
-        i32,  # heuristic
-        i32,  # keep_pruned
         p,  # state_ptrs
         p,  # ws_d
         p,  # ws_i

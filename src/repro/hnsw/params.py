@@ -2,6 +2,8 @@
 
 ``M`` is the knob the paper sweeps in Fig. 6 ({8, 16, 32, 64}, default 16):
 more links per node means better recall, more memory, and slower search.
+Links are always chosen by the diversity heuristic with pruned
+candidates backfilled (:mod:`repro.hnsw.select`).
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ class HnswParams:
     ef_construction: int = 100
     #: default beam width during search (callers may override per query)
     ef_search: int = 50
-    #: use the diversity neighbor-selection heuristic (HNSW paper Alg. 4);
-    #: False falls back to naive closest-M selection
-    select_heuristic: bool = True
-    #: add pruned connections back if a node ends under-linked
-    keep_pruned: bool = True
     #: build a single-layer NSW graph instead of the hierarchy (the
     #: predecessor structure, Malkov et al. 2014).  Search then starts from
     #: the fixed entry point on layer 0: O(log^2 n) hops vs HNSW's

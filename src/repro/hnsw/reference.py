@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.hnsw.kernels import fast_kernel_for, fast_self_pairwise_for
 from repro.hnsw.params import HnswParams
-from repro.hnsw.select import select_heuristic, select_simple
+from repro.hnsw.select import select_heuristic
 from repro.metrics import Metric, get_metric
 from repro.utils.heaps import MaxHeap, MinHeap
 from repro.utils.validation import check_matrix, check_positive_int, check_vector
@@ -192,12 +192,10 @@ class ReferenceHnswIndex:
         self._links[level][node] = [c for _, c in chosen]
 
     def _select(self, candidates: list[tuple[float, int]], m: int) -> list[tuple[float, int]]:
-        if not self.params.select_heuristic:
-            return select_simple(candidates, m)
         cands = sorted(candidates)
         ids = np.fromiter((c for _, c in cands), dtype=np.int64, count=len(cands))
         cross = self._cross_dists(ids)
-        return select_heuristic(cands, m, cross, keep_pruned=self.params.keep_pruned)
+        return select_heuristic(cands, m, cross)
 
     # -- search ------------------------------------------------------------------
 

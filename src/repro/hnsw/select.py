@@ -1,14 +1,12 @@
-"""Neighbor-selection strategies for HNSW construction.
+"""Neighbor selection for HNSW construction.
 
-Two strategies from the HNSW paper:
-
-- ``select_simple``: keep the M closest candidates (paper Alg. 3).
-- ``select_heuristic``: the diversity heuristic (paper Alg. 4) — a candidate
-  is kept only if it is closer to the inserted point than to every
-  already-kept neighbor.  This spreads links across directions, which is
-  what preserves graph navigability on clustered data; without it recall
-  collapses on datasets with strong cluster structure (exactly the
-  descriptor corpora used here).
+The diversity heuristic of the HNSW paper (Alg. 4, with
+``keepPrunedConnections``): a candidate is kept only if it is closer to
+the inserted point than to every already-kept neighbor, and discarded
+candidates backfill a list that ends under ``M``.  This spreads links
+across directions, which is what preserves graph navigability on
+clustered data; closest-M selection (Alg. 3) loses recall on datasets with
+strong cluster structure (exactly the descriptor corpora used here).
 
 On the python path selection runs ~30 times per insert (every
 link-overflow ``_shrink`` re-selects the whole list; only the compiled
@@ -32,21 +30,13 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["select_simple", "select_heuristic", "select_heuristic_rows"]
-
-
-def select_simple(
-    candidates: list[tuple[float, int]], m: int
-) -> list[tuple[float, int]]:
-    """Closest-``m`` selection.  ``candidates`` are (distance, id) pairs."""
-    return sorted(candidates)[:m]
+__all__ = ["select_heuristic", "select_heuristic_rows"]
 
 
 def select_heuristic_rows(
     candidates: list[tuple[float, int]],
     m: int,
     row_for: Callable[[int], list[float]],
-    keep_pruned: bool = True,
 ) -> list[tuple[float, int]]:
     """Diversity-aware selection (HNSW paper, Algorithm 4).
 
@@ -54,8 +44,8 @@ def select_heuristic_rows(
     ``row_for(i)`` returns candidate ``i``'s distances to all candidates
     (same order), and is only called for candidates that are *kept* — the
     row is what later candidates are tested against.  A candidate is kept
-    iff it is closer to the query than to every already-kept candidate; if
-    ``keep_pruned``, discarded candidates backfill the result up to ``m``.
+    iff it is closer to the query than to every already-kept candidate;
+    discarded candidates backfill the result up to ``m``.
     """
     result: list[tuple[float, int]] = []
     discarded: list[tuple[float, int]] = []
@@ -76,7 +66,7 @@ def select_heuristic_rows(
             add_result(pair)
             add_row(row_for(i))
             kept += 1
-    if keep_pruned and len(result) < m and discarded:
+    if len(result) < m and discarded:
         result.extend(discarded[: m - len(result)])
         result.sort()
     return result
@@ -86,7 +76,6 @@ def select_heuristic(
     candidates: list[tuple[float, int]],
     m: int,
     cross: np.ndarray,
-    keep_pruned: bool = True,
 ) -> list[tuple[float, int]]:
     """:func:`select_heuristic_rows` over a precomputed distance matrix.
 
@@ -96,6 +85,4 @@ def select_heuristic(
     n = len(candidates)
     if cross.shape != (n, n):
         raise ValueError(f"cross matrix shape {cross.shape} does not match {n} candidates")
-    return select_heuristic_rows(
-        candidates, m, lambda i: cross[i].tolist(), keep_pruned=keep_pruned
-    )
+    return select_heuristic_rows(candidates, m, lambda i: cross[i].tolist())

@@ -176,10 +176,10 @@ class TestSaveLoadRoundTrip:
         "params",
         [
             HnswParams(M=6, ef_construction=40, seed=3),
-            HnswParams(M=6, ef_construction=40, seed=3, M0=9, keep_pruned=False),
+            HnswParams(M=6, ef_construction=40, seed=3, M0=9),
             HnswParams(M=6, ef_construction=40, seed=3, flat=True),
         ],
-        ids=["default", "M0-no-keep-pruned", "flat-graph"],
+        ids=["default", "M0", "flat-graph"],
     )
     def test_round_trip(self, params, tmp_path):
         X, Q = _make_data()

@@ -7,7 +7,7 @@ python's ``_shrink`` does.  Data here is built to reach its hard branches —
 rows that are all equal, a small integer grid (ties in query distance and in
 pair distance, so the ``<=`` dominator test and the ``(d, id)`` order
 decide), isotropic gaussian rows (nothing dominates) and ``sift_like`` —
-across ``keep_pruned``, degree, width and the ways points can arrive, and
+across degree, width and the ways points can arrive, and
 every variant must equal the python build bit for bit: graph, saved
 arrays, counters, answers.
 """
@@ -99,14 +99,13 @@ def _assert_equal(fast, slow, Q, tmp_path, assert_same_graph):
 
 @pytest.mark.parametrize("dim", [3, 32, 128, 960])
 @pytest.mark.parametrize("M", [4, 16])
-@pytest.mark.parametrize("keep_pruned", [True, False])
 @pytest.mark.parametrize("kind", ["duplicates", "grid", "gaussian", "sift_like"])
 def test_every_arrival_equals_python_and_reference(
-    kind, keep_pruned, M, dim, tmp_path, assert_same_graph
+    kind, M, dim, tmp_path, assert_same_graph
 ):
     X = _data(kind, dim)
     Q = X[:8] + np.float32(0.25)
-    params = HnswParams(M=M, ef_construction=24, seed=5, keep_pruned=keep_pruned)
+    params = HnswParams(M=M, ef_construction=24, seed=5)
     slow = _arrive(X, params, "bulk", False, tmp_path)
     for how in ("bulk", "chunks", "single"):
         fast = _arrive(X, params, how, True, tmp_path)

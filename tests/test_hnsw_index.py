@@ -229,18 +229,6 @@ class TestMetrics:
         assert i[0] == 0 and d[0] == pytest.approx(0.0, abs=1e-5)
 
 
-class TestSelectStrategies:
-    def test_simple_selection_also_works(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(150, 8)).astype(np.float32)
-        idx = HnswIndex(
-            dim=8, params=HnswParams(M=6, ef_construction=40, select_heuristic=False)
-        )
-        idx.add_items(X)
-        _, ids = idx.knn_search(X[7], 1, ef=40)
-        assert ids[0] == 7
-
-
 class TestSerialization:
     def test_save_load_roundtrip(self, built_index, tmp_path):
         idx, X, Q, *_ = built_index
@@ -296,6 +284,9 @@ CORRUPTIONS = {
     # a graph built with Alg. 4's candidate extension, which ``add`` cannot
     # continue the way it was built
     "extend_candidates_flag": ("meta", _bump("meta", 7, 1)),
+    # graphs linked by closest-M selection or without the pruned backfill
+    "simple_selection_flag": ("meta", _bump("meta", 4, -1)),
+    "no_keep_pruned_flag": ("meta", _bump("meta", 8, -1)),
 }
 
 

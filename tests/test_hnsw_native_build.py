@@ -93,13 +93,6 @@ class TestNativeBuild:
             np.testing.assert_array_equal(df, ds)
 
     @needs_native_build
-    def test_simple_selection_identical(self, corpus, assert_same_graph):
-        params = HnswParams(M=8, ef_construction=40, seed=3, select_heuristic=False)
-        fast, slow = _build_pair(corpus, params)
-        assert_same_graph(fast, slow)
-        assert fast.n_dist_evals == slow.n_dist_evals
-
-    @needs_native_build
     def test_save_load_byte_identical(self, corpus, params, tmp_path, assert_same_graph):
         fast, slow = _build_pair(corpus, params)
         pf, ps = str(tmp_path / "fast.npz"), str(tmp_path / "slow.npz")

@@ -1,9 +1,9 @@
-"""Unit tests for HNSW neighbor-selection strategies."""
+"""Unit tests for HNSW neighbor selection (the Alg. 4 heuristic)."""
 
 import numpy as np
 import pytest
 
-from repro.hnsw.select import select_heuristic, select_simple
+from repro.hnsw.select import select_heuristic
 
 
 def cross_from_points(pts, cand_ids):
@@ -12,41 +12,29 @@ def cross_from_points(pts, cand_ids):
     return np.sqrt((diff**2).sum(-1))
 
 
-class TestSelectSimple:
-    def test_keeps_m_closest(self):
-        cands = [(3.0, 3), (1.0, 1), (2.0, 2), (4.0, 4)]
-        assert select_simple(cands, 2) == [(1.0, 1), (2.0, 2)]
-
-    def test_fewer_candidates_than_m(self):
-        cands = [(1.0, 1)]
-        assert select_simple(cands, 5) == [(1.0, 1)]
-
-
 class TestSelectHeuristic:
     def test_diversity_preferred_over_proximity(self):
         """Two near-duplicate close candidates: only one is kept; a farther
         candidate in another direction is kept instead."""
-        q = np.zeros(2)
         pts = np.array(
             [[1.0, 0.0], [1.05, 0.0], [0.0, 3.0]], dtype=np.float64
         )  # two clones to the right, one up
         dq = np.sqrt((pts**2).sum(1))
         cands = sorted((float(dq[i]), i) for i in range(3))
         cross = cross_from_points(pts, np.arange(3))
-        kept = select_heuristic(cands, 2, cross, keep_pruned=False)
+        kept = select_heuristic(cands, 2, cross)
         kept_ids = {c for _, c in kept}
         assert 0 in kept_ids and 2 in kept_ids and 1 not in kept_ids
 
-    def test_keep_pruned_backfills(self):
-        q = np.zeros(2)
+    def test_pruned_candidates_backfill(self):
+        """Three points in a row: the first dominates the other two, which
+        then fill the list up to m in distance order."""
         pts = np.array([[1.0, 0.0], [1.05, 0.0], [1.1, 0.0]], dtype=np.float64)
         dq = np.sqrt((pts**2).sum(1))
         cands = sorted((float(dq[i]), i) for i in range(3))
         cross = cross_from_points(pts, np.arange(3))
-        no_backfill = select_heuristic(cands, 3, cross, keep_pruned=False)
-        backfill = select_heuristic(cands, 3, cross, keep_pruned=True)
-        assert len(no_backfill) == 1
-        assert len(backfill) == 3
+        assert select_heuristic(cands, 3, cross) == cands
+        assert select_heuristic(cands, 2, cross) == cands[:2]
 
     def test_first_candidate_always_kept(self):
         pts = np.random.default_rng(0).normal(size=(10, 4))
