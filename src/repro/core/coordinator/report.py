@@ -42,7 +42,7 @@ class MasterReport:
         self.suspected_dead_cores: list[int] = []
         #: (virtual time, total modeled queued tasks) samples from the
         #: selector's LoadTracker (None without one); capped/downsampled —
-        #: see LoadTracker.max_timeline_samples
+        #: see loadbalance.MAX_TIMELINE_SAMPLES
         self.queue_depth_timeline: np.ndarray | None = None
         #: per-query serving timestamps on the virtual clock (None in
         #: closed-loop runs); NaN where a query was shed/rejected

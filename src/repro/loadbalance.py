@@ -56,10 +56,14 @@ __all__ = [
     "estimate_task_seconds",
     "derive_task_timeout",
     "derive_drain_timeout",
+    "MAX_TIMELINE_SAMPLES",
 ]
 
 #: the replica-selection policies ``SystemConfig.replica_selector`` accepts
 SELECTORS = ("primary", "least_loaded")
+
+#: queue-depth samples a :class:`LoadTracker` holds before it decimates
+MAX_TIMELINE_SAMPLES = 4096
 
 
 class LoadTracker:
@@ -73,31 +77,24 @@ class LoadTracker:
     (see :func:`estimate_task_seconds`); a dispatch may override it with a
     task-specific cost (e.g. ``B`` times the hint for a batch task).
 
-    The queue-depth timeline is bounded: once ``max_timeline_samples``
+    The queue-depth timeline is bounded: once :data:`MAX_TIMELINE_SAMPLES`
     samples accumulate, the record is decimated 2:1 and the sampling
     stride doubles, so an N-dispatch run keeps an evenly strided subset
-    of at most ``2 * max_timeline_samples`` samples (first-to-last
-    coverage preserved) instead of one sample per dispatch.  Pass None
-    to keep every sample.  See docs/load_balancing.md, "timeline
-    sampling".
+    of fewer than ``MAX_TIMELINE_SAMPLES`` samples (first-to-last
+    coverage preserved) instead of one sample per dispatch.  See
+    docs/load_balancing.md, "timeline sampling".
     """
 
     def __init__(
         self,
         n_cores: int,
         task_cost_hint: float,
-        max_timeline_samples: int | None = 4096,
         metrics=None,
     ) -> None:
         if n_cores < 1:
             raise SimConfigError(f"n_cores must be >= 1, got {n_cores}")
-        if max_timeline_samples is not None and max_timeline_samples < 2:
-            raise SimConfigError(
-                f"max_timeline_samples must be >= 2 or None, got {max_timeline_samples}"
-            )
         self.n_cores = n_cores
         self.task_cost_hint = max(float(task_cost_hint), 1e-12)
-        self.max_timeline_samples = max_timeline_samples
         #: peak-total-queued gauge in the run's MetricsRegistry (optional)
         self._peak_gauge = (
             metrics.gauge("loadtracker.peak_total_queued") if metrics is not None else None
@@ -126,10 +123,7 @@ class LoadTracker:
             self._samples.append((now, depth))
             if self._peak_gauge is not None:
                 self._peak_gauge.track_max(depth)
-            if (
-                self.max_timeline_samples is not None
-                and len(self._samples) >= self.max_timeline_samples
-            ):
+            if len(self._samples) >= MAX_TIMELINE_SAMPLES:
                 self._samples = self._samples[::2]
                 self._stride *= 2
 

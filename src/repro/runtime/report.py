@@ -138,7 +138,7 @@ class SearchReport:
     #: LoadTracker — queue depth over virtual time; None when no single
     #: dispatcher observed the whole batch.  One sample per dispatch on
     #: small runs; capped/downsampled on large ones (see
-    #: LoadTracker.max_timeline_samples and docs/load_balancing.md)
+    #: loadbalance.MAX_TIMELINE_SAMPLES and docs/load_balancing.md)
     queue_depth_timeline: np.ndarray | None = None
     #: elapsed virtual seconds per pipeline phase, summed over all procs —
     #: keys always include :data:`~repro.simmpi.trace.PHASES`

@@ -22,6 +22,7 @@ from repro.core import DistributedANN, SystemConfig
 from repro.faults import FaultPolicy, FaultSpec, RankCrash
 from repro.faults.spec import FaultPolicy as _FaultPolicy
 from repro.hnsw import HnswParams
+import repro.loadbalance as loadbalance
 from repro.loadbalance import LoadTracker, derive_drain_timeout, derive_task_timeout
 from repro.simmpi.errors import SimConfigError
 from repro.simmpi.network import NetworkModel
@@ -278,16 +279,18 @@ class TestTimelineDownsampling:
     """The queue-depth timeline is bounded: at the sample cap the tracker
     halves its history and doubles its sampling stride."""
 
-    def test_sample_count_is_bounded(self):
-        t = LoadTracker(1, task_cost_hint=1.0, max_timeline_samples=8)
+    def test_sample_count_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(loadbalance, "MAX_TIMELINE_SAMPLES", 8)
+        t = LoadTracker(1, task_cost_hint=1.0)
         for i in range(1000):
             t.record_dispatch(0, now=float(i))
         tl = t.timeline()
         assert len(tl) <= 8
         assert np.all(np.diff(tl[:, 0]) > 0)
 
-    def test_downsampled_timeline_spans_the_run(self):
-        t = LoadTracker(1, task_cost_hint=1.0, max_timeline_samples=8)
+    def test_downsampled_timeline_spans_the_run(self, monkeypatch):
+        monkeypatch.setattr(loadbalance, "MAX_TIMELINE_SAMPLES", 8)
+        t = LoadTracker(1, task_cost_hint=1.0)
         for i in range(100):
             t.record_dispatch(0, now=float(i))
         tl = t.timeline()
@@ -300,15 +303,15 @@ class TestTimelineDownsampling:
             t.record_dispatch(0, now=float(i))
         assert len(t.timeline()) == 600
 
-    def test_uncapped_tracker_records_everything(self):
-        t = LoadTracker(1, task_cost_hint=1.0, max_timeline_samples=None)
+    def test_long_run_is_decimated_at_the_cap(self):
+        """5,000 dispatches: the 4,096th sample halves the record to every
+        second dispatch, and every second dispatch is sampled after it."""
+        assert loadbalance.MAX_TIMELINE_SAMPLES == 4096
+        t = LoadTracker(1, task_cost_hint=1.0)
         for i in range(5000):
             t.record_dispatch(0, now=float(i))
-        assert len(t.timeline()) == 5000
-
-    def test_cap_must_be_at_least_two(self):
-        with pytest.raises(SimConfigError, match="max_timeline_samples"):
-            LoadTracker(1, 1.0, max_timeline_samples=1)
+        kept = np.r_[np.arange(0, 4096, 2), np.arange(4097, 5000, 2)]
+        np.testing.assert_array_equal(t.timeline()[:, 0], kept)
 
     def test_report_timeline_stays_bounded_end_to_end(self, corpus):
         X, Q = corpus
