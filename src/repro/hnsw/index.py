@@ -297,8 +297,10 @@ class HnswIndex:
         #: ``full_shrinks`` counter; the python path re-selects always)
         self._n_full_shrinks = 0
         #: the ring ``knn_search`` / ``knn_search_batch`` stage the compiled
-        #: search on, opened by the first
+        #: search on, opened by the first, and the float32 rows (with their
+        #: address) their queries are copied into for it
         self._search_ring: SearchRing | None = None
+        self._search_queries: tuple[np.ndarray, int] | None = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -795,11 +797,14 @@ class HnswIndex:
         equal internal node ids); only unmasked rows may appear in the
         result, but masked rows still conduct the traversal — see
         :meth:`_search_layer`.  ``filter=None`` is bit-identical to the
-        unfiltered call.
+        unfiltered call.  The row is checked as :meth:`knn_search_batch`
+        checks a matrix (:meth:`_query_rows`).
         """
         check_positive_int(k, "k")
-        q = check_vector(query, "query", dim=self.dim)
-        D, I, stats = self._search_rows(q[np.newaxis, :], k, ef, filter)
+        q = np.asarray(query)
+        if q.ndim != 1:
+            raise ValueError(f"query must be 1-D, got shape {q.shape}")
+        D, I, stats = self._search_rows(self._query_rows(q[np.newaxis]), k, ef, filter)
         n = int(stats[0, 1])
         return D[0, :n], I[0, :n]
 
@@ -853,7 +858,10 @@ class HnswIndex:
         caller owns.  With the compiled library this is one search staged
         on the index's ring and collected at once, the calls a query
         call's task searches make, and the answer copied out of the ring's
-        one arena block; without it, one :meth:`_search_prepared` per row.
+        one arena block; the rows are staged from a buffer the index keeps,
+        whose address is read once (``.ctypes.data`` costs as much as the
+        copy of a few rows).  Without it, one :meth:`_search_prepared` per
+        row.
         """
         nq = len(Q)
         ef = max(ef or self.params.ef_search, k)
@@ -865,8 +873,13 @@ class HnswIndex:
             if ring is None:
                 ring = self._search_ring = SearchRing(self._native, k, ef, nq)
             ring.rewind(k, ef, nq)
+            rows = self._search_queries
+            if rows is None or len(rows[0]) < nq:
+                buf = np.empty((nq, self.dim), dtype=np.float32)
+                rows = self._search_queries = buf, buf.ctypes.data
+            rows[0][:nq] = Q
             mask = 0 if allowed is None else allowed.ctypes.data
-            ticket = ring.stage(self, Q.ctypes.data, nq, mask)
+            ticket = ring.stage(self, rows[1], nq, mask)
             if ticket is None:
                 raise ValueError("Q contains non-finite values")
             ring.collect(self, ticket)

@@ -108,6 +108,28 @@ def test_entry_refuses(system, entry, name):
         assert isinstance(err.value.__cause__, ValueError)
 
 
+def test_knn_search_refuses_what_the_batch_entry_refuses(system):
+    """The one-row entry checks its row as ``knn_search_batch`` checks a
+    matrix: non-finite values (also once cast to float32), a wrong or
+    empty width and a 2-D query are refused, and the index is left as a
+    refused batch leaves it."""
+    _, _, part = system
+    index = part.index
+    good = np.random.default_rng(6).normal(size=DIM)
+    want = index.knn_search(good, 3)
+    evals = index.n_dist_evals
+    bad = [np.r_[good[:3], v, good[4:]] for v in (np.nan, np.inf, -np.inf, 1e39)]
+    bad += [good[:-1], np.r_[good, 0.0], good[:0], good[np.newaxis]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the float32 cast overflows
+        for q in bad + [q.astype(np.float32) for q in bad]:
+            with pytest.raises(ValueError):
+                index.knn_search(q, 3)
+    assert index.n_dist_evals == evals
+    got = index.knn_search(good, 3)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("entry", ["knn_search_batch", "search_batch", "query"])
 def test_entry_accepts_float64_and_lists(system, entry):
     """A finite float64 matrix or a nested list is cast, not refused, and
