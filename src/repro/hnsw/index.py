@@ -58,7 +58,7 @@ import numpy as np
 from repro.hnsw.kernels import fast_kernel_for, fast_self_pairwise_for, fast_self_row_for
 from repro.hnsw.native import SearchDesc, native_build_for, native_search_layer_for
 from repro.hnsw.params import HnswParams
-from repro.hnsw.select import select_heuristic, select_heuristic_rows
+from repro.hnsw.select import select_neighbors, select_neighbors_rows
 from repro.metrics import Metric, get_metric
 from repro.utils.validation import (
     check_filter_mask,
@@ -665,12 +665,12 @@ class HnswIndex:
             # keep only ~M of n rows: compute just those, lazily.  The row
             # kernel is bit-identical to the matrix row, and virtual time
             # was already charged for the full n^2/2 above.
-            return select_heuristic_rows(cands, m, lambda i: row_kernel(sub, i))
+            return select_neighbors_rows(cands, m, lambda i: row_kernel(sub, i))
         if self._fast_self_pairwise is not None:
             cross = self._fast_self_pairwise(sub)
         else:
             cross = self.metric.pairwise(sub, sub)
-        return select_heuristic(cands, m, cross)
+        return select_neighbors(cands, m, cross)
 
     # -- search ------------------------------------------------------------------
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.hnsw.kernels import fast_kernel_for, fast_self_pairwise_for
 from repro.hnsw.params import HnswParams
-from repro.hnsw.select import select_heuristic
+from repro.hnsw.select import select_neighbors
 from repro.metrics import Metric, get_metric
 from repro.utils.heaps import MaxHeap, MinHeap
 from repro.utils.validation import check_matrix, check_positive_int, check_vector
@@ -195,7 +195,7 @@ class ReferenceHnswIndex:
         cands = sorted(candidates)
         ids = np.fromiter((c for _, c in cands), dtype=np.int64, count=len(cands))
         cross = self._cross_dists(ids)
-        return select_heuristic(cands, m, cross)
+        return select_neighbors(cands, m, cross)
 
     # -- search ------------------------------------------------------------------
 

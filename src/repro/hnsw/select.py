@@ -18,7 +18,7 @@ iff no already-kept row ``r`` has ``r[i] <= dist(q, i)`` — which examines
 exactly the comparisons the min-tracking version's decisions depend on and
 not one more.  The scan runs on plain Python floats (one ``tolist`` per
 *kept* row), and the pairwise matrix is consumed row-by-row, which is what
-lets callers hand in lazily-computed rows (``select_heuristic_rows``)
+lets callers hand in lazily-computed rows (``select_neighbors_rows``)
 instead of materializing the full n² matrix for n candidates when only a
 handful are ever kept.  Decision-identical to Algorithm 4 by construction;
 the flat-vs-reference equivalence tests pin it bit for bit.
@@ -30,10 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["select_heuristic", "select_heuristic_rows"]
+__all__ = ["select_neighbors", "select_neighbors_rows"]
 
 
-def select_heuristic_rows(
+def select_neighbors_rows(
     candidates: list[tuple[float, int]],
     m: int,
     row_for: Callable[[int], list[float]],
@@ -72,12 +72,12 @@ def select_heuristic_rows(
     return result
 
 
-def select_heuristic(
+def select_neighbors(
     candidates: list[tuple[float, int]],
     m: int,
     cross: np.ndarray,
 ) -> list[tuple[float, int]]:
-    """:func:`select_heuristic_rows` over a precomputed distance matrix.
+    """:func:`select_neighbors_rows` over a precomputed distance matrix.
 
     ``cross[i, j]`` is the distance between candidates ``i`` and ``j`` (in
     the same order as ``candidates``).
@@ -85,4 +85,4 @@ def select_heuristic(
     n = len(candidates)
     if cross.shape != (n, n):
         raise ValueError(f"cross matrix shape {cross.shape} does not match {n} candidates")
-    return select_heuristic_rows(candidates, m, lambda i: cross[i].tolist())
+    return select_neighbors_rows(candidates, m, lambda i: cross[i].tolist())

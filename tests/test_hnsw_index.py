@@ -286,7 +286,7 @@ CORRUPTIONS = {
     "extend_candidates_flag": ("meta", _bump("meta", 7, 1)),
     # graphs linked by closest-M selection or without the pruned backfill
     "simple_selection_flag": ("meta", _bump("meta", 4, -1)),
-    "no_keep_pruned_flag": ("meta", _bump("meta", 8, -1)),
+    "no_backfill_flag": ("meta", _bump("meta", 8, -1)),
 }
 
 

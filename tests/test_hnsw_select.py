@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hnsw.select import select_heuristic
+from repro.hnsw.select import select_neighbors
 
 
 def cross_from_points(pts, cand_ids):
@@ -22,7 +22,7 @@ class TestSelectHeuristic:
         dq = np.sqrt((pts**2).sum(1))
         cands = sorted((float(dq[i]), i) for i in range(3))
         cross = cross_from_points(pts, np.arange(3))
-        kept = select_heuristic(cands, 2, cross)
+        kept = select_neighbors(cands, 2, cross)
         kept_ids = {c for _, c in kept}
         assert 0 in kept_ids and 2 in kept_ids and 1 not in kept_ids
 
@@ -33,15 +33,15 @@ class TestSelectHeuristic:
         dq = np.sqrt((pts**2).sum(1))
         cands = sorted((float(dq[i]), i) for i in range(3))
         cross = cross_from_points(pts, np.arange(3))
-        assert select_heuristic(cands, 3, cross) == cands
-        assert select_heuristic(cands, 2, cross) == cands[:2]
+        assert select_neighbors(cands, 3, cross) == cands
+        assert select_neighbors(cands, 2, cross) == cands[:2]
 
     def test_first_candidate_always_kept(self):
         pts = np.random.default_rng(0).normal(size=(10, 4))
         dq = np.sqrt((pts**2).sum(1))
         cands = sorted((float(dq[i]), i) for i in range(10))
         cross = cross_from_points(pts, np.arange(10))
-        kept = select_heuristic(cands, 4, cross)
+        kept = select_neighbors(cands, 4, cross)
         assert kept[0] == cands[0]
 
     def test_result_bounded_by_m(self):
@@ -49,8 +49,8 @@ class TestSelectHeuristic:
         dq = np.sqrt((pts**2).sum(1))
         cands = sorted((float(dq[i]), i) for i in range(20))
         cross = cross_from_points(pts, np.arange(20))
-        assert len(select_heuristic(cands, 5, cross)) <= 5
+        assert len(select_neighbors(cands, 5, cross)) <= 5
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="cross matrix"):
-            select_heuristic([(1.0, 0)], 1, np.zeros((2, 2)))
+            select_neighbors([(1.0, 0)], 1, np.zeros((2, 2)))
