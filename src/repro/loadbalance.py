@@ -56,7 +56,6 @@ __all__ = [
     "estimate_task_seconds",
     "derive_task_timeout",
     "derive_drain_timeout",
-    "MAX_TIMELINE_SAMPLES",
 ]
 
 #: the replica-selection policies ``SystemConfig.replica_selector`` accepts
