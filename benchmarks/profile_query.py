@@ -15,7 +15,9 @@ batch schedule (its first ``--batches`` batches) and prints:
   frames) as one row, and the top functions by self time;
 - with ``--wall``, from a wall-clock stack sampler: the share of samples
   each module and function was running (leaf) and was on the stack
-  (inclusive).
+  (inclusive), and one "bookkeeping" row, the summed leaf share of the
+  modules whose work moves no answer and no virtual time
+  (:data:`BOOKKEEPING`).
 
 ``--wall`` samples the main thread's stack on ``SIGALRM`` from
 ``ITIMER_REAL``, every 0.5 ms of elapsed time.  Not ``ITIMER_PROF``: that
@@ -57,6 +59,10 @@ from repro import DistributedANN  # noqa: E402
 
 #: seconds of elapsed time between two ``--wall`` samples
 WALL_INTERVAL = 0.0005
+
+#: the load tracker's timeline, the per-proc span and compute sums and the
+#: metrics registry: the "bookkeeping" row of ``--wall``
+BOOKKEEPING = ("repro.loadbalance", "repro.simmpi.trace", "repro.obs.metrics")
 
 
 def _module(filename: str) -> str:
@@ -120,6 +126,8 @@ def wall_tables(samples: tuple, top: int) -> None:
     if not n:
         return
     _share_rows("leaf share by module (running)", leaf_mod, n, top)
+    bookkeeping = sum(leaf_mod[m] for m in BOOKKEEPING)
+    print(f"\n  {100 * bookkeeping / n:5.1f} %  bookkeeping (leaf: {' + '.join(BOOKKEEPING)})")
     _share_rows("inclusive share by module (on the stack)", incl_mod, n, top)
     _share_rows(f"top {top} functions by leaf share", leaf_fn, n, top)
     _share_rows(f"top {top} functions by inclusive share", incl_fn, n, top)

@@ -162,7 +162,7 @@ class FaultHarness:
         """One attempt of a task under ``span``: the query as the one-row
         batch it is (a retry or failover span names its core too)."""
         attrs = None
-        if ctx.trace_active:
+        if self.router.traced:
             attrs = {"query_id": int(query_id), "partition": int(partition_id)}
             if span != "dispatch":
                 attrs["core"] = int(core)

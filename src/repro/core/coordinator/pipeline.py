@@ -48,8 +48,6 @@ class CoordinatorPipeline:
         #: (query_id, dists) completions awaiting adaptive second waves
         self._events: deque = deque()
         self._pending_pilot: dict[int, int] = {}
-        #: a recorder listens (fixed per run): build span attributes
-        self._traced = False
 
     def run(self, ctx: Context):
         """The coordinator proc body.  Returns a :class:`MasterReport`."""
@@ -57,7 +55,6 @@ class CoordinatorPipeline:
         window, merger = self.window, self.merger
         queries = self.queries
         one_sided = merger.one_sided
-        self._traced = ctx.trace_active
         batch_start = ctx.now
         outstanding = np.zeros(len(queries), dtype=np.int64)
         latencies = np.full(len(queries), np.nan)
@@ -108,7 +105,7 @@ class CoordinatorPipeline:
     def _send(self, ctx: Context, query_ids, partition_id: int):
         """The window's send routine for one task (``yield from`` it)."""
         attrs = None
-        if self._traced:
+        if self.router.traced:
             attrs = {"partition": int(partition_id), "n_queries": len(query_ids)}
         return self.window.send_task(ctx, query_ids, partition_id, merger=self.merger, attrs=attrs)
 

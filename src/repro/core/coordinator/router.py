@@ -26,16 +26,19 @@ class Router:
     ``cost.distance_cost`` for exactly the distance evaluations the
     inner router performed, and accumulates ``report.route_dist_evals``
     — the same yield sequence the pre-refactor masters produced.
+    ``traced``, whether the run records a trace, is read once when the
+    run is set up; the coordinators around the router read it here too.
     """
 
-    def __init__(self, inner, report: MasterReport, dim: int) -> None:
+    def __init__(self, inner, report: MasterReport, dim: int, traced: bool) -> None:
         self.inner = inner
         self.report = report
         self.dim = dim
+        self.traced = traced
 
     def _route(self, ctx: Context, query_id, route, *args):
         # one frame: the span by hand, its attributes only when traced
-        start = ctx.span_begin("route", {"query_id": query_id} if ctx.trace_active else None)
+        start = ctx.span_begin("route", {"query_id": query_id} if self.traced else None)
         try:
             before = self.inner.n_dist_evals
             parts = route(*args)

@@ -175,8 +175,9 @@ class DispatchWindow:
     ):
         """Send queries ``query_ids`` as one task for ``partition_id``:
         record it, charge its credits and yield the send syscall, inside
-        span ``span`` with trace ``attrs`` (built only when a recorder
-        listens).  With ``core=None`` it first blocks until a replica has
+        span ``span`` with trace ``attrs``.  Callers pass ``attrs`` only
+        when a recorder listens, and only then is the send marked in the
+        trace.  With ``core=None`` it first blocks until a replica has
         a credit per row, consuming results through ``merger``, and lets
         the selector pick it.  One credit per row, so config validation
         requires ``batch_size <= dispatch_window`` under flow control.
@@ -203,7 +204,7 @@ class DispatchWindow:
                     self.charged[(q, partition_id)] = core
                 self.outstanding.value += need
                 self.peak_outstanding.track_max(self.outstanding.value)
-            if ctx.trace_active:
+            if attrs is not None:
                 ctx.trace_instant(
                     "task_send", query_ids=tuple(query_ids), partition=partition_id, core=int(core)
                 )

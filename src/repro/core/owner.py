@@ -44,7 +44,7 @@ def owner_node_program(
     """One node's owner proc.  Returns a :class:`MasterReport` whose
     counters are the run-wide ``metrics`` registry's, shared by every owner."""
     report = MasterReport(config.n_cores, metrics)
-    route = Router(router, report, int(Q.shape[1]))
+    route = Router(router, report, int(Q.shape[1]), traced=ctx.trace_active)
     wfilter = wire_filter(fpayload)
     expected = 0
 

@@ -17,7 +17,8 @@ This module turns replicas into throughput:
   ``now`` is ``max(busy_until - now, 0)``, so queues drain with the
   simulation clock and no completion callbacks are needed (the model
   works identically for one-sided runs, where results never pass through
-  the master).
+  the master).  Its timeline samples the backlog summed over all cores,
+  kept as an exact running total, at each dispatch.
 - :class:`ReplicaSelector` — the policy picking which replica of a
   partition serves a task.  Two built-ins:
 
@@ -39,6 +40,8 @@ golden traces bit for bit.
 
 from __future__ import annotations
 
+import heapq
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -64,6 +67,10 @@ SELECTORS = ("primary", "least_loaded")
 #: queue-depth samples a :class:`LoadTracker` holds before it decimates
 MAX_TIMELINE_SAMPLES = 4096
 
+#: the tracker sums horizons exactly as integers: seconds times ``_GRID``
+_GRID = 2.0**256
+_UNGRID = 2.0**-256
+
 
 class LoadTracker:
     """Per-core outstanding-work model maintained by the dispatcher.
@@ -75,6 +82,14 @@ class LoadTracker:
     ``task_cost_hint`` is the modeled virtual seconds of one local search
     (see :func:`estimate_task_seconds`); a dispatch may override it with a
     task-specific cost (e.g. ``B`` times the hint for a batch task).
+
+    A timeline sample is the backlog summed over every core at the
+    dispatch's ``now``, in tasks, at O(1) amortised cost: the busy cores'
+    horizons summed exactly on a 2**-256 s grid (which holds every time
+    from 2**-204 s), less ``now`` times their count, rounded once; a heap
+    retires a core once ``now`` passes its horizon.  So ``now`` must never
+    go back.  One master dispatches per run (``runtime/strategies.py``),
+    and a dispatch earlier than the last raises :class:`SimConfigError`.
 
     The queue-depth timeline is bounded: once :data:`MAX_TIMELINE_SAMPLES`
     samples accumulate, the record is decimated 2:1 and the sampling
@@ -99,12 +114,14 @@ class LoadTracker:
             metrics.gauge("loadtracker.peak_total_queued") if metrics is not None else None
         )
         #: modeled virtual time each core stays busy through
-        self.busy_until = np.zeros(n_cores, dtype=np.float64)
-        #: tasks dispatched per core (the tracker's own count — matches the
-        #: master report's dispatch_counts on the master-worker paths)
-        self.dispatched = np.zeros(n_cores, dtype=np.int64)
-        #: scratch for total_queued, so sampling allocates nothing
-        self._backlog = np.empty(n_cores, dtype=np.float64)
+        self._busy = [0.0] * n_cores
+        #: (horizon when keyed, core) of every busy core; a key that fell
+        #: behind its core's grown horizon is re-keyed when it surfaces
+        self._heap: list[tuple[float, int]] = []
+        #: the busy cores' horizons on the ``_GRID`` summed, and their count
+        self._sum = 0
+        self._n_busy = 0
+        self._now = -math.inf
         self._samples: list[tuple[float, float]] = []
         self._events = 0
         self._stride = 1
@@ -114,33 +131,44 @@ class LoadTracker:
     ) -> None:
         """Extend ``core``'s busy horizon by one task's modeled cost."""
         c = self.task_cost_hint * n_tasks if cost is None else float(cost)
-        self.busy_until[core] = max(self.busy_until[core], now) + c
-        self.dispatched[core] += n_tasks
+        if not (now >= self._now and 0.0 <= c < math.inf):
+            raise SimConfigError(f"dispatch at {now} after one at {self._now}, or of cost {c}")
+        self._now = now
+        busy, heap = self._busy, self._heap
+        while heap and heap[0][0] <= now:
+            k = heap[0][1]
+            if busy[k] > now:  # its horizon grew since it was keyed
+                heapq.heapreplace(heap, (busy[k], k))
+            else:
+                heapq.heappop(heap)
+                self._sum -= int(busy[k] * _GRID)
+                self._n_busy -= 1
+        old = busy[core]
+        new = busy[core] = (old if old > now else now) + c
+        if old > now:
+            self._sum += int(new * _GRID) - int(old * _GRID)
+        elif new > now:
+            self._sum += int(new * _GRID)
+            self._n_busy += 1
+            heapq.heappush(heap, (new, core))
         self._events += 1
         if self._events % self._stride == 0:
-            depth = self.total_queued(now)
+            queued = float(self._sum - self._n_busy * int(now * _GRID)) * _UNGRID
+            depth = queued / self.task_cost_hint
             self._samples.append((now, depth))
-            if self._peak_gauge is not None:
-                self._peak_gauge.track_max(depth)
+            peak = self._peak_gauge
+            if peak is not None and depth > peak.value:
+                peak.value = depth
             if len(self._samples) >= MAX_TIMELINE_SAMPLES:
                 self._samples = self._samples[::2]
                 self._stride *= 2
 
     def backlog(self, core: int, now: float) -> float:
         """Modeled seconds of queued work on ``core`` at virtual ``now``."""
-        return max(float(self.busy_until[core]) - now, 0.0)
-
-    def queue_depth(self, core: int, now: float) -> float:
-        """Backlog expressed in tasks (backlog / per-task cost hint)."""
-        return self.backlog(core, now) / self.task_cost_hint
-
-    def total_queued(self, now: float) -> float:
-        """Summed queue depth over all cores, in tasks."""
-        backlog = np.subtract(self.busy_until, now, out=self._backlog)
-        return float(np.maximum(backlog, 0.0, out=backlog).sum()) / self.task_cost_hint
+        return max(self._busy[core] - now, 0.0)
 
     def timeline(self) -> np.ndarray:
-        """(n_dispatches, 2) array of (virtual time, total queued tasks)."""
+        """(n_samples, 2) array of (virtual time, total queued tasks)."""
         if not self._samples:
             return np.empty((0, 2), dtype=np.float64)
         return np.asarray(self._samples, dtype=np.float64)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
 from repro.simmpi.engine import SimulationResult
-from repro.simmpi.trace import aggregate_spans, aggregate_stats
+from repro.simmpi.trace import PHASES
 
 __all__ = ["SearchReport", "ReportBuilder", "REPORT_SCHEMA", "REPORT_INSTRUMENTS"]
 
@@ -380,27 +380,41 @@ class ReportBuilder:
         #: the run's TraceRecorder, passed through to the report
         self.trace = trace
 
-    def _core_busy(self) -> np.ndarray | None:
-        """Observed busy seconds per core: compute plus active send/recv/
-        RMA time, excluding blocked communication waits (a core waiting
-        for work is idle, not loaded)."""
-        if not self.worker_cores:
-            return None
-        busy = np.zeros(max(self.worker_cores.values()) + 1, dtype=np.float64)
-        for pid, core in self.worker_cores.items():
-            stats = self.out.stats.get(pid)
-            if stats is not None:
-                busy[core] += stats.busy_total - stats.comm_wait
-        return busy
+    def _breakdowns(self) -> tuple[dict, dict, dict, np.ndarray | None]:
+        """The worker and master time breakdowns, the phase breakdown of
+        every proc's spans and the observed busy seconds per core, in one
+        pass over the procs.  A core's busy time is its threads' compute
+        plus active send/recv/RMA time, without blocked communication
+        waits (a core waiting for work is idle, not loaded)."""
+        coord, aux, cores = set(self.coordinator_pids), self.aux_pids, self.worker_cores
+        workers, master = [0.0] * 5, [0.0] * 5
+        phases = dict.fromkeys(PHASES, 0.0)
+        busy = [0.0] * (max(cores.values()) + 1) if cores else None
+        for pid, s in self.out.stats.items():
+            for name, seconds in s.span_time.items():
+                phases[name] = phases.get(name, 0.0) + seconds
+            if pid in aux:
+                continue
+            row = master if pid in coord else workers
+            compute = sum(s.compute.values())
+            row[0] += compute
+            row[1] += s.send_time
+            row[2] += s.recv_time
+            row[3] += s.comm_wait
+            row[4] += s.rma_time
+            core = cores.get(pid)
+            if core is not None:
+                comm = s.send_time + s.recv_time + s.comm_wait + s.rma_time
+                busy[core] += compute + comm - s.comm_wait
+        keys = ("compute", "send", "recv", "wait", "rma")
+        busy = None if busy is None else np.array(busy)
+        return dict(zip(keys, workers)), dict(zip(keys, master)), phases, busy
 
     def build(self) -> SearchReport:
         out, metrics = self.out, self.metrics
-        coord = set(self.coordinator_pids)
         # a coordinator killed by an injected crash never returned a report
         creports = [r for r in (out.results[p] for p in self.coordinator_pids) if r is not None]
-        worker_stats = [
-            s for p, s in out.stats.items() if p not in coord and p not in self.aux_pids
-        ]
+        worker_breakdown, master_breakdown, phase_breakdown, core_busy = self._breakdowns()
         fanouts = [f for r in creports for f in r.fanouts]
         per_query = dict.fromkeys(_PER_QUERY)
         if len(creports) == 1:
@@ -423,10 +437,10 @@ class ReportBuilder:
                 np.sum([r.dispatch_counts for r in creports], axis=0) if creports else None
             ),
             mean_fanout=float(np.mean(fanouts)) if fanouts else 0.0,
-            worker_breakdown=aggregate_stats(worker_stats),
-            master_breakdown=aggregate_stats([out.stats[p] for p in self.coordinator_pids]),
-            phase_breakdown=aggregate_spans(list(out.stats.values())),
-            core_busy_seconds=self._core_busy(),
+            worker_breakdown=worker_breakdown,
+            master_breakdown=master_breakdown,
+            phase_breakdown=phase_breakdown,
+            core_busy_seconds=core_busy,
             suspected_dead_cores=sorted({c for r in creports for c in r.suspected_dead_cores}),
             fault_events=tuple(out.fault_events),
             crashed_pids=tuple(out.crashed_pids),

@@ -148,7 +148,7 @@ class MasterWorkerStrategy(DispatchStrategy):
         report = MasterReport(cfg.n_cores, rt.metrics)
         parts = (
             job.Q,
-            Router(job.router, report, int(job.Q.shape[1])),
+            Router(job.router, report, int(job.Q.shape[1]), traced=rt.recorder is not None),
             DispatchWindow(
                 cfg, selector, report, rt.node_mailboxes, job.Q, fpayload=job.fpayload,
                 searcher=job.searcher, node_stores=job.node_stores, k=job.k,

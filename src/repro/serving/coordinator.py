@@ -105,7 +105,7 @@ class ServingPipeline:
         state.admit(ctx)
         self.report.fanouts.append(len(parts))
         self._outstanding[qid] = len(parts)
-        traced = ctx.trace_active
+        traced = self.router.traced
         for pid_part in parts:
             core = window.selector.pick(pid_part, ctx.now, exclude=window.blocked(1))
             if core is None:

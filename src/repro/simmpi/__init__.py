@@ -40,13 +40,11 @@ from repro.simmpi.engine import (
 )
 from repro.simmpi.comm import Comm
 from repro.simmpi.rma import Window
-from repro.simmpi.trace import PHASES, ProcStats, aggregate_stats, aggregate_spans
+from repro.simmpi.trace import PHASES, ProcStats
 
 __all__ = [
     "PHASES",
     "ProcStats",
-    "aggregate_stats",
-    "aggregate_spans",
     "SimError",
     "DeadlockError",
     "ProcError",

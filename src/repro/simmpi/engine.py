@@ -460,7 +460,7 @@ class _Proc:
         self.state = _RUNNABLE
         self.sendval: Any = None
         self.result: Any = None
-        self.stats = ProcStats(name=name)
+        self.stats = ProcStats()
         self.heap_token = 0
         self.timeout_token: int | None = None
         self._block_start = 0.0
@@ -557,7 +557,8 @@ class Context:
     def span_end(self, name: str, start: float) -> None:
         """Close the innermost open span, ``name`` begun at ``start``."""
         proc = self._proc
-        proc.stats.add_span(name, proc.clock - start)
+        spans = proc.stats.span_time
+        spans[name] = spans.get(name, 0.0) + (proc.clock - start)
         recorder = self._sim.recorder
         if recorder is not None:
             recorder.end_span(proc.pid, proc.clock)
@@ -899,7 +900,7 @@ class Simulation:
         for proc in self._procs:
             # a finished run leaves no timeout armed and no wait registered
             proc.clock = 0.0
-            proc.stats = ProcStats(name=proc.name)
+            proc.stats = ProcStats()
             proc.result = None
             if proc.parked:  # until the run starts: close() may still end it
                 proc.sendval = True
@@ -1028,15 +1029,14 @@ class Simulation:
             # the registry, so metrics cannot perturb the hot path
             self.metrics.counter("sim.events").value += n_events
             self.metrics.counter("sim.procs").value += len(procs)
-            self.metrics.counter("sim.msgs_sent").value += sum(
-                s.msgs_sent for s in result.stats.values()
-            )
-            self.metrics.counter("sim.bytes_sent").value += sum(
-                s.bytes_sent for s in result.stats.values()
-            )
-            self.metrics.counter("sim.rma_ops").value += sum(
-                s.rma_ops for s in result.stats.values()
-            )
+            msgs = nbytes = rma_ops = 0
+            for proc in procs:
+                msgs += proc.stats.msgs_sent
+                nbytes += proc.stats.bytes_sent
+                rma_ops += proc.stats.rma_ops
+            self.metrics.counter("sim.msgs_sent").value += msgs
+            self.metrics.counter("sim.bytes_sent").value += nbytes
+            self.metrics.counter("sim.rma_ops").value += rma_ops
             self.metrics.gauge("sim.makespan_seconds").set(result.makespan)
         return result
 
@@ -1066,7 +1066,8 @@ class Simulation:
         if self.faults is not None:
             seconds *= self.faults.compute_factor(proc.node)
         proc.clock += seconds
-        proc.stats.add_compute(kind, seconds)
+        compute = proc.stats.compute
+        compute[kind] = compute.get(kind, 0.0) + seconds
         self._defer(proc, handler, sc)
 
     def _block(self, proc: _Proc, timeout: float | None = None) -> None:
@@ -1152,7 +1153,8 @@ class Simulation:
         if self.faults is not None:
             seconds *= self.faults.compute_factor(proc.node)
         proc.clock += seconds
-        proc.stats.add_compute(sc.kind, seconds)
+        compute = proc.stats.compute
+        compute[sc.kind] = compute.get(sc.kind, 0.0) + seconds
         self._push(proc)
 
     def _do_set_event(self, proc: _Proc, sc: _EventSet) -> None:
@@ -1302,7 +1304,8 @@ class Simulation:
             recorder.begin_span(proc.pid, sc.span, start)
         self._transmit(proc, sc.send)
         if sc.span is not None:
-            proc.stats.add_span(sc.span, proc.clock - start)
+            spans = proc.stats.span_time
+            spans[sc.span] = spans.get(sc.span, 0.0) + (proc.clock - start)
             if recorder is not None:
                 recorder.end_span(proc.pid, proc.clock)
         if self.faults is not None and self.faults.node_down(proc.node, proc.clock):

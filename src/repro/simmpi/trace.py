@@ -2,8 +2,8 @@
 
 These feed Fig. 5 (search-time breakdown): every proc accumulates where its
 virtual time went — computation by kind, send/receive overheads, blocked
-communication waits, and RMA — and the eval layer aggregates them
-across ranks.
+communication waits, and RMA — and the report
+(:mod:`repro.runtime.report`) sums them across ranks in one pass.
 
 On top of the low-level counters sits a *span* layer: proc code opens named
 spans (``with ctx.span("route"): ...``) around the logical phases of the
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["PHASES", "ProcStats", "aggregate_stats", "aggregate_spans"]
+__all__ = ["PHASES", "ProcStats"]
 
 #: The uniform phase vocabulary every dispatch strategy emits:
 #:
@@ -33,11 +33,11 @@ __all__ = ["PHASES", "ProcStats", "aggregate_stats", "aggregate_spans"]
 PHASES = ("route", "dispatch", "search", "reduce", "drain")
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcStats:
-    """Where one proc's virtual time went, plus traffic counters."""
+    """Where one proc's virtual time went, plus traffic counters (the
+    engine updates the fields in place, with no method call)."""
 
-    name: str = ""
     #: computation seconds by kind (e.g. "search", "build", "route")
     compute: dict[str, float] = field(default_factory=dict)
     #: CPU time spent initiating sends
@@ -51,53 +51,6 @@ class ProcStats:
     msgs_sent: int = 0
     bytes_sent: int = 0
     rma_ops: int = 0
-    #: elapsed virtual seconds inside named spans (see :data:`PHASES`)
+    #: elapsed virtual seconds inside named spans (see :data:`PHASES`),
+    #: names in the order the proc first closed them
     span_time: dict[str, float] = field(default_factory=dict)
-    #: number of spans recorded per name
-    span_counts: dict[str, int] = field(default_factory=dict)
-
-    def add_compute(self, kind: str, seconds: float) -> None:
-        self.compute[kind] = self.compute.get(kind, 0.0) + seconds
-
-    def add_span(self, name: str, seconds: float) -> None:
-        self.span_time[name] = self.span_time.get(name, 0.0) + seconds
-        self.span_counts[name] = self.span_counts.get(name, 0) + 1
-
-    @property
-    def compute_total(self) -> float:
-        return sum(self.compute.values())
-
-    @property
-    def comm_total(self) -> float:
-        """All communication-attributable time (overheads + waits +
-        one-sided)."""
-        return self.send_time + self.recv_time + self.comm_wait + self.rma_time
-
-    @property
-    def busy_total(self) -> float:
-        return self.compute_total + self.comm_total
-
-
-def aggregate_stats(stats: list[ProcStats]) -> dict[str, float]:
-    """Sum a set of proc stats into one breakdown dict (seconds)."""
-    out = {"compute": 0.0, "send": 0.0, "recv": 0.0, "wait": 0.0, "rma": 0.0}
-    for s in stats:
-        out["compute"] += s.compute_total
-        out["send"] += s.send_time
-        out["recv"] += s.recv_time
-        out["wait"] += s.comm_wait
-        out["rma"] += s.rma_time
-    return out
-
-
-def aggregate_spans(stats: list[ProcStats]) -> dict[str, float]:
-    """Sum span times across procs into one phase breakdown (seconds).
-
-    Every name in :data:`PHASES` is always present (0.0 when no proc
-    recorded it); extra custom span names pass through untouched.
-    """
-    out = {p: 0.0 for p in PHASES}
-    for s in stats:
-        for name, seconds in s.span_time.items():
-            out[name] = out.get(name, 0.0) + seconds
-    return out

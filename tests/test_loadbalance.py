@@ -74,7 +74,7 @@ class TestLoadTracker:
         t = LoadTracker(1, task_cost_hint=1.0)
         t.record_dispatch(0, now=0.0)
         t.record_dispatch(0, now=10.0)
-        assert t.busy_until[0] == pytest.approx(11.0)
+        assert t.backlog(0, 10.0) == pytest.approx(1.0)  # horizon 11, not 2
 
     def test_batch_and_cost_overrides(self):
         t = LoadTracker(1, task_cost_hint=2.0)
@@ -82,14 +82,27 @@ class TestLoadTracker:
         assert t.backlog(0, 0.0) == pytest.approx(6.0)
         t.record_dispatch(0, now=0.0, cost=0.5)
         assert t.backlog(0, 0.0) == pytest.approx(6.5)
-        assert t.dispatched[0] == 4
+        # the depth counts the batch as three tasks, the override as 0.25
+        np.testing.assert_allclose(t.timeline()[:, 1], [3.0, 3.25])
 
     def test_queue_depth_in_tasks(self):
         t = LoadTracker(2, task_cost_hint=0.5)
         t.record_dispatch(0, now=0.0)
         t.record_dispatch(1, now=0.0)
-        assert t.queue_depth(0, 0.0) == pytest.approx(1.0)
-        assert t.total_queued(0.0) == pytest.approx(2.0)
+        assert t.backlog(0, 0.0) / t.task_cost_hint == pytest.approx(1.0)
+        assert t.timeline()[-1, 1] == pytest.approx(2.0)  # summed over cores
+
+    def test_now_going_back_is_refused(self):
+        t = LoadTracker(2, task_cost_hint=1.0)
+        t.record_dispatch(0, now=2.0)
+        t.record_dispatch(1, now=2.0)  # the same now is fine
+        with pytest.raises(SimConfigError, match="after one at 2.0"):
+            t.record_dispatch(0, now=1.5)
+
+    @pytest.mark.parametrize("cost", [-1.0, float("nan"), float("inf")])
+    def test_bad_cost_override_is_refused(self, cost):
+        with pytest.raises(SimConfigError):
+            LoadTracker(1, task_cost_hint=1.0).record_dispatch(0, now=0.0, cost=cost)
 
     def test_timeline_records_dispatches(self):
         t = LoadTracker(1, task_cost_hint=1.0)
@@ -103,6 +116,77 @@ class TestLoadTracker:
     def test_invalid_cores(self):
         with pytest.raises(SimConfigError):
             LoadTracker(0, 1.0)
+
+
+def total_queued(horizons: np.ndarray, now: float, hint: float) -> float:
+    """The O(n_cores) reduction a timeline sample must equal: every
+    core's backlog at ``now``, summed, in tasks."""
+    return float(np.maximum(horizons - now, 0.0).sum()) / hint
+
+
+def sampled_dispatches(n: int, cap: int) -> tuple[list[int], list[int]]:
+    """Which of ``n`` dispatches the timeline keeps under a ``cap``, and
+    which it ever sampled (the peak gauge sees those)."""
+    kept, ever, stride = [], [], 1
+    for i in range(n):
+        if (i + 1) % stride == 0:
+            kept.append(i)
+            ever.append(i)
+            if len(kept) >= cap:
+                kept, stride = kept[::2], stride * 2
+    return kept, ever
+
+
+class TestQueueDepthTimeline:
+    """Every timeline sample equals the O(n_cores) reduction over busy
+    horizons kept by the documented rule, ``max(horizon, now) + cost``,
+    and the peak gauge the largest sample."""
+
+    @pytest.mark.parametrize(
+        "n_cores, n_dispatches, cap, start",
+        [
+            (1, 400, 4096, 0.0),
+            (64, 3000, 4096, 0.0),
+            (1024, 3000, 4096, 0.0),
+            (64, 3000, 64, 0.0),  # decimated past the cap
+            (1024, 1500, 4096, 1e3),  # backlogs tiny against `now`
+        ],
+    )
+    def test_samples_match_the_full_reduction(self, monkeypatch, n_cores, n_dispatches, cap, start):
+        from repro import loadbalance
+        from repro.obs.metrics import MetricsRegistry
+
+        monkeypatch.setattr(loadbalance, "MAX_TIMELINE_SAMPLES", cap)
+        rng = np.random.default_rng([n_cores, n_dispatches, cap])
+        hint = 1e-4
+        metrics = MetricsRegistry()
+        t = LoadTracker(n_cores, task_cost_hint=hint, metrics=metrics)
+        horizons = np.zeros(n_cores)
+        now, times, depths = start, [], []
+        for _ in range(n_dispatches):
+            step = rng.random()
+            if step < 0.03:
+                now = max(now, horizons.max()) + hint  # an idle gap drains every core
+            elif step > 0.25:  # else a repeat dispatch at the same now
+                now += rng.exponential(hint / n_cores)
+            core = int(rng.integers(n_cores))
+            if rng.random() < 0.2:
+                cost = float(rng.choice([0.0, rng.uniform(0.0, 3.0) * hint]))
+                t.record_dispatch(core, now, cost=cost)
+            else:
+                n_tasks = int(rng.integers(1, 5))
+                t.record_dispatch(core, now, n_tasks=n_tasks)
+                cost = hint * n_tasks
+            horizons[core] = max(horizons[core], now) + cost
+            assert t.backlog(core, now) == max(horizons[core] - now, 0.0)
+            times.append(now)
+            depths.append(total_queued(horizons, now, hint))
+        kept, ever = sampled_dispatches(n_dispatches, cap)
+        timeline = t.timeline()
+        np.testing.assert_array_equal(timeline[:, 0], np.take(times, kept))
+        np.testing.assert_allclose(timeline[:, 1], np.take(depths, kept), rtol=1e-12, atol=0)
+        peak = metrics.gauge("loadtracker.peak_total_queued").value
+        assert peak == pytest.approx(max(np.take(depths, ever)), rel=1e-12)
 
 
 class TestSelectors:

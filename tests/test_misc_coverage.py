@@ -4,40 +4,58 @@ import numpy as np
 import pytest
 
 from repro.hnsw import HnswIndex, HnswParams, graph_stats
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime.report import ReportBuilder
 from repro.simmpi import Comm, Simulation
-from repro.simmpi.engine import payload_nbytes
-from repro.simmpi.trace import ProcStats, aggregate_stats
+from repro.simmpi.engine import SimulationResult, payload_nbytes
+from repro.simmpi.trace import PHASES, ProcStats
 from repro.vptree import PartitionRouter, VPTree
+
+
+def breakdowns(stats: dict, coordinators=(), aux=(), worker_cores=None):
+    """The report's one pass over ``stats`` (pid -> ProcStats)."""
+    out = SimulationResult(0.0, {}, {}, stats, 0)
+    return ReportBuilder(
+        out, list(coordinators), 0, MetricsRegistry(), worker_cores=worker_cores, aux_pids=aux
+    )._breakdowns()
 
 
 class TestProcStats:
     def test_aggregate_sums_all_fields(self):
-        a = ProcStats(name="a")
-        a.add_compute("search", 1.0)
+        a = ProcStats(compute={"search": 1.0}, span_time={"search": 1.0, "retry": 0.25})
         a.send_time = 0.1
         a.comm_wait = 0.5
-        b = ProcStats(name="b")
-        b.add_compute("route", 2.0)
+        b = ProcStats(compute={"route": 2.0}, span_time={"failover": 0.5, "search": 2.0})
         b.rma_time = 0.2
-        agg = aggregate_stats([a, b])
+        master = ProcStats(compute={"route": 4.0}, span_time={"route": 4.0})
+        source = ProcStats(compute={"arrival_gap": 8.0})
+        agg, magg, phases, _ = breakdowns({0: master, 1: source, 2: a, 3: b}, [0], [1])
         assert agg["compute"] == pytest.approx(3.0)
         assert agg["send"] == pytest.approx(0.1)
         assert agg["wait"] == pytest.approx(0.5)
         assert agg["rma"] == pytest.approx(0.2)
+        assert magg == {"compute": 4.0, "send": 0.0, "recv": 0.0, "wait": 0.0, "rma": 0.0}
+        # every phase first, then custom spans in first-seen order
+        assert list(phases) == [*PHASES, "retry", "failover"]
+        assert phases["search"] == pytest.approx(3.0)
 
     def test_busy_and_comm_totals(self):
-        s = ProcStats()
-        s.add_compute("x", 1.0)
+        s = ProcStats(compute={"x": 1.0})
         s.recv_time = 0.25
         s.send_time = 0.25
-        assert s.comm_total == pytest.approx(0.5)
-        assert s.busy_total == pytest.approx(1.5)
+        s.comm_wait = 2.0  # blocked, so not busy
+        t = ProcStats(compute={"x": 0.5})
+        _, _, _, busy = breakdowns({0: s, 1: t}, worker_cores={0: 1, 1: 1})
+        np.testing.assert_allclose(busy, [0.0, 2.0])
 
     def test_compute_kinds_accumulate(self):
-        s = ProcStats()
-        s.add_compute("search", 1.0)
-        s.add_compute("search", 2.0)
-        assert s.compute == {"search": 3.0}
+        def prog(ctx):
+            yield from ctx.compute(1.0, kind="search")
+            yield ctx.compute_op(2.0, "search")
+
+        sim = Simulation()
+        pid = sim.add_proc(prog)
+        assert sim.run().stats[pid].compute == {"search": 3.0}
 
 
 class TestPayloadNbytes:

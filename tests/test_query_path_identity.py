@@ -722,8 +722,8 @@ def test_time_buckets_sum_to_the_clock(runs, name):
     for pid, s in out.stats.items():
         if pid in crashed:
             continue
-        busy = s.compute_total + s.send_time + s.recv_time + s.comm_wait + s.rma_time
-        assert busy == pytest.approx(out.clocks[pid], rel=1e-12, abs=0.0), (name, s.name)
+        busy = sum(s.compute.values()) + s.send_time + s.recv_time + s.comm_wait + s.rma_time
+        assert busy == pytest.approx(out.clocks[pid], rel=1e-12, abs=0.0), (name, pid)
 
 
 def _sim_facts(out) -> dict:

@@ -540,7 +540,7 @@ class TestWaitAccounting:
         assert s.comm_wait == pytest.approx(completion - 1e-6 if send_first else completion,
                                             rel=1e-12)
         assert s.recv_time == overhead
-        busy = s.compute_total + s.send_time + s.recv_time + s.comm_wait + s.rma_time
+        busy = sum(s.compute.values()) + s.send_time + s.recv_time + s.comm_wait + s.rma_time
         assert busy == pytest.approx(out.clocks[0], rel=1e-12)
 
 
